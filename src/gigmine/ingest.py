@@ -158,7 +158,7 @@ class Corpus:
 
 def _read_rows(path, expected_header):
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise CorpusFormatError(f"cannot read {path}: {exc}") from exc
     with fh:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg
@@ -98,6 +99,10 @@ class SVDReducer:
     with the same columns onto the fitted right singular vectors, so the
     training rows map to their left-singular coordinates scaled by the
     singular values and held-out rows never influence the basis.
+
+    The solver follows from the shape: ARPACK when ``2k + 1 < min(n, m)``,
+    dense LAPACK otherwise; ``solver_`` names the one that ran. Both give
+    the same sign-fixed basis up to rounding.
     """
 
     def __init__(self, k: int, seed: int = 0):
@@ -107,6 +112,7 @@ class SVDReducer:
         self.seed = seed
         self.components_: Optional[np.ndarray] = None  # (n_cols, k)
         self.singular_values_: Optional[np.ndarray] = None
+        self.solver_: Optional[str] = None  # "arpack" or "lapack"
 
     def fit(self, X) -> "SVDReducer":
         n, m = X.shape
@@ -114,7 +120,7 @@ class SVDReducer:
             raise GigmineError(
                 f"rank {self.k} exceeds matrix dimensions {X.shape}"
             )
-        if self.k < min(n, m):
+        if 2 * self.k + 1 < min(n, m):
             rng = np.random.default_rng(self.seed)
             v0 = rng.standard_normal(min(n, m))
             u, s, vt = sp.linalg.svds(
@@ -122,11 +128,19 @@ class SVDReducer:
             )
             order = np.argsort(s)[::-1]
             s, vt = s[order], vt[order]
+            self.solver_ = "arpack"
         else:
-            # the iterative solver needs k < min(n, m); full rank goes dense
-            dense = X.toarray() if sp.issparse(X) else np.asarray(X, dtype=float)
-            u, s, vt = np.linalg.svd(dense, full_matrices=False)
+            # ARPACK's default Lanczos basis (2k + 1 vectors) would already
+            # span the short side, so a dense factorisation costs less
+            dense = X.toarray(order="F") if sp.issparse(X) else np.array(X, order="F")
+            u, s, vt = scipy.linalg.svd(
+                dense.astype(float, copy=False),
+                full_matrices=False,
+                check_finite=False,
+                overwrite_a=True,
+            )
             s, vt = s[: self.k], vt[: self.k]
+            self.solver_ = "lapack"
         # fix the sign ambiguity so repeated fits agree bit for bit
         flip = np.sign(vt[np.arange(vt.shape[0]), np.argmax(np.abs(vt), axis=1)])
         flip[flip == 0] = 1.0
@@ -194,8 +208,8 @@ def train_logreg(
     x0 = np.zeros(X.shape[1] + 1)
     history = [logreg_loss_grad(x0, X, y, C)[0]]
 
-    def record(params):
-        history.append(logreg_loss_grad(params, X, y, C)[0])
+    def record(intermediate_result):
+        history.append(intermediate_result.fun)
 
     result = scipy.optimize.minimize(
         logreg_loss_grad,
@@ -258,13 +272,14 @@ def _mean_blocks(blocks):
     return {k: float(np.mean([b[k] for b in blocks])) for k in keys}
 
 
-def _tune_C(X, y, c_grid, folds, threshold):
+def _tune_C(X, y, c_grid, folds, threshold, fits):
     best_c, best_f1 = None, -1.0
     for C in c_grid:
         f1s = []
         for i, test_idx in enumerate(folds):
             train_idx = np.sort(np.concatenate([f for j, f in enumerate(folds) if j != i]))
             model = train_logreg(X[train_idx], y[train_idx], C=C)
+            fits.append(model)
             scores = predict_proba(model, X[test_idx])
             _, _, f1 = precision_recall_f1(scores, y[test_idx], threshold=threshold)
             f1s.append(f1)
@@ -274,11 +289,12 @@ def _tune_C(X, y, c_grid, folds, threshold):
     return best_c, best_f1
 
 
-def _tune_C_k(X, y, c_grid, k_grid, folds, threshold, seed):
+def _tune_C_k(X, y, c_grid, k_grid, folds, threshold, seed, fits):
     """Joint (C, k) grid search sharing one SVD per fold.
 
     The rank-k basis for a smaller k is a prefix of the larger one from the
     same fit, so each fold is factored once at the largest feasible rank.
+    Every fitted model is appended to ``fits``.
     """
     k_grid = sorted(k_grid)
     per_fold = []
@@ -301,6 +317,7 @@ def _tune_C_k(X, y, c_grid, k_grid, folds, threshold, seed):
             f1s = []
             for (ftr, fte), (train_idx, test_idx, _, _) in zip(fold_feats, per_fold):
                 model = train_logreg(ftr, y[train_idx], C=C)
+                fits.append(model)
                 scores = predict_proba(model, fte)
                 _, _, f1 = precision_recall_f1(scores, y[test_idx], threshold=threshold)
                 f1s.append(f1)
@@ -327,7 +344,10 @@ def run_task1(
     Censors successful artists' events at the change point, builds the
     affiliation matrix, then averages test metrics over ``n_splits`` seeded
     stratified 80/20 splits. C (and the SVD rank) are re-tuned inside each
-    split by stratified cross-validation on F1.
+    split by stratified cross-validation on F1. Each ``selected`` entry also
+    names the solver of the split's final SVD fit and, over every logistic
+    regression fitted in the split (tuning included), how many stopped
+    short of convergence and the most iterations any took.
     """
     artist_order = sorted(corpus.artist_events, key=str)
     events = truncate_events(corpus, labels)
@@ -349,25 +369,36 @@ def run_task1(
         base = baseline_scores(X[test_idx])
         per_model["baseline"].append(_metric_block(base, y[test_idx], threshold))
 
-        best_c, _ = _tune_C(X[train_idx], y[train_idx], c_grid, folds, threshold)
+        fits: list[LogregModel] = []
+        best_c, _ = _tune_C(X[train_idx], y[train_idx], c_grid, folds, threshold, fits)
         model = train_logreg(X[train_idx], y[train_idx], C=best_c)
+        fits.append(model)
         per_model["logreg"].append(
             _metric_block(predict_proba(model, X[test_idx]), y[test_idx], threshold)
         )
 
         (svd_c, svd_k), _ = _tune_C_k(
-            X[train_idx], y[train_idx], c_grid, k_grid, folds, threshold, split_seed
+            X[train_idx], y[train_idx], c_grid, k_grid, folds, threshold, split_seed, fits
         )
         cap = min(len(train_idx), X.shape[1])
         k_fit = min(svd_k, cap)
         reducer = SVDReducer(k_fit, seed=split_seed).fit(X[train_idx])
         model = train_logreg(reducer.transform(X[train_idx]), y[train_idx], C=svd_c)
+        fits.append(model)
         per_model["logreg_svd"].append(
             _metric_block(
                 predict_proba(model, reducer.transform(X[test_idx])), y[test_idx], threshold
             )
         )
-        chosen.append({"split_seed": split_seed, "C": best_c, "svd_C": svd_c, "svd_k": k_fit})
+        chosen.append({
+            "split_seed": split_seed,
+            "C": best_c,
+            "svd_C": svd_c,
+            "svd_k": k_fit,
+            "svd_solver": reducer.solver_,
+            "logreg_unconverged": sum(not f.converged for f in fits),
+            "logreg_max_iter": max(f.n_iter for f in fits),
+        })
 
     return {
         "task": "forecasting",

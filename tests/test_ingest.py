@@ -44,6 +44,12 @@ class TestParsing:
         with pytest.raises(CorpusFormatError, match="header"):
             parse_corpus(bad, paths[1], paths[2])
 
+    def test_utf8_bom_before_header_accepted(self, corpus_files):
+        paths = corpus_files([event_row("e1", "a1", "v1", "2010-05-01")], [], LABELS)
+        paths[0].write_bytes(b"\xef\xbb\xbf" + paths[0].read_bytes())
+        c = parse_corpus(*paths)
+        assert [e.event_id for e in c.events] == ["e1"]
+
     def test_missing_file_fails_hard(self, corpus_files, tmp_path):
         paths = corpus_files([event_row("e1", "a1", "v1", "2010-05-01")], [], LABELS)
         with pytest.raises(CorpusFormatError, match="cannot read"):

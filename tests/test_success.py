@@ -118,10 +118,25 @@ class TestSVDReducer:
     def test_full_rank_uses_dense_path(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((6, 4))
+        before = A.copy()
         red = SVDReducer(4, seed=0).fit(A)
+        assert red.solver_ == "lapack"
+        assert np.array_equal(A, before)  # the solver overwrites its own copy only
         recon = red.transform(A) @ red.components_.T
         assert np.linalg.norm(A - recon) / np.linalg.norm(A) <= 1e-10
         assert red.singular_values_.shape == (4,)
+
+    def test_solver_follows_shape_and_paths_agree(self):
+        rng = np.random.default_rng(12)
+        for shape in ((30, 12), (12, 30)):
+            A = sp.csr_matrix(rng.standard_normal(shape))
+            # short side 12: ARPACK while 2k + 1 < 12, LAPACK from k = 6 on,
+            # whose first 5 columns are a rank-5 fit
+            arpack = SVDReducer(5, seed=3).fit(A)
+            lapack = SVDReducer(6, seed=3).fit(A)
+            assert (arpack.solver_, lapack.solver_) == ("arpack", "lapack")
+            assert np.abs(arpack.components_ - lapack.components_[:, :5]).max() <= 1e-10
+            assert np.abs(arpack.singular_values_ - lapack.singular_values_[:5]).max() <= 1e-10
 
     def test_transform_does_not_see_heldout_rows(self):
         rng = np.random.default_rng(2)
@@ -212,6 +227,9 @@ class TestLogreg:
         model = train_logreg(X, y, C=1.0)
         hist = np.asarray(model.loss_history)
         assert len(hist) >= 2
+        assert len(hist) == model.n_iter + 1
+        final = np.append(model.weights, model.intercept)
+        assert hist[-1] == logreg_loss_grad(final, X, y, 1.0)[0]
         assert np.all(np.diff(hist) <= 1e-12)
         assert model.converged
         assert model.n_iter >= 1
@@ -315,6 +333,9 @@ class TestRunTask1:
         for sel in report["selected"]:
             assert sel["C"] == 1.0
             assert sel["svd_k"] <= 4
+            assert sel["svd_solver"] == "arpack"  # 2k + 1 = 9 is below both matrix sides
+            assert sel["logreg_unconverged"] == 0
+            assert sel["logreg_max_iter"] >= 1
 
     def test_single_class_corpus_rejected(self, small_corpus):
         corpus, labels = small_corpus

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -47,13 +46,23 @@ class SeedScores:
                 raise GigmineError(f"{name} seeds contain a negative entry")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemporalWeights:
-    """Edge -> decay weight, weight = delta^(ref_year - first_year)."""
+    """Per-edge decay weight delta^(ref_year - first_year) of one graph.
 
-    weights: Mapping
+    ``values`` follows the graph's edge arrays; ``weights`` is the same data
+    keyed by (artist, venue) pair.
+    """
+
+    graph: BipartiteGraph
+    values: np.ndarray
     delta: float
     ref_year: int
+
+    @property
+    def weights(self) -> dict:
+        g = self.graph
+        return dict(zip(g.id_pairs(g.row, g.col), self.values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -74,12 +83,12 @@ def seed_scores(g: BipartiteGraph) -> SeedScores:
     if not g.artists or not g.venues:
         raise GigmineError("seed scores need at least one artist and one venue")
     seeds = []
-    for order in (g.artist_order, g.venue_order):
-        raw = {n: math.log(g.degree(n) + 1) for n in order}
-        total = sum(raw.values())
+    for order, ptr in ((g.artist_order, g.indptr), (g.venue_order, g.csc_indptr)):
+        raw = [math.log(d + 1) for d in np.diff(ptr).tolist()]
+        total = sum(raw)
         if total == 0.0:
             raise GigmineError("cannot seed a side whose nodes all have degree 0")
-        seeds.append({n: x / total for n, x in raw.items()})
+        seeds.append({n: x / total for n, x in zip(order, raw)})
     return SeedScores(artist_seed=seeds[0], venue_seed=seeds[1])
 
 
@@ -89,31 +98,19 @@ def temporal_weights(
     """Geometric decay per edge age: delta^(ref_year - first_year)."""
     if not 0.0 < delta <= 1.0:
         raise GigmineError(f"delta must lie in (0, 1], got {delta}")
-    weights = {}
-    for pair, info in g.edges.items():
-        if info.first_year > ref_year:
-            raise GigmineError(
-                f"edge {pair} has first_year {info.first_year} after ref_year {ref_year}"
-            )
-        weights[pair] = delta ** (ref_year - info.first_year)
-    return TemporalWeights(weights=weights, delta=delta, ref_year=ref_year)
-
-
-def _weight_matrix(
-    g: BipartiteGraph, weights: TemporalWeights, count_scaled: bool
-) -> sp.csr_matrix:
-    a_index = {a: i for i, a in enumerate(g.artist_order)}
-    v_index = {v: j for j, v in enumerate(g.venue_order)}
-    rows, cols, data = [], [], []
-    for pair, info in g.edges.items():
-        w = weights.weights.get(pair)
-        if w is None:
-            raise GigmineError(f"temporal weights missing edge {pair}")
-        rows.append(a_index[pair[0]])
-        cols.append(v_index[pair[1]])
-        data.append(w * info.count if count_scaled else w)
-    return sp.csr_matrix(
-        (data, (rows, cols)), shape=(len(a_index), len(v_index))
+    late = np.flatnonzero(g.first_year > ref_year)
+    if late.size:
+        e = late[0]
+        (pair,) = g.id_pairs(g.row[e:e + 1], g.col[e:e + 1])
+        raise GigmineError(
+            f"edge {pair} has first_year {g.first_year[e]} after ref_year {ref_year}"
+        )
+    # one Python power per distinct age keeps the values bit-identical to
+    # delta ** age on Python ints
+    ages, age_of_edge = np.unique(ref_year - g.first_year, return_inverse=True)
+    decay = np.array([delta ** age for age in ages.tolist()], dtype=float)
+    return TemporalWeights(
+        graph=g, values=decay[age_of_edge], delta=delta, ref_year=ref_year
     )
 
 
@@ -144,8 +141,10 @@ def birank(
     if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
         raise GigmineError(f"alpha and beta must lie in [0, 1], got {alpha}, {beta}")
     weights = weights if weights is not None else temporal_weights(g)
+    if weights.graph is not g and weights.graph != g:
+        raise GigmineError("temporal weights were computed for a different graph")
     seeds = seeds if seeds is not None else seed_scores(g)
-    W = _weight_matrix(g, weights, count_scaled)
+    W = g.biadjacency(weights.values * g.count if count_scaled else weights.values)
     du = np.asarray(W.sum(axis=1)).ravel()
     dp = np.asarray(W.sum(axis=0)).ravel()
     # isolated nodes receive no propagated mass, only their damped seed
@@ -173,8 +172,8 @@ def birank(
             converged = True
             break
     return BiRankResult(
-        artist_scores={a: float(u[i]) for i, a in enumerate(g.artist_order)},
-        venue_scores={v: float(p[j]) for j, v in enumerate(g.venue_order)},
+        artist_scores=dict(zip(g.artist_order, u.tolist())),
+        venue_scores=dict(zip(g.venue_order, p.tolist())),
         iterations=iterations,
         converged=converged,
     )
@@ -217,39 +216,22 @@ def yearly_trajectories(
     alpha: float = ALPHA,
     beta: float = BETA,
     count_scaled: bool = False,
-    threads: int = 1,
 ) -> dict:
     """BiRank artist ranks per year over a moving window of events.
 
     Each year Y ranks the subgraph of events dated within the window
     [Y - window_years + 1, Y], with temporal decay referenced to Y. Output
     maps year -> {artist: {"rank": dense rank, "score": score}}. Years whose
-    window holds no events are skipped and logged. Windows are independent,
-    so ``threads`` > 1 computes them concurrently with identical results.
+    window holds no events are skipped and logged.
     """
     lo, hi = corpus.year_span()
     if hi - lo + 1 < window_years:
         raise GigmineError(
             f"corpus spans {hi - lo + 1} years, need at least {window_years}"
         )
-    years = list(range(lo + window_years - 1, hi + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rankings = list(
-                pool.map(
-                    lambda y: _window_ranking(
-                        corpus, y, window_years, delta, alpha, beta, count_scaled
-                    ),
-                    years,
-                )
-            )
-    else:
-        rankings = [
-            _window_ranking(corpus, y, window_years, delta, alpha, beta, count_scaled)
-            for y in years
-        ]
     out = {}
-    for year, ranking in zip(years, rankings):
+    for year in range(lo + window_years - 1, hi + 1):
+        ranking = _window_ranking(corpus, year, window_years, delta, alpha, beta, count_scaled)
         if ranking is None:
             log.info(
                 "no events in the %d-year window ending %d; skipped", window_years, year

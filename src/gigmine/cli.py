@@ -15,28 +15,39 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import datetime as dt
 import json
 import logging
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 from gigmine import __version__
 from gigmine.birank import (
+    ALPHA,
+    BETA,
+    DELTA,
     birank,
     score_histogram,
     seed_scores,
     temporal_weights,
     yearly_trajectories,
 )
+from gigmine.embeddings import DIM, EPOCHS, WALK_LENGTH, WALKS_PER_NODE, WINDOW
 from gigmine.errors import GigmineError
 from gigmine.ingest import filter_min_activity, filter_post_2007, parse_corpus
 from gigmine.labeling import change_points, label_corpus
-from gigmine.linkpred import ALL_PREDICTORS, SplitSpec, run_task2
-from gigmine.routes import city_sequences, mine_routes
-from gigmine.success import run_task1
+from gigmine.linkpred import (
+    ALL_PREDICTORS,
+    NEG_FLOOR,
+    NEG_MULTIPLE,
+    SVD_RANK,
+    SplitSpec,
+    run_task2,
+)
+from gigmine.routes import N_VALUES, city_sequences, mine_routes
+from gigmine.success import C_GRID, K_GRID, run_task1
 from gigmine.synth import GenSpec, generate
 
 log = logging.getLogger("gigmine")
@@ -48,7 +59,6 @@ class UsageError(Exception):
 
 DEFAULTS: dict = {
     "seed": 0,
-    "threads": 0,  # 0 = logical cores
     "corpus": {
         "dir": "",
         "events": "events.csv",
@@ -68,8 +78,8 @@ DEFAULTS: dict = {
         "test_fraction": 0.2,
         "cv_folds": 3,
         "threshold": 0.5,
-        "c_grid": [0.01, 0.1, 1.0, 10.0, 100.0],
-        "k_grid": [250, 500, 750, 1000],
+        "c_grid": list(C_GRID),
+        "k_grid": list(K_GRID),
     },
     "task2": {
         "predictors": list(ALL_PREDICTORS),
@@ -78,39 +88,31 @@ DEFAULTS: dict = {
         "hidden_fraction": 0.2,
         "n_random_splits": 3,
         "core_k": 5,
-        "svd_k": 25,
-        "neg_multiple": 10,
-        "neg_floor": 100000,
+        "svd_k": SVD_RANK,
+        "neg_multiple": NEG_MULTIPLE,
+        "neg_floor": NEG_FLOOR,
         "exhaustive_negatives": False,
-        "walks_per_node": 40,
-        "walk_length": 10,
-        "embed_dim": 128,
-        "embed_window": 5,
-        "embed_epochs": 5,
+        "walks_per_node": WALKS_PER_NODE,
+        "walk_length": WALK_LENGTH,
+        "embed_dim": DIM,
+        "embed_window": WINDOW,
+        "embed_epochs": EPOCHS,
     },
     "task3": {
-        "delta": 0.85,
-        "alpha": 0.85,
-        "beta": 0.85,
+        "delta": DELTA,
+        "alpha": ALPHA,
+        "beta": BETA,
         "ref_year": 0,  # 0 = most recent year in the corpus
         "window_years": 3,
         "count_scaled": False,
         "top_k": 20,
         "bins": 20,
     },
-    "routes": {"n_values": [4, 5], "top_k": 20},
+    "routes": {"n_values": list(N_VALUES), "top_k": 20},
     "synth": {
-        "n_artists": 1000,
-        "n_venues": 200,
-        "years": [2008, 2017],
-        "heavy_tail_exponent": 2.2,
-        "min_events": 10,
-        "positive_fraction": 0.1,
-        "success_venue_bias": 3.0,
-        "hub_fraction": 0.05,
-        "future_edge_count": 0,
-        "trajectory_artists": 0,
-        "route_artists": 0,
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in dataclasses.asdict(GenSpec()).items()
+        if key != "seed"
     },
 }
 
@@ -130,7 +132,7 @@ def _merge_config(user: dict, defaults: dict, path: str = "") -> dict:
     return out
 
 
-def load_config(arg: str | None, seed: int | None, threads: int | None) -> dict:
+def load_config(arg: str | None, seed: int | None) -> dict:
     if arg is None:
         user = {}
     elif arg == "-":
@@ -151,10 +153,6 @@ def load_config(arg: str | None, seed: int | None, threads: int | None) -> dict:
     config = _merge_config(user, DEFAULTS)
     if seed is not None:
         config["seed"] = seed
-    if threads is not None:
-        config["threads"] = threads
-    if config["threads"] == 0:
-        config["threads"] = os.cpu_count() or 1
     return config
 
 
@@ -263,18 +261,8 @@ def cmd_stats(config: dict, out: Path) -> dict:
 def cmd_task1(config: dict, out: Path) -> dict:
     corpus, labels, info = _load_preprocessed(config)
     t1 = config["task1"]
-    result = run_task1(
-        corpus,
-        labels,
-        mode=t1["mode"],
-        n_splits=t1["n_splits"],
-        test_fraction=t1["test_fraction"],
-        cv_folds=t1["cv_folds"],
-        threshold=t1["threshold"],
-        c_grid=tuple(t1["c_grid"]),
-        k_grid=tuple(t1["k_grid"]),
-        seed=config["seed"],
-    )
+    grids = {"c_grid": tuple(t1["c_grid"]), "k_grid": tuple(t1["k_grid"])}
+    result = run_task1(corpus, labels, seed=config["seed"], **{**t1, **grids})
     payload = {"report": "task1", **info, **result}
     _write_json(out / "task1-report.json", _report(config, payload))
     return payload
@@ -282,30 +270,16 @@ def cmd_task1(config: dict, out: Path) -> dict:
 
 def cmd_task2(config: dict, out: Path) -> dict:
     corpus, _labels, info = _load_preprocessed(config)
-    t2 = config["task2"]
-    result = run_task2(
-        corpus,
-        predictors=tuple(t2["predictors"]),
-        split=SplitSpec(
-            kind="temporal",
-            train_end_year=t2["train_end_year"],
-            test_years=frozenset(t2["test_years"]),
-            seed=config["seed"],
-        ),
-        hidden_fraction=t2["hidden_fraction"],
-        n_random_splits=t2["n_random_splits"],
-        core_k=t2["core_k"],
-        svd_k=t2["svd_k"],
-        neg_multiple=t2["neg_multiple"],
-        neg_floor=t2["neg_floor"],
-        exhaustive_negatives=t2["exhaustive_negatives"],
+    t2 = dict(config["task2"])
+    split = SplitSpec(
+        kind="temporal",
+        train_end_year=t2.pop("train_end_year"),
+        test_years=frozenset(t2.pop("test_years")),
         seed=config["seed"],
-        walks_per_node=t2["walks_per_node"],
-        walk_length=t2["walk_length"],
-        embed_dim=t2["embed_dim"],
-        embed_window=t2["embed_window"],
-        embed_epochs=t2["embed_epochs"],
     )
+    t2["predictors"] = tuple(t2["predictors"])
+    # every other task2 key is a run_task2 (or embedding) parameter of that name
+    result = run_task2(corpus, split=split, seed=config["seed"], **t2)
     payload = {"report": "task2", **info, **result}
     _write_json(out / "task2-report.json", _report(config, payload))
     return payload
@@ -341,7 +315,6 @@ def cmd_task3(config: dict, out: Path) -> dict:
         alpha=t3["alpha"],
         beta=t3["beta"],
         count_scaled=t3["count_scaled"],
-        threads=config["threads"],
     )
     traj_csv = out / "task3-trajectories.csv"
     traj_csv.parent.mkdir(parents=True, exist_ok=True)
@@ -419,20 +392,7 @@ def cmd_routes(config: dict, out: Path) -> dict:
 
 def cmd_synth(config: dict, out: Path) -> dict:
     s = config["synth"]
-    spec = GenSpec(
-        n_artists=s["n_artists"],
-        n_venues=s["n_venues"],
-        years=tuple(s["years"]),
-        seed=config["seed"],
-        heavy_tail_exponent=s["heavy_tail_exponent"],
-        min_events=s["min_events"],
-        positive_fraction=s["positive_fraction"],
-        success_venue_bias=s["success_venue_bias"],
-        hub_fraction=s["hub_fraction"],
-        future_edge_count=s["future_edge_count"],
-        trajectory_artists=s["trajectory_artists"],
-        route_artists=s["route_artists"],
-    )
+    spec = GenSpec(seed=config["seed"], **{**s, "years": tuple(s["years"])})
     manifest = generate(spec, out)
     # stdout carries a ready-to-pipe config pointing at the generated corpus
     handoff: dict = {
@@ -484,9 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file, or - for stdin")
         p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument(
-            "--threads", type=int, help="worker pool size (0 = logical cores)"
-        )
-        p.add_argument(
             "--out", default=".", help="output directory for reports (default .)"
         )
     return parser
@@ -501,7 +458,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config, args.seed, args.threads)
+        config = load_config(args.config, args.seed)
         out = Path(args.out)
         COMMANDS[args.command](config, out)
     except UsageError as exc:

@@ -23,29 +23,35 @@ WINDOW = 5
 NEGATIVES = 5
 EPOCHS = 5
 LEARNING_RATE = 0.025
+WALKS_PER_NODE = 40
+WALK_LENGTH = 10
 
 
 def sample_walks(
     g: BipartiteGraph,
-    walks_per_node: int = 40,
-    length: int = 10,
+    walks_per_node: int = WALKS_PER_NODE,
+    length: int = WALK_LENGTH,
     seed: int = 0,
 ) -> list[list]:
     """Uniform random walks: ``walks_per_node`` from every node, ``length`` steps each.
 
     A walk records length+1 nodes including the start; a walk from a node
     with no surviving edges stops where it stands. Neighbor choices are
-    uniform and seeded.
+    uniform and seeded; each node's neighbors are taken in index order.
     """
     if not g.artists and not g.venues:
         raise GigmineError("cannot sample walks from an empty graph")
     rng = np.random.default_rng(seed)
-    adjacency = {
-        node: sorted(g.neighbors(node), key=str)
-        for node in list(g.artist_order) + list(g.venue_order)
-    }
+    # node k < n_a is artist k, node n_a + j is venue j
+    names = g.artist_order + g.venue_order
+    n_a = len(g.artist_order)
+    ptr, cptr = g.indptr, g.csc_indptr
+    adjacency = [(g.col[ptr[i]:ptr[i + 1]] + n_a).tolist() for i in range(n_a)]
+    adjacency += [
+        g.csc_indices[cptr[j]:cptr[j + 1]].tolist() for j in range(len(g.venue_order))
+    ]
     walks = []
-    for node in list(g.artist_order) + list(g.venue_order):
+    for node in range(len(names)):
         for _ in range(walks_per_node):
             walk = [node]
             cur = node
@@ -55,7 +61,7 @@ def sample_walks(
                     break
                 cur = nbrs[rng.integers(len(nbrs))]
                 walk.append(cur)
-            walks.append(walk)
+            walks.append([names[k] for k in walk])
     return walks
 
 

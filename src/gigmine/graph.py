@@ -1,21 +1,29 @@
-"""Immutable bipartite artist-venue graph.
+"""Immutable bipartite artist-venue graph stored as interned index arrays.
 
 Nodes on one side are artists, on the other venues; an edge exists when at
 least one event links the pair. Each edge records the number of events behind
-it and the calendar year of the earliest one. Neighbor sets, 2-hop neighbor
-sets (the union of the neighbors of each neighbor, which lands back on the
-node's own side) and distinct-neighbor degrees are the primitives every
-downstream task builds on.
+it and the calendar year of the earliest one.
 
-The graph is immutable after construction and safe for concurrent reads.
-Artist and venue id sets must be disjoint so that set formulas over the mixed
-node universe are well defined; construction rejects overlapping ids.
+Ids are interned once: ``artist_order`` and ``venue_order`` are the sorted id
+tuples, and a node's index is its position in its side's tuple. The edges are
+stored once, as int arrays in CSR order (by artist index, then venue index):
+``row``, ``col``, ``count`` and ``first_year``, with ``indptr`` delimiting each
+artist's run and ``csc_indptr``/``csc_indices`` listing each venue's artists.
+Neighbor sets, 2-hop neighbor sets (the union of the neighbors of each
+neighbor, which lands back on the node's own side), distinct-neighbor degrees
+and the sparse biadjacency matrix are views over these arrays, and the tasks
+read the arrays directly instead of keeping id maps of their own.
+
+The graph is immutable after construction (its arrays are read-only) and safe
+for concurrent reads. Artist and venue id sets must be disjoint so that set
+formulas over the mixed node universe are well defined; construction rejects
+overlapping ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,11 +36,16 @@ VenueId = str
 
 @dataclass(frozen=True)
 class EdgeInfo:
-    """Per-edge payload: event multiplicity, first event year, generic weight."""
+    """Per-edge payload: event multiplicity and first event year."""
 
     count: int
     first_year: int
-    weight: float = 1.0
+
+
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 class BipartiteGraph:
@@ -52,37 +65,46 @@ class BipartiteGraph:
         venues: Iterable[VenueId],
         edges: Mapping[tuple[ArtistId, VenueId], EdgeInfo],
     ):
-        self._artists = frozenset(artists)
-        self._venues = frozenset(venues)
+        self._set_nodes(tuple(sorted(set(artists), key=str)), tuple(sorted(set(venues), key=str)))
+        fields = []
+        for (a, v), info in edges.items():
+            if a not in self._artist_index:
+                raise GigmineError(f"edge ({a!r}, {v!r}): artist endpoint not in node set")
+            if v not in self._venue_index:
+                raise GigmineError(f"edge ({a!r}, {v!r}): venue endpoint not in node set")
+            if info.count < 1:
+                raise GigmineError(f"edge ({a!r}, {v!r}): count must be >= 1, got {info.count}")
+            fields.append((self._artist_index[a], self._venue_index[v], info.count, info.first_year))
+        self._set_edges(*np.array(sorted(fields), dtype=np.int64).reshape(-1, 4).T)
+
+    @classmethod
+    def _from_arrays(cls, artist_order, venue_order, row, col, count, first_year):
+        """Graph over sorted id tuples and edge arrays already in CSR order."""
+        g = cls.__new__(cls)
+        g._set_nodes(artist_order, venue_order)
+        g._set_edges(row, col, count, first_year)
+        return g
+
+    def _set_nodes(self, artist_order: tuple, venue_order: tuple):
+        self._artists, self._venues = frozenset(artist_order), frozenset(venue_order)
         overlap = self._artists & self._venues
         if overlap:
             raise GigmineError(
                 f"artist and venue id sets overlap: {sorted(map(str, overlap))[:5]}"
             )
-        self._edges = dict(edges)
-        adj_a: dict[ArtistId, set[VenueId]] = {a: set() for a in self._artists}
-        adj_v: dict[VenueId, set[ArtistId]] = {v: set() for v in self._venues}
-        ev_count: dict = {n: 0 for n in self._artists | self._venues}
-        for (a, v), info in self._edges.items():
-            if a not in self._artists:
-                raise GigmineError(f"edge ({a!r}, {v!r}): artist endpoint not in node set")
-            if v not in self._venues:
-                raise GigmineError(f"edge ({a!r}, {v!r}): venue endpoint not in node set")
-            if info.count < 1:
-                raise GigmineError(f"edge ({a!r}, {v!r}): count must be >= 1, got {info.count}")
-            adj_a[a].add(v)
-            adj_v[v].add(a)
-            ev_count[a] += info.count
-            ev_count[v] += info.count
-        self._adj = {n: frozenset(s) for n, s in adj_a.items()}
-        self._adj.update({n: frozenset(s) for n, s in adj_v.items()})
-        self._event_count = ev_count
-        self._two_hop_cache: dict = {}
-        # deterministic dense orders for matrix-backed consumers
-        self._artist_order = tuple(sorted(self._artists, key=str))
-        self._venue_order = tuple(sorted(self._venues, key=str))
-        self._artist_index = {a: i for i, a in enumerate(self._artist_order)}
-        self._venue_index = {v: j for j, v in enumerate(self._venue_order)}
+        self._artist_order, self._venue_order = artist_order, venue_order
+        self._artist_index = {a: i for i, a in enumerate(artist_order)}
+        self._venue_index = {v: j for j, v in enumerate(venue_order)}
+
+    def _set_edges(self, row, col, count, first_year):
+        self.row, self.col = _frozen(row), _frozen(col)
+        self.count, self.first_year = _frozen(count), _frozen(first_year)
+        self.indptr = _frozen(np.searchsorted(self.row, np.arange(len(self._artist_order) + 1)))
+        self._by_venue = _frozen(np.argsort(self.col, kind="stable"))  # CSC edge order
+        self.csc_indices = _frozen(self.row[self._by_venue])
+        self.csc_indptr = _frozen(
+            np.searchsorted(self.col[self._by_venue], np.arange(len(self._venue_order) + 1))
+        )
 
     # -- node and edge views ------------------------------------------------
 
@@ -96,7 +118,9 @@ class BipartiteGraph:
 
     @property
     def edges(self) -> Mapping[tuple[ArtistId, VenueId], EdgeInfo]:
-        return dict(self._edges)
+        """A new (artist, venue) -> EdgeInfo dict in CSR order, for reading."""
+        infos = map(EdgeInfo, self.count.tolist(), self.first_year.tolist())
+        return dict(zip(self.id_pairs(self.row, self.col), infos))
 
     @property
     def artist_order(self) -> tuple:
@@ -108,97 +132,149 @@ class BipartiteGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self._edges)
+        return len(self.row)
 
     @property
     def total_events(self) -> int:
-        return sum(info.count for info in self._edges.values())
+        return int(self.count.sum())
 
     def has_node(self, node) -> bool:
-        return node in self._adj
+        return node in self._artist_index or node in self._venue_index
 
     def has_edge(self, artist, venue) -> bool:
-        return (artist, venue) in self._edges
+        i = self._artist_index.get(artist)
+        j = self._venue_index.get(venue)
+        return i is not None and j is not None and bool(j in self._venues_of(i))
 
     def is_artist(self, node) -> bool:
-        return node in self._artists
+        return node in self._artist_index
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BipartiteGraph):
             return NotImplemented
         return (
-            self._artists == other._artists
-            and self._venues == other._venues
-            and self._edges == other._edges
+            self._artist_order == other._artist_order
+            and self._venue_order == other._venue_order
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("row", "col", "count", "first_year")
+            )
         )
 
     def __repr__(self) -> str:
         return (
             f"BipartiteGraph({len(self._artists)} artists, "
-            f"{len(self._venues)} venues, {len(self._edges)} edges)"
+            f"{len(self._venues)} venues, {self.n_edges} edges)"
+        )
+
+    # -- index arrays ---------------------------------------------------------
+
+    def index_pairs(self, pairs: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+        """Artist and venue index arrays of (artist, venue) id pairs.
+
+        Raises UnknownNodeError for an id that is not an artist (first
+        position) or a venue (second position) of this graph.
+        """
+        try:
+            rows = [self._artist_index[a] for a, _ in pairs]
+            cols = [self._venue_index[v] for _, v in pairs]
+        except KeyError as exc:
+            raise UnknownNodeError(exc.args[0]) from None
+        return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+
+    def id_pairs(self, rows, cols) -> list[tuple]:
+        """(artist, venue) id pairs of index arrays; inverse of ``index_pairs``."""
+        a, v = self._artist_order, self._venue_order
+        return [(a[i], v[j]) for i, j in zip(np.asarray(rows).tolist(), np.asarray(cols).tolist())]
+
+    def is_edge(self, rows, cols) -> np.ndarray:
+        """Boolean mask: which index pairs (rows[k], cols[k]) are edges."""
+        n_v = len(self._venue_order)
+        return np.isin(np.asarray(rows) * n_v + np.asarray(cols), self.row * n_v + self.col)
+
+    def subgraph(self, keep_edges, keep_artists=None, keep_venues=None) -> "BipartiteGraph":
+        """Graph on the kept nodes (all by default) and the kept edges between them.
+
+        The masks are boolean arrays over the edge arrays and the two orders.
+        """
+        if keep_artists is None:
+            keep_artists = np.ones(len(self._artist_order), dtype=bool)
+        if keep_venues is None:
+            keep_venues = np.ones(len(self._venue_order), dtype=bool)
+        keep = keep_edges & keep_artists[self.row] & keep_venues[self.col]
+        return BipartiteGraph._from_arrays(
+            tuple(np.array(self._artist_order, dtype=object)[keep_artists]),
+            tuple(np.array(self._venue_order, dtype=object)[keep_venues]),
+            (np.cumsum(keep_artists) - 1)[self.row[keep]],
+            (np.cumsum(keep_venues) - 1)[self.col[keep]],
+            self.count[keep],
+            self.first_year[keep],
         )
 
     # -- neighborhood queries -----------------------------------------------
 
+    def _venues_of(self, i: int) -> np.ndarray:
+        return self.col[self.indptr[i]:self.indptr[i + 1]]
+
+    def _artists_of(self, j: int) -> np.ndarray:
+        return self.csc_indices[self.csc_indptr[j]:self.csc_indptr[j + 1]]
+
+    def _hood(self, node):
+        """Neighbor indices of ``node``, their order, and the same two for its side."""
+        i = self._artist_index.get(node)
+        if i is not None:
+            return self._venues_of(i), self._venue_order, self._artists_of, self._artist_order
+        j = self._venue_index.get(node)
+        if j is not None:
+            return self._artists_of(j), self._artist_order, self._venues_of, self._venue_order
+        raise UnknownNodeError(node)
+
     def neighbors(self, node) -> frozenset:
         """Opposite-side nodes sharing an edge with ``node``."""
-        try:
-            return self._adj[node]
-        except KeyError:
-            raise UnknownNodeError(node) from None
+        nbrs, order, _, _ = self._hood(node)
+        return frozenset(map(order.__getitem__, nbrs.tolist()))
 
     def two_hop_neighbors(self, node) -> frozenset:
         """Union of the neighbors of each neighbor of ``node``.
 
         Same side as ``node``; contains ``node`` itself whenever it has at
-        least one neighbor. Memoized, which is what makes pairwise heuristic
-        scoring over many candidate pairs affordable.
+        least one neighbor.
         """
-        cached = self._two_hop_cache.get(node)
-        if cached is not None:
-            return cached
-        hood = self.neighbors(node)
-        out: set = set()
-        for nbr in hood:
-            out |= self._adj[nbr]
-        result = frozenset(out)
-        self._two_hop_cache[node] = result
-        return result
+        nbrs, _, neighbors_of, own_order = self._hood(node)
+        hops: set = set()
+        for k in nbrs.tolist():
+            hops.update(neighbors_of(k).tolist())
+        return frozenset(map(own_order.__getitem__, hops))
 
     def degree(self, node) -> int:
         """Number of distinct opposite-side neighbors (not summed event counts)."""
-        return len(self.neighbors(node))
+        return len(self._hood(node)[0])
 
     def event_count(self, node) -> int:
         """Total events touching ``node``, i.e. incident edge multiplicities summed."""
-        if node not in self._adj:
+        i = self._artist_index.get(node)
+        if i is not None:
+            return int(self.count[self.indptr[i]:self.indptr[i + 1]].sum())
+        j = self._venue_index.get(node)
+        if j is None:
             raise UnknownNodeError(node)
-        return self._event_count[node]
+        return int(self.count[self._by_venue[self.csc_indptr[j]:self.csc_indptr[j + 1]]].sum())
 
     # -- matrix view ----------------------------------------------------------
 
-    def biadjacency(self, values: str = "binary") -> sp.csr_matrix:
+    def biadjacency(self, values="binary") -> sp.csr_matrix:
         """Sparse artist x venue matrix in (artist_order, venue_order) layout.
 
         ``values`` selects the entries: "binary" (0/1 incidence), "count"
-        (event multiplicities) or "weight" (the EdgeInfo.weight field).
+        (event multiplicities) or an array of one value per edge in CSR order.
         """
-        if values not in ("binary", "count", "weight"):
-            raise ValueError(f"values must be binary|count|weight, got {values!r}")
-        rows, cols, data = [], [], []
-        for (a, v), info in self._edges.items():
-            rows.append(self._artist_index[a])
-            cols.append(self._venue_index[v])
-            if values == "binary":
-                data.append(1.0)
-            elif values == "count":
-                data.append(float(info.count))
-            else:
-                data.append(float(info.weight))
+        if isinstance(values, str):
+            if values not in ("binary", "count"):
+                raise ValueError(f"values must be binary|count or an array, got {values!r}")
+            values = np.ones(self.n_edges) if values == "binary" else self.count
         shape = (len(self._artist_order), len(self._venue_order))
         return sp.csr_matrix(
-            (np.asarray(data), (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-            shape=shape,
+            (np.array(values, dtype=float), self.col.copy(), self.indptr.copy()), shape=shape
         )
 
 
@@ -211,6 +287,18 @@ def _event_fields(event, position: int):
     return event.artist_id, event.venue_id, event.date.year, name
 
 
+def _intern(ids: list) -> tuple[tuple, np.ndarray]:
+    """Distinct ids sorted as the constructor sorts them (key=str), and each id's index.
+
+    A dict rather than ``np.unique``: a numpy string array drops trailing NUL
+    characters and would merge "a" with "a\\0".
+    """
+    index = dict.fromkeys(ids)
+    order = tuple(sorted(index, key=str))
+    index.update(zip(order, range(len(order))))
+    return order, np.array([index[x] for x in ids], dtype=np.int64)
+
+
 def build_graph(events) -> BipartiteGraph:
     """Build the bipartite graph from an event sequence.
 
@@ -220,22 +308,26 @@ def build_graph(events) -> BipartiteGraph:
     first_year their minimum year. Events with a missing artist or venue id
     are rejected with an error naming the record.
     """
-    counts: dict[tuple, int] = {}
-    first_year: dict[tuple, int] = {}
+    artists, venues, years = [], [], []
     for pos, event in enumerate(events):
         a, v, year, name = _event_fields(event, pos)
         if a is None or a == "":
             raise GigmineError(f"event {name}: missing artist id")
         if v is None or v == "":
             raise GigmineError(f"event {name}: missing venue id")
-        key = (a, v)
-        counts[key] = counts.get(key, 0) + 1
-        y = int(year)
-        if key not in first_year or y < first_year[key]:
-            first_year[key] = y
-    edges = {
-        key: EdgeInfo(count=counts[key], first_year=first_year[key]) for key in counts
-    }
-    artists = {a for a, _ in edges}
-    venues = {v for _, v in edges}
-    return BipartiteGraph(artists, venues, edges)
+        artists.append(a)
+        venues.append(v)
+        years.append(int(year))
+    artist_order, a_code = _intern(artists)
+    venue_order, v_code = _intern(venues)
+    # one sort by (pair code, year) groups each edge's events, earliest first
+    codes = a_code * len(venue_order) + v_code
+    years = np.array(years, dtype=np.int64)
+    order = np.lexsort((years, codes))
+    codes = codes[order]
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    row, col = np.divmod(codes[starts], len(venue_order))
+    count = np.diff(np.append(starts, len(codes)))
+    return BipartiteGraph._from_arrays(
+        artist_order, venue_order, row, col, count, years[order][starts]
+    )

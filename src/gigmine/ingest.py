@@ -22,6 +22,8 @@ import datetime as dt
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from gigmine.errors import CorpusFormatError, GigmineError
 from gigmine.graph import BipartiteGraph, build_graph
 from gigmine.labeling import LabelNode, LabelTree
@@ -185,6 +187,7 @@ def _parse_date(text: str) -> dt.date:
 
 def _parse_events(path, report: LoadReport) -> list[Event]:
     events = []
+    line_of_id: dict[str, int] = {}
     for i, row in enumerate(_read_rows(path, EVENT_HEADER)):
         line_no = i + 2  # header is line 1
         report.events_total += 1
@@ -222,6 +225,12 @@ def _parse_events(path, report: LoadReport) -> list[Event]:
                 report.events_rejected += 1
                 report.reject(path, line_no, f"unparseable popularity {pop_s!r}")
                 continue
+        if event_id in line_of_id:
+            report.events_rejected += 1
+            first = line_of_id[event_id]
+            report.reject(path, line_no, f"duplicate event_id {event_id!r}, first on line {first}")
+            continue
+        line_of_id[event_id] = line_no
         events.append(
             Event(
                 event_id=event_id,
@@ -307,13 +316,20 @@ def _check_tolerance(path, rejected, total):
 def parse_corpus(event_file, release_file, label_file) -> Corpus:
     """Parse and validate the three corpus files into a Corpus.
 
-    Raises CorpusFormatError for an unreadable file, a header mismatch, or a
-    file where more than 10% of rows are malformed. Individual malformed rows
-    below that threshold are dropped and show up in ``corpus.load_report``.
+    Raises CorpusFormatError for an unreadable file, a header mismatch, a
+    file where more than 10% of rows are malformed, or an id used both as an
+    artist and as a venue. Individual malformed rows below that threshold,
+    including rows repeating an earlier event_id, are dropped and show up in
+    ``corpus.load_report``.
     """
     report = LoadReport()
     events = _parse_events(event_file, report)
     _check_tolerance(event_file, report.events_rejected, report.events_total)
+    both_sides = {ev.artist_id for ev in events} & {ev.venue_id for ev in events}
+    if both_sides:
+        raise CorpusFormatError(
+            f"{event_file}: ids used as both artist and venue: {sorted(both_sides)[:5]}"
+        )
     releases, undated = _parse_releases(release_file, report)
     _check_tolerance(release_file, report.releases_rejected, report.releases_total)
     labels = _parse_labels(label_file, report)
@@ -397,29 +413,15 @@ def recursive_core_filter(graph: BipartiteGraph, k: int = 5) -> BipartiteGraph:
     at least k events; the fixed point of this monotone removal is
     independent of removal order.
     """
-    all_edges = graph.edges  # property copies, take it once
-    counts = {n: graph.event_count(n) for n in graph.artists | graph.venues}
-    alive = {n for n in counts}
-    worklist = [n for n, c in counts.items() if c < k]
-    while worklist:
-        node = worklist.pop()
-        if node not in alive or counts[node] >= k:
-            continue
-        alive.discard(node)
-        for nbr in graph.neighbors(node):
-            if nbr not in alive:
-                continue
-            pair = (node, nbr) if graph.is_artist(node) else (nbr, node)
-            counts[nbr] -= all_edges[pair].count
-            if counts[nbr] < k:
-                worklist.append(nbr)
-    edges = {
-        (a, v): info
-        for (a, v), info in all_edges.items()
-        if a in alive and v in alive
-    }
-    return BipartiteGraph(
-        {a for a in graph.artists if a in alive},
-        {v for v in graph.venues if v in alive},
-        edges,
-    )
+    keep_a = np.ones(len(graph.artist_order), dtype=bool)
+    keep_v = np.ones(len(graph.venue_order), dtype=bool)
+    alive = np.ones(graph.n_edges, dtype=bool)
+    while True:
+        weight = np.where(alive, graph.count, 0)
+        a_events = np.bincount(graph.row, weights=weight, minlength=keep_a.size)
+        v_events = np.bincount(graph.col, weights=weight, minlength=keep_v.size)
+        new_a, new_v = keep_a & (a_events >= k), keep_v & (v_events >= k)
+        if np.array_equal(new_a, keep_a) and np.array_equal(new_v, keep_v):
+            return graph.subgraph(alive, keep_a, keep_v)
+        keep_a, keep_v = new_a, new_v
+        alive &= keep_a[graph.row] & keep_v[graph.col]

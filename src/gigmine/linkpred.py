@@ -7,7 +7,8 @@ configuration hides a random fraction of that same training graph's edges and
 recovers them, averaged over several seeded splits.
 
 Predictors: common neighbors, Jaccard coefficient and preferential attachment
-(set arithmetic over 1- and 2-hop neighborhoods), truncated-SVD matrix
+(over 1- and 2-hop neighborhoods, scored for all candidate pairs at once from
+sparse products of the biadjacency matrix), truncated-SVD matrix
 reconstruction, and cosine similarity of random-walk embeddings. Links are
 binarized throughout; candidate scores are compared by rank-based ROC AUC
 against seeded uniform samples of non-edges.
@@ -20,7 +21,16 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from gigmine.embeddings import sample_walks, score_embedding, train_embeddings
+from gigmine.embeddings import (
+    DIM,
+    EPOCHS,
+    WALK_LENGTH,
+    WALKS_PER_NODE,
+    WINDOW,
+    sample_walks,
+    score_embedding,
+    train_embeddings,
+)
 from gigmine.errors import GigmineError
 from gigmine.graph import BipartiteGraph, build_graph
 from gigmine.ingest import recursive_core_filter
@@ -126,40 +136,43 @@ def make_random_split(graph: BipartiteGraph, spec: SplitSpec) -> RandomSplit:
     """
     if spec.kind != "random":
         raise GigmineError(f"expected a random SplitSpec, got kind={spec.kind!r}")
-    edges = graph.edges
-    pairs = sorted(edges, key=str)
+    pairs = graph.id_pairs(graph.row, graph.col)
+    by_str = sorted(range(len(pairs)), key=lambda e: str(pairs[e]))
     n_hidden = int(round(spec.hidden_fraction * len(pairs)))
     rng = np.random.default_rng(spec.seed)
     hidden_idx = rng.choice(len(pairs), size=n_hidden, replace=False)
-    hidden = frozenset(pairs[i] for i in hidden_idx)
-    train_edges = {p: info for p, info in edges.items() if p not in hidden}
-    return RandomSplit(
-        BipartiteGraph(graph.artists, graph.venues, train_edges), hidden
-    )
+    hidden_edges = np.asarray(by_str, dtype=np.int64)[hidden_idx]
+    keep = np.ones(len(pairs), dtype=bool)
+    keep[hidden_edges] = False
+    hidden = frozenset(pairs[e] for e in hidden_edges.tolist())
+    return RandomSplit(graph.subgraph(keep), hidden)
 
 
 # -- predictors ---------------------------------------------------------------
+
+
+def _neighborhoods(g: BipartiteGraph, a, v):
+    return g.two_hop_neighbors(a), g.neighbors(v), g.two_hop_neighbors(v), g.neighbors(a)
 
 
 def score_common_neighbors(g: BipartiteGraph, a, v) -> int:
     """|(N2(a) ∩ N(v)) ∪ (N2(v) ∩ N(a))| with N2 the 2-hop neighborhood.
 
     The two intersections live on opposite sides of the graph, so the union
-    is disjoint and the formula is symmetric in its arguments.
+    is disjoint and the formula is symmetric in its arguments. Single-pair
+    form of ``heuristic_scores``.
     """
-    return len(g.two_hop_neighbors(a) & g.neighbors(v)) + len(
-        g.two_hop_neighbors(v) & g.neighbors(a)
-    )
+    two_a, n_v, two_v, n_a = _neighborhoods(g, a, v)
+    return len(two_a & n_v) + len(two_v & n_a)
 
 
 def score_jaccard(g: BipartiteGraph, a, v) -> float:
     """Common-neighbor count over the size of the 4-way neighborhood union."""
-    denom = len(g.two_hop_neighbors(a) | g.neighbors(v)) + len(
-        g.two_hop_neighbors(v) | g.neighbors(a)
-    )
+    two_a, n_v, two_v, n_a = _neighborhoods(g, a, v)
+    denom = len(two_a | n_v) + len(two_v | n_a)
     if denom == 0:
         return 0.0
-    return score_common_neighbors(g, a, v) / denom
+    return (len(two_a & n_v) + len(two_v & n_a)) / denom
 
 
 def score_preferential_attachment(g: BipartiteGraph, a, v) -> int:
@@ -167,11 +180,42 @@ def score_preferential_attachment(g: BipartiteGraph, a, v) -> int:
     return g.degree(a) * g.degree(v)
 
 
-_PAIR_PREDICTORS = {
-    "common_neighbors": score_common_neighbors,
-    "jaccard": score_jaccard,
-    "preferential_attachment": score_preferential_attachment,
-}
+# dense cells per block of artist rows in heuristic_scores
+_CHUNK_CELLS = 1 << 22
+
+
+def heuristic_scores(g: BipartiteGraph, rows, cols) -> dict[str, np.ndarray]:
+    """CN, Jaccard and PA of the index pairs (rows[k], cols[k]), all at once.
+
+    With B the binary biadjacency, A2 = 1[B B' > 0] and V2 = 1[B' B > 0]
+    (Liben-Nowell & Kleinberg, JASIST 2007):
+    CN = (A2 B)[a, v] + (B V2)[a, v], the Jaccard denominator is
+    |N2(a)| + deg(v) + |N2(v)| + deg(a) - CN, and PA = deg(a) deg(v).
+    A2 is formed for a block of artists at a time, so memory stays bounded;
+    every count is an exact small integer in float64.
+    """
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    B = g.biadjacency("binary")
+    V2 = B.T @ B
+    V2.data[:] = 1.0
+    deg_a, deg_v = np.diff(g.indptr), np.diff(g.csc_indptr)
+    n2_v = np.diff(V2.indptr)  # V2 is symmetric, so either layout counts rows
+    cn, n2_a = np.zeros(rows.size), np.zeros(rows.size)
+    step = max(1, _CHUNK_CELLS // max(1, B.shape[1]))
+    for lo in range(0, B.shape[0], step):
+        sel = np.flatnonzero((rows >= lo) & (rows < lo + step))
+        B_c = B[lo:lo + step]
+        A2_c = B_c @ B.T
+        A2_c.data[:] = 1.0
+        cn[sel] = (A2_c @ B + B_c @ V2).toarray()[rows[sel] - lo, cols[sel]]
+        n2_a[sel] = np.diff(A2_c.indptr)[rows[sel] - lo]
+    denom = n2_a + deg_v[cols] + n2_v[cols] + deg_a[rows] - cn
+    jaccard = np.divide(cn, denom, out=np.zeros(rows.size), where=denom > 0)
+    return {
+        "common_neighbors": cn,
+        "jaccard": jaccard,
+        "preferential_attachment": (deg_a[rows] * deg_v[cols]).astype(float),
+    }
 
 
 @dataclass
@@ -204,17 +248,16 @@ def score_svd(
     score(a, v) is the (a, v) entry of U_k S_k V_k^T. Raises when k exceeds
     the matrix dimensions or a pair references an unknown node.
     """
+    pairs = list(pairs)
     X = g.biadjacency(values="binary")
     reducer = SVDReducer(k, seed=seed).fit(X)
     left = reducer.transform(X)  # rows: U_k S_k in artist_order
-    a_index = {a: i for i, a in enumerate(g.artist_order)}
-    v_index = {v: j for j, v in enumerate(g.venue_order)}
-    scores = {}
-    for a, v in pairs:
-        if a not in a_index or v not in v_index:
-            raise GigmineError(f"cannot SVD-score pair with unknown node: ({a!r}, {v!r})")
-        scores[(a, v)] = float(left[a_index[a]] @ reducer.components_[v_index[v]])
-    return LinkScoreTable("svd", scores)
+    rows, cols = g.index_pairs(pairs)
+    right = reducer.components_
+    return LinkScoreTable(
+        "svd",
+        {p: float(left[i] @ right[j]) for p, i, j in zip(pairs, rows.tolist(), cols.tolist())},
+    )
 
 
 def build_score_tables(
@@ -223,27 +266,28 @@ def build_score_tables(
     predictors: Sequence[str] = ALL_PREDICTORS,
     svd_k: int = SVD_RANK,
     seed: int = 0,
-    walks_per_node: int = 40,
-    walk_length: int = 10,
-    embed_dim: int = 128,
-    embed_window: int = 5,
-    embed_epochs: int = 5,
+    walks_per_node: int = WALKS_PER_NODE,
+    walk_length: int = WALK_LENGTH,
+    embed_dim: int = DIM,
+    embed_window: int = WINDOW,
+    embed_epochs: int = EPOCHS,
 ) -> dict[str, LinkScoreTable]:
     """Score the same candidate pairs under each requested predictor.
 
     Model-based predictors (svd, embedding) are fitted once on ``g`` and
     reused across pairs. Candidate pairs must not be training edges.
     """
-    for p in pairs:
-        if g.has_edge(*p):
-            raise GigmineError(f"candidate pair {p} is already a training edge")
+    rows, cols = g.index_pairs(pairs)
+    trained = np.flatnonzero(g.is_edge(rows, cols))
+    if trained.size:
+        raise GigmineError(f"candidate pair {pairs[trained[0]]} is already a training edge")
+    heuristic = (
+        heuristic_scores(g, rows, cols) if set(predictors) & set(HEURISTICS) else {}
+    )
     tables = {}
     for name in predictors:
-        if name in _PAIR_PREDICTORS:
-            fn = _PAIR_PREDICTORS[name]
-            tables[name] = LinkScoreTable(
-                name, {p: float(fn(g, *p)) for p in pairs}
-            )
+        if name in heuristic:
+            tables[name] = LinkScoreTable(name, dict(zip(pairs, heuristic[name].tolist())))
         elif name == "svd":
             tables[name] = score_svd(g, pairs, k=svd_k, seed=seed)
         elif name == "embedding":
@@ -299,44 +343,36 @@ def sample_negative_pairs(
     more than exist and you get them all. ``exhaustive=True`` skips sampling
     and enumerates every candidate, which only makes sense at desk scale.
     """
-    banned = set(g.edges) | set(exclude)
     n_a, n_v = len(g.artist_order), len(g.venue_order)
-    available = n_a * n_v - sum(
-        1 for (a, v) in banned if g.has_node(a) and g.has_node(v)
-    )
+    known = [(a, v) for a, v in exclude if g.is_artist(a) and v in g.venues]
+    ex_rows, ex_cols = g.index_pairs(known)
+    banned = np.union1d(g.row * n_v + g.col, ex_rows * n_v + ex_cols)
+    available = n_a * n_v - banned.size
     if available <= 0:
         raise GigmineError("graph has no candidate non-edges")
-    if exhaustive or n >= available:
-        return [
-            (a, v)
-            for a in g.artist_order
-            for v in g.venue_order
-            if (a, v) not in banned
-        ]
-    rng = np.random.default_rng(seed)
-    if n > available // 2:
+
+    def as_pairs(codes):
+        return g.id_pairs(*np.divmod(codes, n_v))
+
+    if exhaustive or n > available // 2:
+        free = np.ones(n_a * n_v, dtype=bool)
+        free[banned] = False
+        free_codes = np.flatnonzero(free)
+        if exhaustive or n >= available:
+            return as_pairs(free_codes)
         # rejection sampling stalls when most candidates are wanted
-        all_pairs = [
-            (a, v)
-            for a in g.artist_order
-            for v in g.venue_order
-            if (a, v) not in banned
-        ]
-        idx = rng.choice(len(all_pairs), size=n, replace=False)
-        return [all_pairs[i] for i in idx]
-    chosen: dict[tuple, None] = {}
-    while len(chosen) < n:
-        k = (n - len(chosen)) * 2 + 16
+        rng = np.random.default_rng(seed)
+        return as_pairs(free_codes[rng.choice(free_codes.size, size=n, replace=False)])
+    rng = np.random.default_rng(seed)
+    chosen = np.empty(0, dtype=np.int64)
+    while chosen.size < n:
+        k = (n - chosen.size) * 2 + 16
         ai = rng.integers(n_a, size=k)
-        vi = rng.integers(n_v, size=k)
-        for i, j in zip(ai, vi):
-            pair = (g.artist_order[i], g.venue_order[j])
-            if pair in banned or pair in chosen:
-                continue
-            chosen[pair] = None
-            if len(chosen) == n:
-                break
-    return list(chosen)
+        codes = ai * n_v + rng.integers(n_v, size=k)
+        codes = codes[~np.isin(codes, banned) & ~np.isin(codes, chosen)]
+        _, first = np.unique(codes, return_index=True)
+        chosen = np.concatenate([chosen, codes[np.sort(first)][: n - chosen.size]])
+    return as_pairs(chosen)
 
 
 def run_task2(
@@ -385,16 +421,16 @@ def run_task2(
     }
 
     prediction_runs: dict[str, list[float]] = {name: [] for name in predictors}
-    full_edges = set(g.edges)
     for s in range(n_random_splits):
         rspec = SplitSpec(
             kind="random", hidden_fraction=hidden_fraction, seed=seed + s
         )
         train_g, hidden = make_random_split(g, rspec)
+        # train edges plus hidden pairs are exactly the full graph's edges
         negs = sample_negative_pairs(
             train_g,
             n_negatives(len(hidden)),
-            exclude=full_edges,
+            exclude=hidden,
             seed=seed + s,
             exhaustive=exhaustive_negatives,
         )

@@ -201,6 +201,13 @@ class TestBiRank:
         loose = birank(g, tol=1e-4)
         assert loose.iterations < tight.iterations
 
+    def test_weights_of_another_graph_rejected(self, toy_graph):
+        other = build_graph([("a1", "v1", 2010), ("a2", "v2", 2011)])
+        with pytest.raises(GigmineError, match="different graph"):
+            birank(toy_graph, weights=temporal_weights(other, ref_year=2017))
+        twin = build_graph([("a1", "v1", 2010), ("a1", "v2", 2011), ("a2", "v1", 2012)])
+        assert birank(toy_graph, weights=temporal_weights(twin)).converged
+
     def test_parameter_validation(self, toy_graph):
         with pytest.raises(GigmineError, match="init"):
             birank(toy_graph, init="zeros")
@@ -282,12 +289,6 @@ class TestTrajectories:
         # 2011-2014 have no events: skipped, not present
         assert sorted(traj) == [2010, 2015]
         assert any("skipped" in rec.getMessage() for rec in caplog.records)
-
-    def test_threads_give_identical_results(self):
-        corpus = self._corpus()
-        seq = yearly_trajectories(corpus, window_years=3, threads=1)
-        par = yearly_trajectories(corpus, window_years=3, threads=4)
-        assert seq == par
 
 
 class TestScoreHistogram:

@@ -195,7 +195,7 @@ class TestReports:
 
     def test_task3_reports_and_trajectory_csv(self, corpus_dir, tmp_path):
         cfg = write_config(tmp_path, base_config(corpus_dir))
-        assert main(["task3", "--config", cfg, "--threads", "2", "--out", str(tmp_path)]) == 0
+        assert main(["task3", "--config", cfg, "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "task3-report.json").read_text())
         assert report["converged"]
         assert report["ref_year"] == 2017

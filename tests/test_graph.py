@@ -93,12 +93,21 @@ class TestCountsAndOrders:
         assert toy_graph.artist_order == ("a1", "a2")
         assert toy_graph.venue_order == ("v1", "v2")
 
+    def test_edge_arrays_are_csr_ordered_and_read_only(self, toy_graph):
+        assert toy_graph.row.tolist() == [0, 0, 1]
+        assert toy_graph.col.tolist() == [0, 1, 0]
+        assert toy_graph.indptr.tolist() == [0, 2, 3]
+        assert toy_graph.csc_indptr.tolist() == [0, 2, 3]
+        assert toy_graph.csc_indices.tolist() == [0, 1, 0]
+        with pytest.raises(ValueError):
+            toy_graph.count[0] = 5
+
     def test_biadjacency_values(self, toy_graph):
         b = toy_graph.biadjacency("binary").toarray()
         assert b.tolist() == [[1, 1], [1, 0]]
-        g = BipartiteGraph({"a"}, {"v"}, {("a", "v"): EdgeInfo(3, 2010, weight=0.5)})
+        g = BipartiteGraph({"a"}, {"v"}, {("a", "v"): EdgeInfo(3, 2010)})
         assert g.biadjacency("count").toarray().tolist() == [[3.0]]
-        assert g.biadjacency("weight").toarray().tolist() == [[0.5]]
+        assert g.biadjacency(np.array([0.5])).toarray().tolist() == [[0.5]]
         with pytest.raises(ValueError):
             g.biadjacency("nope")
 

@@ -81,6 +81,31 @@ class TestParsing:
         c = parse_corpus(*corpus_files(rows, [], LABELS))
         assert c.n_events == 9
 
+    def test_duplicate_event_id_rejected_naming_first_line(self, corpus_files):
+        rows = [event_row(f"e{i}", "a1", "v1", "2010-05-01") for i in range(10)]
+        rows.append(event_row("e1", "a1", "v1", "2010-05-02"))
+        c = parse_corpus(*corpus_files(rows, [], LABELS))
+        assert c.n_events == 10
+        assert c.graph().edges[("a1", "v1")].count == 10
+        assert c.load_report.events_rejected == 1
+        (diag,) = c.load_report.diagnostics
+        # e1 is row index 1 (line 3); its repeat is the last row (line 12)
+        assert diag["line"] == 12 and "line 3" in diag["reason"]
+
+    def test_duplicate_event_ids_count_toward_tolerance(self, corpus_files):
+        rows = [event_row(f"e{i}", "a1", "v1", "2010-05-01") for i in range(8)]
+        rows += [event_row("e0", "a1", "v1", "2010-05-01")] * 2
+        with pytest.raises(CorpusFormatError, match="tolerance"):
+            parse_corpus(*corpus_files(rows, [], LABELS))
+
+    def test_id_used_as_artist_and_venue_rejected(self, corpus_files):
+        rows = [
+            event_row("e1", "a1", "v1", "2010-05-01"),
+            event_row("e2", "v1", "v2", "2010-05-02"),
+        ]
+        with pytest.raises(CorpusFormatError, match="both artist and venue.*'v1'"):
+            parse_corpus(*corpus_files(rows, [], LABELS))
+
     def test_coordinate_bounds_enforced(self, corpus_files):
         rows = [
             event_row(f"e{i}", "a1", "v1", f"2010-05-{i:02d}") for i in range(1, 10)

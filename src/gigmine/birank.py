@@ -186,27 +186,13 @@ def dense_rank(scores: Mapping) -> dict:
     return {n: rank_of[s] for n, s in scores.items()}
 
 
-def _window_ranking(corpus, year: int, window_years, delta, alpha, beta, count_scaled):
-    window = [
-        ev
-        for ev in corpus.events
-        if year - window_years + 1 <= ev.date.year <= year
-    ]
-    if not window:
-        return None
-    g = build_graph(window)
-    result = birank(
-        g,
-        weights=temporal_weights(g, delta=delta, ref_year=year),
-        alpha=alpha,
-        beta=beta,
-        count_scaled=count_scaled,
-    )
-    ranks = dense_rank(result.artist_scores)
-    return {
-        a: {"rank": ranks[a], "score": result.artist_scores[a]}
-        for a in result.artist_scores
-    }
+class WindowRanking(dict):
+    """One window's artist -> {"rank", "score"} map, plus its BiRank convergence."""
+
+    def __init__(self, cells, iterations: int, converged: bool):
+        super().__init__(cells)
+        self.iterations = iterations
+        self.converged = converged
 
 
 def yearly_trajectories(
@@ -221,8 +207,10 @@ def yearly_trajectories(
 
     Each year Y ranks the subgraph of events dated within the window
     [Y - window_years + 1, Y], with temporal decay referenced to Y. Output
-    maps year -> {artist: {"rank": dense rank, "score": score}}. Years whose
-    window holds no events are skipped and logged.
+    maps year -> WindowRanking, i.e. {artist: {"rank": dense rank, "score":
+    score}} carrying the window's ``iterations`` and ``converged``. Years
+    whose window holds no events are skipped and logged; a window that does
+    not converge within ``MAX_ITER`` logs a warning.
     """
     lo, hi = corpus.year_span()
     if hi - lo + 1 < window_years:
@@ -231,13 +219,24 @@ def yearly_trajectories(
         )
     out = {}
     for year in range(lo + window_years - 1, hi + 1):
-        ranking = _window_ranking(corpus, year, window_years, delta, alpha, beta, count_scaled)
-        if ranking is None:
+        in_window = (corpus.year > year - window_years) & (corpus.year <= year)
+        if not in_window.any():
             log.info(
                 "no events in the %d-year window ending %d; skipped", window_years, year
             )
             continue
-        out[year] = ranking
+        g = build_graph(corpus.select(in_window))
+        weights = temporal_weights(g, delta=delta, ref_year=year)
+        result = birank(g, weights=weights, alpha=alpha, beta=beta,
+                        count_scaled=count_scaled)
+        if not result.converged:
+            log.warning(
+                "BiRank did not converge in %d iterations on the %d-year window ending %d",
+                result.iterations, window_years, year,
+            )
+        ranks = dense_rank(result.artist_scores)
+        cells = {a: {"rank": ranks[a], "score": s} for a, s in result.artist_scores.items()}
+        out[year] = WindowRanking(cells, result.iterations, result.converged)
     return out
 
 

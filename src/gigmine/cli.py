@@ -36,6 +36,7 @@ from gigmine.birank import (
 )
 from gigmine.embeddings import DIM, EPOCHS, WALK_LENGTH, WALKS_PER_NODE, WINDOW
 from gigmine.errors import GigmineError
+from gigmine.graph import build_graph
 from gigmine.ingest import filter_min_activity, filter_post_2007, parse_corpus
 from gigmine.labeling import change_points, label_corpus
 from gigmine.linkpred import (
@@ -240,13 +241,13 @@ def cmd_ingest(config: dict, out: Path) -> dict:
 def cmd_stats(config: dict, out: Path) -> dict:
     events_f, releases_f, labels_f = _corpus_paths(config)
     corpus = parse_corpus(events_f, releases_f, labels_f)
-    g = corpus.graph()
+    g = build_graph(corpus)
     lo, hi = corpus.year_span()
     payload = {
         "report": "stats",
         "concerts": corpus.n_events,
-        "artists": len(corpus.artist_events),
-        "venues": len(corpus.venue_events),
+        "artists": len(corpus.artist_order),
+        "venues": len(corpus.venue_order),
         "releases": len(corpus.releases),
         "labels": len(corpus.labels.nodes),
         "major_roots": len(corpus.labels.major_roots),
@@ -288,7 +289,7 @@ def cmd_task2(config: dict, out: Path) -> dict:
 def cmd_task3(config: dict, out: Path) -> dict:
     corpus, labels, info = _load_preprocessed(config)
     t3 = config["task3"]
-    g = corpus.graph()
+    g = build_graph(corpus)
     ref_year = t3["ref_year"] or corpus.year_span()[1]
     result = birank(
         g,
@@ -339,6 +340,10 @@ def cmd_task3(config: dict, out: Path) -> dict:
         "top_venues": [[v, s] for v, s in top_venues],
         "histogram": hist,
         "trajectory_years": sorted(trajectories),
+        "trajectory_convergence": [
+            {"year": y, "iterations": w.iterations, "converged": w.converged}
+            for y, w in sorted(trajectories.items())
+        ],
     }
     _write_json(out / "task3-report.json", _report(config, payload))
     return payload

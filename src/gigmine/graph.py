@@ -42,8 +42,8 @@ class EdgeInfo:
     first_year: int
 
 
-def _frozen(values) -> np.ndarray:
-    out = np.array(values, dtype=np.int64)
+def _frozen(values, dtype=np.int64) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -278,51 +278,49 @@ class BipartiteGraph:
         )
 
 
-def _event_fields(event, position: int):
-    if isinstance(event, tuple):
-        if len(event) != 3:
-            raise GigmineError(f"event #{position}: expected (artist, venue, year) triple")
-        return event[0], event[1], event[2], f"#{position}"
-    name = getattr(event, "event_id", None) or f"#{position}"
-    return event.artist_id, event.venue_id, event.date.year, name
+def intern_ids(ids: Sequence, key=str) -> tuple[tuple, np.ndarray]:
+    """Distinct ids sorted by ``key`` (None for their natural order), and each id's index.
 
-
-def _intern(ids: list) -> tuple[tuple, np.ndarray]:
-    """Distinct ids sorted as the constructor sorts them (key=str), and each id's index.
-
-    A dict rather than ``np.unique``: a numpy string array drops trailing NUL
-    characters and would merge "a" with "a\\0".
+    This is the one place where ids become indices. A dict rather than
+    ``np.unique``: a numpy string array drops trailing NUL characters and
+    would merge "a" with "a\\0".
     """
     index = dict.fromkeys(ids)
-    order = tuple(sorted(index, key=str))
+    order = tuple(sorted(index, key=key))
     index.update(zip(order, range(len(order))))
     return order, np.array([index[x] for x in ids], dtype=np.int64)
 
 
 def build_graph(events) -> BipartiteGraph:
-    """Build the bipartite graph from an event sequence.
+    """Build the bipartite graph from a corpus or from ``(artist, venue, year)`` triples.
 
-    Accepts Event records (``artist_id``/``venue_id``/``date`` attributes) or
-    bare ``(artist, venue, year)`` triples. An edge (a, v) exists iff at least
-    one event links a and v; its count is the number of such events and its
-    first_year their minimum year. Events with a missing artist or venue id
-    are rejected with an error naming the record.
+    A corpus (``gigmine.ingest.Corpus``) is aggregated from its code columns.
+    An edge (a, v) exists iff at least one event links a and v; its count is
+    the number of such events and its first_year their minimum year. A
+    triple with a missing artist or venue id is rejected with an error
+    naming its position.
     """
-    artists, venues, years = [], [], []
-    for pos, event in enumerate(events):
-        a, v, year, name = _event_fields(event, pos)
-        if a is None or a == "":
-            raise GigmineError(f"event {name}: missing artist id")
-        if v is None or v == "":
-            raise GigmineError(f"event {name}: missing venue id")
-        artists.append(a)
-        venues.append(v)
-        years.append(int(year))
-    artist_order, a_code = _intern(artists)
-    venue_order, v_code = _intern(venues)
+    if hasattr(events, "artist_order"):
+        artist_order, venue_order = events.artist_order, events.venue_order
+        a_code, v_code, years = events.artist, events.venue, events.year
+    else:
+        artists, venues, years = [], [], []
+        for pos, event in enumerate(events):
+            if not isinstance(event, tuple) or len(event) != 3:
+                raise GigmineError(f"event #{pos}: expected (artist, venue, year) triple")
+            a, v, year = event
+            if a is None or a == "":
+                raise GigmineError(f"event #{pos}: missing artist id")
+            if v is None or v == "":
+                raise GigmineError(f"event #{pos}: missing venue id")
+            artists.append(a)
+            venues.append(v)
+            years.append(int(year))
+        artist_order, a_code = intern_ids(artists)
+        venue_order, v_code = intern_ids(venues)
+        years = np.array(years, dtype=np.int64)
     # one sort by (pair code, year) groups each edge's events, earliest first
     codes = a_code * len(venue_order) + v_code
-    years = np.array(years, dtype=np.int64)
     order = np.lexsort((years, codes))
     codes = codes[order]
     starts = np.flatnonzero(np.diff(codes, prepend=-1))

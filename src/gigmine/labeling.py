@@ -99,19 +99,13 @@ def label_corpus(corpus) -> tuple[dict[str, SuccessLabel], dict]:
     """
     major = major_closure(corpus.labels)
     labels: dict[str, SuccessLabel] = {}
-    undated_major_artists = set()
-    for artist, label_id in corpus.undated_releases:
-        if label_id in major:
-            undated_major_artists.add(artist)
-    n_pos = 0
-    for artist in corpus.artist_events:
+    for artist in corpus.artist_order:
         cp = change_point(corpus.artist_releases.get(artist, ()), major)
-        successful = cp is not None
-        n_pos += successful
-        labels[artist] = SuccessLabel(artist_id=artist, successful=successful, change_point=cp)
+        labels[artist] = SuccessLabel(artist_id=artist, successful=cp is not None, change_point=cp)
+    n_pos = sum(lab.successful for lab in labels.values())
     only_undated = {
-        a for a in undated_major_artists
-        if a in labels and not labels[a].successful
+        a for a, label_id in corpus.undated_releases
+        if label_id in major and a in labels and not labels[a].successful
     }
     stats = {
         "artists": len(labels),

@@ -93,18 +93,16 @@ def make_temporal_split(corpus, spec: SplitSpec, core_k: int = 5) -> TemporalSpl
     """
     if spec.kind != "temporal":
         raise GigmineError(f"expected a temporal SplitSpec, got kind={spec.kind!r}")
-    train_events = [ev for ev in corpus.events if ev.date.year <= spec.train_end_year]
-    if not train_events:
+    train = corpus.year <= spec.train_end_year
+    if not train.any():
         raise GigmineError(f"no events in or before {spec.train_end_year}")
-    graph = recursive_core_filter(build_graph(train_events), k=core_k)
+    graph = recursive_core_filter(build_graph(corpus.select(train)), k=core_k)
     if graph.n_edges == 0:
         raise GigmineError(f"training graph is empty after the {core_k}-core filter")
 
-    test_events = [ev for ev in corpus.events if ev.date.year in spec.test_years]
-    raw_pairs = {(ev.artist_id, ev.venue_id) for ev in test_events}
-    surviving = {
-        p for p in raw_pairs if graph.has_node(p[0]) and graph.has_node(p[1])
-    }
+    test = build_graph(corpus.select(np.isin(corpus.year, list(spec.test_years))))
+    raw_pairs = test.id_pairs(test.row, test.col)
+    surviving = {p for p in raw_pairs if graph.has_node(p[0]) and graph.has_node(p[1])}
     new_pairs = frozenset(p for p in surviving if not graph.has_edge(*p))
     if not new_pairs:
         raise GigmineError(
@@ -118,7 +116,7 @@ def make_temporal_split(corpus, spec: SplitSpec, core_k: int = 5) -> TemporalSpl
         "train_venues": len(graph.venues),
         "train_events": graph.total_events,
         "train_edges": graph.n_edges,
-        "test_events": len(test_events),
+        "test_events": test.total_events,
         "test_unique_pairs": len(raw_pairs),
         "test_excluded_unseen_node": len(raw_pairs) - len(surviving),
         "test_excluded_known_edge": len(surviving) - len(new_pairs),

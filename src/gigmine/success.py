@@ -14,7 +14,6 @@ by stratified cross-validation on F1.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -32,48 +31,30 @@ C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 K_GRID = (250, 500, 750, 1000)
 
 
-def truncate_events(corpus, labels: Mapping) -> list:
+def truncate_events(corpus, labels: Mapping) -> np.ndarray:
     """Censor successful artists' histories at their change point.
 
-    Keeps every event of a never-successful artist and only events dated
-    strictly before the change point for successful ones.
+    Returns the mask of the corpus events that are kept: every event of a
+    never-successful (or unlabeled) artist and only events dated strictly
+    before the change point for successful ones.
     """
-    out = []
-    for ev in corpus.events:
-        lab = labels.get(ev.artist_id)
-        cp = lab.change_point if lab is not None else None
-        if cp is None or ev.date < cp:
-            out.append(ev)
-    return out
+    return corpus.before({a: lab.change_point for a, lab in labels.items()})
 
 
-def build_features(
-    events: Sequence,
-    artist_order: Sequence[str],
-    venue_order: Sequence[str],
-    mode: str = "count",
-) -> sp.csr_matrix:
-    """Artist-by-venue affiliation matrix in the given row/column order.
+def build_features(corpus, keep, mode: str = "count") -> sp.csr_matrix:
+    """Artist-by-venue affiliation matrix of the corpus events where ``keep`` holds.
 
-    mode "count" stores event counts, "binary" presence flags, and "log"
-    log(1 + count). Events touching an artist or venue absent from the
-    given orders are ignored, which is what history truncation relies on.
+    Rows follow ``corpus.artist_order`` (artists without kept events get
+    zero rows); columns are the venues with at least one kept event, in
+    ``corpus.venue_order``. mode "count" stores event counts, "binary"
+    presence flags, and "log" log(1 + count).
     """
     if mode not in ("count", "binary", "log"):
         raise GigmineError(f"unknown affiliation mode: {mode!r}")
-    a_index = {a: i for i, a in enumerate(artist_order)}
-    v_index = {v: j for j, v in enumerate(venue_order)}
-    rows, cols = [], []
-    for ev in events:
-        i = a_index.get(ev.artist_id)
-        j = v_index.get(ev.venue_id)
-        if i is None or j is None:
-            continue
-        rows.append(i)
-        cols.append(j)
-    data = np.ones(len(rows))
+    venues, cols = np.unique(corpus.venue[keep], return_inverse=True)
     mat = sp.csr_matrix(
-        (data, (rows, cols)), shape=(len(artist_order), len(venue_order))
+        (np.ones(cols.size), (corpus.artist[keep], cols)),
+        shape=(len(corpus.artist_order), venues.size),
     )
     mat.sum_duplicates()
     if mode == "binary":
@@ -349,13 +330,10 @@ def run_task1(
     regression fitted in the split (tuning included), how many stopped
     short of convergence and the most iterations any took.
     """
-    artist_order = sorted(corpus.artist_events, key=str)
-    events = truncate_events(corpus, labels)
-    venue_order = sorted({ev.venue_id for ev in events}, key=str)
-    if not venue_order:
+    X = build_features(corpus, truncate_events(corpus, labels), mode=mode)
+    if not X.shape[1]:
         raise GigmineError("no events remain after change-point truncation")
-    X = build_features(events, artist_order, venue_order, mode=mode)
-    y = np.array([labels[a].successful for a in artist_order], dtype=bool)
+    y = np.array([labels[a].successful for a in corpus.artist_order], dtype=bool)
     if not y.any() or y.all():
         raise GigmineError("forecasting needs both successful and unsuccessful artists")
 
@@ -402,8 +380,8 @@ def run_task1(
 
     return {
         "task": "forecasting",
-        "n_artists": len(artist_order),
-        "n_venues": len(venue_order),
+        "n_artists": X.shape[0],
+        "n_venues": X.shape[1],
         "n_positives": int(y.sum()),
         "mode": mode,
         "splits": n_splits,

@@ -1,8 +1,11 @@
 import csv
 
+import numpy as np
 import pytest
 
 from gigmine.graph import BipartiteGraph, EdgeInfo
+from gigmine.ingest import Corpus, LabelTree
+from gigmine.routes import CitySequence
 
 
 @pytest.fixture
@@ -45,3 +48,33 @@ def corpus_files(tmp_path):
         return e, r, l
 
     return _write
+
+
+def make_corpus(events):
+    """Corpus from (event_id, artist, venue, date[, city]) tuples.
+
+    Built by ``Corpus.from_events``, the constructor ``parse_corpus`` uses;
+    the city defaults to ("NYC", "NY", "US"), popularity is blank and there
+    are no releases or labels.
+    """
+    cols = {k: [] for k in ("event_id", "artist_id", "venue_id", "day", "city")}
+    for event_id, artist, venue, date, *city in events:
+        cols["event_id"].append(event_id)
+        cols["artist_id"].append(artist)
+        cols["venue_id"].append(venue)
+        cols["day"].append(date.toordinal())
+        cols["city"].append(city[0] if city else ("NYC", "NY", "US"))
+    return Corpus.from_events(
+        **cols, popularity=[float("nan")] * len(events),
+        releases=(), labels=LabelTree({}, frozenset()),
+    )
+
+
+def sequences_of(city_lists):
+    """CitySequences a0, a1, ... over one city table in tuple order."""
+    table = tuple(sorted({c for cities in city_lists for c in cities}))
+    code = {c: i for i, c in enumerate(table)}
+    return [
+        CitySequence(f"a{i}", np.array([code[c] for c in cities], dtype=np.int64), table)
+        for i, cities in enumerate(city_lists)
+    ]

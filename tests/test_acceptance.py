@@ -6,6 +6,7 @@ The final criterion exercises the released real-world dataset and skips
 unless GIGMINE_DATA_DIR points at a directory holding events.csv,
 releases.csv, and labels.csv.
 """
+import datetime as dt
 import os
 import time
 from collections import defaultdict
@@ -416,12 +417,13 @@ def test_reproduction_preprocessing_runs_on_synth(tmp_path):
     )
     corpus, labels, stats = preprocess_for_reproduction(tmp_path)
     assert 0 < stats["successful"] < stats["artists"] == len(labels)
-    assert set(labels) == set(corpus.artist_events)
-    for artist, events in corpus.artist_events.items():
+    assert set(labels) == set(corpus.artist_order)
+    for i, artist in enumerate(corpus.artist_order):
         cp = labels[artist].change_point
-        assert min(ev.date for ev in events).year >= 2007
-        assert sum(cp is None or ev.date < cp for ev in events) >= 10
-    assert min(len(evs) for evs in corpus.venue_events.values()) >= 10
+        days = corpus.day[corpus.artist == i].tolist()
+        assert dt.date.fromordinal(min(days)).year >= 2007
+        assert sum(cp is None or day < cp.toordinal() for day in days) >= 10
+    assert np.bincount(corpus.venue, minlength=len(corpus.venue_order)).min() >= 10
 
 
 def test_criterion_10_real_data_reproduction():

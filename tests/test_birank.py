@@ -1,12 +1,15 @@
 import datetime as dt
+import functools
 import logging
 import math
 
 import numpy as np
 import pytest
 
+from conftest import make_corpus
 from oracles import dense_birank_oracle, random_bipartite
 
+import gigmine.birank
 from gigmine.birank import (
     BiRankResult,
     SeedScores,
@@ -224,21 +227,9 @@ class TestDenseRank:
         assert dense_rank({"only": 0.7}) == {"only": 1}
 
 
-class FakeCorpus:
-    def __init__(self, events):
-        self.events = events
-
-    def year_span(self):
-        years = [ev.date.year for ev in self.events]
-        return min(years), max(years)
-
-
-class FakeEvent:
-    def __init__(self, artist, venue, year, month=6):
-        self.artist_id = artist
-        self.venue_id = venue
-        self.date = dt.date(year, month, 1)
-        self.event_id = f"{artist}-{venue}-{year}"
+def trajectory_corpus(events):
+    """Corpus of (artist, venue, year) events, each dated June 1st."""
+    return make_corpus([(f"{a}-{v}-{y}", a, v, dt.date(y, 6, 1)) for a, v, y in events])
 
 
 class TestTrajectories:
@@ -247,16 +238,16 @@ class TestTrajectories:
         # riser starts below the incumbents and outgrows them by venue variety
         events = []
         for year in range(2010, 2016):
-            events.append(FakeEvent("big", "hub", year))
+            events.append(("big", "hub", year))
             for v in range(5):
-                events.append(FakeEvent("big", f"b{v}", year))
-            events.append(FakeEvent("mid", "hub", year))
-            events.append(FakeEvent("mid", "m0", year))
+                events.append(("big", f"b{v}", year))
+            events.append(("mid", "hub", year))
+            events.append(("mid", "m0", year))
         for j, year in enumerate(range(2013, 2016)):
-            events.append(FakeEvent("riser", "hub", year))
+            events.append(("riser", "hub", year))
             for v in range(4 * j):
-                events.append(FakeEvent("riser", f"r{v}", year))
-        return FakeCorpus(events)
+                events.append(("riser", f"r{v}", year))
+        return trajectory_corpus(events)
 
     def test_window_years_and_membership(self):
         traj = yearly_trajectories(self._corpus(), window_years=3)
@@ -273,22 +264,41 @@ class TestTrajectories:
         assert traj[2015]["riser"]["rank"] < traj[2013]["riser"]["rank"]
 
     def test_single_artist_ranks_first(self):
-        events = [FakeEvent("solo", "v1", y) for y in (2010, 2011, 2012)]
-        traj = yearly_trajectories(FakeCorpus(events), window_years=3)
+        events = [("solo", "v1", y) for y in (2010, 2011, 2012)]
+        traj = yearly_trajectories(trajectory_corpus(events), window_years=3)
         assert traj[2012]["solo"]["rank"] == 1
 
     def test_short_span_rejected(self):
-        events = [FakeEvent("a", "v", 2010)]
+        events = [("a", "v", 2010)]
         with pytest.raises(GigmineError, match="span"):
-            yearly_trajectories(FakeCorpus(events), window_years=3)
+            yearly_trajectories(trajectory_corpus(events), window_years=3)
 
     def test_empty_window_skipped_and_logged(self, caplog):
-        events = [FakeEvent("a", "v", 2010), FakeEvent("a", "v", 2015)]
+        events = [("a", "v", 2010), ("a", "v", 2015)]
         with caplog.at_level(logging.INFO, logger="gigmine.birank"):
-            traj = yearly_trajectories(FakeCorpus(events), window_years=1)
+            traj = yearly_trajectories(trajectory_corpus(events), window_years=1)
         # 2011-2014 have no events: skipped, not present
         assert sorted(traj) == [2010, 2015]
         assert any("skipped" in rec.getMessage() for rec in caplog.records)
+
+    def test_window_convergence_kept_and_misses_warned(self, caplog, monkeypatch):
+        full = yearly_trajectories(self._corpus(), window_years=3)
+        assert all(w.converged and w.iterations >= 1 for w in full.values())
+        slowest = max(w.iterations for w in full.values())
+        want_missed = sorted(y for y, w in full.items() if w.iterations == slowest)
+        assert len(want_missed) < len(full)  # a cap one below the slowest spares a window
+        # yearly_trajectories looks up the module-level birank at each call
+        monkeypatch.setattr(
+            gigmine.birank, "birank", functools.partial(birank, max_iter=slowest - 1)
+        )
+        with caplog.at_level(logging.WARNING, logger="gigmine.birank"):
+            capped = yearly_trajectories(self._corpus(), window_years=3)
+        missed = sorted(y for y, w in capped.items() if not w.converged)
+        assert missed == want_missed
+        assert all(capped[y].iterations == slowest - 1 for y in missed)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == len(missed)
+        assert all(f"ending {y}" in msg for y, msg in zip(missed, warnings))
 
 
 class TestScoreHistogram:

@@ -209,6 +209,9 @@ class TestReports:
         years = {int(r[1]) for r in rows[1:]}
         assert years == set(report["trajectory_years"])
         assert all(int(r[2]) >= 1 for r in rows[1:])
+        windows = report["trajectory_convergence"]
+        assert [w["year"] for w in windows] == report["trajectory_years"]
+        assert all(w["converged"] and w["iterations"] >= 1 for w in windows)
 
     def test_routes_csv_and_planted_route(self, corpus_dir, tmp_path):
         manifest = json.loads((corpus_dir / "manifest.json").read_text())

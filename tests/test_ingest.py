@@ -1,8 +1,9 @@
 import datetime as dt
 
+import numpy as np
 import pytest
 
-from conftest import EVENT_HEADER, RELEASE_HEADER, event_row, write_csv
+from conftest import EVENT_HEADER, RELEASE_HEADER, event_row, make_corpus, write_csv
 
 from gigmine.errors import CorpusFormatError
 from gigmine.graph import build_graph
@@ -29,13 +30,15 @@ class TestParsing:
         )
         c = parse_corpus(*paths)
         assert c.sizes() == {"events": 3, "artists": 2, "venues": 2, "releases": 1}
-        # cross-reference maps are exact inverses of the tables
-        assert sorted(e.event_id for e in c.artist_events["a1"]) == ["e1", "e2"]
-        assert sorted(e.event_id for e in c.venue_events["v1"]) == ["e1", "e3"]
+        # the code columns index the orders, which hold exactly the ids with events
+        assert c.artist_order == ("a1", "a2") and c.venue_order == ("v1", "v2")
+        assert sorted(c.event_id[c.artist == c.artist_order.index("a1")]) == ["e1", "e2"]
+        assert sorted(c.event_id[c.venue == c.venue_order.index("v1")]) == ["e1", "e3"]
         assert c.artist_releases["a1"][0].label_id == "maj"
-        by_artist = sum(len(v) for v in c.artist_events.values())
-        by_venue = sum(len(v) for v in c.venue_events.values())
-        assert by_artist == by_venue == len(c.events)
+        by_artist = np.bincount(c.artist, minlength=len(c.artist_order))
+        by_venue = np.bincount(c.venue, minlength=len(c.venue_order))
+        assert by_artist.min() >= 1 and by_venue.min() >= 1
+        assert by_artist.sum() == by_venue.sum() == c.n_events == len(c.event_id)
 
     def test_header_mismatch_fails_hard(self, tmp_path, corpus_files):
         paths = corpus_files([event_row("e1", "a1", "v1", "2010-05-01")], [], LABELS)
@@ -48,7 +51,7 @@ class TestParsing:
         paths = corpus_files([event_row("e1", "a1", "v1", "2010-05-01")], [], LABELS)
         paths[0].write_bytes(b"\xef\xbb\xbf" + paths[0].read_bytes())
         c = parse_corpus(*paths)
-        assert [e.event_id for e in c.events] == ["e1"]
+        assert c.event_id.tolist() == ["e1"]
 
     def test_missing_file_fails_hard(self, corpus_files, tmp_path):
         paths = corpus_files([event_row("e1", "a1", "v1", "2010-05-01")], [], LABELS)
@@ -86,7 +89,7 @@ class TestParsing:
         rows.append(event_row("e1", "a1", "v1", "2010-05-02"))
         c = parse_corpus(*corpus_files(rows, [], LABELS))
         assert c.n_events == 10
-        assert c.graph().edges[("a1", "v1")].count == 10
+        assert build_graph(c).edges[("a1", "v1")].count == 10
         assert c.load_report.events_rejected == 1
         (diag,) = c.load_report.diagnostics
         # e1 is row index 1 (line 3); its repeat is the last row (line 12)
@@ -143,8 +146,51 @@ class TestParsing:
             event_row("e2", "a1", "v1", "2010-05-02", pop="55.5"),
         ]
         c = parse_corpus(*corpus_files(rows, [], LABELS))
-        assert c.events[0].popularity is None
-        assert c.events[1].popularity == 55.5
+        assert np.isnan(c.popularity[0])
+        assert c.popularity[1] == 55.5
+
+    def test_only_the_three_documented_date_shapes_parse(self, corpus_files):
+        bad = ["20100101", "2010-W01-1", "2010W011", "\uff12\uff10\uff11\uff10"]
+        rows = [event_row(f"e{i}", "a1", "v1", "2010-05-01") for i in range(36)]
+        rows += [event_row(f"x{i}", "a1", "v1", d) for i, d in enumerate(bad)]
+        releases = [["a1", "maj", "2011"]] * 36 + [["a1", "maj", d] for d in bad]
+        c = parse_corpus(*corpus_files(rows, releases, LABELS))
+        assert c.n_events == 36 and len(c.releases) == 36
+        report = c.load_report
+        assert report.events_rejected == report.releases_rejected == 4
+        for file_name in ("events.csv", "releases.csv"):
+            diags = [d for d in report.diagnostics if d["file"].endswith(file_name)]
+            assert [d["line"] for d in diags] == [38, 39, 40, 41]
+            assert all(repr(d) in diag["reason"] for d, diag in zip(bad, diags))
+
+    def test_bad_date_shapes_count_toward_tolerance(self, corpus_files):
+        rows = [event_row(f"e{i}", "a1", "v1", "2010-05-01") for i in range(8)]
+        rows += [event_row("x1", "a1", "v1", "20100501"), event_row("x2", "a1", "v1", "2010")]
+        c = parse_corpus(*corpus_files(rows, [], LABELS))
+        assert c.n_events == 9
+        rows[-1] = event_row("x2", "a1", "v1", "2010-5-1")
+        with pytest.raises(CorpusFormatError, match="tolerance"):
+            parse_corpus(*corpus_files(rows, [], LABELS))
+
+    def test_events_ordered_by_artist_day_and_event_id(self, corpus_files):
+        rows = [
+            event_row("e9", "b", "v1", "2010-01-02"),
+            event_row("e3", "a", "v2", "2010-01-02"),
+            event_row("e10", "a", "v1", "2010-01-02"),
+            event_row("e5", "b", "v2", "2009-12-31"),
+            event_row("e7", "a", "v1", "2010-01-01"),
+        ]
+        c = parse_corpus(*corpus_files(rows, [], LABELS))
+        assert c.event_id.tolist() == ["e7", "e10", "e3", "e5", "e9"]
+        assert [c.artist_order[i] for i in c.artist] == ["a", "a", "a", "b", "b"]
+        assert c.artist_indptr.tolist() == [0, 3, 5]
+        assert c.year.tolist() == [2010, 2010, 2010, 2009, 2010]
+
+    def test_ids_differing_by_a_trailing_nul_stay_distinct(self):
+        day = dt.date(2010, 1, 1)
+        c = make_corpus([("e1", "a", "v1", day), ("e2", "a\0", "v1", day)])
+        assert c.artist_order == ("a", "a\0")
+        assert c.artist.tolist() == [0, 1]
 
 
 class TestPostPlatformFilter:
@@ -155,9 +201,9 @@ class TestPostPlatformFilter:
             event_row("e3", "new", "v2", "2007-01-01"),
         ]
         c = filter_post_2007(parse_corpus(*corpus_files(rows, [], LABELS)))
-        assert c.artist_ids == {"new"}
+        assert c.artist_order == ("new",)
         # venue v1 lost all events and dropped out
-        assert c.venue_ids == {"v2"}
+        assert c.venue_order == ("v2",)
 
     def test_releases_follow_their_artists(self, corpus_files):
         rows = [
@@ -184,7 +230,7 @@ class TestMinActivityFilter:
         c = self._corpus(corpus_files, rows)
         # full history (12 events) passes with no change point
         kept = filter_min_activity(c, threshold=10, change_points={})
-        assert "a1" in kept.artist_ids
+        assert "a1" in kept.artist_order
         # 3 pre-change-point events fail the threshold
         dropped = filter_min_activity(
             c, threshold=10, change_points={"a1": dt.date(2011, 1, 1)}
@@ -200,21 +246,31 @@ class TestMinActivityFilter:
         c = self._corpus(corpus_files, rows)
         kept = filter_min_activity(c, threshold=10)
         # a2 has 9 concerts -> dropped; v2 then has 1 -> dropped; a1 keeps v1
-        assert kept.artist_ids == {"a1"}
-        assert kept.venue_ids == {"v1"}
+        assert kept.artist_order == ("a1",)
+        assert kept.venue_order == ("v1",)
 
     def test_single_pass_mode_stops_after_one_round(self, corpus_files):
         rows = [event_row(f"e{i}", "a1", "v1", f"2010-01-{i + 1:02d}") for i in range(10)]
         rows += [event_row(f"y{i}", "a2", "v1", f"2010-03-{i + 1:02d}") for i in range(5)]
         rows += [event_row(f"z{i}", "a2", "v2", f"2010-04-{i + 1:02d}") for i in range(5)]
-        c = self._corpus(corpus_files, rows)
+        # a3 has 10 events, all at venues that die in round 1
+        rows += [
+            event_row(f"w{i}", "a3", f"v{3 + i % 2}", f"2010-05-{i + 1:02d}") for i in range(10)
+        ]
+        releases = [[a, "ind", "2011-01-01"] for a in ("a1", "a2", "a3")]
+        c = parse_corpus(*corpus_files(rows, releases, LABELS))
         one_pass = filter_min_activity(c, threshold=10, recursive=False)
         # a2 (10 events but 5 per venue...) survives round 1; v2 (5) dies in round 1.
-        assert "v2" not in one_pass.venue_ids
-        assert "a2" in one_pass.artist_ids
+        assert "v2" not in one_pass.venue_order
+        assert "a2" in one_pass.artist_order
+        # a3 survives the round but keeps no event, so it leaves the corpus
+        # and its release goes with it
+        assert one_pass.artist_order == ("a1", "a2")
+        assert [r.artist_id for r in one_pass.releases] == ["a1", "a2"]
+        assert one_pass.sizes() == {"events": 15, "artists": 2, "venues": 1, "releases": 2}
         fixed = filter_min_activity(c, threshold=10, recursive=True)
         # recursively, losing v2 pulls a2 to 5 events -> dropped
-        assert fixed.artist_ids == {"a1"}
+        assert fixed.artist_order == ("a1",)
 
 
 class TestRecursiveCoreFilter:

@@ -45,6 +45,8 @@ def corpus(tmp_path_factory):
 @pytest.mark.parametrize("command, spans", [
     ("task3", {"graph.build_graph", "birank.birank"}),
     ("task2", {"graph.build_graph", "linkpred.build_score_tables"}),
+    ("routes", {"routes.city_sequences", "routes.mine_routes"}),
+    ("task1", {"success.truncate_events", "success.build_features"}),
 ])
 def test_traced_child_run(corpus, tmp_path, command, spans):
     corpus_dir, manifest = corpus
@@ -55,6 +57,7 @@ def test_traced_child_run(corpus, tmp_path, command, spans):
                   "test_years": manifest["test_years"], "n_random_splits": 1,
                   "neg_floor": 300, "walks_per_node": 2, "embed_dim": 8,
                   "embed_epochs": 1},
+        "task1": {"n_splits": 1, "c_grid": [1.0], "k_grid": [4]},
     }
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))

@@ -1,21 +1,33 @@
-"""Property tests of the graph arrays and the batch link scores.
+"""Property tests of the graph arrays, the batch link scores, the
+min-activity filter and route mining.
 
-Random small graphs (isolated nodes included) are checked against the
-brute-force references in ``oracles.py`` and against plain-dict and
-random-order reference computations written out below.
+Random small graphs (isolated nodes included), corpora and city sequences
+are checked against the brute-force references in ``oracles.py`` and
+against plain-dict and random-order reference computations written out
+below.
 """
 
+import datetime as dt
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cn_oracle, jaccard_oracle, neighbors_of, pa_oracle, two_hop_of
+from conftest import make_corpus, sequences_of
+from oracles import (
+    cn_oracle,
+    jaccard_oracle,
+    neighbors_of,
+    pa_oracle,
+    raw_ngram_counts,
+    two_hop_of,
+)
 
 from gigmine import linkpred
 from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
-from gigmine.ingest import recursive_core_filter
+from gigmine.ingest import filter_min_activity, recursive_core_filter
 from gigmine.linkpred import HEURISTICS, build_score_tables
+from gigmine.routes import mine_routes
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -110,3 +122,80 @@ def test_core_filter_matches_random_order_peel(g, k, rnd):
     kept = recursive_core_filter(g, k=k)
     assert kept.artists | kept.venues == alive
     assert kept.edges == edges
+
+
+DAY0 = dt.date(2010, 1, 1).toordinal()
+corpus_events = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 4), st.integers(0, 30)), min_size=1, max_size=50
+)
+change_offsets = st.lists(st.one_of(st.none(), st.integers(0, 30)), min_size=6, max_size=6)
+
+
+def _activity_peel(rows, change_points, threshold, order):
+    """Drop one node below the threshold at a time, scanning nodes in ``order``."""
+    alive = set(order)
+    removed = True
+    while removed:
+        removed = False
+        for node in order:
+            if node not in alive:
+                continue
+            live = [r for r in rows if r[1] in alive and r[2] in alive]
+            if node.startswith("a"):
+                cp = change_points[node]
+                n = sum(r[1] == node and (cp is None or r[3] < cp) for r in live)
+            else:
+                n = sum(r[2] == node for r in live)
+            if n < threshold:
+                alive.discard(node)
+                removed = True
+    return alive
+
+
+@PROPERTY
+@given(corpus_events, change_offsets, st.integers(0, 6), st.randoms(use_true_random=False))
+def test_min_activity_filter_matches_random_order_peel(events, offsets, threshold, rnd):
+    rows = [(f"e{k}", f"a{a}", f"v{v}", dt.date.fromordinal(DAY0 + d))
+            for k, (a, v, d) in enumerate(events)]
+    change_points = {
+        f"a{i}": None if off is None else dt.date.fromordinal(DAY0 + off)
+        for i, off in enumerate(offsets)
+    }
+    order = sorted({r[1] for r in rows} | {r[2] for r in rows})
+    rnd.shuffle(order)
+    alive = _activity_peel(rows, change_points, threshold, order)
+    kept_rows = [r for r in rows if r[1] in alive and r[2] in alive]
+
+    kept = filter_min_activity(make_corpus(rows), threshold, change_points=change_points)
+    assert sorted(kept.event_id.tolist()) == sorted(r[0] for r in kept_rows)
+    assert kept.artist_order == tuple(sorted({r[1] for r in kept_rows}))
+    assert kept.venue_order == tuple(sorted({r[2] for r in kept_rows}))
+    assert [kept.artist_order[a] for a in kept.artist.tolist()] == [
+        r[1] for r in sorted(kept_rows, key=lambda r: (r[1], r[3], r[0]))
+    ]
+
+
+cities = st.sampled_from([(name, "", "US") for name in ("a", "b", "c", "d")])
+walks = st.lists(cities, max_size=9)
+
+
+@PROPERTY
+@given(st.lists(walks, max_size=6), st.lists(walks, max_size=3), st.integers(1, 5),
+       st.one_of(st.none(), st.integers(0, 4)))
+def test_mine_routes_matches_merged_raw_counts(plain, halves, n, top_k):
+    # even and odd palindromes, and every walk reversed as well
+    palindromes = [h + h[::-1] for h in halves] + [h + h[-2::-1] for h in halves]
+    sequences = plain + palindromes + [w[::-1] for w in plain]
+    raw = raw_ngram_counts(sequences, n)
+    want = {}
+    for gram in raw:
+        route, rev = min(gram, gram[::-1]), max(gram, gram[::-1])
+        if route == rev:
+            want[route] = (raw[route], False)
+        else:
+            fwd, back = raw.get(route, 0), raw.get(rev, 0)
+            want[route] = (fwd + back, fwd > 0 and back > 0)
+    ranked = sorted(want.items(), key=lambda item: (-item[1][0], item[0]))[:top_k]
+
+    mined = mine_routes(sequences_of(sequences), n_values=(n,), top_k=top_k)[n]
+    assert [(rc.route, (rc.count, rc.bidirectional)) for rc in mined] == ranked

@@ -3,11 +3,13 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from conftest import event_row, make_corpus, sequences_of
 from oracles import raw_ngram_counts
 
+from gigmine.errors import GigmineError
+from gigmine.ingest import parse_corpus
 from gigmine.routes import (
     CitySequence,
-    collapse_consecutive,
     city_sequences,
     mine_routes,
 )
@@ -21,83 +23,89 @@ A, B, C, D, E = (
 )
 
 
-class FakeEvent:
-    def __init__(self, event_id, artist, city, date):
-        self.event_id = event_id
-        self.artist_id = artist
-        self.city, self.state, self.country = city
-        self.date = date
-
-
-class FakeCorpus:
-    def __init__(self, events):
-        self.artist_events = {}
-        for ev in events:
-            self.artist_events.setdefault(ev.artist_id, []).append(ev)
-
-
 def seqs(*city_lists):
-    return [
-        CitySequence(artist_id=f"a{i}", cities=tuple(cities))
-        for i, cities in enumerate(city_lists)
-    ]
+    return sequences_of(city_lists)
+
+
+def corpus_of(*events):
+    """Corpus of (event_id, artist, city, date) events, one venue per city."""
+    return make_corpus([(e, a, f"v-{city}", date, city) for e, a, city, date in events])
+
+
+def cities_of(sequences):
+    return [(s.artist_id, s.cities) for s in sequences]
+
+
+def collapsed(cities):
+    """One artist's city sequence from events in the given city order."""
+    day = dt.date(2010, 1, 1)
+    events = [(f"e{i:03d}", "x", c, day + dt.timedelta(i)) for i, c in enumerate(cities)]
+    return city_sequences(corpus_of(*events))[0].cities
 
 
 class TestCollapse:
     def test_consecutive_repeats_drop(self):
-        assert collapse_consecutive([A, A, B]) == (A, B)
+        assert collapsed([A, A, B]) == (A, B)
 
     def test_nonconsecutive_repeats_stay(self):
-        assert collapse_consecutive([A, B, A]) == (A, B, A)
+        assert collapsed([A, B, A]) == (A, B, A)
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         cities = [(f"c{i}", "", "US") for i in range(4)]
         for _ in range(20):
             raw = [cities[i] for i in rng.integers(0, 4, size=12)]
-            once = collapse_consecutive(raw)
-            assert collapse_consecutive(once) == once
+            once = collapsed(raw)
+            assert collapsed(once) == once
+            assert all(a != b for a, b in zip(once, once[1:]))
 
     def test_empty(self):
-        assert collapse_consecutive([]) == ()
+        assert city_sequences(corpus_of()) == []
 
 
 class TestCitySequences:
     def test_ordered_by_date_then_event_id(self):
-        events = [
-            FakeEvent("e2", "x", B, dt.date(2010, 1, 5)),
-            FakeEvent("e3", "x", C, dt.date(2010, 1, 5)),
-            FakeEvent("e1", "x", A, dt.date(2010, 1, 1)),
-        ]
-        out = city_sequences(FakeCorpus(events))
-        assert out == [CitySequence(artist_id="x", cities=(A, B, C))]
+        out = city_sequences(corpus_of(
+            ("e2", "x", B, dt.date(2010, 1, 5)),
+            ("e3", "x", C, dt.date(2010, 1, 5)),
+            ("e1", "x", A, dt.date(2010, 1, 1)),
+        ))
+        assert cities_of(out) == [("x", (A, B, C))]
 
     def test_same_city_different_state_is_distinct(self):
         springfield_il = ("Springfield", "IL", "US")
         springfield_ma = ("Springfield", "MA", "US")
-        events = [
-            FakeEvent("e1", "x", springfield_il, dt.date(2010, 1, 1)),
-            FakeEvent("e2", "x", springfield_ma, dt.date(2010, 1, 2)),
-        ]
-        out = city_sequences(FakeCorpus(events))
+        out = city_sequences(corpus_of(
+            ("e1", "x", springfield_il, dt.date(2010, 1, 1)),
+            ("e2", "x", springfield_ma, dt.date(2010, 1, 2)),
+        ))
         assert len(out[0].cities) == 2
 
-    def test_missing_state_normalizes_to_empty(self):
-        ev = FakeEvent("e1", "x", ("Paris", None, "FR"), dt.date(2010, 1, 1))
-        out = city_sequences(FakeCorpus([ev]))
+    def test_missing_state_normalizes_to_empty(self, corpus_files):
+        rows = [event_row("e1", "x", "v1", "2010-01-01", city="Paris", state="", country="FR")]
+        out = city_sequences(parse_corpus(*corpus_files(rows)))
         assert out[0].cities == (("Paris", "", "FR"),)
 
     def test_single_event_sequence(self):
-        ev = FakeEvent("e1", "x", A, dt.date(2010, 1, 1))
-        assert city_sequences(FakeCorpus([ev]))[0].cities == (A,)
+        out = city_sequences(corpus_of(("e1", "x", A, dt.date(2010, 1, 1))))
+        assert out[0].cities == (A,)
 
     def test_artists_sorted(self):
-        events = [
-            FakeEvent("e1", "zeta", A, dt.date(2010, 1, 1)),
-            FakeEvent("e2", "alpha", B, dt.date(2010, 1, 1)),
-        ]
-        out = city_sequences(FakeCorpus(events))
+        out = city_sequences(corpus_of(
+            ("e1", "zeta", A, dt.date(2010, 1, 1)),
+            ("e2", "alpha", B, dt.date(2010, 1, 1)),
+        ))
         assert [s.artist_id for s in out] == ["alpha", "zeta"]
+
+    def test_repeats_collapse_within_an_artist_not_across(self):
+        out = city_sequences(corpus_of(
+            ("e1", "x", A, dt.date(2010, 1, 1)),
+            ("e2", "x", A, dt.date(2010, 1, 2)),
+            ("e3", "x", B, dt.date(2010, 1, 3)),
+            ("e4", "y", B, dt.date(2010, 1, 1)),
+            ("e5", "y", B, dt.date(2010, 1, 2)),
+        ))
+        assert cities_of(out) == [("x", (A, B)), ("y", (B,))]
 
 
 class TestMineRoutes:
@@ -152,10 +160,11 @@ class TestMineRoutes:
         rng = np.random.default_rng(5)
         cities = [(f"c{i}", "", "US") for i in range(6)]
         sequences = []
-        for a in range(30):
+        for _ in range(30):
             length = int(rng.integers(4, 12))
             walk = [cities[i] for i in rng.integers(0, 6, size=length)]
-            sequences.append(CitySequence(artist_id=f"a{a}", cities=tuple(walk)))
+            sequences.append(walk)
+        sequences = sequences_of(sequences)
         for n in (4, 5):
             raw = raw_ngram_counts([s.cities for s in sequences], n)
             mined = {rc.route: rc for rc in mine_routes(sequences, n_values=(n,))[n]}
@@ -176,10 +185,17 @@ class TestMineRoutes:
         rng = np.random.default_rng(6)
         cities = [(f"c{i}", "", "US") for i in range(5)]
         sequences = []
-        for a in range(20):
+        for _ in range(20):
             walk = [cities[i] for i in rng.integers(0, 5, size=10)]
-            sequences.append(CitySequence(artist_id=f"a{a}", cities=tuple(walk)))
-        flipped = [
-            CitySequence(artist_id=s.artist_id, cities=s.cities[::-1]) for s in sequences
-        ]
+            sequences.append(walk)
+        sequences = sequences_of(sequences)
+        flipped = [CitySequence(s.artist_id, s.codes[::-1], s.table) for s in sequences]
         assert mine_routes(sequences) == mine_routes(flipped)
+
+    def test_nonpositive_length_rejected(self):
+        with pytest.raises(GigmineError, match="positive"):
+            mine_routes(seqs([A, B, A]), n_values=(4, 0))
+
+    def test_sequences_over_different_tables_rejected(self):
+        with pytest.raises(GigmineError, match="city tables"):
+            mine_routes(seqs([A, B, C, D]) + seqs([B, C, D, E]))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import make_corpus
+
 from gigmine.errors import GigmineError
 from gigmine.ingest import parse_corpus
 from gigmine.labeling import label_corpus
@@ -23,11 +25,9 @@ from gigmine.success import (
 from gigmine.synth import GenSpec, generate
 
 
-class FakeEvent:
-    def __init__(self, artist, venue, date):
-        self.artist_id = artist
-        self.venue_id = venue
-        self.date = date
+def corpus_of(*events):
+    """Corpus of (artist, venue, date) events."""
+    return make_corpus([(f"e{i}", a, v, d) for i, (a, v, d) in enumerate(events)])
 
 
 class FakeLabel:
@@ -36,61 +36,62 @@ class FakeLabel:
         self.successful = cp is not None
 
 
-class FakeCorpus:
-    def __init__(self, events):
-        self.events = events
-
-
 D = dt.date
 
 
 class TestTruncation:
     def test_strictly_before_change_point(self):
-        events = [
-            FakeEvent("a", "v", D(2010, 1, 1)),
-            FakeEvent("a", "v", D(2011, 6, 1)),  # == cp, must go
-            FakeEvent("a", "v", D(2012, 1, 1)),
-            FakeEvent("b", "v", D(2015, 1, 1)),
-        ]
+        c = corpus_of(
+            ("a", "v", D(2010, 1, 1)),
+            ("a", "v", D(2011, 6, 1)),  # == cp, must go
+            ("a", "v", D(2012, 1, 1)),
+            ("b", "v", D(2015, 1, 1)),
+        )
         labels = {"a": FakeLabel(D(2011, 6, 1)), "b": FakeLabel(None)}
-        kept = truncate_events(FakeCorpus(events), labels)
-        assert [(e.artist_id, e.date) for e in kept] == [
+        kept = truncate_events(c, labels)
+        assert [
+            (c.artist_order[a], D.fromordinal(d))
+            for a, d in zip(c.artist[kept].tolist(), c.day[kept].tolist())
+        ] == [
             ("a", D(2010, 1, 1)),
             ("b", D(2015, 1, 1)),
         ]
 
     def test_unlabeled_artist_keeps_everything(self):
-        events = [FakeEvent("x", "v", D(2012, 1, 1))]
-        assert truncate_events(FakeCorpus(events), {}) == events
+        c = corpus_of(("x", "v", D(2012, 1, 1)))
+        assert truncate_events(c, {}).tolist() == [True]
 
 
 class TestBuildFeatures:
-    EVENTS = [
-        FakeEvent("a1", "v1", D(2010, 1, 1)),
-        FakeEvent("a1", "v1", D(2010, 2, 1)),
-        FakeEvent("a1", "v2", D(2010, 3, 1)),
-        FakeEvent("a2", "v2", D(2010, 4, 1)),
-    ]
+    CORPUS = corpus_of(
+        ("a1", "v1", D(2010, 1, 1)),
+        ("a1", "v1", D(2010, 2, 1)),
+        ("a1", "v2", D(2010, 3, 1)),
+        ("a2", "v2", D(2010, 4, 1)),
+    )
 
     def test_count_mode(self):
-        X = build_features(self.EVENTS, ["a1", "a2"], ["v1", "v2"], mode="count")
+        X = build_features(self.CORPUS, slice(None), mode="count")
         assert X.toarray().tolist() == [[2.0, 1.0], [0.0, 1.0]]
 
     def test_binary_mode(self):
-        X = build_features(self.EVENTS, ["a1", "a2"], ["v1", "v2"], mode="binary")
+        X = build_features(self.CORPUS, slice(None), mode="binary")
         assert X.toarray().tolist() == [[1.0, 1.0], [0.0, 1.0]]
 
     def test_log_mode(self):
-        X = build_features(self.EVENTS, ["a1", "a2"], ["v1", "v2"], mode="log")
+        X = build_features(self.CORPUS, slice(None), mode="log")
         assert X.toarray() == pytest.approx(np.log1p([[2.0, 1.0], [0.0, 1.0]]))
 
     def test_events_outside_orders_ignored(self):
-        X = build_features(self.EVENTS, ["a1"], ["v1"], mode="count")
-        assert X.toarray().tolist() == [[2.0]]
+        # keep only a1's events at v1: v2 loses its column, a2 keeps a zero row
+        c = self.CORPUS
+        keep = (c.artist == c.artist_order.index("a1")) & (c.venue == c.venue_order.index("v1"))
+        X = build_features(c, keep, mode="count")
+        assert X.toarray().tolist() == [[2.0], [0.0]]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(GigmineError, match="mode"):
-            build_features(self.EVENTS, ["a1"], ["v1"], mode="tfidf")
+            build_features(self.CORPUS, slice(None), mode="tfidf")
 
 
 class TestBaseline:

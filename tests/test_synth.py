@@ -16,6 +16,12 @@ def read_corpus(out):
     return parse_corpus(out / "events.csv", out / "releases.csv", out / "labels.csv")
 
 
+def events_of(corpus, artist, *columns):
+    """The named columns of one artist's events, as lists in corpus order."""
+    mine = corpus.artist == corpus.artist_order.index(artist)
+    return [getattr(corpus, name)[mine].tolist() for name in columns]
+
+
 class TestGenSpecValidation:
     def test_bad_sizes(self):
         with pytest.raises(GigmineError):
@@ -169,14 +175,14 @@ class TestPlantedStructure:
         cps = {
             a: dt.date.fromisoformat(s) for a, s in manifest["change_points"].items()
         }
-        pre_events = [
-            ev
+        pre_venues = [
+            corpus.venue_order[v]
             for a, cp in cps.items()
-            for ev in corpus.artist_events[a]
-            if ev.date < cp
+            for v, day in zip(*events_of(corpus, a, "venue", "day"))
+            if day < cp.toordinal()
         ]
-        n = len(pre_events)
-        in_hub = sum(ev.venue_id in hubs for ev in pre_events)
+        n = len(pre_venues)
+        in_hub = sum(v in hubs for v in pre_venues)
         p = manifest["expected_hub_rate_biased"]
         sigma = (n * p * (1 - p)) ** 0.5
         assert abs(in_hub - n * p) <= 3 * sigma
@@ -223,8 +229,8 @@ class TestPlantedStructure:
         assert len(manifest["trajectory_artists"]) == 3
         for artist, plan in manifest["trajectory_artists"].items():
             per_year: dict[int, int] = {}
-            for ev in corpus.artist_events[artist]:
-                per_year[ev.date.year] = per_year.get(ev.date.year, 0) + 1
+            for year in events_of(corpus, artist, "year")[0]:
+                per_year[year] = per_year.get(year, 0) + 1
             assert per_year == {int(y): c for y, c in plan.items()}
             ramp = [c for _, c in sorted(plan.items())]
             assert all(b > a for a, b in zip(ramp, ramp[1:]))
@@ -244,8 +250,8 @@ class TestPlantedStructure:
         route = manifest["planted_route"]
         assert len(route) == 5
         for artist in manifest["route_artists"]:
-            events = sorted(corpus.artist_events[artist], key=lambda e: (e.date, e.event_id))
-            cities = [e.city for e in events]
+            # the corpus keeps each artist's events in (date, event_id) order
+            cities = [corpus.cities[c][0] for c in events_of(corpus, artist, "city")[0]]
             assert len(cities) >= 100
             want = [route[t % 5] for t in range(len(cities))]
             assert cities == want
@@ -266,16 +272,13 @@ class TestPlantedStructure:
         cutoff = manifest["train_end_year"]
         planted = {tuple(p) for p in manifest["planted_future_edges"]}
         assert len(planted) == 15
-        train_pairs = {
-            (ev.artist_id, ev.venue_id)
-            for ev in corpus.events
-            if ev.date.year <= cutoff
-        }
-        test_pairs = {
-            (ev.artist_id, ev.venue_id)
-            for ev in corpus.events
-            if ev.date.year > cutoff
-        }
+        pairs = [
+            (corpus.artist_order[a], corpus.venue_order[v], year)
+            for a, v, year in zip(corpus.artist.tolist(), corpus.venue.tolist(),
+                                  corpus.year.tolist())
+        ]
+        train_pairs = {(a, v) for a, v, year in pairs if year <= cutoff}
+        test_pairs = {(a, v) for a, v, year in pairs if year > cutoff}
         assert planted <= test_pairs
         assert not planted & train_pairs
         # every non-planted test pair already exists in training

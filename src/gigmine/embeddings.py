@@ -1,16 +1,18 @@
 """Random-walk node embeddings for the bipartite graph.
 
-Walks alternate artist and venue hops by construction. The skip-gram model
-with negative sampling is trained directly in numpy: deterministic given the
-seed, with updates applied in fixed-size chunks of (center, context) pairs.
-Within a chunk, gradients for a node that occurs several times accumulate
-before the weights move; this trades pure SGD for vectorization and keeps
-results reproducible.
+Nodes are indices: artist i is node i and venue j is node n_a + j, with n_a
+the graph's artist count. Walks alternate artist and venue hops by
+construction. The skip-gram model with negative sampling is trained directly
+in numpy: deterministic given the seed, with updates applied in fixed-size
+chunks of (center, context) pairs. Within a chunk, gradients for a node that
+occurs several times accumulate before the weights move; this trades pure
+SGD for vectorization and keeps results reproducible.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+import itertools
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -23,8 +25,12 @@ WINDOW = 5
 NEGATIVES = 5
 EPOCHS = 5
 LEARNING_RATE = 0.025
+CHUNK_SIZE = 8192
 WALKS_PER_NODE = 40
 WALK_LENGTH = 10
+
+# pairs per block in score_embedding: bounds the gathered rows to a few MB
+_SCORE_BLOCK = 4096
 
 
 def sample_walks(
@@ -32,18 +38,17 @@ def sample_walks(
     walks_per_node: int = WALKS_PER_NODE,
     length: int = WALK_LENGTH,
     seed: int = 0,
-) -> list[list]:
+) -> list[list[int]]:
     """Uniform random walks: ``walks_per_node`` from every node, ``length`` steps each.
 
-    A walk records length+1 nodes including the start; a walk from a node
-    with no surviving edges stops where it stands. Neighbor choices are
-    uniform and seeded; each node's neighbors are taken in index order.
+    Walks are lists of node indices (see the module docstring). A walk
+    records length+1 nodes including the start; a walk from a node with no
+    surviving edges stops where it stands. Neighbor choices are uniform and
+    seeded; each node's neighbors are taken in index order.
     """
     if not g.artists and not g.venues:
         raise GigmineError("cannot sample walks from an empty graph")
     rng = np.random.default_rng(seed)
-    # node k < n_a is artist k, node n_a + j is venue j
-    names = g.artist_order + g.venue_order
     n_a = len(g.artist_order)
     ptr, cptr = g.indptr, g.csc_indptr
     adjacency = [(g.col[ptr[i]:ptr[i + 1]] + n_a).tolist() for i in range(n_a)]
@@ -51,7 +56,7 @@ def sample_walks(
         g.csc_indices[cptr[j]:cptr[j + 1]].tolist() for j in range(len(g.venue_order))
     ]
     walks = []
-    for node in range(len(names)):
+    for node in range(len(adjacency)):
         for _ in range(walks_per_node):
             walk = [node]
             cur = node
@@ -61,57 +66,51 @@ def sample_walks(
                     break
                 cur = nbrs[rng.integers(len(nbrs))]
                 walk.append(cur)
-            walks.append([names[k] for k in walk])
+            walks.append(walk)
     return walks
 
 
-def _walk_pairs(walks: Sequence[Sequence], index: dict, window: int):
-    """All (center, context) index pairs within the fixed window."""
+def _walk_pairs(walks: Sequence[Sequence[int]], window: int):
+    """All (center, context) node pairs within the fixed window."""
     centers, contexts = [], []
     for walk in walks:
-        ids = [index[n] for n in walk]
-        for i, c in enumerate(ids):
+        for i, c in enumerate(walk):
             lo = max(0, i - window)
-            for j in range(lo, min(len(ids), i + window + 1)):
+            for j in range(lo, min(len(walk), i + window + 1)):
                 if j == i:
                     continue
                 centers.append(c)
-                contexts.append(ids[j])
+                contexts.append(walk[j])
     return np.asarray(centers, dtype=np.int64), np.asarray(contexts, dtype=np.int64)
 
 
 def train_embeddings(
-    walks: Sequence[Sequence],
+    walks: Sequence[Sequence[int]],
     dim: int = DIM,
     window: int = WINDOW,
     epochs: int = EPOCHS,
-    negatives: int = NEGATIVES,
-    learning_rate: float = LEARNING_RATE,
     seed: int = 0,
-    chunk_size: int = 8192,
-    loss_history: Optional[list] = None,
-) -> dict:
-    """Skip-gram with negative sampling over walk windows.
+) -> tuple[np.ndarray, list[float]]:
+    """Skip-gram with negative sampling over walks of node indices.
 
-    Noise nodes are drawn from the walk unigram distribution raised to 3/4.
-    The learning rate decays linearly over all scheduled updates with a small
-    floor. Pass a list as ``loss_history`` to collect the mean pair loss per
-    epoch. Returns node -> unit-norm-free float vector (input weights).
+    Each (center, context) pair draws ``NEGATIVES`` noise nodes from the walk
+    unigram distribution raised to 3/4. The learning rate decays linearly
+    from ``LEARNING_RATE`` over all scheduled updates with a small floor.
+    Returns the input weights, an (n_nodes, dim) matrix whose row k is node
+    k's vector (n_nodes is one more than the largest index in the walks), and
+    the mean pair loss of each epoch.
     """
     if not walks:
         raise GigmineError("cannot train embeddings on an empty walk set")
-    vocab = sorted({n for walk in walks for n in walk}, key=str)
-    index = {n: i for i, n in enumerate(vocab)}
-    centers, contexts = _walk_pairs(walks, index, window)
+    tokens = np.fromiter(itertools.chain.from_iterable(walks), dtype=np.int64)
+    n_nodes = int(tokens.max()) + 1
+    centers, contexts = _walk_pairs(walks, window)
 
     rng = np.random.default_rng(seed)
-    w_in = (rng.random((len(vocab), dim)) - 0.5) / dim
-    w_out = np.zeros((len(vocab), dim))
+    w_in = (rng.random((n_nodes, dim)) - 0.5) / dim
+    w_out = np.zeros((n_nodes, dim))
 
-    freq = np.bincount(
-        np.fromiter((index[n] for walk in walks for n in walk), dtype=np.int64),
-        minlength=len(vocab),
-    ).astype(float)
+    freq = np.bincount(tokens, minlength=n_nodes).astype(float)
     noise = freq ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())
 
@@ -120,15 +119,16 @@ def train_embeddings(
     done = 0
     # a chunk larger than the vocabulary would pile many same-node gradients
     # into one step and overshoot; cap it so small graphs stay near plain SGD
-    chunk = max(1, min(chunk_size, len(vocab)))
+    chunk = max(1, min(CHUNK_SIZE, n_nodes))
+    losses = []
     for epoch in range(epochs):
         epoch_loss, epoch_pairs = 0.0, 0
         for start in range(0, n_pairs, chunk):
             c = centers[start : start + chunk]
             o = contexts[start : start + chunk]
-            neg = np.searchsorted(noise_cdf, rng.random((c.size, negatives)))
+            neg = np.searchsorted(noise_cdf, rng.random((c.size, NEGATIVES)))
             lr = max(
-                learning_rate * (1.0 - done / total_steps), learning_rate * 1e-4
+                LEARNING_RATE * (1.0 - done / total_steps), LEARNING_RATE * 1e-4
             )
 
             vc = w_in[c]  # (B, d)
@@ -155,18 +155,26 @@ def train_embeddings(
                 (-lr * neg_sig[:, :, None] * vc[:, None, :]).reshape(-1, dim),
             )
             done += c.size
-        if loss_history is not None:
-            loss_history.append(epoch_loss / max(1, epoch_pairs))
-    return {n: w_in[i].copy() for n, i in index.items()}
+        losses.append(epoch_loss / max(1, epoch_pairs))
+    return w_in, losses
 
 
-def score_embedding(embeddings: Mapping, a, v) -> float:
-    """Cosine similarity of the two node vectors; 0 for a zero-norm vector."""
-    try:
-        x, y = embeddings[a], embeddings[v]
-    except KeyError as exc:
-        raise UnknownNodeError(exc.args[0]) from exc
-    nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
-    if nx == 0.0 or ny == 0.0:
-        return 0.0
-    return float(np.dot(x, y) / (nx * ny))
+def score_embedding(vectors: np.ndarray, a, v):
+    """Cosine similarity of rows ``a`` and ``v`` of ``vectors``; 0 where either has zero norm.
+
+    ``a`` and ``v`` are node indices, or index arrays of one shape for an
+    array of scores. Rows are gathered a block of pairs at a time, so memory
+    stays bounded however many pairs are scored.
+    """
+    a, v = np.broadcast_arrays(a, v)
+    cos = np.zeros(a.shape)
+    out, a, v = cos.reshape(-1), a.reshape(-1), v.reshape(-1)
+    for lo in range(0, a.size, _SCORE_BLOCK):
+        try:
+            x, y = vectors[a[lo:lo + _SCORE_BLOCK]], vectors[v[lo:lo + _SCORE_BLOCK]]
+        except IndexError as exc:
+            raise UnknownNodeError(exc.args[0]) from exc
+        denom = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
+        dot = np.einsum("kd,kd->k", x, y)
+        np.divide(dot, denom, out=out[lo:lo + _SCORE_BLOCK], where=denom > 0)
+    return cos if cos.ndim else float(cos)

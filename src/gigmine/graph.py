@@ -138,17 +138,6 @@ class BipartiteGraph:
     def total_events(self) -> int:
         return int(self.count.sum())
 
-    def has_node(self, node) -> bool:
-        return node in self._artist_index or node in self._venue_index
-
-    def has_edge(self, artist, venue) -> bool:
-        i = self._artist_index.get(artist)
-        j = self._venue_index.get(venue)
-        return i is not None and j is not None and bool(j in self._venues_of(i))
-
-    def is_artist(self, node) -> bool:
-        return node in self._artist_index
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BipartiteGraph):
             return NotImplemented
@@ -169,28 +158,10 @@ class BipartiteGraph:
 
     # -- index arrays ---------------------------------------------------------
 
-    def index_pairs(self, pairs: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
-        """Artist and venue index arrays of (artist, venue) id pairs.
-
-        Raises UnknownNodeError for an id that is not an artist (first
-        position) or a venue (second position) of this graph.
-        """
-        try:
-            rows = [self._artist_index[a] for a, _ in pairs]
-            cols = [self._venue_index[v] for _, v in pairs]
-        except KeyError as exc:
-            raise UnknownNodeError(exc.args[0]) from None
-        return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
-
     def id_pairs(self, rows, cols) -> list[tuple]:
-        """(artist, venue) id pairs of index arrays; inverse of ``index_pairs``."""
+        """(artist, venue) id pairs of artist and venue index arrays."""
         a, v = self._artist_order, self._venue_order
         return [(a[i], v[j]) for i, j in zip(np.asarray(rows).tolist(), np.asarray(cols).tolist())]
-
-    def is_edge(self, rows, cols) -> np.ndarray:
-        """Boolean mask: which index pairs (rows[k], cols[k]) are edges."""
-        n_v = len(self._venue_order)
-        return np.isin(np.asarray(rows) * n_v + np.asarray(cols), self.row * n_v + self.col)
 
     def subgraph(self, keep_edges, keep_artists=None, keep_venues=None) -> "BipartiteGraph":
         """Graph on the kept nodes (all by default) and the kept edges between them.

@@ -12,12 +12,17 @@ sparse products of the biadjacency matrix), truncated-SVD matrix
 reconstruction, and cosine similarity of random-walk embeddings. Links are
 binarized throughout; candidate scores are compared by rank-based ROC AUC
 against seeded uniform samples of non-edges.
+
+Candidate pairs are int codes ``i * n_v + j``: artist index i and venue index
+j in the training graph's ``artist_order`` and ``venue_order``, with n_v its
+venue count. The splits, the negative sampler and the predictors take and
+return code arrays, and a score table is one float array aligned to them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -74,13 +79,36 @@ class SplitSpec:
 
 class TemporalSplit(NamedTuple):
     train_graph: BipartiteGraph
-    test_pairs: frozenset
+    test_pairs: np.ndarray  # ascending pair codes over train_graph
     stats: dict
 
 
 class RandomSplit(NamedTuple):
     train_graph: BipartiteGraph
-    hidden_pairs: frozenset
+    hidden_pairs: np.ndarray  # ascending pair codes over train_graph
+
+
+def edge_codes(g: BipartiteGraph) -> np.ndarray:
+    """Pair codes of the edges of ``g``, ascending (CSR order is code order)."""
+    return g.row * len(g.venue_order) + g.col
+
+
+def _checked(g: BipartiteGraph, pairs) -> np.ndarray:
+    """``pairs`` as an int64 code array; rejects a code outside g's artist x venue grid."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    n_a, n_v = len(g.artist_order), len(g.venue_order)
+    outside = (pairs < 0) | (pairs >= n_a * n_v)
+    if outside.any():
+        raise GigmineError(
+            f"pair code {pairs[outside][0]} lies outside the {n_a} x {n_v} graph"
+        )
+    return pairs
+
+
+def _positions(order: tuple, ids: Sequence) -> np.ndarray:
+    """Index of each of ``ids`` in the tuple ``order``, -1 for an id not in it."""
+    index = dict(zip(order, range(len(order))))
+    return np.array([index.get(x, -1) for x in ids], dtype=np.int64)
 
 
 def make_temporal_split(corpus, spec: SplitSpec, core_k: int = 5) -> TemporalSplit:
@@ -100,11 +128,15 @@ def make_temporal_split(corpus, spec: SplitSpec, core_k: int = 5) -> TemporalSpl
     if graph.n_edges == 0:
         raise GigmineError(f"training graph is empty after the {core_k}-core filter")
 
-    test = build_graph(corpus.select(np.isin(corpus.year, list(spec.test_years))))
-    raw_pairs = test.id_pairs(test.row, test.col)
-    surviving = {p for p in raw_pairs if graph.has_node(p[0]) and graph.has_node(p[1])}
-    new_pairs = frozenset(p for p in surviving if not graph.has_edge(*p))
-    if not new_pairs:
+    test = np.isin(corpus.year, list(spec.test_years))
+    n_v = len(corpus.venue_order)
+    raw_pairs = np.unique(corpus.artist[test] * n_v + corpus.venue[test])
+    rows = _positions(graph.artist_order, corpus.artist_order)[raw_pairs // n_v]
+    cols = _positions(graph.venue_order, corpus.venue_order)[raw_pairs % n_v]
+    seen = (rows >= 0) & (cols >= 0)
+    surviving = rows[seen] * len(graph.venue_order) + cols[seen]
+    new_pairs = np.sort(surviving[~np.isin(surviving, edge_codes(graph))])
+    if not new_pairs.size:
         raise GigmineError(
             f"no new (artist, venue) pairs found in test years {sorted(spec.test_years)}"
         )
@@ -116,11 +148,11 @@ def make_temporal_split(corpus, spec: SplitSpec, core_k: int = 5) -> TemporalSpl
         "train_venues": len(graph.venues),
         "train_events": graph.total_events,
         "train_edges": graph.n_edges,
-        "test_events": test.total_events,
-        "test_unique_pairs": len(raw_pairs),
-        "test_excluded_unseen_node": len(raw_pairs) - len(surviving),
-        "test_excluded_known_edge": len(surviving) - len(new_pairs),
-        "test_positives": len(new_pairs),
+        "test_events": int(test.sum()),
+        "test_unique_pairs": raw_pairs.size,
+        "test_excluded_unseen_node": raw_pairs.size - surviving.size,
+        "test_excluded_known_edge": surviving.size - new_pairs.size,
+        "test_positives": new_pairs.size,
     }
     return TemporalSplit(graph, new_pairs, stats)
 
@@ -128,22 +160,22 @@ def make_temporal_split(corpus, spec: SplitSpec, core_k: int = 5) -> TemporalSpl
 def make_random_split(graph: BipartiteGraph, spec: SplitSpec) -> RandomSplit:
     """Hide a uniformly random fraction of edges; nodes stay in place.
 
-    Exactly round(|E| * hidden_fraction) edges are hidden. Train edges and
+    Exactly round(|E| * hidden_fraction) edges are hidden, drawn over the
+    edges in CSR order; raises when that rounds to none. Train edges and
     hidden edges partition the original edge set, and the same seed always
     yields the same split.
     """
     if spec.kind != "random":
         raise GigmineError(f"expected a random SplitSpec, got kind={spec.kind!r}")
-    pairs = graph.id_pairs(graph.row, graph.col)
-    by_str = sorted(range(len(pairs)), key=lambda e: str(pairs[e]))
-    n_hidden = int(round(spec.hidden_fraction * len(pairs)))
+    n_hidden = int(round(spec.hidden_fraction * graph.n_edges))
+    if n_hidden == 0:
+        raise GigmineError(
+            f"hidden_fraction {spec.hidden_fraction} of {graph.n_edges} edges hides no edge"
+        )
     rng = np.random.default_rng(spec.seed)
-    hidden_idx = rng.choice(len(pairs), size=n_hidden, replace=False)
-    hidden_edges = np.asarray(by_str, dtype=np.int64)[hidden_idx]
-    keep = np.ones(len(pairs), dtype=bool)
-    keep[hidden_edges] = False
-    hidden = frozenset(pairs[e] for e in hidden_edges.tolist())
-    return RandomSplit(graph.subgraph(keep), hidden)
+    keep = np.ones(graph.n_edges, dtype=bool)
+    keep[rng.choice(graph.n_edges, size=n_hidden, replace=False)] = False
+    return RandomSplit(graph.subgraph(keep), edge_codes(graph)[~keep])
 
 
 # -- predictors ---------------------------------------------------------------
@@ -216,51 +248,30 @@ def heuristic_scores(g: BipartiteGraph, rows, cols) -> dict[str, np.ndarray]:
     }
 
 
-@dataclass
-class LinkScoreTable:
-    """Finite scores for candidate pairs under one named predictor."""
-
-    predictor: str
-    scores: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for pair, s in self.scores.items():
-            if not np.isfinite(s):
-                raise GigmineError(f"{self.predictor}: non-finite score for {pair}")
-
-    def __getitem__(self, pair):
-        return self.scores[pair]
-
-    def __len__(self):
-        return len(self.scores)
-
-
 def score_svd(
     g: BipartiteGraph,
-    pairs: Iterable[tuple],
+    pairs,
     k: int = SVD_RANK,
     seed: int = 0,
-) -> LinkScoreTable:
+) -> tuple[np.ndarray, str]:
     """Rank-k reconstruction of the binary biadjacency matrix as link scores.
 
-    score(a, v) is the (a, v) entry of U_k S_k V_k^T. Raises when k exceeds
-    the matrix dimensions or a pair references an unknown node.
+    The score of pair code ``i * n_v + j`` is the (i, j) entry of
+    U_k S_k V_k^T. Returns the scores, aligned to ``pairs``, and the solver
+    that ran (``SVDReducer.solver_``). Raises when k exceeds the matrix
+    dimensions or a code lies outside the graph.
     """
-    pairs = list(pairs)
+    rows, cols = np.divmod(_checked(g, pairs), len(g.venue_order))
     X = g.biadjacency(values="binary")
     reducer = SVDReducer(k, seed=seed).fit(X)
     left = reducer.transform(X)  # rows: U_k S_k in artist_order
-    rows, cols = g.index_pairs(pairs)
-    right = reducer.components_
-    return LinkScoreTable(
-        "svd",
-        {p: float(left[i] @ right[j]) for p, i, j in zip(pairs, rows.tolist(), cols.tolist())},
-    )
+    scores = np.einsum("kd,kd->k", left[rows], reducer.components_[cols])
+    return scores, reducer.solver_
 
 
 def build_score_tables(
     g: BipartiteGraph,
-    pairs: Sequence[tuple],
+    pairs,
     predictors: Sequence[str] = ALL_PREDICTORS,
     svd_k: int = SVD_RANK,
     seed: int = 0,
@@ -269,98 +280,99 @@ def build_score_tables(
     embed_dim: int = DIM,
     embed_window: int = WINDOW,
     embed_epochs: int = EPOCHS,
-) -> dict[str, LinkScoreTable]:
-    """Score the same candidate pairs under each requested predictor.
+) -> tuple[dict[str, np.ndarray], dict]:
+    """Score the same candidate pair codes under each requested predictor.
 
-    Model-based predictors (svd, embedding) are fitted once on ``g`` and
-    reused across pairs. Candidate pairs must not be training edges.
+    Returns the scores, one float array aligned to ``pairs`` per predictor,
+    and what the model fits report: ``svd_solver`` for the svd predictor and
+    ``embedding_loss`` (SGNS mean pair loss per epoch) for the embedding
+    predictor. Model-based predictors are fitted once on ``g`` and reused
+    across pairs. Candidate pairs must not be training edges.
     """
-    rows, cols = g.index_pairs(pairs)
-    trained = np.flatnonzero(g.is_edge(rows, cols))
-    if trained.size:
-        raise GigmineError(f"candidate pair {pairs[trained[0]]} is already a training edge")
+    pairs = _checked(g, pairs)
+    rows, cols = np.divmod(pairs, len(g.venue_order))
+    trained = np.isin(pairs, edge_codes(g))
+    if trained.any():
+        (pair,) = g.id_pairs(rows[trained][:1], cols[trained][:1])
+        raise GigmineError(f"candidate pair {pair} is already a training edge")
     heuristic = (
         heuristic_scores(g, rows, cols) if set(predictors) & set(HEURISTICS) else {}
     )
-    tables = {}
+    scores, fits = {}, {}
     for name in predictors:
         if name in heuristic:
-            tables[name] = LinkScoreTable(name, dict(zip(pairs, heuristic[name].tolist())))
+            scores[name] = heuristic[name]
         elif name == "svd":
-            tables[name] = score_svd(g, pairs, k=svd_k, seed=seed)
+            scores[name], fits["svd_solver"] = score_svd(g, pairs, k=svd_k, seed=seed)
         elif name == "embedding":
             walks = sample_walks(
                 g, walks_per_node=walks_per_node, length=walk_length, seed=seed
             )
-            emb = train_embeddings(
+            vectors, fits["embedding_loss"] = train_embeddings(
                 walks,
                 dim=embed_dim,
                 window=embed_window,
                 epochs=embed_epochs,
                 seed=seed,
             )
-            tables[name] = LinkScoreTable(
-                name, {p: score_embedding(emb, *p) for p in pairs}
-            )
+            # node n_a + j of the walks is venue j
+            scores[name] = score_embedding(vectors, rows, len(g.artist_order) + cols)
         else:
             raise GigmineError(f"unknown predictor: {name!r}")
-    return tables
+    return scores, fits
 
 
-def evaluate_linkpred(
-    table: LinkScoreTable, positives: Iterable[tuple], negatives: Iterable[tuple]
-) -> float:
-    """Rank-based ROC AUC of the table's scores on the labeled pairs."""
-    positives, negatives = set(positives), set(negatives)
-    overlap = positives & negatives
-    if overlap:
-        raise GigmineError(f"positives and negatives overlap: {sorted(overlap)[:3]}")
-    if not positives or not negatives:
+def evaluate_linkpred(scores, pairs, positives, negatives) -> float:
+    """Rank-based ROC AUC of ``scores``, aligned to the codes ``pairs``, on the labeled codes."""
+    positives = np.unique(np.asarray(positives, dtype=np.int64))
+    negatives = np.unique(np.asarray(negatives, dtype=np.int64))
+    overlap = np.intersect1d(positives, negatives)
+    if overlap.size:
+        raise GigmineError(f"positives and negatives overlap: {overlap[:3].tolist()}")
+    if not positives.size or not negatives.size:
         raise GigmineError("need at least one positive and one negative pair")
-    missing = [p for p in list(positives) + list(negatives) if p not in table.scores]
-    if missing:
-        raise GigmineError(
-            f"{table.predictor}: {len(missing)} pairs unscored, e.g. {missing[0]}"
-        )
-    pairs = sorted(positives, key=str) + sorted(negatives, key=str)
-    scores = [table.scores[p] for p in pairs]
-    labels = [True] * len(positives) + [False] * len(negatives)
-    return roc_auc(scores, labels)
+    scores = np.asarray(scores, dtype=float)
+    pairs = np.asarray(pairs, dtype=np.int64)
+    if scores.shape != pairs.shape:
+        raise GigmineError(f"{scores.size} scores for {pairs.size} pairs")
+    labeled = np.concatenate([positives, negatives])
+    missing = labeled[~np.isin(labeled, pairs)]
+    if missing.size:
+        raise GigmineError(f"{missing.size} pairs unscored, e.g. code {missing[0]}")
+    order = np.argsort(pairs, kind="stable")
+    ranked = scores[order[np.searchsorted(pairs, labeled, sorter=order)]]
+    # roc_auc rejects a non-finite score
+    return roc_auc(ranked, np.arange(labeled.size) < positives.size)
 
 
 def sample_negative_pairs(
     g: BipartiteGraph,
     n: int,
-    exclude: Iterable[tuple] = (),
+    exclude=(),
     seed: int = 0,
     exhaustive: bool = False,
-) -> list[tuple]:
-    """Uniform (artist, venue) pairs that are neither edges nor excluded.
+) -> np.ndarray:
+    """Uniform pair codes that are neither edges of ``g`` nor in ``exclude``.
 
     Draws up to ``n`` distinct non-edges with a seeded generator; asks for
     more than exist and you get them all. ``exhaustive=True`` skips sampling
     and enumerates every candidate, which only makes sense at desk scale.
     """
     n_a, n_v = len(g.artist_order), len(g.venue_order)
-    known = [(a, v) for a, v in exclude if g.is_artist(a) and v in g.venues]
-    ex_rows, ex_cols = g.index_pairs(known)
-    banned = np.union1d(g.row * n_v + g.col, ex_rows * n_v + ex_cols)
+    banned = np.union1d(edge_codes(g), _checked(g, exclude))
     available = n_a * n_v - banned.size
     if available <= 0:
         raise GigmineError("graph has no candidate non-edges")
-
-    def as_pairs(codes):
-        return g.id_pairs(*np.divmod(codes, n_v))
 
     if exhaustive or n > available // 2:
         free = np.ones(n_a * n_v, dtype=bool)
         free[banned] = False
         free_codes = np.flatnonzero(free)
         if exhaustive or n >= available:
-            return as_pairs(free_codes)
+            return free_codes
         # rejection sampling stalls when most candidates are wanted
         rng = np.random.default_rng(seed)
-        return as_pairs(free_codes[rng.choice(free_codes.size, size=n, replace=False)])
+        return free_codes[rng.choice(free_codes.size, size=n, replace=False)]
     rng = np.random.default_rng(seed)
     chosen = np.empty(0, dtype=np.int64)
     while chosen.size < n:
@@ -370,7 +382,7 @@ def sample_negative_pairs(
         codes = codes[~np.isin(codes, banned) & ~np.isin(codes, chosen)]
         _, first = np.unique(codes, return_index=True)
         chosen = np.concatenate([chosen, codes[np.sort(first)][: n - chosen.size]])
-    return as_pairs(chosen)
+    return chosen
 
 
 def run_task2(
@@ -392,8 +404,12 @@ def run_task2(
     Forecasting: temporal split, AUC per predictor. Prediction: the same
     training graph with a random fraction of edges hidden, averaged over
     ``n_random_splits`` seeded repeats. Negative pairs are sampled per
-    evaluation as max(neg_multiple * positives, neg_floor) non-edges.
+    evaluation as max(neg_multiple * positives, neg_floor) non-edges. The
+    ``fits`` block holds what the model fits of each scoring pass report
+    (see ``build_score_tables``): the forecasting pass and each random split.
     """
+    if n_random_splits < 1:
+        raise GigmineError(f"n_random_splits must be at least 1, got {n_random_splits}")
     split = split or SplitSpec(kind="temporal", seed=seed)
     temporal = make_temporal_split(corpus, split, core_k=core_k)
     g = temporal.train_graph
@@ -409,16 +425,17 @@ def run_task2(
         seed=seed,
         exhaustive=exhaustive_negatives,
     )
-    candidates = sorted(positives, key=str) + list(negatives)
-    tables = build_score_tables(
+    candidates = np.concatenate([positives, negatives])
+    tables, fits = build_score_tables(
         g, candidates, predictors, svd_k=svd_k, seed=seed, **embed_params
     )
     forecasting = {
-        name: evaluate_linkpred(tables[name], positives, negatives)
+        name: evaluate_linkpred(tables[name], candidates, positives, negatives)
         for name in predictors
     }
 
     prediction_runs: dict[str, list[float]] = {name: [] for name in predictors}
+    prediction_fits = []
     for s in range(n_random_splits):
         rspec = SplitSpec(
             kind="random", hidden_fraction=hidden_fraction, seed=seed + s
@@ -432,13 +449,14 @@ def run_task2(
             seed=seed + s,
             exhaustive=exhaustive_negatives,
         )
-        cands = sorted(hidden, key=str) + list(negs)
-        split_tables = build_score_tables(
+        cands = np.concatenate([hidden, negs])
+        split_tables, split_fits = build_score_tables(
             train_g, cands, predictors, svd_k=svd_k, seed=seed + s, **embed_params
         )
+        prediction_fits.append(split_fits)
         for name in predictors:
             prediction_runs[name].append(
-                evaluate_linkpred(split_tables[name], hidden, negs)
+                evaluate_linkpred(split_tables[name], cands, hidden, negs)
             )
 
     return {
@@ -462,4 +480,5 @@ def run_task2(
             }
             for name, runs in prediction_runs.items()
         },
+        "fits": {"forecasting": fits, "prediction": prediction_fits},
     }

@@ -19,6 +19,20 @@ def toy_graph():
     return BipartiteGraph({"a1", "a2"}, {"v1", "v2"}, edges)
 
 
+def pair_codes(g, pairs):
+    """Pair codes ``i * n_v + j`` over ``g``'s orders of (artist, venue) id pairs."""
+    n_v = len(g.venue_order)
+    return np.array(
+        [g.artist_order.index(a) * n_v + g.venue_order.index(v) for a, v in pairs],
+        dtype=np.int64,
+    )
+
+
+def id_pairs(g, codes):
+    """(artist, venue) id pairs of pair codes over ``g``'s orders."""
+    return g.id_pairs(*np.divmod(np.asarray(codes, dtype=np.int64), len(g.venue_order)))
+
+
 def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

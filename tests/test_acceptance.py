@@ -177,10 +177,10 @@ def test_criterion_04_svd_recovery():
     train, hidden = make_random_split(
         g, SplitSpec(kind="random", hidden_fraction=0.1, seed=0)
     )
-    hidden = list(hidden)
     negatives = sample_negative_pairs(train, 10 * len(hidden), exclude=hidden, seed=0)
-    table = score_svd(train, hidden + negatives, k=3, seed=0)
-    auc = evaluate_linkpred(table, hidden, negatives)
+    candidates = np.concatenate([hidden, negatives])
+    scores, _ = score_svd(train, candidates, k=3, seed=0)
+    auc = evaluate_linkpred(scores, candidates, hidden, negatives)
     verdict(
         4,
         "SVD recovery",
@@ -340,17 +340,17 @@ def test_criterion_08_planted_link_prediction():
         train, hidden = make_random_split(
             g, SplitSpec(kind="random", hidden_fraction=0.2, seed=s)
         )
-        hidden = list(hidden)
         negatives = sample_negative_pairs(
             train, 10 * len(hidden), exclude=hidden, seed=s
         )
-        tables = build_score_tables(
+        candidates = np.concatenate([hidden, negatives])
+        tables, _ = build_score_tables(
             train,
-            hidden + negatives,
+            candidates,
             predictors=("common_neighbors", "jaccard", "preferential_attachment"),
         )
-        for name, table in tables.items():
-            aucs[name].append(evaluate_linkpred(table, hidden, negatives))
+        for name, scores in tables.items():
+            aucs[name].append(evaluate_linkpred(scores, candidates, hidden, negatives))
     cn = float(np.mean(aucs["common_neighbors"]))
     jac = float(np.mean(aucs["jaccard"]))
     pa = float(np.mean(aucs["preferential_attachment"]))

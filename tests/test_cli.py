@@ -192,6 +192,11 @@ class TestReports:
         }
         for block in report["prediction"].values():
             assert len(block["per_split"]) == 2
+        fits = report["fits"]
+        assert len(fits["prediction"]) == 2
+        for fit in [fits["forecasting"], *fits["prediction"]]:
+            assert fit["svd_solver"] in ("arpack", "lapack")
+            assert len(fit["embedding_loss"]) == 1  # embed_epochs
 
     def test_task3_reports_and_trajectory_csv(self, corpus_dir, tmp_path):
         cfg = write_config(tmp_path, base_config(corpus_dir))

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from gigmine import embeddings
 from gigmine.embeddings import sample_walks, score_embedding, train_embeddings
 from gigmine.errors import GigmineError, UnknownNodeError
 from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
@@ -18,21 +21,22 @@ class TestWalks:
         for walk in walks:
             assert len(walk) == 7
             for prev, cur in zip(walk, walk[1:]):
-                assert {prev, cur} == {"a", "v"}
+                assert {prev, cur} == {0, 1}  # artist a is node 0, venue v node 1
 
     def test_walk_count_and_length(self, toy_graph):
         walks = sample_walks(toy_graph, walks_per_node=40, length=10, seed=1)
         assert len(walks) == 40 * 4
         assert all(len(w) == 11 for w in walks)
         starts = [w[0] for w in walks]
-        for node in ("a1", "a2", "v1", "v2"):
+        for node in range(4):  # a1, a2, v1, v2
             assert starts.count(node) == 40
 
     def test_dead_end_stops_early(self):
         g = BipartiteGraph({"a", "lone"}, {"v"}, {("a", "v"): EdgeInfo(1, 2010)})
         walks = sample_walks(g, walks_per_node=1, length=5, seed=0)
-        lone_walks = [w for w in walks if w[0] == "lone"]
-        assert lone_walks == [["lone"]]
+        lone = g.artist_order.index("lone")
+        lone_walks = [w for w in walks if w[0] == lone]
+        assert lone_walks == [[lone]]
 
     def test_seeded_determinism(self, toy_graph):
         a = sample_walks(toy_graph, walks_per_node=5, length=8, seed=3)
@@ -46,13 +50,14 @@ class TestWalks:
         # must match the uniform law within 3 sigma
         g = build_graph([("hub", f"v{j}", 2010) for j in range(4)])
         walks = sample_walks(g, walks_per_node=25_000, length=1, seed=7)
-        from_hub = [w[1] for w in walks if w[0] == "hub" and len(w) > 1]
+        # the hub is node 0 and venue v{j} is node 1 + j
+        from_hub = [w[1] for w in walks if w[0] == 0 and len(w) > 1]
         n = len(from_hub)
         assert n == 25_000
         p = 0.25
         sigma = (n * p * (1 - p)) ** 0.5
         for j in range(4):
-            count = from_hub.count(f"v{j}")
+            count = from_hub.count(1 + j)
             assert abs(count - n * p) <= 3 * sigma
 
     def test_empty_graph_rejected(self):
@@ -63,25 +68,24 @@ class TestWalks:
 class TestTraining:
     def test_vectors_finite_nonzero_and_right_shape(self, toy_graph):
         walks = sample_walks(toy_graph, walks_per_node=10, length=6, seed=0)
-        emb = train_embeddings(walks, dim=16, epochs=2, seed=0)
-        assert set(emb) == {"a1", "a2", "v1", "v2"}
-        for vec in emb.values():
-            assert vec.shape == (16,)
+        emb, losses = train_embeddings(walks, dim=16, epochs=2, seed=0)
+        assert emb.shape == (4, 16)  # one row per node
+        assert len(losses) == 2
+        for vec in emb:
             assert np.all(np.isfinite(vec))
             assert np.linalg.norm(vec) > 0
 
     def test_deterministic_given_seed(self, toy_graph):
         walks = sample_walks(toy_graph, walks_per_node=8, length=6, seed=0)
-        e1 = train_embeddings(walks, dim=8, epochs=2, seed=5)
-        e2 = train_embeddings(walks, dim=8, epochs=2, seed=5)
-        for node in e1:
-            assert np.array_equal(e1[node], e2[node])
+        e1, l1 = train_embeddings(walks, dim=8, epochs=2, seed=5)
+        e2, l2 = train_embeddings(walks, dim=8, epochs=2, seed=5)
+        assert np.array_equal(e1, e2)
+        assert l1 == l2
 
     def test_loss_decreases_over_epochs(self):
         g = build_graph(clique("a", "v", 4) + clique("b", "w", 4))
         walks = sample_walks(g, walks_per_node=10, length=8, seed=0)
-        history: list = []
-        train_embeddings(walks, dim=16, epochs=5, seed=0, loss_history=history)
+        _, history = train_embeddings(walks, dim=16, epochs=5, seed=0)
         assert len(history) == 5
         assert history[-1] < history[0]
 
@@ -90,11 +94,15 @@ class TestTraining:
         # across blocks once trained
         g = build_graph(clique("a", "v", 5) + clique("b", "w", 5))
         walks = sample_walks(g, walks_per_node=20, length=8, seed=1)
-        emb = train_embeddings(walks, dim=32, epochs=5, seed=1)
-        within = score_embedding(emb, "a0", "v1")
-        across = score_embedding(emb, "a0", "w1")
+        emb, _ = train_embeddings(walks, dim=32, epochs=5, seed=1)
+        node = {n: k for k, n in enumerate(g.artist_order + g.venue_order)}
+        within = score_embedding(emb, node["a0"], node["v1"])
+        across = score_embedding(emb, node["a0"], node["w1"])
         assert within > across
         assert within > 0.5
+        # the row-wise form scores index arrays at once
+        both = score_embedding(emb, np.array([node["a0"]] * 2), np.array([node["v1"], node["w1"]]))
+        assert both.tolist() == [within, across]
 
     def test_empty_walks_rejected(self):
         with pytest.raises(GigmineError, match="empty"):
@@ -103,28 +111,35 @@ class TestTraining:
 
 class TestScoring:
     def test_identical_and_opposite_vectors(self):
-        emb = {"x": np.array([1.0, 0.0]), "y": np.array([2.0, 0.0]), "z": np.array([-1.0, 0.0])}
-        assert score_embedding(emb, "x", "y") == pytest.approx(1.0)
-        assert score_embedding(emb, "x", "z") == pytest.approx(-1.0)
+        emb = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]])
+        assert score_embedding(emb, 0, 1) == pytest.approx(1.0)
+        assert score_embedding(emb, 0, 2) == pytest.approx(-1.0)
 
     def test_orthogonal_vectors(self):
-        emb = {"x": np.array([1.0, 0.0]), "y": np.array([0.0, 3.0])}
-        assert score_embedding(emb, "x", "y") == pytest.approx(0.0)
+        emb = np.array([[1.0, 0.0], [0.0, 3.0]])
+        assert score_embedding(emb, 0, 1) == pytest.approx(0.0)
 
     def test_matches_cosine_formula_on_random_vectors(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            x, y = rng.standard_normal(8), rng.standard_normal(8)
-            emb = {"x": x, "y": y}
+        emb = rng.standard_normal((40, 8))
+        rows, cols = np.arange(0, 40, 2), np.arange(1, 40, 2)
+        batch = score_embedding(emb, rows, cols)
+        for k, (i, j) in enumerate(zip(rows, cols)):
+            x, y = emb[i], emb[j]
             want = float(x @ y / (np.linalg.norm(x) * np.linalg.norm(y)))
-            assert score_embedding(emb, "x", "y") == pytest.approx(want, rel=1e-12)
-            assert score_embedding(emb, "y", "x") == pytest.approx(want, rel=1e-12)
+            assert score_embedding(emb, i, j) == pytest.approx(want, rel=1e-12)
+            assert score_embedding(emb, j, i) == pytest.approx(want, rel=1e-12)
+            assert batch[k] == pytest.approx(want, rel=1e-12)
+        # blocks of pairs do not change a score
+        with mock.patch.object(embeddings, "_SCORE_BLOCK", 3):
+            assert score_embedding(emb, rows, cols).tolist() == batch.tolist()
 
     def test_zero_vector_scores_zero(self):
-        emb = {"x": np.zeros(4), "y": np.ones(4)}
-        assert score_embedding(emb, "x", "y") == 0.0
+        emb = np.array([np.zeros(4), np.ones(4)])
+        assert score_embedding(emb, 0, 1) == 0.0
+        assert score_embedding(emb, np.array([0, 1]), np.array([1, 1])).tolist() == [0.0, 1.0]
 
     def test_missing_node_raises(self):
-        emb = {"x": np.ones(4)}
+        emb = np.ones((1, 4))
         with pytest.raises(UnknownNodeError):
-            score_embedding(emb, "x", "ghost")
+            score_embedding(emb, 0, 1)

@@ -1,15 +1,18 @@
+import datetime as dt
+
 import numpy as np
 import pytest
 
+from conftest import id_pairs, make_corpus, pair_codes
 from oracles import cn_oracle, jaccard_oracle, pa_oracle, random_bipartite
 
 from gigmine.errors import GigmineError
 from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
 from gigmine.ingest import parse_corpus
 from gigmine.linkpred import (
-    LinkScoreTable,
     SplitSpec,
     build_score_tables,
+    edge_codes,
     evaluate_linkpred,
     make_random_split,
     make_temporal_split,
@@ -99,6 +102,8 @@ class TestRandomSplit:
         spec = SplitSpec(kind="random", hidden_fraction=0.25, seed=0)
         train, hidden = make_random_split(g, spec)
         assert len(hidden) == round(0.25 * g.n_edges)
+        # every node stays, so codes over train and over g agree
+        hidden = set(id_pairs(g, hidden))
         assert set(train.edges) | hidden == set(g.edges)
         assert set(train.edges) & hidden == set()
         # nodes stay, including those left isolated
@@ -109,14 +114,21 @@ class TestRandomSplit:
         rng = np.random.default_rng(4)
         g = self._graph(rng)
         spec = SplitSpec(kind="random", hidden_fraction=0.3, seed=9)
-        assert make_random_split(g, spec).hidden_pairs == make_random_split(g, spec).hidden_pairs
+        first = make_random_split(g, spec).hidden_pairs
+        assert np.array_equal(make_random_split(g, spec).hidden_pairs, first)
         other = SplitSpec(kind="random", hidden_fraction=0.3, seed=10)
-        assert make_random_split(g, other).hidden_pairs != make_random_split(g, spec).hidden_pairs
+        assert not np.array_equal(make_random_split(g, other).hidden_pairs, first)
 
     def test_rejects_temporal_spec(self):
         rng = np.random.default_rng(5)
         with pytest.raises(GigmineError, match="random"):
             make_random_split(self._graph(rng), SplitSpec(kind="temporal"))
+
+    def test_rejects_fraction_that_hides_no_edge(self):
+        g = build_graph([("a1", "v1", 2010), ("a2", "v2", 2010)])
+        spec = SplitSpec(kind="random", hidden_fraction=0.2, seed=0)
+        with pytest.raises(GigmineError, match="hidden_fraction 0.2 of 2 edges"):
+            make_random_split(g, spec)
 
 
 class TestTemporalSplit:
@@ -147,7 +159,8 @@ class TestTemporalSplit:
         )
         split = make_temporal_split(corpus, spec, core_k=5)
         planted = {tuple(p) for p in manifest["planted_future_edges"]}
-        assert split.test_pairs == planted
+        assert set(id_pairs(split.train_graph, split.test_pairs)) == planted
+        assert np.array_equal(split.test_pairs, np.unique(split.test_pairs))
         assert split.stats["test_positives"] == len(planted)
 
     def test_training_graph_respects_cutoff_and_core(self, synth_corpus):
@@ -172,8 +185,8 @@ class TestTemporalSplit:
             test_years=frozenset(manifest["test_years"]),
         )
         split = make_temporal_split(corpus, spec)
-        for pair in split.test_pairs:
-            assert not split.train_graph.has_edge(*pair)
+        for pair in id_pairs(split.train_graph, split.test_pairs):
+            assert pair not in split.train_graph.edges
 
     def test_empty_sides_raise(self, synth_corpus):
         corpus, _ = synth_corpus
@@ -204,35 +217,36 @@ class TestSvdScores:
             edges[(f"a{i}", f"v{j}")] = EdgeInfo(1, 2010)
         g = BipartiteGraph(set(artists), set(venues), edges)
         pairs = [("a3", "v4"), ("a0", "v15"), ("a15", "v0")]
-        table = score_svd(g, pairs, k=3, seed=0)
-        assert table[("a3", "v4")] > table[("a0", "v15")]
-        assert table[("a3", "v4")] > table[("a15", "v0")]
-        assert table[("a3", "v4")] > 0.5  # block entry reconstructs near 1
+        (block, row_bg, col_bg), _ = score_svd(g, pair_codes(g, pairs), k=3, seed=0)
+        assert block > row_bg
+        assert block > col_bg
+        assert block > 0.5  # block entry reconstructs near 1
 
     def test_full_rank_reconstruction_is_exact(self):
         g = build_graph(
             [("a1", "v1", 2010), ("a1", "v2", 2010), ("a2", "v1", 2010), ("a3", "v3", 2011)]
         )
         k = min(len(g.artist_order), len(g.venue_order))
-        pairs = [(a, v) for a in g.artist_order for v in g.venue_order if not g.has_edge(a, v)]
-        table = score_svd(g, pairs, k=k, seed=0)
-        for p in pairs:
-            assert table[p] == pytest.approx(0.0, abs=1e-9)
+        pairs = np.setdiff1d(np.arange(len(g.artist_order) * len(g.venue_order)), edge_codes(g))
+        scores, solver = score_svd(g, pairs, k=k, seed=0)
+        assert solver == "lapack"  # k is the full rank
+        assert scores.shape == pairs.shape
+        for s in scores:
+            assert s == pytest.approx(0.0, abs=1e-9)
 
     def test_unknown_node_rejected(self, toy_graph):
-        with pytest.raises(GigmineError, match="unknown node"):
-            score_svd(toy_graph, [("a2", "nope")], k=1)
+        # the toy graph is 2 x 2, so codes run from 0 to 3
+        for code in (4, -1):
+            with pytest.raises(GigmineError, match=f"pair code {code} lies outside"):
+                score_svd(toy_graph, [3, code], k=1)
 
     def test_scores_invariant_under_id_relabeling(self):
         rng = np.random.default_rng(9)
         g = random_bipartite(rng, 8, 8, 0.35)
-        non_edges = [
-            (a, v)
-            for a in g.artist_order
-            for v in g.venue_order
-            if not g.has_edge(a, v)
-        ][:5]
-        t1 = score_svd(g, non_edges, k=3, seed=0)
+        non_edges = np.setdiff1d(
+            np.arange(len(g.artist_order) * len(g.venue_order)), edge_codes(g)
+        )[:5]
+        t1, _ = score_svd(g, non_edges, k=3, seed=0)
         # relabel ids in a way that preserves sort order on both sides
         ren_a = {a: f"x{a}" for a in g.artist_order}
         ren_v = {v: f"y{v}" for v in g.venue_order}
@@ -241,72 +255,95 @@ class TestSvdScores:
             set(ren_v.values()),
             {(ren_a[a], ren_v[v]): info for (a, v), info in g.edges.items()},
         )
-        t2 = score_svd(g2, [(ren_a[a], ren_v[v]) for a, v in non_edges], k=3, seed=0)
-        for a, v in non_edges:
-            assert t2[(ren_a[a], ren_v[v])] == pytest.approx(t1[(a, v)], abs=1e-10)
+        # the orders are preserved, so the same codes name the relabeled pairs
+        t2, _ = score_svd(g2, non_edges, k=3, seed=0)
+        assert t2 == pytest.approx(t1, abs=1e-10)
 
 
 class TestScoreTablesAndEvaluation:
     def test_score_table_rejects_non_finite(self):
-        with pytest.raises(GigmineError, match="non-finite"):
-            LinkScoreTable("bad", {("a", "v"): float("nan")})
+        with pytest.raises(GigmineError, match="scores must be finite"):
+            evaluate_linkpred(np.array([1.0, float("nan")]), [5, 7], [5], [7])
 
     def test_build_tables_rejects_training_edges(self, toy_graph):
-        with pytest.raises(GigmineError, match="training edge"):
-            build_score_tables(toy_graph, [("a1", "v1")], predictors=("jaccard",))
+        with pytest.raises(GigmineError, match=r"\('a1', 'v1'\) is already a training edge"):
+            build_score_tables(
+                toy_graph, pair_codes(toy_graph, [("a1", "v1")]), predictors=("jaccard",)
+            )
 
     def test_unknown_predictor(self, toy_graph):
         with pytest.raises(GigmineError, match="unknown predictor"):
-            build_score_tables(toy_graph, [("a2", "v2")], predictors=("adamic_adar",))
+            build_score_tables(
+                toy_graph, pair_codes(toy_graph, [("a2", "v2")]), predictors=("adamic_adar",)
+            )
 
     def test_heuristic_tables_cover_all_pairs(self, toy_graph):
-        tables = build_score_tables(
+        tables, fits = build_score_tables(
             toy_graph,
-            [("a2", "v2")],
+            pair_codes(toy_graph, [("a2", "v2")]),
             predictors=("common_neighbors", "jaccard", "preferential_attachment"),
         )
         assert set(tables) == {"common_neighbors", "jaccard", "preferential_attachment"}
-        assert tables["common_neighbors"][("a2", "v2")] == 2.0
+        assert tables["common_neighbors"].tolist() == [2.0]
+        assert fits == {}
+
+    def test_model_fits_reported(self):
+        rng = np.random.default_rng(14)
+        g = random_bipartite(rng, 8, 8, 0.4)
+        pairs = np.setdiff1d(np.arange(64), edge_codes(g))
+        tables, fits = build_score_tables(
+            g, pairs, predictors=("svd", "embedding"), svd_k=2,
+            walks_per_node=2, walk_length=4, embed_dim=4, embed_epochs=3,
+        )
+        assert tables["svd"].shape == tables["embedding"].shape == pairs.shape
+        assert fits["svd_solver"] == "arpack"  # 2k + 1 < 8
+        assert len(fits["embedding_loss"]) == 3
+        assert all(np.isfinite(fits["embedding_loss"]))
 
     def test_evaluate_perfect_and_reversed(self):
-        table = LinkScoreTable("t", {("a", "v"): 2.0, ("b", "v"): 1.0})
-        assert evaluate_linkpred(table, [("a", "v")], [("b", "v")]) == 1.0
-        assert evaluate_linkpred(table, [("b", "v")], [("a", "v")]) == 0.0
+        scores, pairs = np.array([2.0, 1.0]), np.array([0, 3])
+        assert evaluate_linkpred(scores, pairs, [0], [3]) == 1.0
+        assert evaluate_linkpred(scores, pairs, [3], [0]) == 0.0
+        # candidate order does not matter
+        assert evaluate_linkpred(scores[::-1], pairs[::-1], [0], [3]) == 1.0
 
     def test_evaluate_guards(self):
-        table = LinkScoreTable("t", {("a", "v"): 1.0, ("b", "v"): 0.0})
+        scores, pairs = np.array([1.0, 0.0]), np.array([0, 1])
         with pytest.raises(GigmineError, match="overlap"):
-            evaluate_linkpred(table, [("a", "v")], [("a", "v")])
+            evaluate_linkpred(scores, pairs, [0], [0])
         with pytest.raises(GigmineError, match="at least one"):
-            evaluate_linkpred(table, [("a", "v")], [])
+            evaluate_linkpred(scores, pairs, [0], [])
         with pytest.raises(GigmineError, match="unscored"):
-            evaluate_linkpred(table, [("a", "v")], [("c", "v")])
+            evaluate_linkpred(scores, pairs, [0], [2])
+        with pytest.raises(GigmineError, match="3 scores for 2 pairs"):
+            evaluate_linkpred(np.zeros(3), pairs, [0], [1])
 
 
 class TestNegativeSampling:
     def test_excludes_edges_and_extras(self):
         rng = np.random.default_rng(11)
         g = random_bipartite(rng, 10, 10, 0.3)
-        extra = [("a0", "v0")] if not g.has_edge("a0", "v0") else []
+        extra = [0] if ("a0", "v0") not in g.edges else []
         negs = sample_negative_pairs(g, 20, exclude=extra, seed=0)
         assert len(negs) == 20
-        assert len(set(negs)) == 20
-        for p in negs:
-            assert not g.has_edge(*p)
-            assert p not in extra
+        assert len(set(negs.tolist())) == 20
+        for p in id_pairs(g, negs):
+            assert p not in g.edges
+            assert p != ("a0", "v0")
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(12)
         g = random_bipartite(rng, 10, 10, 0.3)
-        assert sample_negative_pairs(g, 15, seed=4) == sample_negative_pairs(g, 15, seed=4)
-        assert sample_negative_pairs(g, 15, seed=4) != sample_negative_pairs(g, 15, seed=5)
+        first = sample_negative_pairs(g, 15, seed=4)
+        assert np.array_equal(sample_negative_pairs(g, 15, seed=4), first)
+        assert not np.array_equal(sample_negative_pairs(g, 15, seed=5), first)
 
     def test_exhaustive_returns_every_non_edge(self, toy_graph):
         negs = sample_negative_pairs(toy_graph, 1, exhaustive=True)
-        assert negs == [("a2", "v2")]
+        assert id_pairs(toy_graph, negs) == [("a2", "v2")]
 
     def test_oversized_request_returns_all(self, toy_graph):
-        assert sample_negative_pairs(toy_graph, 100) == [("a2", "v2")]
+        assert id_pairs(toy_graph, sample_negative_pairs(toy_graph, 100)) == [("a2", "v2")]
 
     def test_complete_graph_has_no_candidates(self):
         g = build_graph([("a", "v", 2010)])
@@ -321,7 +358,8 @@ class TestNegativeSampling:
         n = available - 1
         negs = sample_negative_pairs(g, n, seed=2)
         assert len(negs) == n
-        assert len(set(negs)) == n
+        assert len(set(negs.tolist())) == n
+        assert not np.isin(negs, edge_codes(g)).any()
 
 
 class TestRunTask2:
@@ -366,3 +404,11 @@ class TestRunTask2:
         assert report["negative_sampling"]["forecasting_negatives"] == max(
             10 * report["split"]["test_positives"], 200
         )
+        # no model predictor ran, so no fit reported anything
+        assert report["fits"] == {"forecasting": {}, "prediction": [{}, {}]}
+
+    def test_rejects_fewer_than_one_random_split(self):
+        corpus = make_corpus([("e1", "a1", "v1", dt.date(2014, 5, 1))])
+        for n in (0, -1):
+            with pytest.raises(GigmineError, match=f"n_random_splits must be at least 1, got {n}"):
+                run_task2(corpus, n_random_splits=n)

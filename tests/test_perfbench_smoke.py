@@ -70,5 +70,16 @@ def test_traced_child_run(corpus, tmp_path, command, spans):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    names = {span[0] for span in json.loads(trace.read_text())["spans"]}
-    assert spans <= names
+    traced = json.loads(trace.read_text())
+    assert spans <= {span[0] for span in traced["spans"]}
+    if command == "task2":
+        # counters the tracer reads from task2's arguments and return values
+        counters = traced["counters"]
+        report = json.loads((tmp_path / "out" / "task2-report.json").read_text())
+        positives = report["split"]["test_positives"]
+        hidden = round(report["hidden_fraction"] * report["split"]["train_edges"])
+        assert counters["linkpred.negatives"] > 0
+        assert counters["linkpred.pairs_scored"] == (
+            positives + hidden + counters["linkpred.negatives"]
+        )
+        assert counters["embeddings.walk_tokens"] > 0

@@ -1,5 +1,5 @@
 """Property tests of the graph arrays, the batch link scores, the
-min-activity filter and route mining.
+link-prediction AUC, the min-activity filter and route mining.
 
 Random small graphs (isolated nodes included), corpora and city sequences
 are checked against the brute-force references in ``oracles.py`` and
@@ -10,15 +10,17 @@ below.
 import datetime as dt
 from unittest import mock
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_corpus, sequences_of
+from conftest import id_pairs, make_corpus, sequences_of
 from oracles import (
     cn_oracle,
     jaccard_oracle,
     neighbors_of,
     pa_oracle,
+    pairwise_auc,
     raw_ngram_counts,
     two_hop_of,
 )
@@ -26,7 +28,7 @@ from oracles import (
 from gigmine import linkpred
 from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
 from gigmine.ingest import filter_min_activity, recursive_core_filter
-from gigmine.linkpred import HEURISTICS, build_score_tables
+from gigmine.linkpred import HEURISTICS, build_score_tables, edge_codes, evaluate_linkpred
 from gigmine.routes import mine_routes
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -48,18 +50,41 @@ def graphs(draw, max_nodes=8):
 @given(graphs(), st.sampled_from([1, 7, 1 << 22]))
 def test_batch_heuristics_match_oracles(g, chunk_cells):
     edge_pairs = list(g.edges)
-    candidates = [
-        (a, v) for a in g.artist_order for v in g.venue_order if not g.has_edge(a, v)
-    ]
-    if not candidates:
+    candidates = np.setdiff1d(
+        np.arange(len(g.artist_order) * len(g.venue_order)), edge_codes(g)
+    )
+    if not candidates.size:
         return
     # small blocks split the artists over several products
     with mock.patch.object(linkpred, "_CHUNK_CELLS", chunk_cells):
-        tables = build_score_tables(g, candidates, predictors=HEURISTICS)
-    for a, v in candidates:
-        assert tables["common_neighbors"][(a, v)] == cn_oracle(edge_pairs, a, v)
-        assert tables["jaccard"][(a, v)] == jaccard_oracle(edge_pairs, a, v)
-        assert tables["preferential_attachment"][(a, v)] == pa_oracle(edge_pairs, a, v)
+        tables, _ = build_score_tables(g, candidates, predictors=HEURISTICS)
+    for k, (a, v) in enumerate(id_pairs(g, candidates)):
+        assert tables["common_neighbors"][k] == cn_oracle(edge_pairs, a, v)
+        assert tables["jaccard"][k] == jaccard_oracle(edge_pairs, a, v)
+        assert tables["preferential_attachment"][k] == pa_oracle(edge_pairs, a, v)
+
+
+@PROPERTY
+@given(st.data())
+def test_evaluate_linkpred_matches_pairwise_auc_in_any_order(data):
+    # distinct codes, each a positive, a negative or scored but unlabeled;
+    # three score values make ties the rule
+    codes = data.draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=30, unique=True))
+    n = len(codes)
+    labels = data.draw(st.lists(st.sampled_from([True, False, None]), min_size=n, max_size=n))
+    scores = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    assume(True in labels and False in labels)
+    order = data.draw(st.permutations(range(n)))
+    positives = [c for c, y in zip(codes, labels) if y is True]
+    negatives = [c for c, y in zip(codes, labels) if y is False]
+    want = pairwise_auc(
+        [s for s, y in zip(scores, labels) if y is not None],
+        [y for y in labels if y is not None],
+    )
+    got = evaluate_linkpred(
+        np.array(scores, dtype=float)[order], np.array(codes)[order], positives, negatives
+    )
+    assert got == want
 
 
 @PROPERTY

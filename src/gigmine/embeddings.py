@@ -7,6 +7,11 @@ in numpy: deterministic given the seed, with updates applied in fixed-size
 chunks of (center, context) pairs. Within a chunk, gradients for a node that
 occurs several times accumulate before the weights move; this trades pure
 SGD for vectorization and keeps results reproducible.
+
+A chunk's updates land with one sparse product per weight matrix (see
+``_scatter_rows``): each touched row is its old value followed by its updates
+in pair order, added one at a time, so every row rounds exactly as a
+sequence of in-order ``row += update`` steps would.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import itertools
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from gigmine.errors import GigmineError, UnknownNodeError
@@ -46,6 +52,7 @@ def sample_walks(
     surviving edges stops where it stands. Neighbor choices are uniform and
     seeded; each node's neighbors are taken in index order.
     """
+    _check_positive(walks_per_node=walks_per_node, length=length)
     if not g.artists and not g.venues:
         raise GigmineError("cannot sample walks from an empty graph")
     rng = np.random.default_rng(seed)
@@ -70,18 +77,57 @@ def sample_walks(
     return walks
 
 
+def _check_positive(**params: int) -> None:
+    for name, value in params.items():
+        if value < 1:
+            raise GigmineError(f"{name} must be at least 1, got {value}")
+
+
 def _walk_pairs(walks: Sequence[Sequence[int]], window: int):
-    """All (center, context) node pairs within the fixed window."""
-    centers, contexts = [], []
-    for walk in walks:
-        for i, c in enumerate(walk):
-            lo = max(0, i - window)
-            for j in range(lo, min(len(walk), i + window + 1)):
-                if j == i:
-                    continue
-                centers.append(c)
-                contexts.append(walk[j])
-    return np.asarray(centers, dtype=np.int64), np.asarray(contexts, dtype=np.int64)
+    """All (center, context) node pairs within the fixed window.
+
+    Pairs come ordered by walk, then center position, then context offset
+    from -window to window. Walks are laid into one matrix padded with -1
+    (``window`` columns either side), so every offset is one gather.
+    """
+    lengths = np.fromiter(map(len, walks), dtype=np.int64, count=len(walks))
+    width = int(lengths.max(initial=0))
+    padded = np.full((len(walks), width + 2 * window), -1, dtype=np.int64)
+    padded[:, window : window + width][np.arange(width) < lengths[:, None]] = (
+        np.fromiter(itertools.chain.from_iterable(walks), dtype=np.int64)
+    )
+    offsets = np.r_[-window:0, 1 : window + 1]
+    contexts = padded[:, window + np.arange(width)[:, None] + offsets]
+    centers = np.broadcast_to(padded[:, window : window + width, None], contexts.shape)
+    valid = (centers >= 0) & (contexts >= 0)
+    return centers[valid], contexts[valid]
+
+
+def _scatter_rows(w, idx, coef, src, src_row) -> None:
+    """``w[idx[k]] += coef[k] * src[src_row[k]]`` for every k, in k order per row.
+
+    One CSR product over the stacked rows ``[w[rows]; src]``, where ``rows``
+    are the distinct indices in ``idx``: row g of the matrix holds 1.0 on
+    ``w[rows[g]]``, then that row's coefficients in k order. scipy adds the
+    terms of a row in stored order, so each row rounds exactly as a sequence
+    of ``np.add.at`` steps would; summing the updates first would not.
+    """
+    order = np.argsort(idx, kind="stable")
+    ranked = idx[order]
+    first = np.ones(idx.size, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    rows = ranked[first]
+    n = rows.size
+    # the k-th update in row order sits after the leading entries of its row
+    # and of every row before it
+    at = np.arange(idx.size) + np.cumsum(first)
+    indptr = np.r_[np.flatnonzero(first), idx.size] + np.arange(n + 1)
+    data = np.ones(idx.size + n)
+    data[at] = np.broadcast_to(coef, idx.shape)[order]
+    cols = np.arange(n).repeat(np.diff(indptr))
+    cols[at] = n + src_row[order]
+    s = sp.csr_matrix((data, cols, indptr), shape=(n, n + len(src)))
+    w[rows] = s @ np.vstack([w[rows], src])
 
 
 def train_embeddings(
@@ -100,6 +146,7 @@ def train_embeddings(
     k's vector (n_nodes is one more than the largest index in the walks), and
     the mean pair loss of each epoch.
     """
+    _check_positive(dim=dim, window=window, epochs=epochs)
     if not walks:
         raise GigmineError("cannot train embeddings on an empty walk set")
     tokens = np.fromiter(itertools.chain.from_iterable(walks), dtype=np.int64)
@@ -147,12 +194,15 @@ def train_embeddings(
 
             g_pos = pos_sig - 1.0  # (B,)
             grad_c = g_pos[:, None] * vo + np.einsum("bn,bnd->bd", neg_sig, vn)
-            np.add.at(w_in, c, -lr * grad_c)
-            np.add.at(w_out, o, -lr * g_pos[:, None] * vc)
-            np.add.at(
+            b = np.arange(c.size)
+            _scatter_rows(w_in, c, 1.0, -lr * grad_c, b)
+            # context then noise updates of w_out, all multiples of rows of vc
+            _scatter_rows(
                 w_out,
-                neg.ravel(),
-                (-lr * neg_sig[:, :, None] * vc[:, None, :]).reshape(-1, dim),
+                np.concatenate([o, neg.ravel()]),
+                np.concatenate([-lr * g_pos, (-lr * neg_sig).ravel()]),
+                vc,
+                np.concatenate([b, b.repeat(NEGATIVES)]),
             )
             done += c.size
         losses.append(epoch_loss / max(1, epoch_pairs))

@@ -130,6 +130,15 @@ class TestExitCodes:
         assert code == 1
         assert "no new" in capsys.readouterr().err
 
+    def test_degenerate_embedding_setting_maps_to_one(self, corpus_dir, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            base_config(corpus_dir, task2={"predictors": ["embedding"], "embed_epochs": 0}),
+        )
+        code = main(["task2", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 1
+        assert "epochs must be at least 1, got 0" in capsys.readouterr().err
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

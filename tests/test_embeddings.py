@@ -1,7 +1,9 @@
+import itertools
 from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from gigmine import embeddings
 from gigmine.embeddings import sample_walks, score_embedding, train_embeddings
@@ -11,6 +13,63 @@ from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
 
 def clique(prefix_a, prefix_v, n, year=2010):
     return [(f"{prefix_a}{i}", f"{prefix_v}{j}", year) for i in range(n) for j in range(n)]
+
+
+def loop_walk_pairs(walks, window):
+    """Reference pairs: one Python step per (center, context) token pair."""
+    centers, contexts = [], []
+    for walk in walks:
+        for i, c in enumerate(walk):
+            lo = max(0, i - window)
+            for j in range(lo, min(len(walk), i + window + 1)):
+                if j == i:
+                    continue
+                centers.append(c)
+                contexts.append(walk[j])
+    return np.asarray(centers, dtype=np.int64), np.asarray(contexts, dtype=np.int64)
+
+
+def add_at_sgns(walks, dim, window, epochs, seed, chunk_size):
+    """Reference SGNS with the three np.add.at updates per chunk."""
+    tokens = np.fromiter(itertools.chain.from_iterable(walks), dtype=np.int64)
+    n_nodes = int(tokens.max()) + 1
+    centers, contexts = loop_walk_pairs(walks, window)
+    rng = np.random.default_rng(seed)
+    w_in = (rng.random((n_nodes, dim)) - 0.5) / dim
+    w_out = np.zeros((n_nodes, dim))
+    freq = np.bincount(tokens, minlength=n_nodes).astype(float)
+    noise = freq ** 0.75
+    noise_cdf = np.cumsum(noise / noise.sum())
+    n_pairs = centers.size
+    total_steps = max(1, epochs * n_pairs)
+    done = 0
+    chunk = max(1, min(chunk_size, n_nodes))
+    lr0 = embeddings.LEARNING_RATE
+    losses = []
+    for _ in range(epochs):
+        epoch_loss = 0.0
+        for start in range(0, n_pairs, chunk):
+            c = centers[start : start + chunk]
+            o = contexts[start : start + chunk]
+            neg = np.searchsorted(noise_cdf, rng.random((c.size, embeddings.NEGATIVES)))
+            lr = max(lr0 * (1.0 - done / total_steps), lr0 * 1e-4)
+            vc, vo, vn = w_in[c], w_out[o], w_out[neg]
+            pos_score = np.einsum("bd,bd->b", vc, vo)
+            neg_score = np.einsum("bd,bnd->bn", vc, vn)
+            epoch_loss += float(
+                np.sum(np.logaddexp(0.0, -pos_score)) + np.sum(np.logaddexp(0.0, neg_score))
+            )
+            g_pos = expit(pos_score) - 1.0
+            neg_sig = expit(neg_score)
+            grad_c = g_pos[:, None] * vo + np.einsum("bn,bnd->bd", neg_sig, vn)
+            np.add.at(w_in, c, -lr * grad_c)
+            np.add.at(w_out, o, -lr * g_pos[:, None] * vc)
+            np.add.at(
+                w_out, neg.ravel(), (-lr * neg_sig[:, :, None] * vc[:, None, :]).reshape(-1, dim)
+            )
+            done += c.size
+        losses.append(epoch_loss / max(1, n_pairs))
+    return w_in, losses
 
 
 class TestWalks:
@@ -64,6 +123,24 @@ class TestWalks:
         with pytest.raises(GigmineError, match="empty"):
             sample_walks(BipartiteGraph((), (), {}), walks_per_node=1, length=1)
 
+    @pytest.mark.parametrize("param", ["walks_per_node", "length"])
+    def test_setting_below_one_rejected(self, toy_graph, param):
+        settings = {"walks_per_node": 2, "length": 3, param: 0}
+        with pytest.raises(GigmineError, match=f"{param} must be at least 1, got 0"):
+            sample_walks(toy_graph, **settings)
+
+    def test_pairs_match_token_loop_on_uneven_walks(self):
+        # dead-end walks of length 1, walks shorter and longer than the window
+        walks = [[3], [0, 4, 1, 4], [2], [5, 0, 5, 0, 5, 0, 5, 0], [1, 6], [6]]
+        for window in (1, 2, 3, 10):
+            got = embeddings._walk_pairs(walks, window)
+            want = loop_walk_pairs(walks, window)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64
+                assert g.tolist() == w.tolist()
+        centers, contexts = embeddings._walk_pairs([[7], [8]], 2)
+        assert centers.size == contexts.size == 0
+
 
 class TestTraining:
     def test_vectors_finite_nonzero_and_right_shape(self, toy_graph):
@@ -107,6 +184,23 @@ class TestTraining:
     def test_empty_walks_rejected(self):
         with pytest.raises(GigmineError, match="empty"):
             train_embeddings([])
+
+    @pytest.mark.parametrize("param, value", [("dim", 0), ("window", 0), ("window", -1),
+                                              ("epochs", 0)])
+    def test_setting_below_one_rejected(self, param, value):
+        with pytest.raises(GigmineError, match=f"{param} must be at least 1, got {value}"):
+            train_embeddings([[0, 1, 0]], **{param: value})
+
+    def test_matches_add_at_reference_bitwise(self):
+        # a small chunk size gives many chunks, each with repeated nodes, so
+        # the order in which one row's updates land shows in the bits
+        g = build_graph(clique("a", "v", 4) + clique("b", "w", 4))
+        walks = sample_walks(g, walks_per_node=3, length=6, seed=2)
+        want, want_losses = add_at_sgns(walks, dim=8, window=3, epochs=2, seed=4, chunk_size=7)
+        with mock.patch.object(embeddings, "CHUNK_SIZE", 7):
+            got, losses = train_embeddings(walks, dim=8, window=3, epochs=2, seed=4)
+        assert np.array_equal(got, want)
+        assert losses == want_losses
 
 
 class TestScoring:

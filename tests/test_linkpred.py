@@ -407,6 +407,25 @@ class TestRunTask2:
         # no model predictor ran, so no fit reported anything
         assert report["fits"] == {"forecasting": {}, "prediction": [{}, {}]}
 
+    def test_rejects_degenerate_embedding_settings(self, tmp_path):
+        out = tmp_path / "corpus"
+        manifest = generate(
+            GenSpec(n_artists=120, n_venues=40, years=(2008, 2017), seed=33, min_events=8,
+                    future_edge_count=20),
+            out,
+        )
+        corpus = parse_corpus(out / "events.csv", out / "releases.csv", out / "labels.csv")
+        split = SplitSpec(
+            kind="temporal",
+            train_end_year=manifest["train_end_year"],
+            test_years=frozenset(manifest["test_years"]),
+        )
+        for key, param in [("embed_window", "window"), ("embed_epochs", "epochs"),
+                           ("embed_dim", "dim"), ("walk_length", "length"),
+                           ("walks_per_node", "walks_per_node")]:
+            with pytest.raises(GigmineError, match=f"{param} must be at least 1, got 0"):
+                run_task2(corpus, predictors=("embedding",), split=split, **{key: 0})
+
     def test_rejects_fewer_than_one_random_split(self):
         corpus = make_corpus([("e1", "a1", "v1", dt.date(2014, 5, 1))])
         for n in (0, -1):

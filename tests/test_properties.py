@@ -26,12 +26,35 @@ from oracles import (
 )
 
 from gigmine import linkpred
+from gigmine.embeddings import _scatter_rows
 from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
 from gigmine.ingest import filter_min_activity, recursive_core_filter
 from gigmine.linkpred import HEURISTICS, build_score_tables, edge_codes, evaluate_linkpred
 from gigmine.routes import mine_routes
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(st.data())
+def test_scatter_rows_matches_add_at_bitwise(data):
+    # repeated and untouched rows of w, repeated source rows, empty updates
+    n_rows, n_src, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5)), 3
+    m = data.draw(st.integers(0, 20))
+    idx = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), min_size=m, max_size=m)),
+                   dtype=np.int64)
+    src_row = np.array(data.draw(st.lists(st.integers(0, n_src - 1), min_size=m, max_size=m)),
+                       dtype=np.int64)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((n_rows, d)) * 10.0 ** rng.integers(-8, 8, (n_rows, 1))
+    src = rng.standard_normal((n_src, d)) * 10.0 ** rng.integers(-8, 8, (n_src, 1))
+    coef = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 8, m)
+
+    want = w.copy()
+    np.add.at(want, idx, coef[:, None] * src[src_row])
+    _scatter_rows(w, idx, coef, src, src_row)
+    assert np.array_equal(w, want)
 
 
 @st.composite

@@ -210,8 +210,11 @@ def yearly_trajectories(
     maps year -> WindowRanking, i.e. {artist: {"rank": dense rank, "score":
     score}} carrying the window's ``iterations`` and ``converged``. Years
     whose window holds no events are skipped and logged; a window that does
-    not converge within ``MAX_ITER`` logs a warning.
+    not converge within ``MAX_ITER`` logs a warning. ``window_years`` must be
+    at least 1.
     """
+    if window_years < 1:
+        raise GigmineError(f"window_years must be at least 1, got {window_years}")
     lo, hi = corpus.year_span()
     if hi - lo + 1 < window_years:
         raise GigmineError(
@@ -246,9 +249,11 @@ def score_histogram(
     """Relative-frequency artist score histograms per success class.
 
     Shared bin edges across both classes; each histogram sums to 1. Also
-    reports per-class means and medians. Raises when a scored artist lacks a
-    label or a class is empty.
+    reports per-class means and medians. Raises when ``bins`` is below 1, a
+    scored artist lacks a label or a class is empty.
     """
+    if bins < 1:
+        raise GigmineError(f"bins must be at least 1, got {bins}")
     missing = [a for a in result.artist_scores if a not in labels]
     if missing:
         raise GigmineError(f"{len(missing)} scored artists lack labels, e.g. {missing[0]!r}")

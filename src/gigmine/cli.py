@@ -287,8 +287,11 @@ def cmd_task2(config: dict, out: Path) -> dict:
 
 
 def cmd_task3(config: dict, out: Path) -> dict:
-    corpus, labels, info = _load_preprocessed(config)
     t3 = config["task3"]
+    top = t3["top_k"]
+    if top is not None and top < 1:
+        raise GigmineError(f"top_k must be at least 1, got {top}")
+    corpus, labels, info = _load_preprocessed(config)
     g = build_graph(corpus)
     ref_year = t3["ref_year"] or corpus.year_span()[1]
     result = birank(
@@ -299,7 +302,6 @@ def cmd_task3(config: dict, out: Path) -> dict:
         beta=t3["beta"],
         count_scaled=t3["count_scaled"],
     )
-    top = t3["top_k"]
     top_artists = sorted(
         result.artist_scores.items(), key=lambda kv: (-kv[1], kv[0])
     )[:top]

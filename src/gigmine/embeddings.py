@@ -20,8 +20,8 @@ import itertools
 from typing import Sequence
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
-from scipy.special import expit
 
 from gigmine.errors import GigmineError, UnknownNodeError
 from gigmine.graph import BipartiteGraph
@@ -183,8 +183,8 @@ def train_embeddings(
             vn = w_out[neg]  # (B, neg, d)
             pos_score = np.einsum("bd,bd->b", vc, vo)
             neg_score = np.einsum("bd,bnd->bn", vc, vn)
-            pos_sig = expit(pos_score)
-            neg_sig = expit(neg_score)
+            pos_sig = scipy.special.expit(pos_score)
+            neg_sig = scipy.special.expit(neg_score)
 
             epoch_loss += float(
                 np.sum(np.logaddexp(0.0, -pos_score))

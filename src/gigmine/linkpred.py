@@ -322,8 +322,20 @@ def build_score_tables(
     return scores, fits
 
 
-def evaluate_linkpred(scores, pairs, positives, negatives) -> float:
-    """Rank-based ROC AUC of ``scores``, aligned to the codes ``pairs``, on the labeled codes."""
+class _Labels(NamedTuple):
+    """Where the labeled codes sit in one candidate array, positives first."""
+
+    n_pairs: int
+    at: np.ndarray  # index in the candidate array of each labeled code
+    positive: np.ndarray
+
+
+def _align(pairs, positives, negatives) -> _Labels:
+    """Check the labeled codes against the candidate codes ``pairs`` and locate them.
+
+    Raises when positives and negatives overlap, a class is empty or a
+    labeled code is not among ``pairs``.
+    """
     positives = np.unique(np.asarray(positives, dtype=np.int64))
     negatives = np.unique(np.asarray(negatives, dtype=np.int64))
     overlap = np.intersect1d(positives, negatives)
@@ -331,18 +343,28 @@ def evaluate_linkpred(scores, pairs, positives, negatives) -> float:
         raise GigmineError(f"positives and negatives overlap: {overlap[:3].tolist()}")
     if not positives.size or not negatives.size:
         raise GigmineError("need at least one positive and one negative pair")
-    scores = np.asarray(scores, dtype=float)
     pairs = np.asarray(pairs, dtype=np.int64)
-    if scores.shape != pairs.shape:
-        raise GigmineError(f"{scores.size} scores for {pairs.size} pairs")
     labeled = np.concatenate([positives, negatives])
     missing = labeled[~np.isin(labeled, pairs)]
     if missing.size:
         raise GigmineError(f"{missing.size} pairs unscored, e.g. code {missing[0]}")
     order = np.argsort(pairs, kind="stable")
-    ranked = scores[order[np.searchsorted(pairs, labeled, sorter=order)]]
+    at = order[np.searchsorted(pairs, labeled, sorter=order)]
+    return _Labels(pairs.size, at, np.arange(labeled.size) < positives.size)
+
+
+def _auc(scores, labels: _Labels) -> float:
+    """ROC AUC of one predictor's ``scores``, aligned to the candidates ``labels`` locates."""
+    scores = np.asarray(scores, dtype=float)
+    if scores.shape != (labels.n_pairs,):
+        raise GigmineError(f"{scores.size} scores for {labels.n_pairs} pairs")
     # roc_auc rejects a non-finite score
-    return roc_auc(ranked, np.arange(labeled.size) < positives.size)
+    return roc_auc(scores[labels.at], labels.positive)
+
+
+def evaluate_linkpred(scores, pairs, positives, negatives) -> float:
+    """Rank-based ROC AUC of ``scores``, aligned to the codes ``pairs``, on the labeled codes."""
+    return _auc(scores, _align(pairs, positives, negatives))
 
 
 def sample_negative_pairs(
@@ -429,10 +451,8 @@ def run_task2(
     tables, fits = build_score_tables(
         g, candidates, predictors, svd_k=svd_k, seed=seed, **embed_params
     )
-    forecasting = {
-        name: evaluate_linkpred(tables[name], candidates, positives, negatives)
-        for name in predictors
-    }
+    labels = _align(candidates, positives, negatives)
+    forecasting = {name: _auc(tables[name], labels) for name in predictors}
 
     prediction_runs: dict[str, list[float]] = {name: [] for name in predictors}
     prediction_fits = []
@@ -454,10 +474,9 @@ def run_task2(
             train_g, cands, predictors, svd_k=svd_k, seed=seed + s, **embed_params
         )
         prediction_fits.append(split_fits)
+        labels = _align(cands, hidden, negs)
         for name in predictors:
-            prediction_runs[name].append(
-                evaluate_linkpred(split_tables[name], cands, hidden, negs)
-            )
+            prediction_runs[name].append(_auc(split_tables[name], labels))
 
     return {
         "task": "linkpred",

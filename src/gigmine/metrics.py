@@ -3,13 +3,15 @@
 roc_auc is the Mann-Whitney statistic normalized by the number of
 positive-negative pairs, with midrank handling for tied scores, so it agrees
 exactly with the pairwise-comparison definition: the fraction of
-(positive, negative) pairs ranked correctly, ties counting one half.
+(positive, negative) pairs ranked correctly, ties counting one half
+(Hanley & McNeil, Radiology 1982). The midranks are computed here in numpy
+with SciPy ``rankdata``'s tie rule (equal under ``==``, so -0.0 ties 0.0)
+and are the same floats as ``rankdata(scores, method="average")``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from gigmine.errors import GigmineError
 
@@ -24,6 +26,22 @@ def _as_score_label_arrays(scores, labels):
     if not np.all(np.isfinite(s)):
         raise GigmineError("scores must be finite")
     return s, y
+
+
+def _midranks(s: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``s``; each run of equal values shares its mean rank.
+
+    A run over sorted positions [start, end) gets ``(start + end + 1) / 2``,
+    an exact half-integer, so the result is bit-identical to
+    ``rankdata(s, method="average")``.
+    """
+    order = np.argsort(s, kind="stable")
+    ranked = s[order]
+    starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
+    ends = np.append(starts[1:], s.size)
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def roc_auc(scores, labels) -> float:
@@ -41,7 +59,7 @@ def roc_auc(scores, labels) -> float:
         raise GigmineError(
             f"roc_auc needs both classes, got {n_pos} positives / {n_neg} negatives"
         )
-    ranks = rankdata(s, method="average")
+    ranks = _midranks(s)
     u = ranks[y].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

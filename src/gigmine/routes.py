@@ -76,10 +76,13 @@ def mine_routes(
     Returns, per n, RouteCounts ranked by merged count descending (ties by
     route for determinism), cut to ``top_k`` when given. The merged count is
     the sum of the forward and reverse raw counts. All sequences must share
-    one city table, and every n must be positive.
+    one city table, every n must be positive and ``top_k``, when given, at
+    least 1.
     """
     if any(n < 1 for n in n_values):
         raise GigmineError(f"route lengths must be positive, got {list(n_values)}")
+    if top_k is not None and top_k < 1:
+        raise GigmineError(f"top_k must be at least 1, got {top_k}")
     sequences = list(sequences)
     table = sequences[0].table if sequences else ()
     if not all(s.table is table or s.table == table for s in sequences):

@@ -18,11 +18,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
+import scipy
 import scipy.sparse as sp
-import scipy.sparse.linalg
-import scipy.special
 
 from gigmine.errors import GigmineError
 from gigmine.metrics import precision_recall_f1, roc_auc
@@ -328,8 +325,11 @@ def run_task1(
     split by stratified cross-validation on F1. Each ``selected`` entry also
     names the solver of the split's final SVD fit and, over every logistic
     regression fitted in the split (tuning included), how many stopped
-    short of convergence and the most iterations any took.
+    short of convergence and the most iterations any took. ``cv_folds`` must
+    be at least 2.
     """
+    if cv_folds < 2:
+        raise GigmineError(f"cv_folds must be at least 2, got {cv_folds}")
     X = build_features(corpus, truncate_events(corpus, labels), mode=mode)
     if not X.shape[1]:
         raise GigmineError("no events remain after change-point truncation")

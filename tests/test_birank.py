@@ -273,6 +273,12 @@ class TestTrajectories:
         with pytest.raises(GigmineError, match="span"):
             yearly_trajectories(trajectory_corpus(events), window_years=3)
 
+    @pytest.mark.parametrize("window_years", [0, -2])
+    def test_window_years_below_one_rejected(self, window_years):
+        want = f"window_years must be at least 1, got {window_years}"
+        with pytest.raises(GigmineError, match=want):
+            yearly_trajectories(self._corpus(), window_years=window_years)
+
     def test_empty_window_skipped_and_logged(self, caplog):
         events = [("a", "v", 2010), ("a", "v", 2015)]
         with caplog.at_level(logging.INFO, logger="gigmine.birank"):
@@ -335,3 +341,9 @@ class TestScoreHistogram:
         scores = {"a1": 0.5, "a2": 0.6}
         with pytest.raises(GigmineError, match="lack labels"):
             score_histogram(self._result(scores), {"a1": True})
+
+    @pytest.mark.parametrize("bins", [0, -1])
+    def test_bins_below_one_rejected(self, bins):
+        scores = {"a1": 0.5, "a2": 0.6}
+        with pytest.raises(GigmineError, match=f"bins must be at least 1, got {bins}"):
+            score_histogram(self._result(scores), {"a1": True, "a2": False}, bins=bins)

@@ -139,6 +139,24 @@ class TestExitCodes:
         assert code == 1
         assert "epochs must be at least 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, key, value, minimum",
+        [
+            ("task3", "top_k", -3, 1),
+            ("task3", "window_years", 0, 1),
+            ("task3", "bins", 0, 1),
+            ("routes", "top_k", -1, 1),
+            ("task1", "cv_folds", 1, 2),
+        ],
+    )
+    def test_degenerate_task_setting_maps_to_one(
+        self, corpus_dir, tmp_path, capsys, command, key, value, minimum
+    ):
+        cfg = write_config(tmp_path, base_config(corpus_dir, **{command: {key: value}}))
+        code = main([command, "--config", cfg, "--out", str(tmp_path)])
+        assert code == 1
+        assert f"{key} must be at least {minimum}, got {value}" in capsys.readouterr().err
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

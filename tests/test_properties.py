@@ -1,5 +1,6 @@
 """Property tests of the graph arrays, the batch link scores, the
-link-prediction AUC, the min-activity filter and route mining.
+ROC AUC and its midranks, the link-prediction AUC, the min-activity filter
+and route mining.
 
 Random small graphs (isolated nodes included), corpora and city sequences
 are checked against the brute-force references in ``oracles.py`` and
@@ -11,8 +12,9 @@ import datetime as dt
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from conftest import id_pairs, make_corpus, sequences_of
 from oracles import (
@@ -30,6 +32,7 @@ from gigmine.embeddings import _scatter_rows
 from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
 from gigmine.ingest import filter_min_activity, recursive_core_filter
 from gigmine.linkpred import HEURISTICS, build_score_tables, edge_codes, evaluate_linkpred
+from gigmine.metrics import _midranks, roc_auc
 from gigmine.routes import mine_routes
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -55,6 +58,36 @@ def test_scatter_rows_matches_add_at_bitwise(data):
     np.add.at(want, idx, coef[:, None] * src[src_row])
     _scatter_rows(w, idx, coef, src, src_row)
     assert np.array_equal(w, want)
+
+
+# signed zeros, the smallest subnormal, a mid-range subnormal, the smallest
+# normal and magnitudes up to 1e300
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300)
+
+
+@PROPERTY
+@given(
+    pool=st.lists(
+        st.one_of(st.sampled_from(EDGE_FLOATS),
+                  st.floats(-1e300, 1e300, allow_nan=False)),
+        min_size=1, max_size=500,
+    ),
+    cells=st.lists(st.tuples(st.integers(0, 499), st.booleans()), min_size=2, max_size=500),
+)
+@example(pool=[0.25], cells=[(0, True), (0, False), (0, True)])  # all equal
+@example(pool=[-0.0, 0.0], cells=[(0, True), (1, False), (1, True), (0, False)])
+@example(pool=list(EDGE_FLOATS), cells=[(i % 8, i % 3 == 0) for i in range(40)])
+@example(pool=[1.0, 2.0, 1e300], cells=[(i % 3, i % 7 == 0) for i in range(500)])
+def test_roc_auc_matches_rankdata_reference_bitwise(pool, cells):
+    # each cell picks a score from the pool (few values: heavy ties) and a label
+    s = np.array([pool[i % len(pool)] for i, _ in cells])
+    y = np.array([label for _, label in cells])
+    assume(y.any() and not y.all())
+    ranks = rankdata(s, method="average")
+    n_pos, n_neg = int(y.sum()), int((~y).sum())
+    want = (ranks[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    assert np.array_equal(_midranks(s), ranks)
+    assert roc_auc(s, y) == want
 
 
 @st.composite

@@ -196,6 +196,11 @@ class TestMineRoutes:
         with pytest.raises(GigmineError, match="positive"):
             mine_routes(seqs([A, B, A]), n_values=(4, 0))
 
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, top_k):
+        with pytest.raises(GigmineError, match=f"top_k must be at least 1, got {top_k}"):
+            mine_routes(seqs([A, B, C, A]), n_values=(2,), top_k=top_k)
+
     def test_sequences_over_different_tables_rejected(self):
         with pytest.raises(GigmineError, match="city tables"):
             mine_routes(seqs([A, B, C, D]) + seqs([B, C, D, E]))

@@ -338,6 +338,12 @@ class TestRunTask1:
             assert sel["logreg_unconverged"] == 0
             assert sel["logreg_max_iter"] >= 1
 
+    @pytest.mark.parametrize("cv_folds", [1, 0])
+    def test_cv_folds_below_two_rejected(self, small_corpus, cv_folds):
+        corpus, labels = small_corpus
+        with pytest.raises(GigmineError, match=f"cv_folds must be at least 2, got {cv_folds}"):
+            run_task1(corpus, labels, n_splits=1, cv_folds=cv_folds)
+
     def test_single_class_corpus_rejected(self, small_corpus):
         corpus, labels = small_corpus
         all_neg = {

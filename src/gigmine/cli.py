@@ -118,6 +118,28 @@ DEFAULTS: dict = {
 }
 
 
+# keys whose null means "no limit"; every other value takes its default's type
+NULLABLE = frozenset({"task3.top_k", "routes.top_k"})
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", list: "a list"}
+
+
+def _check_type(here: str, value, default) -> None:
+    """Raise UsageError unless ``value`` has the JSON type of ``default``.
+
+    A float key takes any number, an int key only integers (true and false
+    are not numbers here), and a list takes items of its default's item type.
+    """
+    kind = type(default)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
+        got = json.dumps(value, default=str)
+        raise UsageError(f"config key {here} must be {_TYPE_NAMES[kind]}, got {got}")
+    if kind is list:
+        for item in value:
+            _check_type(f"{here}[]", item, default[0])
+
+
 def _merge_config(user: dict, defaults: dict, path: str = "") -> dict:
     out = copy.deepcopy(defaults)
     for key, value in user.items():
@@ -129,6 +151,8 @@ def _merge_config(user: dict, defaults: dict, path: str = "") -> dict:
                 raise UsageError(f"config key {here} must be an object")
             out[key] = _merge_config(value, defaults[key], here)
         else:
+            if value is not None or here not in NULLABLE:
+                _check_type(here, value, defaults[key])
             out[key] = value
     return out
 

@@ -37,6 +37,9 @@ WALK_LENGTH = 10
 
 # pairs per block in score_embedding: bounds the gathered rows to a few MB
 _SCORE_BLOCK = 4096
+# pairs per sub-block of a training chunk whose noise rows are gathered at
+# once: (512, NEGATIVES, DIM) float64 is 2.6 MB
+_NEG_BLOCK = 512
 
 
 def sample_walks(
@@ -180,11 +183,18 @@ def train_embeddings(
 
             vc = w_in[c]  # (B, d)
             vo = w_out[o]
-            vn = w_out[neg]  # (B, neg, d)
             pos_score = np.einsum("bd,bd->b", vc, vo)
-            neg_score = np.einsum("bd,bnd->bn", vc, vn)
             pos_sig = scipy.special.expit(pos_score)
-            neg_sig = scipy.special.expit(neg_score)
+            neg_score, neg_sig = np.empty(neg.shape), np.empty(neg.shape)
+            neg_grad = np.empty_like(vc)  # noise part of the center gradient
+            # the (B, neg, d) gather of noise rows is the largest array of a
+            # chunk; row-local einsums over sub-blocks give the same bits
+            for lo in range(0, c.size, _NEG_BLOCK):
+                at = slice(lo, lo + _NEG_BLOCK)
+                vn = w_out[neg[at]]
+                neg_score[at] = np.einsum("bd,bnd->bn", vc[at], vn)
+                neg_sig[at] = scipy.special.expit(neg_score[at])
+                neg_grad[at] = np.einsum("bn,bnd->bd", neg_sig[at], vn)
 
             epoch_loss += float(
                 np.sum(np.logaddexp(0.0, -pos_score))
@@ -193,7 +203,7 @@ def train_embeddings(
             epoch_pairs += c.size
 
             g_pos = pos_sig - 1.0  # (B,)
-            grad_c = g_pos[:, None] * vo + np.einsum("bn,bnd->bd", neg_sig, vn)
+            grad_c = g_pos[:, None] * vo + neg_grad
             b = np.arange(c.size)
             _scatter_rows(w_in, c, 1.0, -lr * grad_c, b)
             # context then noise updates of w_out, all multiples of rows of vc

@@ -21,6 +21,8 @@ return code arrays, and a score table is one float array aligned to them.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -210,8 +212,16 @@ def score_preferential_attachment(g: BipartiteGraph, a, v) -> int:
     return g.degree(a) * g.degree(v)
 
 
-# dense cells per block of artist rows in heuristic_scores
-_CHUNK_CELLS = 1 << 22
+# cells per block of artist rows in heuristic_scores, counted over the
+# block's widest product: its A2 rows (n_a wide) or its CN rows (n_v wide)
+_CHUNK_CELLS = 1 << 20
+
+
+def _block_counts(B_c, B, V2):
+    """CN counts (dense, one row per row of ``B_c``) and |N2| of a block of artists."""
+    A2_c = B_c @ B.T
+    A2_c.data[:] = 1.0
+    return (A2_c @ B + B_c @ V2).toarray(), np.diff(A2_c.indptr)
 
 
 def heuristic_scores(g: BipartiteGraph, rows, cols) -> dict[str, np.ndarray]:
@@ -221,8 +231,9 @@ def heuristic_scores(g: BipartiteGraph, rows, cols) -> dict[str, np.ndarray]:
     (Liben-Nowell & Kleinberg, JASIST 2007):
     CN = (A2 B)[a, v] + (B V2)[a, v], the Jaccard denominator is
     |N2(a)| + deg(v) + |N2(v)| + deg(a) - CN, and PA = deg(a) deg(v).
-    A2 is formed for a block of artists at a time, so memory stays bounded;
-    every count is an exact small integer in float64.
+    A2 and CN are formed for a block of artists at a time, at most
+    ``_CHUNK_CELLS`` cells wide, so memory stays bounded; every count is an
+    exact small integer in float64.
     """
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     B = g.biadjacency("binary")
@@ -231,14 +242,12 @@ def heuristic_scores(g: BipartiteGraph, rows, cols) -> dict[str, np.ndarray]:
     deg_a, deg_v = np.diff(g.indptr), np.diff(g.csc_indptr)
     n2_v = np.diff(V2.indptr)  # V2 is symmetric, so either layout counts rows
     cn, n2_a = np.zeros(rows.size), np.zeros(rows.size)
-    step = max(1, _CHUNK_CELLS // max(1, B.shape[1]))
+    step = max(1, _CHUNK_CELLS // max(1, *B.shape))
     for lo in range(0, B.shape[0], step):
         sel = np.flatnonzero((rows >= lo) & (rows < lo + step))
-        B_c = B[lo:lo + step]
-        A2_c = B_c @ B.T
-        A2_c.data[:] = 1.0
-        cn[sel] = (A2_c @ B + B_c @ V2).toarray()[rows[sel] - lo, cols[sel]]
-        n2_a[sel] = np.diff(A2_c.indptr)[rows[sel] - lo]
+        cn_c, n2_c = _block_counts(B[lo:lo + step], B, V2)
+        cn[sel] = cn_c[rows[sel] - lo, cols[sel]]
+        n2_a[sel] = n2_c[rows[sel] - lo]
     denom = n2_a + deg_v[cols] + n2_v[cols] + deg_a[rows] - cn
     jaccard = np.divide(cn, denom, out=np.zeros(rows.size), where=denom > 0)
     return {
@@ -407,6 +416,15 @@ def sample_negative_pairs(
     return chosen
 
 
+def _workers(n_passes: int) -> int:
+    """Threads for ``n_passes`` scoring passes: one per pass, at most one per usable core."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(n_passes, cores))
+
+
 def run_task2(
     corpus,
     predictors: Sequence[str] = ALL_PREDICTORS,
@@ -429,54 +447,49 @@ def run_task2(
     evaluation as max(neg_multiple * positives, neg_floor) non-edges. The
     ``fits`` block holds what the model fits of each scoring pass report
     (see ``build_score_tables``): the forecasting pass and each random split.
+
+    The scoring passes are independent and run concurrently on up to
+    ``min(passes, usable cores)`` threads; numpy and scipy release the GIL
+    in their heavy steps. Each pass is seeded on its own, so the report does
+    not depend on the thread count.
     """
     if n_random_splits < 1:
         raise GigmineError(f"n_random_splits must be at least 1, got {n_random_splits}")
     split = split or SplitSpec(kind="temporal", seed=seed)
     temporal = make_temporal_split(corpus, split, core_k=core_k)
     g = temporal.train_graph
-    positives = temporal.test_pairs
 
-    def n_negatives(n_pos: int) -> int:
-        return max(neg_multiple * n_pos, neg_floor)
+    def score_pass(s: Optional[int]):
+        """AUC per predictor, model fits and negative count of one pass.
 
-    negatives = sample_negative_pairs(
-        g,
-        n_negatives(len(positives)),
-        exclude=positives,
-        seed=seed,
-        exhaustive=exhaustive_negatives,
-    )
-    candidates = np.concatenate([positives, negatives])
-    tables, fits = build_score_tables(
-        g, candidates, predictors, svd_k=svd_k, seed=seed, **embed_params
-    )
-    labels = _align(candidates, positives, negatives)
-    forecasting = {name: _auc(tables[name], labels) for name in predictors}
-
-    prediction_runs: dict[str, list[float]] = {name: [] for name in predictors}
-    prediction_fits = []
-    for s in range(n_random_splits):
-        rspec = SplitSpec(
-            kind="random", hidden_fraction=hidden_fraction, seed=seed + s
-        )
-        train_g, hidden = make_random_split(g, rspec)
-        # train edges plus hidden pairs are exactly the full graph's edges
-        negs = sample_negative_pairs(
+        ``s`` None is the forecasting pass; otherwise random split ``s``.
+        """
+        if s is None:
+            train_g, positives, pass_seed = g, temporal.test_pairs, seed
+        else:
+            pass_seed = seed + s
+            rspec = SplitSpec(kind="random", hidden_fraction=hidden_fraction, seed=pass_seed)
+            # train edges plus hidden pairs are exactly the full graph's edges
+            train_g, positives = make_random_split(g, rspec)
+        negatives = sample_negative_pairs(
             train_g,
-            n_negatives(len(hidden)),
-            exclude=hidden,
-            seed=seed + s,
+            max(neg_multiple * len(positives), neg_floor),
+            exclude=positives,
+            seed=pass_seed,
             exhaustive=exhaustive_negatives,
         )
-        cands = np.concatenate([hidden, negs])
-        split_tables, split_fits = build_score_tables(
-            train_g, cands, predictors, svd_k=svd_k, seed=seed + s, **embed_params
+        candidates = np.concatenate([positives, negatives])
+        tables, fits = build_score_tables(
+            train_g, candidates, predictors, svd_k=svd_k, seed=pass_seed, **embed_params
         )
-        prediction_fits.append(split_fits)
-        labels = _align(cands, hidden, negs)
-        for name in predictors:
-            prediction_runs[name].append(_auc(split_tables[name], labels))
+        labels = _align(candidates, positives, negatives)
+        aucs = {name: _auc(tables[name], labels) for name in predictors}
+        return aucs, fits, len(negatives)
+
+    passes = [None, *range(n_random_splits)]
+    with ThreadPoolExecutor(max_workers=_workers(len(passes))) as pool:
+        (forecasting, fits, n_negatives), *splits = pool.map(score_pass, passes)
+    prediction_runs = {name: [aucs[name] for aucs, _, _ in splits] for name in predictors}
 
     return {
         "task": "linkpred",
@@ -485,7 +498,7 @@ def run_task2(
             "multiple": neg_multiple,
             "floor": neg_floor,
             "exhaustive": exhaustive_negatives,
-            "forecasting_negatives": len(negatives),
+            "forecasting_negatives": n_negatives,
         },
         "random_splits": n_random_splits,
         "hidden_fraction": hidden_fraction,
@@ -499,5 +512,5 @@ def run_task2(
             }
             for name, runs in prediction_runs.items()
         },
-        "fits": {"forecasting": fits, "prediction": prediction_fits},
+        "fits": {"forecasting": fits, "prediction": [f for _, f, _ in splits]},
     }

@@ -157,6 +157,37 @@ class TestExitCodes:
         assert code == 1
         assert f"{key} must be at least {minimum}, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, section, message",
+        [
+            ("task3", {"bins": None}, "task3.bins must be an integer, got null"),
+            ("task3", {"top_k": 2.5}, "task3.top_k must be an integer, got 2.5"),
+            ("routes", {"n_values": [2.5]}, "routes.n_values[] must be an integer, got 2.5"),
+            ("task1", {"cv_folds": "3"}, 'task1.cv_folds must be an integer, got "3"'),
+            ("task3", {"count_scaled": 1}, "task3.count_scaled must be true or false, got 1"),
+            ("task2", {"svd_k": True}, "task2.svd_k must be an integer, got true"),
+            ("task3", {"alpha": "0.5"}, 'task3.alpha must be a number, got "0.5"'),
+            ("routes", {"n_values": 4}, "routes.n_values must be a list, got 4"),
+            ("task2", {"predictors": ["svd", 3]}, "task2.predictors[] must be a string, got 3"),
+        ],
+    )
+    def test_wrongly_typed_config_value_is_usage_error(
+        self, corpus_dir, tmp_path, capsys, command, section, message
+    ):
+        cfg = write_config(tmp_path, base_config(corpus_dir, **{command: section}))
+        code = main([command, "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"gigmine: config key {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["task3", "routes"])
+    def test_null_top_k_keeps_everything(self, corpus_dir, tmp_path, command):
+        cfg = write_config(tmp_path, base_config(corpus_dir, **{command: {"top_k": None}}))
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+
+    def test_integer_for_a_float_key_is_accepted(self, corpus_dir, tmp_path):
+        cfg = write_config(tmp_path, base_config(corpus_dir, task3={"alpha": 1, "bins": 5}))
+        assert main(["task3", "--config", cfg, "--out", str(tmp_path)]) == 0
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

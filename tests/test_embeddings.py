@@ -202,6 +202,19 @@ class TestTraining:
         assert np.array_equal(got, want)
         assert losses == want_losses
 
+    @pytest.mark.parametrize("neg_block", [1, 2, 3])
+    def test_noise_sub_blocks_match_add_at_reference_bitwise(self, neg_block):
+        # a chunk of 7 pairs spans several sub-blocks of noise rows, the last
+        # one short; scores, gradients and losses must not move a bit
+        g = build_graph(clique("a", "v", 4) + clique("b", "w", 4))
+        walks = sample_walks(g, walks_per_node=3, length=6, seed=2)
+        want, want_losses = add_at_sgns(walks, dim=8, window=3, epochs=2, seed=4, chunk_size=7)
+        with mock.patch.object(embeddings, "CHUNK_SIZE", 7), \
+                mock.patch.object(embeddings, "_NEG_BLOCK", neg_block):
+            got, losses = train_embeddings(walks, dim=8, window=3, epochs=2, seed=4)
+        assert np.array_equal(got, want)
+        assert losses == want_losses
+
 
 class TestScoring:
     def test_identical_and_opposite_vectors(self):

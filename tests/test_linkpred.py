@@ -1,4 +1,8 @@
 import datetime as dt
+import os
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,10 +10,12 @@ import pytest
 from conftest import id_pairs, make_corpus, pair_codes
 from oracles import cn_oracle, jaccard_oracle, pa_oracle, random_bipartite
 
+from gigmine import linkpred
 from gigmine.errors import GigmineError
 from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
 from gigmine.ingest import parse_corpus
 from gigmine.linkpred import (
+    HEURISTICS,
     SplitSpec,
     build_score_tables,
     edge_codes,
@@ -73,6 +79,29 @@ class TestHeuristics:
                 assert score_preferential_attachment(g, a, v) == pa_oracle(
                     edge_pairs, a, v
                 )
+
+    # artists outnumber venues, venues outnumber artists, and a budget below
+    # one row's width (a block is then a single artist)
+    @pytest.mark.parametrize("n_a, n_v, cells", [(30, 8, 100), (8, 30, 100), (30, 8, 20)])
+    def test_blocks_stay_within_budget_of_widest_product(self, n_a, n_v, cells):
+        g = random_bipartite(np.random.default_rng(n_a * n_v + cells), n_a, n_v, 0.3)
+        rows, cols = np.divmod(np.arange(n_a * n_v), n_v)
+        want = linkpred.heuristic_scores(g, rows, cols)
+        real, heights = linkpred._block_counts, []
+
+        def spy(B_c, B, V2):
+            heights.append(B_c.shape[0])
+            return real(B_c, B, V2)
+
+        with mock.patch.object(linkpred, "_CHUNK_CELLS", cells), \
+                mock.patch.object(linkpred, "_block_counts", spy):
+            got = linkpred.heuristic_scores(g, rows, cols)
+        assert len(heights) > 1 and sum(heights) == n_a
+        # a block's A2 rows are n_a wide and its CN rows n_v wide
+        for height in heights:
+            assert height * max(n_a, n_v) <= cells or height == 1
+        for name in want:
+            assert got[name].tolist() == want[name].tolist()
 
 
 class TestSplitSpec:
@@ -431,3 +460,85 @@ class TestRunTask2:
         for n in (0, -1):
             with pytest.raises(GigmineError, match=f"n_random_splits must be at least 1, got {n}"):
                 run_task2(corpus, n_random_splits=n)
+
+
+class TestScoringPool:
+    """run_task2 scores the forecasting pass and the random splits concurrently."""
+
+    N_SPLITS = 3  # with the forecasting pass, four scoring passes
+
+    @pytest.fixture(scope="class")
+    def corpus_and_split(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("poolcorpus")
+        manifest = generate(
+            GenSpec(n_artists=120, n_venues=40, years=(2008, 2017), seed=33, min_events=8,
+                    future_edge_count=20),
+            out,
+        )
+        corpus = parse_corpus(out / "events.csv", out / "releases.csv", out / "labels.csv")
+        split = SplitSpec(
+            kind="temporal",
+            train_end_year=manifest["train_end_year"],
+            test_years=frozenset(manifest["test_years"]),
+        )
+        return corpus, split
+
+    def run(self, corpus_and_split, workers, **params):
+        corpus, split = corpus_and_split
+        asked = []
+
+        def forced(n_passes):
+            asked.append(n_passes)
+            return workers
+
+        with mock.patch.object(linkpred, "_workers", forced):
+            report = run_task2(
+                corpus, split=split, n_random_splits=self.N_SPLITS, neg_floor=200, seed=4,
+                walks_per_node=2, walk_length=6, embed_dim=8, embed_epochs=2, svd_k=5,
+                **params,
+            )
+        assert asked == [self.N_SPLITS + 1]
+        return report
+
+    def test_report_independent_of_worker_count(self, corpus_and_split):
+        serial = self.run(corpus_and_split, 1)
+        # four threads switching often: state shared between passes would
+        # show as a changed bit
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pooled = self.run(corpus_and_split, self.N_SPLITS + 1)
+        finally:
+            sys.setswitchinterval(interval)
+        # every AUC and every SGNS epoch loss, compared exactly
+        assert pooled == serial
+        assert len(serial["fits"]["prediction"]) == self.N_SPLITS
+        assert all("embedding_loss" in fit for fit in serial["fits"]["prediction"])
+
+    def test_passes_run_at_the_same_time(self, corpus_and_split):
+        # each pass waits at the barrier until all of them have started, so a
+        # pool that ran them one after another would break it
+        barrier = threading.Barrier(self.N_SPLITS + 1, timeout=60)
+        real = linkpred.build_score_tables
+
+        def meeting(*args, **kwargs):
+            barrier.wait()
+            return real(*args, **kwargs)
+
+        with mock.patch.object(linkpred, "build_score_tables", meeting):
+            self.run(corpus_and_split, self.N_SPLITS + 1, predictors=HEURISTICS)
+
+    @pytest.mark.parametrize("workers", [1, N_SPLITS + 1])
+    def test_error_in_a_pass_surfaces_unchanged(self, corpus_and_split, workers):
+        no_edge = r"hidden_fraction 1e-09 of \d+ edges hides no edge"
+        with pytest.raises(GigmineError, match=no_edge):
+            self.run(corpus_and_split, workers, predictors=HEURISTICS, hidden_fraction=1e-9)
+
+    def test_workers_bounded_by_passes_and_cores(self):
+        if hasattr(os, "sched_getaffinity"):
+            cores = len(os.sched_getaffinity(0))
+        else:
+            cores = os.cpu_count()
+        assert linkpred._workers(1) == 1
+        assert linkpred._workers(10_000) == cores
+        assert linkpred._workers(2) == min(2, cores)

@@ -1,6 +1,6 @@
 """Property tests of the graph arrays, the batch link scores, the
-ROC AUC and its midranks, the link-prediction AUC, the min-activity filter
-and route mining.
+ROC AUC and its midranks, the link-prediction AUC, the BiRank fixed point,
+the min-activity filter and route mining.
 
 Random small graphs (isolated nodes included), corpora and city sequences
 are checked against the brute-force references in ``oracles.py`` and
@@ -19,6 +19,7 @@ from scipy.stats import rankdata
 from conftest import id_pairs, make_corpus, sequences_of
 from oracles import (
     cn_oracle,
+    dense_birank_oracle,
     jaccard_oracle,
     neighbors_of,
     pa_oracle,
@@ -28,6 +29,7 @@ from oracles import (
 )
 
 from gigmine import linkpred
+from gigmine.birank import SeedScores, birank, temporal_weights
 from gigmine.embeddings import _scatter_rows
 from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
 from gigmine.ingest import filter_min_activity, recursive_core_filter
@@ -151,6 +153,36 @@ def test_neighborhood_views_match_oracles(g):
         assert g.neighbors(node) == neighbors_of(edge_pairs, node)
         assert g.two_hop_neighbors(node) == two_hop_of(edge_pairs, node)
         assert g.degree(node) == len(neighbors_of(edge_pairs, node))
+
+
+@PROPERTY
+@given(graphs(), st.data())
+def test_birank_matches_dense_fixed_point(g, data):
+    # isolated nodes (and graphs without edges) keep only their damped seed
+    alpha, beta = data.draw(st.floats(0.0, 0.95)), data.draw(st.floats(0.0, 0.95))
+    delta = data.draw(st.floats(0.05, 1.0))
+    count_scaled = data.draw(st.booleans())
+    init = data.draw(st.sampled_from(["seeds", "uniform"]))
+    masses = [
+        np.array(data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)), dtype=float)
+        for n in (len(g.artist_order), len(g.venue_order))
+    ]
+    assume(all(m.sum() > 0 for m in masses))
+    u0, p0 = (m / m.sum() for m in masses)
+    seeds = SeedScores(dict(zip(g.artist_order, u0)), dict(zip(g.venue_order, p0)))
+    tw = temporal_weights(g, delta=delta, ref_year=2017)
+    weights = {
+        pair: w * g.edges[pair].count if count_scaled else w for pair, w in tw.weights.items()
+    }
+
+    # each step contracts toward the fixed point by alpha * beta <= 0.9025, so
+    # stopping at an L1 step below 1e-13 lands far inside the 1e-10 tolerance
+    got = birank(g, weights=tw, seeds=seeds, alpha=alpha, beta=beta, tol=1e-13,
+                 max_iter=2000, count_scaled=count_scaled, init=init)
+    want_u, want_p = dense_birank_oracle(g, weights, u0, p0, alpha, beta)
+    assert got.converged
+    assert np.allclose([got.artist_scores[a] for a in g.artist_order], want_u, rtol=0, atol=1e-10)
+    assert np.allclose([got.venue_scores[v] for v in g.venue_order], want_p, rtol=0, atol=1e-10)
 
 
 # a small alphabet makes ids and pairs repeat; NUL, quote and space sort

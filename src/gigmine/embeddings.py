@@ -8,10 +8,12 @@ chunks of (center, context) pairs. Within a chunk, gradients for a node that
 occurs several times accumulate before the weights move; this trades pure
 SGD for vectorization and keeps results reproducible.
 
-A chunk's updates land with one sparse product per weight matrix (see
-``_scatter_rows``): each touched row is its old value followed by its updates
-in pair order, added one at a time, so every row rounds exactly as a
-sequence of in-order ``row += update`` steps would.
+Walks step all at once over one CSR of every node's neighbors, one seeded
+draw per live walk and step. A chunk's updates land with one sparse product
+per weight matrix (see ``_scatter_rows``): each weight matrix heads a buffer
+whose tail holds the chunk's source rows, and each touched row is its old
+value followed by its updates in pair order, added one at a time, so every
+row rounds exactly as a sequence of in-order ``row += update`` steps would.
 """
 
 from __future__ import annotations
@@ -50,33 +52,31 @@ def sample_walks(
 ) -> list[list[int]]:
     """Uniform random walks: ``walks_per_node`` from every node, ``length`` steps each.
 
-    Walks are lists of node indices (see the module docstring). A walk
-    records length+1 nodes including the start; a walk from a node with no
-    surviving edges stops where it stands. Neighbor choices are uniform and
-    seeded; each node's neighbors are taken in index order.
+    Walks are lists of node indices (see the module docstring), the
+    ``walks_per_node`` walks of node 0 first, then those of node 1 and so on.
+    A walk records length+1 nodes including the start; a walk from a node
+    with no edges is that node alone. All walks step at once: each step draws
+    one seeded uniform index per walk into its node's neighbors, taken in
+    index order.
     """
     _check_positive(walks_per_node=walks_per_node, length=length)
     if not g.artists and not g.venues:
         raise GigmineError("cannot sample walks from an empty graph")
     rng = np.random.default_rng(seed)
     n_a = len(g.artist_order)
-    ptr, cptr = g.indptr, g.csc_indptr
-    adjacency = [(g.col[ptr[i]:ptr[i + 1]] + n_a).tolist() for i in range(n_a)]
-    adjacency += [
-        g.csc_indices[cptr[j]:cptr[j + 1]].tolist() for j in range(len(g.venue_order))
-    ]
-    walks = []
-    for node in range(len(adjacency)):
-        for _ in range(walks_per_node):
-            walk = [node]
-            cur = node
-            for _ in range(length):
-                nbrs = adjacency[cur]
-                if not nbrs:
-                    break
-                cur = nbrs[rng.integers(len(nbrs))]
-                walk.append(cur)
-            walks.append(walk)
+    # one CSR over all nodes: artist rows list venue nodes, venue rows artists
+    ptr = np.concatenate([g.indptr, g.indptr[-1] + g.csc_indptr[1:]])
+    nbrs = np.concatenate([g.col + n_a, g.csc_indices])
+    deg = np.diff(ptr)
+    starts = np.repeat(np.arange(deg.size), walks_per_node)
+    live = deg[starts] > 0  # a walk that can leave its start never dead-ends
+    path = np.empty((int(live.sum()), length + 1), dtype=np.int64)
+    cur = path[:, 0] = starts[live]
+    for step in range(1, length + 1):
+        cur = path[:, step] = nbrs[ptr[cur] + rng.integers(deg[cur])]
+    walks = path.tolist()
+    for k in np.flatnonzero(~live).tolist():  # ascending, so earlier walks are in place
+        walks.insert(k, [k // walks_per_node])
     return walks
 
 
@@ -106,31 +106,33 @@ def _walk_pairs(walks: Sequence[Sequence[int]], window: int):
     return centers[valid], contexts[valid]
 
 
-def _scatter_rows(w, idx, coef, src, src_row) -> None:
+def _scatter_rows(buf, n, idx, coef, src_row) -> None:
     """``w[idx[k]] += coef[k] * src[src_row[k]]`` for every k, in k order per row.
 
-    One CSR product over the stacked rows ``[w[rows]; src]``, where ``rows``
-    are the distinct indices in ``idx``: row g of the matrix holds 1.0 on
-    ``w[rows[g]]``, then that row's coefficients in k order. scipy adds the
-    terms of a row in stored order, so each row rounds exactly as a sequence
-    of ``np.add.at`` steps would; summing the updates first would not.
+    ``buf`` stacks the weights ``w = buf[:n]`` over the source rows
+    ``src = buf[n:]``. One CSR product over ``buf`` gives the touched rows:
+    row g of the matrix holds 1.0 on the g-th distinct index of ``idx``,
+    then that row's coefficients in k order on the source rows. scipy adds
+    the terms of a row in stored order, so each row rounds exactly as a
+    sequence of ``np.add.at`` steps would; summing the updates first would
+    not.
     """
-    order = np.argsort(idx, kind="stable")
+    # a stable sort of keys of 16 bits or fewer is a radix sort
+    order = np.argsort(idx.astype(np.min_scalar_type(n)), kind="stable")
     ranked = idx[order]
     first = np.ones(idx.size, dtype=bool)
     first[1:] = ranked[1:] != ranked[:-1]
     rows = ranked[first]
-    n = rows.size
     # the k-th update in row order sits after the leading entries of its row
     # and of every row before it
     at = np.arange(idx.size) + np.cumsum(first)
-    indptr = np.r_[np.flatnonzero(first), idx.size] + np.arange(n + 1)
-    data = np.ones(idx.size + n)
+    indptr = np.r_[np.flatnonzero(first), idx.size] + np.arange(rows.size + 1)
+    data = np.ones(idx.size + rows.size)
     data[at] = np.broadcast_to(coef, idx.shape)[order]
-    cols = np.arange(n).repeat(np.diff(indptr))
+    cols = rows.repeat(np.diff(indptr))
     cols[at] = n + src_row[order]
-    s = sp.csr_matrix((data, cols, indptr), shape=(n, n + len(src)))
-    w[rows] = s @ np.vstack([w[rows], src])
+    s = sp.csr_matrix((data, cols, indptr), shape=(rows.size, len(buf)))
+    buf[rows] = s @ buf
 
 
 def train_embeddings(
@@ -156,9 +158,16 @@ def train_embeddings(
     n_nodes = int(tokens.max()) + 1
     centers, contexts = _walk_pairs(walks, window)
 
+    # a chunk larger than the vocabulary would pile many same-node gradients
+    # into one step and overshoot; cap it so small graphs stay near plain SGD
+    chunk = max(1, min(CHUNK_SIZE, n_nodes))
+    # each weight matrix heads a buffer whose tail takes a chunk's source
+    # rows for _scatter_rows
     rng = np.random.default_rng(seed)
-    w_in = (rng.random((n_nodes, dim)) - 0.5) / dim
-    w_out = np.zeros((n_nodes, dim))
+    buf_in, buf_out = np.empty((n_nodes + chunk, dim)), np.zeros((n_nodes + chunk, dim))
+    w_in, w_out = buf_in[:n_nodes], buf_out[:n_nodes]
+    w_in[:] = (rng.random((n_nodes, dim)) - 0.5) / dim
+    vn_buf = np.empty((min(_NEG_BLOCK, chunk), NEGATIVES, dim))
 
     freq = np.bincount(tokens, minlength=n_nodes).astype(float)
     noise = freq ** 0.75
@@ -167,9 +176,6 @@ def train_embeddings(
     n_pairs = centers.size
     total_steps = max(1, epochs * n_pairs)
     done = 0
-    # a chunk larger than the vocabulary would pile many same-node gradients
-    # into one step and overshoot; cap it so small graphs stay near plain SGD
-    chunk = max(1, min(CHUNK_SIZE, n_nodes))
     losses = []
     for epoch in range(epochs):
         epoch_loss, epoch_pairs = 0.0, 0
@@ -181,7 +187,8 @@ def train_embeddings(
                 LEARNING_RATE * (1.0 - done / total_steps), LEARNING_RATE * 1e-4
             )
 
-            vc = w_in[c]  # (B, d)
+            vc = buf_out[n_nodes : n_nodes + c.size]  # (B, d), source rows of w_out
+            np.take(w_in, c, axis=0, out=vc, mode="clip")
             vo = w_out[o]
             pos_score = np.einsum("bd,bd->b", vc, vo)
             pos_sig = scipy.special.expit(pos_score)
@@ -191,7 +198,9 @@ def train_embeddings(
             # chunk; row-local einsums over sub-blocks give the same bits
             for lo in range(0, c.size, _NEG_BLOCK):
                 at = slice(lo, lo + _NEG_BLOCK)
-                vn = w_out[neg[at]]
+                vn = vn_buf[: neg[at].shape[0]]
+                # mode="raise" would buffer ``out``; every index is in range
+                np.take(w_out, neg[at], axis=0, out=vn, mode="clip")
                 neg_score[at] = np.einsum("bd,bnd->bn", vc[at], vn)
                 neg_sig[at] = scipy.special.expit(neg_score[at])
                 neg_grad[at] = np.einsum("bn,bnd->bd", neg_sig[at], vn)
@@ -203,15 +212,17 @@ def train_embeddings(
             epoch_pairs += c.size
 
             g_pos = pos_sig - 1.0  # (B,)
-            grad_c = g_pos[:, None] * vo + neg_grad
             b = np.arange(c.size)
-            _scatter_rows(w_in, c, 1.0, -lr * grad_c, b)
+            grad_c = buf_in[n_nodes : n_nodes + c.size]
+            np.multiply(g_pos[:, None], vo, out=grad_c)
+            grad_c += neg_grad
+            _scatter_rows(buf_in, n_nodes, c, -lr, b)
             # context then noise updates of w_out, all multiples of rows of vc
             _scatter_rows(
-                w_out,
+                buf_out,
+                n_nodes,
                 np.concatenate([o, neg.ravel()]),
                 np.concatenate([-lr * g_pos, (-lr * neg_sig).ravel()]),
-                vc,
                 np.concatenate([b, b.repeat(NEGATIVES)]),
             )
             done += c.size
@@ -229,11 +240,13 @@ def score_embedding(vectors: np.ndarray, a, v):
     a, v = np.broadcast_arrays(a, v)
     cos = np.zeros(a.shape)
     out, a, v = cos.reshape(-1), a.reshape(-1), v.reshape(-1)
+    for idx in (a, v):
+        # numpy would wrap a negative index round to another node
+        unknown = (idx < 0) | (idx >= len(vectors))
+        if unknown.any():
+            raise UnknownNodeError(idx[unknown][0].item())
     for lo in range(0, a.size, _SCORE_BLOCK):
-        try:
-            x, y = vectors[a[lo:lo + _SCORE_BLOCK]], vectors[v[lo:lo + _SCORE_BLOCK]]
-        except IndexError as exc:
-            raise UnknownNodeError(exc.args[0]) from exc
+        x, y = vectors[a[lo:lo + _SCORE_BLOCK]], vectors[v[lo:lo + _SCORE_BLOCK]]
         denom = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
         dot = np.einsum("kd,kd->k", x, y)
         np.divide(dot, denom, out=out[lo:lo + _SCORE_BLOCK], where=denom > 0)

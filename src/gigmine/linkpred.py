@@ -7,8 +7,8 @@ configuration hides a random fraction of that same training graph's edges and
 recovers them, averaged over several seeded splits.
 
 Predictors: common neighbors, Jaccard coefficient and preferential attachment
-(over 1- and 2-hop neighborhoods, scored for all candidate pairs at once from
-sparse products of the biadjacency matrix), truncated-SVD matrix
+(over 1- and 2-hop neighborhoods, scored for all candidate pairs at once and
+counted per pair from row blocks of the two-hop matrices), truncated-SVD matrix
 reconstruction, and cosine similarity of random-walk embeddings. Links are
 binarized throughout; candidate scores are compared by rank-based ROC AUC
 against seeded uniform samples of non-edges.
@@ -159,6 +159,14 @@ def make_temporal_split(corpus, spec: SplitSpec, core_k: int = 5) -> TemporalSpl
     return TemporalSplit(graph, new_pairs, stats)
 
 
+def _hidden_count(hidden_fraction: float, n_edges: int) -> int:
+    """round(n_edges * hidden_fraction), the edges a random split hides; raises when none."""
+    n_hidden = int(round(hidden_fraction * n_edges))
+    if n_hidden == 0:
+        raise GigmineError(f"hidden_fraction {hidden_fraction} of {n_edges} edges hides no edge")
+    return n_hidden
+
+
 def make_random_split(graph: BipartiteGraph, spec: SplitSpec) -> RandomSplit:
     """Hide a uniformly random fraction of edges; nodes stay in place.
 
@@ -169,11 +177,7 @@ def make_random_split(graph: BipartiteGraph, spec: SplitSpec) -> RandomSplit:
     """
     if spec.kind != "random":
         raise GigmineError(f"expected a random SplitSpec, got kind={spec.kind!r}")
-    n_hidden = int(round(spec.hidden_fraction * graph.n_edges))
-    if n_hidden == 0:
-        raise GigmineError(
-            f"hidden_fraction {spec.hidden_fraction} of {graph.n_edges} edges hides no edge"
-        )
+    n_hidden = _hidden_count(spec.hidden_fraction, graph.n_edges)
     rng = np.random.default_rng(spec.seed)
     keep = np.ones(graph.n_edges, dtype=bool)
     keep[rng.choice(graph.n_edges, size=n_hidden, replace=False)] = False
@@ -212,16 +216,54 @@ def score_preferential_attachment(g: BipartiteGraph, a, v) -> int:
     return g.degree(a) * g.degree(v)
 
 
-# cells per block of artist rows in heuristic_scores, counted over the
-# block's widest product: its A2 rows (n_a wide) or its CN rows (n_v wide)
+# cells per block of rows of A2 or V2 in heuristic_scores, counted over the
+# wider of the two (n_a or n_v cells a row)
 _CHUNK_CELLS = 1 << 20
 
 
-def _block_counts(B_c, B, V2):
-    """CN counts (dense, one row per row of ``B_c``) and |N2| of a block of artists."""
-    A2_c = B_c @ B.T
-    A2_c.data[:] = 1.0
-    return (A2_c @ B + B_c @ V2).toarray(), np.diff(A2_c.indptr)
+def _spans(indptr, keys):
+    """Positions of the entries of CSR rows ``keys``, row after row, and each row's length."""
+    first = indptr[keys]
+    lens = indptr[keys + 1] - first
+    return np.arange(lens.sum()) + np.repeat(first - np.cumsum(lens) + lens, lens), lens
+
+
+def _hop_block(S, ST, lo, hi) -> np.ndarray:
+    """Rows lo:hi of 1[S S' > 0] as a dense boolean block; ``ST`` is S' in CSR.
+
+    Set cell by cell along the two-step paths from each row, so no product
+    is formed.
+    """
+    P = S[lo:hi]
+    at, lens = _spans(ST.indptr, P.indices)
+    block = np.zeros((P.shape[0], ST.shape[1]), dtype=bool)
+    row_start = np.repeat(np.arange(0, block.size, ST.shape[1]), np.diff(P.indptr))
+    block.ravel()[np.repeat(row_start, lens) + ST.indices[at]] = True
+    return block
+
+
+def _side_counts(S, ST, keys, others, step):
+    """Per pair k: Σ_{n ∈ N(others[k])} H[keys[k], n] and |N2(keys[k])|, H = 1[S S' > 0].
+
+    N(o) is row o of ``ST``. H is formed ``step`` rows at a time, only where
+    pairs need it, and each block's sums are one ragged gather over the
+    pairs' neighbor lists.
+    """
+    hits, n2 = np.zeros(keys.size), np.zeros(keys.size)
+    order = np.argsort(keys, kind="stable")
+    bounds = np.searchsorted(keys[order], np.arange(0, S.shape[0] + step, step))
+    for lo, start, stop in zip(range(0, S.shape[0], step), bounds, bounds[1:]):
+        if start == stop:
+            continue
+        block = _hop_block(S, ST, lo, lo + step)
+        sel = order[start:stop]
+        r = keys[sel] - lo
+        at, lens = _spans(ST.indptr, others[sel])
+        found = block.ravel()[np.repeat(r * block.shape[1], lens) + ST.indices[at]]
+        hits[sel] = np.bincount(np.repeat(np.arange(sel.size), lens), weights=found,
+                                minlength=sel.size)
+        n2[sel] = np.count_nonzero(block, axis=1)[r]
+    return hits, n2
 
 
 def heuristic_scores(g: BipartiteGraph, rows, cols) -> dict[str, np.ndarray]:
@@ -229,26 +271,22 @@ def heuristic_scores(g: BipartiteGraph, rows, cols) -> dict[str, np.ndarray]:
 
     With B the binary biadjacency, A2 = 1[B B' > 0] and V2 = 1[B' B > 0]
     (Liben-Nowell & Kleinberg, JASIST 2007):
-    CN = (A2 B)[a, v] + (B V2)[a, v], the Jaccard denominator is
-    |N2(a)| + deg(v) + |N2(v)| + deg(a) - CN, and PA = deg(a) deg(v).
-    A2 and CN are formed for a block of artists at a time, at most
-    ``_CHUNK_CELLS`` cells wide, so memory stays bounded; every count is an
-    exact small integer in float64.
+    CN = Σ_{a' ∈ N(v)} A2[a, a'] + Σ_{v' ∈ N(a)} V2[v', v], the Jaccard
+    denominator is |N2(a)| + deg(v) + |N2(v)| + deg(a) - CN, and
+    PA = deg(a) deg(v). Each sum is counted per candidate pair, from dense
+    boolean blocks of A2 rows (artist side) and V2 rows (venue side) of at
+    most ``_CHUNK_CELLS`` cells, which also give |N2|; no n_a x n_v matrix
+    is formed, and every count is an exact small integer in float64.
     """
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     B = g.biadjacency("binary")
-    V2 = B.T @ B
-    V2.data[:] = 1.0
-    deg_a, deg_v = np.diff(g.indptr), np.diff(g.csc_indptr)
-    n2_v = np.diff(V2.indptr)  # V2 is symmetric, so either layout counts rows
-    cn, n2_a = np.zeros(rows.size), np.zeros(rows.size)
+    BT = B.T.tocsr()
     step = max(1, _CHUNK_CELLS // max(1, *B.shape))
-    for lo in range(0, B.shape[0], step):
-        sel = np.flatnonzero((rows >= lo) & (rows < lo + step))
-        cn_c, n2_c = _block_counts(B[lo:lo + step], B, V2)
-        cn[sel] = cn_c[rows[sel] - lo, cols[sel]]
-        n2_a[sel] = n2_c[rows[sel] - lo]
-    denom = n2_a + deg_v[cols] + n2_v[cols] + deg_a[rows] - cn
+    cn_a, n2_a = _side_counts(B, BT, rows, cols, step)
+    cn_v, n2_v = _side_counts(BT, B, cols, rows, step)  # V2 is symmetric
+    cn = cn_a + cn_v
+    deg_a, deg_v = np.diff(g.indptr), np.diff(g.csc_indptr)
+    denom = n2_a + deg_v[cols] + n2_v + deg_a[rows] - cn
     jaccard = np.divide(cn, denom, out=np.zeros(rows.size), where=denom > 0)
     return {
         "common_neighbors": cn,
@@ -458,6 +496,7 @@ def run_task2(
     split = split or SplitSpec(kind="temporal", seed=seed)
     temporal = make_temporal_split(corpus, split, core_k=core_k)
     g = temporal.train_graph
+    _hidden_count(hidden_fraction, g.n_edges)  # fail before any pass runs
 
     def score_pass(s: Optional[int]):
         """AUC per predictor, model fits and negative count of one pass.

@@ -250,3 +250,10 @@ class TestScoring:
         emb = np.ones((1, 4))
         with pytest.raises(UnknownNodeError):
             score_embedding(emb, 0, 1)
+
+    @pytest.mark.parametrize("a, v", [(-1, 2), (0, -3), (np.array([0, -1]), np.array([1, 2])),
+                                      (np.array([0, 1]), np.array([2, -2]))])
+    def test_negative_node_raises_not_wraps(self, a, v):
+        # -1 would otherwise score the last node, here node 2 against itself
+        with pytest.raises(UnknownNodeError, match="unknown node: -"):
+            score_embedding(np.eye(3), a, v)

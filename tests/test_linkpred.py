@@ -87,21 +87,49 @@ class TestHeuristics:
         g = random_bipartite(np.random.default_rng(n_a * n_v + cells), n_a, n_v, 0.3)
         rows, cols = np.divmod(np.arange(n_a * n_v), n_v)
         want = linkpred.heuristic_scores(g, rows, cols)
-        real, heights = linkpred._block_counts, []
+        real, heights = linkpred._hop_block, {}
 
-        def spy(B_c, B, V2):
-            heights.append(B_c.shape[0])
-            return real(B_c, B, V2)
+        def spy(S, ST, lo, hi):
+            block = real(S, ST, lo, hi)
+            heights.setdefault(S.shape[0], []).append(block.shape[0])
+            return block
 
         with mock.patch.object(linkpred, "_CHUNK_CELLS", cells), \
-                mock.patch.object(linkpred, "_block_counts", spy):
+                mock.patch.object(linkpred, "_hop_block", spy):
             got = linkpred.heuristic_scores(g, rows, cols)
-        assert len(heights) > 1 and sum(heights) == n_a
-        # a block's A2 rows are n_a wide and its CN rows n_v wide
-        for height in heights:
-            assert height * max(n_a, n_v) <= cells or height == 1
+        # blocks of A2 rows (n_a of them, n_a wide) and of V2 rows (n_v, n_v wide)
+        assert sorted(heights) == sorted({n_a, n_v})
+        for side, side_heights in heights.items():
+            assert len(side_heights) > 1 and sum(side_heights) == side
+            for height in side_heights:
+                assert height * max(n_a, n_v) <= cells or height == 1
         for name in want:
             assert got[name].tolist() == want[name].tolist()
+
+    # a budget below one row's width (one row a block) and one of a few rows
+    @pytest.mark.parametrize("cells", [5, 3 * 13])
+    def test_blocked_counts_match_brute_force(self, cells):
+        g = random_bipartite(np.random.default_rng(cells), 13, 9, 0.25)
+        g = BipartiteGraph([*g.artist_order, "lone"], [*g.venue_order, "empty"], g.edges)
+        n_a, n_v = len(g.artist_order), len(g.venue_order)
+        rows, cols = np.divmod(np.arange(n_a * n_v), n_v)
+        real, blocks = linkpred._hop_block, []
+
+        def spy(S, ST, lo, hi):
+            blocks.append(S.shape[0])
+            return real(S, ST, lo, hi)
+
+        with mock.patch.object(linkpred, "_CHUNK_CELLS", cells), \
+                mock.patch.object(linkpred, "_hop_block", spy):
+            got = linkpred.heuristic_scores(g, rows, cols)
+        assert blocks.count(n_a) > 2 and blocks.count(n_v) > 2
+        edge_pairs = list(g.edges)
+        pairs = g.id_pairs(rows, cols)
+        assert got["common_neighbors"].tolist() == [cn_oracle(edge_pairs, a, v) for a, v in pairs]
+        assert got["jaccard"].tolist() == [jaccard_oracle(edge_pairs, a, v) for a, v in pairs]
+        assert got["preferential_attachment"].tolist() == [
+            pa_oracle(edge_pairs, a, v) for a, v in pairs
+        ]
 
 
 class TestSplitSpec:
@@ -533,6 +561,16 @@ class TestScoringPool:
         no_edge = r"hidden_fraction 1e-09 of \d+ edges hides no edge"
         with pytest.raises(GigmineError, match=no_edge):
             self.run(corpus_and_split, workers, predictors=HEURISTICS, hidden_fraction=1e-9)
+
+    @pytest.mark.parametrize("workers", [1, N_SPLITS + 1])
+    def test_fraction_that_hides_no_edge_fails_before_any_pass(self, corpus_and_split, workers):
+        def never(*args, **kwargs):
+            raise AssertionError("a scoring pass ran")
+
+        no_edge = r"hidden_fraction 1e-09 of \d+ edges hides no edge"
+        with mock.patch.object(linkpred, "build_score_tables", never), \
+                pytest.raises(GigmineError, match=no_edge):
+            self.run(corpus_and_split, workers, hidden_fraction=1e-9)
 
     def test_workers_bounded_by_passes_and_cores(self):
         if hasattr(os, "sched_getaffinity"):

@@ -82,4 +82,13 @@ def test_traced_child_run(corpus, tmp_path, command, spans):
         assert counters["linkpred.pairs_scored"] == (
             positives + hidden + counters["linkpred.negatives"]
         )
-        assert counters["embeddings.walk_tokens"] > 0
+        # the forecasting pass's core-filtered graph has no isolated node, so
+        # its walks hold exactly F tokens; a random split's walks hold at
+        # least one token each and at most F
+        embed = report["config"]["task2"]
+        n_nodes = report["split"]["train_artists"] + report["split"]["train_venues"]
+        full = embed["walks_per_node"] * (embed["walk_length"] + 1) * n_nodes
+        assert full + embed["walks_per_node"] * n_nodes <= counters["embeddings.walk_tokens"]
+        assert counters["embeddings.walk_tokens"] <= 2 * full
+        fits = [span for span in traced["spans"] if span[0] == "embeddings.train_embeddings"]
+        assert len(fits) == 1 + report["random_splits"]

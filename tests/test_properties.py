@@ -1,5 +1,5 @@
-"""Property tests of the graph arrays, the batch link scores, the
-ROC AUC and its midranks, the link-prediction AUC, the BiRank fixed point,
+"""Property tests of the graph arrays, the batch link scores, the walk
+sampler, the ROC AUC and its midranks, the link-prediction AUC, the BiRank fixed point,
 the min-activity filter and route mining.
 
 Random small graphs (isolated nodes included), corpora and city sequences
@@ -24,13 +24,14 @@ from oracles import (
     neighbors_of,
     pa_oracle,
     pairwise_auc,
+    random_bipartite,
     raw_ngram_counts,
     two_hop_of,
 )
 
 from gigmine import linkpred
 from gigmine.birank import SeedScores, birank, temporal_weights
-from gigmine.embeddings import _scatter_rows
+from gigmine.embeddings import _scatter_rows, sample_walks
 from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
 from gigmine.ingest import filter_min_activity, recursive_core_filter
 from gigmine.linkpred import HEURISTICS, build_score_tables, edge_codes, evaluate_linkpred
@@ -58,8 +59,33 @@ def test_scatter_rows_matches_add_at_bitwise(data):
 
     want = w.copy()
     np.add.at(want, idx, coef[:, None] * src[src_row])
-    _scatter_rows(w, idx, coef, src, src_row)
-    assert np.array_equal(w, want)
+    buf = np.vstack([w, src])  # the weights head the buffer, the source rows its tail
+    _scatter_rows(buf, n_rows, idx, coef, src_row)
+    assert np.array_equal(buf[:n_rows], want)
+
+
+@st.composite
+def walk_graphs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_bipartite(rng, draw(st.integers(1, 6)), draw(st.integers(1, 6)),
+                         draw(st.sampled_from([0.0, 0.2, 0.5, 1.0])))
+    # an isolated artist and venue besides any the draw leaves
+    return BipartiteGraph([*g.artist_order, "lone"], [*g.venue_order, "empty"], g.edges)
+
+
+@PROPERTY
+@given(walk_graphs(), st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_walks_step_along_edges_in_node_order(g, walks_per_node, length, seed):
+    walks = sample_walks(g, walks_per_node=walks_per_node, length=length, seed=seed)
+    nodes = [*g.artist_order, *g.venue_order]  # node n_a + j is venue j
+    n_a, edge_pairs = len(g.artist_order), set(g.edges)
+    assert [w[0] for w in walks] == [k for k in range(len(nodes)) for _ in range(walks_per_node)]
+    for walk in walks:
+        isolated = not neighbors_of(edge_pairs, nodes[walk[0]])
+        assert len(walk) == (1 if isolated else length + 1)
+        for x, y in zip(walk, walk[1:]):
+            assert ((nodes[x], nodes[y]) if x < n_a else (nodes[y], nodes[x])) in edge_pairs
+    assert sample_walks(g, walks_per_node=walks_per_node, length=length, seed=seed) == walks
 
 
 # signed zeros, the smallest subnormal, a mid-range subnormal, the smallest

@@ -245,9 +245,11 @@ def score_embedding(vectors: np.ndarray, a, v):
         unknown = (idx < 0) | (idx >= len(vectors))
         if unknown.any():
             raise UnknownNodeError(idx[unknown][0].item())
+    # a row's norm rounds the same whether taken here or from a gathered block
+    norm = np.linalg.norm(vectors, axis=1)
     for lo in range(0, a.size, _SCORE_BLOCK):
-        x, y = vectors[a[lo:lo + _SCORE_BLOCK]], vectors[v[lo:lo + _SCORE_BLOCK]]
-        denom = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
-        dot = np.einsum("kd,kd->k", x, y)
+        i, j = a[lo:lo + _SCORE_BLOCK], v[lo:lo + _SCORE_BLOCK]
+        denom = norm[i] * norm[j]
+        dot = np.einsum("kd,kd->k", vectors[i], vectors[j])
         np.divide(dot, denom, out=out[lo:lo + _SCORE_BLOCK], where=denom > 0)
     return cos if cos.ndim else float(cos)

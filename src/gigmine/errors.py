@@ -6,7 +6,7 @@ class GigmineError(Exception):
 
 
 class CorpusFormatError(GigmineError):
-    """A corpus file is unreadable, has a wrong header, or is mostly malformed."""
+    """A corpus file is unreadable, not UTF-8, has a wrong header, or is mostly malformed."""
 
 
 class UnknownNodeError(GigmineError, KeyError):

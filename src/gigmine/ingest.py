@@ -7,8 +7,16 @@ The corpus lives in three CSV files (UTF-8, RFC 4180 quoting):
 * ``labels.csv``    header ``label_id,name,parent_label_id,is_major_root``
 
 Dates are ``YYYY``, ``YYYY-MM`` or ``YYYY-MM-DD`` in ASCII digits. Malformed
-rows are rejected with line-numbered diagnostics; a file whose malformed
-fraction exceeds 10% fails hard, as does a missing or wrong header.
+rows are rejected with diagnostics naming the physical line where the record
+starts; a file whose malformed fraction exceeds 10% fails hard, as does a
+missing or wrong header or a byte that is not UTF-8.
+
+``events.csv`` has two splitters. A file with a ``"``, CR or NUL byte goes
+through ``csv.reader``. Any other file is split in numpy on its LF and comma
+bytes, and each column is keyed by one sort of its fields as NUL-padded
+fixed-width bytes (the padding is why NUL bytes take the csv route). Both
+hand each column's sorted distinct values and per-record codes to one
+validator, which checks every distinct value once.
 
 A corpus stores its events once, as interned columns. ``parse_corpus``
 interns the ids: ``artist_order`` and ``venue_order`` are the sorted (by
@@ -29,8 +37,10 @@ training graphs.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as dt
+import io
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -38,6 +48,7 @@ from functools import cached_property, partial
 from typing import Mapping, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gigmine.errors import CorpusFormatError, GigmineError
 from gigmine.graph import BipartiteGraph, _frozen, intern_ids
@@ -53,6 +64,9 @@ POST_PLATFORM_CUTOFF = dt.date(2007, 1, 1)
 _DATE = re.compile(r"([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?")
 _EPOCH = dt.date(1970, 1, 1).toordinal()
 _NEVER = np.iinfo(np.int64).max
+# besides comma and LF, the bytes csv.reader treats specially (or numpy's
+# NUL-padded strings would drop); a file without them splits in numpy
+_CSV_ONLY = (b'"', b"\r", b"\0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,9 +117,9 @@ class LoadReport:
 class Corpus:
     """Validated events as interned columns, plus releases and the label tree.
 
-    Build one with ``from_events`` (what ``parse_corpus`` calls) or cut one
-    down with ``select``; see the module docstring for the columns. The
-    column arrays are read-only.
+    Build one from codes with ``from_codes`` (what ``parse_corpus`` calls)
+    or from ids with ``from_events``, or cut one down with ``select``; see
+    the module docstring for the columns. The column arrays are read-only.
     """
 
     def __init__(self, artist_order, venue_order, cities, artist, venue, day, city, event_id,
@@ -124,23 +138,37 @@ class Corpus:
         self.artist_releases = {a: tuple(rs) for a, rs in artist_releases.items()}
 
     @classmethod
+    def from_codes(cls, artist_order, artist, venue_order, venue, cities, city, day,
+                   event_ids, event, popularity, **rest) -> "Corpus":
+        """Order events given as per-event codes into the (artist, day, event_id) layout.
+
+        ``artist``, ``venue`` and ``city`` index the orders, which hold
+        exactly the values used; ``event`` indexes the sorted ``event_ids``
+        (an object array). ``rest`` passes releases, labels,
+        undated_releases and load_report.
+        """
+        order = np.lexsort((event, day, artist))
+        return cls(
+            artist_order, venue_order, cities, artist[order], venue[order], day[order],
+            city[order], event_ids[event[order]], popularity[order], **rest,
+        )
+
+    @classmethod
     def from_events(cls, event_id, artist_id, venue_id, day, city, popularity, **rest) -> "Corpus":
         """Intern and order events given as parallel per-event sequences.
 
         ``day`` holds date ordinals, ``city`` (city, state, country) triples
-        and ``popularity`` floats (NaN when blank). ``rest`` passes releases,
-        labels, undated_releases and load_report.
+        and ``popularity`` floats (NaN when blank). ``rest`` is as for
+        ``from_codes``.
         """
         artist_order, artist = intern_ids(artist_id)
         venue_order, venue = intern_ids(venue_id)
         cities, city = intern_ids(city, key=None)
-        _, id_rank = intern_ids(event_id)
-        day = np.asarray(day, dtype=np.int64)
-        order = np.lexsort((id_rank, day, artist))
-        return cls(
-            artist_order, venue_order, cities, artist[order], venue[order], day[order],
-            city[order], np.array(event_id, dtype=object)[order],
-            np.asarray(popularity, dtype=float)[order], **rest,
+        event_ids, event = intern_ids(event_id)
+        return cls.from_codes(
+            artist_order, artist, venue_order, venue, cities, city,
+            np.asarray(day, dtype=np.int64), np.array(event_ids, dtype=object), event,
+            np.asarray(popularity, dtype=float), **rest,
         )
 
     def select(self, keep) -> "Corpus":
@@ -151,13 +179,9 @@ class Corpus:
         releases of dropped artists go with them.
         """
         keep = np.asarray(keep, dtype=bool)
-        cut = []
-        for order, code in ((self.artist_order, self.artist), (self.venue_order, self.venue),
-                            (self.cities, self.city)):
-            code = code[keep]
-            used = np.bincount(code, minlength=len(order)) > 0
-            cut += [tuple(itertools.compress(order, used.tolist())), (np.cumsum(used) - 1)[code]]
-        artist_order, artist, venue_order, venue, cities, city = cut
+        artist_order, artist = _used(self.artist_order, self.artist[keep])
+        venue_order, venue = _used(self.venue_order, self.venue[keep])
+        cities, city = _used(self.cities, self.city[keep])
         kept = frozenset(artist_order)
         return Corpus(
             artist_order, venue_order, cities, artist, venue, self.day[keep], city,
@@ -205,23 +229,49 @@ class Corpus:
         }
 
 
-def _read_rows(path, expected_header):
-    """Yield the data rows of a CSV file after checking its header."""
+def _read_bytes(path) -> bytes:
+    """The bytes of a corpus file, without a leading UTF-8 BOM."""
     try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise CorpusFormatError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusFormatError(f"{path}: empty file, expected header {expected_header}")
-        if header != expected_header:
-            raise CorpusFormatError(
-                f"{path}: header mismatch, expected {expected_header}, got {header}"
-            )
-        yield from reader
+    return data[len(codecs.BOM_UTF8):] if data.startswith(codecs.BOM_UTF8) else data
+
+
+def _decode(path, data: bytes) -> str:
+    """``data`` as UTF-8, else CorpusFormatError naming the line of the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise CorpusFormatError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
+
+
+def _check_header(path, header, expected):
+    if header is None:
+        raise CorpusFormatError(f"{path}: empty file, expected header {expected}")
+    if header != expected:
+        raise CorpusFormatError(f"{path}: header mismatch, expected {expected}, got {header}")
+
+
+def _records(path, data: bytes, expected_header):
+    """Yield (line, row) for each record of a CSV file after checking its header.
+
+    ``line`` is the physical line where the record starts: a quoted field
+    may hold line breaks, so one record can span several lines.
+    """
+    reader = csv.reader(io.StringIO(_decode(path, data), newline=""))
+    line = 1
+    try:
+        _check_header(path, next(reader, None), expected_header)
+        line = reader.line_num + 1
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise CorpusFormatError(f"{path}: line {line}: {exc}") from None
 
 
 def _parse_date(text: str) -> dt.date:
@@ -236,70 +286,211 @@ def _parse_date(text: str) -> dt.date:
     return dt.date(int(year), int(month or 1), int(day or 1))
 
 
-def _parse_events(path, report: LoadReport) -> dict[str, list]:
-    """The accepted rows as the per-event sequences of ``Corpus.from_events``."""
-    cols: dict[str, list] = {
-        k: [] for k in ("event_id", "artist_id", "venue_id", "day", "city", "popularity")
-    }
-    reject = partial(report.reject, "events", path)
-    line_of_id: dict[str, int] = {}
-    # rows repeat dates and cities; one parse and one shared object per distinct
-    # value save about 60 MB of peak memory on a 5000-artist corpus
-    day_of: dict[str, int] = {}
-    city_of: dict[tuple, tuple] = {}
-    for i, row in enumerate(_read_rows(path, EVENT_HEADER)):
-        line_no = i + 2  # header is line 1
-        report.events_total += 1
-        if len(row) != len(EVENT_HEADER):
-            reject(line_no, f"expected {len(EVENT_HEADER)} fields, got {len(row)}")
-            continue
-        event_id, artist_id, venue_id, date_s, city, state, country, lat_s, lon_s, pop_s = row
-        if not event_id or not artist_id or not venue_id:
-            reject(line_no, "missing event, artist or venue id")
-            continue
-        day = day_of.get(date_s)
-        if day is None:
+def _parse_events(path, report: LoadReport) -> dict:
+    """The accepted records of events.csv as ``Corpus.from_codes`` arguments."""
+    data = _read_bytes(path)
+    split = None
+    if not any(b in data for b in _CSV_ONLY):
+        split = _byte_columns(path, data)
+    return _check_events(path, report, *(split or _csv_columns(path, data)))
+
+
+def _csv_columns(path, data: bytes):
+    """Split events.csv with csv.reader; returns what ``_check_events`` takes."""
+    lines, rows, ragged = [], [], []
+    for line, row in _records(path, data, EVENT_HEADER):
+        if len(row) == len(EVENT_HEADER):
+            lines.append(line)
+            rows.append(row)
+        else:
+            ragged.append((line, len(row)))
+    eid, artist, venue, date, city, state, country, lat, lon, pop = (
+        zip(*rows) if rows else [()] * len(EVENT_HEADER)
+    )
+    columns = [intern_ids(col) for col in (eid, artist, venue, date)]
+    columns.append(intern_ids(list(zip(city, state, country)), key=None))
+    columns += [intern_ids(col) for col in (lat, lon, pop)]
+    return np.array(lines, dtype=np.int64), ragged, columns
+
+
+def _byte_columns(path, data: bytes):
+    """Split events.csv on its LF and comma bytes; returns what ``_check_events`` takes.
+
+    Only for a file without a quote, CR or NUL byte. Each column is keyed
+    by one sort of its fields as fixed-width bytes: byte order is str order
+    in UTF-8, so the codes come out in str order. Returns None when one
+    field is so much wider than its column's others that the fixed-width
+    cells would outgrow the file.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    offset = np.int32 if buf.size < np.iinfo(np.int32).max else np.int64
+    ends = np.flatnonzero(buf == ord("\n")).astype(offset)
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, offset(buf.size))
+    if not data:
+        _check_header(path, None, EVENT_HEADER)
+    header = _decode(path, data[:ends[0]])
+    _check_header(path, header.split(",") if header else [], EVENT_HEADER)
+
+    lo, hi = ends[:-1] + 1, ends[1:]
+    commas = np.flatnonzero(buf == ord(",")).astype(offset)
+    first = np.searchsorted(commas, lo).astype(offset)  # each row's first comma
+    n_fields = np.where(hi > lo, np.searchsorted(commas, hi) - first + 1, 0)
+    line = np.arange(2, lo.size + 2)
+    good = n_fields == len(EVENT_HEADER)
+    ragged = list(zip(line[~good].tolist(), n_fields[~good].tolist()))
+    _decode_pieces(path, data, [data[a:b] for a, b in zip(lo[~good].tolist(), hi[~good].tolist())])
+    lo, hi, first, line = lo[good], hi[good], first[good], line[good]
+    last = len(EVENT_HEADER) - 1
+    columns = []
+    # city, state and country are adjacent, so one key covers the three
+    for a, b in ((0, 0), (1, 1), (2, 2), (3, 3), (4, 6), (7, 7), (8, 8), (9, 9)):
+        start = lo if a == 0 else commas[first + (a - 1)] + 1
+        fields = _unique_fields(buf, start, hi if b == last else commas[first + b])
+        if fields is None:
+            return None
+        columns.append((_decode_pieces(path, data, fields[0].tolist()), fields[1]))
+    keys, codes = columns[4]
+    cities, rank = intern_ids([tuple(k.split(",")) for k in keys], key=None)
+    columns[4] = (cities, rank[codes])  # in tuple order, not in the keys' byte order
+    return line, ragged, columns
+
+
+def _unique_fields(buf, start, stop):
+    """Sorted distinct fields ``buf[start[i]:stop[i]]`` (an ``S`` array) and each row's code.
+
+    Each field is copied into a NUL-padded cell whose width is a multiple
+    of 8 bytes, and the cells are ranked as rows of big-endian words, whose
+    order is the bytes' order. None when the cells would outgrow ``buf``.
+    """
+    width = stop - start
+    w = -(-max(int(width.max(initial=0)), 1) // 8) * 8
+    if width.size * w > buf.size:
+        return None
+    room = buf.size - w  # a window of w bytes starting later would pass the end
+    cells = sliding_window_view(buf, w)[np.minimum(start, room)]
+    cells *= np.arange(w) < width[:, None]
+    for i in np.flatnonzero(start > room).tolist():
+        cells[i] = 0
+        cells[i, :width[i]] = buf[start[i]:stop[i]]
+    words = cells.view(">u8").astype(np.uint64)
+    order = np.lexsort(words.T[::-1])
+    words = words[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    codes = np.empty(order.size, dtype=np.int64)
+    codes[order] = np.cumsum(new) - 1
+    return cells[order[new]].view(f"S{w}").ravel(), codes
+
+
+def _decode_pieces(path, data: bytes, pieces: list) -> list[str]:
+    """Byte strings cut from ``data`` at commas and LFs, decoded as UTF-8.
+
+    The cuts fall on ASCII bytes, so a bad piece holds a bad byte of the
+    file, and the error names the line of the file's first bad byte.
+    """
+    try:
+        text = b"\n".join(pieces).decode("utf-8")
+    except UnicodeDecodeError:
+        _decode(path, data)
+        raise
+    return text.split("\n") if pieces else []
+
+
+def _check_events(path, report: LoadReport, line, ragged, columns) -> dict:
+    """Validate split events.csv records; the accepted ones as ``Corpus.from_codes`` arguments.
+
+    ``line`` is the physical line of each record with the full field count,
+    ``ragged`` the (line, field count) pairs of the other records, and
+    ``columns`` one (sorted distinct values, codes) pair per column of the
+    full records: event, artist and venue ids, date, (city, state, country)
+    triples, lat, lon and popularity. Each check runs once per distinct
+    value; a record gets the reason of the first check it fails, rejections
+    are reported in line order, and of the accepted records sharing an
+    event_id the first one wins.
+    """
+    (eid_v, eid), (art_v, art), (ven_v, ven), (date_v, date), (city_v, city), \
+        (lat_v, lat), (lon_v, lon), (pop_v, pop) = columns
+    day = np.array([_ordinal(s) for s in date_v], dtype=np.int64)[date]
+    lat_f, lat_ok = _floats(lat_v)
+    lon_f, lon_ok = _floats(lon_v)
+    pop_f, pop_ok = _floats(pop_v, blank_ok=True)
+    y, x = lat_f[lat], lon_f[lon]
+    checks = (
+        (_blank(eid_v, eid) | _blank(art_v, art) | _blank(ven_v, ven),
+         lambda i: "missing event, artist or venue id"),
+        (day == 0, lambda i: f"unparseable date {date_v[date[i]]!r}"),
+        (~(lat_ok[lat] & lon_ok[lon]),
+         lambda i: f"unparseable coordinates ({lat_v[lat[i]]!r}, {lon_v[lon[i]]!r})"),
+        (~((-90.0 <= y) & (y <= 90.0) & (-180.0 <= x) & (x <= 180.0)),
+         lambda i: f"coordinates out of bounds ({float(y[i])}, {float(x[i])})"),
+        (~pop_ok[pop], lambda i: f"unparseable popularity {pop_v[pop[i]]!r}"),
+    )
+    rejects = [(n, f"expected {len(EVENT_HEADER)} fields, got {k}") for n, k in ragged]
+    failed = np.zeros(line.size, dtype=bool)
+    for mask, reason in checks:
+        rejects += [(int(line[i]), reason(i)) for i in np.flatnonzero(mask & ~failed).tolist()]
+        failed |= mask
+    passed = np.flatnonzero(~failed)
+    _, first = np.unique(eid[passed], return_index=True)
+    repeat = np.ones(passed.size, dtype=bool)
+    repeat[first] = False
+    first_line = np.zeros(len(eid_v), dtype=np.int64)
+    first_line[eid[passed[first]]] = line[passed[first]]
+    for i in passed[repeat].tolist():
+        event_id, first_on = eid_v[eid[i]], first_line[eid[i]]
+        rejects.append((int(line[i]), f"duplicate event_id {event_id!r}, first on line {first_on}"))
+    report.events_total += line.size + len(ragged)
+    for line_no, reason in sorted(rejects):
+        report.reject("events", path, line_no, reason)
+
+    keep = passed[~repeat]
+    artist_order, artist = _used(art_v, art[keep])
+    venue_order, venue = _used(ven_v, ven[keep])
+    cities, city = _used(city_v, city[keep])
+    return dict(
+        artist_order=artist_order, artist=artist, venue_order=venue_order, venue=venue,
+        cities=cities, city=city, day=day[keep], event_ids=np.array(eid_v, dtype=object),
+        event=eid[keep], popularity=pop_f[pop[keep]],
+    )
+
+
+def _ordinal(text: str) -> int:
+    """The ordinal of a date, 0 when it does not parse."""
+    try:
+        return _parse_date(text).toordinal()
+    except ValueError:
+        return 0
+
+
+def _floats(values, blank_ok=False):
+    """``float`` of each value (NaN for an empty one if ``blank_ok``), and which parsed."""
+    out = np.full(len(values), np.nan)
+    ok = np.ones(len(values), dtype=bool)
+    for k, text in enumerate(values):
+        if text or not blank_ok:
             try:
-                day = day_of[date_s] = _parse_date(date_s).toordinal()
+                out[k] = float(text)
             except ValueError:
-                reject(line_no, f"unparseable date {date_s!r}")
-                continue
-        try:
-            lat = float(lat_s)
-            lon = float(lon_s)
-        except ValueError:
-            reject(line_no, f"unparseable coordinates ({lat_s!r}, {lon_s!r})")
-            continue
-        if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
-            reject(line_no, f"coordinates out of bounds ({lat}, {lon})")
-            continue
-        popularity = np.nan
-        if pop_s:
-            try:
-                popularity = float(pop_s)
-            except ValueError:
-                reject(line_no, f"unparseable popularity {pop_s!r}")
-                continue
-        if event_id in line_of_id:
-            first = line_of_id[event_id]
-            reject(line_no, f"duplicate event_id {event_id!r}, first on line {first}")
-            continue
-        line_of_id[event_id] = line_no
-        city_key = (city, state, country)
-        cols["event_id"].append(event_id)
-        cols["artist_id"].append(artist_id)
-        cols["venue_id"].append(venue_id)
-        cols["day"].append(day)
-        cols["city"].append(city_of.setdefault(city_key, city_key))
-        cols["popularity"].append(popularity)
-    return cols
+                ok[k] = False
+    return out, ok
+
+
+def _blank(values, codes) -> np.ndarray:
+    """Mask of the codes of the empty value, given values in sorted order."""
+    return (codes == 0) & ("" in values[:1])
+
+
+def _used(values, codes):
+    """The values that ``codes`` use, in their order, and the codes renumbered to them."""
+    used = np.bincount(codes, minlength=len(values)) > 0
+    return tuple(itertools.compress(values, used.tolist())), (np.cumsum(used) - 1)[codes]
 
 
 def _parse_releases(path, report: LoadReport) -> tuple[list[Release], list[tuple[str, str]]]:
     releases, undated = [], []
     reject = partial(report.reject, "releases", path)
-    for i, row in enumerate(_read_rows(path, RELEASE_HEADER)):
-        line_no = i + 2
+    for line_no, row in _records(path, _read_bytes(path), RELEASE_HEADER):
         report.releases_total += 1
         if len(row) != len(RELEASE_HEADER):
             reject(line_no, f"expected {len(RELEASE_HEADER)} fields, got {len(row)}")
@@ -326,8 +517,7 @@ def _parse_labels(path, report: LoadReport) -> LabelTree:
     nodes: dict[str, LabelNode] = {}
     major_roots: set[str] = set()
     reject = partial(report.reject, "labels", path)
-    for i, row in enumerate(_read_rows(path, LABEL_HEADER)):
-        line_no = i + 2
+    for line_no, row in _records(path, _read_bytes(path), LABEL_HEADER):
         report.labels_total += 1
         if len(row) != len(LABEL_HEADER):
             reject(line_no, f"expected {len(LABEL_HEADER)} fields, got {len(row)}")
@@ -368,7 +558,7 @@ def parse_corpus(event_file, release_file, label_file) -> Corpus:
     report = LoadReport()
     events = _parse_events(event_file, report)
     _check_tolerance(event_file, report.events_rejected, report.events_total)
-    both_sides = set(events["artist_id"]).intersection(events["venue_id"])
+    both_sides = set(events["artist_order"]).intersection(events["venue_order"])
     if both_sides:
         raise CorpusFormatError(
             f"{event_file}: ids used as both artist and venue: {sorted(both_sides)[:5]}"
@@ -377,7 +567,7 @@ def parse_corpus(event_file, release_file, label_file) -> Corpus:
     _check_tolerance(release_file, report.releases_rejected, report.releases_total)
     labels = _parse_labels(label_file, report)
     _check_tolerance(label_file, report.labels_rejected, report.labels_total)
-    return Corpus.from_events(
+    return Corpus.from_codes(
         **events, releases=releases, labels=labels, undated_releases=undated,
         load_report=report,
     )

@@ -67,9 +67,9 @@ def corpus_files(tmp_path):
 def make_corpus(events):
     """Corpus from (event_id, artist, venue, date[, city]) tuples.
 
-    Built by ``Corpus.from_events``, the constructor ``parse_corpus`` uses;
-    the city defaults to ("NYC", "NY", "US"), popularity is blank and there
-    are no releases or labels.
+    Built by ``Corpus.from_events``, which orders events as ``parse_corpus``
+    does; the city defaults to ("NYC", "NY", "US"), popularity is blank and
+    there are no releases or labels.
     """
     cols = {k: [] for k in ("event_id", "artist_id", "venue_id", "day", "city")}
     for event_id, artist, venue, date, *city in events:

@@ -8,6 +8,11 @@ these, so nothing in this file may import the functions it is checking.
 
 from __future__ import annotations
 
+import csv
+import datetime as dt
+import math
+import re
+
 import numpy as np
 
 from gigmine.graph import BipartiteGraph, EdgeInfo
@@ -158,3 +163,72 @@ def raw_ngram_counts(sequences, n) -> dict:
             gram = tuple(seq[i : i + n])
             out[gram] = out.get(gram, 0) + 1
     return out
+
+
+# -- events.csv parse -------------------------------------------------------------------
+
+_EVENT_HEADER = ["event_id", "artist_id", "venue_id", "date", "city", "state", "country",
+                 "lat", "lon", "popularity"]
+_DATE_SHAPE = re.compile(r"([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?")
+
+
+def _event_reason(row, first_line_of):
+    """Why a row of events.csv is rejected, checked in the documented order; None if accepted."""
+    if len(row) != len(_EVENT_HEADER):
+        return f"expected {len(_EVENT_HEADER)} fields, got {len(row)}"
+    event_id, artist_id, venue_id, date_s, _, _, _, lat_s, lon_s, pop_s = row
+    if not event_id or not artist_id or not venue_id:
+        return "missing event, artist or venue id"
+    match = _DATE_SHAPE.fullmatch(date_s)
+    try:
+        if match is None:
+            raise ValueError(date_s)
+        year, month, day = match.groups()
+        dt.date(int(year), int(month or 1), int(day or 1))
+    except ValueError:
+        return f"unparseable date {date_s!r}"
+    try:
+        lat, lon = float(lat_s), float(lon_s)
+    except ValueError:
+        return f"unparseable coordinates ({lat_s!r}, {lon_s!r})"
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        return f"coordinates out of bounds ({lat}, {lon})"
+    if pop_s:
+        try:
+            float(pop_s)
+        except ValueError:
+            return f"unparseable popularity {pop_s!r}"
+    if event_id in first_line_of:
+        return f"duplicate event_id {event_id!r}, first on line {first_line_of[event_id]}"
+    return None
+
+
+def parse_events_reference(path):
+    """Row-by-row parse of an events.csv with a valid header.
+
+    Returns (events, total, diagnostics). ``events`` holds the accepted rows
+    as (artist_id, day ordinal, event_id, venue_id, (city, state, country),
+    popularity) tuples sorted by (artist, day, event_id), popularity NaN
+    when blank. ``diagnostics`` are {"file", "line", "reason"} dicts in line
+    order, where the line is the physical line on which the record starts.
+    """
+    events, diagnostics, first_line_of = [], [], {}
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == _EVENT_HEADER
+        line = reader.line_num + 1
+        total = 0
+        for row in reader:
+            total += 1
+            reason = _event_reason(row, first_line_of)
+            if reason is not None:
+                diagnostics.append({"file": str(path), "line": line, "reason": reason})
+            else:
+                event_id, artist_id, venue_id, date_s, city, state, country, _, _, pop_s = row
+                first_line_of[event_id] = line
+                year, month, day = _DATE_SHAPE.fullmatch(date_s).groups()
+                ordinal = dt.date(int(year), int(month or 1), int(day or 1)).toordinal()
+                events.append((artist_id, ordinal, event_id, venue_id, (city, state, country),
+                               float(pop_s) if pop_s else math.nan))
+            line = reader.line_num + 1
+    return sorted(events, key=lambda e: e[:3]), total, diagnostics

@@ -102,6 +102,17 @@ class TestExitCodes:
         assert "corpus file not found" in err
         assert "nowhere" in err
 
+    def test_non_utf8_corpus_is_reported_not_raised(self, corpus_dir, tmp_path, capsys):
+        for name in ("events.csv", "releases.csv", "labels.csv"):
+            (tmp_path / name).write_bytes((corpus_dir / name).read_bytes())
+        lines = (tmp_path / "events.csv").read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        (tmp_path / "events.csv").write_bytes(b"\n".join(lines))
+        cfg = write_config(tmp_path, {"corpus": {"dir": str(tmp_path)}})
+        code = main(["stats", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 1
+        assert "events.csv: line 3: not UTF-8" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["stats", "--config", str(tmp_path / "ghost.json"), "--out", str(tmp_path)])
         assert code == 2

@@ -241,6 +241,19 @@ class TestScoring:
         with mock.patch.object(embeddings, "_SCORE_BLOCK", 3):
             assert score_embedding(emb, rows, cols).tolist() == batch.tolist()
 
+    def test_equals_the_per_pair_cosine_with_a_zero_row(self):
+        rng = np.random.default_rng(5)
+        emb = rng.standard_normal((30, 16)) * 10.0 ** rng.integers(-6, 6, (30, 1))
+        emb[7] = 0.0
+        rows, cols = rng.integers(0, 30, 500), rng.integers(0, 30, 500)
+        want = []
+        for i, j in zip(rows, cols):
+            x, y = emb[[i]], emb[[j]]
+            denom = (np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1))[0]
+            want.append(float(np.einsum("kd,kd->k", x, y)[0] / denom) if denom > 0 else 0.0)
+        assert 7 in rows or 7 in cols
+        assert score_embedding(emb, rows, cols).tolist() == want
+
     def test_zero_vector_scores_zero(self):
         emb = np.array([np.zeros(4), np.ones(4)])
         assert score_embedding(emb, 0, 1) == 0.0

@@ -1,10 +1,13 @@
+import csv
 import datetime as dt
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import EVENT_HEADER, RELEASE_HEADER, event_row, make_corpus, write_csv
 
+from gigmine import ingest
 from gigmine.errors import CorpusFormatError
 from gigmine.graph import build_graph
 from gigmine.ingest import (
@@ -13,6 +16,7 @@ from gigmine.ingest import (
     parse_corpus,
     recursive_core_filter,
 )
+from gigmine.synth import GenSpec, generate
 
 LABELS = [["maj", "Major", "", "1"], ["ind", "Indie", "", "0"]]
 
@@ -185,6 +189,84 @@ class TestParsing:
         assert [c.artist_order[i] for i in c.artist] == ["a", "a", "a", "b", "b"]
         assert c.artist_indptr.tolist() == [0, 3, 5]
         assert c.year.tolist() == [2010, 2010, 2010, 2009, 2010]
+
+    def test_lines_are_physical_after_a_multiline_record(self, corpus_files):
+        # a quoted field holding a line break makes record 1 span lines 2-3
+        rows = [event_row(f"e{i}", "a1", "v1", "2010-05-01") for i in range(10)]
+        rows[0] = event_row("e0", "a1", "v1", "2010-05-01", city="New\nYork")
+        rows[4] = event_row("ebad", "a1", "v1", "not-a-date")
+        releases = [["a1", "maj", "2011"]] * 10
+        releases[0] = ["a1\nb", "maj", "2011"]
+        releases[4] = ["a1", "maj", "bad"]
+        labels = [["maj", "Big\nFish", "", "1"], ["ind", "Indie", "", "0"], ["x", "X", "", "2"]]
+        labels += [[f"l{i}", "L", "", "0"] for i in range(8)]
+        c = parse_corpus(*corpus_files(rows, releases, labels))
+        lines = {d["file"].rsplit("/", 1)[-1]: d["line"] for d in c.load_report.diagnostics}
+        assert lines == {"events.csv": 7, "releases.csv": 7, "labels.csv": 5}
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("row", [3, 8])
+    def test_non_utf8_events_name_the_line_of_the_first_bad_byte(self, corpus_files, quoted, row):
+        rows = [event_row(f"e{i}", "a1", "v1", "2010-05-01") for i in range(10)]
+        rows[8] = ["e8", "a1", "v1"]  # ragged records are checked too
+        rows[row][1] = "a\udcff"  # written as the lone byte 0xff
+        if row < 8:
+            rows[9][1] = "a\udcfe"  # a later bad byte is not the one named
+        paths = corpus_files([], [], LABELS)
+        with open(paths[0], "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n",
+                                quoting=csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL)
+            writer.writerows([EVENT_HEADER, *rows])
+        with pytest.raises(CorpusFormatError, match=f"events.csv: line {row + 2}: not UTF-8"):
+            parse_corpus(*paths)
+
+    @pytest.mark.parametrize("table, line", [("releases", 4), ("labels", 2)])
+    def test_non_utf8_releases_and_labels_fail_naming_the_line(self, corpus_files, table, line):
+        paths = corpus_files([event_row("e1", "a1", "v1", "2010-05-01")],
+                             [["a1", "maj", "2011"]] * 3, LABELS)
+        path = paths[1] if table == "releases" else paths[2]
+        text = path.read_bytes().splitlines(keepends=True)
+        text[line - 1] = text[line - 1].replace(b"a", b"\xe9", 1).replace(b"m", b"\xe9", 1)
+        path.write_bytes(b"".join(text))
+        with pytest.raises(CorpusFormatError, match=f"{table}.csv: line {line}: not UTF-8"):
+            parse_corpus(*paths)
+
+    def test_plain_corpus_is_split_in_numpy_and_matches_the_csv_splitter(self, tmp_path):
+        generate(GenSpec(n_artists=60, n_venues=30, seed=3), tmp_path / "plain")
+        quoted = tmp_path / "quoted"
+        quoted.mkdir()
+        for name in ("events.csv", "releases.csv", "labels.csv"):
+            with open(tmp_path / "plain" / name, encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))
+            # a ragged record and a bad date, to be rejected alike
+            if name == "events.csv":
+                rows[5] = rows[5][:4]
+                rows[9][3] = "2010-13-01"
+            for d, quoting in (("plain", csv.QUOTE_MINIMAL), ("quoted", csv.QUOTE_ALL)):
+                with open(tmp_path / d / name, "w", encoding="utf-8", newline="") as fh:
+                    csv.writer(fh, lineterminator="\n", quoting=quoting).writerows(rows)
+        files = ("events.csv", "releases.csv", "labels.csv")
+        with mock.patch.object(ingest, "_csv_columns", side_effect=AssertionError("csv path")):
+            plain = parse_corpus(*(tmp_path / "plain" / f for f in files))
+        with mock.patch.object(ingest, "_byte_columns", side_effect=AssertionError("byte path")):
+            via_csv = parse_corpus(*(tmp_path / "quoted" / f for f in files))
+        assert plain.load_report.events_rejected == 2
+        for key in ("events", "releases", "labels"):
+            assert plain.load_report.to_dict()[key] == via_csv.load_report.to_dict()[key]
+        assert [d["line"] for d in plain.load_report.diagnostics] == [6, 10]
+        assert (plain.artist_order, plain.venue_order, plain.cities) == (
+            via_csv.artist_order, via_csv.venue_order, via_csv.cities)
+        for col in ("artist", "venue", "day", "city", "event_id"):
+            assert np.array_equal(getattr(plain, col), getattr(via_csv, col))
+        assert np.array_equal(plain.popularity, via_csv.popularity, equal_nan=True)
+
+    def test_a_field_wider_than_the_file_allows_takes_the_csv_splitter(self, corpus_files):
+        rows = [event_row(f"e{i}", "a1", "v1", "2010-05-01") for i in range(3)]
+        rows[1] = event_row("e1", "a" * 500, "v1", "2010-05-01")
+        with mock.patch.object(ingest, "_csv_columns", wraps=ingest._csv_columns) as spy:
+            c = parse_corpus(*corpus_files(rows, [], LABELS))
+        spy.assert_called_once()
+        assert c.artist_order == ("a1", "a" * 500)
 
     def test_ids_differing_by_a_trailing_nul_stay_distinct(self):
         day = dt.date(2010, 1, 1)

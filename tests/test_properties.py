@@ -1,39 +1,46 @@
 """Property tests of the graph arrays, the batch link scores, the walk
 sampler, the ROC AUC and its midranks, the link-prediction AUC, the BiRank fixed point,
-the min-activity filter and route mining.
+the min-activity filter, route mining and the events.csv parse.
 
-Random small graphs (isolated nodes included), corpora and city sequences
-are checked against the brute-force references in ``oracles.py`` and
-against plain-dict and random-order reference computations written out
-below.
+Random small graphs (isolated nodes included), corpora, city sequences and
+event files are checked against the brute-force references in
+``oracles.py`` and against plain-dict and random-order reference
+computations written out below.
 """
 
+import csv
 import datetime as dt
+import io
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from conftest import id_pairs, make_corpus, sequences_of
+from conftest import EVENT_HEADER, LABEL_HEADER, RELEASE_HEADER, id_pairs, make_corpus, sequences_of
 from oracles import (
     cn_oracle,
     dense_birank_oracle,
     jaccard_oracle,
     neighbors_of,
     pa_oracle,
+    parse_events_reference,
     pairwise_auc,
     random_bipartite,
     raw_ngram_counts,
     two_hop_of,
 )
 
-from gigmine import linkpred
+from gigmine import ingest, linkpred
 from gigmine.birank import SeedScores, birank, temporal_weights
 from gigmine.embeddings import _scatter_rows, sample_walks
 from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
-from gigmine.ingest import filter_min_activity, recursive_core_filter
+from gigmine.errors import CorpusFormatError
+from gigmine.ingest import filter_min_activity, parse_corpus, recursive_core_filter
 from gigmine.linkpred import HEURISTICS, build_score_tables, edge_codes, evaluate_linkpred
 from gigmine.metrics import _midranks, roc_auc
 from gigmine.routes import mine_routes
@@ -338,3 +345,89 @@ def test_mine_routes_matches_merged_raw_counts(plain, halves, n, top_k):
 
     mined = mine_routes(sequences_of(sequences), n_values=(n,), top_k=top_k)[n]
     assert [(rc.route, (rc.count, rc.bidirectional)) for rc in mined] == ranked
+
+
+# the characters of ids: "plain" ones leave a file that numpy splits, the
+# others (NUL, quote, CR, LF, comma) send it through csv.reader
+ID_CHARS = {"plain": ["a", "b", "é", "😀", " ", "-"],
+            "csv": ["a", "é", "\0", '"', "\r", "\n", ","]}
+# (accepted, rejected) values of each checked field
+DATES = (["2010", "2010-05", "2010-05-01", "2011-12-31", "1999-02-28"],
+         ["", "2010-13-01", "20100101", "2010-02-30", "x", "２０１０"])
+LATS = (["40.7", "-90", "90.0", "0", " 1.5", "1e1", "1_0"], ["95", "-90.5", "", "abc", "nan"])
+LONS = (["-74.0", "180", "-180.0", "0.5"], ["181", "inf", "", "1,5", "--1"])
+POPS = (["", "55.5", "0", " 3 ", "nan", "1e400"], ["bad", "5%", "1.2.3"])
+
+
+@st.composite
+def event_files(draw):
+    """Rows of an events.csv, good ones mostly; whether it has a BOM and a final newline."""
+    text = st.text(st.sampled_from(ID_CHARS[draw(st.sampled_from(sorted(ID_CHARS)))]),
+                   max_size=3)
+    ids = {"e": st.one_of(st.sampled_from(["e0", "e1", "e2"]), text.map("e".__add__)),
+           "a": st.one_of(st.sampled_from(["a0", "a1"]), text.map("a".__add__)),
+           "v": st.one_of(st.sampled_from(["v0", "v1"]), text.map("v".__add__))}
+    # "a" and "a b" sort one way as tuples and the other way as "city,state,country" bytes
+    places = st.sampled_from(["NYC", "LA", "", "Zürich", "a", "a b"])
+
+    def field(pools):
+        good, bad = pools
+        return draw(st.sampled_from(bad if draw(st.integers(0, 29)) == 0 else good))
+
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["event"] * 12 + ["ragged", "blank"]),
+                              min_size=1, max_size=25)):
+        if kind == "blank":
+            rows.append([])
+        elif kind == "ragged":
+            ragged = st.lists(text, min_size=1, max_size=12).filter(lambda r: len(r) != 10)
+            rows.append(draw(ragged))
+        else:
+            e, a, v = (draw(ids[k]) if draw(st.integers(0, 29)) else "" for k in "eav")
+            rows.append([e, a, v, field(DATES), draw(places), draw(places), draw(places),
+                         field(LATS), field(LONS), field(POPS)])
+    return rows, draw(st.booleans()), draw(st.booleans())
+
+
+def _write_events(path, rows, quoting, bom, final_newline):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n", quoting=quoting).writerows([EVENT_HEADER, *rows])
+    text = out.getvalue() if final_newline else out.getvalue()[:-1]
+    path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+
+
+@PROPERTY
+@given(event_files())
+def test_parse_corpus_matches_the_row_by_row_reference(files):
+    rows, bom, final_newline = files
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, header in (("releases", RELEASE_HEADER), ("labels", LABEL_HEADER)):
+            (tmp / f"{name}.csv").write_text(",".join(header) + "\n", encoding="utf-8")
+        paths = [tmp / "events.csv", tmp / "releases.csv", tmp / "labels.csv"]
+        # minimal quoting leaves a plain file for numpy; all-quoted ones take csv.reader
+        for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+            _write_events(paths[0], rows, quoting, bom, final_newline)
+            events, total, diagnostics = parse_events_reference(paths[0])
+            if total and len(diagnostics) / total > 0.10:
+                with pytest.raises(CorpusFormatError, match="tolerance"):
+                    parse_corpus(*paths)
+            # past the tolerance too, the rows and diagnostics must match
+            with mock.patch.object(ingest, "MALFORMED_TOLERANCE", 1.0):
+                c = parse_corpus(*paths)
+            assert c.load_report.to_dict() == {
+                "events": {"total": total, "rejected": len(diagnostics)},
+                "releases": {"total": 0, "rejected": 0, "undated_dropped": 0},
+                "labels": {"total": 0, "rejected": 0, "dangling_parent": 0},
+                "diagnostics": diagnostics,
+            }
+            artist, day, event_id, venue, city, popularity = (
+                map(list, zip(*events)) if events else ([],) * 6)
+            assert c.artist_order == tuple(sorted(set(artist)))
+            assert c.venue_order == tuple(sorted(set(venue)))
+            assert c.cities == tuple(sorted(set(city)))
+            assert [c.artist_order[i] for i in c.artist.tolist()] == artist
+            assert [c.venue_order[i] for i in c.venue.tolist()] == venue
+            assert [c.cities[i] for i in c.city.tolist()] == city
+            assert c.day.tolist() == day and c.event_id.tolist() == event_id
+            assert np.array_equal(c.popularity, np.array(popularity, dtype=float), equal_nan=True)

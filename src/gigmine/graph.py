@@ -252,10 +252,10 @@ class BipartiteGraph:
 def intern_ids(ids: Sequence, key=str) -> tuple[tuple, np.ndarray]:
     """Distinct ids sorted by ``key`` (None for their natural order), and each id's index.
 
-    Ids become indices here, except in ``events.csv`` files without NUL
-    bytes, which ``gigmine.ingest`` keys by sorting their bytes. A dict
-    rather than ``np.unique``: a numpy string array drops trailing NUL
-    characters and would merge "a" with "a\\0".
+    Graphs built from triples intern their ids here; ``gigmine.ingest``
+    keys the columns of ``events.csv`` itself. A dict rather than
+    ``np.unique``: a numpy string array drops trailing NUL characters and
+    would merge "a" with "a\\0".
     """
     index = dict.fromkeys(ids)
     order = tuple(sorted(index, key=key))

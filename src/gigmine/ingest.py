@@ -11,9 +11,11 @@ rows are rejected with diagnostics naming the physical line where the record
 starts; a file whose malformed fraction exceeds 10% fails hard, as does a
 missing or wrong header or a byte that is not UTF-8.
 
-``events.csv`` has two splitters. A file with a ``"``, CR or NUL byte goes
-through ``csv.reader``. Any other file is split in numpy on its LF and comma
-bytes, and each column is keyed by one sort of its fields as NUL-padded
+``events.csv`` has two splitters. A file with a ``"`` or NUL byte, or a CR
+that does not end a line as part of CRLF, goes through ``csv.reader``, and
+each record's fields are interned as the records stream in. Any other file
+(LF or CRLF line ends) is split in numpy on its line-end and comma bytes,
+and each column is keyed by one sort of its fields as NUL-padded
 fixed-width bytes (the padding is why NUL bytes take the csv route). Both
 hand each column's sorted distinct values and per-record codes to one
 validator, which checks every distinct value once.
@@ -43,6 +45,8 @@ import datetime as dt
 import io
 import itertools
 import re
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Mapping, Optional
@@ -64,9 +68,6 @@ POST_PLATFORM_CUTOFF = dt.date(2007, 1, 1)
 _DATE = re.compile(r"([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?")
 _EPOCH = dt.date(1970, 1, 1).toordinal()
 _NEVER = np.iinfo(np.int64).max
-# besides comma and LF, the bytes csv.reader treats specially (or numpy's
-# NUL-padded strings would drop); a file without them splits in numpy
-_CSV_ONLY = (b'"', b"\r", b"\0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,9 +118,9 @@ class LoadReport:
 class Corpus:
     """Validated events as interned columns, plus releases and the label tree.
 
-    Build one from codes with ``from_codes`` (what ``parse_corpus`` calls)
-    or from ids with ``from_events``, or cut one down with ``select``; see
-    the module docstring for the columns. The column arrays are read-only.
+    Build one from codes with ``from_codes`` (what ``parse_corpus`` calls),
+    or cut one down with ``select``; see the module docstring for the
+    columns. The column arrays are read-only.
     """
 
     def __init__(self, artist_order, venue_order, cities, artist, venue, day, city, event_id,
@@ -151,24 +152,6 @@ class Corpus:
         return cls(
             artist_order, venue_order, cities, artist[order], venue[order], day[order],
             city[order], event_ids[event[order]], popularity[order], **rest,
-        )
-
-    @classmethod
-    def from_events(cls, event_id, artist_id, venue_id, day, city, popularity, **rest) -> "Corpus":
-        """Intern and order events given as parallel per-event sequences.
-
-        ``day`` holds date ordinals, ``city`` (city, state, country) triples
-        and ``popularity`` floats (NaN when blank). ``rest`` is as for
-        ``from_codes``.
-        """
-        artist_order, artist = intern_ids(artist_id)
-        venue_order, venue = intern_ids(venue_id)
-        cities, city = intern_ids(city, key=None)
-        event_ids, event = intern_ids(event_id)
-        return cls.from_codes(
-            artist_order, artist, venue_order, venue, cities, city,
-            np.asarray(day, dtype=np.int64), np.array(event_ids, dtype=object), event,
-            np.asarray(popularity, dtype=float), **rest,
         )
 
     def select(self, keep) -> "Corpus":
@@ -260,9 +243,10 @@ def _records(path, data: bytes, expected_header):
     """Yield (line, row) for each record of a CSV file after checking its header.
 
     ``line`` is the physical line where the record starts: a quoted field
-    may hold line breaks, so one record can span several lines.
+    may hold line breaks, so one record can span several lines. The text is
+    decoded as it is read, not held whole beside ``data``.
     """
-    reader = csv.reader(io.StringIO(_decode(path, data), newline=""))
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     line = 1
     try:
         _check_header(path, next(reader, None), expected_header)
@@ -272,6 +256,9 @@ def _records(path, data: bytes, expected_header):
             line = reader.line_num + 1
     except csv.Error as exc:
         raise CorpusFormatError(f"{path}: line {line}: {exc}") from None
+    except UnicodeDecodeError:
+        _decode(path, data)
+        raise
 
 
 def _parse_date(text: str) -> dt.date:
@@ -289,38 +276,56 @@ def _parse_date(text: str) -> dt.date:
 def _parse_events(path, report: LoadReport) -> dict:
     """The accepted records of events.csv as ``Corpus.from_codes`` arguments."""
     data = _read_bytes(path)
-    split = None
-    if not any(b in data for b in _CSV_ONLY):
-        split = _byte_columns(path, data)
-    return _check_events(path, report, *(split or _csv_columns(path, data)))
+    # quotes and lone CRs are csv.reader's to read, and numpy's NUL-padded
+    # cells would drop NUL bytes; CRLF line ends split in numpy as LF ones do
+    plain = b'"' not in data and b"\0" not in data and (
+        data.count(b"\r") == data.count(b"\r\n"))
+    split = _byte_columns if plain else _csv_columns
+    return _check_events(path, report, *split(path, data))
 
 
 def _csv_columns(path, data: bytes):
-    """Split events.csv with csv.reader; returns what ``_check_events`` takes."""
-    lines, rows, ragged = [], [], []
+    """Split events.csv with csv.reader; returns what ``_check_events`` takes.
+
+    Each field is interned as its record streams in, to a code per distinct
+    value in order of first sight, so a record leaves only its line and
+    eight codes behind. The codes are renumbered in sorted order at the end.
+    """
+    lines, ragged = array("q"), []
+    # event, artist and venue ids, date, (city, state, country), lat, lon, popularity
+    seen = [defaultdict(itertools.count().__next__) for _ in range(8)]
+    codes = [array("q") for _ in seen]
+    (e, a, v, d, c, y, x, p), (ce, ca, cv, cd, cc, cy, cx, cp) = seen, [o.append for o in codes]
     for line, row in _records(path, data, EVENT_HEADER):
-        if len(row) == len(EVENT_HEADER):
-            lines.append(line)
-            rows.append(row)
-        else:
+        if len(row) != len(EVENT_HEADER):
             ragged.append((line, len(row)))
-    eid, artist, venue, date, city, state, country, lat, lon, pop = (
-        zip(*rows) if rows else [()] * len(EVENT_HEADER)
-    )
-    columns = [intern_ids(col) for col in (eid, artist, venue, date)]
-    columns.append(intern_ids(list(zip(city, state, country)), key=None))
-    columns += [intern_ids(col) for col in (lat, lon, pop)]
-    return np.array(lines, dtype=np.int64), ragged, columns
+            continue
+        lines.append(line)
+        # unrolled: a loop over the eight columns measured slower
+        eid, artist, venue, date, city, state, country, lat, lon, pop = row
+        ce(e[eid])
+        ca(a[artist])
+        cv(v[venue])
+        cd(d[date])
+        cc(c[city, state, country])
+        cy(y[lat])
+        cx(x[lon])
+        cp(p[pop])
+    columns = []
+    for index, out in zip(seen, codes):
+        values = sorted(index)
+        index.update(zip(values, range(len(values))))
+        rank = np.fromiter(index.values(), dtype=np.int64, count=len(index))
+        columns.append((values, rank[np.frombuffer(out, dtype=np.int64)]))
+    return np.frombuffer(lines, dtype=np.int64), ragged, columns
 
 
 def _byte_columns(path, data: bytes):
-    """Split events.csv on its LF and comma bytes; returns what ``_check_events`` takes.
+    """Split events.csv on its line-end and comma bytes; returns what ``_check_events`` takes.
 
-    Only for a file without a quote, CR or NUL byte. Each column is keyed
-    by one sort of its fields as fixed-width bytes: byte order is str order
-    in UTF-8, so the codes come out in str order. Returns None when one
-    field is so much wider than its column's others that the fixed-width
-    cells would outgrow the file.
+    Only for a file without a quote or NUL byte whose CRs all precede an
+    LF. Each column is keyed by one sort of its fields as fixed-width bytes:
+    byte order is str order in UTF-8, so the codes come out in str order.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     offset = np.int32 if buf.size < np.iinfo(np.int32).max else np.int64
@@ -329,10 +334,12 @@ def _byte_columns(path, data: bytes):
         ends = np.append(ends, offset(buf.size))
     if not data:
         _check_header(path, None, EVENT_HEADER)
-    header = _decode(path, data[:ends[0]])
+    # a line's last field stops before the CR of a CRLF
+    stops = ends - (buf[np.maximum(ends, 1) - 1] == ord("\r"))
+    header = _decode(path, data[:stops[0]])
     _check_header(path, header.split(",") if header else [], EVENT_HEADER)
 
-    lo, hi = ends[:-1] + 1, ends[1:]
+    lo, hi = ends[:-1] + 1, stops[1:]
     commas = np.flatnonzero(buf == ord(",")).astype(offset)
     first = np.searchsorted(commas, lo).astype(offset)  # each row's first comma
     n_fields = np.where(hi > lo, np.searchsorted(commas, hi) - first + 1, 0)
@@ -347,8 +354,6 @@ def _byte_columns(path, data: bytes):
     for a, b in ((0, 0), (1, 1), (2, 2), (3, 3), (4, 6), (7, 7), (8, 8), (9, 9)):
         start = lo if a == 0 else commas[first + (a - 1)] + 1
         fields = _unique_fields(buf, start, hi if b == last else commas[first + b])
-        if fields is None:
-            return None
         columns.append((_decode_pieces(path, data, fields[0].tolist()), fields[1]))
     keys, codes = columns[4]
     cities, rank = intern_ids([tuple(k.split(",")) for k in keys], key=None)
@@ -357,16 +362,19 @@ def _byte_columns(path, data: bytes):
 
 
 def _unique_fields(buf, start, stop):
-    """Sorted distinct fields ``buf[start[i]:stop[i]]`` (an ``S`` array) and each row's code.
+    """Sorted distinct fields ``buf[start[i]:stop[i]]`` as an array, and each row's code.
 
     Each field is copied into a NUL-padded cell whose width is a multiple
     of 8 bytes, and the cells are ranked as rows of big-endian words, whose
-    order is the bytes' order. None when the cells would outgrow ``buf``.
+    order is the bytes' order. When one field is so much wider than the
+    others that the cells would outgrow ``buf``, the column's fields are
+    sorted as ``bytes`` objects instead (an object array).
     """
     width = stop - start
     w = -(-max(int(width.max(initial=0)), 1) // 8) * 8
     if width.size * w > buf.size:
-        return None
+        pieces = [buf[a:b].tobytes() for a, b in zip(start.tolist(), stop.tolist())]
+        return np.unique(np.array(pieces, dtype=object), return_inverse=True)
     room = buf.size - w  # a window of w bytes starting later would pass the end
     cells = sliding_window_view(buf, w)[np.minimum(start, room)]
     cells *= np.arange(w) < width[:, None]
@@ -384,7 +392,7 @@ def _unique_fields(buf, start, stop):
 
 
 def _decode_pieces(path, data: bytes, pieces: list) -> list[str]:
-    """Byte strings cut from ``data`` at commas and LFs, decoded as UTF-8.
+    """Byte strings cut from ``data`` at commas and line ends, decoded as UTF-8.
 
     The cuts fall on ASCII bytes, so a bad piece holds a bad byte of the
     file, and the error names the line of the file's first bad byte.

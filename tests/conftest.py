@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from gigmine.graph import BipartiteGraph, EdgeInfo
+from gigmine.graph import BipartiteGraph, EdgeInfo, intern_ids
 from gigmine.ingest import Corpus, LabelTree
 from gigmine.routes import CitySequence
 
@@ -67,9 +67,9 @@ def corpus_files(tmp_path):
 def make_corpus(events):
     """Corpus from (event_id, artist, venue, date[, city]) tuples.
 
-    Built by ``Corpus.from_events``, which orders events as ``parse_corpus``
-    does; the city defaults to ("NYC", "NY", "US"), popularity is blank and
-    there are no releases or labels.
+    The ids are interned and passed to ``Corpus.from_codes``, which orders
+    events as ``parse_corpus`` does; the city defaults to ("NYC", "NY",
+    "US"), popularity is blank and there are no releases or labels.
     """
     cols = {k: [] for k in ("event_id", "artist_id", "venue_id", "day", "city")}
     for event_id, artist, venue, date, *city in events:
@@ -78,9 +78,14 @@ def make_corpus(events):
         cols["venue_id"].append(venue)
         cols["day"].append(date.toordinal())
         cols["city"].append(city[0] if city else ("NYC", "NY", "US"))
-    return Corpus.from_events(
-        **cols, popularity=[float("nan")] * len(events),
-        releases=(), labels=LabelTree({}, frozenset()),
+    artist_order, artist = intern_ids(cols["artist_id"])
+    venue_order, venue = intern_ids(cols["venue_id"])
+    cities, city = intern_ids(cols["city"], key=None)
+    event_ids, event = intern_ids(cols["event_id"])
+    return Corpus.from_codes(
+        artist_order, artist, venue_order, venue, cities, city,
+        np.array(cols["day"], dtype=np.int64), np.array(event_ids, dtype=object), event,
+        np.full(len(events), np.nan), releases=(), labels=LabelTree({}, frozenset()),
     )
 
 

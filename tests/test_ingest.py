@@ -233,40 +233,60 @@ class TestParsing:
 
     def test_plain_corpus_is_split_in_numpy_and_matches_the_csv_splitter(self, tmp_path):
         generate(GenSpec(n_artists=60, n_venues=30, seed=3), tmp_path / "plain")
-        quoted = tmp_path / "quoted"
-        quoted.mkdir()
+        # LF and CRLF line ends split in numpy; all-quoted fields take csv.reader
+        styles = {"plain": ("\n", csv.QUOTE_MINIMAL), "crlf": ("\r\n", csv.QUOTE_MINIMAL),
+                  "quoted": ("\n", csv.QUOTE_ALL)}
+        for d in ("crlf", "quoted"):
+            (tmp_path / d).mkdir()
         for name in ("events.csv", "releases.csv", "labels.csv"):
             with open(tmp_path / "plain" / name, encoding="utf-8", newline="") as fh:
                 rows = list(csv.reader(fh))
-            # a ragged record and a bad date, to be rejected alike
+            # a ragged record, a bad date and a blank line, to be rejected alike
             if name == "events.csv":
                 rows[5] = rows[5][:4]
                 rows[9][3] = "2010-13-01"
-            for d, quoting in (("plain", csv.QUOTE_MINIMAL), ("quoted", csv.QUOTE_ALL)):
+                rows[12] = []
+            for d, (end, quoting) in styles.items():
                 with open(tmp_path / d / name, "w", encoding="utf-8", newline="") as fh:
-                    csv.writer(fh, lineterminator="\n", quoting=quoting).writerows(rows)
+                    csv.writer(fh, lineterminator=end, quoting=quoting).writerows(rows)
         files = ("events.csv", "releases.csv", "labels.csv")
-        with mock.patch.object(ingest, "_csv_columns", side_effect=AssertionError("csv path")):
-            plain = parse_corpus(*(tmp_path / "plain" / f for f in files))
-        with mock.patch.object(ingest, "_byte_columns", side_effect=AssertionError("byte path")):
-            via_csv = parse_corpus(*(tmp_path / "quoted" / f for f in files))
-        assert plain.load_report.events_rejected == 2
-        for key in ("events", "releases", "labels"):
-            assert plain.load_report.to_dict()[key] == via_csv.load_report.to_dict()[key]
-        assert [d["line"] for d in plain.load_report.diagnostics] == [6, 10]
-        assert (plain.artist_order, plain.venue_order, plain.cities) == (
-            via_csv.artist_order, via_csv.venue_order, via_csv.cities)
-        for col in ("artist", "venue", "day", "city", "event_id"):
-            assert np.array_equal(getattr(plain, col), getattr(via_csv, col))
-        assert np.array_equal(plain.popularity, via_csv.popularity, equal_nan=True)
+        parsed = {}
+        for d in styles:
+            unused = "_byte_columns" if d == "quoted" else "_csv_columns"
+            with mock.patch.object(ingest, unused, side_effect=AssertionError(unused)):
+                parsed[d] = parse_corpus(*(tmp_path / d / f for f in files))
+        plain = parsed["plain"]
+        assert plain.load_report.events_rejected == 3
+        assert [d["line"] for d in plain.load_report.diagnostics] == [6, 10, 13]
+        for other in (parsed["crlf"], parsed["quoted"]):
+            for key in ("events", "releases", "labels"):
+                assert plain.load_report.to_dict()[key] == other.load_report.to_dict()[key]
+            assert (plain.artist_order, plain.venue_order, plain.cities) == (
+                other.artist_order, other.venue_order, other.cities)
+            for col in ("artist", "venue", "day", "city", "event_id"):
+                assert np.array_equal(getattr(plain, col), getattr(other, col))
+            assert np.array_equal(plain.popularity, other.popularity, equal_nan=True)
 
-    def test_a_field_wider_than_the_file_allows_takes_the_csv_splitter(self, corpus_files):
+    def test_a_lone_cr_takes_the_csv_splitter(self, corpus_files):
         rows = [event_row(f"e{i}", "a1", "v1", "2010-05-01") for i in range(3)]
+        paths = corpus_files(rows, [], LABELS)
+        # a CRLF after the header, old-Mac CR line ends after that
+        header, body = paths[0].read_bytes().split(b"\n", 1)
+        paths[0].write_bytes(header + b"\r\n" + body.replace(b"\n", b"\r"))
+        with mock.patch.object(ingest, "_byte_columns", side_effect=AssertionError("byte path")):
+            c = parse_corpus(*paths)
+        assert c.event_id.tolist() == ["e0", "e1", "e2"]
+
+    def test_a_field_wider_than_the_file_allows_is_sorted_as_bytes(self, corpus_files):
+        rows = [event_row(f"e{i}", "a1", "v1", "2010-05-01") for i in range(12)]
         rows[1] = event_row("e1", "a" * 500, "v1", "2010-05-01")
-        with mock.patch.object(ingest, "_csv_columns", wraps=ingest._csv_columns) as spy:
+        rows.append(event_row("e12", "a0", "v1", "2010-13-01"))
+        with mock.patch.object(ingest, "_csv_columns", side_effect=AssertionError("csv path")):
             c = parse_corpus(*corpus_files(rows, [], LABELS))
-        spy.assert_called_once()
         assert c.artist_order == ("a1", "a" * 500)
+        assert c.artist.tolist() == [0] * 11 + [1]
+        assert [(d["line"], d["reason"]) for d in c.load_report.diagnostics] == [
+            (14, "unparseable date '2010-13-01'")]
 
     def test_ids_differing_by_a_trailing_nul_stay_distinct(self):
         day = dt.date(2010, 1, 1)

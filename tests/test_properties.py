@@ -361,7 +361,7 @@ POPS = (["", "55.5", "0", " 3 ", "nan", "1e400"], ["bad", "5%", "1.2.3"])
 
 @st.composite
 def event_files(draw):
-    """Rows of an events.csv, good ones mostly; whether it has a BOM and a final newline."""
+    """Rows of an events.csv, good ones mostly; its line end, whether it has a BOM and a final newline."""
     text = st.text(st.sampled_from(ID_CHARS[draw(st.sampled_from(sorted(ID_CHARS)))]),
                    max_size=3)
     ids = {"e": st.one_of(st.sampled_from(["e0", "e1", "e2"]), text.map("e".__add__)),
@@ -386,28 +386,29 @@ def event_files(draw):
             e, a, v = (draw(ids[k]) if draw(st.integers(0, 29)) else "" for k in "eav")
             rows.append([e, a, v, field(DATES), draw(places), draw(places), draw(places),
                          field(LATS), field(LONS), field(POPS)])
-    return rows, draw(st.booleans()), draw(st.booleans())
+    return rows, draw(st.sampled_from(["\n", "\r\n"])), draw(st.booleans()), draw(st.booleans())
 
 
-def _write_events(path, rows, quoting, bom, final_newline):
+def _write_events(path, rows, end, quoting, bom, final_newline):
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n", quoting=quoting).writerows([EVENT_HEADER, *rows])
-    text = out.getvalue() if final_newline else out.getvalue()[:-1]
+    csv.writer(out, lineterminator=end, quoting=quoting).writerows([EVENT_HEADER, *rows])
+    text = out.getvalue() if final_newline else out.getvalue()[:-len(end)]
     path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
 
 
 @PROPERTY
 @given(event_files())
 def test_parse_corpus_matches_the_row_by_row_reference(files):
-    rows, bom, final_newline = files
+    rows, end, bom, final_newline = files
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, header in (("releases", RELEASE_HEADER), ("labels", LABEL_HEADER)):
             (tmp / f"{name}.csv").write_text(",".join(header) + "\n", encoding="utf-8")
         paths = [tmp / "events.csv", tmp / "releases.csv", tmp / "labels.csv"]
-        # minimal quoting leaves a plain file for numpy; all-quoted ones take csv.reader
+        # minimal quoting leaves a plain file (LF or CRLF) for numpy; all-quoted
+        # ones take csv.reader
         for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
-            _write_events(paths[0], rows, quoting, bom, final_newline)
+            _write_events(paths[0], rows, end, quoting, bom, final_newline)
             events, total, diagnostics = parse_events_reference(paths[0])
             if total and len(diagnostics) / total > 0.10:
                 with pytest.raises(CorpusFormatError, match="tolerance"):

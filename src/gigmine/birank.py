@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from gigmine.errors import GigmineError
 from gigmine.graph import BipartiteGraph, build_graph
@@ -150,7 +150,7 @@ def birank(
     # isolated nodes receive no propagated mass, only their damped seed
     inv_sqrt_u = np.where(du > 0, du, 1.0) ** -0.5 * (du > 0)
     inv_sqrt_p = np.where(dp > 0, dp, 1.0) ** -0.5 * (dp > 0)
-    S = sp.diags(inv_sqrt_u) @ W @ sp.diags(inv_sqrt_p)
+    S = scipy.sparse.diags(inv_sqrt_u) @ W @ scipy.sparse.diags(inv_sqrt_p)
 
     u0 = np.array([seeds.artist_seed[a] for a in g.artist_order])
     p0 = np.array([seeds.venue_seed[v] for v in g.venue_order])

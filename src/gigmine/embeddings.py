@@ -23,7 +23,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 from gigmine.errors import GigmineError, UnknownNodeError
 from gigmine.graph import BipartiteGraph
@@ -131,7 +130,7 @@ def _scatter_rows(buf, n, idx, coef, src_row) -> None:
     data[at] = np.broadcast_to(coef, idx.shape)[order]
     cols = rows.repeat(np.diff(indptr))
     cols[at] = n + src_row[order]
-    s = sp.csr_matrix((data, cols, indptr), shape=(rows.size, len(buf)))
+    s = scipy.sparse.csr_matrix((data, cols, indptr), shape=(rows.size, len(buf)))
     buf[rows] = s @ buf
 
 
@@ -172,6 +171,9 @@ def train_embeddings(
     freq = np.bincount(tokens, minlength=n_nodes).astype(float)
     noise = freq ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())
+    # the rounded sum can end below the largest draw, and searchsorted would
+    # then name a node past the last
+    noise_cdf[-1] = 1.0
 
     n_pairs = centers.size
     total_steps = max(1, epochs * n_pairs)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from gigmine.errors import GigmineError, UnknownNodeError
 
@@ -233,7 +233,7 @@ class BipartiteGraph:
 
     # -- matrix view ----------------------------------------------------------
 
-    def biadjacency(self, values="binary") -> sp.csr_matrix:
+    def biadjacency(self, values="binary") -> scipy.sparse.csr_matrix:
         """Sparse artist x venue matrix in (artist_order, venue_order) layout.
 
         ``values`` selects the entries: "binary" (0/1 incidence), "count"
@@ -244,7 +244,7 @@ class BipartiteGraph:
                 raise ValueError(f"values must be binary|count or an array, got {values!r}")
             values = np.ones(self.n_edges) if values == "binary" else self.count
         shape = (len(self._artist_order), len(self._venue_order))
-        return sp.csr_matrix(
+        return scipy.sparse.csr_matrix(
             (np.array(values, dtype=float), self.col.copy(), self.indptr.copy()), shape=shape
         )
 

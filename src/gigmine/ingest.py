@@ -25,11 +25,12 @@ interns the ids: ``artist_order`` and ``venue_order`` are the sorted (by
 ``str``) tuples of exactly the artists and venues with at least one event,
 and ``cities`` holds the distinct (city, state, country) triples in tuple
 order. Event k is position k of the columns ``artist``, ``venue`` and
-``city`` (indices into those tuples), ``day`` (date ordinal), ``event_id``
-and ``popularity`` (NaN when blank); ``year`` derives from ``day``. Events
-are kept in (artist, day, event_id) order. Coordinates are validated but not
-stored. Filters are masks over the columns, and ``Corpus.select`` keeps the
-masked events and drops the ids left without one.
+``city`` (indices into those tuples), ``day`` (date ordinal), ``event``
+(index into the sorted distinct ``event_ids``) and ``popularity`` (NaN when
+blank); ``year`` derives from ``day`` and ``event_id`` from ``event``.
+Events are kept in (artist, day, event_id) order. Coordinates are validated
+but not stored. Filters are masks over the columns, and ``Corpus.select``
+keeps the masked events and drops the ids left without one.
 
 Preprocessing follows the order: keep artists whose first recorded event is
 2007 or later, compute change points, then drop low-activity artists and
@@ -68,6 +69,7 @@ POST_PLATFORM_CUTOFF = dt.date(2007, 1, 1)
 _DATE = re.compile(r"([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?")
 _EPOCH = dt.date(1970, 1, 1).toordinal()
 _NEVER = np.iinfo(np.int64).max
+_BLOCK = 1 << 20  # bytes of events.csv searched at a time for line ends and commas
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,11 +125,12 @@ class Corpus:
     columns. The column arrays are read-only.
     """
 
-    def __init__(self, artist_order, venue_order, cities, artist, venue, day, city, event_id,
-                 popularity, releases, labels, undated_releases=(), load_report=None):
+    def __init__(self, artist_order, venue_order, cities, artist, venue, day, city, event_ids,
+                 event, popularity, releases, labels, undated_releases=(), load_report=None):
         self.artist_order, self.venue_order, self.cities = artist_order, venue_order, cities
-        self.artist, self.venue, self.day, self.city = map(_frozen, (artist, venue, day, city))
-        self.event_id = _frozen(event_id, dtype=object)
+        self.artist, self.venue, self.day, self.city, self.event = map(
+            _frozen, (artist, venue, day, city, event))
+        self.event_ids = event_ids
         self.popularity = _frozen(popularity, dtype=float)
         self.releases = tuple(releases)
         self.undated_releases = tuple(undated_releases)
@@ -144,14 +147,14 @@ class Corpus:
         """Order events given as per-event codes into the (artist, day, event_id) layout.
 
         ``artist``, ``venue`` and ``city`` index the orders, which hold
-        exactly the values used; ``event`` indexes the sorted ``event_ids``
-        (an object array). ``rest`` passes releases, labels,
-        undated_releases and load_report.
+        exactly the values used; ``event`` indexes the sorted ``event_ids``,
+        an array of ``str`` or of their UTF-8 bytes (see ``event_id``).
+        ``rest`` passes releases, labels, undated_releases and load_report.
         """
         order = np.lexsort((event, day, artist))
         return cls(
             artist_order, venue_order, cities, artist[order], venue[order], day[order],
-            city[order], event_ids[event[order]], popularity[order], **rest,
+            city[order], event_ids, event[order], popularity[order], **rest,
         )
 
     def select(self, keep) -> "Corpus":
@@ -168,11 +171,25 @@ class Corpus:
         kept = frozenset(artist_order)
         return Corpus(
             artist_order, venue_order, cities, artist, venue, self.day[keep], city,
-            self.event_id[keep], self.popularity[keep],
+            self.event_ids, self.event[keep], self.popularity[keep],
             releases=[r for r in self.releases if r.artist_id in kept],
             undated_releases=[(a, l) for a, l in self.undated_releases if a in kept],
             labels=self.labels, load_report=self.load_report,
         )
+
+    @cached_property
+    def event_id(self) -> np.ndarray:
+        """Each event's id as ``str`` (an object array), decoded on first access.
+
+        The numpy splitter hands over ``event_ids`` as bytes: no command
+        reads the ids, and one object per distinct id would cost more than
+        the column of codes.
+        """
+        ids = self.event_ids.tolist()
+        if ids and isinstance(ids[0], bytes):
+            # the splitter checked each id is UTF-8 and cut none at a newline
+            ids = b"\n".join(ids).decode("utf-8").split("\n")
+        return _frozen(np.array(ids, dtype=object)[self.event], dtype=object)
 
     @cached_property
     def year(self) -> np.ndarray:
@@ -215,21 +232,33 @@ class Corpus:
 def _read_bytes(path) -> bytes:
     """The bytes of a corpus file, without a leading UTF-8 BOM."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        # unbuffered, so reading past a BOM costs no copy of the file
+        with open(path, "rb", buffering=0) as fh:
+            if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+                fh.seek(0)
+            return fh.read()
     except OSError as exc:
         raise CorpusFormatError(f"cannot read {path}: {exc}") from exc
-    return data[len(codecs.BOM_UTF8):] if data.startswith(codecs.BOM_UTF8) else data
 
 
-def _decode(path, data: bytes) -> str:
-    """``data`` as UTF-8, else CorpusFormatError naming the line of the first bad byte."""
+def _decode(path, data: bytes, expected_header=None) -> str:
+    """``data`` as UTF-8, else CorpusFormatError naming the line of the first bad byte.
+
+    Given the ``expected_header`` of the CSV file ``data``, a header that
+    ends before that line and is wrong fails as a header mismatch instead,
+    as it does when the header is checked first.
+    """
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        raise CorpusFormatError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
+        head, reason = data[:exc.start], exc.reason
+    line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+    if expected_header is not None:
+        reader = csv.reader(io.StringIO(head.decode("utf-8"), newline=""))
+        header = next(reader, None)
+        if header is not None and reader.line_num < line:
+            _check_header(path, header, expected_header)
+    raise CorpusFormatError(f"{path}: line {line}: not UTF-8 ({reason})")
 
 
 def _check_header(path, header, expected):
@@ -257,7 +286,7 @@ def _records(path, data: bytes, expected_header):
     except csv.Error as exc:
         raise CorpusFormatError(f"{path}: line {line}: {exc}") from None
     except UnicodeDecodeError:
-        _decode(path, data)
+        _decode(path, data, expected_header)
         raise
 
 
@@ -275,13 +304,19 @@ def _parse_date(text: str) -> dt.date:
 
 def _parse_events(path, report: LoadReport) -> dict:
     """The accepted records of events.csv as ``Corpus.from_codes`` arguments."""
+    # the file's bytes are freed before the checks, which take only the columns
+    return _check_events(path, report, *_split_events(path))
+
+
+def _split_events(path):
+    """Split events.csv into what ``_check_events`` takes."""
     data = _read_bytes(path)
     # quotes and lone CRs are csv.reader's to read, and numpy's NUL-padded
     # cells would drop NUL bytes; CRLF line ends split in numpy as LF ones do
     plain = b'"' not in data and b"\0" not in data and (
-        data.count(b"\r") == data.count(b"\r\n"))
+        b"\r" not in data or data.count(b"\r") == data.count(b"\r\n"))
     split = _byte_columns if plain else _csv_columns
-    return _check_events(path, report, *split(path, data))
+    return split(path, data)
 
 
 def _csv_columns(path, data: bytes):
@@ -329,7 +364,7 @@ def _byte_columns(path, data: bytes):
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     offset = np.int32 if buf.size < np.iinfo(np.int32).max else np.int64
-    ends = np.flatnonzero(buf == ord("\n")).astype(offset)
+    ends = _offsets(buf, b"\n", offset)
     if not data.endswith(b"\n"):
         ends = np.append(ends, offset(buf.size))
     if not data:
@@ -340,25 +375,48 @@ def _byte_columns(path, data: bytes):
     _check_header(path, header.split(",") if header else [], EVENT_HEADER)
 
     lo, hi = ends[:-1] + 1, stops[1:]
-    commas = np.flatnonzero(buf == ord(",")).astype(offset)
+    commas = _offsets(buf, b",", offset)
     first = np.searchsorted(commas, lo).astype(offset)  # each row's first comma
-    n_fields = np.where(hi > lo, np.searchsorted(commas, hi) - first + 1, 0)
-    line = np.arange(2, lo.size + 2)
+    n_fields = np.searchsorted(commas, hi).astype(offset) - first + 1
+    n_fields[hi <= lo] = 0  # a blank line
+    line = np.arange(2, lo.size + 2, dtype=offset)
     good = n_fields == len(EVENT_HEADER)
     ragged = list(zip(line[~good].tolist(), n_fields[~good].tolist()))
     _decode_pieces(path, data, [data[a:b] for a, b in zip(lo[~good].tolist(), hi[~good].tolist())])
-    lo, hi, first, line = lo[good], hi[good], first[good], line[good]
+    if not good.all():  # copied only when a record is dropped
+        lo, hi, first, line = lo[good], hi[good], first[good], line[good]
     last = len(EVENT_HEADER) - 1
     columns = []
     # city, state and country are adjacent, so one key covers the three
     for a, b in ((0, 0), (1, 1), (2, 2), (3, 3), (4, 6), (7, 7), (8, 8), (9, 9)):
         start = lo if a == 0 else commas[first + (a - 1)] + 1
-        fields = _unique_fields(buf, start, hi if b == last else commas[first + b])
-        columns.append((_decode_pieces(path, data, fields[0].tolist()), fields[1]))
+        values, codes = _unique_fields(buf, start, hi if b == last else commas[first + b])
+        if a == 0:  # event ids stay bytes until read (Corpus.event_id)
+            _check_utf8(path, data, values)
+        else:
+            values = _decode_pieces(path, data, values.tolist())
+        columns.append((values, codes))
     keys, codes = columns[4]
     cities, rank = intern_ids([tuple(k.split(",")) for k in keys], key=None)
     columns[4] = (cities, rank[codes])  # in tuple order, not in the keys' byte order
     return line, ragged, columns
+
+
+def _offsets(buf, byte: bytes, dtype) -> np.ndarray:
+    """The positions of ``byte`` in ``buf``, in ``dtype``.
+
+    Counted, then found, ``_BLOCK`` bytes at a time, so no file-sized mask
+    or int64 offsets are formed.
+    """
+    blocks = range(0, buf.size, _BLOCK)
+    out = np.empty(sum(np.count_nonzero(buf[lo:lo + _BLOCK] == ord(byte)) for lo in blocks),
+                   dtype=dtype)
+    n = 0
+    for lo in blocks:
+        at = np.flatnonzero(buf[lo:lo + _BLOCK] == ord(byte))
+        out[n:n + at.size] = at + lo
+        n += at.size
+    return out
 
 
 def _unique_fields(buf, start, stop):
@@ -386,9 +444,28 @@ def _unique_fields(buf, start, stop):
     words = words[order]
     new = np.ones(order.size, dtype=bool)
     new[1:] = (words[1:] != words[:-1]).any(axis=1)
-    codes = np.empty(order.size, dtype=np.int64)
-    codes[order] = np.cumsum(new) - 1
+    codes = np.empty(order.size, dtype=start.dtype)
+    codes[order] = np.cumsum(new, dtype=codes.dtype) - 1
     return cells[order[new]].view(f"S{w}").ravel(), codes
+
+
+def _check_utf8(path, data: bytes, values) -> None:
+    """CorpusFormatError unless every value ``_unique_fields`` returned is UTF-8.
+
+    Each NUL-padded cell is checked with a newline after it, so a field
+    that fills its cell cannot end in the middle of a character that the
+    next cell completes; no ``str`` is kept.
+    """
+    if values.dtype == object:  # the bytes objects of a wide column
+        _decode_pieces(path, data, values.tolist())
+        return
+    cells = values.view(np.uint8).reshape(values.size, values.itemsize)
+    lines = np.hstack([cells, np.full((values.size, 1), ord("\n"), dtype=np.uint8)])
+    try:
+        str(lines, "utf-8")
+    except UnicodeDecodeError:
+        _decode(path, data)
+        raise
 
 
 def _decode_pieces(path, data: bytes, pieces: list) -> list[str]:
@@ -447,6 +524,8 @@ def _check_events(path, report: LoadReport, line, ragged, columns) -> dict:
     first_line[eid[passed[first]]] = line[passed[first]]
     for i in passed[repeat].tolist():
         event_id, first_on = eid_v[eid[i]], first_line[eid[i]]
+        if isinstance(event_id, bytes):
+            event_id = event_id.decode("utf-8")
         rejects.append((int(line[i]), f"duplicate event_id {event_id!r}, first on line {first_on}"))
     report.events_total += line.size + len(ragged)
     for line_no, reason in sorted(rejects):
@@ -458,7 +537,9 @@ def _check_events(path, report: LoadReport, line, ragged, columns) -> dict:
     cities, city = _used(city_v, city[keep])
     return dict(
         artist_order=artist_order, artist=artist, venue_order=venue_order, venue=venue,
-        cities=cities, city=city, day=day[keep], event_ids=np.array(eid_v, dtype=object),
+        cities=cities, city=city, day=day[keep],
+        # the numpy splitter's ids are an array of bytes, csv.reader's a list
+        event_ids=eid_v if isinstance(eid_v, np.ndarray) else np.array(eid_v, dtype=object),
         event=eid[keep], popularity=pop_f[pop[keep]],
     )
 
@@ -486,7 +567,7 @@ def _floats(values, blank_ok=False):
 
 def _blank(values, codes) -> np.ndarray:
     """Mask of the codes of the empty value, given values in sorted order."""
-    return (codes == 0) & ("" in values[:1])
+    return (codes == 0) & (len(values) > 0 and not values[0])
 
 
 def _used(values, codes):

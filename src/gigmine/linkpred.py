@@ -219,6 +219,9 @@ def score_preferential_attachment(g: BipartiteGraph, a, v) -> int:
 # cells per block of rows of A2 or V2 in heuristic_scores, counted over the
 # wider of the two (n_a or n_v cells a row)
 _CHUNK_CELLS = 1 << 20
+# neighbor entries per ragged gather of heuristic_scores; each takes about
+# 40 bytes of index and weight scratch
+_GATHER = 1 << 18
 
 
 def _spans(indptr, keys):
@@ -228,17 +231,31 @@ def _spans(indptr, keys):
     return np.arange(lens.sum()) + np.repeat(first - np.cumsum(lens) + lens, lens), lens
 
 
+def _parts(sizes) -> list[slice]:
+    """Runs of consecutive items whose ``sizes`` sum to about ``_GATHER`` each.
+
+    A run exceeds ``_GATHER`` by less than its first item's size; a run
+    after an item larger than that may be empty.
+    """
+    reach = np.cumsum(sizes)
+    cuts = np.searchsorted(reach, np.arange(_GATHER, reach.max(initial=0), _GATHER),
+                           side="right")
+    bounds = [0, *cuts.tolist(), len(sizes)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def _hop_block(S, ST, lo, hi) -> np.ndarray:
     """Rows lo:hi of 1[S S' > 0] as a dense boolean block; ``ST`` is S' in CSR.
 
-    Set cell by cell along the two-step paths from each row, so no product
-    is formed.
+    Set cell by cell along the two-step paths from each row, about
+    ``_GATHER`` paths at a time, so no product is formed.
     """
     P = S[lo:hi]
-    at, lens = _spans(ST.indptr, P.indices)
     block = np.zeros((P.shape[0], ST.shape[1]), dtype=bool)
     row_start = np.repeat(np.arange(0, block.size, ST.shape[1]), np.diff(P.indptr))
-    block.ravel()[np.repeat(row_start, lens) + ST.indices[at]] = True
+    for part in _parts(np.diff(ST.indptr)[P.indices]):
+        at, lens = _spans(ST.indptr, P.indices[part])
+        block.ravel()[np.repeat(row_start[part], lens) + ST.indices[at]] = True
     return block
 
 
@@ -246,23 +263,25 @@ def _side_counts(S, ST, keys, others, step):
     """Per pair k: Σ_{n ∈ N(others[k])} H[keys[k], n] and |N2(keys[k])|, H = 1[S S' > 0].
 
     N(o) is row o of ``ST``. H is formed ``step`` rows at a time, only where
-    pairs need it, and each block's sums are one ragged gather over the
-    pairs' neighbor lists.
+    pairs need it, and each block's sums are ragged gathers over the pairs'
+    neighbor lists, about ``_GATHER`` entries at a time however many pairs
+    the block has.
     """
     hits, n2 = np.zeros(keys.size), np.zeros(keys.size)
     order = np.argsort(keys, kind="stable")
     bounds = np.searchsorted(keys[order], np.arange(0, S.shape[0] + step, step))
+    degree = np.diff(ST.indptr)
     for lo, start, stop in zip(range(0, S.shape[0], step), bounds, bounds[1:]):
         if start == stop:
             continue
         block = _hop_block(S, ST, lo, lo + step)
         sel = order[start:stop]
-        r = keys[sel] - lo
-        at, lens = _spans(ST.indptr, others[sel])
-        found = block.ravel()[np.repeat(r * block.shape[1], lens) + ST.indices[at]]
-        hits[sel] = np.bincount(np.repeat(np.arange(sel.size), lens), weights=found,
-                                minlength=sel.size)
-        n2[sel] = np.count_nonzero(block, axis=1)[r]
+        n2[sel] = np.count_nonzero(block, axis=1)[keys[sel] - lo]
+        for part in (sel[run] for run in _parts(degree[others[sel]])):
+            at, lens = _spans(ST.indptr, others[part])
+            cell = np.repeat((keys[part] - lo) * block.shape[1], lens) + ST.indices[at]
+            hits[part] = np.bincount(np.repeat(np.arange(part.size), lens),
+                                     weights=block.ravel()[cell], minlength=part.size)
     return hits, n2
 
 

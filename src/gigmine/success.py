@@ -19,7 +19,6 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 from gigmine.errors import GigmineError
 from gigmine.metrics import precision_recall_f1, roc_auc
@@ -38,7 +37,7 @@ def truncate_events(corpus, labels: Mapping) -> np.ndarray:
     return corpus.before({a: lab.change_point for a, lab in labels.items()})
 
 
-def build_features(corpus, keep, mode: str = "count") -> sp.csr_matrix:
+def build_features(corpus, keep, mode: str = "count") -> scipy.sparse.csr_matrix:
     """Artist-by-venue affiliation matrix of the corpus events where ``keep`` holds.
 
     Rows follow ``corpus.artist_order`` (artists without kept events get
@@ -49,7 +48,7 @@ def build_features(corpus, keep, mode: str = "count") -> sp.csr_matrix:
     if mode not in ("count", "binary", "log"):
         raise GigmineError(f"unknown affiliation mode: {mode!r}")
     venues, cols = np.unique(corpus.venue[keep], return_inverse=True)
-    mat = sp.csr_matrix(
+    mat = scipy.sparse.csr_matrix(
         (np.ones(cols.size), (corpus.artist[keep], cols)),
         shape=(len(corpus.artist_order), venues.size),
     )
@@ -101,8 +100,8 @@ class SVDReducer:
         if 2 * self.k + 1 < min(n, m):
             rng = np.random.default_rng(self.seed)
             v0 = rng.standard_normal(min(n, m))
-            u, s, vt = sp.linalg.svds(
-                sp.csr_matrix(X, dtype=float), k=self.k, v0=v0
+            u, s, vt = scipy.sparse.linalg.svds(
+                scipy.sparse.csr_matrix(X, dtype=float), k=self.k, v0=v0
             )
             order = np.argsort(s)[::-1]
             s, vt = s[order], vt[order]
@@ -110,7 +109,7 @@ class SVDReducer:
         else:
             # ARPACK's default Lanczos basis (2k + 1 vectors) would already
             # span the short side, so a dense factorisation costs less
-            dense = X.toarray(order="F") if sp.issparse(X) else np.array(X, order="F")
+            dense = X.toarray(order="F") if scipy.sparse.issparse(X) else np.array(X, order="F")
             u, s, vt = scipy.linalg.svd(
                 dense.astype(float, copy=False),
                 full_matrices=False,

@@ -40,6 +40,7 @@ def add_at_sgns(walks, dim, window, epochs, seed, chunk_size):
     freq = np.bincount(tokens, minlength=n_nodes).astype(float)
     noise = freq ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())
+    noise_cdf[-1] = 1.0
     n_pairs = centers.size
     total_steps = max(1, epochs * n_pairs)
     done = 0
@@ -214,6 +215,33 @@ class TestTraining:
             got, losses = train_embeddings(walks, dim=8, window=3, epochs=2, seed=4)
         assert np.array_equal(got, want)
         assert losses == want_losses
+
+    def test_the_highest_noise_draw_names_a_node(self, monkeypatch):
+        # token counts whose noise CDF, summed in floating point, ends below
+        # the largest draw; every draw is that draw, and each update must
+        # land on a node, not in the buffer rows past the last one
+        top = np.nextafter(1.0, 0.0)
+        counts = np.random.default_rng(0).integers(1, 50, size=(200, 7))
+        noise = counts ** 0.75
+        low = np.cumsum(noise / noise.sum(axis=1, keepdims=True), axis=1)[:, -1] < top
+        walks = [np.repeat(np.arange(7), counts[np.argmax(low)]).tolist()]
+        assert low.any()
+
+        class TopDraws:
+            def random(self, shape):
+                return np.full(shape, top)
+
+        in_range = []
+
+        def spy(buf, n, idx, coef, src_row):
+            in_range.append(bool(idx.max() < n))
+            real(buf, n, idx, coef, src_row)
+
+        real = embeddings._scatter_rows
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: TopDraws())
+        monkeypatch.setattr(embeddings, "_scatter_rows", spy)
+        train_embeddings(walks, dim=4, window=2, epochs=1, seed=0)
+        assert in_range and all(in_range)
 
 
 class TestScoring:

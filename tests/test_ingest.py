@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -293,6 +294,78 @@ class TestParsing:
         c = make_corpus([("e1", "a", "v1", day), ("e2", "a\0", "v1", day)])
         assert c.artist_order == ("a", "a\0")
         assert c.artist.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("data, error", [
+        (b"event_id,artist\ne1,\xff", "header mismatch"),
+        (b'event_id,"artist"\ne1,\xff', "header mismatch"),
+        (b"event_id,art\xffist\ne1,x", "line 1: not UTF-8"),
+        (b'event_id,"art\xffist"\ne1,x', "line 1: not UTF-8"),
+        (b'\xffevent_id,"artist"\ne1,x', "line 1: not UTF-8"),
+    ])
+    def test_both_splitters_check_a_whole_header_before_a_bad_byte(self, corpus_files, data,
+                                                                   error):
+        # the quoted files take csv.reader, the others the numpy splitter
+        paths = corpus_files([], [], LABELS)
+        paths[0].write_bytes(data)
+        with pytest.raises(CorpusFormatError, match=f"events.csv: {error}"):
+            parse_corpus(*paths)
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_event_ids_read_back_as_str_from_either_splitter(self, corpus_files, quoted):
+        rows = [event_row(f"\u00e9{i}", "a1", "v1", "2010-05-01") for i in range(10)]
+        rows.append(event_row("\u00e91", "a1", "v1", "2010-05-02"))
+        paths = corpus_files([], [], LABELS)
+        paths[0].write_bytes(b"\xef\xbb\xbf")  # a BOM, read past on either splitter
+        with open(paths[0], "a", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n",
+                                quoting=csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL)
+            writer.writerows([EVENT_HEADER, *rows])
+        c = parse_corpus(*paths)
+        assert c.event_id.tolist() == [f"\u00e9{i}" for i in range(10)]
+        assert c.select(c.event >= 5).event_id.tolist() == [f"\u00e9{i}" for i in range(5, 10)]
+        assert [d["reason"] for d in c.load_report.diagnostics] == [
+            "duplicate event_id '\u00e91', first on line 3"]
+
+    def test_an_id_cut_inside_a_character_is_not_utf8_when_the_next_id_ends_it(self,
+                                                                               corpus_files):
+        # 8 bytes ending in a lead byte fill their NUL-padded cell, and the
+        # lone continuation byte sorts right after them
+        rows = [event_row(f"A{i}", "a1", "v1", "2010-05-01") for i in range(10)]
+        rows[4][0] = "abcdefg\udcc3"
+        rows[6][0] = "\udca9"
+        paths = corpus_files([], [], LABELS)
+        with open(paths[0], "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([EVENT_HEADER, *rows])
+        with pytest.raises(CorpusFormatError, match="events.csv: line 6: not UTF-8"):
+            parse_corpus(*paths)
+
+    def test_parse_peak_stays_near_the_file_size(self, tmp_path, monkeypatch):
+        # the peak is the file's bytes, the int32 offsets of its commas and
+        # a few arrays per record; a file-sized mask with an int64 copy of
+        # the comma offsets would add about the file's size before the
+        # first column is cut, and str objects per event id or int64 codes
+        # per column would raise the peak after it
+        generate(GenSpec(n_artists=500, n_venues=300, seed=1), tmp_path)
+        path = tmp_path / "events.csv"
+        size = path.stat().st_size
+        # blocks far smaller than the file, as on a corpus of paper scale
+        monkeypatch.setattr(ingest, "_BLOCK", 1 << 16)
+        at_first_cut = []
+        real = ingest._unique_fields
+
+        def spy(*args):
+            at_first_cut.append(tracemalloc.get_traced_memory()[1])
+            return real(*args)
+
+        monkeypatch.setattr(ingest, "_unique_fields", spy)
+        tracemalloc.start()
+        try:
+            ingest._parse_events(path, ingest.LoadReport())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert at_first_cut[0] < 2.5 * size
+        assert peak < 4.0 * size
 
 
 class TestPostPlatformFilter:

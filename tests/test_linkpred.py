@@ -131,6 +131,34 @@ class TestHeuristics:
             pa_oracle(edge_pairs, a, v) for a, v in pairs
         ]
 
+    # one neighbor entry a gather (runs after a wider node come out empty)
+    # and a few
+    @pytest.mark.parametrize("gather", [1, 7])
+    def test_gathers_split_by_degree_match_brute_force(self, gather):
+        g = random_bipartite(np.random.default_rng(gather), 13, 9, 0.25)
+        g = BipartiteGraph([*g.artist_order, "lone"], [*g.venue_order, "empty"], g.edges)
+        n_a, n_v = len(g.artist_order), len(g.venue_order)
+        rows, cols = np.divmod(np.arange(n_a * n_v), n_v)
+        real, bounded = linkpred._spans, []
+
+        def spy(indptr, keys):
+            at, lens = real(indptr, keys)
+            # a run passes the budget by less than its first node's degree
+            bounded.append(lens.size == 0 or lens.sum() < gather + lens[0])
+            return at, lens
+
+        with mock.patch.object(linkpred, "_GATHER", gather), \
+                mock.patch.object(linkpred, "_spans", spy):
+            got = linkpred.heuristic_scores(g, rows, cols)
+        assert len(bounded) > 4 * n_a and all(bounded)
+        edge_pairs = list(g.edges)
+        pairs = g.id_pairs(rows, cols)
+        assert got["common_neighbors"].tolist() == [cn_oracle(edge_pairs, a, v) for a, v in pairs]
+        assert got["jaccard"].tolist() == [jaccard_oracle(edge_pairs, a, v) for a, v in pairs]
+        assert got["preferential_attachment"].tolist() == [
+            pa_oracle(edge_pairs, a, v) for a, v in pairs
+        ]
+
 
 class TestSplitSpec:
     def test_bad_kind(self):

@@ -100,7 +100,9 @@ class BipartiteGraph:
         self.row, self.col = _frozen(row), _frozen(col)
         self.count, self.first_year = _frozen(count), _frozen(first_year)
         self.indptr = _frozen(np.searchsorted(self.row, np.arange(len(self._artist_order) + 1)))
-        self._by_venue = _frozen(np.argsort(self.col, kind="stable"))  # CSC edge order
+        # CSC edge order; numpy runs a stable sort of ints this small as a radix sort
+        small = self.col.astype(np.min_scalar_type(len(self._venue_order)))
+        self._by_venue = _frozen(np.argsort(small, kind="stable"))
         self.csc_indices = _frozen(self.row[self._by_venue])
         self.csc_indptr = _frozen(
             np.searchsorted(self.col[self._by_venue], np.arange(len(self._venue_order) + 1))
@@ -263,6 +265,76 @@ def intern_ids(ids: Sequence, key=str) -> tuple[tuple, np.ndarray]:
     return order, np.array([index[x] for x in ids], dtype=np.int64)
 
 
+_KEY_SPAN = 1 << 63  # packed keys are int64, so each stays below this
+
+
+def rank_rows(columns, stable=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense lexicographic rank of the rows of int columns, their sort order and run starts.
+
+    ``columns`` is as ``pack_rows`` takes it, and the packed key gets one
+    ``np.argsort``. Returns ``(rank, order, first)``: each row's rank among
+    the distinct rows (int32 when the rows fit), an order that sorts the
+    rows, and the mask of the sorted positions that start a run of equal
+    rows, so ``order[first]`` holds one row of each rank. Rows equal on
+    every column keep their input order when ``stable``, and come in any
+    order otherwise.
+    """
+    return _dense_rank(pack_rows(columns), stable)
+
+
+def pack_rows(columns) -> np.ndarray:
+    """One int key per row of int columns, ordered as the rows are.
+
+    ``columns`` yields ``(values, bound)`` pairs, first column first, each
+    an array of ints in ``[0, bound)``; it is read one column at a time.
+    The columns are packed into one int64 key, mixed-radix by their bounds
+    (a single column is its own key). A column bound of 2**63 or more
+    (uint64 words) is ranked before it is packed, and when the next factor
+    would take the key to 2**63 the partial key is re-ranked first, then
+    the column if that is not enough.
+    """
+    key, owned = None, False  # owned: key is an int64 array of this call's own
+    for values, bound in columns:
+        if key is None:
+            key, size = values, bound
+            continue
+        if bound >= _KEY_SPAN:
+            values, bound = _reranked(values)
+        if size * bound >= _KEY_SPAN:
+            (key, size), owned = _reranked(key), False
+            if size * bound >= _KEY_SPAN:
+                values, bound = _reranked(values)
+        if owned:
+            key *= bound
+        else:
+            key, owned = np.multiply(key, bound, dtype=np.int64), True
+        key += values
+        size *= bound
+    return key
+
+
+def _dense_rank(key, stable=False):
+    """``rank_rows`` of a single column of keys, in any int dtype."""
+    order = np.argsort(key)
+    ordered = key[order]
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    del ordered
+    if stable and not first.all():  # only tied keys can come out of input order
+        order = np.argsort(key, kind="stable")
+    dtype = np.int32 if key.size <= np.iinfo(np.int32).max else np.int64
+    rank = np.empty(key.size, dtype=dtype)
+    rank[order] = np.cumsum(first, dtype=dtype) - 1
+    return rank, order, first
+
+
+def _reranked(key):
+    """The dense rank of each key, and the number of distinct keys."""
+    rank, _, first = _dense_rank(key)
+    return rank, int(np.count_nonzero(first))
+
+
 def build_graph(events) -> BipartiteGraph:
     """Build the bipartite graph from a corpus or from ``(artist, venue, year)`` triples.
 
@@ -291,9 +363,11 @@ def build_graph(events) -> BipartiteGraph:
         artist_order, a_code = intern_ids(artists)
         venue_order, v_code = intern_ids(venues)
         years = np.array(years, dtype=np.int64)
-    # one sort by (pair code, year) groups each edge's events, earliest first
+    # one sort of the packed key pair code x year span + (year - min year)
+    # groups each edge's events, earliest first
     codes = a_code * len(venue_order) + v_code
-    order = np.lexsort((years, codes))
+    y0, y1 = (int(years.min()), int(years.max())) if years.size else (0, 0)
+    order = rank_rows([(codes, len(artist_order) * len(venue_order)), (years - y0, y1 - y0 + 1)])[1]
     codes = codes[order]
     starts = np.flatnonzero(np.diff(codes, prepend=-1))
     row, col = np.divmod(codes[starts], len(venue_order))

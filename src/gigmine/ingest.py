@@ -16,9 +16,10 @@ that does not end a line as part of CRLF, goes through ``csv.reader``, and
 each record's fields are interned as the records stream in. Any other file
 (LF or CRLF line ends) is split in numpy on its line-end and comma bytes,
 and each column is keyed by one sort of its fields as NUL-padded
-fixed-width bytes (the padding is why NUL bytes take the csv route). Both
-hand each column's sorted distinct values and per-record codes to one
-validator, which checks every distinct value once.
+fixed-width bytes (the padding is why NUL bytes take the csv route): the
+big-endian words of each field are packed into one int64 key
+(``graph.rank_rows``). Both hand each column's sorted distinct values and
+per-record codes to one validator, which checks every distinct value once.
 
 A corpus stores its events once, as interned columns. ``parse_corpus``
 interns the ids: ``artist_order`` and ``venue_order`` are the sorted (by
@@ -56,7 +57,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gigmine.errors import CorpusFormatError, GigmineError
-from gigmine.graph import BipartiteGraph, _frozen, intern_ids
+from gigmine.graph import BipartiteGraph, _frozen, intern_ids, rank_rows
 from gigmine.labeling import LabelNode, LabelTree
 
 EVENT_HEADER = ["event_id", "artist_id", "venue_id", "date", "city", "state", "country", "lat", "lon", "popularity"]
@@ -149,9 +150,12 @@ class Corpus:
         ``artist``, ``venue`` and ``city`` index the orders, which hold
         exactly the values used; ``event`` indexes the sorted ``event_ids``,
         an array of ``str`` or of their UTF-8 bytes (see ``event_id``).
+        Events tying on (artist, day, event) keep their input order.
         ``rest`` passes releases, labels, undated_releases and load_report.
         """
-        order = np.lexsort((event, day, artist))
+        d0, d1 = (int(day.min()), int(day.max())) if day.size else (0, 0)
+        columns = (artist, len(artist_order)), (day - d0, d1 - d0 + 1), (event, len(event_ids))
+        order = rank_rows(columns, stable=True)[1]
         return cls(
             artist_order, venue_order, cities, artist[order], venue[order], day[order],
             city[order], event_ids, event[order], popularity[order], **rest,
@@ -423,30 +427,51 @@ def _unique_fields(buf, start, stop):
     """Sorted distinct fields ``buf[start[i]:stop[i]]`` as an array, and each row's code.
 
     Each field is copied into a NUL-padded cell whose width is a multiple
-    of 8 bytes, and the cells are ranked as rows of big-endian words, whose
-    order is the bytes' order. When one field is so much wider than the
-    others that the cells would outgrow ``buf``, the column's fields are
-    sorted as ``bytes`` objects instead (an object array).
+    of 8 bytes. The cell's big-endian words, whose order is the bytes'
+    order, are packed into one int64 key (see ``_word_columns``), which
+    ``rank_rows`` sorts once; the codes keep the offsets' dtype. When one
+    field is so much wider than the others that the cells would outgrow
+    ``buf``, the column's fields are sorted as ``bytes`` objects instead
+    (an object array).
     """
     width = stop - start
     w = -(-max(int(width.max(initial=0)), 1) // 8) * 8
     if width.size * w > buf.size:
         pieces = [buf[a:b].tobytes() for a, b in zip(start.tolist(), stop.tolist())]
-        return np.unique(np.array(pieces, dtype=object), return_inverse=True)
+        values, codes = np.unique(np.array(pieces, dtype=object), return_inverse=True)
+        return values, codes.astype(start.dtype)
     room = buf.size - w  # a window of w bytes starting later would pass the end
     cells = sliding_window_view(buf, w)[np.minimum(start, room)]
-    cells *= np.arange(w) < width[:, None]
     for i in np.flatnonzero(start > room).tolist():
         cells[i] = 0
         cells[i, :width[i]] = buf[start[i]:stop[i]]
-    words = cells.view(">u8").astype(np.uint64)
-    order = np.lexsort(words.T[::-1])
-    words = words[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (words[1:] != words[:-1]).any(axis=1)
-    codes = np.empty(order.size, dtype=start.dtype)
-    codes[order] = np.cumsum(new, dtype=codes.dtype) - 1
-    return cells[order[new]].view(f"S{w}").ravel(), codes
+    rank, order, first = rank_rows(_word_columns(cells, width))
+    rows = order[first]
+    values = cells[rows]
+    values *= np.arange(w) < width[rows, None]  # the bytes past each field are the next ones
+    return values.view(f"S{w}").ravel(), rank.astype(start.dtype, copy=False)
+
+
+# the mask of the first k bytes of a big-endian word, for k = 0..8
+_WORD_HEAD = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
+
+
+def _word_columns(cells, width):
+    """The big-endian words of fields cut from fixed-width cells, as ``pack_rows`` takes them.
+
+    The bytes of a cell past its field's ``width`` are zeroed, and the
+    trailing zero bits that a column's words all share are shifted out, so
+    a column that then fits int64 is packed under its own bound rather than
+    ranked first.
+    """
+    words = cells.view(">u8")
+    for j in range(words.shape[1]):
+        col = words[:, j].astype(np.uint64)
+        col &= _WORD_HEAD[np.clip(width - 8 * j, 0, 8)]
+        low = int(np.bitwise_or.reduce(col))
+        col >>= max((low & -low).bit_length() - 1, 0)
+        top = int(col.max(initial=0))
+        yield (col.view(np.int64), top + 1) if top < 1 << 63 else (col, 1 << 64)
 
 
 def _check_utf8(path, data: bytes, values) -> None:

@@ -7,8 +7,9 @@ lexicographically smaller orientation, since tours run both ways.
 
 A city is the (city, state, country) triple, so namesakes in different
 regions stay distinct. Sequences hold codes into a city table in tuple
-order (the corpus's ``cities``), so n-grams are counted as rows of codes
-and comparing two code rows compares the routes they stand for.
+order (the corpus's ``cities``), so an n-gram's codes packed into one int64
+key (``graph.pack_rows``) compare as the route they stand for: n-grams are
+counted by their keys, and only the routes returned are decoded to cities.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from gigmine.errors import GigmineError
+from gigmine.graph import pack_rows, rank_rows
 
 N_VALUES = (4, 5)
 
@@ -91,31 +93,39 @@ def mine_routes(
     # one past each code's own sequence, so no n-gram spans two sequences
     lengths = [len(s.codes) for s in sequences]
     ends = np.repeat(np.cumsum(lengths), lengths)
-    result: dict[int, list[RouteCount]] = {}
-    for n in n_values:
-        starts = np.flatnonzero(np.arange(codes.size) + n <= ends)
-        grams = codes[starts[:, None] + np.arange(n)]
-        rev = grams[:, ::-1]
-        # the first column where a gram and its reverse differ picks the smaller
-        at = np.arange(len(grams)), (grams != rev).argmax(axis=1)
-        forward = grams[at] <= rev[at]  # palindromes count as forward only
-        canon = np.where(forward[:, None], grams, rev)
-        order = np.lexsort(canon.T[::-1])  # rows ascending, first column first
-        canon, forward = canon[order], forward[order]
-        new = np.ones(len(canon), dtype=bool)
-        new[1:] = (canon[1:] != canon[:-1]).any(axis=1)
-        group = np.cumsum(new) - 1
-        routes, count = canon[new], np.bincount(group)
-        n_forward = np.bincount(group, weights=forward, minlength=count.size)
-        bidirectional = (n_forward > 0) & (n_forward < count)
-        # the routes ascend, so a stable sort by count keeps ties in route order
-        ranked = np.argsort(-count, kind="stable")[:top_k]
-        result[n] = [
-            RouteCount(
-                route=tuple(map(table.__getitem__, routes[r].tolist())),
-                count=int(count[r]),
-                bidirectional=bool(bidirectional[r]),
-            )
-            for r in ranked.tolist()
-        ]
-    return result
+    return {
+        n: _ranked_routes(codes, np.flatnonzero(np.arange(codes.size) + n <= ends), n, table, top_k)
+        for n in n_values
+    }
+
+
+def _ranked_routes(codes, starts, n, table, top_k) -> list[RouteCount]:
+    """``mine_routes`` for the n-grams ``codes[s:s + n]`` of each ``s`` in ``starts``."""
+    m = starts.size
+    # forward rows over reverse rows, packed column by column into keys that
+    # compare as the n-grams do, so no (n-grams x n) array is formed
+    key = pack_rows(
+        (np.concatenate([codes[starts + i], codes[starts + (n - 1 - i)]]), len(table))
+        for i in range(n)
+    )
+    forward = key[:m] <= key[m:]  # palindromes count as forward only
+    rank, order, first = rank_rows([(np.minimum(key[:m], key[m:]), 1 << 63)])
+    del key
+    count = np.bincount(rank)
+    n_forward = np.bincount(rank[forward], minlength=count.size)
+    bidirectional = (n_forward > 0) & (n_forward < count)
+    # ranks ascend with the routes, so a stable sort by count keeps ties in route order
+    ranked = np.argsort(-count, kind="stable")[:top_k]
+    # decode only the returned routes, each from one of its n-grams
+    at = order[first][ranked]
+    grams = codes[starts[at][:, None] + np.arange(n)]
+    reverse = ~forward[at]
+    grams[reverse] = grams[reverse, ::-1]
+    return [
+        RouteCount(
+            route=tuple(map(table.__getitem__, gram)),
+            count=int(count[r]),
+            bidirectional=bool(bidirectional[r]),
+        )
+        for gram, r in zip(grams.tolist(), ranked.tolist())
+    ]

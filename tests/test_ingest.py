@@ -12,11 +12,13 @@ from gigmine import ingest
 from gigmine.errors import CorpusFormatError
 from gigmine.graph import build_graph
 from gigmine.ingest import (
+    Corpus,
     filter_min_activity,
     filter_post_2007,
     parse_corpus,
     recursive_core_filter,
 )
+from gigmine.labeling import LabelTree
 from gigmine.synth import GenSpec, generate
 
 LABELS = [["maj", "Major", "", "1"], ["ind", "Indie", "", "0"]]
@@ -366,6 +368,26 @@ class TestParsing:
             tracemalloc.stop()
         assert at_first_cut[0] < 2.5 * size
         assert peak < 4.0 * size
+
+
+def test_from_codes_keeps_tied_events_in_input_order():
+    # events tying on (artist, day, event) keep their input order, which
+    # an unstable sort of 3,000 rows in 12 runs would scramble; the venue
+    # code is each event's input position
+    rng = np.random.default_rng(0)
+    n = 3000
+    artist, event = rng.integers(0, 2, n), rng.integers(0, 2, n)
+    day = 730_000 + rng.integers(0, 3, n)
+    corpus = Corpus.from_codes(
+        ("a0", "a1"), artist, tuple(f"v{i}" for i in range(n)), np.arange(n),
+        (("NYC", "NY", "US"),), np.zeros(n, dtype=np.int64), day,
+        np.array(["e0", "e1"], dtype=object), event, np.arange(n, dtype=float),
+        releases=(), labels=LabelTree({}, frozenset()),
+    )
+    want = sorted(range(n), key=lambda i: (artist[i], day[i], event[i]))
+    assert corpus.venue.tolist() == want
+    assert corpus.popularity.tolist() == want
+    assert corpus.day.tolist() == day[want].tolist()
 
 
 class TestPostPlatformFilter:

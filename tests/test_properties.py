@@ -1,6 +1,7 @@
-"""Property tests of the graph arrays, the batch link scores, the walk
-sampler, the ROC AUC and its midranks, the link-prediction AUC, the BiRank fixed point,
-the min-activity filter, route mining and the events.csv parse.
+"""Property tests of the graph arrays, the packed-key row ranking, the batch
+link scores, the walk sampler, the ROC AUC and its midranks, the link-prediction
+AUC, the BiRank fixed point, the min-activity filter, route mining and the
+events.csv parse.
 
 Random small graphs (isolated nodes included), corpora, city sequences and
 event files are checked against the brute-force references in
@@ -35,15 +36,15 @@ from oracles import (
     two_hop_of,
 )
 
-from gigmine import ingest, linkpred
+from gigmine import graph, ingest, linkpred
 from gigmine.birank import SeedScores, birank, temporal_weights
 from gigmine.embeddings import _scatter_rows, sample_walks
-from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
+from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph, rank_rows
 from gigmine.errors import CorpusFormatError
 from gigmine.ingest import filter_min_activity, parse_corpus, recursive_core_filter
 from gigmine.linkpred import HEURISTICS, build_score_tables, edge_codes, evaluate_linkpred
 from gigmine.metrics import _midranks, roc_auc
-from gigmine.routes import mine_routes
+from gigmine.routes import CitySequence, mine_routes
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -241,6 +242,64 @@ def test_build_graph_matches_brute_force(events):
     assert g == BipartiteGraph(g.artists, g.venues, g.edges)
 
 
+# (bound, pool of values) per kind of column: a small bound with heavy ties,
+# bounds near 2**40 (two of them pass 2**63, so the partial key is re-ranked),
+# a bound near 2**62 (past 2**63 even after such a re-rank, so the column is
+# ranked too) and uint64 words, top bit set or not
+KEY_COLUMNS = {
+    "small": (3, [0, 1, 2]),
+    "wide": (2**40 + 3, [0, 1, 2**39, 2**40 + 2]),
+    "huge": (2**62 + 1, [0, 1, 2**61, 2**62]),
+    "word": (2**64, [0, 1, 2**63 - 1, 2**63, 2**64 - 1]),
+}
+
+
+@st.composite
+def key_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(KEY_COLUMNS)), min_size=1, max_size=5))
+    pools = [st.sampled_from(KEY_COLUMNS[kind][1]) for kind in kinds]
+    rows = draw(st.lists(st.tuples(*pools).map(list), max_size=40))
+    return kinds, rows
+
+
+def _key_columns(kinds, rows):
+    matrix = np.array(rows, dtype=np.uint64).reshape(len(rows), len(kinds))
+    return matrix, [
+        (matrix[:, j].astype(np.uint64 if kind == "word" else np.int64), KEY_COLUMNS[kind][0])
+        for j, kind in enumerate(kinds)
+    ]
+
+
+@PROPERTY
+@given(key_tables(), st.booleans())
+@example((["small", "word"], []), False)
+@example((["wide"], [[2**40 + 2], [0], [2**40 + 2]]), True)
+@example((["wide", "wide", "small"], [[1, 0, 2], [0, 2**39, 1], [1, 0, 2], [1, 0, 0]]), True)
+@example((["word", "word"], [[2**64 - 1, 0], [2**63, 1], [2**64 - 1, 0], [0, 2**63]]), False)
+@example((["small", "huge"], [[2, 2**62], [1, 2**61], [2, 0], [0, 1], [2, 2**62]]), False)
+def test_rank_rows_matches_unique_rows(table, stable):
+    kinds, rows = table
+    matrix, columns = _key_columns(kinds, rows)
+    _, want = np.unique(matrix, axis=0, return_inverse=True)
+    rank, order, first = rank_rows(iter(columns), stable=stable)
+    assert rank.tolist() == want.ravel().tolist()
+    assert sorted(order.tolist()) == list(range(len(rows)))
+    ranked = rank[order].tolist()
+    assert ranked == sorted(ranked)
+    assert first.tolist() == [i == 0 or ranked[i] != ranked[i - 1] for i in range(len(rows))]
+    if stable:  # rows tying on every column keep their input order
+        assert order.tolist() == sorted(range(len(rows)), key=rows.__getitem__)
+
+
+def test_rank_rows_reranks_a_partial_key_past_2_63():
+    rows = [[1, 2**39, 0], [0, 2**40 + 2, 1], [1, 2**39, 0], [1, 0, 2**40 + 2]]
+    _, columns = _key_columns(["wide"] * 3, rows)
+    with mock.patch.object(graph, "_reranked", wraps=graph._reranked) as reranked:
+        rank = rank_rows(columns)[0]
+    assert reranked.call_count >= 1
+    assert rank.tolist() == [2, 0, 2, 1]
+
+
 def _peel(g, k, order):
     """Remove one node below k events at a time, scanning nodes in ``order``."""
     edges = dict(g.edges)
@@ -327,11 +386,18 @@ walks = st.lists(cities, max_size=9)
 
 @PROPERTY
 @given(st.lists(walks, max_size=6), st.lists(walks, max_size=3), st.integers(1, 5),
-       st.one_of(st.none(), st.integers(0, 4)))
+       st.one_of(st.none(), st.integers(1, 4)))
 def test_mine_routes_matches_merged_raw_counts(plain, halves, n, top_k):
     # even and odd palindromes, and every walk reversed as well
     palindromes = [h + h[::-1] for h in halves] + [h + h[-2::-1] for h in halves]
     sequences = plain + palindromes + [w[::-1] for w in plain]
+    mined = mine_routes(sequences_of(sequences), n_values=(n,), top_k=top_k)[n]
+    assert [(rc.route, (rc.count, rc.bidirectional)) for rc in mined] == \
+        _merged_ranking(sequences, n, top_k)
+
+
+def _merged_ranking(sequences, n, top_k):
+    """(route, (count, bidirectional)) from raw n-gram counts, ranked as ``mine_routes`` ranks."""
     raw = raw_ngram_counts(sequences, n)
     want = {}
     for gram in raw:
@@ -341,10 +407,28 @@ def test_mine_routes_matches_merged_raw_counts(plain, halves, n, top_k):
         else:
             fwd, back = raw.get(route, 0), raw.get(rev, 0)
             want[route] = (fwd + back, fwd > 0 and back > 0)
-    ranked = sorted(want.items(), key=lambda item: (-item[1][0], item[0]))[:top_k]
+    return sorted(want.items(), key=lambda item: (-item[1][0], item[0]))[:top_k]
 
-    mined = mine_routes(sequences_of(sequences), n_values=(n,), top_k=top_k)[n]
-    assert [(rc.route, (rc.count, rc.bidirectional)) for rc in mined] == ranked
+
+@pytest.mark.parametrize("n_cities, n", [(10_000, 5), (40, 12)])
+def test_mine_routes_matches_merged_raw_counts_past_an_int64_key(n_cities, n):
+    # len(table) ** n n-grams do not fit one int64 key, so it is re-ranked
+    assert n_cities**n >= 2**63
+    table = tuple((f"c{i:05d}", "", "US") for i in range(n_cities))
+    rng = np.random.default_rng(n)
+    # few cities, among them the first and last codes, so that n-grams repeat
+    pool = np.append(rng.choice(np.arange(1, n_cities - 1), size=4, replace=False),
+                     [0, n_cities - 1])
+    walks = [pool[rng.integers(0, pool.size, size=rng.integers(n, 3 * n))] for _ in range(40)]
+    # repeats, reversed walks and even palindromes
+    walks += walks[:5] + [w[::-1] for w in walks[:10]]
+    walks += [np.append(w, w[::-1]) for w in walks[10:14]]
+    sequences = [CitySequence(f"a{i}", w, table) for i, w in enumerate(walks)]
+    cities = [[table[c] for c in w.tolist()] for w in walks]
+    for top_k in (None, 3):
+        mined = mine_routes(sequences, n_values=(n,), top_k=top_k)[n]
+        assert [(rc.route, (rc.count, rc.bidirectional)) for rc in mined] == \
+            _merged_ranking(cities, n, top_k)
 
 
 # the characters of ids: "plain" ones leave a file that numpy splits, the

@@ -1,4 +1,5 @@
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gigmine.routes import (
     city_sequences,
     mine_routes,
 )
+from gigmine.synth import GenSpec, generate
 
 A, B, C, D, E = (
     ("Albany", "NY", "US"),
@@ -204,3 +206,20 @@ class TestMineRoutes:
     def test_sequences_over_different_tables_rejected(self):
         with pytest.raises(GigmineError, match="city tables"):
             mine_routes(seqs([A, B, C, D]) + seqs([B, C, D, E]))
+
+
+def test_mine_routes_peak_stays_near_the_codes_size(tmp_path):
+    # the n-grams are keyed one column at a time, so the peak is a few
+    # arrays per n-gram (about 10x the codes' bytes); four (n-grams x n)
+    # int64 arrays alive at once would take it to about 30x
+    generate(GenSpec(n_artists=500, n_venues=300, seed=1), tmp_path)
+    corpus = parse_corpus(*(tmp_path / f for f in ("events.csv", "releases.csv", "labels.csv")))
+    sequences = city_sequences(corpus)
+    codes_bytes = sum(s.codes.nbytes for s in sequences)
+    tracemalloc.start()
+    try:
+        mine_routes(sequences, top_k=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * codes_bytes

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
-import scipy
 
 from gigmine.errors import GigmineError
 from gigmine.graph import BipartiteGraph, build_graph
@@ -63,6 +62,38 @@ class TemporalWeights:
     def weights(self) -> dict:
         g = self.graph
         return dict(zip(g.id_pairs(g.row, g.col), self.values.tolist()))
+
+
+class ScoreView(Mapping):
+    """Read-only id -> score map over an id tuple and an array of one score per id.
+
+    ``order`` and ``array`` are the map itself; the id index a lookup needs
+    is built on the first lookup.
+    """
+
+    def __init__(self, order: tuple, array: np.ndarray):
+        self.order, self.array = order, array
+        self._index = None
+
+    def position(self, node) -> int:
+        """Index of ``node`` in ``order``; KeyError when it is not there."""
+        if self._index is None:
+            self._index = dict(zip(self.order, range(len(self.order))))
+        return self._index[node]
+
+    def __getitem__(self, node) -> float:
+        return self.array[self.position(node)].item()
+
+    def top(self, k: Optional[int] = None) -> list:
+        """``[id, score]`` pairs of the ``k`` highest scores (all for None), ties in ``order``."""
+        at = np.argsort(-self.array, kind="stable")[:k]
+        return [[self.order[i], s] for i, s in zip(at.tolist(), self.array[at].tolist())]
+
+    def __iter__(self):
+        return iter(self.order)
+
+    def __len__(self) -> int:
+        return len(self.order)
 
 
 @dataclass(frozen=True)
@@ -134,23 +165,38 @@ def birank(
     event counts) and log-degree seeds. The fixed point does not depend on
     the starting vectors; ``init="uniform"`` starts from uniform vectors
     instead of the seeds. Non-convergence within ``max_iter`` returns the
-    last iterate flagged ``converged=False``.
+    last iterate flagged ``converged=False``; ``max_iter`` must be at least 1
+    and ``tol`` at least 0. The scores come as ``ScoreView``s over the
+    graph's id orders. The products run on the graph's edge arrays.
     """
     if init not in ("seeds", "uniform"):
         raise GigmineError(f"init must be seeds or uniform, got {init!r}")
     if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
         raise GigmineError(f"alpha and beta must lie in [0, 1], got {alpha}, {beta}")
+    if max_iter < 1:
+        raise GigmineError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol >= 0.0:  # NaN fails every comparison
+        raise GigmineError(f"tol must be a number at least 0, got {tol}")
     weights = weights if weights is not None else temporal_weights(g)
     if weights.graph is not g and weights.graph != g:
         raise GigmineError("temporal weights were computed for a different graph")
     seeds = seeds if seeds is not None else seed_scores(g)
-    W = g.biadjacency(weights.values * g.count if count_scaled else weights.values)
-    du = np.asarray(W.sum(axis=1)).ravel()
-    dp = np.asarray(W.sum(axis=0)).ravel()
+    n_a, n_v = len(g.artist_order), len(g.venue_order)
+    row, col = g.row, g.col
+    w = np.asarray(weights.values * g.count if count_scaled else weights.values, dtype=float)
+    # the sums and products below round as scipy.sparse's would on the CSR
+    # matrix of w: row sums reduce each nonempty row (its _minor_reduce),
+    # column sums and both products add in CSR order (csc_matvec, csr_matvec)
+    du = np.zeros(n_a)
+    nonempty = np.flatnonzero(np.diff(g.indptr))
+    if nonempty.size:
+        du[nonempty] = np.add.reduceat(w, g.indptr[nonempty])
+    dp = np.bincount(col, weights=w, minlength=n_v)
     # isolated nodes receive no propagated mass, only their damped seed
     inv_sqrt_u = np.where(du > 0, du, 1.0) ** -0.5 * (du > 0)
     inv_sqrt_p = np.where(dp > 0, dp, 1.0) ** -0.5 * (dp > 0)
-    S = scipy.sparse.diags(inv_sqrt_u) @ W @ scipy.sparse.diags(inv_sqrt_p)
+    # the entries of diag(inv_sqrt_u) @ W @ diag(inv_sqrt_p), in CSR order
+    s = (inv_sqrt_u[row] * w) * inv_sqrt_p[col]
 
     u0 = np.array([seeds.artist_seed[a] for a in g.artist_order])
     p0 = np.array([seeds.venue_seed[v] for v in g.venue_order])
@@ -160,10 +206,9 @@ def birank(
     else:
         u, p = u0.copy(), p0.copy()
     converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        u_new = alpha * (S @ p) + (1.0 - alpha) * u0
-        p_new = beta * (S.T @ u_new) + (1.0 - beta) * p0
+        u_new = alpha * np.bincount(row, weights=s * p[col], minlength=n_a) + (1.0 - alpha) * u0
+        p_new = beta * np.bincount(col, weights=s * u_new[row], minlength=n_v) + (1.0 - beta) * p0
         change = max(
             float(np.abs(u_new - u).sum()), float(np.abs(p_new - p).sum())
         )
@@ -171,28 +216,57 @@ def birank(
         if change < tol:
             converged = True
             break
+    u.flags.writeable = p.flags.writeable = False
     return BiRankResult(
-        artist_scores=dict(zip(g.artist_order, u.tolist())),
-        venue_scores=dict(zip(g.venue_order, p.tolist())),
+        artist_scores=ScoreView(g.artist_order, u),
+        venue_scores=ScoreView(g.venue_order, p),
         iterations=iterations,
         converged=converged,
     )
 
 
+def _descending_rank(values: np.ndarray) -> np.ndarray:
+    """Dense rank of each value, 1 for the largest; equal values share a rank."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return distinct.size - inverse
+
+
 def dense_rank(scores: Mapping) -> dict:
     """Rank 1 = highest score; equal scores share a rank with no gaps after ties."""
-    distinct = sorted(set(scores.values()), reverse=True)
-    rank_of = {s: r for r, s in enumerate(distinct, start=1)}
-    return {n: rank_of[s] for n, s in scores.items()}
+    ranks = _descending_rank(np.array(list(scores.values())))
+    return dict(zip(scores, ranks.tolist()))
 
 
-class WindowRanking(dict):
-    """One window's artist -> {"rank", "score"} map, plus its BiRank convergence."""
+class WindowRanking(Mapping):
+    """One window's artist -> {"rank", "score"} view, plus its BiRank convergence.
 
-    def __init__(self, cells, iterations: int, converged: bool):
-        super().__init__(cells)
+    ``scores`` is the window's artist ``ScoreView`` and ``ranks`` the dense
+    rank of each of its scores (1 for the highest), in the same order; a
+    cell is made when it is looked up.
+    """
+
+    def __init__(self, scores: ScoreView, iterations: int, converged: bool):
+        self.scores = scores
+        self.ranks = _descending_rank(scores.array)
         self.iterations = iterations
         self.converged = converged
+
+    def ranked(self) -> list:
+        """``(artist, rank, score)`` of every artist by rank, ties in the scores' ``order``."""
+        at = np.argsort(self.ranks, kind="stable").tolist()
+        order = self.scores.order
+        ranks, scores = self.ranks.tolist(), self.scores.array.tolist()
+        return [(order[i], ranks[i], scores[i]) for i in at]
+
+    def __getitem__(self, artist) -> dict:
+        i = self.scores.position(artist)
+        return {"rank": int(self.ranks[i]), "score": self.scores.array[i].item()}
+
+    def __iter__(self):
+        return iter(self.scores.order)
+
+    def __len__(self) -> int:
+        return len(self.scores.order)
 
 
 def yearly_trajectories(
@@ -207,11 +281,11 @@ def yearly_trajectories(
 
     Each year Y ranks the subgraph of events dated within the window
     [Y - window_years + 1, Y], with temporal decay referenced to Y. Output
-    maps year -> WindowRanking, i.e. {artist: {"rank": dense rank, "score":
-    score}} carrying the window's ``iterations`` and ``converged``. Years
-    whose window holds no events are skipped and logged; a window that does
-    not converge within ``MAX_ITER`` logs a warning. ``window_years`` must be
-    at least 1.
+    maps year -> WindowRanking, a view {artist: {"rank": dense rank, "score":
+    score}} over the window's score and rank arrays, carrying its
+    ``iterations`` and ``converged``. Years whose window holds no events are
+    skipped and logged; a window that does not converge within ``MAX_ITER``
+    logs a warning. ``window_years`` must be at least 1.
     """
     if window_years < 1:
         raise GigmineError(f"window_years must be at least 1, got {window_years}")
@@ -237,9 +311,7 @@ def yearly_trajectories(
                 "BiRank did not converge in %d iterations on the %d-year window ending %d",
                 result.iterations, window_years, year,
             )
-        ranks = dense_rank(result.artist_scores)
-        cells = {a: {"rank": ranks[a], "score": s} for a, s in result.artist_scores.items()}
-        out[year] = WindowRanking(cells, result.iterations, result.converged)
+        out[year] = WindowRanking(result.artist_scores, result.iterations, result.converged)
     return out
 
 

@@ -326,12 +326,6 @@ def cmd_task3(config: dict, out: Path) -> dict:
         beta=t3["beta"],
         count_scaled=t3["count_scaled"],
     )
-    top_artists = sorted(
-        result.artist_scores.items(), key=lambda kv: (-kv[1], kv[0])
-    )[:top]
-    top_venues = sorted(
-        result.venue_scores.items(), key=lambda kv: (-kv[1], kv[0])
-    )[:top]
     hist = score_histogram(
         result, {a: lab.successful for a, lab in labels.items()}, bins=t3["bins"]
     )
@@ -349,12 +343,8 @@ def cmd_task3(config: dict, out: Path) -> dict:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["artist_id", "year", "rank", "score"])
         for year in sorted(trajectories):
-            ranking = trajectories[year]
-            for artist in sorted(ranking, key=lambda a: (ranking[a]["rank"], a)):
-                writer.writerow(
-                    [artist, year, ranking[artist]["rank"],
-                     f"{ranking[artist]['score']:.10g}"]
-                )
+            for artist, rank, score in trajectories[year].ranked():
+                writer.writerow([artist, year, rank, f"{score:.10g}"])
     log.info("wrote %s", traj_csv)
     payload = {
         "report": "task3",
@@ -362,8 +352,8 @@ def cmd_task3(config: dict, out: Path) -> dict:
         "ref_year": ref_year,
         "iterations": result.iterations,
         "converged": result.converged,
-        "top_artists": [[a, s] for a, s in top_artists],
-        "top_venues": [[v, s] for v, s in top_venues],
+        "top_artists": result.artist_scores.top(top),
+        "top_venues": result.venue_scores.top(top),
         "histogram": hist,
         "trajectory_years": sorted(trajectories),
         "trajectory_convergence": [

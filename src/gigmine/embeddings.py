@@ -134,6 +134,27 @@ def _scatter_rows(buf, n, idx, coef, src_row) -> None:
     buf[rows] = s @ buf
 
 
+def _noise_table(cdf: np.ndarray) -> np.ndarray:
+    """``np.searchsorted`` of ``cdf`` at each bucket edge b / m, m a power of two >= 8 * n."""
+    m = 1 << (8 * cdf.size - 1).bit_length()
+    return np.searchsorted(cdf, np.arange(m) / m)
+
+
+def _draw_noise(cdf: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u)`` for ``u`` in [0, 1), with ``table = _noise_table(cdf)``.
+
+    The indices are the same bit for bit. ``u * m`` is exact for m a power
+    of two, so ``u`` lies in bucket ``floor(u * m)``, whose edge's answer is
+    no later than ``u``'s. That answer is ``u``'s unless a CDF value lies
+    between the edge and ``u``; only those draws search.
+    """
+    idx = table[(u * table.size).astype(np.intp)]
+    miss = cdf[idx] < u
+    if miss.any():
+        idx[miss] = np.searchsorted(cdf, u[miss])
+    return idx
+
+
 def train_embeddings(
     walks: Sequence[Sequence[int]],
     dim: int = DIM,
@@ -174,6 +195,7 @@ def train_embeddings(
     # the rounded sum can end below the largest draw, and searchsorted would
     # then name a node past the last
     noise_cdf[-1] = 1.0
+    noise_table = _noise_table(noise_cdf)
 
     n_pairs = centers.size
     total_steps = max(1, epochs * n_pairs)
@@ -184,7 +206,7 @@ def train_embeddings(
         for start in range(0, n_pairs, chunk):
             c = centers[start : start + chunk]
             o = contexts[start : start + chunk]
-            neg = np.searchsorted(noise_cdf, rng.random((c.size, NEGATIVES)))
+            neg = _draw_noise(noise_cdf, noise_table, rng.random((c.size, NEGATIVES)))
             lr = max(
                 LEARNING_RATE * (1.0 - done / total_steps), LEARNING_RATE * 1e-4
             )

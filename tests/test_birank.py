@@ -1,7 +1,9 @@
 import datetime as dt
 import functools
+import gc
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from gigmine.birank import (
 )
 from gigmine.errors import GigmineError
 from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
+from gigmine.ingest import parse_corpus
+from gigmine.synth import GenSpec, generate
 
 
 class TestSeeds:
@@ -217,6 +221,27 @@ class TestBiRank:
         with pytest.raises(GigmineError, match="alpha"):
             birank(toy_graph, alpha=1.5)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_below_one_rejected(self, toy_graph, max_iter):
+        with pytest.raises(GigmineError, match=f"max_iter must be at least 1, got {max_iter}"):
+            birank(toy_graph, max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9])
+    def test_tol_nan_or_negative_rejected(self, toy_graph, tol):
+        with pytest.raises(GigmineError, match=f"tol must be a number at least 0, got {tol}"):
+            birank(toy_graph, tol=tol)
+
+    def test_scores_are_read_only_views(self, toy_graph):
+        result = birank(toy_graph)
+        scores = result.artist_scores
+        assert list(scores) == list(toy_graph.artist_order)
+        assert [scores[a] for a in scores] == scores.array.tolist()
+        assert "nobody" not in scores
+        with pytest.raises(ValueError):
+            scores.array[0] = 1.0
+        with pytest.raises(TypeError):
+            scores["a1"] = 1.0
+
 
 class TestDenseRank:
     def test_ties_share_rank_without_gaps(self):
@@ -258,6 +283,13 @@ class TestTrajectories:
             for cell in ranking.values():
                 assert set(cell) == {"rank", "score"}
                 assert cell["rank"] >= 1
+
+    def test_window_ranks_match_dense_rank(self):
+        traj = yearly_trajectories(self._corpus(), window_years=3)
+        for ranking in traj.values():
+            want = dense_rank(dict(ranking.scores))
+            assert {a: cell["rank"] for a, cell in ranking.items()} == want
+            assert [a for a, _, _ in ranking.ranked()] == sorted(want, key=lambda a: (want[a], a))
 
     def test_riser_rank_improves(self):
         traj = yearly_trajectories(self._corpus(), window_years=3)
@@ -305,6 +337,28 @@ class TestTrajectories:
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == len(missed)
         assert all(f"ending {y}" in msg for y, msg in zip(missed, warnings))
+
+
+def test_trajectories_retain_a_few_bytes_per_cell(tmp_path):
+    # a window keeps its artist order, rank array and score array, not a
+    # dict per artist
+    generate(GenSpec(n_artists=400, n_venues=60, years=(2008, 2017), seed=9, min_events=6),
+             tmp_path)
+    corpus = parse_corpus(tmp_path / "events.csv", tmp_path / "releases.csv",
+                          tmp_path / "labels.csv")
+    yearly_trajectories(corpus, window_years=3)  # fills the corpus's cached columns
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = yearly_trajectories(corpus, window_years=3)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    cells = sum(len(ranking) for ranking in traj.values())
+    assert len(traj) == 8 and cells > 2000
+    assert retained < 40 * cells, f"{retained} bytes for {cells} cells"
 
 
 class TestScoreHistogram:

@@ -18,6 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
@@ -38,7 +39,7 @@ from oracles import (
 
 from gigmine import graph, ingest, linkpred
 from gigmine.birank import SeedScores, birank, temporal_weights
-from gigmine.embeddings import _scatter_rows, sample_walks
+from gigmine.embeddings import _draw_noise, _noise_table, _scatter_rows, sample_walks
 from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph, rank_rows
 from gigmine.errors import CorpusFormatError
 from gigmine.ingest import filter_min_activity, parse_corpus, recursive_core_filter
@@ -70,6 +71,32 @@ def test_scatter_rows_matches_add_at_bitwise(data):
     buf = np.vstack([w, src])  # the weights head the buffer, the source rows its tail
     _scatter_rows(buf, n_rows, idx, coef, src_row)
     assert np.array_equal(buf[:n_rows], want)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=40), st.lists(
+    st.floats(0.0, 1.0, exclude_max=True), max_size=200))
+@example(freq=[2], draws=[0.0])
+@example(freq=[1, 0, 1, 1, 0, 1], draws=[0.25, 0.5, 0.75])  # CDF values on bucket edges
+@example(freq=[0, 0, 3, 0, 0, 0, 1, 0], draws=[])
+def test_noise_draw_matches_searchsorted_bitwise(freq, draws):
+    # zero frequencies repeat a CDF value; every bucket edge, every CDF value
+    # and the floats either side of each are drawn besides the free draws
+    assume(sum(freq) > 0)
+    noise = np.array(freq, dtype=float) ** 0.75
+    cdf = np.cumsum(noise / noise.sum())
+    cdf[-1] = 1.0  # as train_embeddings sets it
+    table = _noise_table(cdf)
+    m = table.size
+    assert m & (m - 1) == 0 and m >= 8 * cdf.size
+    u = np.concatenate([
+        np.arange(m) / m, cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+        np.array(draws, dtype=float),
+    ])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert np.array_equal(_draw_noise(cdf, table, u), np.searchsorted(cdf, u))
+    block = u[: u.size // 5 * 5].reshape(-1, 5)  # the (pairs, NEGATIVES) shape of a chunk
+    assert np.array_equal(_draw_noise(cdf, table, block), np.searchsorted(cdf, block))
 
 
 @st.composite
@@ -217,6 +244,56 @@ def test_birank_matches_dense_fixed_point(g, data):
     assert got.converged
     assert np.allclose([got.artist_scores[a] for a in g.artist_order], want_u, rtol=0, atol=1e-10)
     assert np.allclose([got.venue_scores[v] for v in g.venue_order], want_p, rtol=0, atol=1e-10)
+
+
+def scipy_birank(g, w, u0, p0, u, p, alpha, beta, tol, max_iter):
+    """BiRank's iteration on scipy.sparse matrices: diagonal scalings and CSR products."""
+    W = scipy.sparse.csr_matrix((w, g.col, g.indptr), shape=(len(u0), len(p0)))
+    du = np.asarray(W.sum(axis=1)).ravel()
+    dp = np.asarray(W.sum(axis=0)).ravel()
+    inv_sqrt_u = np.where(du > 0, du, 1.0) ** -0.5 * (du > 0)
+    inv_sqrt_p = np.where(dp > 0, dp, 1.0) ** -0.5 * (dp > 0)
+    S = scipy.sparse.diags(inv_sqrt_u) @ W @ scipy.sparse.diags(inv_sqrt_p)
+    for iterations in range(1, max_iter + 1):
+        u_new = alpha * (S @ p) + (1.0 - alpha) * u0
+        p_new = beta * (S.T @ u_new) + (1.0 - beta) * p0
+        change = max(float(np.abs(u_new - u).sum()), float(np.abs(p_new - p).sum()))
+        u, p = u_new, p_new
+        if change < tol:
+            break
+    return u, p, iterations
+
+
+@PROPERTY
+@given(graphs(max_nodes=12), st.data())
+def test_birank_matches_scipy_sparse_bitwise(g, data):
+    # isolated nodes, graphs without edges, capped and converged runs
+    alpha, beta = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0))
+    delta = data.draw(st.floats(0.05, 1.0))
+    count_scaled = data.draw(st.booleans())
+    init = data.draw(st.sampled_from(["seeds", "uniform"]))
+    max_iter = data.draw(st.integers(1, 40))
+    tol = data.draw(st.sampled_from([0.0, 1e-12, 1e-6]))
+    masses = [
+        np.array(data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)), dtype=float)
+        for n in (len(g.artist_order), len(g.venue_order))
+    ]
+    assume(all(m.sum() > 0 for m in masses))
+    u0, p0 = (m / m.sum() for m in masses)
+    seeds = SeedScores(dict(zip(g.artist_order, u0)), dict(zip(g.venue_order, p0)))
+    tw = temporal_weights(g, delta=delta, ref_year=2017)
+    w = tw.values * g.count if count_scaled else tw.values
+    if init == "uniform":
+        u, p = np.full(u0.size, 1.0 / u0.size), np.full(p0.size, 1.0 / p0.size)
+    else:
+        u, p = u0, p0
+
+    got = birank(g, weights=tw, seeds=seeds, alpha=alpha, beta=beta, tol=tol,
+                 max_iter=max_iter, count_scaled=count_scaled, init=init)
+    want_u, want_p, iterations = scipy_birank(g, w, u0, p0, u, p, alpha, beta, tol, max_iter)
+    assert np.array_equal(got.artist_scores.array, want_u)
+    assert np.array_equal(got.venue_scores.array, want_p)
+    assert got.iterations == iterations
 
 
 # a small alphabet makes ids and pairs repeat; NUL, quote and space sort

@@ -30,7 +30,6 @@ from gigmine.birank import (
     DELTA,
     birank,
     score_histogram,
-    seed_scores,
     temporal_weights,
     yearly_trajectories,
 )
@@ -92,7 +91,6 @@ DEFAULTS: dict = {
         "svd_k": SVD_RANK,
         "neg_multiple": NEG_MULTIPLE,
         "neg_floor": NEG_FLOOR,
-        "exhaustive_negatives": False,
         "walks_per_node": WALKS_PER_NODE,
         "walk_length": WALK_LENGTH,
         "embed_dim": DIM,
@@ -321,7 +319,6 @@ def cmd_task3(config: dict, out: Path) -> dict:
     result = birank(
         g,
         weights=temporal_weights(g, delta=t3["delta"], ref_year=ref_year),
-        seeds=seed_scores(g),
         alpha=t3["alpha"],
         beta=t3["beta"],
         count_scaled=t3["count_scaled"],

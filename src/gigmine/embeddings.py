@@ -18,9 +18,6 @@ row rounds exactly as a sequence of in-order ``row += update`` steps would.
 
 from __future__ import annotations
 
-import itertools
-from typing import Sequence
-
 import numpy as np
 import scipy
 
@@ -48,15 +45,16 @@ def sample_walks(
     walks_per_node: int = WALKS_PER_NODE,
     length: int = WALK_LENGTH,
     seed: int = 0,
-) -> list[list[int]]:
+) -> np.ndarray:
     """Uniform random walks: ``walks_per_node`` from every node, ``length`` steps each.
 
-    Walks are lists of node indices (see the module docstring), the
+    Returns an (n_nodes * walks_per_node, length + 1) int64 matrix with one
+    walk of node indices (see the module docstring) per row, the
     ``walks_per_node`` walks of node 0 first, then those of node 1 and so on.
-    A walk records length+1 nodes including the start; a walk from a node
-    with no edges is that node alone. All walks step at once: each step draws
-    one seeded uniform index per walk into its node's neighbors, taken in
-    index order.
+    A row holds the start and the nodes of its ``length`` steps; the row of a
+    walk from a node with no edges is that node followed by -1s. All walks
+    step at once: each step draws one seeded uniform index per walk into its
+    node's neighbors, taken in index order.
     """
     _check_positive(walks_per_node=walks_per_node, length=length)
     if not g.artists and not g.venues:
@@ -67,15 +65,12 @@ def sample_walks(
     ptr = np.concatenate([g.indptr, g.indptr[-1] + g.csc_indptr[1:]])
     nbrs = np.concatenate([g.col + n_a, g.csc_indices])
     deg = np.diff(ptr)
-    starts = np.repeat(np.arange(deg.size), walks_per_node)
-    live = deg[starts] > 0  # a walk that can leave its start never dead-ends
-    path = np.empty((int(live.sum()), length + 1), dtype=np.int64)
-    cur = path[:, 0] = starts[live]
+    walks = np.full((deg.size * walks_per_node, length + 1), -1, dtype=np.int64)
+    walks[:, 0] = np.repeat(np.arange(deg.size), walks_per_node)
+    live = np.flatnonzero(deg[walks[:, 0]])  # a walk that can leave its start never dead-ends
+    cur = walks[live, 0]
     for step in range(1, length + 1):
-        cur = path[:, step] = nbrs[ptr[cur] + rng.integers(deg[cur])]
-    walks = path.tolist()
-    for k in np.flatnonzero(~live).tolist():  # ascending, so earlier walks are in place
-        walks.insert(k, [k // walks_per_node])
+        cur = walks[live, step] = nbrs[ptr[cur] + rng.integers(deg[cur])]
     return walks
 
 
@@ -85,19 +80,15 @@ def _check_positive(**params: int) -> None:
             raise GigmineError(f"{name} must be at least 1, got {value}")
 
 
-def _walk_pairs(walks: Sequence[Sequence[int]], window: int):
+def _walk_pairs(walks: np.ndarray, window: int):
     """All (center, context) node pairs within the fixed window.
 
     Pairs come ordered by walk, then center position, then context offset
-    from -window to window. Walks are laid into one matrix padded with -1
-    (``window`` columns either side), so every offset is one gather.
+    from -window to window; -1 is no node. Padding ``walks`` with ``window``
+    columns of -1 either side makes every offset one gather.
     """
-    lengths = np.fromiter(map(len, walks), dtype=np.int64, count=len(walks))
-    width = int(lengths.max(initial=0))
-    padded = np.full((len(walks), width + 2 * window), -1, dtype=np.int64)
-    padded[:, window : window + width][np.arange(width) < lengths[:, None]] = (
-        np.fromiter(itertools.chain.from_iterable(walks), dtype=np.int64)
-    )
+    width = walks.shape[1]
+    padded = np.pad(walks, ((0, 0), (window, window)), constant_values=-1)
     offsets = np.r_[-window:0, 1 : window + 1]
     contexts = padded[:, window + np.arange(width)[:, None] + offsets]
     centers = np.broadcast_to(padded[:, window : window + width, None], contexts.shape)
@@ -156,13 +147,13 @@ def _draw_noise(cdf: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarray
 
 
 def train_embeddings(
-    walks: Sequence[Sequence[int]],
+    walks: np.ndarray,
     dim: int = DIM,
     window: int = WINDOW,
     epochs: int = EPOCHS,
     seed: int = 0,
 ) -> tuple[np.ndarray, list[float]]:
-    """Skip-gram with negative sampling over walks of node indices.
+    """Skip-gram with negative sampling over a walk matrix as ``sample_walks`` returns it.
 
     Each (center, context) pair draws ``NEGATIVES`` noise nodes from the walk
     unigram distribution raised to 3/4. The learning rate decays linearly
@@ -172,9 +163,17 @@ def train_embeddings(
     the mean pair loss of each epoch.
     """
     _check_positive(dim=dim, window=window, epochs=epochs)
-    if not walks:
-        raise GigmineError("cannot train embeddings on an empty walk set")
-    tokens = np.fromiter(itertools.chain.from_iterable(walks), dtype=np.int64)
+    try:
+        walks = np.asarray(walks)
+    except ValueError:  # numpy refuses ragged rows
+        raise GigmineError("walks must be a 2-D int matrix; its rows differ in length") from None
+    if not walks.size or (walks.dtype.kind == "i" and walks.max() < 0):
+        raise GigmineError("cannot train embeddings on an empty walk set: it holds no node")
+    if walks.ndim != 2 or walks.dtype.kind != "i":
+        raise GigmineError(f"walks must be a 2-D int matrix, got a {walks.ndim}-D {walks.dtype}")
+    if walks.min() < -1:
+        raise GigmineError(f"walks hold node index {walks.min()}, below the -1 pad")
+    tokens = walks[walks >= 0]
     n_nodes = int(tokens.max()) + 1
     centers, contexts = _walk_pairs(walks, window)
 

@@ -245,41 +245,47 @@ def _parts(sizes) -> list[slice]:
 
 
 def _hop_block(S, ST, lo, hi) -> np.ndarray:
-    """Rows lo:hi of 1[S S' > 0] as a dense boolean block; ``ST`` is S' in CSR.
+    """Rows lo:hi of 1[S S' > 0] as a dense boolean block.
 
-    Set cell by cell along the two-step paths from each row, about
+    ``S`` and ``ST`` are the ``(indptr, indices)`` arrays of S and of S' in
+    CSR. Set cell by cell along the two-step paths from each row, about
     ``_GATHER`` paths at a time, so no product is formed.
     """
-    P = S[lo:hi]
-    block = np.zeros((P.shape[0], ST.shape[1]), dtype=bool)
-    row_start = np.repeat(np.arange(0, block.size, ST.shape[1]), np.diff(P.indptr))
-    for part in _parts(np.diff(ST.indptr)[P.indices]):
-        at, lens = _spans(ST.indptr, P.indices[part])
-        block.ravel()[np.repeat(row_start[part], lens) + ST.indices[at]] = True
+    (ptr, idx), (t_ptr, t_idx) = S, ST
+    row_ptr = ptr[lo:hi + 1]
+    mid = idx[row_ptr[0]:row_ptr[-1]]
+    block = np.zeros((row_ptr.size - 1, ptr.size - 1), dtype=bool)
+    row_start = np.repeat(np.arange(0, block.size, block.shape[1]), np.diff(row_ptr))
+    for part in _parts(np.diff(t_ptr)[mid]):
+        at, lens = _spans(t_ptr, mid[part])
+        block.ravel()[np.repeat(row_start[part], lens) + t_idx[at]] = True
     return block
 
 
 def _side_counts(S, ST, keys, others, step):
     """Per pair k: Σ_{n ∈ N(others[k])} H[keys[k], n] and |N2(keys[k])|, H = 1[S S' > 0].
 
+    ``S`` and ``ST`` are ``(indptr, indices)`` pairs as for ``_hop_block``;
     N(o) is row o of ``ST``. H is formed ``step`` rows at a time, only where
     pairs need it, and each block's sums are ragged gathers over the pairs'
     neighbor lists, about ``_GATHER`` entries at a time however many pairs
     the block has.
     """
     hits, n2 = np.zeros(keys.size), np.zeros(keys.size)
+    n_rows = S[0].size - 1
     order = np.argsort(keys, kind="stable")
-    bounds = np.searchsorted(keys[order], np.arange(0, S.shape[0] + step, step))
-    degree = np.diff(ST.indptr)
-    for lo, start, stop in zip(range(0, S.shape[0], step), bounds, bounds[1:]):
+    bounds = np.searchsorted(keys[order], np.arange(0, n_rows + step, step))
+    t_ptr, t_idx = ST
+    degree = np.diff(t_ptr)
+    for lo, start, stop in zip(range(0, n_rows, step), bounds, bounds[1:]):
         if start == stop:
             continue
         block = _hop_block(S, ST, lo, lo + step)
         sel = order[start:stop]
         n2[sel] = np.count_nonzero(block, axis=1)[keys[sel] - lo]
         for part in (sel[run] for run in _parts(degree[others[sel]])):
-            at, lens = _spans(ST.indptr, others[part])
-            cell = np.repeat((keys[part] - lo) * block.shape[1], lens) + ST.indices[at]
+            at, lens = _spans(t_ptr, others[part])
+            cell = np.repeat((keys[part] - lo) * block.shape[1], lens) + t_idx[at]
             hits[part] = np.bincount(np.repeat(np.arange(part.size), lens),
                                      weights=block.ravel()[cell], minlength=part.size)
     return hits, n2
@@ -289,7 +295,8 @@ def heuristic_scores(g: BipartiteGraph, rows, cols) -> dict[str, np.ndarray]:
     """CN, Jaccard and PA of the index pairs (rows[k], cols[k]), all at once.
 
     With B the binary biadjacency, A2 = 1[B B' > 0] and V2 = 1[B' B > 0]
-    (Liben-Nowell & Kleinberg, JASIST 2007):
+    (Liben-Nowell & Kleinberg, JASIST 2007), B and B' read as the graph's
+    CSR (``indptr``, ``col``) and CSC (``csc_indptr``, ``csc_indices``):
     CN = Σ_{a' ∈ N(v)} A2[a, a'] + Σ_{v' ∈ N(a)} V2[v', v], the Jaccard
     denominator is |N2(a)| + deg(v) + |N2(v)| + deg(a) - CN, and
     PA = deg(a) deg(v). Each sum is counted per candidate pair, from dense
@@ -298,9 +305,8 @@ def heuristic_scores(g: BipartiteGraph, rows, cols) -> dict[str, np.ndarray]:
     is formed, and every count is an exact small integer in float64.
     """
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-    B = g.biadjacency("binary")
-    BT = B.T.tocsr()
-    step = max(1, _CHUNK_CELLS // max(1, *B.shape))
+    B, BT = (g.indptr, g.col), (g.csc_indptr, g.csc_indices)
+    step = max(1, _CHUNK_CELLS // max(1, len(g.artist_order), len(g.venue_order)))
     cn_a, n2_a = _side_counts(B, BT, rows, cols, step)
     cn_v, n2_v = _side_counts(BT, B, cols, rows, step)  # V2 is symmetric
     cn = cn_a + cn_v
@@ -328,7 +334,7 @@ def score_svd(
     dimensions or a code lies outside the graph.
     """
     rows, cols = np.divmod(_checked(g, pairs), len(g.venue_order))
-    X = g.biadjacency(values="binary")
+    X = g.biadjacency()
     reducer = SVDReducer(k, seed=seed).fit(X)
     left = reducer.transform(X)  # rows: U_k S_k in artist_order
     scores = np.einsum("kd,kd->k", left[rows], reducer.components_[cols])
@@ -438,13 +444,11 @@ def sample_negative_pairs(
     n: int,
     exclude=(),
     seed: int = 0,
-    exhaustive: bool = False,
 ) -> np.ndarray:
     """Uniform pair codes that are neither edges of ``g`` nor in ``exclude``.
 
     Draws up to ``n`` distinct non-edges with a seeded generator; asks for
-    more than exist and you get them all. ``exhaustive=True`` skips sampling
-    and enumerates every candidate, which only makes sense at desk scale.
+    more than exist and you get them all.
     """
     n_a, n_v = len(g.artist_order), len(g.venue_order)
     banned = np.union1d(edge_codes(g), _checked(g, exclude))
@@ -452,16 +456,15 @@ def sample_negative_pairs(
     if available <= 0:
         raise GigmineError("graph has no candidate non-edges")
 
-    if exhaustive or n > available // 2:
+    rng = np.random.default_rng(seed)
+    if n > available // 2:
         free = np.ones(n_a * n_v, dtype=bool)
         free[banned] = False
         free_codes = np.flatnonzero(free)
-        if exhaustive or n >= available:
+        if n >= available:
             return free_codes
         # rejection sampling stalls when most candidates are wanted
-        rng = np.random.default_rng(seed)
         return free_codes[rng.choice(free_codes.size, size=n, replace=False)]
-    rng = np.random.default_rng(seed)
     chosen = np.empty(0, dtype=np.int64)
     while chosen.size < n:
         k = (n - chosen.size) * 2 + 16
@@ -492,7 +495,6 @@ def run_task2(
     svd_k: int = SVD_RANK,
     neg_multiple: int = NEG_MULTIPLE,
     neg_floor: int = NEG_FLOOR,
-    exhaustive_negatives: bool = False,
     seed: int = 0,
     **embed_params,
 ) -> dict:
@@ -534,7 +536,6 @@ def run_task2(
             max(neg_multiple * len(positives), neg_floor),
             exclude=positives,
             seed=pass_seed,
-            exhaustive=exhaustive_negatives,
         )
         candidates = np.concatenate([positives, negatives])
         tables, fits = build_score_tables(
@@ -555,7 +556,6 @@ def run_task2(
         "negative_sampling": {
             "multiple": neg_multiple,
             "floor": neg_floor,
-            "exhaustive": exhaustive_negatives,
             "forecasting_negatives": n_negatives,
         },
         "random_splits": n_random_splits,

@@ -1,4 +1,4 @@
-import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,14 +15,22 @@ def clique(prefix_a, prefix_v, n, year=2010):
     return [(f"{prefix_a}{i}", f"{prefix_v}{j}", year) for i in range(n) for j in range(n)]
 
 
+def padded(walks):
+    """Ragged walks as one matrix, each row padded with -1 to the longest."""
+    width = max(map(len, walks))
+    return np.array([[*w, *[-1] * (width - len(w))] for w in walks], dtype=np.int64)
+
+
 def loop_walk_pairs(walks, window):
-    """Reference pairs: one Python step per (center, context) token pair."""
+    """Reference pairs: one Python step per (center, context) token pair; -1 is no node."""
     centers, contexts = [], []
     for walk in walks:
         for i, c in enumerate(walk):
+            if c < 0:
+                continue
             lo = max(0, i - window)
             for j in range(lo, min(len(walk), i + window + 1)):
-                if j == i:
+                if j == i or walk[j] < 0:
                     continue
                 centers.append(c)
                 contexts.append(walk[j])
@@ -31,7 +39,7 @@ def loop_walk_pairs(walks, window):
 
 def add_at_sgns(walks, dim, window, epochs, seed, chunk_size):
     """Reference SGNS with the three np.add.at updates per chunk."""
-    tokens = np.fromiter(itertools.chain.from_iterable(walks), dtype=np.int64)
+    tokens = np.array([x for walk in walks for x in walk if x >= 0], dtype=np.int64)
     n_nodes = int(tokens.max()) + 1
     centers, contexts = loop_walk_pairs(walks, window)
     rng = np.random.default_rng(seed)
@@ -95,15 +103,15 @@ class TestWalks:
         g = BipartiteGraph({"a", "lone"}, {"v"}, {("a", "v"): EdgeInfo(1, 2010)})
         walks = sample_walks(g, walks_per_node=1, length=5, seed=0)
         lone = g.artist_order.index("lone")
-        lone_walks = [w for w in walks if w[0] == lone]
-        assert lone_walks == [[lone]]
+        lone_walks = [w.tolist() for w in walks if w[0] == lone]
+        assert lone_walks == [[lone, -1, -1, -1, -1, -1]]
 
     def test_seeded_determinism(self, toy_graph):
         a = sample_walks(toy_graph, walks_per_node=5, length=8, seed=3)
         b = sample_walks(toy_graph, walks_per_node=5, length=8, seed=3)
         c = sample_walks(toy_graph, walks_per_node=5, length=8, seed=4)
-        assert a == b
-        assert a != c
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_steps_are_uniform_over_neighbors(self):
         # star: artist hub with 4 venues; transition frequencies from the hub
@@ -134,13 +142,29 @@ class TestWalks:
         # dead-end walks of length 1, walks shorter and longer than the window
         walks = [[3], [0, 4, 1, 4], [2], [5, 0, 5, 0, 5, 0, 5, 0], [1, 6], [6]]
         for window in (1, 2, 3, 10):
-            got = embeddings._walk_pairs(walks, window)
+            got = embeddings._walk_pairs(padded(walks), window)
             want = loop_walk_pairs(walks, window)
             for g, w in zip(got, want):
                 assert g.dtype == np.int64
                 assert g.tolist() == w.tolist()
-        centers, contexts = embeddings._walk_pairs([[7], [8]], 2)
+        centers, contexts = embeddings._walk_pairs(np.array([[7], [8]]), 2)
         assert centers.size == contexts.size == 0
+
+    def test_walk_matrix_holds_no_more_than_its_cells(self):
+        # 3,000 nodes, so most node indices lie above the small ints Python caches
+        g = build_graph(clique("a", "v", 10)
+                        + [(f"b{i}", f"w{i % 990}", 2010) for i in range(1990)])
+        walks_per_node, length = 5, 10
+        cells = (len(g.artist_order) + len(g.venue_order)) * walks_per_node * (length + 1)
+        sample_walks(g, walks_per_node=1, length=1)  # the first call imports numpy modules
+        tracemalloc.start()
+        try:
+            walks = sample_walks(g, walks_per_node=walks_per_node, length=length, seed=0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1.25 * cells * 8
+        assert walks.shape == (cells // (length + 1), length + 1)
 
 
 class TestTraining:
@@ -185,6 +209,19 @@ class TestTraining:
     def test_empty_walks_rejected(self):
         with pytest.raises(GigmineError, match="empty"):
             train_embeddings([])
+
+    @pytest.mark.parametrize("walks, message", [
+        ([[]], "empty walk set"),
+        ([[-1, -1]], "holds no node"),
+        ([[0, -2, 1]], "node index -2, below the -1 pad"),
+        ([0, 1, 0], "2-D int matrix, got a 1-D int64"),
+        ([[0.0, 1.0]], "2-D int matrix, got a 2-D float64"),
+        (np.array([[0, 1]], dtype=np.uint8), "2-D int matrix, got a 2-D uint8"),
+        ([[0, 1], [2]], "2-D int matrix; its rows differ in length"),
+    ])
+    def test_bad_walks_rejected(self, walks, message):
+        with pytest.raises(GigmineError, match=message):
+            train_embeddings(walks)
 
     @pytest.mark.parametrize("param, value", [("dim", 0), ("window", 0), ("window", -1),
                                               ("epochs", 0)])

@@ -91,7 +91,7 @@ class TestHeuristics:
 
         def spy(S, ST, lo, hi):
             block = real(S, ST, lo, hi)
-            heights.setdefault(S.shape[0], []).append(block.shape[0])
+            heights.setdefault(S[0].size - 1, []).append(block.shape[0])
             return block
 
         with mock.patch.object(linkpred, "_CHUNK_CELLS", cells), \
@@ -106,6 +106,12 @@ class TestHeuristics:
         for name in want:
             assert got[name].tolist() == want[name].tolist()
 
+    def test_reads_the_graph_arrays_not_a_sparse_matrix(self, toy_graph):
+        with mock.patch.object(BipartiteGraph, "biadjacency", side_effect=AssertionError):
+            got = linkpred.heuristic_scores(toy_graph, [1], [1])  # (a2, v2)
+        assert got["common_neighbors"].tolist() == [2.0]
+        assert got["jaccard"].tolist() == [0.5]
+
     # a budget below one row's width (one row a block) and one of a few rows
     @pytest.mark.parametrize("cells", [5, 3 * 13])
     def test_blocked_counts_match_brute_force(self, cells):
@@ -116,7 +122,7 @@ class TestHeuristics:
         real, blocks = linkpred._hop_block, []
 
         def spy(S, ST, lo, hi):
-            blocks.append(S.shape[0])
+            blocks.append(S[0].size - 1)
             return real(S, ST, lo, hi)
 
         with mock.patch.object(linkpred, "_CHUNK_CELLS", cells), \
@@ -424,8 +430,13 @@ class TestNegativeSampling:
         assert not np.array_equal(sample_negative_pairs(g, 15, seed=5), first)
 
     def test_exhaustive_returns_every_non_edge(self, toy_graph):
-        negs = sample_negative_pairs(toy_graph, 1, exhaustive=True)
+        # asking for as many negatives as there are non-edges enumerates them
+        negs = sample_negative_pairs(toy_graph, 1)
         assert id_pairs(toy_graph, negs) == [("a2", "v2")]
+        g = random_bipartite(np.random.default_rng(3), 9, 7, 0.4)
+        n_cells = len(g.artist_order) * len(g.venue_order)
+        non_edges = np.setdiff1d(np.arange(n_cells), edge_codes(g))
+        assert sample_negative_pairs(g, non_edges.size).tolist() == non_edges.tolist()
 
     def test_oversized_request_returns_all(self, toy_graph):
         assert id_pairs(toy_graph, sample_negative_pairs(toy_graph, 100)) == [("a2", "v2")]

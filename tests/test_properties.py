@@ -115,12 +115,16 @@ def test_walks_step_along_edges_in_node_order(g, walks_per_node, length, seed):
     nodes = [*g.artist_order, *g.venue_order]  # node n_a + j is venue j
     n_a, edge_pairs = len(g.artist_order), set(g.edges)
     assert [w[0] for w in walks] == [k for k in range(len(nodes)) for _ in range(walks_per_node)]
-    for walk in walks:
+    assert walks.shape == (len(nodes) * walks_per_node, length + 1)
+    for row in walks.tolist():
+        walk = [x for x in row if x >= 0]
         isolated = not neighbors_of(edge_pairs, nodes[walk[0]])
         assert len(walk) == (1 if isolated else length + 1)
+        assert row == walk + [-1] * (length + 1 - len(walk))  # -1 only pads the tail
         for x, y in zip(walk, walk[1:]):
             assert ((nodes[x], nodes[y]) if x < n_a else (nodes[y], nodes[x])) in edge_pairs
-    assert sample_walks(g, walks_per_node=walks_per_node, length=length, seed=seed) == walks
+    again = sample_walks(g, walks_per_node=walks_per_node, length=length, seed=seed)
+    assert np.array_equal(again, walks)
 
 
 # signed zeros, the smallest subnormal, a mid-range subnormal, the smallest

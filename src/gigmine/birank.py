@@ -38,13 +38,11 @@ class SeedScores:
 
     def __post_init__(self):
         for name, side in (("artist", self.artist_seed), ("venue", self.venue_seed)):
-            if not all(math.isfinite(s) for s in side.values()):
-                raise GigmineError(f"{name} seeds contain a non-finite entry")
+            if not all(0.0 <= s < math.inf for s in side.values()):  # NaN fails both
+                raise GigmineError(f"{name} seeds contain a negative or non-finite entry")
             total = sum(side.values())
             if abs(total - 1.0) > 1e-9:
                 raise GigmineError(f"{name} seeds sum to {total!r}, expected 1")
-            if any(s < 0 for s in side.values()):
-                raise GigmineError(f"{name} seeds contain a negative entry")
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,13 +180,12 @@ def birank(
     weights = weights if weights is not None else temporal_weights(g)
     if weights.graph is not g and weights.graph != g:
         raise GigmineError("temporal weights were computed for a different graph")
-    seeds = seeds if seeds is not None else seed_scores(g)
-    for name, side, order in (("artist", seeds.artist_seed, g.artist_order),
-                              ("venue", seeds.venue_seed, g.venue_order)):
-        missing = sum(x not in side for x in order)
-        if missing or len(side) != len(order):
-            raise GigmineError(f"{name} seeds miss {missing} of the graph's {len(order)} "
-                               f"{name}s and carry {len(side) - len(order) + missing} other ids")
+    if seeds is None:
+        seeds = seed_scores(g)
+    elif seeds.artist_seed.keys() != set(g.artist_order):
+        raise GigmineError("artist seeds must cover exactly the graph's artists")
+    elif seeds.venue_seed.keys() != set(g.venue_order):
+        raise GigmineError("venue seeds must cover exactly the graph's venues")
     n_a, n_v = len(g.artist_order), len(g.venue_order)
     row, col = g.row, g.col
     w = np.asarray(weights.values * g.count if count_scaled else weights.values, dtype=float)

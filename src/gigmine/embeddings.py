@@ -87,11 +87,10 @@ def _walk_pairs(walks: np.ndarray, window: int):
     from -window to window; -1 is no node. Padding ``walks`` with ``window``
     columns of -1 either side makes every offset one gather.
     """
-    width = walks.shape[1]
     padded = np.pad(walks, ((0, 0), (window, window)), constant_values=-1)
     offsets = np.r_[-window:0, 1 : window + 1]
-    contexts = padded[:, window + np.arange(width)[:, None] + offsets]
-    centers = np.broadcast_to(padded[:, window : window + width, None], contexts.shape)
+    contexts = padded[:, window + np.arange(walks.shape[1])[:, None] + offsets]
+    centers = np.broadcast_to(walks[:, :, None], contexts.shape)
     valid = (centers >= 0) & (contexts >= 0)
     return centers[valid], contexts[valid]
 

@@ -235,11 +235,19 @@ class BipartiteGraph:
 
     # -- matrix view ----------------------------------------------------------
 
-    def biadjacency(self) -> scipy.sparse.csr_matrix:
-        """Sparse 0/1 artist x venue incidence matrix in (artist_order, venue_order) layout."""
+    def biadjacency(self, values="binary") -> scipy.sparse.csr_matrix:
+        """Sparse artist x venue matrix in (artist_order, venue_order) layout.
+
+        ``values`` selects the entries: "binary" (0/1 incidence), "count"
+        (event multiplicities) or an array of one value per edge in CSR order.
+        """
+        if isinstance(values, str):
+            if values not in ("binary", "count"):
+                raise ValueError(f"values must be binary|count or an array, got {values!r}")
+            values = np.ones(self.n_edges) if values == "binary" else self.count
         shape = (len(self._artist_order), len(self._venue_order))
         return scipy.sparse.csr_matrix(
-            (np.ones(self.n_edges), self.col.copy(), self.indptr.copy()), shape=shape
+            (np.array(values, dtype=float), self.col.copy(), self.indptr.copy()), shape=shape
         )
 
 

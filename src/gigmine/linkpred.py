@@ -272,12 +272,11 @@ def _side_counts(S, ST, keys, others, step):
     the block has.
     """
     hits, n2 = np.zeros(keys.size), np.zeros(keys.size)
-    n_rows = S[0].size - 1
+    (ptr, _), (t_ptr, t_idx) = S, ST
     order = np.argsort(keys, kind="stable")
-    bounds = np.searchsorted(keys[order], np.arange(0, n_rows + step, step))
-    t_ptr, t_idx = ST
+    bounds = np.searchsorted(keys[order], np.arange(0, ptr.size - 1 + step, step))
     degree = np.diff(t_ptr)
-    for lo, start, stop in zip(range(0, n_rows, step), bounds, bounds[1:]):
+    for lo, start, stop in zip(range(0, ptr.size - 1, step), bounds, bounds[1:]):
         if start == stop:
             continue
         block = _hop_block(S, ST, lo, lo + step)
@@ -334,7 +333,7 @@ def score_svd(
     dimensions or a code lies outside the graph.
     """
     rows, cols = np.divmod(_checked(g, pairs), len(g.venue_order))
-    X = g.biadjacency()
+    X = g.biadjacency(values="binary")
     reducer = SVDReducer(k, seed=seed).fit(X)
     left = reducer.transform(X)  # rows: U_k S_k in artist_order
     scores = np.einsum("kd,kd->k", left[rows], reducer.components_[cols])

@@ -74,19 +74,17 @@ class TestSeeds:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_seed_rejected(self, bad):
-        with pytest.raises(GigmineError, match="venue seeds contain a non-finite entry"):
+        with pytest.raises(GigmineError, match="venue seeds contain a negative or non-finite"):
             SeedScores({"a": 1.0}, {"v": bad, "w": 1.0})
 
     def test_seed_missing_a_graph_node_rejected(self, toy_graph):
         seeds = SeedScores({"a1": 1.0}, {"v1": 0.5, "v2": 0.5})
-        with pytest.raises(GigmineError, match="artist seeds miss 1 of the graph's 2 artists "
-                                               "and carry 0 other ids"):
+        with pytest.raises(GigmineError, match="artist seeds must cover exactly the graph's"):
             birank(toy_graph, seeds=seeds)
 
     def test_seed_with_an_extra_id_rejected(self, toy_graph):
         seeds = SeedScores({"a1": 0.5, "a2": 0.5}, {"v1": 0.25, "v2": 0.25, "v9": 0.5})
-        with pytest.raises(GigmineError, match="venue seeds miss 0 of the graph's 2 venues "
-                                               "and carry 1 other ids"):
+        with pytest.raises(GigmineError, match="venue seeds must cover exactly the graph's"):
             birank(toy_graph, seeds=seeds)
 
 

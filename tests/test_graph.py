@@ -103,11 +103,13 @@ class TestCountsAndOrders:
             toy_graph.count[0] = 5
 
     def test_biadjacency_values(self, toy_graph):
-        b = toy_graph.biadjacency().toarray()
+        b = toy_graph.biadjacency("binary").toarray()
         assert b.tolist() == [[1, 1], [1, 0]]
-        # an edge of several events is still one 1
         g = BipartiteGraph({"a"}, {"v"}, {("a", "v"): EdgeInfo(3, 2010)})
-        assert g.biadjacency().toarray().tolist() == [[1.0]]
+        assert g.biadjacency("count").toarray().tolist() == [[3.0]]
+        assert g.biadjacency(np.array([0.5])).toarray().tolist() == [[0.5]]
+        with pytest.raises(ValueError):
+            g.biadjacency("nope")
 
 
 class TestBuildGraph:

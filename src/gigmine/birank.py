@@ -31,16 +31,24 @@ MAX_ITER = 200
 
 @dataclass(frozen=True)
 class SeedScores:
-    """Per-side seed vectors; each side is a probability distribution."""
+    """Per-side id -> seed maps; each side is a probability distribution.
+
+    ``seed_scores`` gives ``ScoreView``s over the graph's orders; any other
+    mapping works too.
+    """
 
     artist_seed: Mapping
     venue_seed: Mapping
 
     def __post_init__(self):
         for name, side in (("artist", self.artist_seed), ("venue", self.venue_seed)):
-            if not all(0.0 <= s < math.inf for s in side.values()):  # NaN fails both
+            if isinstance(side, ScoreView):
+                values = np.asarray(side.array, dtype=float)
+            else:
+                values = np.fromiter(side.values(), dtype=float, count=len(side))
+            if not np.all((values >= 0.0) & (values < math.inf)):  # NaN fails both
                 raise GigmineError(f"{name} seeds contain a negative or non-finite entry")
-            total = sum(side.values())
+            total = float(values.sum())
             if abs(total - 1.0) > 1e-9:
                 raise GigmineError(f"{name} seeds sum to {total!r}, expected 1")
 
@@ -109,7 +117,7 @@ def seed_scores(g: BipartiteGraph) -> SeedScores:
 
     Degree is the distinct-neighbor count. Rankings induced by the seeds do
     not depend on the logarithm base, but the values do; natural log is
-    fixed here.
+    fixed here. Each side is a read-only ``ScoreView`` over the graph's order.
     """
     if not g.artists or not g.venues:
         raise GigmineError("seed scores need at least one artist and one venue")
@@ -119,8 +127,19 @@ def seed_scores(g: BipartiteGraph) -> SeedScores:
         total = sum(raw)
         if total == 0.0:
             raise GigmineError("cannot seed a side whose nodes all have degree 0")
-        seeds.append({n: x / total for n, x in zip(order, raw)})
+        seed = np.array(raw) / total
+        seed.flags.writeable = False
+        seeds.append(ScoreView(order, seed))
     return SeedScores(artist_seed=seeds[0], venue_seed=seeds[1])
+
+
+def _seed_vector(side: Mapping, order: tuple, name: str) -> np.ndarray:
+    """The seeds of ``side`` in ``order``; raises unless ``side`` covers exactly its ids."""
+    if isinstance(side, ScoreView) and side.order == order:
+        return np.asarray(side.array, dtype=float)
+    if side.keys() != set(order):
+        raise GigmineError(f"{name} seeds must cover exactly the graph's {name}s")
+    return np.array([side[n] for n in order], dtype=float)
 
 
 def temporal_weights(
@@ -180,12 +199,9 @@ def birank(
     weights = weights if weights is not None else temporal_weights(g)
     if weights.graph is not g and weights.graph != g:
         raise GigmineError("temporal weights were computed for a different graph")
-    if seeds is None:
-        seeds = seed_scores(g)
-    elif seeds.artist_seed.keys() != set(g.artist_order):
-        raise GigmineError("artist seeds must cover exactly the graph's artists")
-    elif seeds.venue_seed.keys() != set(g.venue_order):
-        raise GigmineError("venue seeds must cover exactly the graph's venues")
+    seeds = seeds if seeds is not None else seed_scores(g)
+    u0 = _seed_vector(seeds.artist_seed, g.artist_order, "artist")
+    p0 = _seed_vector(seeds.venue_seed, g.venue_order, "venue")
     n_a, n_v = len(g.artist_order), len(g.venue_order)
     row, col = g.row, g.col
     w = np.asarray(weights.values * g.count if count_scaled else weights.values, dtype=float)
@@ -203,8 +219,6 @@ def birank(
     # the entries of diag(inv_sqrt_u) @ W @ diag(inv_sqrt_p), in CSR order
     s = (inv_sqrt_u[row] * w) * inv_sqrt_p[col]
 
-    u0 = np.array([seeds.artist_seed[a] for a in g.artist_order])
-    p0 = np.array([seeds.venue_seed[v] for v in g.venue_order])
     if init == "uniform":
         u = np.full(u0.size, 1.0 / u0.size)
         p = np.full(p0.size, 1.0 / p0.size)

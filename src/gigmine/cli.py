@@ -17,6 +17,7 @@ import copy
 import csv
 import dataclasses
 import datetime as dt
+import inspect
 import json
 import logging
 import subprocess
@@ -24,30 +25,14 @@ import sys
 from pathlib import Path
 
 from gigmine import __version__
-from gigmine.birank import (
-    ALPHA,
-    BETA,
-    DELTA,
-    birank,
-    score_histogram,
-    temporal_weights,
-    yearly_trajectories,
-)
-from gigmine.embeddings import DIM, EPOCHS, WALK_LENGTH, WALKS_PER_NODE, WINDOW
+from gigmine.birank import birank, score_histogram, temporal_weights, yearly_trajectories
 from gigmine.errors import GigmineError
 from gigmine.graph import build_graph
 from gigmine.ingest import filter_min_activity, filter_post_2007, parse_corpus
 from gigmine.labeling import change_points, label_corpus
-from gigmine.linkpred import (
-    ALL_PREDICTORS,
-    NEG_FLOOR,
-    NEG_MULTIPLE,
-    SVD_RANK,
-    SplitSpec,
-    run_task2,
-)
-from gigmine.routes import N_VALUES, city_sequences, mine_routes
-from gigmine.success import C_GRID, K_GRID, run_task1
+from gigmine.linkpred import SplitSpec, build_score_tables, run_task2
+from gigmine.routes import city_sequences, mine_routes
+from gigmine.success import run_task1
 from gigmine.synth import GenSpec, generate
 
 log = logging.getLogger("gigmine")
@@ -57,6 +42,28 @@ class UsageError(Exception):
     """Bad invocation or config; maps to exit code 2."""
 
 
+def _plain(value):
+    """``value`` as the JSON config holds it: tuples as lists, sets sorted, dates in ISO form."""
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    return value
+
+
+def _default(fn, name: str):
+    """The default of parameter ``name`` of a function or dataclass, as the config holds it."""
+    return _plain(inspect.signature(fn).parameters[name].default)
+
+
+def _defaults(fn, *names: str) -> dict:
+    return {name: _default(fn, name) for name in names}
+
+
+# a key that repeats a library default reads it from the signature it feeds;
+# the rest are the CLI's own
 DEFAULTS: dict = {
     "seed": 0,
     "corpus": {
@@ -67,51 +74,34 @@ DEFAULTS: dict = {
     },
     "preprocess": {
         "post_platform_filter": True,
-        "cutoff": "2007-01-01",
+        "cutoff": _default(filter_post_2007, "cutoff"),
         "min_activity_filter": True,
-        "activity_threshold": 10,
-        "recursive": True,
+        "activity_threshold": _default(filter_min_activity, "threshold"),
+        "recursive": _default(filter_min_activity, "recursive"),
     },
-    "task1": {
-        "mode": "count",
-        "n_splits": 3,
-        "test_fraction": 0.2,
-        "cv_folds": 3,
-        "threshold": 0.5,
-        "c_grid": list(C_GRID),
-        "k_grid": list(K_GRID),
-    },
+    "task1": _defaults(
+        run_task1, "mode", "n_splits", "test_fraction", "cv_folds", "threshold", "c_grid", "k_grid"
+    ),
     "task2": {
-        "predictors": list(ALL_PREDICTORS),
-        "train_end_year": 2015,
-        "test_years": [2016, 2017],
-        "hidden_fraction": 0.2,
-        "n_random_splits": 3,
-        "core_k": 5,
-        "svd_k": SVD_RANK,
-        "neg_multiple": NEG_MULTIPLE,
-        "neg_floor": NEG_FLOOR,
-        "walks_per_node": WALKS_PER_NODE,
-        "walk_length": WALK_LENGTH,
-        "embed_dim": DIM,
-        "embed_window": WINDOW,
-        "embed_epochs": EPOCHS,
+        **_defaults(
+            run_task2, "predictors", "hidden_fraction", "n_random_splits", "core_k", "svd_k",
+            "neg_multiple", "neg_floor",
+        ),
+        **_defaults(SplitSpec, "train_end_year", "test_years"),
+        **_defaults(
+            build_score_tables, "walks_per_node", "walk_length", "embed_dim", "embed_window",
+            "embed_epochs",
+        ),
     },
     "task3": {
-        "delta": DELTA,
-        "alpha": ALPHA,
-        "beta": BETA,
+        **_defaults(yearly_trajectories, "delta", "alpha", "beta", "window_years", "count_scaled"),
+        "bins": _default(score_histogram, "bins"),
         "ref_year": 0,  # 0 = most recent year in the corpus
-        "window_years": 3,
-        "count_scaled": False,
         "top_k": 20,
-        "bins": 20,
     },
-    "routes": {"n_values": list(N_VALUES), "top_k": 20},
+    "routes": {"n_values": _default(mine_routes, "n_values"), "top_k": 20},
     "synth": {
-        key: list(value) if isinstance(value, tuple) else value
-        for key, value in dataclasses.asdict(GenSpec()).items()
-        if key != "seed"
+        key: _plain(value) for key, value in dataclasses.asdict(GenSpec()).items() if key != "seed"
     },
 }
 

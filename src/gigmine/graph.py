@@ -9,15 +9,13 @@ tuples, and a node's index is its position in its side's tuple. The edges are
 stored once, as int arrays in CSR order (by artist index, then venue index):
 ``row``, ``col``, ``count`` and ``first_year``, with ``indptr`` delimiting each
 artist's run and ``csc_indptr``/``csc_indices`` listing each venue's artists.
-Neighbor sets, 2-hop neighbor sets (the union of the neighbors of each
-neighbor, which lands back on the node's own side), distinct-neighbor degrees
-and the sparse biadjacency matrix are views over these arrays, and the tasks
-read the arrays directly instead of keeping id maps of their own.
+Neighbor sets, distinct-neighbor degrees, event counts and the sparse
+biadjacency matrix are views over these arrays, and the tasks read the arrays
+directly instead of keeping id maps of their own.
 
 The graph is immutable after construction (its arrays are read-only) and safe
-for concurrent reads. Artist and venue id sets must be disjoint so that set
-formulas over the mixed node universe are well defined; construction rejects
-overlapping ids.
+for concurrent reads. Artist and venue id sets must be disjoint so that an id
+passed to a node view names one node; construction rejects overlapping ids.
 """
 
 from __future__ import annotations
@@ -186,52 +184,30 @@ class BipartiteGraph:
 
     # -- neighborhood queries -----------------------------------------------
 
-    def _venues_of(self, i: int) -> np.ndarray:
-        return self.col[self.indptr[i]:self.indptr[i + 1]]
-
-    def _artists_of(self, j: int) -> np.ndarray:
-        return self.csc_indices[self.csc_indptr[j]:self.csc_indptr[j + 1]]
-
     def _hood(self, node):
-        """Neighbor indices of ``node``, their order, and the same two for its side."""
+        """Where ``node``'s edges sit in the edge arrays, their far ends and that side's order."""
         i = self._artist_index.get(node)
         if i is not None:
-            return self._venues_of(i), self._venue_order, self._artists_of, self._artist_order
+            at = slice(self.indptr[i], self.indptr[i + 1])
+            return at, self.col[at], self._venue_order
         j = self._venue_index.get(node)
         if j is not None:
-            return self._artists_of(j), self._artist_order, self._venues_of, self._venue_order
+            at = slice(self.csc_indptr[j], self.csc_indptr[j + 1])
+            return self._by_venue[at], self.csc_indices[at], self._artist_order
         raise UnknownNodeError(node)
 
     def neighbors(self, node) -> frozenset:
         """Opposite-side nodes sharing an edge with ``node``."""
-        nbrs, order, _, _ = self._hood(node)
-        return frozenset(map(order.__getitem__, nbrs.tolist()))
-
-    def two_hop_neighbors(self, node) -> frozenset:
-        """Union of the neighbors of each neighbor of ``node``.
-
-        Same side as ``node``; contains ``node`` itself whenever it has at
-        least one neighbor.
-        """
-        nbrs, _, neighbors_of, own_order = self._hood(node)
-        hops: set = set()
-        for k in nbrs.tolist():
-            hops.update(neighbors_of(k).tolist())
-        return frozenset(map(own_order.__getitem__, hops))
+        _, far, order = self._hood(node)
+        return frozenset(map(order.__getitem__, far.tolist()))
 
     def degree(self, node) -> int:
         """Number of distinct opposite-side neighbors (not summed event counts)."""
-        return len(self._hood(node)[0])
+        return len(self._hood(node)[1])
 
     def event_count(self, node) -> int:
         """Total events touching ``node``, i.e. incident edge multiplicities summed."""
-        i = self._artist_index.get(node)
-        if i is not None:
-            return int(self.count[self.indptr[i]:self.indptr[i + 1]].sum())
-        j = self._venue_index.get(node)
-        if j is None:
-            raise UnknownNodeError(node)
-        return int(self.count[self._by_venue[self.csc_indptr[j]:self.csc_indptr[j + 1]]].sum())
+        return int(self.count[self._hood(node)[0]].sum())
 
     # -- matrix view ----------------------------------------------------------
 

@@ -187,35 +187,6 @@ def make_random_split(graph: BipartiteGraph, spec: SplitSpec) -> RandomSplit:
 # -- predictors ---------------------------------------------------------------
 
 
-def _neighborhoods(g: BipartiteGraph, a, v):
-    return g.two_hop_neighbors(a), g.neighbors(v), g.two_hop_neighbors(v), g.neighbors(a)
-
-
-def score_common_neighbors(g: BipartiteGraph, a, v) -> int:
-    """|(N2(a) ∩ N(v)) ∪ (N2(v) ∩ N(a))| with N2 the 2-hop neighborhood.
-
-    The two intersections live on opposite sides of the graph, so the union
-    is disjoint and the formula is symmetric in its arguments. Single-pair
-    form of ``heuristic_scores``.
-    """
-    two_a, n_v, two_v, n_a = _neighborhoods(g, a, v)
-    return len(two_a & n_v) + len(two_v & n_a)
-
-
-def score_jaccard(g: BipartiteGraph, a, v) -> float:
-    """Common-neighbor count over the size of the 4-way neighborhood union."""
-    two_a, n_v, two_v, n_a = _neighborhoods(g, a, v)
-    denom = len(two_a | n_v) + len(two_v | n_a)
-    if denom == 0:
-        return 0.0
-    return (len(two_a & n_v) + len(two_v & n_a)) / denom
-
-
-def score_preferential_attachment(g: BipartiteGraph, a, v) -> int:
-    """Product of the two distinct-neighbor degrees."""
-    return g.degree(a) * g.degree(v)
-
-
 # cells per block of rows of A2 or V2 in heuristic_scores, counted over the
 # wider of the two (n_a or n_v cells a row)
 _CHUNK_CELLS = 1 << 20
@@ -293,9 +264,14 @@ def _side_counts(S, ST, keys, others, step):
 def heuristic_scores(g: BipartiteGraph, rows, cols) -> dict[str, np.ndarray]:
     """CN, Jaccard and PA of the index pairs (rows[k], cols[k]), all at once.
 
-    With B the binary biadjacency, A2 = 1[B B' > 0] and V2 = 1[B' B > 0]
-    (Liben-Nowell & Kleinberg, JASIST 2007), B and B' read as the graph's
-    CSR (``indptr``, ``col``) and CSC (``csc_indptr``, ``csc_indices``):
+    For artist a and venue v, with N the neighbors and N2 the 2-hop
+    neighbors (same side, a node itself once it has a neighbor), CN is
+    |N2(a) ∩ N(v)| + |N2(v) ∩ N(a)|, Jaccard is CN over
+    |N2(a) ∪ N(v)| + |N2(v) ∪ N(a)| (0 when that is 0) and PA is
+    |N(a)| |N(v)| (Liben-Nowell & Kleinberg, JASIST 2007). With B the
+    binary biadjacency, A2 = 1[B B' > 0] and V2 = 1[B' B > 0], B and B'
+    read as the graph's CSR (``indptr``, ``col``) and CSC
+    (``csc_indptr``, ``csc_indices``):
     CN = Σ_{a' ∈ N(v)} A2[a, a'] + Σ_{v' ∈ N(a)} V2[v', v], the Jaccard
     denominator is |N2(a)| + deg(v) + |N2(v)| + deg(a) - CN, and
     PA = deg(a) deg(v). Each sum is counted per candidate pair, from dense

@@ -131,11 +131,6 @@ class SVDReducer:
         return np.asarray(X @ self.components_)
 
 
-def svd_reduce(X, k: int, seed: int = 0) -> np.ndarray:
-    """Rank-k coordinates of X's own rows (fit and transform in one step)."""
-    return SVDReducer(k, seed=seed).fit(X).transform(X)
-
-
 @dataclass
 class LogregModel:
     weights: np.ndarray

@@ -23,12 +23,10 @@ from gigmine.linkpred import (
     SplitSpec,
     build_score_tables,
     evaluate_linkpred,
+    heuristic_scores,
     make_random_split,
     run_task2,
     sample_negative_pairs,
-    score_common_neighbors,
-    score_jaccard,
-    score_preferential_attachment,
     score_svd,
 )
 from gigmine.metrics import roc_auc
@@ -66,19 +64,22 @@ def test_criterion_01_heuristic_oracle_equivalence():
             n: set().union(*(adj[w] for w in adj[n])) if adj[n] else set()
             for n in nodes
         }
-        for a in g.artists:
-            for v in g.venues:
-                pairs += 1
-                cn = len(two[a] & adj[v]) + len(two[v] & adj[a])
-                union = len(two[a] | adj[v]) + len(two[v] | adj[a])
-                jac = cn / union if union else 0.0
-                pa = len(adj[a]) * len(adj[v])
-                if (
-                    score_common_neighbors(g, a, v) != cn
-                    or score_jaccard(g, a, v) != jac
-                    or score_preferential_attachment(g, a, v) != pa
-                ):
-                    mismatches += 1
+        # every (artist index, venue index) pair of the graph in one call
+        n_cols = len(g.venue_order)
+        rows, cols = np.divmod(np.arange(len(g.artist_order) * n_cols), n_cols)
+        got = heuristic_scores(g, rows, cols)
+        for k, (a, v) in enumerate(g.id_pairs(rows, cols)):
+            pairs += 1
+            cn = len(two[a] & adj[v]) + len(two[v] & adj[a])
+            union = len(two[a] | adj[v]) + len(two[v] | adj[a])
+            jac = cn / union if union else 0.0
+            pa = len(adj[a]) * len(adj[v])
+            if (
+                got["common_neighbors"][k] != cn
+                or got["jaccard"][k] != jac
+                or got["preferential_attachment"][k] != pa
+            ):
+                mismatches += 1
     verdict(
         1,
         "heuristic oracle equivalence",

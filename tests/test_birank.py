@@ -4,6 +4,7 @@ import gc
 import logging
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from oracles import dense_birank_oracle, random_bipartite
 import gigmine.birank
 from gigmine.birank import (
     BiRankResult,
+    ScoreView,
     SeedScores,
     birank,
     dense_rank,
@@ -86,6 +88,35 @@ class TestSeeds:
         seeds = SeedScores({"a1": 0.5, "a2": 0.5}, {"v1": 0.25, "v2": 0.25, "v9": 0.5})
         with pytest.raises(GigmineError, match="venue seeds must cover exactly the graph's"):
             birank(toy_graph, seeds=seeds)
+
+    def test_default_seeds_are_log_degree_over_their_python_sum(self):
+        g = random_bipartite(np.random.default_rng(7), 14, 9, 0.3)
+        seeds = seed_scores(g)
+        for side, order in ((seeds.artist_seed, g.artist_order), (seeds.venue_seed, g.venue_order)):
+            raw = [math.log(g.degree(n) + 1) for n in order]
+            total = sum(raw)
+            assert side.order == order
+            assert side.array.tolist() == [x / total for x in raw]
+            assert not side.array.flags.writeable
+
+    def test_default_seeds_take_no_per_id_lookup(self):
+        g = random_bipartite(np.random.default_rng(8), 10, 8, 0.3)
+        want = birank(g)
+        with mock.patch.object(ScoreView, "position", side_effect=AssertionError("id lookup")):
+            got = birank(g)
+        assert np.array_equal(got.artist_scores.array, want.artist_scores.array)
+        assert np.array_equal(got.venue_scores.array, want.venue_scores.array)
+
+    def test_score_view_seeds_over_another_order(self, toy_graph):
+        venues = ScoreView(toy_graph.venue_order, np.array([0.5, 0.5]))
+        short = SeedScores(ScoreView(("a1",), np.array([1.0])), venues)
+        with pytest.raises(GigmineError, match="artist seeds must cover exactly the graph's"):
+            birank(toy_graph, seeds=short)
+        # the same ids in another order are gathered id by id
+        swapped = SeedScores(ScoreView(("a2", "a1"), np.array([0.25, 0.75])), venues)
+        as_dict = SeedScores({"a1": 0.75, "a2": 0.25}, {"v1": 0.5, "v2": 0.5})
+        got, want = birank(toy_graph, seeds=swapped), birank(toy_graph, seeds=as_dict)
+        assert np.array_equal(got.artist_scores.array, want.artist_scores.array)
 
 
 class TestTemporalWeights:

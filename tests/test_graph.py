@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import neighbors_of, random_bipartite, two_hop_of
+from oracles import neighbors_of, random_bipartite
 
 from gigmine.errors import GigmineError, UnknownNodeError
 from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
@@ -48,19 +48,11 @@ class TestNeighborhoods:
         with pytest.raises(UnknownNodeError):
             toy_graph.neighbors("nope")
         with pytest.raises(UnknownNodeError):
-            toy_graph.two_hop_neighbors("nope")
+            toy_graph.degree("nope")
+        with pytest.raises(UnknownNodeError):
+            toy_graph.event_count("nope")
 
-    def test_two_hop_toy(self, toy_graph):
-        """N2(a1) = N(v1) union N(v2) = {a1, a2}; lands on the node's own side."""
-        assert toy_graph.two_hop_neighbors("a1") == {"a1", "a2"}
-        assert toy_graph.two_hop_neighbors("v2") == {"v1", "v2"}
-
-    def test_two_hop_contains_self_iff_some_neighbor(self):
-        g = BipartiteGraph({"a", "b"}, {"v"}, {("a", "v"): EdgeInfo(1, 2010)})
-        assert "a" in g.two_hop_neighbors("a")
-        assert g.two_hop_neighbors("b") == frozenset()
-
-    def test_two_hop_matches_brute_force_on_random_graphs(self):
+    def test_neighbors_match_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
             g = random_bipartite(
@@ -71,7 +63,6 @@ class TestNeighborhoods:
             )
             pairs = list(g.edges)
             for node in list(g.artists) + list(g.venues):
-                assert g.two_hop_neighbors(node) == two_hop_of(pairs, node)
                 assert g.neighbors(node) == neighbors_of(pairs, node)
 
 

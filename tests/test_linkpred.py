@@ -24,38 +24,29 @@ from gigmine.linkpred import (
     make_temporal_split,
     run_task2,
     sample_negative_pairs,
-    score_common_neighbors,
-    score_jaccard,
-    score_preferential_attachment,
     score_svd,
 )
 from gigmine.synth import GenSpec, generate
 
 
+def heuristics_of(g, a, v) -> tuple:
+    """CN, Jaccard and PA of the id pair (a, v), through ``heuristic_scores``."""
+    got = linkpred.heuristic_scores(g, [g.artist_order.index(a)], [g.venue_order.index(v)])
+    return tuple(got[name].item() for name in HEURISTICS)
+
+
 class TestHeuristics:
     def test_known_values_on_toy_graph(self, toy_graph):
         # a1 plays v1 and v2; a2 plays v1 only; candidate pair (a2, v2)
-        assert score_common_neighbors(toy_graph, "a2", "v2") == 2
-        assert score_jaccard(toy_graph, "a2", "v2") == pytest.approx(0.5)
-        assert score_preferential_attachment(toy_graph, "a2", "v2") == 1 * 1
-
-    def test_symmetric_in_arguments(self, toy_graph):
-        # implementation should not care which endpoint is named first
-        fwd = score_common_neighbors(toy_graph, "a2", "v2")
-        rev = score_common_neighbors(toy_graph, "v2", "a2")
-        assert fwd == rev
-        assert score_jaccard(toy_graph, "a2", "v2") == score_jaccard(toy_graph, "v2", "a2")
+        assert heuristics_of(toy_graph, "a2", "v2") == (2, 0.5, 1 * 1)
 
     def test_disconnected_pair_scores_zero(self):
         g = build_graph([("a1", "v1", 2010), ("a2", "v2", 2010)])
-        assert score_common_neighbors(g, "a1", "v2") == 0
-        assert score_jaccard(g, "a1", "v2") == 0.0
-        assert score_preferential_attachment(g, "a1", "v2") == 1
+        assert heuristics_of(g, "a1", "v2") == (0, 0.0, 1)
 
     def test_isolated_node_jaccard_is_zero_not_nan(self):
         g = BipartiteGraph({"a", "b"}, {"v"}, {("a", "v"): EdgeInfo(1, 2010)})
-        assert score_jaccard(g, "b", "v") == 0.0
-        assert score_common_neighbors(g, "b", "v") == 0
+        assert heuristics_of(g, "b", "v") == (0, 0.0, 0)
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(17)
@@ -67,18 +58,13 @@ class TestHeuristics:
                 float(rng.uniform(0.1, 0.4)),
             )
             edge_pairs = list(g.edges)
-            artists = sorted(g.artists)
-            venues = sorted(g.venues)
-            for _ in range(10):
-                a = artists[rng.integers(len(artists))]
-                v = venues[rng.integers(len(venues))]
-                assert score_common_neighbors(g, a, v) == cn_oracle(edge_pairs, a, v)
-                assert score_jaccard(g, a, v) == pytest.approx(
-                    jaccard_oracle(edge_pairs, a, v)
-                )
-                assert score_preferential_attachment(g, a, v) == pa_oracle(
-                    edge_pairs, a, v
-                )
+            rows = rng.integers(len(g.artist_order), size=10)
+            cols = rng.integers(len(g.venue_order), size=10)
+            got = linkpred.heuristic_scores(g, rows, cols)
+            for k, (a, v) in enumerate(g.id_pairs(rows, cols)):
+                assert got["common_neighbors"][k] == cn_oracle(edge_pairs, a, v)
+                assert got["jaccard"][k] == jaccard_oracle(edge_pairs, a, v)
+                assert got["preferential_attachment"][k] == pa_oracle(edge_pairs, a, v)
 
     # artists outnumber venues, venues outnumber artists, and a budget below
     # one row's width (a block is then a single artist)

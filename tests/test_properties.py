@@ -34,7 +34,6 @@ from oracles import (
     pairwise_auc,
     random_bipartite,
     raw_ngram_counts,
-    two_hop_of,
 )
 
 from gigmine import graph, ingest, linkpred
@@ -216,7 +215,6 @@ def test_neighborhood_views_match_oracles(g):
     edge_pairs = list(g.edges)
     for node in g.artist_order + g.venue_order:
         assert g.neighbors(node) == neighbors_of(edge_pairs, node)
-        assert g.two_hop_neighbors(node) == two_hop_of(edge_pairs, node)
         assert g.degree(node) == len(neighbors_of(edge_pairs, node))
 
 

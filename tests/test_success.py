@@ -18,7 +18,6 @@ from gigmine.success import (
     run_task1,
     stratified_folds,
     stratified_split,
-    svd_reduce,
     train_logreg,
     truncate_events,
 )
@@ -173,10 +172,14 @@ class TestSVDReducer:
             SVDReducer(2).transform(np.ones((3, 4)))
 
     def test_one_shot_helper(self):
+        # fitted and applied to the same rows: their rank-k coordinates U_k S_k
         rng = np.random.default_rng(5)
         A = rng.standard_normal((15, 8))
-        assert svd_reduce(A, 3, seed=1) == pytest.approx(
-            SVDReducer(3, seed=1).fit(A).transform(A)
+        u, s, vt = np.linalg.svd(A, full_matrices=False)
+        # the reducer's signs: each right singular vector's largest entry is positive
+        sign = np.sign(vt[np.arange(3), np.abs(vt[:3]).argmax(axis=1)])
+        assert SVDReducer(3, seed=1).fit(A).transform(A) == pytest.approx(
+            u[:, :3] * s[:3] * sign
         )
 
 

@@ -123,11 +123,15 @@ def seed_scores(g: BipartiteGraph) -> SeedScores:
         raise GigmineError("seed scores need at least one artist and one venue")
     seeds = []
     for order, ptr in ((g.artist_order, g.indptr), (g.venue_order, g.csc_indptr)):
-        raw = [math.log(d + 1) for d in np.diff(ptr).tolist()]
-        total = sum(raw)
+        # one log per distinct degree, gathered back per node; the total is
+        # Python's sum over the nodes in order, as in the per-node form (from
+        # 3.12 it is compensated, which no numpy sum reproduces bit for bit)
+        degrees, degree_of = np.unique(np.diff(ptr), return_inverse=True)
+        raw = np.array([math.log(d + 1) for d in degrees.tolist()])[degree_of]
+        total = sum(raw.tolist())
         if total == 0.0:
             raise GigmineError("cannot seed a side whose nodes all have degree 0")
-        seed = np.array(raw) / total
+        seed = raw / total
         seed.flags.writeable = False
         seeds.append(ScoreView(order, seed))
     return SeedScores(artist_seed=seeds[0], venue_seed=seeds[1])

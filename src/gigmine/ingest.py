@@ -426,13 +426,14 @@ def _offsets(buf, byte: bytes, dtype) -> np.ndarray:
 def _unique_fields(buf, start, stop):
     """Sorted distinct fields ``buf[start[i]:stop[i]]`` as an array, and each row's code.
 
-    Each field is copied into a NUL-padded cell whose width is a multiple
-    of 8 bytes. The cell's big-endian words, whose order is the bytes'
-    order, are packed into one int64 key (see ``_word_columns``), which
-    ``rank_rows`` sorts once; the codes keep the offsets' dtype. When one
-    field is so much wider than the others that the cells would outgrow
-    ``buf``, the column's fields are sorted as ``bytes`` objects instead
-    (an object array).
+    Each field is read as the big-endian words of a NUL-padded cell whose
+    width is a multiple of 8 bytes, gathered one word per field at a time
+    straight from ``buf``. The words, whose order is the bytes' order, are
+    packed into one int64 key (see ``_word_columns``), which ``rank_rows``
+    sorts once; cells are formed only for the distinct fields, and the
+    codes keep the offsets' dtype. When one field is so much wider than the
+    others that the cells would outgrow ``buf``, the column's fields are
+    sorted as ``bytes`` objects instead (an object array).
     """
     width = stop - start
     w = -(-max(int(width.max(initial=0)), 1) // 8) * 8
@@ -440,34 +441,42 @@ def _unique_fields(buf, start, stop):
         pieces = [buf[a:b].tobytes() for a, b in zip(start.tolist(), stop.tolist())]
         values, codes = np.unique(np.array(pieces, dtype=object), return_inverse=True)
         return values, codes.astype(start.dtype)
-    room = buf.size - w  # a window of w bytes starting later would pass the end
-    cells = sliding_window_view(buf, w)[np.minimum(start, room)]
-    for i in np.flatnonzero(start > room).tolist():
-        cells[i] = 0
-        cells[i, :width[i]] = buf[start[i]:stop[i]]
-    rank, order, first = rank_rows(_word_columns(cells, width))
+    rank, order, first = rank_rows(_word_columns(buf, start, width, w // 8))
     rows = order[first]
-    values = cells[rows]
-    values *= np.arange(w) < width[rows, None]  # the bytes past each field are the next ones
-    return values.view(f"S{w}").ravel(), rank.astype(start.dtype, copy=False)
+    cells = np.empty((rows.size, w // 8), dtype=">u8")
+    for j in range(w // 8):
+        cells[:, j] = _field_word(buf, start[rows], width[rows], j)
+    return cells.view(f"S{w}").ravel(), rank.astype(start.dtype, copy=False)
 
 
 # the mask of the first k bytes of a big-endian word, for k = 0..8
 _WORD_HEAD = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
 
 
-def _word_columns(cells, width):
-    """The big-endian words of fields cut from fixed-width cells, as ``pack_rows`` takes them.
+def _field_word(buf, start, width, j):
+    """Bytes ``8 * j`` to ``8 * j + 8`` of each field ``buf[start:start + width]``.
 
-    The bytes of a cell past its field's ``width`` are zeroed, and the
-    trailing zero bits that a column's words all share are shifted out, so
-    a column that then fits int64 is packed under its own bound rather than
-    ranked first.
+    One big-endian uint64 per field, its bytes past the field's end zeroed.
     """
-    words = cells.view(">u8")
-    for j in range(words.shape[1]):
-        col = words[:, j].astype(np.uint64)
-        col &= _WORD_HEAD[np.clip(width - 8 * j, 0, 8)]
+    room = buf.size - 8  # a word starting later would pass the end
+    at = np.minimum(start, room - 8 * j) + 8 * j
+    words = sliding_window_view(buf, 8).view(">u8")[:, 0][at].astype(np.uint64)
+    for i in np.flatnonzero((start > room - 8 * j) & (width > 8 * j)).tolist():
+        lo = int(start[i]) + 8 * j
+        words[i] = int.from_bytes(buf[lo:lo + 8].tobytes().ljust(8, b"\0"), "big")
+    words &= _WORD_HEAD[np.clip(width - 8 * j, 0, 8)]
+    return words
+
+
+def _word_columns(buf, start, width, n_words):
+    """The first ``n_words`` words of each field (``_field_word``), as ``pack_rows`` takes them.
+
+    The trailing zero bits that a column's words all share are shifted
+    out, so a column that then fits int64 is packed under its own bound
+    rather than ranked first.
+    """
+    for j in range(n_words):
+        col = _field_word(buf, start, width, j)
         low = int(np.bitwise_or.reduce(col))
         col >>= max((low & -low).bit_length() - 1, 0)
         top = int(col.max(initial=0))

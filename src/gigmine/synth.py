@@ -22,8 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from gigmine.errors import GigmineError
+from gigmine.ingest import EVENT_HEADER, LABEL_HEADER, RELEASE_HEADER
 
 ROUTE_CITIES = 5
+_ROWS = 1 << 13  # events.csv lines formatted and written at a time
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,12 @@ class GenSpec:
             raise GigmineError("hub_fraction must lie in (0, 1)")
         if self.min_events < 1:
             raise GigmineError("min_events must be positive")
+        if (
+            not isinstance(self.years, (tuple, list))
+            or len(self.years) != 2
+            or not all(isinstance(y, int) and not isinstance(y, bool) for y in self.years)
+        ):
+            raise GigmineError(f"years must be two integers (first, last), got {self.years!r}")
         y0, y1 = self.years
         if y0 > y1:
             raise GigmineError(f"years range {self.years} is empty")
@@ -147,10 +155,18 @@ def generate(spec: GenSpec, out_dir) -> dict:
     )
 
     route_venue_idx = list(range(spec.n_venues - ROUTE_CITIES, spec.n_venues))
-    events: list[tuple[int, int, int]] = []  # (date ordinal, artist idx, venue idx)
+    # the events as column pieces, one int64 array each per draw
+    day_parts: list[np.ndarray] = []  # date ordinals
+    artist_parts: list[np.ndarray] = []
+    venue_parts: list[np.ndarray] = []
     change_points: dict[str, str] = {}
     releases: list[tuple[str, str, str]] = []
     traj_plan: dict[str, dict[str, int]] = {}
+
+    def emit(days, artist, venue_idx):
+        day_parts.append(np.asarray(days, dtype=np.int64))
+        artist_parts.append(np.full(len(days), artist, dtype=np.int64))
+        venue_parts.append(np.asarray(venue_idx, dtype=np.int64))
 
     for i in range(spec.n_artists):
         k = int(counts[i])
@@ -170,16 +186,13 @@ def generate(spec: GenSpec, out_dir) -> dict:
             post_dates = _uniform_ordinals(rng, k - n_pre, cp, span_end)
             pre_venues = _weighted_venue_draw(rng, biased_cdf, n_pre)
             post_venues = _weighted_venue_draw(rng, base_cdf, k - n_pre)
-            events.extend(zip(pre_dates.tolist(), [i] * n_pre, pre_venues.tolist()))
-            events.extend(
-                zip(post_dates.tolist(), [i] * (k - n_pre), post_venues.tolist())
-            )
+            emit(pre_dates, i, pre_venues)
+            emit(post_dates, i, post_venues)
         elif i in special:
             pass  # planted below with bespoke schedules
         else:
             dates = _uniform_ordinals(rng, k, span_start, span_end)
-            venue_draw = _weighted_venue_draw(rng, base_cdf, k)
-            events.extend(zip(dates.tolist(), [i] * k, venue_draw.tolist()))
+            emit(dates, i, _weighted_venue_draw(rng, base_cdf, k))
         if i not in special:
             r = rng.random()
             if r < 0.25:
@@ -209,7 +222,7 @@ def generate(spec: GenSpec, out_dir) -> dict:
                 rng, c, dt.date(year, 1, 1), dt.date(year, 12, 31)
             )
             picks = year_venues[rng.integers(len(year_venues), size=c)]
-            events.extend(zip(dates.tolist(), [i] * c, picks.tolist()))
+            emit(dates, i, picks)
         traj_plan[artists[i]] = plan
 
     # route artists walk the same five cities in order, over and over;
@@ -221,51 +234,48 @@ def generate(spec: GenSpec, out_dir) -> dict:
             span_start.toordinal() + round(t * span_days / max(1, k - 1))
             for t in range(k)
         ]
-        for t, o in enumerate(ords):
-            events.append((o, i, route_venue_idx[t % ROUTE_CITIES]))
+        emit(ords, i, np.array(route_venue_idx)[np.arange(k) % ROUTE_CITIES])
 
-    # future links: brand-new (artist, venue) pairs appearing only past the cutoff
-    future_pairs: list[tuple[int, int]] = []
+    # future links: brand-new (artist, venue) pairs appearing only past the
+    # cutoff, as pair codes a * n_venues + v
+    nv = spec.n_venues
+    future_pairs = np.empty(0, dtype=np.int64)
     if spec.future_edge_count > 0:
-        existing = {(a, v) for _, a, v in events}
-        strong_artists = [
-            i
-            for i in np.argsort(-counts).tolist()
-            if i not in special and counts[i] >= 3 * spec.min_events
-        ][:400]
-        strong_venues = list(range(max(1, spec.n_venues // 5)))
-        candidates = [
-            (a, v)
-            for a in strong_artists
-            for v in strong_venues
-            if (a, v) not in existing
-        ]
+        # sorted distinct codes; np.unique hashes, which is slower on codes this sparse
+        codes = np.sort(np.concatenate(artist_parts) * nv + np.concatenate(venue_parts))
+        existing = codes[np.r_[True, codes[1:] != codes[:-1]]]
+        strong_artists = np.array(
+            [
+                i
+                for i in np.argsort(-counts).tolist()
+                if i not in special and counts[i] >= 3 * spec.min_events
+            ][:400],
+            dtype=np.int64,
+        )
+        candidates = (strong_artists[:, None] * nv + np.arange(max(1, nv // 5))).ravel()
+        candidates = candidates[~np.isin(candidates, existing, assume_unique=True)]
         if len(candidates) < spec.future_edge_count:
             raise GigmineError(
                 f"cannot plant {spec.future_edge_count} future edges, "
                 f"only {len(candidates)} unused strong pairs exist"
             )
         pick = rng.choice(len(candidates), size=spec.future_edge_count, replace=False)
-        future_pairs = [candidates[j] for j in sorted(pick.tolist())]
+        future_pairs = candidates[np.sort(pick)]
         test_start = dt.date(train_end + 1, 1, 1)
         test_end = dt.date(y1, 12, 31)
-        for a, v in future_pairs:
-            d = _uniform_ordinals(rng, 1, test_start, test_end)[0]
-            events.append((int(d), a, v))
+
+        def emit_future(codes):
+            days = [_uniform_ordinals(rng, 1, test_start, test_end)[0] for _ in codes.tolist()]
+            emit(days, codes // nv, codes % nv)
+
+        emit_future(future_pairs)
         # background future activity re-uses known pairs so that the only new
-        # pairs past the cutoff are the planted ones
-        by_artist: dict[int, list[int]] = {}
-        for _, a, v in events:
-            if a in special or (a, v) not in existing:
-                continue
-            by_artist.setdefault(a, []).append(v)
-        for a in strong_artists[:100]:
-            vs = sorted(set(by_artist.get(a, [])))
-            if not vs:
-                continue
-            for v in vs[:2]:
-                d = _uniform_ordinals(rng, 1, test_start, test_end)[0]
-                events.append((int(d), a, v))
+        # pairs past the cutoff are the planted ones: the first two known
+        # venues of each of the 100 strongest artists
+        top = strong_artists[:100, None]
+        at = np.searchsorted(existing, top * nv) + np.arange(2)
+        known = existing[np.minimum(at, existing.size - 1)]
+        emit_future(known[(at < existing.size) & (known // nv == top)])
 
     # venue geography: a fixed city per venue, route venues get their own towns
     city_of: list[tuple[str, str, str]] = []
@@ -277,25 +287,32 @@ def generate(spec: GenSpec, out_dir) -> dict:
     lat = np.round(-80.0 + 160.0 * (np.arange(spec.n_venues) % 97) / 96.0, 4)
     lon = np.round(-170.0 + 340.0 * (np.arange(spec.n_venues) % 89) / 88.0, 4)
 
-    events.sort()
-    event_rows = []
-    for n, (o, a, v) in enumerate(events):
-        pop = rng.random()
-        city, state, country = city_of[v]
-        event_rows.append(
-            (
-                f"e{n:07d}",
-                artists[a],
-                venues[v],
-                dt.date.fromordinal(o).isoformat(),
-                city,
-                state,
-                country,
-                f"{lat[v]:.4f}",
-                f"{lon[v]:.4f}",
-                f"{pop * 100:.2f}" if pop > 0.2 else "",
-            )
-        )
+    day, artist, venue = (np.concatenate(parts) for parts in (day_parts, artist_parts, venue_parts))
+    order = np.lexsort((venue, artist, day))
+    day, artist, venue = day[order], artist[order], venue[order]
+    del day_parts[:], artist_parts[:], venue_parts[:]  # copied into the columns
+    # formatted by lookup: one text per distinct day and per venue's place
+    # columns. No field holds a comma, a quote or a line end, so the lines
+    # are the bytes csv.writer would write.
+    days, day_of = np.unique(day, return_inverse=True)
+    dates = [dt.date.fromordinal(o).isoformat() for o in days.tolist()]
+    places = [
+        f"{city},{state},{country},{lat[j]:.4f},{lon[j]:.4f}"
+        for j, (city, state, country) in enumerate(city_of)
+    ]
+    pop = rng.random(day.size)
+    with open(out_dir / "events.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(EVENT_HEADER) + "\n")
+        for lo in range(0, day.size, _ROWS):
+            rows = slice(lo, lo + _ROWS)
+            fh.write("".join([
+                f"e{n:07d},{artists[a]},{venues[v]},{dates[d]},{places[v]},"
+                f"{f'{p * 100:.2f}' if p > 0.2 else ''}\n"
+                for n, a, v, d, p in zip(
+                    range(lo, lo + _ROWS), artist[rows].tolist(), venue[rows].tolist(),
+                    day_of[rows].tolist(), pop[rows].tolist(),
+                )
+            ]))
 
     label_rows = [
         ("maj1", "Big Fish Records", "", "1"),
@@ -304,17 +321,8 @@ def generate(spec: GenSpec, out_dir) -> dict:
     ] + [(f"indie{j}", f"Indie {j}", "", "0") for j in range(5)]
 
     releases.sort()
-    _write_csv(
-        out_dir / "events.csv",
-        ["event_id", "artist_id", "venue_id", "date", "city", "state", "country", "lat", "lon", "popularity"],
-        event_rows,
-    )
-    _write_csv(out_dir / "releases.csv", ["artist_id", "label_id", "release_date"], releases)
-    _write_csv(
-        out_dir / "labels.csv",
-        ["label_id", "name", "parent_label_id", "is_major_root"],
-        label_rows,
-    )
+    _write_csv(out_dir / "releases.csv", RELEASE_HEADER, releases)
+    _write_csv(out_dir / "labels.csv", LABEL_HEADER, label_rows)
 
     manifest = {
         "spec": {**asdict(spec), "years": list(spec.years)},
@@ -324,9 +332,9 @@ def generate(spec: GenSpec, out_dir) -> dict:
         "expected_hub_rate_base": hub_rate_base,
         "expected_hub_rate_biased": hub_rate_biased,
         "train_end_year": train_end,
-        "test_years": list(range(train_end + 1, y1 + 1)) if future_pairs else [],
+        "test_years": list(range(train_end + 1, y1 + 1)) if future_pairs.size else [],
         "planted_future_edges": sorted(
-            [artists[a], venues[v]] for a, v in future_pairs
+            [artists[a], venues[v]] for a, v in (divmod(c, nv) for c in future_pairs.tolist())
         ),
         "trajectory_artists": traj_plan,
         "route_artists": sorted(artists[i] for i in route_idx),
@@ -334,7 +342,7 @@ def generate(spec: GenSpec, out_dir) -> dict:
         if spec.route_artists
         else [],
         "counts": {
-            "events": len(event_rows),
+            "events": day.size,
             "releases": len(releases),
             "labels": len(label_rows),
         },

@@ -90,14 +90,19 @@ class TestSeeds:
             birank(toy_graph, seeds=seeds)
 
     def test_default_seeds_are_log_degree_over_their_python_sum(self):
-        g = random_bipartite(np.random.default_rng(7), 14, 9, 0.3)
-        seeds = seed_scores(g)
-        for side, order in ((seeds.artist_seed, g.artist_order), (seeds.venue_seed, g.venue_order)):
-            raw = [math.log(g.degree(n) + 1) for n in order]
-            total = sum(raw)
-            assert side.order == order
-            assert side.array.tolist() == [x / total for x in raw]
-            assert not side.array.flags.writeable
+        # the larger graph repeats each degree many times and has an
+        # isolated artist, so one log per distinct degree is gathered back
+        for seed, n_a, n_v, density in ((7, 14, 9, 0.3), (8, 400, 300, 0.02)):
+            g = random_bipartite(np.random.default_rng(seed), n_a, n_v, density)
+            seeds = seed_scores(g)
+            for side, order in (
+                (seeds.artist_seed, g.artist_order), (seeds.venue_seed, g.venue_order)
+            ):
+                raw = [math.log(g.degree(n) + 1) for n in order]
+                total = sum(raw)
+                assert side.order == order
+                assert side.array.tolist() == [x / total for x in raw]
+                assert not side.array.flags.writeable
 
     def test_default_seeds_take_no_per_id_lookup(self):
         g = random_bipartite(np.random.default_rng(8), 10, 8, 0.3)

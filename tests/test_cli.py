@@ -190,6 +190,15 @@ class TestExitCodes:
         assert code == 2
         assert f"gigmine: config key {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("years", [[2008], [2008, 2012, 2017]])
+    def test_synth_years_of_the_wrong_length_maps_to_one(self, tmp_path, capsys, years):
+        cfg = write_config(tmp_path, {"synth": {"years": years}})
+        code = main(["synth", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"gigmine: years must be two integers (first, last), got {tuple(years)!r}"
+        )
+
     @pytest.mark.parametrize("command", ["task3", "routes"])
     def test_null_top_k_keeps_everything(self, corpus_dir, tmp_path, command):
         cfg = write_config(tmp_path, base_config(corpus_dir, **{command: {"top_k": None}}))

@@ -1,5 +1,9 @@
+import csv
 import datetime as dt
+import hashlib
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +48,9 @@ class TestGenSpecValidation:
     def test_bad_years_and_counts(self):
         with pytest.raises(GigmineError, match="years"):
             GenSpec(years=(2017, 2008))
+        for years in ((2008,), (2008, 2012, 2017), (2008.0, 2017), (True, 2017), 2008):
+            with pytest.raises(GigmineError, match="years must be two integers"):
+                GenSpec(years=years)
         with pytest.raises(GigmineError, match="negative"):
             GenSpec(future_edge_count=-1)
         with pytest.raises(GigmineError, match="min_events"):
@@ -84,6 +91,14 @@ class TestGenSpecValidation:
             )
 
 
+LABELS_SHA256 = "53955a7a8b2e890b20c5a32bb0c05e6e997595257ce36d7c6b502b9b2bc4489a"
+# the benchmark's smaller corpus (perfbench/workloads.py CORPUS_S) at seed 1
+CORPUS_S1 = dict(n_artists=2000, n_venues=800, future_edge_count=300, trajectory_artists=2,
+                 route_artists=5, heavy_tail_exponent=3.0, seed=1)
+PLANTED = dict(n_artists=300, n_venues=60, future_edge_count=20, trajectory_artists=2,
+               route_artists=2, seed=3)
+
+
 class TestDeterminismAndFormat:
     def test_identical_specs_byte_identical_files(self, tmp_path):
         spec = GenSpec(n_artists=40, n_venues=15, seed=9, min_events=5)
@@ -92,6 +107,70 @@ class TestDeterminismAndFormat:
         generate(spec, b)
         for name in ("events.csv", "releases.csv", "labels.csv", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "spec, events, releases, manifest",
+        [
+            (
+                {},
+                "58ecbf9911983fff0369270343a5634a1acc67b0c9c74eab008427c6946c7038",
+                "c957cfefb3e00c23ff2e314892ca0924f27b3f163d01b863530df98b85b76373",
+                "47eb022918aee79d28773b5444354c4c718b78474e81fb4d56c7fc04815c8da9",
+            ),
+            (
+                CORPUS_S1,
+                "aacc4504cf0053db6848b8bda89d2bf280f759315a61eeb8ac2012dd2c716ea5",
+                "b6bce78700a76aca80995a53c2bd422da105543f7532c799ed65a292507488a0",
+                "84a1ca51dd5f240ea7a3481abefd2e17a2864be1e9f9c9943d64254af93cac5a",
+            ),
+            (
+                PLANTED,
+                "fb73dfe07ae9aaf730c4f3fffbeec07178a1d3a5a674ad4c1e16fd9556b311d0",
+                "69cb218626534c502ffd3973fb5179390bbadb30619bb3febf6ee3bf3c1503a0",
+                "1431bdeb335099115e47b5801135f595c9fed26d7251c050bb0b0f32028d00ae",
+            ),
+        ],
+        ids=["default", "corpus_s_seed1", "planted_seed3"],
+    )
+    def test_files_keep_their_pinned_bytes(self, tmp_path, spec, events, releases, manifest):
+        # the seeded stream is the contract: every draw in the same order,
+        # every file byte for byte
+        returned = generate(GenSpec(**spec), tmp_path)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("events.csv", "releases.csv", "labels.csv", "manifest.json")
+        }
+        assert digests == {
+            "events.csv": events,
+            "releases.csv": releases,
+            "labels.csv": LABELS_SHA256,
+            "manifest.json": manifest,
+        }
+        assert json.loads((tmp_path / "manifest.json").read_text()) == returned
+
+    def test_events_are_csv_writer_bytes(self, tmp_path):
+        # no field holds a comma, a quote or a line end, so csv.writer
+        # quotes nothing and the file is its LF-terminated, unquoted output
+        generate(GenSpec(**PLANTED), tmp_path)
+        data = (tmp_path / "events.csv").read_bytes()
+        rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+        assert {len(row) for row in rows} == {10}
+        again = io.StringIO(newline="")
+        csv.writer(again, lineterminator="\n").writerows(rows)
+        assert again.getvalue().encode("utf-8") == data
+        assert b'"' not in data and b"\r" not in data
+
+    def test_peak_memory_is_a_small_multiple_of_the_events_file(self, tmp_path):
+        # events go to the file in blocks of lines and never exist as one
+        # tuple or one str per field; a row-tuple build peaks near 8x
+        tracemalloc.start()
+        try:
+            generate(GenSpec(n_artists=600, n_venues=200, future_edge_count=20,
+                             trajectory_artists=2, route_artists=2, seed=1), tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0 * (tmp_path / "events.csv").stat().st_size
 
     def test_different_seed_different_corpus(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -6,7 +6,10 @@ construction. The skip-gram model with negative sampling is trained directly
 in numpy: deterministic given the seed, with updates applied in fixed-size
 chunks of (center, context) pairs. Within a chunk, gradients for a node that
 occurs several times accumulate before the weights move; this trades pure
-SGD for vectorization and keeps results reproducible.
+SGD for vectorization and keeps results reproducible. Each chunk's pairs are
+made from the walks it spans when its turn comes, so beyond the walk matrix
+a fit holds its weights, one chunk and a pair count per walk, however many
+walks there are.
 
 Walks step all at once over one CSR of every node's neighbors, one seeded
 draw per live walk and step. A chunk's updates land with one sparse product
@@ -38,6 +41,8 @@ _SCORE_BLOCK = 4096
 # pairs per sub-block of a training chunk whose noise rows are gathered at
 # once: (512, NEGATIVES, DIM) float64 is 2.6 MB
 _NEG_BLOCK = 512
+# walks per block when counting tokens and pairs: (1024, length + 1) masks
+_WALK_BLOCK = 1024
 
 
 def sample_walks(
@@ -93,6 +98,41 @@ def _walk_pairs(walks: np.ndarray, window: int):
     centers = np.broadcast_to(walks[:, :, None], contexts.shape)
     valid = (centers >= 0) & (contexts >= 0)
     return centers[valid], contexts[valid]
+
+
+def _walk_counts(walks: np.ndarray, window: int, n_nodes: int):
+    """Each node's token count in ``walks``, and the pairs up to the end of each walk.
+
+    A walk has two pairs, one either way, for each two of its nodes ``d``
+    cells apart, d from 1 to ``window``. Walks are read ``_WALK_BLOCK`` at
+    a time, so nothing the size of the walk matrix is made.
+    """
+    freq = np.zeros(n_nodes)
+    reach = np.zeros(len(walks), dtype=np.int64)
+    for lo in range(0, len(walks), _WALK_BLOCK):
+        block, count = walks[lo : lo + _WALK_BLOCK], reach[lo : lo + _WALK_BLOCK]
+        live = block >= 0
+        freq += np.bincount(block[live], minlength=n_nodes)
+        for d in range(1, min(window, block.shape[1] - 1) + 1):
+            count += 2 * np.count_nonzero(live[:, d:] & live[:, :-d], axis=1)
+    return freq, np.cumsum(reach, out=reach)
+
+
+def _pair_runs(walks: np.ndarray, window: int, reach: np.ndarray, size: int):
+    """``_walk_pairs(walks, window)`` as runs of ``size`` pairs, the last run shorter.
+
+    ``reach`` is ``_walk_counts``' pairs up to the end of each walk. Each run
+    is cut from the pairs of only the walks it spans, so no more than one
+    run's walks are paired at once.
+    """
+    total = int(reach[-1])
+    for start in range(0, total, size):
+        stop = min(start + size, total)
+        first = int(np.searchsorted(reach, start, side="right"))
+        last = int(np.searchsorted(reach, stop))
+        skip = start - (int(reach[first - 1]) if first else 0)
+        centers, contexts = _walk_pairs(walks[first : last + 1], window)
+        yield centers[skip : skip + stop - start], contexts[skip : skip + stop - start]
 
 
 def _scatter_rows(buf, n, idx, coef, src_row) -> None:
@@ -172,9 +212,8 @@ def train_embeddings(
         raise GigmineError(f"walks must be a 2-D int matrix, got a {walks.ndim}-D {walks.dtype}")
     if walks.min() < -1:
         raise GigmineError(f"walks hold node index {walks.min()}, below the -1 pad")
-    tokens = walks[walks >= 0]
-    n_nodes = int(tokens.max()) + 1
-    centers, contexts = _walk_pairs(walks, window)
+    n_nodes = int(walks.max()) + 1
+    freq, reach = _walk_counts(walks, window, n_nodes)
 
     # a chunk larger than the vocabulary would pile many same-node gradients
     # into one step and overshoot; cap it so small graphs stay near plain SGD
@@ -184,10 +223,11 @@ def train_embeddings(
     rng = np.random.default_rng(seed)
     buf_in, buf_out = np.empty((n_nodes + chunk, dim)), np.zeros((n_nodes + chunk, dim))
     w_in, w_out = buf_in[:n_nodes], buf_out[:n_nodes]
-    w_in[:] = (rng.random((n_nodes, dim)) - 0.5) / dim
+    w_in[:] = rng.random((n_nodes, dim))
+    w_in -= 0.5
+    w_in /= dim
     vn_buf = np.empty((min(_NEG_BLOCK, chunk), NEGATIVES, dim))
 
-    freq = np.bincount(tokens, minlength=n_nodes).astype(float)
     noise = freq ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())
     # the rounded sum can end below the largest draw, and searchsorted would
@@ -195,15 +235,12 @@ def train_embeddings(
     noise_cdf[-1] = 1.0
     noise_table = _noise_table(noise_cdf)
 
-    n_pairs = centers.size
-    total_steps = max(1, epochs * n_pairs)
+    total_steps = max(1, epochs * int(reach[-1]))
     done = 0
     losses = []
     for epoch in range(epochs):
         epoch_loss, epoch_pairs = 0.0, 0
-        for start in range(0, n_pairs, chunk):
-            c = centers[start : start + chunk]
-            o = contexts[start : start + chunk]
+        for c, o in _pair_runs(walks, window, reach, chunk):
             neg = _draw_noise(noise_cdf, noise_table, rng.random((c.size, NEGATIVES)))
             lr = max(
                 LEARNING_RATE * (1.0 - done / total_steps), LEARNING_RATE * 1e-4
@@ -215,7 +252,8 @@ def train_embeddings(
             pos_score = np.einsum("bd,bd->b", vc, vo)
             pos_sig = scipy.special.expit(pos_score)
             neg_score, neg_sig = np.empty(neg.shape), np.empty(neg.shape)
-            neg_grad = np.empty_like(vc)  # noise part of the center gradient
+            # the center gradient, in the buffer tail that _scatter_rows reads
+            grad_c = buf_in[n_nodes : n_nodes + c.size]
             # the (B, neg, d) gather of noise rows is the largest array of a
             # chunk; row-local einsums over sub-blocks give the same bits
             for lo in range(0, c.size, _NEG_BLOCK):
@@ -225,7 +263,7 @@ def train_embeddings(
                 np.take(w_out, neg[at], axis=0, out=vn, mode="clip")
                 neg_score[at] = np.einsum("bd,bnd->bn", vc[at], vn)
                 neg_sig[at] = scipy.special.expit(neg_score[at])
-                neg_grad[at] = np.einsum("bn,bnd->bd", neg_sig[at], vn)
+                np.einsum("bn,bnd->bd", neg_sig[at], vn, out=grad_c[at])  # noise part
 
             epoch_loss += float(
                 np.sum(np.logaddexp(0.0, -pos_score))
@@ -235,9 +273,8 @@ def train_embeddings(
 
             g_pos = pos_sig - 1.0  # (B,)
             b = np.arange(c.size)
-            grad_c = buf_in[n_nodes : n_nodes + c.size]
-            np.multiply(g_pos[:, None], vo, out=grad_c)
-            grad_c += neg_grad
+            vo *= g_pos[:, None]
+            grad_c += vo  # IEEE addition commutes: the bits of g_pos * vo + noise part
             _scatter_rows(buf_in, n_nodes, c, -lr, b)
             # context then noise updates of w_out, all multiples of rows of vc
             _scatter_rows(

@@ -95,6 +95,26 @@ def edge_codes(g: BipartiteGraph) -> np.ndarray:
     return g.row * len(g.venue_order) + g.col
 
 
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """``np.unique(codes)``, the distinct codes ascending, from one sort.
+
+    numpy 2.x answers a plain ``np.unique`` of int codes, and so
+    ``np.union1d`` and ``np.isin``, from a hash table, an order of
+    magnitude slower than a sort.
+    """
+    codes = np.sort(codes, axis=None)
+    new = np.ones(codes.size, dtype=bool)
+    new[1:] = codes[1:] != codes[:-1]
+    return codes[new]
+
+
+def _in_sorted(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``np.isin(codes, table)``, binary searched in an ascending ``table``; codes may repeat."""
+    if not table.size:
+        return np.zeros(codes.shape, dtype=bool)
+    return table[np.searchsorted(table, codes).clip(max=table.size - 1)] == codes
+
+
 def _checked(g: BipartiteGraph, pairs) -> np.ndarray:
     """``pairs`` as an int64 code array; rejects a code outside g's artist x venue grid."""
     pairs = np.asarray(pairs, dtype=np.int64)
@@ -132,12 +152,12 @@ def make_temporal_split(corpus, spec: SplitSpec, core_k: int = 5) -> TemporalSpl
 
     test = np.isin(corpus.year, list(spec.test_years))
     n_v = len(corpus.venue_order)
-    raw_pairs = np.unique(corpus.artist[test] * n_v + corpus.venue[test])
+    raw_pairs = _distinct(corpus.artist[test] * n_v + corpus.venue[test])
     rows = _positions(graph.artist_order, corpus.artist_order)[raw_pairs // n_v]
     cols = _positions(graph.venue_order, corpus.venue_order)[raw_pairs % n_v]
     seen = (rows >= 0) & (cols >= 0)
     surviving = rows[seen] * len(graph.venue_order) + cols[seen]
-    new_pairs = np.sort(surviving[~np.isin(surviving, edge_codes(graph))])
+    new_pairs = np.sort(surviving[~_in_sorted(surviving, edge_codes(graph))])
     if not new_pairs.size:
         raise GigmineError(
             f"no new (artist, venue) pairs found in test years {sorted(spec.test_years)}"
@@ -187,6 +207,8 @@ def make_random_split(graph: BipartiteGraph, spec: SplitSpec) -> RandomSplit:
 # -- predictors ---------------------------------------------------------------
 
 
+# pairs per block in score_svd: bounds the gathered rows to a few MB
+_SCORE_BLOCK = 4096
 # cells per block of rows of A2 or V2 in heuristic_scores, counted over the
 # wider of the two (n_a or n_v cells a row)
 _CHUNK_CELLS = 1 << 20
@@ -306,13 +328,18 @@ def score_svd(
     The score of pair code ``i * n_v + j`` is the (i, j) entry of
     U_k S_k V_k^T. Returns the scores, aligned to ``pairs``, and the solver
     that ran (``SVDReducer.solver_``). Raises when k exceeds the matrix
-    dimensions or a code lies outside the graph.
+    dimensions or a code lies outside the graph. Rows are gathered a block
+    of pairs at a time, so memory stays bounded however many pairs are
+    scored.
     """
     rows, cols = np.divmod(_checked(g, pairs), len(g.venue_order))
     X = g.biadjacency(values="binary")
     reducer = SVDReducer(k, seed=seed).fit(X)
     left = reducer.transform(X)  # rows: U_k S_k in artist_order
-    scores = np.einsum("kd,kd->k", left[rows], reducer.components_[cols])
+    scores = np.empty(rows.size)
+    for lo in range(0, rows.size, _SCORE_BLOCK):
+        at = slice(lo, lo + _SCORE_BLOCK)
+        np.einsum("kd,kd->k", left[rows[at]], reducer.components_[cols[at]], out=scores[at])
     return scores, reducer.solver_
 
 
@@ -338,7 +365,7 @@ def build_score_tables(
     """
     pairs = _checked(g, pairs)
     rows, cols = np.divmod(pairs, len(g.venue_order))
-    trained = np.isin(pairs, edge_codes(g))
+    trained = _in_sorted(pairs, edge_codes(g))
     if trained.any():
         (pair,) = g.id_pairs(rows[trained][:1], cols[trained][:1])
         raise GigmineError(f"candidate pair {pair} is already a training edge")
@@ -383,19 +410,19 @@ def _align(pairs, positives, negatives) -> _Labels:
     Raises when positives and negatives overlap, a class is empty or a
     labeled code is not among ``pairs``.
     """
-    positives = np.unique(np.asarray(positives, dtype=np.int64))
-    negatives = np.unique(np.asarray(negatives, dtype=np.int64))
-    overlap = np.intersect1d(positives, negatives)
+    positives = _distinct(np.asarray(positives, dtype=np.int64))
+    negatives = _distinct(np.asarray(negatives, dtype=np.int64))
+    overlap = positives[_in_sorted(positives, negatives)]
     if overlap.size:
         raise GigmineError(f"positives and negatives overlap: {overlap[:3].tolist()}")
     if not positives.size or not negatives.size:
         raise GigmineError("need at least one positive and one negative pair")
     pairs = np.asarray(pairs, dtype=np.int64)
     labeled = np.concatenate([positives, negatives])
-    missing = labeled[~np.isin(labeled, pairs)]
+    order = np.argsort(pairs, kind="stable")
+    missing = labeled[~_in_sorted(labeled, pairs[order])]
     if missing.size:
         raise GigmineError(f"{missing.size} pairs unscored, e.g. code {missing[0]}")
-    order = np.argsort(pairs, kind="stable")
     at = order[np.searchsorted(pairs, labeled, sorter=order)]
     return _Labels(pairs.size, at, np.arange(labeled.size) < positives.size)
 
@@ -426,7 +453,7 @@ def sample_negative_pairs(
     more than exist and you get them all.
     """
     n_a, n_v = len(g.artist_order), len(g.venue_order)
-    banned = np.union1d(edge_codes(g), _checked(g, exclude))
+    banned = _distinct(np.concatenate([edge_codes(g), _checked(g, exclude).ravel()]))
     available = n_a * n_v - banned.size
     if available <= 0:
         raise GigmineError("graph has no candidate non-edges")
@@ -445,7 +472,7 @@ def sample_negative_pairs(
         k = (n - chosen.size) * 2 + 16
         ai = rng.integers(n_a, size=k)
         codes = ai * n_v + rng.integers(n_v, size=k)
-        codes = codes[~np.isin(codes, banned) & ~np.isin(codes, chosen)]
+        codes = codes[~_in_sorted(codes, banned) & ~_in_sorted(codes, np.sort(chosen))]
         _, first = np.unique(codes, return_index=True)
         chosen = np.concatenate([chosen, codes[np.sort(first)][: n - chosen.size]])
     return chosen

@@ -15,6 +15,10 @@ def clique(prefix_a, prefix_v, n, year=2010):
     return [(f"{prefix_a}{i}", f"{prefix_v}{j}", year) for i in range(n) for j in range(n)]
 
 
+# dead-end walks of length 1, walks shorter and longer than the window
+UNEVEN_WALKS = [[3], [0, 4, 1, 4], [2], [5, 0, 5, 0, 5, 0, 5, 0], [1, 6], [6]]
+
+
 def padded(walks):
     """Ragged walks as one matrix, each row padded with -1 to the longest."""
     width = max(map(len, walks))
@@ -139,8 +143,7 @@ class TestWalks:
             sample_walks(toy_graph, **settings)
 
     def test_pairs_match_token_loop_on_uneven_walks(self):
-        # dead-end walks of length 1, walks shorter and longer than the window
-        walks = [[3], [0, 4, 1, 4], [2], [5, 0, 5, 0, 5, 0, 5, 0], [1, 6], [6]]
+        walks = UNEVEN_WALKS
         for window in (1, 2, 3, 10):
             got = embeddings._walk_pairs(padded(walks), window)
             want = loop_walk_pairs(walks, window)
@@ -149,6 +152,23 @@ class TestWalks:
                 assert g.tolist() == w.tolist()
         centers, contexts = embeddings._walk_pairs(np.array([[7], [8]]), 2)
         assert centers.size == contexts.size == 0
+
+    @pytest.mark.parametrize("window", [1, 2, 10])
+    def test_pair_runs_concatenate_to_the_walk_pairs(self, window):
+        # runs start and end inside walks
+        walks = padded(UNEVEN_WALKS)
+        want = embeddings._walk_pairs(walks, window)
+        _, reach = embeddings._walk_counts(walks, window, 7)
+        assert reach[-1] == want[0].size
+        for size in (1, 7, want[0].size, want[0].size + 5):
+            runs = list(embeddings._pair_runs(walks, window, reach, size))
+            assert [c.size for c, _ in runs[:-1]] == [size] * (len(runs) - 1)
+            assert 0 < runs[-1][0].size <= size
+            for got, w in zip(zip(*runs), want):
+                assert np.concatenate(got).tolist() == w.tolist()
+        no_pairs = np.array([[7, -1], [8, -1]])
+        _, reach = embeddings._walk_counts(no_pairs, window, 9)
+        assert list(embeddings._pair_runs(no_pairs, window, reach, 3)) == []
 
     def test_walk_matrix_holds_no_more_than_its_cells(self):
         # 3,000 nodes, so most node indices lie above the small ints Python caches
@@ -252,6 +272,39 @@ class TestTraining:
             got, losses = train_embeddings(walks, dim=8, window=3, epochs=2, seed=4)
         assert np.array_equal(got, want)
         assert losses == want_losses
+
+    @pytest.mark.parametrize("chunk_size", [3, 5])
+    def test_uneven_walks_match_add_at_reference_bitwise(self, chunk_size):
+        # chunks of 3 or 5 pairs straddle walks of 1 to 8 nodes
+        walks = padded(UNEVEN_WALKS)
+        want, want_losses = add_at_sgns(walks, dim=8, window=2, epochs=2, seed=3,
+                                        chunk_size=chunk_size)
+        with mock.patch.object(embeddings, "CHUNK_SIZE", chunk_size):
+            got, losses = train_embeddings(walks, dim=8, window=2, epochs=2, seed=3)
+        assert np.array_equal(got, want)
+        assert losses == want_losses
+
+    def test_peak_memory_is_bounded_by_the_weight_buffers(self):
+        # the pairs are made one chunk at a time, so 20 times the walks must
+        # not raise the peak past the same bound; at 40 walks per node all
+        # pairs at once take about 19 times the two buffers
+        rng = np.random.default_rng(0)
+        g = build_graph(sorted({(f"a{i}", f"v{j}", 2010) for i, j in
+                                zip(rng.integers(0, 600, 3000), rng.integers(0, 400, 3000))}))
+        n_nodes, dim = len(g.artist_order) + len(g.venue_order), 32
+        chunk = min(embeddings.CHUNK_SIZE, n_nodes)
+        # each weight matrix heads a buffer with room for one chunk's rows
+        buffers = 2 * (n_nodes + chunk) * dim * 8
+        train_embeddings([[0, 1, 0]], dim=2)  # the first call imports scipy modules
+        for walks_per_node in (2, 40):
+            walks = sample_walks(g, walks_per_node=walks_per_node, length=2, seed=0)
+            tracemalloc.start()
+            try:
+                train_embeddings(walks, dim=dim, epochs=1, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * buffers, walks_per_node
 
     def test_the_highest_noise_draw_names_a_node(self, monkeypatch):
         # token counts whose noise CDF, summed in floating point, ends below

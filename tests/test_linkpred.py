@@ -311,6 +311,14 @@ class TestSvdScores:
         for s in scores:
             assert s == pytest.approx(0.0, abs=1e-9)
 
+    def test_blocks_of_pairs_do_not_change_a_score(self):
+        rng = np.random.default_rng(4)
+        g = random_bipartite(rng, 12, 10, 0.3)
+        pairs = rng.integers(0, len(g.artist_order) * len(g.venue_order), 50)
+        scores, _ = score_svd(g, pairs, k=4, seed=0)
+        with mock.patch.object(linkpred, "_SCORE_BLOCK", 3):
+            assert score_svd(g, pairs, k=4, seed=0)[0].tolist() == scores.tolist()
+
     def test_unknown_node_rejected(self, toy_graph):
         # the toy graph is 2 x 2, so codes run from 0 to 3
         for code in (4, -1):

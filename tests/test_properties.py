@@ -1,7 +1,7 @@
 """Property tests of the graph arrays, the packed-key row ranking, the batch
-link scores, the walk sampler, the ROC AUC and its midranks, the link-prediction
-AUC, the BiRank fixed point, the min-activity filter, route mining and the
-events.csv parse.
+link scores, the walk sampler, the ROC AUC and its midranks, the sorted code
+sets, the link-prediction AUC, the BiRank fixed point, the min-activity
+filter, route mining and the events.csv parse.
 
 Random small graphs (isolated nodes included), corpora, city sequences and
 event files are checked against the brute-force references in
@@ -207,6 +207,25 @@ def test_evaluate_linkpred_matches_pairwise_auc_in_any_order(data):
         np.array(scores, dtype=float)[order], np.array(codes)[order], positives, negatives
     )
     assert got == want
+
+
+# few small codes, so repeats are common, and codes either side of 2**62
+pair_code_lists = st.lists(st.one_of(st.integers(0, 5), st.integers(2**62 - 3, 2**62 + 3)),
+                           max_size=30)
+
+
+@PROPERTY
+@given(pair_code_lists, pair_code_lists)
+@example(codes=[], table=[])
+@example(codes=[4, 4, 4], table=[4, 4])
+@example(codes=[2**62 + 3, 2**62, 0], table=[2**62 + 1])
+def test_sorted_code_sets_match_unique_and_isin(codes, table):
+    codes, table = np.array(codes, dtype=np.int64), np.array(table, dtype=np.int64)
+    got, want = linkpred._distinct(codes), np.unique(codes)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for ascending in (np.sort(table), np.unique(table)):
+        got, want = linkpred._in_sorted(codes, ascending), np.isin(codes, table)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @PROPERTY

@@ -343,7 +343,9 @@ def build_graph(events) -> BipartiteGraph:
     # groups each edge's events, earliest first
     codes = a_code * len(venue_order) + v_code
     y0, y1 = (int(years.min()), int(years.max())) if years.size else (0, 0)
-    order = rank_rows([(codes, len(artist_order) * len(venue_order)), (years - y0, y1 - y0 + 1)])[1]
+    order = np.argsort(
+        pack_rows([(codes, len(artist_order) * len(venue_order)), (years - y0, y1 - y0 + 1)])
+    )
     codes = codes[order]
     starts = np.flatnonzero(np.diff(codes, prepend=-1))
     row, col = np.divmod(codes[starts], len(venue_order))

@@ -57,7 +57,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gigmine.errors import CorpusFormatError, GigmineError
-from gigmine.graph import BipartiteGraph, _frozen, intern_ids, rank_rows
+from gigmine.graph import BipartiteGraph, _frozen, intern_ids, pack_rows, rank_rows
 from gigmine.labeling import LabelNode, LabelTree
 
 EVENT_HEADER = ["event_id", "artist_id", "venue_id", "date", "city", "state", "country", "lat", "lon", "popularity"]
@@ -155,7 +155,7 @@ class Corpus:
         """
         d0, d1 = (int(day.min()), int(day.max())) if day.size else (0, 0)
         columns = (artist, len(artist_order)), (day - d0, d1 - d0 + 1), (event, len(event_ids))
-        order = rank_rows(columns, stable=True)[1]
+        order = np.argsort(pack_rows(columns), kind="stable")
         return cls(
             artist_order, venue_order, cities, artist[order], venue[order], day[order],
             city[order], event_ids, event[order], popularity[order], **rest,

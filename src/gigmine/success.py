@@ -79,7 +79,9 @@ class SVDReducer:
 
     The solver follows from the shape: ARPACK when ``2k + 1 < min(n, m)``,
     dense LAPACK otherwise; ``solver_`` names the one that ran. Both give
-    the same sign-fixed basis up to rounding.
+    the same sign-fixed basis up to rounding. The LAPACK path eigensolves
+    the m x m Gram matrix ``XᵀX``, so it holds m x m dense arrays (the Gram
+    and its eigenvectors), more than a dense copy of X only when m > n.
     """
 
     def __init__(self, k: int, seed: int = 0):
@@ -97,26 +99,25 @@ class SVDReducer:
             raise GigmineError(
                 f"rank {self.k} exceeds matrix dimensions {X.shape}"
             )
+        A = scipy.sparse.csr_matrix(X, dtype=float)
         if 2 * self.k + 1 < min(n, m):
             rng = np.random.default_rng(self.seed)
             v0 = rng.standard_normal(min(n, m))
-            u, s, vt = scipy.sparse.linalg.svds(
-                scipy.sparse.csr_matrix(X, dtype=float), k=self.k, v0=v0
-            )
+            u, s, vt = scipy.sparse.linalg.svds(A, k=self.k, v0=v0)
             order = np.argsort(s)[::-1]
             s, vt = s[order], vt[order]
             self.solver_ = "arpack"
         else:
-            # ARPACK's default Lanczos basis (2k + 1 vectors) would already
-            # span the short side, so a dense factorisation costs less
-            dense = X.toarray(order="F") if scipy.sparse.issparse(X) else np.array(X, order="F")
-            u, s, vt = scipy.linalg.svd(
-                dense.astype(float, copy=False),
-                full_matrices=False,
-                check_finite=False,
-                overwrite_a=True,
+            # one symmetric eigensolve (divide and conquer) of the m x m Gram,
+            # built by one sparse product, costs less than a dense SVD of X:
+            # no left vectors and no dense copy of a mostly-zero X. Each
+            # singular value is the norm of X times its vector; the square
+            # root of an eigenvalue near zero is off by about sqrt(eps) * s_max
+            _, vecs = scipy.linalg.eigh(
+                (A.T @ A).toarray(), overwrite_a=True, check_finite=False, driver="evd"
             )
-            s, vt = s[: self.k], vt[: self.k]
+            vt = vecs[:, : -self.k - 1 : -1].T
+            s = np.linalg.norm(A @ vt.T, axis=0)
             self.solver_ = "lapack"
         # fix the sign ambiguity so repeated fits agree bit for bit
         flip = np.sign(vt[np.arange(vt.shape[0]), np.argmax(np.abs(vt), axis=1)])
@@ -225,13 +226,20 @@ def stratified_folds(y: np.ndarray, n_folds: int, seed: int):
     """Deal each class round-robin into ``n_folds`` disjoint index arrays."""
     y = np.asarray(y, dtype=bool)
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(n_folds)]
+    dealt = []
     for cls in (False, True):
         idx = np.flatnonzero(y == cls)
-        idx = idx[rng.permutation(idx.size)]
-        for pos, i in enumerate(idx):
-            folds[pos % n_folds].append(int(i))
-    return [np.sort(np.asarray(f, dtype=int)) for f in folds]
+        dealt.append(idx[rng.permutation(idx.size)])
+    return [np.sort(np.concatenate([idx[f::n_folds] for idx in dealt])) for f in range(n_folds)]
+
+
+def _cv_sets(X, y, folds):
+    """Each fold's (fit rows, fit labels, held-out rows, held-out labels), sliced once."""
+    sets = []
+    for i, test_idx in enumerate(folds):
+        train_idx = np.sort(np.concatenate([f for j, f in enumerate(folds) if j != i]))
+        sets.append((X[train_idx], y[train_idx], X[test_idx], y[test_idx]))
+    return sets
 
 
 def _metric_block(scores, y_true, threshold):
@@ -244,16 +252,18 @@ def _mean_blocks(blocks):
     return {k: float(np.mean([b[k] for b in blocks])) for k in keys}
 
 
-def _tune_C(X, y, c_grid, folds, threshold, fits):
+def _tune_C(cv, c_grid, threshold, fits):
+    """The C of best mean held-out F1 over the ``_cv_sets`` ``cv``, first on ties.
+
+    Every fitted model is appended to ``fits``.
+    """
     best_c, best_f1 = None, -1.0
     for C in c_grid:
         f1s = []
-        for i, test_idx in enumerate(folds):
-            train_idx = np.sort(np.concatenate([f for j, f in enumerate(folds) if j != i]))
-            model = train_logreg(X[train_idx], y[train_idx], C=C)
+        for x_fit, y_fit, x_out, y_out in cv:
+            model = train_logreg(x_fit, y_fit, C=C)
             fits.append(model)
-            scores = predict_proba(model, X[test_idx])
-            _, _, f1 = precision_recall_f1(scores, y[test_idx], threshold=threshold)
+            _, _, f1 = precision_recall_f1(predict_proba(model, x_out), y_out, threshold=threshold)
             f1s.append(f1)
         mean_f1 = float(np.mean(f1s))
         if mean_f1 > best_f1:
@@ -261,41 +271,27 @@ def _tune_C(X, y, c_grid, folds, threshold, fits):
     return best_c, best_f1
 
 
-def _tune_C_k(X, y, c_grid, k_grid, folds, threshold, seed, fits):
+def _tune_C_k(cv, c_grid, k_grid, threshold, seed, fits):
     """Joint (C, k) grid search sharing one SVD per fold.
 
-    The rank-k basis for a smaller k is a prefix of the larger one from the
-    same fit, so each fold is factored once at the largest feasible rank.
+    The candidate ranks are the grid's at or below the smallest fold cap,
+    min(rows, columns) of a fold's fit rows, or that cap if none is. The
+    rank-k basis for a smaller k is a prefix of the larger one from the
+    same fit, so each fold is factored once at the largest candidate.
     Every fitted model is appended to ``fits``.
     """
-    k_grid = sorted(k_grid)
-    per_fold = []
-    for i, test_idx in enumerate(folds):
-        train_idx = np.sort(np.concatenate([f for j, f in enumerate(folds) if j != i]))
-        cap = min(len(train_idx), X.shape[1])
-        ks = [k for k in k_grid if k <= cap]
-        if not ks:
-            ks = [cap]
-        reducer = SVDReducer(max(ks), seed=seed).fit(X[train_idx])
-        per_fold.append((train_idx, test_idx, reducer, ks))
-    feasible = sorted(set.intersection(*(set(f[3]) for f in per_fold)))
+    cap = min(min(x_fit.shape) for x_fit, *_ in cv)
+    ks = [k for k in sorted(k_grid) if k <= cap] or [cap]
+    reducers = [SVDReducer(ks[-1], seed=seed).fit(x_fit) for x_fit, *_ in cv]
     best, best_f1 = None, -1.0
-    for k in feasible:
-        fold_feats = []
-        for train_idx, test_idx, reducer, _ in per_fold:
+    for k in ks:
+        reduced = []
+        for (x_fit, y_fit, x_out, y_out), reducer in zip(cv, reducers):
             Vk = reducer.components_[:, :k]
-            fold_feats.append((np.asarray(X[train_idx] @ Vk), np.asarray(X[test_idx] @ Vk)))
-        for C in c_grid:
-            f1s = []
-            for (ftr, fte), (train_idx, test_idx, _, _) in zip(fold_feats, per_fold):
-                model = train_logreg(ftr, y[train_idx], C=C)
-                fits.append(model)
-                scores = predict_proba(model, fte)
-                _, _, f1 = precision_recall_f1(scores, y[test_idx], threshold=threshold)
-                f1s.append(f1)
-            mean_f1 = float(np.mean(f1s))
-            if mean_f1 > best_f1:
-                best, best_f1 = (C, k), mean_f1
+            reduced.append((x_fit @ Vk, y_fit, x_out @ Vk, y_out))
+        C, mean_f1 = _tune_C(reduced, c_grid, threshold, fits)
+        if mean_f1 > best_f1:
+            best, best_f1 = (C, k), mean_f1
     return best, best_f1
 
 
@@ -336,37 +332,32 @@ def run_task1(
     for s in range(n_splits):
         split_seed = seed + s
         train_idx, test_idx = stratified_split(y, test_fraction, split_seed)
-        folds = stratified_folds(y[train_idx], cv_folds, split_seed)
+        X_train, y_train, X_test, y_test = X[train_idx], y[train_idx], X[test_idx], y[test_idx]
+        cv = _cv_sets(X_train, y_train, stratified_folds(y_train, cv_folds, split_seed))
 
-        base = baseline_scores(X[test_idx])
-        per_model["baseline"].append(_metric_block(base, y[test_idx], threshold))
+        base = baseline_scores(X_test)
+        per_model["baseline"].append(_metric_block(base, y_test, threshold))
 
         fits: list[LogregModel] = []
-        best_c, _ = _tune_C(X[train_idx], y[train_idx], c_grid, folds, threshold, fits)
-        model = train_logreg(X[train_idx], y[train_idx], C=best_c)
+        best_c, _ = _tune_C(cv, c_grid, threshold, fits)
+        model = train_logreg(X_train, y_train, C=best_c)
         fits.append(model)
         per_model["logreg"].append(
-            _metric_block(predict_proba(model, X[test_idx]), y[test_idx], threshold)
+            _metric_block(predict_proba(model, X_test), y_test, threshold)
         )
 
-        (svd_c, svd_k), _ = _tune_C_k(
-            X[train_idx], y[train_idx], c_grid, k_grid, folds, threshold, split_seed, fits
-        )
-        cap = min(len(train_idx), X.shape[1])
-        k_fit = min(svd_k, cap)
-        reducer = SVDReducer(k_fit, seed=split_seed).fit(X[train_idx])
-        model = train_logreg(reducer.transform(X[train_idx]), y[train_idx], C=svd_c)
+        (svd_c, svd_k), _ = _tune_C_k(cv, c_grid, k_grid, threshold, split_seed, fits)
+        reducer = SVDReducer(svd_k, seed=split_seed).fit(X_train)
+        model = train_logreg(reducer.transform(X_train), y_train, C=svd_c)
         fits.append(model)
         per_model["logreg_svd"].append(
-            _metric_block(
-                predict_proba(model, reducer.transform(X[test_idx])), y[test_idx], threshold
-            )
+            _metric_block(predict_proba(model, reducer.transform(X_test)), y_test, threshold)
         )
         chosen.append({
             "split_seed": split_seed,
             "C": best_c,
             "svd_C": svd_c,
-            "svd_k": k_fit,
+            "svd_k": svd_k,
             "svd_solver": reducer.solver_,
             "logreg_unconverged": sum(not f.converged for f in fits),
             "logreg_max_iter": max(f.n_iter for f in fits),

@@ -114,6 +114,21 @@ def confusion_prf(scores, labels, threshold=0.5):
     return p, r, f1
 
 
+# -- truncated SVD oracle ------------------------------------------------------------
+
+
+def dense_svd_oracle(A):
+    """All singular values and right singular vectors of A by a dense numpy SVD.
+
+    Returns ``(s, vt)``: ``s`` descending, padded with zeros to one value per
+    column, and ``vt`` (columns x columns) whose first rows are the right
+    singular vectors of those values, completed to an orthonormal basis.
+    """
+    A = np.asarray(A.toarray() if hasattr(A, "toarray") else A, dtype=float)
+    _, s, vt = np.linalg.svd(A, full_matrices=True)
+    return np.concatenate([s, np.zeros(vt.shape[0] - s.size)]), vt
+
+
 # -- birank oracle -----------------------------------------------------------------
 
 

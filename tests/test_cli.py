@@ -81,6 +81,19 @@ class TestSynthHandoff:
         }
 
 
+class TestTask1:
+    def test_rank_grid_above_every_fold_cap(self, corpus_dir, tmp_path):
+        # half of the artists train; the smallest fold fits on 33 of them, below
+        # the 40 venues, so rank 1000 falls back to 33 on every fold
+        t1 = {"n_splits": 1, "test_fraction": 0.5, "cv_folds": 3, "c_grid": [1.0], "k_grid": [1000]}
+        cfg = write_config(tmp_path, base_config(corpus_dir, task1=t1))
+        code = main(["task1", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "task1-report.json").read_text())
+        assert report["n_venues"] == 40
+        assert [(s["svd_k"], s["svd_solver"]) for s in report["selected"]] == [(33, "lapack")]
+
+
 class TestExitCodes:
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"corpux": {}})

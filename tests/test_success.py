@@ -3,8 +3,11 @@ import datetime as dt
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_corpus
+from oracles import dense_svd_oracle
 
 from gigmine.errors import GigmineError
 from gigmine.ingest import parse_corpus
@@ -137,6 +140,56 @@ class TestSVDReducer:
             assert (arpack.solver_, lapack.solver_) == ("arpack", "lapack")
             assert np.abs(arpack.components_ - lapack.components_[:, :5]).max() <= 1e-10
             assert np.abs(arpack.singular_values_ - lapack.singular_values_[:5]).max() <= 1e-10
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["gaussian", "heavy_row_counts", "duplicate_rows", "zero_columns"]),
+        n=st.integers(1, 14),
+        m=st.integers(1, 14),
+        k_from_top=st.integers(0, 7),
+        sparse=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="gaussian", n=9, m=4, k_from_top=0, sparse=False, seed=0)  # tall, k = m
+    @example(kind="gaussian", n=4, m=9, k_from_top=0, sparse=False, seed=0)  # wide, k = n
+    @example(kind="duplicate_rows", n=8, m=5, k_from_top=0, sparse=True, seed=1)
+    @example(kind="zero_columns", n=6, m=10, k_from_top=0, sparse=True, seed=2)
+    @example(kind="heavy_row_counts", n=12, m=7, k_from_top=1, sparse=True, seed=3)
+    def test_dense_path_matches_dense_svd_reference(self, kind, n, m, k_from_top, sparse, seed):
+        # ranks from min(n, m) down to the smallest with 2k + 1 >= min(n, m)
+        short = min(n, m)
+        k = max(short - k_from_top, short // 2, 1)
+        rng = np.random.default_rng(seed)
+        if kind == "gaussian":
+            A = rng.standard_normal((n, m))
+        elif kind == "heavy_row_counts":  # integer counts, one row far busier than the rest
+            A = rng.poisson(0.7, (n, m)).astype(float)
+            A[rng.integers(n)] = rng.integers(0, 2000, m)
+        elif kind == "duplicate_rows":
+            base = rng.integers(0, 5, ((n + 1) // 2, m)).astype(float)
+            A = base[rng.integers(0, base.shape[0], n)]
+        else:
+            A = rng.standard_normal((n, m))
+            A[:, rng.random(m) < 0.4] = 0.0
+        X = sp.csr_matrix(A) if sparse else A
+        snapshot = A.copy()
+
+        red = SVDReducer(k).fit(X)
+        again = SVDReducer(k).fit(X)
+        s_ref, vt_ref = dense_svd_oracle(A)
+        s_max = s_ref[0]
+
+        assert red.solver_ == "lapack"
+        assert red.components_.shape == (m, k)
+        V = red.components_
+        assert np.abs(V.T @ V - np.eye(k)).max() <= 1e-12
+        assert np.abs(red.singular_values_ - s_ref[:k]).max() <= 1e-9 * s_max
+        if k == m or s_ref[k - 1] - s_ref[k] > 1e-3 * s_max:  # the rank-k subspace is defined
+            P_ref = vt_ref[:k].T @ vt_ref[:k]
+            assert np.abs(V @ V.T - P_ref).max() <= 1e-9
+        assert np.array_equal(red.components_, again.components_)
+        assert np.array_equal(red.singular_values_, again.singular_values_)
+        assert np.array_equal(X.toarray() if sparse else X, snapshot)  # input untouched
 
     def test_transform_does_not_see_heldout_rows(self):
         rng = np.random.default_rng(2)
@@ -293,6 +346,24 @@ class TestSplits:
         sizes = [f.size for f in folds]
         assert max(sizes) - min(sizes) <= 2  # one per class at most
 
+    @pytest.mark.parametrize(
+        "n_pos, n_neg, n_folds, seed",
+        [(10, 23, 3, 1), (0, 7, 2, 0), (5, 5, 5, 4), (3, 40, 4, 9), (1, 2, 5, 2), (17, 17, 3, 12)],
+    )
+    def test_folds_equal_the_round_robin_deal(self, n_pos, n_neg, n_folds, seed):
+        # the per-element deal the folds were first defined by, classes interleaved
+        y = np.random.default_rng(seed + 100).permutation([True] * n_pos + [False] * n_neg)
+        rng = np.random.default_rng(seed)
+        dealt = [[] for _ in range(n_folds)]
+        for cls in (False, True):
+            idx = np.flatnonzero(y == cls)
+            idx = idx[rng.permutation(idx.size)]
+            for pos, i in enumerate(idx):
+                dealt[pos % n_folds].append(int(i))
+        folds = stratified_folds(y, n_folds, seed)
+        assert [f.tolist() for f in folds] == [sorted(f) for f in dealt]
+        assert all(f.dtype == np.asarray([], dtype=int).dtype for f in folds)
+
 
 class TestRunTask1:
     @pytest.fixture(scope="class")
@@ -340,6 +411,22 @@ class TestRunTask1:
             assert sel["svd_solver"] == "arpack"  # 2k + 1 = 9 is below both matrix sides
             assert sel["logreg_unconverged"] == 0
             assert sel["logreg_max_iter"] >= 1
+
+    @pytest.mark.parametrize("k_grid, k_chosen", [((1000,), 16), ((17, 1000), 16), ((5, 17, 1000), 5)])
+    def test_rank_grid_above_a_fold_cap(self, small_corpus, k_grid, k_chosen):
+        # at test_fraction 0.5 the three folds fit on 16, 16 and 18 of the 25
+        # training artists, all below the 20 venues: the candidates are the
+        # grid ranks up to the smallest cap, 16, or that cap if none is
+        corpus, labels = small_corpus
+        y = np.array([labels[a].successful for a in corpus.artist_order])
+        train, _ = stratified_split(y, 0.5, 0)
+        assert sorted(train.size - f.size for f in stratified_folds(y[train], 3, 0)) == [16, 16, 18]
+        report = run_task1(
+            corpus, labels, n_splits=1, test_fraction=0.5, cv_folds=3,
+            c_grid=(1.0,), k_grid=k_grid, seed=0,
+        )
+        assert report["n_venues"] == 20
+        assert [sel["svd_k"] for sel in report["selected"]] == [k_chosen]
 
     @pytest.mark.parametrize("cv_folds", [1, 0])
     def test_cv_folds_below_two_rejected(self, small_corpus, cv_folds):

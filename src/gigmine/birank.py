@@ -211,7 +211,8 @@ def birank(
     w = np.asarray(weights.values * g.count if count_scaled else weights.values, dtype=float)
     # the sums and products below round as scipy.sparse's would on the CSR
     # matrix of w: row sums reduce each nonempty row (its _minor_reduce),
-    # column sums and both products add in CSR order (csc_matvec, csr_matvec)
+    # column sums and both products add each node's terms in CSR order
+    # (csc_matvec, csr_matvec)
     du = np.zeros(n_a)
     nonempty = np.flatnonzero(np.diff(g.indptr))
     if nonempty.size:
@@ -222,6 +223,11 @@ def birank(
     inv_sqrt_p = np.where(dp > 0, dp, 1.0) ** -0.5 * (dp > 0)
     # the entries of diag(inv_sqrt_u) @ W @ diag(inv_sqrt_p), in CSR order
     s = (inv_sqrt_u[row] * w) * inv_sqrt_p[col]
+    # the artist-side product runs over the edges in CSC order: each artist's
+    # terms keep their CSR order (venues ascending), but consecutive terms
+    # fall on different artists instead of each add waiting on the last;
+    # in that order p[col] is each venue's score repeated over its edges
+    row_v, s_v, venue_deg = g.csc_indices, s[g.csc_edges], np.diff(g.csc_indptr)
 
     if init == "uniform":
         u = np.full(u0.size, 1.0 / u0.size)
@@ -230,7 +236,8 @@ def birank(
         u, p = u0.copy(), p0.copy()
     converged = False
     for iterations in range(1, max_iter + 1):
-        u_new = alpha * np.bincount(row, weights=s * p[col], minlength=n_a) + (1.0 - alpha) * u0
+        u_new = (alpha * np.bincount(row_v, weights=s_v * p.repeat(venue_deg), minlength=n_a)
+                 + (1.0 - alpha) * u0)
         p_new = beta * np.bincount(col, weights=s * u_new[row], minlength=n_v) + (1.0 - beta) * p0
         change = max(
             float(np.abs(u_new - u).sum()), float(np.abs(p_new - p).sum())
@@ -349,15 +356,14 @@ def score_histogram(
     """
     if bins < 1:
         raise GigmineError(f"bins must be at least 1, got {bins}")
-    missing = [a for a in result.artist_scores if a not in labels]
+    scores = result.artist_scores
+    if not isinstance(scores, ScoreView):
+        scores = ScoreView(tuple(scores), np.fromiter(scores.values(), float, len(scores)))
+    missing = [a for a in scores.order if a not in labels]
     if missing:
         raise GigmineError(f"{len(missing)} scored artists lack labels, e.g. {missing[0]!r}")
-    signed = np.array(
-        [s for a, s in result.artist_scores.items() if labels[a]], dtype=float
-    )
-    unsigned = np.array(
-        [s for a, s in result.artist_scores.items() if not labels[a]], dtype=float
-    )
+    is_signed = np.array([bool(labels[a]) for a in scores.order], dtype=bool)
+    signed, unsigned = scores.array[is_signed], scores.array[~is_signed]
     if signed.size == 0 or unsigned.size == 0:
         raise GigmineError("both classes must be nonempty for a histogram")
     all_scores = np.concatenate([signed, unsigned])

@@ -17,12 +17,16 @@ import copy
 import csv
 import dataclasses
 import datetime as dt
+import functools
 import inspect
+import io
 import json
 import logging
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from gigmine import __version__
 from gigmine.birank import birank, score_histogram, temporal_weights, yearly_trajectories
@@ -169,7 +173,9 @@ def load_config(arg: str | None, seed: int | None) -> dict:
     return config
 
 
+@functools.cache
 def _version() -> str:
+    """``gigmine <version>``, with ``git describe`` when run from a checkout; once per process."""
     try:
         described = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],
@@ -298,6 +304,46 @@ def cmd_task2(config: dict, out: Path) -> dict:
     return payload
 
 
+def _csv_fields(ids: tuple) -> tuple:
+    """``ids`` as ``csv.writer`` writes each within a row.
+
+    It quotes a field only when the field holds a comma, a quote or a line
+    break, so only such ids go through a writer.
+    """
+    def special(text: str) -> bool:
+        return any(ch in text for ch in ',"\r\n')
+
+    def field(text: str) -> str:
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\n").writerow([text])
+        return line.getvalue()[:-1]
+
+    if not special("".join(ids)):
+        return ids
+    return tuple(field(a) if special(a) else a for a in ids)
+
+
+def _write_trajectories(path: Path, trajectories: dict) -> None:
+    """task3-trajectories.csv: the rows of each window's ``ranked()``, by year.
+
+    The bytes are those of ``csv.writer``; each window's lines are made from
+    its rank and score arrays and written as one block.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("artist_id,year,rank,score\n")
+        for year in sorted(trajectories):
+            window = trajectories[year]
+            at = np.argsort(window.ranks, kind="stable")
+            ids = _csv_fields(window.scores.order)
+            ranks, scores = window.ranks[at].tolist(), window.scores.array[at].tolist()
+            fh.write("".join([
+                f"{ids[i]},{year},{rank},{score:.10g}\n"
+                for i, rank, score in zip(at.tolist(), ranks, scores)
+            ]))
+    log.info("wrote %s", path)
+
+
 def cmd_task3(config: dict, out: Path) -> dict:
     t3 = config["task3"]
     top = t3["top_k"]
@@ -324,15 +370,7 @@ def cmd_task3(config: dict, out: Path) -> dict:
         beta=t3["beta"],
         count_scaled=t3["count_scaled"],
     )
-    traj_csv = out / "task3-trajectories.csv"
-    traj_csv.parent.mkdir(parents=True, exist_ok=True)
-    with open(traj_csv, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["artist_id", "year", "rank", "score"])
-        for year in sorted(trajectories):
-            for artist, rank, score in trajectories[year].ranked():
-                writer.writerow([artist, year, rank, f"{score:.10g}"])
-    log.info("wrote %s", traj_csv)
+    _write_trajectories(out / "task3-trajectories.csv", trajectories)
     payload = {
         "report": "task3",
         **info,

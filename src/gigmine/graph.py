@@ -9,6 +9,8 @@ tuples, and a node's index is its position in its side's tuple. The edges are
 stored once, as int arrays in CSR order (by artist index, then venue index):
 ``row``, ``col``, ``count`` and ``first_year``, with ``indptr`` delimiting each
 artist's run and ``csc_indptr``/``csc_indices`` listing each venue's artists.
+``csc_edges`` is the CSC edge order as positions in the CSR arrays, so
+``csc_indices`` is ``row[csc_edges]``.
 Neighbor sets, distinct-neighbor degrees, event counts and the sparse
 biadjacency matrix are views over these arrays, and the tasks read the arrays
 directly instead of keeping id maps of their own.
@@ -100,10 +102,10 @@ class BipartiteGraph:
         self.indptr = _frozen(np.searchsorted(self.row, np.arange(len(self._artist_order) + 1)))
         # CSC edge order; numpy runs a stable sort of ints this small as a radix sort
         small = self.col.astype(np.min_scalar_type(len(self._venue_order)))
-        self._by_venue = _frozen(np.argsort(small, kind="stable"))
-        self.csc_indices = _frozen(self.row[self._by_venue])
+        self.csc_edges = _frozen(np.argsort(small, kind="stable"))
+        self.csc_indices = _frozen(self.row[self.csc_edges])
         self.csc_indptr = _frozen(
-            np.searchsorted(self.col[self._by_venue], np.arange(len(self._venue_order) + 1))
+            np.searchsorted(self.col[self.csc_edges], np.arange(len(self._venue_order) + 1))
         )
 
     # -- node and edge views ------------------------------------------------
@@ -193,7 +195,7 @@ class BipartiteGraph:
         j = self._venue_index.get(node)
         if j is not None:
             at = slice(self.csc_indptr[j], self.csc_indptr[j + 1])
-            return self._by_venue[at], self.csc_indices[at], self._artist_order
+            return self.csc_edges[at], self.csc_indices[at], self._artist_order
         raise UnknownNodeError(node)
 
     def neighbors(self, node) -> frozenset:

@@ -2,9 +2,11 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from gigmine.cli import main
+from gigmine.birank import ScoreView, WindowRanking
+from gigmine.cli import _write_trajectories, main
 
 
 @pytest.fixture(scope="module")
@@ -308,6 +310,23 @@ class TestReports:
         windows = report["trajectory_convergence"]
         assert [w["year"] for w in windows] == report["trajectory_years"]
         assert all(w["converged"] and w["iterations"] >= 1 for w in windows)
+
+    def test_trajectory_csv_equals_csv_writer_over_ranked(self, tmp_path):
+        # ids csv.writer must quote, tied scores and one-window-only artists
+        ids = ("a,1", 'b"2', "c\r\n3", "d\r4", "plain", "\u00fcber")
+        windows = {
+            2012: WindowRanking(ScoreView(ids, np.array([0.5, 0.25, 0.5, 1 / 3, 0.125, 0.25])),
+                                3, True),
+            2011: WindowRanking(ScoreView(("plain", "x"), np.array([2e-12, 7.0])), 1, False),
+        }
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["artist_id", "year", "rank", "score"])
+        for year in sorted(windows):
+            for artist, rank, score in windows[year].ranked():
+                writer.writerow([artist, year, rank, f"{score:.10g}"])
+        _write_trajectories(tmp_path / "t.csv", windows)
+        assert (tmp_path / "t.csv").read_bytes() == want.getvalue().encode("utf-8")
 
     def test_routes_csv_and_planted_route(self, corpus_dir, tmp_path):
         manifest = json.loads((corpus_dir / "manifest.json").read_text())

@@ -90,6 +90,7 @@ class TestCountsAndOrders:
         assert toy_graph.indptr.tolist() == [0, 2, 3]
         assert toy_graph.csc_indptr.tolist() == [0, 2, 3]
         assert toy_graph.csc_indices.tolist() == [0, 1, 0]
+        assert toy_graph.csc_edges.tolist() == [0, 2, 1]  # CSR positions in CSC order
         with pytest.raises(ValueError):
             toy_graph.count[0] = 5
 

@@ -34,7 +34,7 @@ from gigmine.errors import GigmineError
 from gigmine.graph import build_graph
 from gigmine.ingest import filter_min_activity, filter_post_2007, parse_corpus
 from gigmine.labeling import change_points, label_corpus
-from gigmine.linkpred import SplitSpec, build_score_tables, run_task2
+from gigmine.linkpred import build_score_tables, run_task2
 from gigmine.routes import city_sequences, mine_routes
 from gigmine.success import run_task1
 from gigmine.synth import GenSpec, generate
@@ -88,10 +88,9 @@ DEFAULTS: dict = {
     ),
     "task2": {
         **_defaults(
-            run_task2, "predictors", "hidden_fraction", "n_random_splits", "core_k", "svd_k",
-            "neg_multiple", "neg_floor",
+            run_task2, "predictors", "train_end_year", "test_years", "hidden_fraction",
+            "n_random_splits", "core_k", "svd_k", "neg_multiple", "neg_floor",
         ),
-        **_defaults(SplitSpec, "train_end_year", "test_years"),
         **_defaults(
             build_score_tables, "walks_per_node", "walk_length", "embed_dim", "embed_window",
             "embed_epochs",
@@ -165,6 +164,10 @@ def load_config(arg: str | None, seed: int | None) -> dict:
             user = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file {path} is not valid JSON: {exc}")
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"config file {path} is not UTF-8: {exc}")
+        except OSError as exc:
+            raise UsageError(f"cannot read config file {path}: {exc.strerror}")
     if not isinstance(user, dict):
         raise UsageError("config must be a JSON object")
     config = _merge_config(user, DEFAULTS)
@@ -279,9 +282,7 @@ def cmd_stats(config: dict, out: Path) -> dict:
 
 def cmd_task1(config: dict, out: Path) -> dict:
     corpus, labels, info = _load_preprocessed(config)
-    t1 = config["task1"]
-    grids = {"c_grid": tuple(t1["c_grid"]), "k_grid": tuple(t1["k_grid"])}
-    result = run_task1(corpus, labels, seed=config["seed"], **{**t1, **grids})
+    result = run_task1(corpus, labels, seed=config["seed"], **config["task1"])
     payload = {"report": "task1", **info, **result}
     _write_json(out / "task1-report.json", _report(config, payload))
     return payload
@@ -289,16 +290,8 @@ def cmd_task1(config: dict, out: Path) -> dict:
 
 def cmd_task2(config: dict, out: Path) -> dict:
     corpus, _labels, info = _load_preprocessed(config)
-    t2 = dict(config["task2"])
-    split = SplitSpec(
-        kind="temporal",
-        train_end_year=t2.pop("train_end_year"),
-        test_years=frozenset(t2.pop("test_years")),
-        seed=config["seed"],
-    )
-    t2["predictors"] = tuple(t2["predictors"])
-    # every other task2 key is a run_task2 (or embedding) parameter of that name
-    result = run_task2(corpus, split=split, seed=config["seed"], **t2)
+    # every task2 key is a run_task2 (or embedding) parameter of that name
+    result = run_task2(corpus, seed=config["seed"], **config["task2"])
     payload = {"report": "task2", **info, **result}
     _write_json(out / "task2-report.json", _report(config, payload))
     return payload
@@ -510,7 +503,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"gigmine: {exc}", file=sys.stderr)
         return 2
-    except GigmineError as exc:
+    except (GigmineError, OSError) as exc:
         print(f"gigmine: {exc}", file=sys.stderr)
         return 1
     return 0

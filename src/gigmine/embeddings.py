@@ -40,7 +40,8 @@ CHUNK_SIZE = 8192
 WALKS_PER_NODE = 40
 WALK_LENGTH = 10
 
-# pairs per block in score_embedding: bounds the gathered rows to a few MB
+# pairs per block of row_dots in score_embedding and linkpred.score_svd:
+# bounds the gathered rows to a few MB
 _SCORE_BLOCK = 4096
 # pairs per sub-block of a training chunk whose rows of w_out are gathered
 # at once: (256, 1 + NEGATIVES, DIM) float64 is 1.6 MB
@@ -308,16 +309,29 @@ def train_embeddings(
     return w_in, losses
 
 
+def row_dots(left: np.ndarray, right: np.ndarray, rows, cols, block: int) -> np.ndarray:
+    """``left[rows[k]] · right[cols[k]]`` for each k, as a float array.
+
+    Rows are gathered ``block`` pairs at a time, so memory stays bounded
+    however many pairs are scored.
+    """
+    out = np.empty(rows.size)
+    for lo in range(0, rows.size, block):
+        at = slice(lo, lo + block)
+        np.einsum("kd,kd->k", left[rows[at]], right[cols[at]], out=out[at])
+    return out
+
+
 def score_embedding(vectors: np.ndarray, a, v):
     """Cosine similarity of rows ``a`` and ``v`` of ``vectors``; 0 where either has zero norm.
 
     ``a`` and ``v`` are node indices, or index arrays of one shape for an
-    array of scores. Rows are gathered a block of pairs at a time, so memory
-    stays bounded however many pairs are scored.
+    array of scores. The dot products are ``row_dots``, so memory stays
+    bounded however many pairs are scored.
     """
     a, v = np.broadcast_arrays(a, v)
     cos = np.zeros(a.shape)
-    out, a, v = cos.reshape(-1), a.reshape(-1), v.reshape(-1)
+    a, v = a.reshape(-1), v.reshape(-1)
     for idx in (a, v):
         # numpy would wrap a negative index round to another node
         unknown = (idx < 0) | (idx >= len(vectors))
@@ -325,9 +339,7 @@ def score_embedding(vectors: np.ndarray, a, v):
             raise UnknownNodeError(idx[unknown][0].item())
     # a row's norm rounds the same whether taken here or from a gathered block
     norm = np.linalg.norm(vectors, axis=1)
-    for lo in range(0, a.size, _SCORE_BLOCK):
-        i, j = a[lo:lo + _SCORE_BLOCK], v[lo:lo + _SCORE_BLOCK]
-        denom = norm[i] * norm[j]
-        dot = np.einsum("kd,kd->k", vectors[i], vectors[j])
-        np.divide(dot, denom, out=out[lo:lo + _SCORE_BLOCK], where=denom > 0)
+    denom = norm[a] * norm[v]
+    dot = row_dots(vectors, vectors, a, v, _SCORE_BLOCK)
+    np.divide(dot, denom, out=cos.reshape(-1), where=denom > 0)
     return cos if cos.ndim else float(cos)

@@ -246,7 +246,7 @@ def intern_ids(ids: Sequence, key=str) -> tuple[tuple, np.ndarray]:
 _KEY_SPAN = 1 << 63  # packed keys are int64, so each stays below this
 
 
-def rank_rows(columns, stable=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def rank_rows(columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense lexicographic rank of the rows of int columns, their sort order and run starts.
 
     ``columns`` is as ``pack_rows`` takes it, and the packed key gets one
@@ -254,10 +254,9 @@ def rank_rows(columns, stable=False) -> tuple[np.ndarray, np.ndarray, np.ndarray
     the distinct rows (int32 when the rows fit), an order that sorts the
     rows, and the mask of the sorted positions that start a run of equal
     rows, so ``order[first]`` holds one row of each rank. Rows equal on
-    every column keep their input order when ``stable``, and come in any
-    order otherwise.
+    every column come in any order.
     """
-    return _dense_rank(pack_rows(columns), stable)
+    return _dense_rank(pack_rows(columns))
 
 
 def pack_rows(columns) -> np.ndarray:
@@ -291,7 +290,7 @@ def pack_rows(columns) -> np.ndarray:
     return key
 
 
-def _dense_rank(key, stable=False):
+def _dense_rank(key):
     """``rank_rows`` of a single column of keys, in any int dtype."""
     order = np.argsort(key)
     ordered = key[order]
@@ -299,8 +298,6 @@ def _dense_rank(key, stable=False):
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     del ordered
-    if stable and not first.all():  # only tied keys can come out of input order
-        order = np.argsort(key, kind="stable")
     dtype = np.int32 if key.size <= np.iinfo(np.int32).max else np.int64
     rank = np.empty(key.size, dtype=dtype)
     rank[order] = np.cumsum(first, dtype=dtype) - 1

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +33,8 @@ from gigmine.embeddings import (
     WALK_LENGTH,
     WALKS_PER_NODE,
     WINDOW,
+    _SCORE_BLOCK,
+    row_dots,
     sample_walks,
     score_embedding,
     train_embeddings,
@@ -45,38 +46,14 @@ from gigmine.metrics import roc_auc
 from gigmine.success import SVDReducer
 
 SVD_RANK = 25
+TRAIN_END_YEAR = 2015
+TEST_YEARS = (2016, 2017)
+CORE_K = 5
+HIDDEN_FRACTION = 0.20
 NEG_MULTIPLE = 10
 NEG_FLOOR = 100_000
 HEURISTICS = ("common_neighbors", "jaccard", "preferential_attachment")
 ALL_PREDICTORS = HEURISTICS + ("svd", "embedding")
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Parameters of a temporal or random train/test split."""
-
-    kind: str = "temporal"
-    train_end_year: int = 2015
-    test_years: frozenset = frozenset({2016, 2017})
-    hidden_fraction: float = 0.20
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("temporal", "random"):
-            raise GigmineError(f"split kind must be temporal or random, got {self.kind!r}")
-        if not 0.0 < self.hidden_fraction < 1.0:
-            raise GigmineError(
-                f"hidden_fraction must lie in (0, 1), got {self.hidden_fraction}"
-            )
-        object.__setattr__(self, "test_years", frozenset(self.test_years))
-        if self.kind == "temporal":
-            if not self.test_years:
-                raise GigmineError("temporal split needs at least one test year")
-            if self.train_end_year >= min(self.test_years):
-                raise GigmineError(
-                    f"train_end_year {self.train_end_year} must precede "
-                    f"test years {sorted(self.test_years)}"
-                )
 
 
 class TemporalSplit(NamedTuple):
@@ -133,24 +110,35 @@ def _positions(order: tuple, ids: Sequence) -> np.ndarray:
     return np.array([index.get(x, -1) for x in ids], dtype=np.int64)
 
 
-def make_temporal_split(corpus, spec: SplitSpec, core_k: int = 5) -> TemporalSplit:
+def make_temporal_split(
+    corpus,
+    train_end_year: int = TRAIN_END_YEAR,
+    test_years: Iterable[int] = TEST_YEARS,
+    core_k: int = CORE_K,
+) -> TemporalSplit:
     """History graph up to the cutoff year versus pairs first seen later.
 
     The training graph is built from events dated <= train_end_year and
     recursively core-filtered. Test pairs come from events in test_years,
     deduplicated, restricted to nodes that survived the filter, minus pairs
-    already present in training. Raises when either side ends up empty.
+    already present in training. Raises when there is no test year, a test
+    year is not after train_end_year or either side ends up empty.
     """
-    if spec.kind != "temporal":
-        raise GigmineError(f"expected a temporal SplitSpec, got kind={spec.kind!r}")
-    train = corpus.year <= spec.train_end_year
+    test_years = sorted(set(test_years))
+    if not test_years:
+        raise GigmineError("temporal split needs at least one test year")
+    if train_end_year >= test_years[0]:
+        raise GigmineError(
+            f"train_end_year {train_end_year} must precede test years {test_years}"
+        )
+    train = corpus.year <= train_end_year
     if not train.any():
-        raise GigmineError(f"no events in or before {spec.train_end_year}")
+        raise GigmineError(f"no events in or before {train_end_year}")
     graph = recursive_core_filter(build_graph(corpus.select(train)), k=core_k)
     if graph.n_edges == 0:
         raise GigmineError(f"training graph is empty after the {core_k}-core filter")
 
-    test = np.isin(corpus.year, list(spec.test_years))
+    test = np.isin(corpus.year, test_years)
     n_v = len(corpus.venue_order)
     raw_pairs = _distinct(corpus.artist[test] * n_v + corpus.venue[test])
     rows = _positions(graph.artist_order, corpus.artist_order)[raw_pairs // n_v]
@@ -160,11 +148,11 @@ def make_temporal_split(corpus, spec: SplitSpec, core_k: int = 5) -> TemporalSpl
     new_pairs = np.sort(surviving[~_in_sorted(surviving, edge_codes(graph))])
     if not new_pairs.size:
         raise GigmineError(
-            f"no new (artist, venue) pairs found in test years {sorted(spec.test_years)}"
+            f"no new (artist, venue) pairs found in test years {test_years}"
         )
     stats = {
-        "train_end_year": spec.train_end_year,
-        "test_years": sorted(spec.test_years),
+        "train_end_year": train_end_year,
+        "test_years": test_years,
         "core_k": core_k,
         "train_artists": len(graph.artists),
         "train_venues": len(graph.venues),
@@ -180,25 +168,30 @@ def make_temporal_split(corpus, spec: SplitSpec, core_k: int = 5) -> TemporalSpl
 
 
 def _hidden_count(hidden_fraction: float, n_edges: int) -> int:
-    """round(n_edges * hidden_fraction), the edges a random split hides; raises when none."""
+    """round(n_edges * hidden_fraction), the edges a random split hides.
+
+    Raises when hidden_fraction lies outside (0, 1) or hides no edge.
+    """
+    if not 0.0 < hidden_fraction < 1.0:
+        raise GigmineError(f"hidden_fraction must lie in (0, 1), got {hidden_fraction}")
     n_hidden = int(round(hidden_fraction * n_edges))
     if n_hidden == 0:
         raise GigmineError(f"hidden_fraction {hidden_fraction} of {n_edges} edges hides no edge")
     return n_hidden
 
 
-def make_random_split(graph: BipartiteGraph, spec: SplitSpec) -> RandomSplit:
+def make_random_split(
+    graph: BipartiteGraph, hidden_fraction: float = HIDDEN_FRACTION, seed: int = 0
+) -> RandomSplit:
     """Hide a uniformly random fraction of edges; nodes stay in place.
 
     Exactly round(|E| * hidden_fraction) edges are hidden, drawn over the
-    edges in CSR order; raises when that rounds to none. Train edges and
-    hidden edges partition the original edge set, and the same seed always
-    yields the same split.
+    edges in CSR order; raises when hidden_fraction is outside (0, 1) or
+    that rounds to none. Train edges and hidden edges partition the
+    original edge set, and the same seed always yields the same split.
     """
-    if spec.kind != "random":
-        raise GigmineError(f"expected a random SplitSpec, got kind={spec.kind!r}")
-    n_hidden = _hidden_count(spec.hidden_fraction, graph.n_edges)
-    rng = np.random.default_rng(spec.seed)
+    n_hidden = _hidden_count(hidden_fraction, graph.n_edges)
+    rng = np.random.default_rng(seed)
     keep = np.ones(graph.n_edges, dtype=bool)
     keep[rng.choice(graph.n_edges, size=n_hidden, replace=False)] = False
     return RandomSplit(graph.subgraph(keep), edge_codes(graph)[~keep])
@@ -207,8 +200,6 @@ def make_random_split(graph: BipartiteGraph, spec: SplitSpec) -> RandomSplit:
 # -- predictors ---------------------------------------------------------------
 
 
-# pairs per block in score_svd: bounds the gathered rows to a few MB
-_SCORE_BLOCK = 4096
 # cells per block of rows of A2 or V2 in heuristic_scores, counted over the
 # wider of the two (n_a or n_v cells a row)
 _CHUNK_CELLS = 1 << 20
@@ -336,11 +327,7 @@ def score_svd(
     X = g.biadjacency(values="binary")
     reducer = SVDReducer(k, seed=seed).fit(X)
     left = reducer.transform(X)  # rows: U_k S_k in artist_order
-    scores = np.empty(rows.size)
-    for lo in range(0, rows.size, _SCORE_BLOCK):
-        at = slice(lo, lo + _SCORE_BLOCK)
-        np.einsum("kd,kd->k", left[rows[at]], reducer.components_[cols[at]], out=scores[at])
-    return scores, reducer.solver_
+    return row_dots(left, reducer.components_, rows, cols, _SCORE_BLOCK), reducer.solver_
 
 
 def build_score_tables(
@@ -396,19 +383,14 @@ def build_score_tables(
     return scores, fits
 
 
-class _Labels(NamedTuple):
-    """Where the labeled codes sit in one candidate array, positives first."""
+def evaluate_linkpred(tables, pairs, positives, negatives) -> dict[str, float]:
+    """Rank-based ROC AUC of each predictor on the labeled codes.
 
-    n_pairs: int
-    at: np.ndarray  # index in the candidate array of each labeled code
-    positive: np.ndarray
-
-
-def _align(pairs, positives, negatives) -> _Labels:
-    """Check the labeled codes against the candidate codes ``pairs`` and locate them.
-
-    Raises when positives and negatives overlap, a class is empty or a
-    labeled code is not among ``pairs``.
+    ``tables`` maps each predictor to its scores, aligned to the candidate
+    codes ``pairs``; candidate order does not matter. The labeled codes are
+    located among the candidates once, for every predictor. Raises when
+    positives and negatives overlap, a class is empty, a labeled code is
+    not among ``pairs`` or a score array does not match ``pairs``.
     """
     positives = _distinct(np.asarray(positives, dtype=np.int64))
     negatives = _distinct(np.asarray(negatives, dtype=np.int64))
@@ -424,21 +406,15 @@ def _align(pairs, positives, negatives) -> _Labels:
     if missing.size:
         raise GigmineError(f"{missing.size} pairs unscored, e.g. code {missing[0]}")
     at = order[np.searchsorted(pairs, labeled, sorter=order)]
-    return _Labels(pairs.size, at, np.arange(labeled.size) < positives.size)
-
-
-def _auc(scores, labels: _Labels) -> float:
-    """ROC AUC of one predictor's ``scores``, aligned to the candidates ``labels`` locates."""
-    scores = np.asarray(scores, dtype=float)
-    if scores.shape != (labels.n_pairs,):
-        raise GigmineError(f"{scores.size} scores for {labels.n_pairs} pairs")
-    # roc_auc rejects a non-finite score
-    return roc_auc(scores[labels.at], labels.positive)
-
-
-def evaluate_linkpred(scores, pairs, positives, negatives) -> float:
-    """Rank-based ROC AUC of ``scores``, aligned to the codes ``pairs``, on the labeled codes."""
-    return _auc(scores, _align(pairs, positives, negatives))
+    positive = np.arange(labeled.size) < positives.size
+    aucs = {}
+    for name, scores in tables.items():
+        scores = np.asarray(scores, dtype=float)
+        if scores.shape != (pairs.size,):
+            raise GigmineError(f"{scores.size} scores for {pairs.size} pairs")
+        # roc_auc rejects a non-finite score
+        aucs[name] = roc_auc(scores[at], positive)
+    return aucs
 
 
 def sample_negative_pairs(
@@ -490,10 +466,11 @@ def _workers(n_passes: int) -> int:
 def run_task2(
     corpus,
     predictors: Sequence[str] = ALL_PREDICTORS,
-    split: Optional[SplitSpec] = None,
-    hidden_fraction: float = 0.20,
+    train_end_year: int = TRAIN_END_YEAR,
+    test_years: Iterable[int] = TEST_YEARS,
+    hidden_fraction: float = HIDDEN_FRACTION,
     n_random_splits: int = 3,
-    core_k: int = 5,
+    core_k: int = CORE_K,
     svd_k: int = SVD_RANK,
     neg_multiple: int = NEG_MULTIPLE,
     neg_floor: int = NEG_FLOOR,
@@ -516,8 +493,7 @@ def run_task2(
     """
     if n_random_splits < 1:
         raise GigmineError(f"n_random_splits must be at least 1, got {n_random_splits}")
-    split = split or SplitSpec(kind="temporal", seed=seed)
-    temporal = make_temporal_split(corpus, split, core_k=core_k)
+    temporal = make_temporal_split(corpus, train_end_year, test_years, core_k=core_k)
     g = temporal.train_graph
     _hidden_count(hidden_fraction, g.n_edges)  # fail before any pass runs
 
@@ -530,9 +506,8 @@ def run_task2(
             train_g, positives, pass_seed = g, temporal.test_pairs, seed
         else:
             pass_seed = seed + s
-            rspec = SplitSpec(kind="random", hidden_fraction=hidden_fraction, seed=pass_seed)
             # train edges plus hidden pairs are exactly the full graph's edges
-            train_g, positives = make_random_split(g, rspec)
+            train_g, positives = make_random_split(g, hidden_fraction, seed=pass_seed)
         negatives = sample_negative_pairs(
             train_g,
             max(neg_multiple * len(positives), neg_floor),
@@ -543,9 +518,7 @@ def run_task2(
         tables, fits = build_score_tables(
             train_g, candidates, predictors, svd_k=svd_k, seed=pass_seed, **embed_params
         )
-        labels = _align(candidates, positives, negatives)
-        aucs = {name: _auc(tables[name], labels) for name in predictors}
-        return aucs, fits, len(negatives)
+        return evaluate_linkpred(tables, candidates, positives, negatives), fits, len(negatives)
 
     passes = [None, *range(n_random_splits)]
     with ThreadPoolExecutor(max_workers=_workers(len(passes))) as pool:

@@ -20,7 +20,6 @@ from gigmine.graph import build_graph
 from gigmine.ingest import filter_min_activity, filter_post_2007, parse_corpus
 from gigmine.labeling import change_points, label_corpus
 from gigmine.linkpred import (
-    SplitSpec,
     build_score_tables,
     evaluate_linkpred,
     heuristic_scores,
@@ -175,13 +174,11 @@ def test_criterion_04_svd_recovery():
             for j in range(20):
                 triples.append((f"a{b}_{i}", f"v{b}_{j}", 2015))
     g = build_graph(triples)
-    train, hidden = make_random_split(
-        g, SplitSpec(kind="random", hidden_fraction=0.1, seed=0)
-    )
+    train, hidden = make_random_split(g, hidden_fraction=0.1, seed=0)
     negatives = sample_negative_pairs(train, 10 * len(hidden), exclude=hidden, seed=0)
     candidates = np.concatenate([hidden, negatives])
     scores, _ = score_svd(train, candidates, k=3, seed=0)
-    auc = evaluate_linkpred(scores, candidates, hidden, negatives)
+    auc = evaluate_linkpred({"svd": scores}, candidates, hidden, negatives)["svd"]
     verdict(
         4,
         "SVD recovery",
@@ -338,9 +335,7 @@ def test_criterion_08_planted_link_prediction():
     )
     aucs = defaultdict(list)
     for s in (0, 1):
-        train, hidden = make_random_split(
-            g, SplitSpec(kind="random", hidden_fraction=0.2, seed=s)
-        )
+        train, hidden = make_random_split(g, hidden_fraction=0.2, seed=s)
         negatives = sample_negative_pairs(
             train, 10 * len(hidden), exclude=hidden, seed=s
         )
@@ -350,8 +345,8 @@ def test_criterion_08_planted_link_prediction():
             candidates,
             predictors=("common_neighbors", "jaccard", "preferential_attachment"),
         )
-        for name, scores in tables.items():
-            aucs[name].append(evaluate_linkpred(scores, candidates, hidden, negatives))
+        for name, auc in evaluate_linkpred(tables, candidates, hidden, negatives).items():
+            aucs[name].append(auc)
     cn = float(np.mean(aucs["common_neighbors"]))
     jac = float(np.mean(aucs["jaccard"]))
     pa = float(np.mean(aucs["preferential_attachment"]))
@@ -450,9 +445,8 @@ def test_criterion_10_real_data_reproduction():
     t2 = run_task2(
         corpus,
         predictors=("common_neighbors", "jaccard", "preferential_attachment", "svd"),
-        split=SplitSpec(
-            kind="temporal", train_end_year=2015, test_years=frozenset({2016, 2017})
-        ),
+        train_end_year=2015,
+        test_years=(2016, 2017),
         seed=0,
     )
     expected_auc = {

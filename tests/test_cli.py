@@ -140,6 +140,28 @@ class TestExitCodes:
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad, code, message", [
+        ("config is a directory", 2, "cannot read config file {target}: Is a directory"),
+        ("config is not UTF-8", 2, "config file {target} is not UTF-8"),
+        ("out is a file", 1, "File exists: '{target}'"),
+    ], ids=["config-dir", "config-not-utf8", "out-file"])
+    def test_unreadable_config_or_unwritable_out_is_reported_not_raised(
+        self, corpus_dir, tmp_path, capsys, bad, code, message
+    ):
+        target = tmp_path / "target"
+        cfg, out = str(target), tmp_path / "out"
+        if bad == "config is a directory":
+            target.mkdir()
+        elif bad == "config is not UTF-8":
+            target.write_bytes(b'{"seed": "\xff"}')
+        else:
+            target.write_text("a file, not a directory")
+            cfg, out = write_config(tmp_path, base_config(corpus_dir)), target
+        assert main(["stats", "--config", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("gigmine: ")
+        assert message.format(target=target) in err
+
     def test_config_must_be_object(self, tmp_path, capsys):
         cfg = tmp_path / "list.json"
         cfg.write_text("[1, 2]")

@@ -16,7 +16,6 @@ from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
 from gigmine.ingest import parse_corpus
 from gigmine.linkpred import (
     HEURISTICS,
-    SplitSpec,
     build_score_tables,
     edge_codes,
     evaluate_linkpred,
@@ -152,23 +151,6 @@ class TestHeuristics:
         ]
 
 
-class TestSplitSpec:
-    def test_bad_kind(self):
-        with pytest.raises(GigmineError, match="kind"):
-            SplitSpec(kind="chronological")
-
-    def test_bad_fraction(self):
-        for f in (0.0, 1.0, -0.1):
-            with pytest.raises(GigmineError, match="hidden_fraction"):
-                SplitSpec(kind="random", hidden_fraction=f)
-
-    def test_train_year_must_precede_test_years(self):
-        with pytest.raises(GigmineError, match="precede"):
-            SplitSpec(kind="temporal", train_end_year=2016, test_years={2016})
-        with pytest.raises(GigmineError, match="test year"):
-            SplitSpec(kind="temporal", test_years=())
-
-
 class TestRandomSplit:
     def _graph(self, rng, n_a=12, n_v=10, density=0.4):
         return random_bipartite(rng, n_a, n_v, density)
@@ -176,8 +158,7 @@ class TestRandomSplit:
     def test_partition_and_exact_count(self):
         rng = np.random.default_rng(3)
         g = self._graph(rng)
-        spec = SplitSpec(kind="random", hidden_fraction=0.25, seed=0)
-        train, hidden = make_random_split(g, spec)
+        train, hidden = make_random_split(g, hidden_fraction=0.25, seed=0)
         assert len(hidden) == round(0.25 * g.n_edges)
         # every node stays, so codes over train and over g agree
         hidden = set(id_pairs(g, hidden))
@@ -190,22 +171,20 @@ class TestRandomSplit:
     def test_same_seed_same_split(self):
         rng = np.random.default_rng(4)
         g = self._graph(rng)
-        spec = SplitSpec(kind="random", hidden_fraction=0.3, seed=9)
-        first = make_random_split(g, spec).hidden_pairs
-        assert np.array_equal(make_random_split(g, spec).hidden_pairs, first)
-        other = SplitSpec(kind="random", hidden_fraction=0.3, seed=10)
-        assert not np.array_equal(make_random_split(g, other).hidden_pairs, first)
+        first = make_random_split(g, 0.3, seed=9).hidden_pairs
+        assert np.array_equal(make_random_split(g, 0.3, seed=9).hidden_pairs, first)
+        assert not np.array_equal(make_random_split(g, 0.3, seed=10).hidden_pairs, first)
 
-    def test_rejects_temporal_spec(self):
-        rng = np.random.default_rng(5)
-        with pytest.raises(GigmineError, match="random"):
-            make_random_split(self._graph(rng), SplitSpec(kind="temporal"))
+    def test_bad_fraction(self):
+        g = self._graph(np.random.default_rng(5))
+        for f in (0.0, 1.0, -0.1, 1.5):
+            with pytest.raises(GigmineError, match=r"hidden_fraction must lie in \(0, 1\)"):
+                make_random_split(g, hidden_fraction=f)
 
     def test_rejects_fraction_that_hides_no_edge(self):
         g = build_graph([("a1", "v1", 2010), ("a2", "v2", 2010)])
-        spec = SplitSpec(kind="random", hidden_fraction=0.2, seed=0)
         with pytest.raises(GigmineError, match="hidden_fraction 0.2 of 2 edges"):
-            make_random_split(g, spec)
+            make_random_split(g, hidden_fraction=0.2, seed=0)
 
 
 class TestTemporalSplit:
@@ -229,12 +208,8 @@ class TestTemporalSplit:
 
     def test_planted_future_edges_are_exactly_the_test_set(self, synth_corpus):
         corpus, manifest = synth_corpus
-        spec = SplitSpec(
-            kind="temporal",
-            train_end_year=manifest["train_end_year"],
-            test_years=frozenset(manifest["test_years"]),
-        )
-        split = make_temporal_split(corpus, spec, core_k=5)
+        years = manifest["train_end_year"], manifest["test_years"]
+        split = make_temporal_split(corpus, *years, core_k=5)
         planted = {tuple(p) for p in manifest["planted_future_edges"]}
         assert set(id_pairs(split.train_graph, split.test_pairs)) == planted
         assert np.array_equal(split.test_pairs, np.unique(split.test_pairs))
@@ -242,12 +217,8 @@ class TestTemporalSplit:
 
     def test_training_graph_respects_cutoff_and_core(self, synth_corpus):
         corpus, manifest = synth_corpus
-        spec = SplitSpec(
-            kind="temporal",
-            train_end_year=manifest["train_end_year"],
-            test_years=frozenset(manifest["test_years"]),
-        )
-        split = make_temporal_split(corpus, spec, core_k=5)
+        years = manifest["train_end_year"], manifest["test_years"]
+        split = make_temporal_split(corpus, *years, core_k=5)
         g = split.train_graph
         for info in g.edges.values():
             assert info.first_year <= manifest["train_end_year"]
@@ -256,27 +227,24 @@ class TestTemporalSplit:
 
     def test_known_training_edges_never_test_pairs(self, synth_corpus):
         corpus, manifest = synth_corpus
-        spec = SplitSpec(
-            kind="temporal",
-            train_end_year=manifest["train_end_year"],
-            test_years=frozenset(manifest["test_years"]),
-        )
-        split = make_temporal_split(corpus, spec)
+        years = manifest["train_end_year"], manifest["test_years"]
+        split = make_temporal_split(corpus, *years)
         for pair in id_pairs(split.train_graph, split.test_pairs):
             assert pair not in split.train_graph.edges
 
     def test_empty_sides_raise(self, synth_corpus):
         corpus, _ = synth_corpus
         with pytest.raises(GigmineError, match="no events"):
-            make_temporal_split(
-                corpus,
-                SplitSpec(kind="temporal", train_end_year=1990, test_years={1995}),
-            )
+            make_temporal_split(corpus, train_end_year=1990, test_years={1995})
         with pytest.raises(GigmineError, match="no new"):
-            make_temporal_split(
-                corpus,
-                SplitSpec(kind="temporal", train_end_year=2017, test_years={2030}),
-            )
+            make_temporal_split(corpus, train_end_year=2017, test_years={2030})
+
+    def test_train_year_must_precede_test_years(self, synth_corpus):
+        corpus, _ = synth_corpus
+        with pytest.raises(GigmineError, match=r"2016 must precede test years \[2016, 2017\]"):
+            make_temporal_split(corpus, train_end_year=2016, test_years=[2017, 2016])
+        with pytest.raises(GigmineError, match="test year"):
+            make_temporal_split(corpus, test_years=())
 
 
 class TestSvdScores:
@@ -348,7 +316,7 @@ class TestSvdScores:
 class TestScoreTablesAndEvaluation:
     def test_score_table_rejects_non_finite(self):
         with pytest.raises(GigmineError, match="scores must be finite"):
-            evaluate_linkpred(np.array([1.0, float("nan")]), [5, 7], [5], [7])
+            evaluate_linkpred({"svd": np.array([1.0, float("nan")])}, [5, 7], [5], [7])
 
     def test_build_tables_rejects_training_edges(self, toy_graph):
         with pytest.raises(GigmineError, match=r"\('a1', 'v1'\) is already a training edge"):
@@ -387,21 +355,23 @@ class TestScoreTablesAndEvaluation:
 
     def test_evaluate_perfect_and_reversed(self):
         scores, pairs = np.array([2.0, 1.0]), np.array([0, 3])
-        assert evaluate_linkpred(scores, pairs, [0], [3]) == 1.0
-        assert evaluate_linkpred(scores, pairs, [3], [0]) == 0.0
+        tables = {"up": scores, "down": -scores}
+        assert evaluate_linkpred(tables, pairs, [0], [3]) == {"up": 1.0, "down": 0.0}
+        assert evaluate_linkpred(tables, pairs, [3], [0]) == {"up": 0.0, "down": 1.0}
         # candidate order does not matter
-        assert evaluate_linkpred(scores[::-1], pairs[::-1], [0], [3]) == 1.0
+        assert evaluate_linkpred({"up": scores[::-1]}, pairs[::-1], [0], [3]) == {"up": 1.0}
+        assert evaluate_linkpred({}, pairs, [0], [3]) == {}
 
     def test_evaluate_guards(self):
-        scores, pairs = np.array([1.0, 0.0]), np.array([0, 1])
+        tables, pairs = {"svd": np.array([1.0, 0.0])}, np.array([0, 1])
         with pytest.raises(GigmineError, match="overlap"):
-            evaluate_linkpred(scores, pairs, [0], [0])
+            evaluate_linkpred(tables, pairs, [0], [0])
         with pytest.raises(GigmineError, match="at least one"):
-            evaluate_linkpred(scores, pairs, [0], [])
+            evaluate_linkpred(tables, pairs, [0], [])
         with pytest.raises(GigmineError, match="unscored"):
-            evaluate_linkpred(scores, pairs, [0], [2])
+            evaluate_linkpred(tables, pairs, [0], [2])
         with pytest.raises(GigmineError, match="3 scores for 2 pairs"):
-            evaluate_linkpred(np.zeros(3), pairs, [0], [1])
+            evaluate_linkpred({**tables, "jaccard": np.zeros(3)}, pairs, [0], [1])
 
 
 class TestNegativeSampling:
@@ -470,11 +440,8 @@ class TestRunTask2:
         report = run_task2(
             corpus,
             predictors=("common_neighbors", "jaccard", "preferential_attachment"),
-            split=SplitSpec(
-                kind="temporal",
-                train_end_year=manifest["train_end_year"],
-                test_years=frozenset(manifest["test_years"]),
-            ),
+            train_end_year=manifest["train_end_year"],
+            test_years=manifest["test_years"],
             n_random_splits=2,
             neg_floor=200,
             seed=0,
@@ -505,16 +472,13 @@ class TestRunTask2:
             out,
         )
         corpus = parse_corpus(out / "events.csv", out / "releases.csv", out / "labels.csv")
-        split = SplitSpec(
-            kind="temporal",
-            train_end_year=manifest["train_end_year"],
-            test_years=frozenset(manifest["test_years"]),
-        )
+        years = {"train_end_year": manifest["train_end_year"],
+                 "test_years": manifest["test_years"]}
         for key, param in [("embed_window", "window"), ("embed_epochs", "epochs"),
                            ("embed_dim", "dim"), ("walk_length", "length"),
                            ("walks_per_node", "walks_per_node")]:
             with pytest.raises(GigmineError, match=f"{param} must be at least 1, got 0"):
-                run_task2(corpus, predictors=("embedding",), split=split, **{key: 0})
+                run_task2(corpus, predictors=("embedding",), **years, **{key: 0})
 
     def test_rejects_fewer_than_one_random_split(self):
         corpus = make_corpus([("e1", "a1", "v1", dt.date(2014, 5, 1))])
@@ -537,15 +501,12 @@ class TestScoringPool:
             out,
         )
         corpus = parse_corpus(out / "events.csv", out / "releases.csv", out / "labels.csv")
-        split = SplitSpec(
-            kind="temporal",
-            train_end_year=manifest["train_end_year"],
-            test_years=frozenset(manifest["test_years"]),
-        )
-        return corpus, split
+        years = {"train_end_year": manifest["train_end_year"],
+                 "test_years": manifest["test_years"]}
+        return corpus, years
 
     def run(self, corpus_and_split, workers, **params):
-        corpus, split = corpus_and_split
+        corpus, years = corpus_and_split
         asked = []
 
         def forced(n_passes):
@@ -554,7 +515,7 @@ class TestScoringPool:
 
         with mock.patch.object(linkpred, "_workers", forced):
             report = run_task2(
-                corpus, split=split, n_random_splits=self.N_SPLITS, neg_floor=200, seed=4,
+                corpus, **years, n_random_splits=self.N_SPLITS, neg_floor=200, seed=4,
                 walks_per_node=2, walk_length=6, embed_dim=8, embed_epochs=2, svd_k=5,
                 **params,
             )
@@ -604,6 +565,18 @@ class TestScoringPool:
         with mock.patch.object(linkpred, "build_score_tables", never), \
                 pytest.raises(GigmineError, match=no_edge):
             self.run(corpus_and_split, workers, hidden_fraction=1e-9)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.1])
+    def test_fraction_outside_unit_interval_fails_before_any_pass(
+        self, corpus_and_split, fraction
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a scoring pass ran")
+
+        outside = rf"hidden_fraction must lie in \(0, 1\), got {fraction}"
+        with mock.patch.object(linkpred, "build_score_tables", never), \
+                pytest.raises(GigmineError, match=outside):
+            self.run(corpus_and_split, self.N_SPLITS + 1, hidden_fraction=fraction)
 
     def test_workers_bounded_by_passes_and_cores(self):
         if hasattr(os, "sched_getaffinity"):

@@ -44,7 +44,8 @@ def corpus(tmp_path_factory):
 
 @pytest.mark.parametrize("command, spans", [
     ("task3", {"graph.build_graph", "birank.birank"}),
-    ("task2", {"graph.build_graph", "linkpred.build_score_tables"}),
+    ("task2", {"graph.build_graph", "linkpred.build_score_tables",
+               "linkpred.evaluate_linkpred"}),
     ("routes", {"routes.city_sequences", "routes.mine_routes"}),
     ("task1", {"success.truncate_events", "success.build_features"}),
 ])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -31,21 +31,14 @@ MAX_ITER = 200
 
 @dataclass(frozen=True)
 class SeedScores:
-    """Per-side id -> seed maps; each side is a probability distribution.
+    """Per-side seed arrays in the graph's orders; each side is a probability distribution."""
 
-    ``seed_scores`` gives ``ScoreView``s over the graph's orders; any other
-    mapping works too.
-    """
-
-    artist_seed: Mapping
-    venue_seed: Mapping
+    artist_seed: np.ndarray
+    venue_seed: np.ndarray
 
     def __post_init__(self):
         for name, side in (("artist", self.artist_seed), ("venue", self.venue_seed)):
-            if isinstance(side, ScoreView):
-                values = np.asarray(side.array, dtype=float)
-            else:
-                values = np.fromiter(side.values(), dtype=float, count=len(side))
+            values = np.asarray(side, dtype=float)
             if not np.all((values >= 0.0) & (values < math.inf)):  # NaN fails both
                 raise GigmineError(f"{name} seeds contain a negative or non-finite entry")
             total = float(values.sum())
@@ -57,8 +50,7 @@ class SeedScores:
 class TemporalWeights:
     """Per-edge decay weight delta^(ref_year - first_year) of one graph.
 
-    ``values`` follows the graph's edge arrays; ``weights`` is the same data
-    keyed by (artist, venue) pair.
+    ``values`` follows the graph's edge arrays.
     """
 
     graph: BipartiteGraph
@@ -66,48 +58,24 @@ class TemporalWeights:
     delta: float
     ref_year: int
 
-    @property
-    def weights(self) -> dict:
-        g = self.graph
-        return dict(zip(g.id_pairs(g.row, g.col), self.values.tolist()))
 
+@dataclass(frozen=True, eq=False)
+class ScoreView:
+    """One score per id: ``array[i]`` is the score of ``order[i]``."""
 
-class ScoreView(Mapping):
-    """Read-only id -> score map over an id tuple and an array of one score per id.
-
-    ``order`` and ``array`` are the map itself; the id index a lookup needs
-    is built on the first lookup.
-    """
-
-    def __init__(self, order: tuple, array: np.ndarray):
-        self.order, self.array = order, array
-        self._index = None
-
-    def position(self, node) -> int:
-        """Index of ``node`` in ``order``; KeyError when it is not there."""
-        if self._index is None:
-            self._index = dict(zip(self.order, range(len(self.order))))
-        return self._index[node]
-
-    def __getitem__(self, node) -> float:
-        return self.array[self.position(node)].item()
+    order: tuple
+    array: np.ndarray
 
     def top(self, k: Optional[int] = None) -> list:
         """``[id, score]`` pairs of the ``k`` highest scores (all for None), ties in ``order``."""
         at = np.argsort(-self.array, kind="stable")[:k]
         return [[self.order[i], s] for i, s in zip(at.tolist(), self.array[at].tolist())]
 
-    def __iter__(self):
-        return iter(self.order)
-
-    def __len__(self) -> int:
-        return len(self.order)
-
 
 @dataclass(frozen=True)
 class BiRankResult:
-    artist_scores: Mapping
-    venue_scores: Mapping
+    artist_scores: ScoreView
+    venue_scores: ScoreView
     iterations: int
     converged: bool
 
@@ -117,12 +85,12 @@ def seed_scores(g: BipartiteGraph) -> SeedScores:
 
     Degree is the distinct-neighbor count. Rankings induced by the seeds do
     not depend on the logarithm base, but the values do; natural log is
-    fixed here. Each side is a read-only ``ScoreView`` over the graph's order.
+    fixed here. Each side is a read-only array in the graph's order.
     """
     if not g.artists or not g.venues:
         raise GigmineError("seed scores need at least one artist and one venue")
     seeds = []
-    for order, ptr in ((g.artist_order, g.indptr), (g.venue_order, g.csc_indptr)):
+    for ptr in (g.indptr, g.csc_indptr):
         # one log per distinct degree, gathered back per node; the total is
         # Python's sum over the nodes in order, as in the per-node form (from
         # 3.12 it is compensated, which no numpy sum reproduces bit for bit)
@@ -133,17 +101,8 @@ def seed_scores(g: BipartiteGraph) -> SeedScores:
             raise GigmineError("cannot seed a side whose nodes all have degree 0")
         seed = raw / total
         seed.flags.writeable = False
-        seeds.append(ScoreView(order, seed))
+        seeds.append(seed)
     return SeedScores(artist_seed=seeds[0], venue_seed=seeds[1])
-
-
-def _seed_vector(side: Mapping, order: tuple, name: str) -> np.ndarray:
-    """The seeds of ``side`` in ``order``; raises unless ``side`` covers exactly its ids."""
-    if isinstance(side, ScoreView) and side.order == order:
-        return np.asarray(side.array, dtype=float)
-    if side.keys() != set(order):
-        raise GigmineError(f"{name} seeds must cover exactly the graph's {name}s")
-    return np.array([side[n] for n in order], dtype=float)
 
 
 def temporal_weights(
@@ -204,9 +163,11 @@ def birank(
     if weights.graph is not g and weights.graph != g:
         raise GigmineError("temporal weights were computed for a different graph")
     seeds = seeds if seeds is not None else seed_scores(g)
-    u0 = _seed_vector(seeds.artist_seed, g.artist_order, "artist")
-    p0 = _seed_vector(seeds.venue_seed, g.venue_order, "venue")
     n_a, n_v = len(g.artist_order), len(g.venue_order)
+    u0, p0 = np.asarray(seeds.artist_seed, dtype=float), np.asarray(seeds.venue_seed, dtype=float)
+    for name, seed, n in (("artist", u0, n_a), ("venue", p0, n_v)):
+        if seed.shape != (n,):
+            raise GigmineError(f"{name} seeds hold {seed.size} values for {n} graph {name}s")
     row, col = g.row, g.col
     w = np.asarray(weights.values * g.count if count_scaled else weights.values, dtype=float)
     # the sums and products below round as scipy.sparse's would on the CSR
@@ -255,48 +216,20 @@ def birank(
     )
 
 
-def _descending_rank(values: np.ndarray) -> np.ndarray:
-    """Dense rank of each value, 1 for the largest; equal values share a rank."""
+def dense_rank(values: np.ndarray) -> np.ndarray:
+    """Dense rank of each value, 1 for the largest; equal values share a rank with no gaps."""
     distinct, inverse = np.unique(values, return_inverse=True)
     return distinct.size - inverse
 
 
-def dense_rank(scores: Mapping) -> dict:
-    """Rank 1 = highest score; equal scores share a rank with no gaps after ties."""
-    ranks = _descending_rank(np.array(list(scores.values())))
-    return dict(zip(scores, ranks.tolist()))
+@dataclass(frozen=True, eq=False)
+class WindowRanking:
+    """One window's artist scores, their dense ranks in the same order, and its convergence."""
 
-
-class WindowRanking(Mapping):
-    """One window's artist -> {"rank", "score"} view, plus its BiRank convergence.
-
-    ``scores`` is the window's artist ``ScoreView`` and ``ranks`` the dense
-    rank of each of its scores (1 for the highest), in the same order; a
-    cell is made when it is looked up.
-    """
-
-    def __init__(self, scores: ScoreView, iterations: int, converged: bool):
-        self.scores = scores
-        self.ranks = _descending_rank(scores.array)
-        self.iterations = iterations
-        self.converged = converged
-
-    def ranked(self) -> list:
-        """``(artist, rank, score)`` of every artist by rank, ties in the scores' ``order``."""
-        at = np.argsort(self.ranks, kind="stable").tolist()
-        order = self.scores.order
-        ranks, scores = self.ranks.tolist(), self.scores.array.tolist()
-        return [(order[i], ranks[i], scores[i]) for i in at]
-
-    def __getitem__(self, artist) -> dict:
-        i = self.scores.position(artist)
-        return {"rank": int(self.ranks[i]), "score": self.scores.array[i].item()}
-
-    def __iter__(self):
-        return iter(self.scores.order)
-
-    def __len__(self) -> int:
-        return len(self.scores.order)
+    scores: ScoreView
+    ranks: np.ndarray
+    iterations: int
+    converged: bool
 
 
 def yearly_trajectories(
@@ -311,11 +244,11 @@ def yearly_trajectories(
 
     Each year Y ranks the subgraph of events dated within the window
     [Y - window_years + 1, Y], with temporal decay referenced to Y. Output
-    maps year -> WindowRanking, a view {artist: {"rank": dense rank, "score":
-    score}} over the window's score and rank arrays, carrying its
-    ``iterations`` and ``converged``. Years whose window holds no events are
-    skipped and logged; a window that does not converge within ``MAX_ITER``
-    logs a warning. ``window_years`` must be at least 1.
+    maps year -> WindowRanking: the window's artist ``ScoreView``, the dense
+    rank of each score (1 for the highest) and the BiRank ``iterations`` and
+    ``converged``. Years whose window holds no events are skipped and logged;
+    a window that does not converge within ``MAX_ITER`` logs a warning.
+    ``window_years`` must be at least 1.
     """
     if window_years < 1:
         raise GigmineError(f"window_years must be at least 1, got {window_years}")
@@ -341,29 +274,30 @@ def yearly_trajectories(
                 "BiRank did not converge in %d iterations on the %d-year window ending %d",
                 result.iterations, window_years, year,
             )
-        out[year] = WindowRanking(result.artist_scores, result.iterations, result.converged)
+        scores = result.artist_scores
+        out[year] = WindowRanking(
+            scores, dense_rank(scores.array), result.iterations, result.converged
+        )
     return out
 
 
 def score_histogram(
-    result: BiRankResult, labels: Mapping, bins: int = 20
+    result: BiRankResult, successful: np.ndarray, bins: int = 20
 ) -> dict:
     """Relative-frequency artist score histograms per success class.
 
+    ``successful`` holds one flag per artist of ``result.artist_scores.order``.
     Shared bin edges across both classes; each histogram sums to 1. Also
-    reports per-class means and medians. Raises when ``bins`` is below 1, a
-    scored artist lacks a label or a class is empty.
+    reports per-class means and medians. Raises when ``bins`` is below 1,
+    the flags do not match the scores one to one or a class is empty.
     """
     if bins < 1:
         raise GigmineError(f"bins must be at least 1, got {bins}")
-    scores = result.artist_scores
-    if not isinstance(scores, ScoreView):
-        scores = ScoreView(tuple(scores), np.fromiter(scores.values(), float, len(scores)))
-    missing = [a for a in scores.order if a not in labels]
-    if missing:
-        raise GigmineError(f"{len(missing)} scored artists lack labels, e.g. {missing[0]!r}")
-    is_signed = np.array([bool(labels[a]) for a in scores.order], dtype=bool)
-    signed, unsigned = scores.array[is_signed], scores.array[~is_signed]
+    scores = result.artist_scores.array
+    successful = np.asarray(successful, dtype=bool)
+    if successful.shape != scores.shape:
+        raise GigmineError(f"{successful.size} success flags for {scores.size} scored artists")
+    signed, unsigned = scores[successful], scores[~successful]
     if signed.size == 0 or unsigned.size == 0:
         raise GigmineError("both classes must be nonempty for a histogram")
     all_scores = np.concatenate([signed, unsigned])

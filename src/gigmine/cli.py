@@ -33,7 +33,7 @@ from gigmine.birank import birank, score_histogram, temporal_weights, yearly_tra
 from gigmine.errors import GigmineError
 from gigmine.graph import build_graph
 from gigmine.ingest import filter_min_activity, filter_post_2007, parse_corpus
-from gigmine.labeling import change_points, label_corpus
+from gigmine.labeling import NEVER, label_corpus
 from gigmine.linkpred import build_score_tables, run_task2
 from gigmine.routes import city_sequences, mine_routes
 from gigmine.success import run_task1
@@ -215,18 +215,18 @@ def _load_preprocessed(config: dict):
     if pp["post_platform_filter"]:
         corpus = filter_post_2007(corpus, cutoff=dt.date.fromisoformat(pp["cutoff"]))
         stages["post_platform_filter"] = corpus.sizes()
-    labels, label_stats = label_corpus(corpus)
+    change_day, label_stats = label_corpus(corpus)
     if pp["min_activity_filter"]:
         corpus = filter_min_activity(
             corpus,
             threshold=pp["activity_threshold"],
-            change_points=change_points(labels),
+            change_day=change_day,
             recursive=pp["recursive"],
         )
-        labels, label_stats = label_corpus(corpus)
+        change_day, label_stats = label_corpus(corpus)
         stages["min_activity_filter"] = corpus.sizes()
     log.info("corpus ready: %s", corpus.sizes())
-    return corpus, labels, {"stages": stages, "labeling": label_stats}
+    return corpus, change_day, {"stages": stages, "labeling": label_stats}
 
 
 def _report(config: dict, payload: dict) -> dict:
@@ -248,7 +248,7 @@ def _write_json(path: Path, obj: dict):
 
 
 def cmd_ingest(config: dict, out: Path) -> dict:
-    corpus, _labels, info = _load_preprocessed(config)
+    corpus, _change_day, info = _load_preprocessed(config)
     payload = {
         "report": "ingest",
         "load": corpus.load_report.to_dict() if corpus.load_report else {},
@@ -281,15 +281,15 @@ def cmd_stats(config: dict, out: Path) -> dict:
 
 
 def cmd_task1(config: dict, out: Path) -> dict:
-    corpus, labels, info = _load_preprocessed(config)
-    result = run_task1(corpus, labels, seed=config["seed"], **config["task1"])
+    corpus, change_day, info = _load_preprocessed(config)
+    result = run_task1(corpus, change_day, seed=config["seed"], **config["task1"])
     payload = {"report": "task1", **info, **result}
     _write_json(out / "task1-report.json", _report(config, payload))
     return payload
 
 
 def cmd_task2(config: dict, out: Path) -> dict:
-    corpus, _labels, info = _load_preprocessed(config)
+    corpus, _change_day, info = _load_preprocessed(config)
     # every task2 key is a run_task2 (or embedding) parameter of that name
     result = run_task2(corpus, seed=config["seed"], **config["task2"])
     payload = {"report": "task2", **info, **result}
@@ -317,7 +317,7 @@ def _csv_fields(ids: tuple) -> tuple:
 
 
 def _write_trajectories(path: Path, trajectories: dict) -> None:
-    """task3-trajectories.csv: the rows of each window's ``ranked()``, by year.
+    """task3-trajectories.csv: each window's artists by rank (ties in order), by year.
 
     The bytes are those of ``csv.writer``; each window's lines are made from
     its rank and score arrays and written as one block.
@@ -342,8 +342,8 @@ def cmd_task3(config: dict, out: Path) -> dict:
     top = t3["top_k"]
     if top is not None and top < 1:
         raise GigmineError(f"top_k must be at least 1, got {top}")
-    corpus, labels, info = _load_preprocessed(config)
-    g = build_graph(corpus)
+    corpus, change_day, info = _load_preprocessed(config)
+    g = build_graph(corpus)  # in the corpus's artist order
     ref_year = t3["ref_year"] or corpus.year_span()[1]
     result = birank(
         g,
@@ -352,9 +352,7 @@ def cmd_task3(config: dict, out: Path) -> dict:
         beta=t3["beta"],
         count_scaled=t3["count_scaled"],
     )
-    hist = score_histogram(
-        result, {a: lab.successful for a, lab in labels.items()}, bins=t3["bins"]
-    )
+    hist = score_histogram(result, change_day < NEVER, bins=t3["bins"])
     trajectories = yearly_trajectories(
         corpus,
         window_years=t3["window_years"],
@@ -388,7 +386,7 @@ def _city_display(city: tuple) -> str:
 
 
 def cmd_routes(config: dict, out: Path) -> dict:
-    corpus, _labels, info = _load_preprocessed(config)
+    corpus, _change_day, info = _load_preprocessed(config)
     r = config["routes"]
     ranked = mine_routes(
         city_sequences(corpus), n_values=tuple(r["n_values"]), top_k=r["top_k"]

@@ -34,7 +34,7 @@ but not stored. Filters are masks over the columns, and ``Corpus.select``
 keeps the masked events and drops the ids left without one.
 
 Preprocessing follows the order: keep artists whose first recorded event is
-2007 or later, compute change points, then drop low-activity artists and
+2007 or later, compute change days, then drop low-activity artists and
 venues. A separate recursive 5-event core filter is applied to link-prediction
 training graphs.
 """
@@ -51,7 +51,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -69,7 +69,6 @@ POST_PLATFORM_CUTOFF = dt.date(2007, 1, 1)
 
 _DATE = re.compile(r"([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?")
 _EPOCH = dt.date(1970, 1, 1).toordinal()
-_NEVER = np.iinfo(np.int64).max
 _BLOCK = 1 << 20  # bytes of events.csv searched at a time for line ends and commas
 
 
@@ -137,10 +136,6 @@ class Corpus:
         self.undated_releases = tuple(undated_releases)
         self.labels = labels
         self.load_report = load_report
-        artist_releases: dict[str, list[Release]] = {}
-        for rel in self.releases:
-            artist_releases.setdefault(rel.artist_id, []).append(rel)
-        self.artist_releases = {a: tuple(rs) for a, rs in artist_releases.items()}
 
     @classmethod
     def from_codes(cls, artist_order, artist, venue_order, venue, cities, city, day,
@@ -205,15 +200,6 @@ class Corpus:
     def artist_indptr(self) -> np.ndarray:
         """Event positions delimiting each artist's run, earliest event first."""
         return _frozen(np.searchsorted(self.artist, np.arange(len(self.artist_order) + 1)))
-
-    def before(self, change_points: Mapping[str, Optional[dt.date]]) -> np.ndarray:
-        """Mask of the events dated strictly before their artist's change point.
-
-        An artist whose change point is None or missing keeps every event.
-        """
-        cps = (change_points.get(a) for a in self.artist_order)
-        cut = np.array([_NEVER if cp is None else cp.toordinal() for cp in cps], dtype=np.int64)
-        return self.day < cut[self.artist]
 
     @property
     def n_events(self) -> int:
@@ -711,18 +697,19 @@ def filter_post_2007(corpus: Corpus, cutoff: dt.date = POST_PLATFORM_CUTOFF) -> 
 def filter_min_activity(
     corpus: Corpus,
     threshold: int = 10,
-    change_points: Optional[Mapping[str, Optional[dt.date]]] = None,
+    change_day: Optional[np.ndarray] = None,
     recursive: bool = True,
 ) -> Corpus:
     """Drop artists and venues with too few concerts.
 
     An artist must have at least ``threshold`` concerts dated before its
-    change point (full history when it has none); a venue must host at least
-    ``threshold`` concerts. Removing a node removes its events, which can pull
-    other nodes below the threshold, so the filter iterates to a fixed point
-    (set ``recursive=False`` for a single pass).
+    change day (``labeling.label_corpus``, one per ``corpus.artist_order``;
+    full history when None); a venue must host at least ``threshold``
+    concerts. Removing a node removes its events, which can pull other nodes
+    below the threshold, so the filter iterates to a fixed point (set
+    ``recursive=False`` for a single pass).
     """
-    before = corpus.before(change_points or {})
+    before = True if change_day is None else corpus.day < change_day[corpus.artist]
     alive_a = np.ones(len(corpus.artist_order), dtype=bool)
     alive_v = np.ones(len(corpus.venue_order), dtype=bool)
     while True:

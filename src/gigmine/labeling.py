@@ -3,17 +3,20 @@
 Record labels form a forest via ``parent_label_id``. A handful of roots are
 flagged as major; a label counts as major when its ancestor chain (including
 itself) reaches one of those roots. An artist is successful when it has a
-dated release on a major label, and its change point is the date of the
-earliest such release.
+dated release on a major label, and its change point (change day, as a
+date ordinal) is the date of the earliest such release.
 """
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
+
+import numpy as np
 
 from gigmine.errors import CycleError
+
+NEVER = np.iinfo(np.int64).max  # the change day of an artist that never signs
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,47 +79,34 @@ def major_closure(tree: LabelTree) -> frozenset:
     return frozenset(l for l, m in major.items() if m) | tree.major_roots
 
 
-def change_point(releases: Iterable, major_labels: frozenset) -> Optional[dt.date]:
-    """Earliest dated major-label release, or None when there is none."""
-    dates = [r.release_date for r in releases if r.label_id in major_labels]
-    return min(dates) if dates else None
+def label_corpus(corpus) -> tuple[np.ndarray, dict]:
+    """Each corpus artist's change day, plus labeling statistics.
 
-
-@dataclass(frozen=True, slots=True)
-class SuccessLabel:
-    artist_id: str
-    successful: bool
-    change_point: Optional[dt.date]
-
-
-def label_corpus(corpus) -> tuple[dict[str, SuccessLabel], dict]:
-    """One SuccessLabel per corpus artist, plus labeling statistics.
-
-    An artist is successful exactly when it has a change point, i.e. a dated
-    release on a label in the major closure. Artists whose only major-label
-    releases carry no date cannot anchor a change point; they are labeled
-    negative and counted in the stats.
+    ``change_day`` follows ``corpus.artist_order``: the date ordinal of the
+    artist's earliest dated release on a label in the major closure, or
+    ``NEVER`` when it has none. An artist is successful exactly when its
+    change day is not ``NEVER``. Artists whose only major-label releases
+    carry no date cannot anchor a change point; they are labeled negative
+    and counted in the stats.
     """
     major = major_closure(corpus.labels)
-    labels: dict[str, SuccessLabel] = {}
-    for artist in corpus.artist_order:
-        cp = change_point(corpus.artist_releases.get(artist, ()), major)
-        labels[artist] = SuccessLabel(artist_id=artist, successful=cp is not None, change_point=cp)
-    n_pos = sum(lab.successful for lab in labels.values())
+    index = dict(zip(corpus.artist_order, range(len(corpus.artist_order))))
+    change_day = np.full(len(index), NEVER, dtype=np.int64)
+    signed = [(index[r.artist_id], r.release_date.toordinal()) for r in corpus.releases
+              if r.label_id in major and r.artist_id in index]
+    if signed:
+        artist, day = np.array(signed, dtype=np.int64).T
+        np.minimum.at(change_day, artist, day)
+    n_pos = int(np.count_nonzero(change_day < NEVER))
     only_undated = {
         a for a, label_id in corpus.undated_releases
-        if label_id in major and a in labels and not labels[a].successful
+        if label_id in major and a in index and change_day[index[a]] == NEVER
     }
     stats = {
-        "artists": len(labels),
+        "artists": len(index),
         "successful": n_pos,
-        "positive_rate": n_pos / len(labels) if labels else 0.0,
+        "positive_rate": n_pos / len(index) if index else 0.0,
         "major_labels": len(major),
         "undated_major_only_artists": len(only_undated),
     }
-    return labels, stats
-
-
-def change_points(labels: Mapping[str, SuccessLabel]) -> dict[str, Optional[dt.date]]:
-    """Convenience map artist -> change point for the activity filter."""
-    return {a: lab.change_point for a, lab in labels.items()}
+    return change_day, stats

@@ -496,6 +496,11 @@ def run_task2(
     temporal = make_temporal_split(corpus, train_end_year, test_years, core_k=core_k)
     g = temporal.train_graph
     _hidden_count(hidden_fraction, g.n_edges)  # fail before any pass runs
+    if neg_multiple < 0 or neg_floor < 0 or neg_multiple == neg_floor == 0:
+        raise GigmineError(
+            "neg_multiple and neg_floor must be at least 0 and not both 0, "
+            f"got {neg_multiple} and {neg_floor}"
+        )
 
     def score_pass(s: Optional[int]):
         """AUC per predictor, model fits and negative count of one pass.

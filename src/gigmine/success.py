@@ -15,26 +15,29 @@ by stratified cross-validation on F1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy
 
 from gigmine.errors import GigmineError
+from gigmine.labeling import NEVER
 from gigmine.metrics import precision_recall_f1, roc_auc
 
 C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 K_GRID = (250, 500, 750, 1000)
 
 
-def truncate_events(corpus, labels: Mapping) -> np.ndarray:
-    """Censor successful artists' histories at their change point.
+def truncate_events(corpus, change_day: np.ndarray) -> np.ndarray:
+    """Censor successful artists' histories at their change day.
 
-    Returns the mask of the corpus events that are kept: every event of a
-    never-successful (or unlabeled) artist and only events dated strictly
-    before the change point for successful ones.
+    ``change_day`` holds one date ordinal per ``corpus.artist_order`` entry
+    (``labeling.label_corpus``). Returns the mask of the corpus events that
+    are kept: every event of a never-successful artist (change day
+    ``NEVER``) and only events dated strictly before the change day for
+    successful ones.
     """
-    return corpus.before({a: lab.change_point for a, lab in labels.items()})
+    return corpus.day < change_day[corpus.artist]
 
 
 def build_features(corpus, keep, mode: str = "count") -> scipy.sparse.csr_matrix:
@@ -297,7 +300,7 @@ def _tune_C_k(cv, c_grid, k_grid, threshold, seed, fits):
 
 def run_task1(
     corpus,
-    labels: Mapping,
+    change_day: np.ndarray,
     mode: str = "count",
     n_splits: int = 3,
     test_fraction: float = 0.2,
@@ -309,21 +312,32 @@ def run_task1(
 ) -> dict:
     """Full forecasting evaluation: baseline, logreg, and logreg on SVD features.
 
-    Censors successful artists' events at the change point, builds the
-    affiliation matrix, then averages test metrics over ``n_splits`` seeded
-    stratified 80/20 splits. C (and the SVD rank) are re-tuned inside each
-    split by stratified cross-validation on F1. Each ``selected`` entry also
-    names the solver of the split's final SVD fit and, over every logistic
-    regression fitted in the split (tuning included), how many stopped
-    short of convergence and the most iterations any took. ``cv_folds`` must
-    be at least 2.
+    Censors successful artists' events at their change day (``change_day``
+    as in ``truncate_events``; an artist is successful when it is not
+    ``NEVER``), builds the affiliation matrix, then averages test metrics
+    over ``n_splits`` seeded stratified splits that hold out
+    ``test_fraction`` of each class. C (and the SVD rank) are re-tuned inside
+    each split by stratified cross-validation on F1. Each ``selected`` entry
+    also names the solver of the split's final SVD fit and, over every
+    logistic regression fitted in the split (tuning included), how many
+    stopped short of convergence and the most iterations any took.
+    ``cv_folds`` must be at least 2, ``n_splits`` at least 1 and
+    ``test_fraction`` in (0, 1).
     """
     if cv_folds < 2:
         raise GigmineError(f"cv_folds must be at least 2, got {cv_folds}")
-    X = build_features(corpus, truncate_events(corpus, labels), mode=mode)
+    if n_splits < 1:
+        raise GigmineError(f"n_splits must be at least 1, got {n_splits}")
+    if not 0.0 < test_fraction < 1.0:  # NaN fails too
+        raise GigmineError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    if len(change_day) != len(corpus.artist_order):
+        raise GigmineError(
+            f"{len(change_day)} change days for {len(corpus.artist_order)} corpus artists"
+        )
+    X = build_features(corpus, truncate_events(corpus, change_day), mode=mode)
     if not X.shape[1]:
         raise GigmineError("no events remain after change-point truncation")
-    y = np.array([labels[a].successful for a in corpus.artist_order], dtype=bool)
+    y = change_day < NEVER
     if not y.any() or y.all():
         raise GigmineError("forecasting needs both successful and unsuccessful artists")
 

@@ -18,7 +18,7 @@ import pytest
 from gigmine.birank import birank, seed_scores, temporal_weights, yearly_trajectories
 from gigmine.graph import build_graph
 from gigmine.ingest import filter_min_activity, filter_post_2007, parse_corpus
-from gigmine.labeling import change_points, label_corpus
+from gigmine.labeling import label_corpus
 from gigmine.linkpred import (
     build_score_tables,
     evaluate_linkpred,
@@ -206,31 +206,29 @@ def test_criterion_05_birank_fixed_point():
         graphs += 1
         tw = temporal_weights(g, delta=0.9, ref_year=2017)
         seeds = seed_scores(g)
-        u0 = np.array([seeds.artist_seed[a] for a in g.artist_order])
-        p0 = np.array([seeds.venue_seed[v] for v in g.venue_order])
-        want_u, want_p = dense_birank_oracle(g, tw.weights, u0, p0, 0.85, 0.85)
+        weights = dict(zip(g.id_pairs(g.row, g.col), tw.values.tolist()))
+        want_u, want_p = dense_birank_oracle(
+            g, weights, seeds.artist_seed, seeds.venue_seed, 0.85, 0.85
+        )
         got = birank(g, weights=tw, seeds=seeds, tol=1e-14)
-        du = max(
-            abs(got.artist_scores[a] - want_u[i]) for i, a in enumerate(g.artist_order)
-        )
-        dp = max(
-            abs(got.venue_scores[v] - want_p[j]) for j, v in enumerate(g.venue_order)
-        )
+        # both score arrays follow the graph's orders, as the oracle's do
+        du = float(np.abs(got.artist_scores.array - want_u).max())
+        dp = float(np.abs(got.venue_scores.array - want_p).max())
         worst = max(worst, du, dp)
 
     g = build_graph([("a1", "v1", 2017), ("a1", "v2", 2017), ("a2", "v1", 2017)])
     seeds = seed_scores(g)
     res0 = birank(g, alpha=0.0, beta=0.0)
-    seeds_exact = all(
-        res0.artist_scores[a] == seeds.artist_seed[a] for a in seeds.artist_seed
-    ) and all(res0.venue_scores[v] == seeds.venue_seed[v] for v in seeds.venue_seed)
+    seeds_exact = np.array_equal(res0.artist_scores.array, seeds.artist_seed) and (
+        np.array_equal(res0.venue_scores.array, seeds.venue_seed)
+    )
 
     full = build_graph(
         [(f"a{i}", f"v{j}", 2017) for i in range(5) for j in range(5)]
     )
     res_full = birank(full, weights=temporal_weights(full, ref_year=2017))
-    u_spread = max(res_full.artist_scores.values()) - min(res_full.artist_scores.values())
-    p_spread = max(res_full.venue_scores.values()) - min(res_full.venue_scores.values())
+    u_spread = float(np.ptp(res_full.artist_scores.array))
+    p_spread = float(np.ptp(res_full.venue_scores.array))
     uniform = u_spread <= 1e-10 and p_spread <= 1e-10
     verdict(
         5,
@@ -261,8 +259,8 @@ def test_criterion_06_seed_normalization():
         seeds = seed_scores(g)
         worst_sum = max(
             worst_sum,
-            abs(sum(seeds.artist_seed.values()) - 1.0),
-            abs(sum(seeds.venue_seed.values()) - 1.0),
+            abs(sum(seeds.artist_seed.tolist()) - 1.0),
+            abs(sum(seeds.venue_seed.tolist()) - 1.0),
         )
 
     g = build_graph(
@@ -273,10 +271,8 @@ def test_criterion_06_seed_normalization():
             ("a2", "v3", 2010),
         ]
     )
-    seeds = seed_scores(g)
-    pair_ok = abs(seeds.artist_seed["a1"] - 1 / 3) <= 1e-12 and (
-        abs(seeds.artist_seed["a2"] - 2 / 3) <= 1e-12
-    )
+    seeds = dict(zip(g.artist_order, seed_scores(g).artist_seed.tolist()))
+    pair_ok = abs(seeds["a1"] - 1 / 3) <= 1e-12 and abs(seeds["a2"] - 2 / 3) <= 1e-12
     verdict(
         6,
         "seed normalization",
@@ -299,10 +295,10 @@ def test_criterion_07_planted_signal_forecasting(tmp_path):
         corpus = parse_corpus(
             out / "events.csv", out / "releases.csv", out / "labels.csv"
         )
-        labels, _ = label_corpus(corpus)
+        change_day, _ = label_corpus(corpus)
         report = run_task1(
             corpus,
-            labels,
+            change_day,
             n_splits=1,
             cv_folds=2,
             c_grid=(1.0,),
@@ -378,8 +374,8 @@ def test_criterion_09_trajectory_capture(tmp_path):
     corpus = parse_corpus(out / "events.csv", out / "releases.csv", out / "labels.csv")
     traj = yearly_trajectories(corpus, window_years=3)
     artist = next(iter(manifest["trajectory_artists"]))
-    years = sorted(y for y in traj if artist in traj[y])[-6:]
-    ranks = [traj[y][artist]["rank"] for y in years]
+    years = sorted(y for y in traj if artist in traj[y].scores.order)[-6:]
+    ranks = [int(traj[y].ranks[traj[y].scores.order.index(artist)]) for y in years]
     improving = sum(b < a for a, b in zip(ranks, ranks[1:]))
     verdict(
         9,
@@ -397,10 +393,10 @@ def preprocess_for_reproduction(root: Path):
         root / "events.csv", root / "releases.csv", root / "labels.csv"
     )
     corpus = filter_post_2007(corpus)
-    labels, stats = label_corpus(corpus)
-    corpus = filter_min_activity(corpus, change_points=change_points(labels), threshold=10)
-    labels, stats = label_corpus(corpus)
-    return corpus, labels, stats
+    change_day, stats = label_corpus(corpus)
+    corpus = filter_min_activity(corpus, change_day=change_day, threshold=10)
+    change_day, stats = label_corpus(corpus)
+    return corpus, change_day, stats
 
 
 def test_reproduction_preprocessing_runs_on_synth(tmp_path):
@@ -411,14 +407,13 @@ def test_reproduction_preprocessing_runs_on_synth(tmp_path):
         GenSpec(n_artists=300, n_venues=30, years=(2006, 2016), seed=5, positive_fraction=0.3),
         tmp_path,
     )
-    corpus, labels, stats = preprocess_for_reproduction(tmp_path)
-    assert 0 < stats["successful"] < stats["artists"] == len(labels)
-    assert set(labels) == set(corpus.artist_order)
-    for i, artist in enumerate(corpus.artist_order):
-        cp = labels[artist].change_point
+    corpus, change_day, stats = preprocess_for_reproduction(tmp_path)
+    assert 0 < stats["successful"] < stats["artists"] == len(change_day)
+    assert len(change_day) == len(corpus.artist_order)
+    for i, cp in enumerate(change_day.tolist()):
         days = corpus.day[corpus.artist == i].tolist()
         assert dt.date.fromordinal(min(days)).year >= 2007
-        assert sum(cp is None or day < cp.toordinal() for day in days) >= 10
+        assert sum(day < cp for day in days) >= 10
     assert np.bincount(corpus.venue, minlength=len(corpus.venue_order)).min() >= 10
 
 
@@ -432,7 +427,7 @@ def test_criterion_10_real_data_reproduction():
         )
         pytest.skip("released dataset not available in this environment")
     t0 = time.monotonic()
-    corpus, labels, stats = preprocess_for_reproduction(Path(data_dir))
+    corpus, change_day, stats = preprocess_for_reproduction(Path(data_dir))
 
     sizes = corpus.sizes()
     stats_ok = (
@@ -460,7 +455,7 @@ def test_criterion_10_real_data_reproduction():
         for name, want in expected_auc.items()
     )
 
-    t1 = run_task1(corpus, labels, seed=0)
+    t1 = run_task1(corpus, change_day, seed=0)
     expected_t1 = {
         "baseline": {"precision": 0.07, "recall": 0.26, "f1": 0.11, "auc": 0.60},
         "logreg": {"precision": 0.18, "recall": 0.29, "f1": 0.22, "auc": 0.74},

@@ -1,10 +1,10 @@
+import dataclasses
 import datetime as dt
 import functools
 import gc
 import logging
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,30 +30,41 @@ from gigmine.ingest import parse_corpus
 from gigmine.synth import GenSpec, generate
 
 
+def by_id(order, values) -> dict:
+    """id -> value of one array in an id order."""
+    return dict(zip(order, np.asarray(values).tolist()))
+
+
+def edge_weights(tw) -> dict:
+    """(artist, venue) -> decay weight, the oracle's input."""
+    g = tw.graph
+    return dict(zip(g.id_pairs(g.row, g.col), tw.values.tolist()))
+
+
 class TestSeeds:
     def test_equal_degrees_split_evenly(self, toy_graph):
         seeds = seed_scores(toy_graph)
         # one artist with degree 2 and one with degree 1
-        assert seeds.artist_seed["a1"] == pytest.approx(
+        assert by_id(toy_graph.artist_order, seeds.artist_seed)["a1"] == pytest.approx(
             math.log(3) / (math.log(3) + math.log(2))
         )
-        assert sum(seeds.artist_seed.values()) == pytest.approx(1.0, abs=1e-9)
-        assert sum(seeds.venue_seed.values()) == pytest.approx(1.0, abs=1e-9)
+        assert sum(seeds.artist_seed.tolist()) == pytest.approx(1.0, abs=1e-9)
+        assert sum(seeds.venue_seed.tolist()) == pytest.approx(1.0, abs=1e-9)
 
     def test_degrees_one_and_three(self):
         g = build_graph(
             [("a1", "v1", 2010), ("a2", "v1", 2010), ("a2", "v2", 2010), ("a2", "v3", 2010)]
         )
-        seeds = seed_scores(g)
+        seeds = by_id(g.artist_order, seed_scores(g).artist_seed)
         # ln(2) : ln(4) = 1 : 2
-        assert seeds.artist_seed["a1"] == pytest.approx(1 / 3)
-        assert seeds.artist_seed["a2"] == pytest.approx(2 / 3)
+        assert seeds["a1"] == pytest.approx(1 / 3)
+        assert seeds["a2"] == pytest.approx(2 / 3)
 
     def test_seed_ranking_base_invariant(self):
         rng = np.random.default_rng(0)
         g = random_bipartite(rng, 10, 8, 0.3)
-        seeds = seed_scores(g)
-        by_seed = sorted(g.artist_order, key=lambda a: -seeds.artist_seed[a])
+        seeds = by_id(g.artist_order, seed_scores(g).artist_seed)
+        by_seed = sorted(g.artist_order, key=lambda a: -seeds[a])
         by_log2 = sorted(
             g.artist_order, key=lambda a: -math.log2(g.degree(a) + 1)
         )
@@ -70,23 +81,23 @@ class TestSeeds:
 
     def test_validation_of_handmade_seeds(self):
         with pytest.raises(GigmineError, match="sum"):
-            SeedScores({"a": 0.7}, {"v": 1.0})
+            SeedScores(np.array([0.7]), np.array([1.0]))
         with pytest.raises(GigmineError, match="negative"):
-            SeedScores({"a": 1.5, "b": -0.5}, {"v": 1.0})
+            SeedScores(np.array([1.5, -0.5]), np.array([1.0]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_seed_rejected(self, bad):
         with pytest.raises(GigmineError, match="venue seeds contain a negative or non-finite"):
-            SeedScores({"a": 1.0}, {"v": bad, "w": 1.0})
+            SeedScores(np.array([1.0]), np.array([bad, 1.0]))
 
     def test_seed_missing_a_graph_node_rejected(self, toy_graph):
-        seeds = SeedScores({"a1": 1.0}, {"v1": 0.5, "v2": 0.5})
-        with pytest.raises(GigmineError, match="artist seeds must cover exactly the graph's"):
+        seeds = SeedScores(np.array([1.0]), np.array([0.5, 0.5]))
+        with pytest.raises(GigmineError, match="artist seeds hold 1 values for 2 graph artists"):
             birank(toy_graph, seeds=seeds)
 
     def test_seed_with_an_extra_id_rejected(self, toy_graph):
-        seeds = SeedScores({"a1": 0.5, "a2": 0.5}, {"v1": 0.25, "v2": 0.25, "v9": 0.5})
-        with pytest.raises(GigmineError, match="venue seeds must cover exactly the graph's"):
+        seeds = SeedScores(np.array([0.5, 0.5]), np.array([0.25, 0.25, 0.5]))
+        with pytest.raises(GigmineError, match="venue seeds hold 3 values for 2 graph venues"):
             birank(toy_graph, seeds=seeds)
 
     def test_default_seeds_are_log_degree_over_their_python_sum(self):
@@ -100,28 +111,8 @@ class TestSeeds:
             ):
                 raw = [math.log(g.degree(n) + 1) for n in order]
                 total = sum(raw)
-                assert side.order == order
-                assert side.array.tolist() == [x / total for x in raw]
-                assert not side.array.flags.writeable
-
-    def test_default_seeds_take_no_per_id_lookup(self):
-        g = random_bipartite(np.random.default_rng(8), 10, 8, 0.3)
-        want = birank(g)
-        with mock.patch.object(ScoreView, "position", side_effect=AssertionError("id lookup")):
-            got = birank(g)
-        assert np.array_equal(got.artist_scores.array, want.artist_scores.array)
-        assert np.array_equal(got.venue_scores.array, want.venue_scores.array)
-
-    def test_score_view_seeds_over_another_order(self, toy_graph):
-        venues = ScoreView(toy_graph.venue_order, np.array([0.5, 0.5]))
-        short = SeedScores(ScoreView(("a1",), np.array([1.0])), venues)
-        with pytest.raises(GigmineError, match="artist seeds must cover exactly the graph's"):
-            birank(toy_graph, seeds=short)
-        # the same ids in another order are gathered id by id
-        swapped = SeedScores(ScoreView(("a2", "a1"), np.array([0.25, 0.75])), venues)
-        as_dict = SeedScores({"a1": 0.75, "a2": 0.25}, {"v1": 0.5, "v2": 0.5})
-        got, want = birank(toy_graph, seeds=swapped), birank(toy_graph, seeds=as_dict)
-        assert np.array_equal(got.artist_scores.array, want.artist_scores.array)
+                assert side.tolist() == [x / total for x in raw]
+                assert not side.flags.writeable
 
 
 class TestTemporalWeights:
@@ -129,15 +120,15 @@ class TestTemporalWeights:
         g = build_graph(
             [("a", "v1", 2017), ("a", "v2", 2016), ("a", "v3", 2015)]
         )
-        tw = temporal_weights(g, delta=0.85, ref_year=2017)
-        assert tw.weights[("a", "v1")] == pytest.approx(1.0)
-        assert tw.weights[("a", "v2")] == pytest.approx(0.85)
-        assert tw.weights[("a", "v3")] == pytest.approx(0.7225)
+        weights = edge_weights(temporal_weights(g, delta=0.85, ref_year=2017))
+        assert weights[("a", "v1")] == pytest.approx(1.0)
+        assert weights[("a", "v2")] == pytest.approx(0.85)
+        assert weights[("a", "v3")] == pytest.approx(0.7225)
 
     def test_delta_one_means_no_decay(self):
         g = build_graph([("a", "v1", 2010), ("a", "v2", 2017)])
         tw = temporal_weights(g, delta=1.0, ref_year=2017)
-        assert set(tw.weights.values()) == {1.0}
+        assert set(tw.values.tolist()) == {1.0}
 
     def test_future_edge_rejected(self):
         g = build_graph([("a", "v", 2018)])
@@ -155,10 +146,10 @@ class TestBiRank:
     def test_alpha_beta_zero_returns_seeds(self, toy_graph):
         seeds = seed_scores(toy_graph)
         result = birank(toy_graph, alpha=0.0, beta=0.0)
-        for a, s in seeds.artist_seed.items():
-            assert result.artist_scores[a] == pytest.approx(s, abs=1e-15)
-        for v, s in seeds.venue_seed.items():
-            assert result.venue_scores[v] == pytest.approx(s, abs=1e-15)
+        assert result.artist_scores.order == toy_graph.artist_order
+        assert result.venue_scores.order == toy_graph.venue_order
+        assert result.artist_scores.array == pytest.approx(seeds.artist_seed, abs=1e-15)
+        assert result.venue_scores.array == pytest.approx(seeds.venue_seed, abs=1e-15)
         assert result.converged
 
     def test_complete_graph_is_uniform(self):
@@ -166,9 +157,9 @@ class TestBiRank:
             [(f"a{i}", f"v{j}", 2017) for i in range(4) for j in range(4)]
         )
         result = birank(g, weights=temporal_weights(g, ref_year=2017))
-        scores = list(result.artist_scores.values())
+        scores = result.artist_scores.array.tolist()
         assert max(scores) - min(scores) <= 1e-10
-        venue_scores = list(result.venue_scores.values())
+        venue_scores = result.venue_scores.array.tolist()
         assert max(venue_scores) - min(venue_scores) <= 1e-10
 
     def test_matches_dense_linear_solve(self):
@@ -181,24 +172,22 @@ class TestBiRank:
                 continue
             tw = temporal_weights(g, delta=0.9, ref_year=2017)
             seeds = seed_scores(g)
-            u0 = np.array([seeds.artist_seed[a] for a in g.artist_order])
-            p0 = np.array([seeds.venue_seed[v] for v in g.venue_order])
-            want_u, want_p = dense_birank_oracle(g, tw.weights, u0, p0, 0.85, 0.85)
+            want_u, want_p = dense_birank_oracle(
+                g, edge_weights(tw), seeds.artist_seed, seeds.venue_seed, 0.85, 0.85
+            )
             got = birank(g, weights=tw, seeds=seeds, tol=1e-14)
-            for i, a in enumerate(g.artist_order):
-                assert got.artist_scores[a] == pytest.approx(want_u[i], abs=1e-10)
-            for j, v in enumerate(g.venue_order):
-                assert got.venue_scores[v] == pytest.approx(want_p[j], abs=1e-10)
+            assert got.artist_scores.order == g.artist_order
+            assert got.venue_scores.order == g.venue_order
+            assert got.artist_scores.array == pytest.approx(want_u, abs=1e-10)
+            assert got.venue_scores.array == pytest.approx(want_p, abs=1e-10)
 
     def test_fixed_point_independent_of_start(self):
         rng = np.random.default_rng(2)
         g = random_bipartite(rng, 15, 12, 0.25)
         a = birank(g, init="seeds", tol=1e-12)
         b = birank(g, init="uniform", tol=1e-12)
-        for node in g.artist_order:
-            assert abs(a.artist_scores[node] - b.artist_scores[node]) < 1e-6
-        for node in g.venue_order:
-            assert abs(a.venue_scores[node] - b.venue_scores[node]) < 1e-6
+        assert np.abs(a.artist_scores.array - b.artist_scores.array).max() < 1e-6
+        assert np.abs(a.venue_scores.array - b.venue_scores.array).max() < 1e-6
 
     def test_equivariant_under_relabeling(self):
         rng = np.random.default_rng(3)
@@ -210,10 +199,10 @@ class TestBiRank:
             {(f"z_{a}", f"q_{v}"): info for (a, v), info in g.edges.items()},
         )
         res2 = birank(g2)
+        scores = by_id(res.artist_scores.order, res.artist_scores.array)
+        scores2 = by_id(res2.artist_scores.order, res2.artist_scores.array)
         for a in g.artists:
-            assert res2.artist_scores[f"z_{a}"] == pytest.approx(
-                res.artist_scores[a], abs=1e-12
-            )
+            assert scores2[f"z_{a}"] == pytest.approx(scores[a], abs=1e-12)
 
     def test_no_decay_equal_counts_ignores_years(self):
         e1 = {("a1", "v1"): EdgeInfo(2, 2010), ("a2", "v1"): EdgeInfo(2, 2016)}
@@ -222,7 +211,8 @@ class TestBiRank:
         g2 = BipartiteGraph({"a1", "a2"}, {"v1"}, e2)
         r1 = birank(g1, weights=temporal_weights(g1, delta=1.0, ref_year=2017))
         r2 = birank(g2, weights=temporal_weights(g2, delta=1.0, ref_year=2017))
-        assert r1.artist_scores == pytest.approx(r2.artist_scores)
+        assert r1.artist_scores.order == r2.artist_scores.order
+        assert r1.artist_scores.array == pytest.approx(r2.artist_scores.array)
 
     def test_count_scaling_boosts_heavier_edge(self):
         edges = {
@@ -233,12 +223,13 @@ class TestBiRank:
         }
         g = BipartiteGraph({"busy", "quiet"}, {"v1", "v2", "v3"}, edges)
         tw = temporal_weights(g, ref_year=2017)
-        seeds = SeedScores({"busy": 0.5, "quiet": 0.5}, {"v1": 1 / 3, "v2": 1 / 3, "v3": 1 / 3})
-        flat = birank(g, weights=tw, seeds=seeds, count_scaled=False)
-        scaled = birank(g, weights=tw, seeds=seeds, count_scaled=True)
+        seeds = SeedScores(np.full(2, 0.5), np.full(3, 1 / 3))
+        flat = birank(g, weights=tw, seeds=seeds, count_scaled=False).artist_scores
+        scaled = birank(g, weights=tw, seeds=seeds, count_scaled=True).artist_scores
+        flat, scaled = by_id(flat.order, flat.array), by_id(scaled.order, scaled.array)
         # without count scaling the two artists are symmetric
-        assert flat.artist_scores["busy"] == pytest.approx(flat.artist_scores["quiet"])
-        assert scaled.artist_scores["busy"] != pytest.approx(scaled.artist_scores["quiet"])
+        assert flat["busy"] == pytest.approx(flat["quiet"])
+        assert scaled["busy"] != pytest.approx(scaled["quiet"])
 
     def test_iteration_budget_flag(self):
         rng = np.random.default_rng(4)
@@ -285,22 +276,25 @@ class TestBiRank:
     def test_scores_are_read_only_views(self, toy_graph):
         result = birank(toy_graph)
         scores = result.artist_scores
-        assert list(scores) == list(toy_graph.artist_order)
-        assert [scores[a] for a in scores] == scores.array.tolist()
-        assert "nobody" not in scores
+        assert scores.order == toy_graph.artist_order
+        assert scores.array.shape == (len(toy_graph.artist_order),)
         with pytest.raises(ValueError):
             scores.array[0] = 1.0
-        with pytest.raises(TypeError):
-            scores["a1"] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scores.array = np.zeros(2)
 
 
 class TestDenseRank:
     def test_ties_share_rank_without_gaps(self):
-        ranks = dense_rank({"a": 3.0, "b": 2.0, "c": 2.0, "d": 1.0})
-        assert ranks == {"a": 1, "b": 2, "c": 2, "d": 3}
+        assert dense_rank(np.array([3.0, 2.0, 2.0, 1.0])).tolist() == [1, 2, 2, 3]
+        assert dense_rank(np.array([1.0, 3.0, 1.0])).tolist() == [2, 1, 2]
 
     def test_single_node(self):
-        assert dense_rank({"only": 0.7}) == {"only": 1}
+        assert dense_rank(np.array([0.7])).tolist() == [1]
+
+
+def rank_of(ranking, artist) -> int:
+    return int(ranking.ranks[ranking.scores.order.index(artist)])
 
 
 def trajectory_corpus(events):
@@ -328,28 +322,28 @@ class TestTrajectories:
     def test_window_years_and_membership(self):
         traj = yearly_trajectories(self._corpus(), window_years=3)
         assert sorted(traj) == [2012, 2013, 2014, 2015]
-        assert "riser" not in traj[2012]
-        assert "riser" in traj[2013]
+        assert "riser" not in traj[2012].scores.order
+        assert "riser" in traj[2013].scores.order
         for ranking in traj.values():
-            for cell in ranking.values():
-                assert set(cell) == {"rank", "score"}
-                assert cell["rank"] >= 1
+            assert ranking.ranks.shape == ranking.scores.array.shape
+            assert ranking.ranks.min() == 1
 
     def test_window_ranks_match_dense_rank(self):
         traj = yearly_trajectories(self._corpus(), window_years=3)
         for ranking in traj.values():
-            want = dense_rank(dict(ranking.scores))
-            assert {a: cell["rank"] for a, cell in ranking.items()} == want
-            assert [a for a, _, _ in ranking.ranked()] == sorted(want, key=lambda a: (want[a], a))
+            scores = ranking.scores.array.tolist()
+            # rank = 1 + the number of distinct higher scores
+            want = [1 + len({t for t in scores if t > s}) for s in scores]
+            assert ranking.ranks.tolist() == want
 
     def test_riser_rank_improves(self):
         traj = yearly_trajectories(self._corpus(), window_years=3)
-        assert traj[2015]["riser"]["rank"] < traj[2013]["riser"]["rank"]
+        assert rank_of(traj[2015], "riser") < rank_of(traj[2013], "riser")
 
     def test_single_artist_ranks_first(self):
         events = [("solo", "v1", y) for y in (2010, 2011, 2012)]
         traj = yearly_trajectories(trajectory_corpus(events), window_years=3)
-        assert traj[2012]["solo"]["rank"] == 1
+        assert rank_of(traj[2012], "solo") == 1
 
     def test_short_span_rejected(self):
         events = [("a", "v", 2010)]
@@ -407,22 +401,27 @@ def test_trajectories_retain_a_few_bytes_per_cell(tmp_path):
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    cells = sum(len(ranking) for ranking in traj.values())
+    cells = sum(len(ranking.scores.order) for ranking in traj.values())
     assert len(traj) == 8 and cells > 2000
     assert retained < 40 * cells, f"{retained} bytes for {cells} cells"
 
 
-class TestScoreHistogram:
-    def _result(self, scores):
-        return BiRankResult(
-            artist_scores=scores, venue_scores={}, iterations=1, converged=True
-        )
+def histogram_of(scores: dict, signed: dict, **kwargs) -> dict:
+    """score_histogram over id-keyed scores and flags, as arrays in one order."""
+    order = tuple(scores)
+    result = BiRankResult(
+        artist_scores=ScoreView(order, np.array([scores[a] for a in order])),
+        venue_scores=ScoreView((), np.empty(0)), iterations=1, converged=True,
+    )
+    return score_histogram(result, np.array([signed[a] for a in order if a in signed]), **kwargs)
 
+
+class TestScoreHistogram:
     def test_frequencies_sum_to_one(self):
         rng = np.random.default_rng(6)
         scores = {f"a{i}": float(rng.random()) for i in range(50)}
         labels = {f"a{i}": i % 3 == 0 for i in range(50)}
-        hist = score_histogram(self._result(scores), labels, bins=10)
+        hist = histogram_of(scores, labels, bins=10)
         assert sum(hist["signed"]) == pytest.approx(1.0)
         assert sum(hist["unsigned"]) == pytest.approx(1.0)
         assert len(hist["bin_edges"]) == 11
@@ -432,7 +431,7 @@ class TestScoreHistogram:
     def test_identical_score_multisets_match(self):
         scores = {"a1": 0.3, "a2": 0.7, "b1": 0.3, "b2": 0.7}
         labels = {"a1": True, "a2": True, "b1": False, "b2": False}
-        hist = score_histogram(self._result(scores), labels, bins=4)
+        hist = histogram_of(scores, labels, bins=4)
         assert hist["signed"] == hist["unsigned"]
         assert hist["signed_mean"] == hist["unsigned_mean"]
         assert hist["signed_median"] == hist["unsigned_median"]
@@ -440,15 +439,15 @@ class TestScoreHistogram:
     def test_empty_class_rejected(self):
         scores = {"a1": 0.5, "a2": 0.6}
         with pytest.raises(GigmineError, match="nonempty"):
-            score_histogram(self._result(scores), {"a1": True, "a2": True})
+            histogram_of(scores, {"a1": True, "a2": True})
 
     def test_missing_label_rejected(self):
         scores = {"a1": 0.5, "a2": 0.6}
-        with pytest.raises(GigmineError, match="lack labels"):
-            score_histogram(self._result(scores), {"a1": True})
+        with pytest.raises(GigmineError, match="1 success flags for 2 scored artists"):
+            histogram_of(scores, {"a1": True})
 
     @pytest.mark.parametrize("bins", [0, -1])
     def test_bins_below_one_rejected(self, bins):
         scores = {"a1": 0.5, "a2": 0.6}
         with pytest.raises(GigmineError, match=f"bins must be at least 1, got {bins}"):
-            score_histogram(self._result(scores), {"a1": True, "a2": False}, bins=bins)
+            histogram_of(scores, {"a1": True, "a2": False}, bins=bins)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gigmine.birank import ScoreView, WindowRanking
+from gigmine.birank import ScoreView, WindowRanking, dense_rank
 from gigmine.cli import _write_trajectories, main
 
 
@@ -336,17 +336,24 @@ class TestReports:
     def test_trajectory_csv_equals_csv_writer_over_ranked(self, tmp_path):
         # ids csv.writer must quote, tied scores and one-window-only artists
         ids = ("a,1", 'b"2', "c\r\n3", "d\r4", "plain", "\u00fcber")
+
+        def window(order, scores, iterations, converged):
+            view = ScoreView(order, np.array(scores))
+            return WindowRanking(view, dense_rank(view.array), iterations, converged)
+
         windows = {
-            2012: WindowRanking(ScoreView(ids, np.array([0.5, 0.25, 0.5, 1 / 3, 0.125, 0.25])),
-                                3, True),
-            2011: WindowRanking(ScoreView(("plain", "x"), np.array([2e-12, 7.0])), 1, False),
+            2012: window(ids, [0.5, 0.25, 0.5, 1 / 3, 0.125, 0.25], 3, True),
+            2011: window(("plain", "x"), [2e-12, 7.0], 1, False),
         }
         want = io.StringIO()
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(["artist_id", "year", "rank", "score"])
         for year in sorted(windows):
-            for artist, rank, score in windows[year].ranked():
-                writer.writerow([artist, year, rank, f"{score:.10g}"])
+            w = windows[year]
+            ranks, scores = w.ranks.tolist(), w.scores.array.tolist()
+            # by rank, ties in the window's order
+            for i in sorted(range(len(ranks)), key=lambda i: (ranks[i], i)):
+                writer.writerow([w.scores.order[i], year, ranks[i], f"{scores[i]:.10g}"])
         _write_trajectories(tmp_path / "t.csv", windows)
         assert (tmp_path / "t.csv").read_bytes() == want.getvalue().encode("utf-8")
 

@@ -18,7 +18,7 @@ from gigmine.ingest import (
     parse_corpus,
     recursive_core_filter,
 )
-from gigmine.labeling import LabelTree
+from gigmine.labeling import NEVER, LabelTree
 from gigmine.synth import GenSpec, generate
 
 LABELS = [["maj", "Major", "", "1"], ["ind", "Indie", "", "0"]]
@@ -41,7 +41,7 @@ class TestParsing:
         assert c.artist_order == ("a1", "a2") and c.venue_order == ("v1", "v2")
         assert sorted(c.event_id[c.artist == c.artist_order.index("a1")]) == ["e1", "e2"]
         assert sorted(c.event_id[c.venue == c.venue_order.index("v1")]) == ["e1", "e3"]
-        assert c.artist_releases["a1"][0].label_id == "maj"
+        assert [(r.artist_id, r.label_id) for r in c.releases] == [("a1", "maj")]
         by_artist = np.bincount(c.artist, minlength=len(c.artist_order))
         by_venue = np.bincount(c.venue, minlength=len(c.venue_order))
         assert by_artist.min() >= 1 and by_venue.min() >= 1
@@ -426,11 +426,11 @@ class TestMinActivityFilter:
         ]
         c = self._corpus(corpus_files, rows)
         # full history (12 events) passes with no change point
-        kept = filter_min_activity(c, threshold=10, change_points={})
+        kept = filter_min_activity(c, threshold=10, change_day=np.array([NEVER]))
         assert "a1" in kept.artist_order
         # 3 pre-change-point events fail the threshold
         dropped = filter_min_activity(
-            c, threshold=10, change_points={"a1": dt.date(2011, 1, 1)}
+            c, threshold=10, change_day=np.array([dt.date(2011, 1, 1).toordinal()])
         )
         assert dropped.n_events == 0
 

@@ -1,19 +1,13 @@
 import datetime as dt
 
+import numpy as np
 import pytest
 
 from conftest import event_row
 
 from gigmine.errors import CycleError
-from gigmine.ingest import Release, parse_corpus
-from gigmine.labeling import (
-    LabelNode,
-    LabelTree,
-    change_point,
-    change_points,
-    label_corpus,
-    major_closure,
-)
+from gigmine.ingest import parse_corpus
+from gigmine.labeling import NEVER, LabelNode, LabelTree, label_corpus, major_closure
 
 
 def tree(nodes, majors=()):
@@ -82,18 +76,28 @@ class TestMajorClosure:
 
 
 class TestChangePoint:
-    def test_earliest_major_release_wins(self):
-        rels = [
-            Release("a", "ind", dt.date(2009, 1, 1)),
-            Release("a", "maj", dt.date(2012, 5, 1)),
-            Release("a", "maj", dt.date(2011, 3, 2)),
-        ]
-        assert change_point(rels, frozenset({"maj"})) == dt.date(2011, 3, 2)
+    LABELS = [["maj", "Maj", "", "1"], ["ind", "Ind", "", "0"]]
 
-    def test_no_major_release_means_none(self):
-        rels = [Release("a", "ind", dt.date(2009, 1, 1))]
-        assert change_point(rels, frozenset({"maj"})) is None
-        assert change_point([], frozenset({"maj"})) is None
+    def _change_day(self, corpus_files, releases):
+        events = [event_row(f"e{a}", a, "v1", "2010-01-01") for a in ("a", "b")]
+        corpus = parse_corpus(*corpus_files(events, releases, self.LABELS))
+        assert corpus.artist_order == ("a", "b")
+        return label_corpus(corpus)[0].tolist()
+
+    def test_earliest_major_release_wins(self, corpus_files):
+        releases = [
+            ["a", "ind", "2009-01-01"],
+            ["a", "maj", "2012-05-01"],
+            ["b", "maj", "2010-07-01"],
+            ["a", "maj", "2011-03-02"],
+        ]
+        days = self._change_day(corpus_files, releases)
+        assert days == [dt.date(2011, 3, 2).toordinal(), dt.date(2010, 7, 1).toordinal()]
+
+    def test_no_major_release_means_none(self, corpus_files):
+        # "none" is the NEVER change day
+        days = self._change_day(corpus_files, [["a", "ind", "2009-01-01"]])
+        assert days == [NEVER, NEVER]
 
 
 class TestLabelCorpus:
@@ -119,23 +123,20 @@ class TestLabelCorpus:
                 ["a2", "ind", "2012-06-01"],
             ],
         )
-        labels, stats = label_corpus(c)
-        assert labels["a1"].successful and labels["a1"].change_point == dt.date(2012, 6, 1)
-        assert not labels["a2"].successful and labels["a2"].change_point is None
-        assert not labels["a3"].successful
-        assert stats["successful"] == 1
+        change_day, stats = label_corpus(c)
+        assert c.artist_order == ("a1", "a2", "a3")
+        assert change_day.tolist() == [dt.date(2012, 6, 1).toordinal(), NEVER, NEVER]
+        assert stats["successful"] == 1 == int((change_day < NEVER).sum())
         assert stats["artists"] == 3
         assert stats["positive_rate"] == pytest.approx(1 / 3)
-        for lab in labels.values():
-            assert lab.successful == (lab.change_point is not None)
 
     def test_no_major_roots_means_all_negative(self, corpus_files):
         labels_file = [["ind", "Ind", "", "0"]]
         events = [event_row("e1", "a1", "v1", "2010-01-01")]
         c = parse_corpus(*corpus_files(events, [["a1", "ind", "2012-01-01"]], labels_file))
-        labels, stats = label_corpus(c)
+        change_day, stats = label_corpus(c)
         assert stats["successful"] == 0
-        assert not labels["a1"].successful
+        assert change_day.tolist() == [NEVER]
 
     def test_undated_major_only_artist_is_negative_and_counted(self, corpus_files):
         c = self._corpus(
@@ -146,15 +147,17 @@ class TestLabelCorpus:
                 ["a2", "big", "2013-01-01"],  # a2 also has a dated one
             ],
         )
-        labels, stats = label_corpus(c)
-        assert not labels["a1"].successful
-        assert labels["a2"].successful
+        change_day, stats = label_corpus(c)
+        assert change_day[0] == NEVER  # a1
+        assert change_day[1] == dt.date(2013, 1, 1).toordinal()  # a2
         assert stats["undated_major_only_artists"] == 1
 
-    def test_change_points_helper_mirrors_labels(self, corpus_files):
-        c = self._corpus(corpus_files, [["a1", "big", "2012-06-01"]])
-        labels, _ = label_corpus(c)
-        cps = change_points(labels)
-        assert cps["a1"] == dt.date(2012, 6, 1)
-        assert cps["a2"] is None
-        assert set(cps) == set(labels)
+    def test_change_days_follow_artist_order(self, corpus_files):
+        # a release of an artist without events labels no one
+        c = self._corpus(corpus_files, [["a2", "big", "2012-06-01"], ["zz", "big", "2011-01-01"]])
+        change_day, stats = label_corpus(c)
+        assert change_day.dtype == np.int64
+        assert dict(zip(c.artist_order, change_day.tolist())) == {
+            "a1": NEVER, "a2": dt.date(2012, 6, 1).toordinal(), "a3": NEVER,
+        }
+        assert stats["successful"] == 1

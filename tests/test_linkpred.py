@@ -515,9 +515,9 @@ class TestScoringPool:
 
         with mock.patch.object(linkpred, "_workers", forced):
             report = run_task2(
-                corpus, **years, n_random_splits=self.N_SPLITS, neg_floor=200, seed=4,
+                corpus, **years, n_random_splits=self.N_SPLITS, seed=4,
                 walks_per_node=2, walk_length=6, embed_dim=8, embed_epochs=2, svd_k=5,
-                **params,
+                **{"neg_floor": 200, **params},
             )
         assert asked == [self.N_SPLITS + 1]
         return report
@@ -577,6 +577,22 @@ class TestScoringPool:
         with mock.patch.object(linkpred, "build_score_tables", never), \
                 pytest.raises(GigmineError, match=outside):
             self.run(corpus_and_split, self.N_SPLITS + 1, hidden_fraction=fraction)
+
+    @pytest.mark.parametrize("knobs, message", [
+        ({"neg_multiple": 0, "neg_floor": 0}, "got 0 and 0"),
+        ({"neg_multiple": -1, "neg_floor": 200}, "got -1 and 200"),
+        ({"neg_multiple": 10, "neg_floor": -5}, "got 10 and -5"),
+    ])
+    def test_negative_knobs_that_sample_nothing_fail_before_any_pass(
+        self, corpus_and_split, knobs, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a scoring pass ran")
+
+        want = "neg_multiple and neg_floor must be at least 0 and not both 0, " + message
+        with mock.patch.object(linkpred, "build_score_tables", never), \
+                pytest.raises(GigmineError, match=want):
+            self.run(corpus_and_split, self.N_SPLITS + 1, **knobs)
 
     def test_workers_bounded_by_passes_and_cores(self):
         if hasattr(os, "sched_getaffinity"):

@@ -42,6 +42,7 @@ from gigmine.embeddings import _draw_noise, _noise_table, _scatter_rows, sample_
 from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph, rank_rows
 from gigmine.errors import CorpusFormatError
 from gigmine.ingest import filter_min_activity, parse_corpus, recursive_core_filter
+from gigmine.labeling import NEVER
 from gigmine.linkpred import HEURISTICS, build_score_tables, edge_codes, evaluate_linkpred
 from gigmine.metrics import _midranks, roc_auc
 from gigmine.routes import CitySequence, mine_routes
@@ -252,10 +253,11 @@ def test_birank_matches_dense_fixed_point(g, data):
     ]
     assume(all(m.sum() > 0 for m in masses))
     u0, p0 = (m / m.sum() for m in masses)
-    seeds = SeedScores(dict(zip(g.artist_order, u0)), dict(zip(g.venue_order, p0)))
+    seeds = SeedScores(u0, p0)
     tw = temporal_weights(g, delta=delta, ref_year=2017)
     weights = {
-        pair: w * g.edges[pair].count if count_scaled else w for pair, w in tw.weights.items()
+        pair: w * g.edges[pair].count if count_scaled else w
+        for pair, w in zip(g.id_pairs(g.row, g.col), tw.values.tolist())
     }
 
     # each step contracts toward the fixed point by alpha * beta <= 0.9025, so
@@ -264,8 +266,9 @@ def test_birank_matches_dense_fixed_point(g, data):
                  max_iter=2000, count_scaled=count_scaled, init=init)
     want_u, want_p = dense_birank_oracle(g, weights, u0, p0, alpha, beta)
     assert got.converged
-    assert np.allclose([got.artist_scores[a] for a in g.artist_order], want_u, rtol=0, atol=1e-10)
-    assert np.allclose([got.venue_scores[v] for v in g.venue_order], want_p, rtol=0, atol=1e-10)
+    assert got.artist_scores.order == g.artist_order and got.venue_scores.order == g.venue_order
+    assert np.allclose(got.artist_scores.array, want_u, rtol=0, atol=1e-10)
+    assert np.allclose(got.venue_scores.array, want_p, rtol=0, atol=1e-10)
 
 
 def scipy_birank(g, w, u0, p0, u, p, alpha, beta, tol, max_iter):
@@ -302,7 +305,7 @@ def test_birank_matches_scipy_sparse_bitwise(g, data):
     ]
     assume(all(m.sum() > 0 for m in masses))
     u0, p0 = (m / m.sum() for m in masses)
-    seeds = SeedScores(dict(zip(g.artist_order, u0)), dict(zip(g.venue_order, p0)))
+    seeds = SeedScores(u0, p0)
     tw = temporal_weights(g, delta=delta, ref_year=2017)
     w = tw.values * g.count if count_scaled else tw.values
     if init == "uniform":
@@ -468,7 +471,12 @@ def test_min_activity_filter_matches_random_order_peel(events, offsets, threshol
     alive = _activity_peel(rows, change_points, threshold, order)
     kept_rows = [r for r in rows if r[1] in alive and r[2] in alive]
 
-    kept = filter_min_activity(make_corpus(rows), threshold, change_points=change_points)
+    corpus = make_corpus(rows)
+    change_day = np.array([
+        NEVER if change_points[a] is None else change_points[a].toordinal()
+        for a in corpus.artist_order
+    ], dtype=np.int64)
+    kept = filter_min_activity(corpus, threshold, change_day=change_day)
     assert sorted(kept.event_id.tolist()) == sorted(r[0] for r in kept_rows)
     assert kept.artist_order == tuple(sorted({r[1] for r in kept_rows}))
     assert kept.venue_order == tuple(sorted({r[2] for r in kept_rows}))

@@ -1,4 +1,5 @@
 import datetime as dt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from conftest import make_corpus
 from oracles import dense_svd_oracle
 
+from gigmine import success
 from gigmine.errors import GigmineError
 from gigmine.ingest import parse_corpus
-from gigmine.labeling import label_corpus
+from gigmine.labeling import NEVER, label_corpus
 from gigmine.success import (
     SVDReducer,
     baseline_scores,
@@ -32,12 +34,6 @@ def corpus_of(*events):
     return make_corpus([(f"e{i}", a, v, d) for i, (a, v, d) in enumerate(events)])
 
 
-class FakeLabel:
-    def __init__(self, cp):
-        self.change_point = cp
-        self.successful = cp is not None
-
-
 D = dt.date
 
 
@@ -49,8 +45,8 @@ class TestTruncation:
             ("a", "v", D(2012, 1, 1)),
             ("b", "v", D(2015, 1, 1)),
         )
-        labels = {"a": FakeLabel(D(2011, 6, 1)), "b": FakeLabel(None)}
-        kept = truncate_events(c, labels)
+        assert c.artist_order == ("a", "b")
+        kept = truncate_events(c, np.array([D(2011, 6, 1).toordinal(), NEVER]))
         assert [
             (c.artist_order[a], D.fromordinal(d))
             for a, d in zip(c.artist[kept].tolist(), c.day[kept].tolist())
@@ -60,8 +56,9 @@ class TestTruncation:
         ]
 
     def test_unlabeled_artist_keeps_everything(self):
-        c = corpus_of(("x", "v", D(2012, 1, 1)))
-        assert truncate_events(c, {}).tolist() == [True]
+        # an artist that never signs has change day NEVER, after any event
+        c = corpus_of(("x", "v", D(2012, 1, 1)), ("x", "v", D.max))
+        assert truncate_events(c, np.array([NEVER])).tolist() == [True, True]
 
 
 class TestBuildFeatures:
@@ -382,14 +379,14 @@ class TestRunTask1:
             out,
         )
         corpus = parse_corpus(out / "events.csv", out / "releases.csv", out / "labels.csv")
-        labels, _ = label_corpus(corpus)
-        return corpus, labels
+        change_day, _ = label_corpus(corpus)
+        return corpus, change_day
 
     def test_report_shape_and_ranges(self, small_corpus):
-        corpus, labels = small_corpus
+        corpus, change_day = small_corpus
         report = run_task1(
             corpus,
-            labels,
+            change_day,
             n_splits=2,
             cv_folds=2,
             c_grid=(1.0,),
@@ -417,12 +414,12 @@ class TestRunTask1:
         # at test_fraction 0.5 the three folds fit on 16, 16 and 18 of the 25
         # training artists, all below the 20 venues: the candidates are the
         # grid ranks up to the smallest cap, 16, or that cap if none is
-        corpus, labels = small_corpus
-        y = np.array([labels[a].successful for a in corpus.artist_order])
+        corpus, change_day = small_corpus
+        y = change_day < NEVER
         train, _ = stratified_split(y, 0.5, 0)
         assert sorted(train.size - f.size for f in stratified_folds(y[train], 3, 0)) == [16, 16, 18]
         report = run_task1(
-            corpus, labels, n_splits=1, test_fraction=0.5, cv_folds=3,
+            corpus, change_day, n_splits=1, test_fraction=0.5, cv_folds=3,
             c_grid=(1.0,), k_grid=k_grid, seed=0,
         )
         assert report["n_venues"] == 20
@@ -430,14 +427,36 @@ class TestRunTask1:
 
     @pytest.mark.parametrize("cv_folds", [1, 0])
     def test_cv_folds_below_two_rejected(self, small_corpus, cv_folds):
-        corpus, labels = small_corpus
+        corpus, change_day = small_corpus
         with pytest.raises(GigmineError, match=f"cv_folds must be at least 2, got {cv_folds}"):
-            run_task1(corpus, labels, n_splits=1, cv_folds=cv_folds)
+            run_task1(corpus, change_day, n_splits=1, cv_folds=cv_folds)
+
+    @pytest.mark.parametrize("params, message", [
+        ({"n_splits": 0}, "n_splits must be at least 1, got 0"),
+        ({"n_splits": -2}, "n_splits must be at least 1, got -2"),
+        ({"test_fraction": -0.5}, r"test_fraction must lie in \(0, 1\), got -0.5"),
+        ({"test_fraction": 0.0}, r"test_fraction must lie in \(0, 1\), got 0.0"),
+        ({"test_fraction": 1.0}, r"test_fraction must lie in \(0, 1\), got 1.0"),
+        ({"test_fraction": 1.5}, r"test_fraction must lie in \(0, 1\), got 1.5"),
+        ({"test_fraction": float("nan")}, r"test_fraction must lie in \(0, 1\), got nan"),
+    ])
+    def test_bad_split_parameters_fail_before_features(self, small_corpus, params, message):
+        corpus, change_day = small_corpus
+
+        def never(*args, **kwargs):
+            raise AssertionError("features were built")
+
+        with mock.patch.object(success, "build_features", never), \
+                pytest.raises(GigmineError, match=message):
+            run_task1(corpus, change_day, **params)
+
+    def test_change_days_of_another_corpus_rejected(self, small_corpus):
+        corpus, change_day = small_corpus
+        with pytest.raises(GigmineError, match="49 change days for 50 corpus artists"):
+            run_task1(corpus, change_day[1:], n_splits=1)
 
     def test_single_class_corpus_rejected(self, small_corpus):
-        corpus, labels = small_corpus
-        all_neg = {
-            a: FakeLabel(None) for a in labels
-        }
+        corpus, change_day = small_corpus
+        all_neg = np.full_like(change_day, NEVER)
         with pytest.raises(GigmineError, match="both"):
             run_task1(corpus, all_neg, n_splits=1)

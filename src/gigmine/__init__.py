@@ -14,11 +14,10 @@ from gigmine.errors import (
     GigmineError,
     UnknownNodeError,
 )
-from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
+from gigmine.graph import BipartiteGraph, build_graph
 
 __all__ = [
     "BipartiteGraph",
-    "EdgeInfo",
     "build_graph",
     "GigmineError",
     "CorpusFormatError",

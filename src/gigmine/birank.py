@@ -87,7 +87,7 @@ def seed_scores(g: BipartiteGraph) -> SeedScores:
     not depend on the logarithm base, but the values do; natural log is
     fixed here. Each side is a read-only array in the graph's order.
     """
-    if not g.artists or not g.venues:
+    if not g.artist_order or not g.venue_order:
         raise GigmineError("seed scores need at least one artist and one venue")
     seeds = []
     for ptr in (g.indptr, g.csc_indptr):

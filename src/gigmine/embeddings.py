@@ -70,7 +70,7 @@ def sample_walks(
     node's neighbors, taken in index order.
     """
     _check_positive(walks_per_node=walks_per_node, length=length)
-    if not g.artists and not g.venues:
+    if not g.artist_order and not g.venue_order:
         raise GigmineError("cannot sample walks from an empty graph")
     rng = np.random.default_rng(seed)
     n_a = len(g.artist_order)

@@ -10,7 +10,7 @@ class CorpusFormatError(GigmineError):
 
 
 class UnknownNodeError(GigmineError, KeyError):
-    """A node id was queried that does not exist in the graph."""
+    """A node index lies outside an embedding matrix's rows."""
 
     def __init__(self, node):
         super().__init__(f"unknown node: {node!r}")

@@ -11,35 +11,27 @@ stored once, as int arrays in CSR order (by artist index, then venue index):
 artist's run and ``csc_indptr``/``csc_indices`` listing each venue's artists.
 ``csc_edges`` is the CSC edge order as positions in the CSR arrays, so
 ``csc_indices`` is ``row[csc_edges]``.
-Neighbor sets, distinct-neighbor degrees, event counts and the sparse
-biadjacency matrix are views over these arrays, and the tasks read the arrays
-directly instead of keeping id maps of their own.
+A node's neighbours, degree and event count are read from these arrays:
+artist ``i`` has the venues ``col[indptr[i]:indptr[i + 1]]`` and venue ``j``
+the artists ``csc_indices[csc_indptr[j]:csc_indptr[j + 1]]``, the degrees are
+``np.diff(indptr)`` and ``np.diff(csc_indptr)``, and the event counts are
+``np.bincount(row, weights=count)`` and ``np.bincount(col, weights=count)``.
+The tasks read the arrays directly and keep no id maps of their own.
 
 The graph is immutable after construction (its arrays are read-only) and safe
-for concurrent reads. Artist and venue id sets must be disjoint so that an id
-passed to a node view names one node; construction rejects overlapping ids.
+for concurrent reads. Artist and venue ids must be disjoint; they are checked
+where they come in, by ``gigmine.ingest.parse_corpus`` and by ``build_graph``
+on triples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy
 
-from gigmine.errors import GigmineError, UnknownNodeError
-
-ArtistId = str
-VenueId = str
-
-
-@dataclass(frozen=True)
-class EdgeInfo:
-    """Per-edge payload: event multiplicity and first event year."""
-
-    count: int
-    first_year: int
+from gigmine.errors import GigmineError
 
 
 def _frozen(values, dtype=np.int64) -> np.ndarray:
@@ -48,89 +40,53 @@ def _frozen(values, dtype=np.int64) -> np.ndarray:
     return out
 
 
+def _mask(name, mask, n) -> np.ndarray:
+    """``mask`` as a bool array of length ``n``, all True when None."""
+    if mask is None:
+        return np.ones(n, dtype=bool)
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != (n,):
+        raise GigmineError(
+            f"{name} must be a bool array of length {n}, "
+            f"got {mask.dtype} array of shape {mask.shape}"
+        )
+    return mask
+
+
 class BipartiteGraph:
-    """Bipartite graph over disjoint artist and venue node sets.
+    """Bipartite graph over sorted artist and venue id tuples and CSR edge arrays.
 
     Parameters
     ----------
-    artists, venues : iterables of node ids
-        May include isolated nodes (nodes with no edges).
-    edges : mapping (artist_id, venue_id) -> EdgeInfo
-        Every endpoint must appear in the corresponding node set.
+    artist_order, venue_order : sequences of node ids
+        A node's index is its position; nodes with no edges are allowed.
+    row, col, count, first_year : int arrays, one entry per edge
+        Artist index, venue index, events behind the edge (at least 1) and
+        first event year, strictly ascending by (row, col).
     """
 
-    def __init__(
-        self,
-        artists: Iterable[ArtistId],
-        venues: Iterable[VenueId],
-        edges: Mapping[tuple[ArtistId, VenueId], EdgeInfo],
-    ):
-        self._set_nodes(tuple(sorted(set(artists), key=str)), tuple(sorted(set(venues), key=str)))
-        fields = []
-        for (a, v), info in edges.items():
-            if a not in self._artist_index:
-                raise GigmineError(f"edge ({a!r}, {v!r}): artist endpoint not in node set")
-            if v not in self._venue_index:
-                raise GigmineError(f"edge ({a!r}, {v!r}): venue endpoint not in node set")
-            if info.count < 1:
-                raise GigmineError(f"edge ({a!r}, {v!r}): count must be >= 1, got {info.count}")
-            fields.append((self._artist_index[a], self._venue_index[v], info.count, info.first_year))
-        self._set_edges(*np.array(sorted(fields), dtype=np.int64).reshape(-1, 4).T)
-
-    @classmethod
-    def _from_arrays(cls, artist_order, venue_order, row, col, count, first_year):
-        """Graph over sorted id tuples and edge arrays already in CSR order."""
-        g = cls.__new__(cls)
-        g._set_nodes(artist_order, venue_order)
-        g._set_edges(row, col, count, first_year)
-        return g
-
-    def _set_nodes(self, artist_order: tuple, venue_order: tuple):
-        self._artists, self._venues = frozenset(artist_order), frozenset(venue_order)
-        overlap = self._artists & self._venues
-        if overlap:
-            raise GigmineError(
-                f"artist and venue id sets overlap: {sorted(map(str, overlap))[:5]}"
-            )
-        self._artist_order, self._venue_order = artist_order, venue_order
-        self._artist_index = {a: i for i, a in enumerate(artist_order)}
-        self._venue_index = {v: j for j, v in enumerate(venue_order)}
-
-    def _set_edges(self, row, col, count, first_year):
+    def __init__(self, artist_order, venue_order, row, col, count, first_year):
+        self.artist_order, self.venue_order = tuple(artist_order), tuple(venue_order)
+        n_a, n_v = len(self.artist_order), len(self.venue_order)
         self.row, self.col = _frozen(row), _frozen(col)
         self.count, self.first_year = _frozen(count), _frozen(first_year)
-        self.indptr = _frozen(np.searchsorted(self.row, np.arange(len(self._artist_order) + 1)))
+        edges = (self.row, self.col, self.count, self.first_year)
+        if any(a.shape != (self.row.size,) for a in edges):
+            raise GigmineError("row, col, count and first_year must be 1-d arrays of one length")
+        for name, index, n in (("artist", self.row, n_a), ("venue", self.col, n_v)):
+            if index.size and not 0 <= index.min() <= index.max() < n:
+                raise GigmineError(f"{name} index outside 0..{n - 1} in the edge arrays")
+        if self.count.size and self.count.min() < 1:
+            raise GigmineError(f"edge counts must be >= 1, got {self.count.min()}")
+        rises = np.diff(self.row)
+        if (rises < 0).any() or ((rises == 0) & (np.diff(self.col) <= 0)).any():
+            raise GigmineError("edges must be strictly ascending by (row, col)")
+        self.indptr = _frozen(np.searchsorted(self.row, np.arange(n_a + 1)))
         # CSC edge order; numpy runs a stable sort of ints this small as a radix sort
-        small = self.col.astype(np.min_scalar_type(len(self._venue_order)))
+        small = self.col.astype(np.min_scalar_type(n_v))
         self.csc_edges = _frozen(np.argsort(small, kind="stable"))
         self.csc_indices = _frozen(self.row[self.csc_edges])
-        self.csc_indptr = _frozen(
-            np.searchsorted(self.col[self.csc_edges], np.arange(len(self._venue_order) + 1))
-        )
-
-    # -- node and edge views ------------------------------------------------
-
-    @property
-    def artists(self) -> frozenset:
-        return self._artists
-
-    @property
-    def venues(self) -> frozenset:
-        return self._venues
-
-    @property
-    def edges(self) -> Mapping[tuple[ArtistId, VenueId], EdgeInfo]:
-        """A new (artist, venue) -> EdgeInfo dict in CSR order, for reading."""
-        infos = map(EdgeInfo, self.count.tolist(), self.first_year.tolist())
-        return dict(zip(self.id_pairs(self.row, self.col), infos))
-
-    @property
-    def artist_order(self) -> tuple:
-        return self._artist_order
-
-    @property
-    def venue_order(self) -> tuple:
-        return self._venue_order
+        self.csc_indptr = _frozen(np.searchsorted(self.col[self.csc_edges], np.arange(n_v + 1)))
 
     @property
     def n_edges(self) -> int:
@@ -144,8 +100,8 @@ class BipartiteGraph:
         if not isinstance(other, BipartiteGraph):
             return NotImplemented
         return (
-            self._artist_order == other._artist_order
-            and self._venue_order == other._venue_order
+            self.artist_order == other.artist_order
+            and self.venue_order == other.venue_order
             and all(
                 np.array_equal(getattr(self, name), getattr(other, name))
                 for name in ("row", "col", "count", "first_year")
@@ -154,62 +110,34 @@ class BipartiteGraph:
 
     def __repr__(self) -> str:
         return (
-            f"BipartiteGraph({len(self._artists)} artists, "
-            f"{len(self._venues)} venues, {self.n_edges} edges)"
+            f"BipartiteGraph({len(self.artist_order)} artists, "
+            f"{len(self.venue_order)} venues, {self.n_edges} edges)"
         )
 
     # -- index arrays ---------------------------------------------------------
 
     def id_pairs(self, rows, cols) -> list[tuple]:
         """(artist, venue) id pairs of artist and venue index arrays."""
-        a, v = self._artist_order, self._venue_order
+        a, v = self.artist_order, self.venue_order
         return [(a[i], v[j]) for i, j in zip(np.asarray(rows).tolist(), np.asarray(cols).tolist())]
 
     def subgraph(self, keep_edges, keep_artists=None, keep_venues=None) -> "BipartiteGraph":
         """Graph on the kept nodes (all by default) and the kept edges between them.
 
-        The masks are boolean arrays over the edge arrays and the two orders.
+        The masks are bool arrays over the edge arrays and the two orders.
         """
-        if keep_artists is None:
-            keep_artists = np.ones(len(self._artist_order), dtype=bool)
-        if keep_venues is None:
-            keep_venues = np.ones(len(self._venue_order), dtype=bool)
-        keep = keep_edges & keep_artists[self.row] & keep_venues[self.col]
-        return BipartiteGraph._from_arrays(
-            tuple(np.array(self._artist_order, dtype=object)[keep_artists]),
-            tuple(np.array(self._venue_order, dtype=object)[keep_venues]),
+        keep_artists = _mask("keep_artists", keep_artists, len(self.artist_order))
+        keep_venues = _mask("keep_venues", keep_venues, len(self.venue_order))
+        keep = _mask("keep_edges", keep_edges, self.n_edges)
+        keep = keep & keep_artists[self.row] & keep_venues[self.col]
+        return BipartiteGraph(
+            np.array(self.artist_order, dtype=object)[keep_artists],
+            np.array(self.venue_order, dtype=object)[keep_venues],
             (np.cumsum(keep_artists) - 1)[self.row[keep]],
             (np.cumsum(keep_venues) - 1)[self.col[keep]],
             self.count[keep],
             self.first_year[keep],
         )
-
-    # -- neighborhood queries -----------------------------------------------
-
-    def _hood(self, node):
-        """Where ``node``'s edges sit in the edge arrays, their far ends and that side's order."""
-        i = self._artist_index.get(node)
-        if i is not None:
-            at = slice(self.indptr[i], self.indptr[i + 1])
-            return at, self.col[at], self._venue_order
-        j = self._venue_index.get(node)
-        if j is not None:
-            at = slice(self.csc_indptr[j], self.csc_indptr[j + 1])
-            return self.csc_edges[at], self.csc_indices[at], self._artist_order
-        raise UnknownNodeError(node)
-
-    def neighbors(self, node) -> frozenset:
-        """Opposite-side nodes sharing an edge with ``node``."""
-        _, far, order = self._hood(node)
-        return frozenset(map(order.__getitem__, far.tolist()))
-
-    def degree(self, node) -> int:
-        """Number of distinct opposite-side neighbors (not summed event counts)."""
-        return len(self._hood(node)[1])
-
-    def event_count(self, node) -> int:
-        """Total events touching ``node``, i.e. incident edge multiplicities summed."""
-        return int(self.count[self._hood(node)[0]].sum())
 
     # -- matrix view ----------------------------------------------------------
 
@@ -223,7 +151,7 @@ class BipartiteGraph:
             if values not in ("binary", "count"):
                 raise ValueError(f"values must be binary|count or an array, got {values!r}")
             values = np.ones(self.n_edges) if values == "binary" else self.count
-        shape = (len(self._artist_order), len(self._venue_order))
+        shape = (len(self.artist_order), len(self.venue_order))
         return scipy.sparse.csr_matrix(
             (np.array(values, dtype=float), self.col.copy(), self.indptr.copy()), shape=shape
         )
@@ -317,7 +245,8 @@ def build_graph(events) -> BipartiteGraph:
     An edge (a, v) exists iff at least one event links a and v; its count is
     the number of such events and its first_year their minimum year. A
     triple with a missing artist or venue id is rejected with an error
-    naming its position.
+    naming its position, and ids used as both an artist and a venue are
+    rejected.
     """
     if hasattr(events, "artist_order"):
         artist_order, venue_order = events.artist_order, events.venue_order
@@ -337,6 +266,11 @@ def build_graph(events) -> BipartiteGraph:
             years.append(int(year))
         artist_order, a_code = intern_ids(artists)
         venue_order, v_code = intern_ids(venues)
+        both_sides = set(artist_order).intersection(venue_order)
+        if both_sides:
+            raise GigmineError(
+                f"ids used as both artist and venue: {sorted(map(str, both_sides))[:5]}"
+            )
         years = np.array(years, dtype=np.int64)
     # one sort of the packed key pair code x year span + (year - min year)
     # groups each edge's events, earliest first
@@ -349,6 +283,4 @@ def build_graph(events) -> BipartiteGraph:
     starts = np.flatnonzero(np.diff(codes, prepend=-1))
     row, col = np.divmod(codes[starts], len(venue_order))
     count = np.diff(np.append(starts, len(codes)))
-    return BipartiteGraph._from_arrays(
-        artist_order, venue_order, row, col, count, years[order][starts]
-    )
+    return BipartiteGraph(artist_order, venue_order, row, col, count, years[order][starts])

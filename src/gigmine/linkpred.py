@@ -154,8 +154,8 @@ def make_temporal_split(
         "train_end_year": train_end_year,
         "test_years": test_years,
         "core_k": core_k,
-        "train_artists": len(graph.artists),
-        "train_venues": len(graph.venues),
+        "train_artists": len(graph.artist_order),
+        "train_venues": len(graph.venue_order),
         "train_events": graph.total_events,
         "train_edges": graph.n_edges,
         "test_events": int(test.sum()),

@@ -322,7 +322,8 @@ def run_task1(
     logistic regression fitted in the split (tuning included), how many
     stopped short of convergence and the most iterations any took.
     ``cv_folds`` must be at least 2, ``n_splits`` at least 1 and
-    ``test_fraction`` in (0, 1).
+    ``test_fraction`` in (0, 1), leaving each class at least one test and
+    one training artist.
     """
     if cv_folds < 2:
         raise GigmineError(f"cv_folds must be at least 2, got {cv_folds}")
@@ -334,12 +335,18 @@ def run_task1(
         raise GigmineError(
             f"{len(change_day)} change days for {len(corpus.artist_order)} corpus artists"
         )
-    X = build_features(corpus, truncate_events(corpus, change_day), mode=mode)
-    if not X.shape[1]:
-        raise GigmineError("no events remain after change-point truncation")
     y = change_day < NEVER
     if not y.any() or y.all():
         raise GigmineError("forecasting needs both successful and unsuccessful artists")
+    sizes = (int(y.sum()), int((~y).sum()))
+    if not all(0 < round(test_fraction * n) < n for n in sizes):  # as stratified_split rounds
+        raise GigmineError(
+            f"test_fraction {test_fraction} leaves a class with no test or no training artists: "
+            f"{sizes[0]} positives, {sizes[1]} negatives"
+        )
+    X = build_features(corpus, truncate_events(corpus, change_day), mode=mode)
+    if not X.shape[1]:
+        raise GigmineError("no events remain after change-point truncation")
 
     per_model: dict[str, list] = {"baseline": [], "logreg": [], "logreg_svd": []}
     chosen = []

@@ -3,20 +3,36 @@ import csv
 import numpy as np
 import pytest
 
-from gigmine.graph import BipartiteGraph, EdgeInfo, intern_ids
+from gigmine.graph import BipartiteGraph, intern_ids
 from gigmine.ingest import Corpus, LabelTree
 from gigmine.routes import CitySequence
+
+
+def make_graph(edges=(), artists=(), venues=()):
+    """Graph from (artist, venue, count, first_year) rows plus extra isolated ids.
+
+    The orders are the ids of both sorted by ``str``, as ``build_graph``
+    orders them; a pair given twice is rejected by the constructor.
+    """
+    edges = list(edges)
+    artist_order = tuple(sorted({a for a, *_ in edges}.union(artists), key=str))
+    venue_order = tuple(sorted({v for _, v, *_ in edges}.union(venues), key=str))
+    a_index = {a: i for i, a in enumerate(artist_order)}
+    v_index = {v: j for j, v in enumerate(venue_order)}
+    fields = sorted((a_index[a], v_index[v], count, year) for a, v, count, year in edges)
+    columns = np.array(fields, dtype=np.int64).reshape(-1, 4).T
+    return BipartiteGraph(artist_order, venue_order, *columns)
+
+
+def edges_of(g):
+    """{(artist, venue): (count, first_year)} of ``g``'s edges, in CSR order."""
+    return dict(zip(g.id_pairs(g.row, g.col), zip(g.count.tolist(), g.first_year.tolist())))
 
 
 @pytest.fixture
 def toy_graph():
     """Three-edge graph: a1-v1, a1-v2, a2-v1."""
-    edges = {
-        ("a1", "v1"): EdgeInfo(count=1, first_year=2010),
-        ("a1", "v2"): EdgeInfo(count=1, first_year=2011),
-        ("a2", "v1"): EdgeInfo(count=1, first_year=2012),
-    }
-    return BipartiteGraph({"a1", "a2"}, {"v1", "v2"}, edges)
+    return make_graph([("a1", "v1", 1, 2010), ("a1", "v2", 1, 2011), ("a2", "v1", 1, 2012)])
 
 
 def pair_codes(g, pairs):

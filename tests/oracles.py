@@ -15,7 +15,9 @@ import re
 
 import numpy as np
 
-from gigmine.graph import BipartiteGraph, EdgeInfo
+from conftest import make_graph
+
+from gigmine.graph import BipartiteGraph
 
 
 # -- random graphs -------------------------------------------------------------
@@ -25,15 +27,13 @@ def random_bipartite(rng, n_a: int, n_v: int, density: float) -> BipartiteGraph:
     """Seeded random bipartite graph with roughly the given edge density."""
     artists = [f"a{i}" for i in range(n_a)]
     venues = [f"v{j}" for j in range(n_v)]
-    edges = {}
+    edges = []
     for i in range(n_a):
         for j in range(n_v):
             if rng.random() < density:
-                edges[(artists[i], venues[j])] = EdgeInfo(
-                    count=int(rng.integers(1, 6)),
-                    first_year=int(rng.integers(2008, 2018)),
-                )
-    return BipartiteGraph(artists, venues, edges)
+                count, first_year = int(rng.integers(1, 6)), int(rng.integers(2008, 2018))
+                edges.append((artists[i], venues[j], count, first_year))
+    return make_graph(edges, artists, venues)
 
 
 # -- neighborhood / heuristic oracles -------------------------------------------
@@ -47,6 +47,30 @@ def neighbors_of(edge_pairs, node) -> set:
         elif v == node:
             out.add(a)
     return out
+
+
+def assert_neighborhoods_match(g: BipartiteGraph) -> None:
+    """``g``'s CSR rows and CSC columns, degrees and event sums against ``neighbors_of``.
+
+    Each artist's row must list exactly its neighbours in venue order, and
+    each venue's column its neighbours in artist order; ``np.diff`` of the
+    index pointers must be the neighbour counts and ``np.bincount`` of the
+    edge counts the summed events of each node's edges.
+    """
+    edges = dict(zip(g.id_pairs(g.row, g.col), g.count.tolist()))
+    sides = (
+        (g.artist_order, g.venue_order, g.indptr, g.col, g.row),
+        (g.venue_order, g.artist_order, g.csc_indptr, g.csc_indices, g.col),
+    )
+    for order, far_order, ptr, far, near in sides:
+        degrees = np.diff(ptr)
+        events = np.bincount(near, weights=g.count, minlength=len(order))
+        for k, node in enumerate(order):
+            want = neighbors_of(edges, node)
+            got = [far_order[x] for x in far[ptr[k]:ptr[k + 1]].tolist()]
+            assert got == sorted(want, key=far_order.index), node
+            assert degrees[k] == len(want), node
+            assert events[k] == sum(c for pair, c in edges.items() if node in pair), node
 
 
 def two_hop_of(edge_pairs, node) -> set:

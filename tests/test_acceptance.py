@@ -32,6 +32,7 @@ from gigmine.metrics import roc_auc
 from gigmine.success import SVDReducer, logreg_loss_grad, run_task1, train_logreg
 from gigmine.synth import GenSpec, generate
 
+from conftest import edges_of
 from oracles import dense_birank_oracle, pairwise_auc, random_bipartite
 
 
@@ -55,10 +56,10 @@ def test_criterion_01_heuristic_oracle_equivalence():
         g = random_bipartite(rng, n_a, n_v, float(rng.uniform(0.05, 0.3)))
         graphs += 1
         adj = defaultdict(set)
-        for a, v in g.edges:
+        for a, v in edges_of(g):
             adj[a].add(v)
             adj[v].add(a)
-        nodes = list(g.artists) + list(g.venues)
+        nodes = g.artist_order + g.venue_order
         two = {
             n: set().union(*(adj[w] for w in adj[n])) if adj[n] else set()
             for n in nodes

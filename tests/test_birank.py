@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_corpus
+from conftest import edges_of, make_corpus, make_graph
 from oracles import dense_birank_oracle, random_bipartite
 
 import gigmine.birank
@@ -25,7 +25,7 @@ from gigmine.birank import (
     yearly_trajectories,
 )
 from gigmine.errors import GigmineError
-from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
+from gigmine.graph import build_graph
 from gigmine.ingest import parse_corpus
 from gigmine.synth import GenSpec, generate
 
@@ -65,17 +65,18 @@ class TestSeeds:
         g = random_bipartite(rng, 10, 8, 0.3)
         seeds = by_id(g.artist_order, seed_scores(g).artist_seed)
         by_seed = sorted(g.artist_order, key=lambda a: -seeds[a])
+        degree = by_id(g.artist_order, np.diff(g.indptr))
         by_log2 = sorted(
-            g.artist_order, key=lambda a: -math.log2(g.degree(a) + 1)
+            g.artist_order, key=lambda a: -math.log2(degree[a] + 1)
         )
         assert by_seed == by_log2
 
     def test_empty_side_rejected(self):
         with pytest.raises(GigmineError, match="at least one"):
-            seed_scores(BipartiteGraph({"a"}, set(), {}))
+            seed_scores(make_graph(artists=["a"]))
 
     def test_all_isolated_side_rejected(self):
-        g = BipartiteGraph({"a"}, {"v"}, {})
+        g = make_graph(artists=["a"], venues=["v"])
         with pytest.raises(GigmineError, match="degree 0"):
             seed_scores(g)
 
@@ -106,10 +107,8 @@ class TestSeeds:
         for seed, n_a, n_v, density in ((7, 14, 9, 0.3), (8, 400, 300, 0.02)):
             g = random_bipartite(np.random.default_rng(seed), n_a, n_v, density)
             seeds = seed_scores(g)
-            for side, order in (
-                (seeds.artist_seed, g.artist_order), (seeds.venue_seed, g.venue_order)
-            ):
-                raw = [math.log(g.degree(n) + 1) for n in order]
+            for side, ptr in ((seeds.artist_seed, g.indptr), (seeds.venue_seed, g.csc_indptr)):
+                raw = [math.log(d + 1) for d in np.diff(ptr).tolist()]
                 total = sum(raw)
                 assert side.tolist() == [x / total for x in raw]
                 assert not side.flags.writeable
@@ -193,35 +192,32 @@ class TestBiRank:
         rng = np.random.default_rng(3)
         g = random_bipartite(rng, 8, 6, 0.4)
         res = birank(g)
-        g2 = BipartiteGraph(
-            {f"z_{a}" for a in g.artists},
-            {f"q_{v}" for v in g.venues},
-            {(f"z_{a}", f"q_{v}"): info for (a, v), info in g.edges.items()},
+        g2 = make_graph(
+            [(f"z_{a}", f"q_{v}", *info) for (a, v), info in edges_of(g).items()],
+            [f"z_{a}" for a in g.artist_order],
+            [f"q_{v}" for v in g.venue_order],
         )
         res2 = birank(g2)
         scores = by_id(res.artist_scores.order, res.artist_scores.array)
         scores2 = by_id(res2.artist_scores.order, res2.artist_scores.array)
-        for a in g.artists:
+        for a in g.artist_order:
             assert scores2[f"z_{a}"] == pytest.approx(scores[a], abs=1e-12)
 
     def test_no_decay_equal_counts_ignores_years(self):
-        e1 = {("a1", "v1"): EdgeInfo(2, 2010), ("a2", "v1"): EdgeInfo(2, 2016)}
-        e2 = {("a1", "v1"): EdgeInfo(2, 2016), ("a2", "v1"): EdgeInfo(2, 2010)}
-        g1 = BipartiteGraph({"a1", "a2"}, {"v1"}, e1)
-        g2 = BipartiteGraph({"a1", "a2"}, {"v1"}, e2)
+        g1 = make_graph([("a1", "v1", 2, 2010), ("a2", "v1", 2, 2016)])
+        g2 = make_graph([("a1", "v1", 2, 2016), ("a2", "v1", 2, 2010)])
         r1 = birank(g1, weights=temporal_weights(g1, delta=1.0, ref_year=2017))
         r2 = birank(g2, weights=temporal_weights(g2, delta=1.0, ref_year=2017))
         assert r1.artist_scores.order == r2.artist_scores.order
         assert r1.artist_scores.array == pytest.approx(r2.artist_scores.array)
 
     def test_count_scaling_boosts_heavier_edge(self):
-        edges = {
-            ("busy", "v1"): EdgeInfo(9, 2017),
-            ("quiet", "v1"): EdgeInfo(1, 2017),
-            ("busy", "v2"): EdgeInfo(1, 2017),
-            ("quiet", "v3"): EdgeInfo(1, 2017),
-        }
-        g = BipartiteGraph({"busy", "quiet"}, {"v1", "v2", "v3"}, edges)
+        g = make_graph([
+            ("busy", "v1", 9, 2017),
+            ("quiet", "v1", 1, 2017),
+            ("busy", "v2", 1, 2017),
+            ("quiet", "v3", 1, 2017),
+        ])
         tw = temporal_weights(g, ref_year=2017)
         seeds = SeedScores(np.full(2, 0.5), np.full(3, 1 / 3))
         flat = birank(g, weights=tw, seeds=seeds, count_scaled=False).artist_scores

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from conftest import make_graph
+
 from gigmine import embeddings
 from gigmine.embeddings import sample_walks, score_embedding, train_embeddings
 from gigmine.errors import GigmineError, UnknownNodeError
-from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
+from gigmine.graph import build_graph
 
 
 def clique(prefix_a, prefix_v, n, year=2010):
@@ -104,7 +106,7 @@ class TestWalks:
             assert starts.count(node) == 40
 
     def test_dead_end_stops_early(self):
-        g = BipartiteGraph({"a", "lone"}, {"v"}, {("a", "v"): EdgeInfo(1, 2010)})
+        g = make_graph([("a", "v", 1, 2010)], artists=["lone"])
         walks = sample_walks(g, walks_per_node=1, length=5, seed=0)
         lone = g.artist_order.index("lone")
         lone_walks = [w.tolist() for w in walks if w[0] == lone]
@@ -134,7 +136,7 @@ class TestWalks:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(GigmineError, match="empty"):
-            sample_walks(BipartiteGraph((), (), {}), walks_per_node=1, length=1)
+            sample_walks(make_graph(), walks_per_node=1, length=1)
 
     @pytest.mark.parametrize("param", ["walks_per_node", "length"])
     def test_setting_below_one_rejected(self, toy_graph, param):

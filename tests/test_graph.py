@@ -1,56 +1,77 @@
 import numpy as np
 import pytest
 
-from oracles import neighbors_of, random_bipartite
+from conftest import edges_of, make_graph
+from oracles import assert_neighborhoods_match, random_bipartite
 
-from gigmine.errors import GigmineError, UnknownNodeError
-from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
+from gigmine.errors import GigmineError
+from gigmine.graph import BipartiteGraph, build_graph
+
+
+def arrays(rows):
+    """row, col, count and first_year columns of (row, col, count, first_year) rows."""
+    return np.array(rows, dtype=np.int64).reshape(-1, 4).T
 
 
 class TestConstruction:
     def test_rejects_overlapping_id_sets(self):
-        """Artist and venue ids share a namespace; overlap corrupts set formulas."""
-        with pytest.raises(GigmineError, match="overlap"):
-            BipartiteGraph({"x"}, {"x"}, {})
+        """Artist and venue ids share a namespace; triples naming one id on both sides fail."""
+        with pytest.raises(GigmineError, match="both artist and venue: \\['x'\\]"):
+            build_graph([("x", "v", 2010), ("a", "x", 2011)])
 
     def test_rejects_edge_with_unknown_endpoint(self):
-        with pytest.raises(GigmineError, match="endpoint"):
-            BipartiteGraph({"a"}, {"v"}, {("a", "w"): EdgeInfo(1, 2010)})
+        for row, col in [(1, 0), (0, 1), (-1, 0), (0, -1)]:
+            with pytest.raises(GigmineError, match="index outside"):
+                BipartiteGraph(("a",), ("v",), *arrays([(row, col, 1, 2010)]))
 
     def test_rejects_nonpositive_edge_count(self):
         with pytest.raises(GigmineError, match="count"):
-            BipartiteGraph({"a"}, {"v"}, {("a", "v"): EdgeInfo(0, 2010)})
+            BipartiteGraph(("a",), ("v",), *arrays([(0, 0, 0, 2010)]))
+
+    @pytest.mark.parametrize("rows", [
+        [(1, 0, 1, 2010), (0, 0, 1, 2010)],  # artists descending
+        [(0, 1, 1, 2010), (0, 0, 1, 2010)],  # venues descending within an artist
+        [(0, 0, 1, 2010), (0, 0, 2, 2011)],  # one pair twice
+    ])
+    def test_rejects_edges_out_of_csr_order(self, rows):
+        with pytest.raises(GigmineError, match="strictly ascending"):
+            BipartiteGraph(("a", "b"), ("v", "w"), *arrays(rows))
+
+    def test_rejects_edge_arrays_of_unequal_length(self):
+        row, col, count, first_year = arrays([(0, 0, 1, 2010)])
+        with pytest.raises(GigmineError, match="one length"):
+            BipartiteGraph(("a",), ("v",), row, col, count, np.array([2010, 2011]))
 
     def test_isolated_nodes_are_allowed(self):
-        g = BipartiteGraph({"a", "b"}, {"v"}, {("a", "v"): EdgeInfo(1, 2010)})
-        assert g.neighbors("b") == frozenset()
-        assert g.degree("b") == 0
+        g = make_graph([("a", "v", 1, 2010)], artists=["b"])
+        b = g.artist_order.index("b")
+        assert g.col[g.indptr[b]:g.indptr[b + 1]].size == 0
+        assert np.diff(g.indptr)[b] == 0
 
     def test_equality_is_structural(self, toy_graph):
         twin = BipartiteGraph(
-            {"a1", "a2"},
-            {"v1", "v2"},
-            {
-                ("a1", "v1"): EdgeInfo(1, 2010),
-                ("a1", "v2"): EdgeInfo(1, 2011),
-                ("a2", "v1"): EdgeInfo(1, 2012),
-            },
+            ["a1", "a2"], ["v1", "v2"],
+            [0, 0, 1], [0, 1, 0], [1, 1, 1], [2010, 2011, 2012],
         )
         assert toy_graph == twin
+        assert toy_graph != make_graph([("a1", "v1", 1, 2010)], ["a2"], ["v2"])
+
+    def test_graph_holds_only_int_arrays_and_id_tuples(self):
+        g = random_bipartite(np.random.default_rng(3), 6, 5, 0.4)
+        for sub in (g, g.subgraph(g.count > 1)):
+            for name, value in vars(sub).items():
+                assert not isinstance(value, (dict, set, frozenset)), name
+                if isinstance(value, np.ndarray):
+                    assert value.dtype == np.int64 and not value.flags.writeable, name
+                else:
+                    assert name in ("artist_order", "venue_order") and type(value) is tuple
 
 
 class TestNeighborhoods:
     def test_neighbors_toy(self, toy_graph):
-        assert toy_graph.neighbors("a1") == {"v1", "v2"}
-        assert toy_graph.neighbors("v2") == {"a1"}
-
-    def test_unknown_node_raises(self, toy_graph):
-        with pytest.raises(UnknownNodeError):
-            toy_graph.neighbors("nope")
-        with pytest.raises(UnknownNodeError):
-            toy_graph.degree("nope")
-        with pytest.raises(UnknownNodeError):
-            toy_graph.event_count("nope")
+        g = toy_graph
+        assert g.col[g.indptr[0]:g.indptr[1]].tolist() == [0, 1]  # a1: v1, v2
+        assert g.csc_indices[g.csc_indptr[1]:g.csc_indptr[2]].tolist() == [0]  # v2: a1
 
     def test_neighbors_match_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(42)
@@ -61,20 +82,15 @@ class TestNeighborhoods:
                 int(rng.integers(2, 15)),
                 float(rng.uniform(0.1, 0.4)),
             )
-            pairs = list(g.edges)
-            for node in list(g.artists) + list(g.venues):
-                assert g.neighbors(node) == neighbors_of(pairs, node)
+            assert_neighborhoods_match(g)
 
 
 class TestCountsAndOrders:
     def test_degree_counts_distinct_neighbors_not_events(self):
-        g = BipartiteGraph(
-            {"a"}, {"v", "w"},
-            {("a", "v"): EdgeInfo(5, 2010), ("a", "w"): EdgeInfo(1, 2010)},
-        )
-        assert g.degree("a") == 2
-        assert g.event_count("a") == 6
-        assert g.event_count("v") == 5
+        g = make_graph([("a", "v", 5, 2010), ("a", "w", 1, 2010)])
+        assert np.diff(g.indptr).tolist() == [2]
+        assert np.bincount(g.row, weights=g.count).tolist() == [6]
+        assert np.bincount(g.col, weights=g.count).tolist() == [5, 1]
 
     def test_total_events_and_n_edges(self, toy_graph):
         assert toy_graph.n_edges == 3
@@ -97,20 +113,33 @@ class TestCountsAndOrders:
     def test_biadjacency_values(self, toy_graph):
         b = toy_graph.biadjacency("binary").toarray()
         assert b.tolist() == [[1, 1], [1, 0]]
-        g = BipartiteGraph({"a"}, {"v"}, {("a", "v"): EdgeInfo(3, 2010)})
+        g = make_graph([("a", "v", 3, 2010)])
         assert g.biadjacency("count").toarray().tolist() == [[3.0]]
         assert g.biadjacency(np.array([0.5])).toarray().tolist() == [[0.5]]
         with pytest.raises(ValueError):
             g.biadjacency("nope")
 
 
+class TestSubgraph:
+    def test_masks_drop_edges_and_nodes(self, toy_graph):
+        sub = toy_graph.subgraph(np.array([True, False, True]), keep_venues=np.array([True, False]))
+        assert sub == make_graph([("a1", "v1", 1, 2010), ("a2", "v1", 1, 2012)])
+
+    @pytest.mark.parametrize("masks, name", [
+        ((np.array([1, 0, 1]),), "keep_edges"),  # 0/1 ints index rather than mask
+        ((np.array([True, False]),), "keep_edges"),
+        ((np.ones(3, dtype=bool), np.array([1, 1])), "keep_artists"),
+        ((np.ones(3, dtype=bool), None, np.ones((1, 2), dtype=bool)), "keep_venues"),
+    ])
+    def test_rejects_masks_that_are_not_bool_arrays_of_their_length(self, toy_graph, masks, name):
+        with pytest.raises(GigmineError, match=f"{name} must be a bool array of length"):
+            toy_graph.subgraph(*masks)
+
+
 class TestBuildGraph:
     def test_from_triples_aggregates_count_and_first_year(self):
         g = build_graph([("a", "v", 2012), ("a", "v", 2009), ("b", "v", 2010)])
-        edges = g.edges
-        assert edges[("a", "v")].count == 2
-        assert edges[("a", "v")].first_year == 2009
-        assert edges[("b", "v")].count == 1
+        assert edges_of(g) == {("a", "v"): (2, 2009), ("b", "v"): (1, 2010)}
 
     def test_missing_ids_rejected_with_position(self):
         with pytest.raises(GigmineError, match="#1"):
@@ -118,4 +147,4 @@ class TestBuildGraph:
 
     def test_empty_event_list_gives_empty_graph(self):
         g = build_graph([])
-        assert g.n_edges == 0 and not g.artists and not g.venues
+        assert g.n_edges == 0 and not g.artist_order and not g.venue_order

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import EVENT_HEADER, RELEASE_HEADER, event_row, make_corpus, write_csv
+from conftest import EVENT_HEADER, RELEASE_HEADER, edges_of, event_row, make_corpus, write_csv
 
 from gigmine import ingest
 from gigmine.errors import CorpusFormatError
@@ -96,7 +96,7 @@ class TestParsing:
         rows.append(event_row("e1", "a1", "v1", "2010-05-02"))
         c = parse_corpus(*corpus_files(rows, [], LABELS))
         assert c.n_events == 10
-        assert build_graph(c).edges[("a1", "v1")].count == 10
+        assert edges_of(build_graph(c))[("a1", "v1")][0] == 10
         assert c.load_report.events_rejected == 1
         (diag,) = c.load_report.diagnostics
         # e1 is row index 1 (line 3); its repeat is the last row (line 12)
@@ -473,12 +473,12 @@ class TestMinActivityFilter:
 class TestRecursiveCoreFilter:
     def _brute_force(self, graph, k):
         """Remove-until-stable reference on (artists, venues, edges)."""
-        edges = dict(graph.edges)
+        edges = edges_of(graph)
         while True:
             count: dict = {}
-            for (a, v), info in edges.items():
-                count[a] = count.get(a, 0) + info.count
-                count[v] = count.get(v, 0) + info.count
+            for (a, v), (events, _) in edges.items():
+                count[a] = count.get(a, 0) + events
+                count[v] = count.get(v, 0) + events
             dead = {n for n, c in count.items() if c < k}
             if not dead:
                 break
@@ -488,8 +488,8 @@ class TestRecursiveCoreFilter:
             }
         nodes = {n for pair in edges for n in pair}
         return {
-            "artists": {a for a in graph.artists if a in nodes},
-            "venues": {v for v in graph.venues if v in nodes},
+            "artists": {a for a in graph.artist_order if a in nodes},
+            "venues": {v for v in graph.venue_order if v in nodes},
             "edges": set(edges),
         }
 
@@ -497,7 +497,7 @@ class TestRecursiveCoreFilter:
         # single edge with count 5 must survive k=5 despite degree 1
         g = build_graph([("a", "v", 2010)] * 5)
         kept = recursive_core_filter(g, k=5)
-        assert ("a", "v") in kept.edges
+        assert ("a", "v") in edges_of(kept)
 
     def test_cascade_removal(self):
         # a2 depends on v2 which depends on a2: both fall once a2 drops
@@ -505,8 +505,8 @@ class TestRecursiveCoreFilter:
         events += [("a2", "v2", 2010)] * 3
         g = build_graph(events)
         kept = recursive_core_filter(g, k=5)
-        assert kept.artists == {"a1"}
-        assert kept.venues == {"v1"}
+        assert kept.artist_order == ("a1",)
+        assert kept.venue_order == ("v1",)
 
     def test_matches_brute_force_on_random_graphs(self):
         import numpy as np
@@ -524,9 +524,9 @@ class TestRecursiveCoreFilter:
             k = int(rng.integers(2, 8))
             kept = recursive_core_filter(g, k=k)
             want = self._brute_force(g, k)
-            assert kept.artists == want["artists"]
-            assert kept.venues == want["venues"]
-            assert set(kept.edges) == want["edges"]
+            assert set(kept.artist_order) == want["artists"]
+            assert set(kept.venue_order) == want["venues"]
+            assert set(edges_of(kept)) == want["edges"]
 
     def test_everything_survives_when_threshold_met(self):
         g = build_graph([("a", "v", 2010)] * 7)

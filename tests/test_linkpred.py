@@ -7,12 +7,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import id_pairs, make_corpus, pair_codes
+from conftest import edges_of, id_pairs, make_corpus, make_graph, pair_codes
 from oracles import cn_oracle, jaccard_oracle, pa_oracle, random_bipartite
 
 from gigmine import linkpred
 from gigmine.errors import GigmineError
-from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph
+from gigmine.graph import BipartiteGraph, build_graph
 from gigmine.ingest import parse_corpus
 from gigmine.linkpred import (
     HEURISTICS,
@@ -44,7 +44,7 @@ class TestHeuristics:
         assert heuristics_of(g, "a1", "v2") == (0, 0.0, 1)
 
     def test_isolated_node_jaccard_is_zero_not_nan(self):
-        g = BipartiteGraph({"a", "b"}, {"v"}, {("a", "v"): EdgeInfo(1, 2010)})
+        g = make_graph([("a", "v", 1, 2010)], artists=["b"])
         assert heuristics_of(g, "b", "v") == (0, 0.0, 0)
 
     def test_matches_brute_force_on_random_graphs(self):
@@ -56,7 +56,7 @@ class TestHeuristics:
                 int(rng.integers(3, 15)),
                 float(rng.uniform(0.1, 0.4)),
             )
-            edge_pairs = list(g.edges)
+            edge_pairs = list(edges_of(g))
             rows = rng.integers(len(g.artist_order), size=10)
             cols = rng.integers(len(g.venue_order), size=10)
             got = linkpred.heuristic_scores(g, rows, cols)
@@ -101,7 +101,8 @@ class TestHeuristics:
     @pytest.mark.parametrize("cells", [5, 3 * 13])
     def test_blocked_counts_match_brute_force(self, cells):
         g = random_bipartite(np.random.default_rng(cells), 13, 9, 0.25)
-        g = BipartiteGraph([*g.artist_order, "lone"], [*g.venue_order, "empty"], g.edges)
+        rows = [(a, v, *info) for (a, v), info in edges_of(g).items()]
+        g = make_graph(rows, [*g.artist_order, "lone"], [*g.venue_order, "empty"])
         n_a, n_v = len(g.artist_order), len(g.venue_order)
         rows, cols = np.divmod(np.arange(n_a * n_v), n_v)
         real, blocks = linkpred._hop_block, []
@@ -114,7 +115,7 @@ class TestHeuristics:
                 mock.patch.object(linkpred, "_hop_block", spy):
             got = linkpred.heuristic_scores(g, rows, cols)
         assert blocks.count(n_a) > 2 and blocks.count(n_v) > 2
-        edge_pairs = list(g.edges)
+        edge_pairs = list(edges_of(g))
         pairs = g.id_pairs(rows, cols)
         assert got["common_neighbors"].tolist() == [cn_oracle(edge_pairs, a, v) for a, v in pairs]
         assert got["jaccard"].tolist() == [jaccard_oracle(edge_pairs, a, v) for a, v in pairs]
@@ -127,7 +128,8 @@ class TestHeuristics:
     @pytest.mark.parametrize("gather", [1, 7])
     def test_gathers_split_by_degree_match_brute_force(self, gather):
         g = random_bipartite(np.random.default_rng(gather), 13, 9, 0.25)
-        g = BipartiteGraph([*g.artist_order, "lone"], [*g.venue_order, "empty"], g.edges)
+        rows = [(a, v, *info) for (a, v), info in edges_of(g).items()]
+        g = make_graph(rows, [*g.artist_order, "lone"], [*g.venue_order, "empty"])
         n_a, n_v = len(g.artist_order), len(g.venue_order)
         rows, cols = np.divmod(np.arange(n_a * n_v), n_v)
         real, bounded = linkpred._spans, []
@@ -142,7 +144,7 @@ class TestHeuristics:
                 mock.patch.object(linkpred, "_spans", spy):
             got = linkpred.heuristic_scores(g, rows, cols)
         assert len(bounded) > 4 * n_a and all(bounded)
-        edge_pairs = list(g.edges)
+        edge_pairs = list(edges_of(g))
         pairs = g.id_pairs(rows, cols)
         assert got["common_neighbors"].tolist() == [cn_oracle(edge_pairs, a, v) for a, v in pairs]
         assert got["jaccard"].tolist() == [jaccard_oracle(edge_pairs, a, v) for a, v in pairs]
@@ -162,11 +164,11 @@ class TestRandomSplit:
         assert len(hidden) == round(0.25 * g.n_edges)
         # every node stays, so codes over train and over g agree
         hidden = set(id_pairs(g, hidden))
-        assert set(train.edges) | hidden == set(g.edges)
-        assert set(train.edges) & hidden == set()
+        assert set(edges_of(train)) | hidden == set(edges_of(g))
+        assert set(edges_of(train)) & hidden == set()
         # nodes stay, including those left isolated
-        assert train.artists == g.artists
-        assert train.venues == g.venues
+        assert train.artist_order == g.artist_order
+        assert train.venue_order == g.venue_order
 
     def test_same_seed_same_split(self):
         rng = np.random.default_rng(4)
@@ -220,17 +222,16 @@ class TestTemporalSplit:
         years = manifest["train_end_year"], manifest["test_years"]
         split = make_temporal_split(corpus, *years, core_k=5)
         g = split.train_graph
-        for info in g.edges.values():
-            assert info.first_year <= manifest["train_end_year"]
-        for node in g.artists | g.venues:
-            assert g.event_count(node) >= 5
+        assert (g.first_year <= manifest["train_end_year"]).all()
+        for side, order in ((g.row, g.artist_order), (g.col, g.venue_order)):
+            assert (np.bincount(side, weights=g.count, minlength=len(order)) >= 5).all()
 
     def test_known_training_edges_never_test_pairs(self, synth_corpus):
         corpus, manifest = synth_corpus
         years = manifest["train_end_year"], manifest["test_years"]
         split = make_temporal_split(corpus, *years)
         for pair in id_pairs(split.train_graph, split.test_pairs):
-            assert pair not in split.train_graph.edges
+            assert pair not in edges_of(split.train_graph)
 
     def test_empty_sides_raise(self, synth_corpus):
         corpus, _ = synth_corpus
@@ -256,11 +257,11 @@ class TestSvdScores:
         for i in range(10):
             for j in range(10):
                 if (i, j) != (3, 4):  # hide one block edge
-                    edges[(f"a{i}", f"v{j}")] = EdgeInfo(1, 2010)
+                    edges[(f"a{i}", f"v{j}")] = (1, 2010)
         for _ in range(20):  # sparse background noise outside the block
             i, j = rng.integers(10, 20, 2)
-            edges[(f"a{i}", f"v{j}")] = EdgeInfo(1, 2010)
-        g = BipartiteGraph(set(artists), set(venues), edges)
+            edges[(f"a{i}", f"v{j}")] = (1, 2010)
+        g = make_graph([(a, v, *info) for (a, v), info in edges.items()], artists, venues)
         pairs = [("a3", "v4"), ("a0", "v15"), ("a15", "v0")]
         (block, row_bg, col_bg), _ = score_svd(g, pair_codes(g, pairs), k=3, seed=0)
         assert block > row_bg
@@ -303,10 +304,10 @@ class TestSvdScores:
         # relabel ids in a way that preserves sort order on both sides
         ren_a = {a: f"x{a}" for a in g.artist_order}
         ren_v = {v: f"y{v}" for v in g.venue_order}
-        g2 = BipartiteGraph(
-            set(ren_a.values()),
-            set(ren_v.values()),
-            {(ren_a[a], ren_v[v]): info for (a, v), info in g.edges.items()},
+        g2 = make_graph(
+            [(ren_a[a], ren_v[v], *info) for (a, v), info in edges_of(g).items()],
+            ren_a.values(),
+            ren_v.values(),
         )
         # the orders are preserved, so the same codes name the relabeled pairs
         t2, _ = score_svd(g2, non_edges, k=3, seed=0)
@@ -378,12 +379,13 @@ class TestNegativeSampling:
     def test_excludes_edges_and_extras(self):
         rng = np.random.default_rng(11)
         g = random_bipartite(rng, 10, 10, 0.3)
-        extra = [0] if ("a0", "v0") not in g.edges else []
+        edges = edges_of(g)
+        extra = [0] if ("a0", "v0") not in edges else []
         negs = sample_negative_pairs(g, 20, exclude=extra, seed=0)
         assert len(negs) == 20
         assert len(set(negs.tolist())) == 20
         for p in id_pairs(g, negs):
-            assert p not in g.edges
+            assert p not in edges
             assert p != ("a0", "v0")
 
     def test_seeded_determinism(self):

@@ -23,8 +23,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from conftest import EVENT_HEADER, LABEL_HEADER, RELEASE_HEADER, id_pairs, make_corpus, sequences_of
+from conftest import (
+    EVENT_HEADER, LABEL_HEADER, RELEASE_HEADER, edges_of, id_pairs, make_corpus, make_graph,
+    sequences_of,
+)
 from oracles import (
+    assert_neighborhoods_match,
     cn_oracle,
     dense_birank_oracle,
     jaccard_oracle,
@@ -39,7 +43,7 @@ from oracles import (
 from gigmine import graph, ingest, linkpred
 from gigmine.birank import SeedScores, birank, temporal_weights
 from gigmine.embeddings import _draw_noise, _noise_table, _scatter_rows, sample_walks
-from gigmine.graph import BipartiteGraph, EdgeInfo, build_graph, rank_rows
+from gigmine.graph import build_graph, rank_rows
 from gigmine.errors import CorpusFormatError
 from gigmine.ingest import filter_min_activity, parse_corpus, recursive_core_filter
 from gigmine.labeling import NEVER
@@ -105,7 +109,8 @@ def walk_graphs(draw):
     g = random_bipartite(rng, draw(st.integers(1, 6)), draw(st.integers(1, 6)),
                          draw(st.sampled_from([0.0, 0.2, 0.5, 1.0])))
     # an isolated artist and venue besides any the draw leaves
-    return BipartiteGraph([*g.artist_order, "lone"], [*g.venue_order, "empty"], g.edges)
+    rows = [(a, v, *info) for (a, v), info in edges_of(g).items()]
+    return make_graph(rows, [*g.artist_order, "lone"], [*g.venue_order, "empty"])
 
 
 @PROPERTY
@@ -113,7 +118,7 @@ def walk_graphs(draw):
 def test_walks_step_along_edges_in_node_order(g, walks_per_node, length, seed):
     walks = sample_walks(g, walks_per_node=walks_per_node, length=length, seed=seed)
     nodes = [*g.artist_order, *g.venue_order]  # node n_a + j is venue j
-    n_a, edge_pairs = len(g.artist_order), set(g.edges)
+    n_a, edge_pairs = len(g.artist_order), set(edges_of(g))
     assert [w[0] for w in walks] == [k for k in range(len(nodes)) for _ in range(walks_per_node)]
     assert walks.shape == (len(nodes) * walks_per_node, length + 1)
     for row in walks.tolist():
@@ -162,17 +167,17 @@ def graphs(draw, max_nodes=8):
     n_a = draw(st.integers(1, max_nodes))
     n_v = draw(st.integers(1, max_nodes))
     cells = draw(st.sets(st.tuples(st.integers(0, n_a - 1), st.integers(0, n_v - 1))))
-    edges = {
-        (f"a{i}", f"v{j}"): EdgeInfo(draw(st.integers(1, 4)), draw(st.integers(2008, 2017)))
+    edges = [
+        (f"a{i}", f"v{j}", draw(st.integers(1, 4)), draw(st.integers(2008, 2017)))
         for i, j in sorted(cells)
-    }
-    return BipartiteGraph([f"a{i}" for i in range(n_a)], [f"v{j}" for j in range(n_v)], edges)
+    ]
+    return make_graph(edges, [f"a{i}" for i in range(n_a)], [f"v{j}" for j in range(n_v)])
 
 
 @PROPERTY
 @given(graphs(), st.sampled_from([1, 7, 1 << 22]))
 def test_batch_heuristics_match_oracles(g, chunk_cells):
-    edge_pairs = list(g.edges)
+    edge_pairs = list(edges_of(g))
     candidates = np.setdiff1d(
         np.arange(len(g.artist_order) * len(g.venue_order)), edge_codes(g)
     )
@@ -233,10 +238,7 @@ def test_sorted_code_sets_match_unique_and_isin(codes, table):
 @PROPERTY
 @given(graphs())
 def test_neighborhood_views_match_oracles(g):
-    edge_pairs = list(g.edges)
-    for node in g.artist_order + g.venue_order:
-        assert g.neighbors(node) == neighbors_of(edge_pairs, node)
-        assert g.degree(node) == len(neighbors_of(edge_pairs, node))
+    assert_neighborhoods_match(g)
 
 
 @PROPERTY
@@ -256,8 +258,8 @@ def test_birank_matches_dense_fixed_point(g, data):
     seeds = SeedScores(u0, p0)
     tw = temporal_weights(g, delta=delta, ref_year=2017)
     weights = {
-        pair: w * g.edges[pair].count if count_scaled else w
-        for pair, w in zip(g.id_pairs(g.row, g.col), tw.values.tolist())
+        pair: w * count if count_scaled else w
+        for pair, w, count in zip(g.id_pairs(g.row, g.col), tw.values.tolist(), g.count.tolist())
     }
 
     # each step contracts toward the fixed point by alpha * beta <= 0.9025, so
@@ -338,10 +340,10 @@ def test_build_graph_matches_brute_force(events):
         count, first = want.get((a, v), (0, year))
         want[(a, v)] = (count + 1, min(first, year))
     g = build_graph(events)
-    assert {p: (e.count, e.first_year) for p, e in g.edges.items()} == want
+    assert edges_of(g) == want
     assert g.artist_order == tuple(sorted({a for a, _ in want}, key=str))
     assert g.venue_order == tuple(sorted({v for _, v in want}, key=str))
-    assert g == BipartiteGraph(g.artists, g.venues, g.edges)
+    assert g == make_graph([(a, v, *info) for (a, v), info in want.items()])
 
 
 # (bound, pool of values) per kind of column: a small bound with heavy ties,
@@ -402,7 +404,7 @@ def test_rank_rows_reranks_a_partial_key_past_2_63():
 
 def _peel(g, k, order):
     """Remove one node below k events at a time, scanning nodes in ``order``."""
-    edges = dict(g.edges)
+    edges = edges_of(g)
     alive = set(order)
     removed = True
     while removed:
@@ -410,7 +412,7 @@ def _peel(g, k, order):
         for node in order:
             if node not in alive:
                 continue
-            events = sum(e.count for pair, e in edges.items() if node in pair)
+            events = sum(count for pair, (count, _) in edges.items() if node in pair)
             if events < k:
                 alive.discard(node)
                 edges = {pair: e for pair, e in edges.items() if node not in pair}
@@ -425,8 +427,8 @@ def test_core_filter_matches_random_order_peel(g, k, rnd):
     rnd.shuffle(order)
     alive, edges = _peel(g, k, order)
     kept = recursive_core_filter(g, k=k)
-    assert kept.artists | kept.venues == alive
-    assert kept.edges == edges
+    assert set(kept.artist_order + kept.venue_order) == alive
+    assert edges_of(kept) == edges
 
 
 DAY0 = dt.date(2010, 1, 1).toordinal()

@@ -362,6 +362,9 @@ class TestSplits:
         assert all(f.dtype == np.asarray([], dtype=int).dtype for f in folds)
 
 
+EMPTIED_CLASS = "leaves a class with no test or no training artists: 10 positives, 40 negatives"
+
+
 class TestRunTask1:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -439,6 +442,12 @@ class TestRunTask1:
         ({"test_fraction": 1.0}, r"test_fraction must lie in \(0, 1\), got 1.0"),
         ({"test_fraction": 1.5}, r"test_fraction must lie in \(0, 1\), got 1.5"),
         ({"test_fraction": float("nan")}, r"test_fraction must lie in \(0, 1\), got nan"),
+        # of the corpus's 10 positives and 40 negatives, 0.04 leaves the
+        # positives no test artist, 0.01 neither class, 0.97 the positives
+        # no training artist
+        ({"test_fraction": 0.04}, f"test_fraction 0.04 {EMPTIED_CLASS}"),
+        ({"test_fraction": 0.01}, f"test_fraction 0.01 {EMPTIED_CLASS}"),
+        ({"test_fraction": 0.97}, f"test_fraction 0.97 {EMPTIED_CLASS}"),
     ])
     def test_bad_split_parameters_fail_before_features(self, small_corpus, params, message):
         corpus, change_day = small_corpus

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy
 
+from gigmine.blas import blas_threads
 from gigmine.errors import GigmineError
 from gigmine.labeling import NEVER
 from gigmine.metrics import precision_recall_f1, roc_auc
@@ -174,28 +175,37 @@ def train_logreg(
 
     The loss history holds the objective at each accepted iterate (starting
     point included), so it is non-increasing; ``converged`` reports whether
-    the gradient dropped below tolerance within the iteration budget.
+    the gradient dropped below tolerance within the iteration budget. The
+    solver runs OpenBLAS on one thread (``blas.blas_threads``).
     """
     if C <= 0:
         raise GigmineError(f"regularization strength C must be positive, got {C}")
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.size:
         raise GigmineError(f"X has {X.shape[0]} rows but y has {y.size} labels")
-    x0 = np.zeros(X.shape[1] + 1)
-    history = [logreg_loss_grad(x0, X, y, C)[0]]
+    history = []
+
+    def loss_grad(params):
+        loss, grad = logreg_loss_grad(params, X, y, C)
+        if not history:  # the solver's first evaluation is at the starting point
+            history.append(loss)
+        return loss, grad
 
     def record(intermediate_result):
         history.append(intermediate_result.fun)
 
-    result = scipy.optimize.minimize(
-        logreg_loss_grad,
-        x0,
-        args=(X, y, C),
-        jac=True,
-        method="L-BFGS-B",
-        callback=record,
-        options={"maxiter": max_iter, "gtol": grad_tol, "ftol": 0.0},
-    )
+    # loads scipy's OpenBLAS, which blas_threads sets only once it is loaded
+    minimize = scipy.optimize.minimize
+    # one iteration's BLAS calls are too small to gain from more threads
+    with blas_threads(1):
+        result = minimize(
+            loss_grad,
+            np.zeros(X.shape[1] + 1),
+            jac=True,
+            method="L-BFGS-B",
+            callback=record,
+            options={"maxiter": max_iter, "gtol": grad_tol, "ftol": 0.0},
+        )
     return LogregModel(
         weights=result.x[:-1],
         intercept=float(result.x[-1]),
@@ -321,9 +331,12 @@ def run_task1(
     also names the solver of the split's final SVD fit and, over every
     logistic regression fitted in the split (tuning included), how many
     stopped short of convergence and the most iterations any took.
-    ``cv_folds`` must be at least 2, ``n_splits`` at least 1 and
-    ``test_fraction`` in (0, 1), leaving each class at least one test and
-    one training artist.
+    ``cv_folds`` must be at least 2 and at most the training artists of the
+    smaller class, ``n_splits`` at least 1 and ``test_fraction`` in (0, 1),
+    leaving each class at least one test and one training artist.
+    ``c_grid`` must hold at least one C, each finite and positive, and
+    every ``k_grid`` rank must be at least 1 (an empty ``k_grid`` means the
+    fold cap, as in ``_tune_C_k``).
     """
     if cv_folds < 2:
         raise GigmineError(f"cv_folds must be at least 2, got {cv_folds}")
@@ -331,6 +344,12 @@ def run_task1(
         raise GigmineError(f"n_splits must be at least 1, got {n_splits}")
     if not 0.0 < test_fraction < 1.0:  # NaN fails too
         raise GigmineError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    if len(c_grid) == 0 or not all(np.isfinite(C) and C > 0 for C in c_grid):
+        raise GigmineError(
+            f"c_grid must be a non-empty list of finite positive values, got {list(c_grid)}"
+        )
+    if any(k < 1 for k in k_grid):
+        raise GigmineError(f"k_grid ranks must be at least 1, got {list(k_grid)}")
     if len(change_day) != len(corpus.artist_order):
         raise GigmineError(
             f"{len(change_day)} change days for {len(corpus.artist_order)} corpus artists"
@@ -343,6 +362,14 @@ def run_task1(
         raise GigmineError(
             f"test_fraction {test_fraction} leaves a class with no test or no training artists: "
             f"{sizes[0]} positives, {sizes[1]} negatives"
+        )
+    # stratified_folds deals each class round-robin: a fold past the smaller
+    # class's training count would hold none of that class
+    n_train = min(n - round(test_fraction * n) for n in sizes)
+    if cv_folds > n_train:
+        raise GigmineError(
+            f"cv_folds {cv_folds} exceeds the {n_train} training artists of the smaller class "
+            f"at test_fraction {test_fraction}"
         )
     X = build_features(corpus, truncate_events(corpus, change_day), mode=mode)
     if not X.shape[1]:

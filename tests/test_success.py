@@ -11,6 +11,7 @@ from conftest import make_corpus
 from oracles import dense_svd_oracle
 
 from gigmine import success
+from gigmine.blas import blas_threads
 from gigmine.errors import GigmineError
 from gigmine.ingest import parse_corpus
 from gigmine.labeling import NEVER, label_corpus
@@ -308,6 +309,35 @@ class TestLogreg:
         with pytest.raises(GigmineError, match="rows"):
             train_logreg(X, y[:3])
 
+    def test_one_evaluation_at_the_starting_point(self):
+        # the first history entry is the solver's own first evaluation
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((40, 3))
+        y = (X[:, 0] > 0).astype(float)
+        starts = []
+
+        def counting(params, *args):
+            starts.append(not params.any())
+            return logreg_loss_grad(params, *args)
+
+        with mock.patch.object(success, "logreg_loss_grad", counting):
+            models = [train_logreg(X, y, C=C) for C in (0.1, 10.0)]
+        assert sum(starts) == 2
+        for model in models:
+            assert model.loss_history[0] == logreg_loss_grad(np.zeros(4), X, y, model.C)[0]
+
+    def test_fit_independent_of_blas_threads(self):
+        # 400 x 60 is above OpenBLAS's size for threading a matrix-vector product
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((400, 60))
+        y = (X[:, :3].sum(axis=1) + rng.standard_normal(400) > 0).astype(float)
+        one = train_logreg(X, y, C=1.0)
+        with blas_threads(2), mock.patch.object(success, "blas_threads", lambda n: blas_threads(2)):
+            two = train_logreg(X, y, C=1.0)
+        assert np.array_equal(one.weights, two.weights)
+        assert one.intercept == two.intercept
+        assert (one.loss_history, one.n_iter) == (two.loss_history, two.n_iter)
+
     def test_stronger_regularization_shrinks_weights(self):
         rng = np.random.default_rng(10)
         X = rng.standard_normal((50, 4))
@@ -448,6 +478,19 @@ class TestRunTask1:
         ({"test_fraction": 0.04}, f"test_fraction 0.04 {EMPTIED_CLASS}"),
         ({"test_fraction": 0.01}, f"test_fraction 0.01 {EMPTIED_CLASS}"),
         ({"test_fraction": 0.97}, f"test_fraction 0.97 {EMPTIED_CLASS}"),
+        ({"c_grid": []}, r"c_grid must be a non-empty list of finite positive values, got \[\]"),
+        ({"c_grid": [0.0]}, r"c_grid must be .* got \[0.0\]"),
+        ({"c_grid": [1.0, -1.0]}, r"c_grid must be .* got \[1.0, -1.0\]"),
+        ({"c_grid": [float("nan")]}, r"c_grid must be .* got \[nan\]"),
+        ({"c_grid": [float("inf")]}, r"c_grid must be .* got \[inf\]"),
+        ({"k_grid": [-5, 250]}, r"k_grid ranks must be at least 1, got \[-5, 250\]"),
+        ({"k_grid": [0]}, r"k_grid ranks must be at least 1, got \[0\]"),
+        # round-robin folds past a class's training count hold none of it:
+        # 10 - round(0.5 * 10) = 5 training positives, 10 - round(0.2 * 10) = 8
+        ({"test_fraction": 0.5, "cv_folds": 6},
+         "cv_folds 6 exceeds the 5 training artists of the smaller class at test_fraction 0.5"),
+        ({"test_fraction": 0.5, "cv_folds": 30}, "cv_folds 30 exceeds the 5 training artists"),
+        ({"cv_folds": 9}, "cv_folds 9 exceeds the 8 training artists"),
     ])
     def test_bad_split_parameters_fail_before_features(self, small_corpus, params, message):
         corpus, change_day = small_corpus
@@ -458,6 +501,34 @@ class TestRunTask1:
         with mock.patch.object(success, "build_features", never), \
                 pytest.raises(GigmineError, match=message):
             run_task1(corpus, change_day, **params)
+
+    def test_folds_up_to_the_smaller_class_accepted(self, small_corpus):
+        # 5 training positives make 5 folds of one positive each; an empty
+        # rank grid means the fold cap
+        corpus, change_day = small_corpus
+        report = run_task1(
+            corpus, change_day, n_splits=1, test_fraction=0.5, cv_folds=5,
+            c_grid=(1.0,), k_grid=(), seed=0,
+        )
+        assert [sel["svd_k"] for sel in report["selected"]] == [20]
+
+    def test_report_independent_of_blas_threads(self, tmp_path):
+        # large enough for OpenBLAS to thread the factorisations and products
+        generate(
+            GenSpec(n_artists=400, n_venues=150, years=(2008, 2016), seed=5,
+                    positive_fraction=0.2, min_events=6),
+            tmp_path,
+        )
+        corpus = parse_corpus(*(tmp_path / f for f in ("events.csv", "releases.csv", "labels.csv")))
+        change_day, _ = label_corpus(corpus)
+        reports = []
+        for n in (1, 2):
+            with blas_threads(n):
+                reports.append(run_task1(
+                    corpus, change_day, n_splits=1, test_fraction=0.5,
+                    c_grid=(0.1, 10.0), k_grid=(40, 80), seed=0,
+                ))
+        assert reports[0] == reports[1]
 
     def test_change_days_of_another_corpus_rejected(self, small_corpus):
         corpus, change_day = small_corpus

@@ -269,9 +269,9 @@ def cmd_stats(config: dict, out: Path) -> dict:
         "concerts": corpus.n_events,
         "artists": len(corpus.artist_order),
         "venues": len(corpus.venue_order),
-        "releases": len(corpus.releases),
-        "labels": len(corpus.labels.nodes),
-        "major_roots": len(corpus.labels.major_roots),
+        "releases": corpus.sizes()["releases"],
+        "labels": len(corpus.labels.ids),
+        "major_roots": int(np.count_nonzero(corpus.labels.major_root)),
         "edges": g.n_edges,
         "year_span": [lo, hi],
         "load": corpus.load_report.to_dict() if corpus.load_report else {},

@@ -33,6 +33,11 @@ Events are kept in (artist, day, event_id) order. Coordinates are validated
 but not stored. Filters are masks over the columns, and ``Corpus.select``
 keeps the masked events and drops the ids left without one.
 
+Release k is position k of the columns ``release_artist`` (index into
+``artist_order``, -1 for an artist without events), ``release_label`` (into
+``labels.ids``, -1 for a label missing from the table) and ``release_day``
+(``labeling.NEVER`` when undated). ``labels`` is a ``labeling.LabelTable``.
+
 Preprocessing follows the order: keep artists whose first recorded event is
 2007 or later, compute change days, then drop low-activity artists and
 venues. A separate recursive 5-event core filter is applied to link-prediction
@@ -57,8 +62,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gigmine.errors import CorpusFormatError, GigmineError
-from gigmine.graph import BipartiteGraph, _frozen, intern_ids, pack_rows, rank_rows
-from gigmine.labeling import LabelNode, LabelTree
+from gigmine.graph import BipartiteGraph, _frozen, _mask, intern_ids, pack_rows, rank_rows
+from gigmine.labeling import NEVER, LabelTable, check_change_day
 
 EVENT_HEADER = ["event_id", "artist_id", "venue_id", "date", "city", "state", "country", "lat", "lon", "popularity"]
 RELEASE_HEADER = ["artist_id", "label_id", "release_date"]
@@ -70,15 +75,6 @@ POST_PLATFORM_CUTOFF = dt.date(2007, 1, 1)
 _DATE = re.compile(r"([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?")
 _EPOCH = dt.date(1970, 1, 1).toordinal()
 _BLOCK = 1 << 20  # bytes of events.csv searched at a time for line ends and commas
-
-
-@dataclass(frozen=True, slots=True)
-class Release:
-    """One recording release by an artist on a label."""
-
-    artist_id: str
-    label_id: str
-    release_date: dt.date
 
 
 @dataclass(slots=True)
@@ -118,7 +114,7 @@ class LoadReport:
 
 
 class Corpus:
-    """Validated events as interned columns, plus releases and the label tree.
+    """Validated events and releases as interned columns, plus the label table.
 
     Build one from codes with ``from_codes`` (what ``parse_corpus`` calls),
     or cut one down with ``select``; see the module docstring for the
@@ -126,14 +122,15 @@ class Corpus:
     """
 
     def __init__(self, artist_order, venue_order, cities, artist, venue, day, city, event_ids,
-                 event, popularity, releases, labels, undated_releases=(), load_report=None):
+                 event, popularity, release_artist, release_label, release_day, labels,
+                 load_report=None):
         self.artist_order, self.venue_order, self.cities = artist_order, venue_order, cities
         self.artist, self.venue, self.day, self.city, self.event = map(
             _frozen, (artist, venue, day, city, event))
+        self.release_artist, self.release_label, self.release_day = map(
+            _frozen, (release_artist, release_label, release_day))
         self.event_ids = event_ids
         self.popularity = _frozen(popularity, dtype=float)
-        self.releases = tuple(releases)
-        self.undated_releases = tuple(undated_releases)
         self.labels = labels
         self.load_report = load_report
 
@@ -146,7 +143,7 @@ class Corpus:
         exactly the values used; ``event`` indexes the sorted ``event_ids``,
         an array of ``str`` or of their UTF-8 bytes (see ``event_id``).
         Events tying on (artist, day, event) keep their input order.
-        ``rest`` passes releases, labels, undated_releases and load_report.
+        ``rest`` passes the release columns, labels and load_report.
         """
         d0, d1 = (int(day.min()), int(day.max())) if day.size else (0, 0)
         columns = (artist, len(artist_order)), (day - d0, d1 - d0 + 1), (event, len(event_ids))
@@ -163,17 +160,18 @@ class Corpus:
         tuples (the rest keep their order and are renumbered), and the
         releases of dropped artists go with them.
         """
-        keep = np.asarray(keep, dtype=bool)
-        artist_order, artist = _used(self.artist_order, self.artist[keep])
-        venue_order, venue = _used(self.venue_order, self.venue[keep])
-        cities, city = _used(self.cities, self.city[keep])
-        kept = frozenset(artist_order)
+        keep = _mask("keep", keep, self.n_events)
+        artist_order, artist, renumber = _used(self.artist_order, self.artist[keep])
+        venue_order, venue, _ = _used(self.venue_order, self.venue[keep])
+        cities, city, _ = _used(self.cities, self.city[keep])
+        # an artist without events (-1) reads the appended -1
+        release_artist = np.append(renumber, -1)[self.release_artist]
+        rows = release_artist >= 0
         return Corpus(
             artist_order, venue_order, cities, artist, venue, self.day[keep], city,
             self.event_ids, self.event[keep], self.popularity[keep],
-            releases=[r for r in self.releases if r.artist_id in kept],
-            undated_releases=[(a, l) for a, l in self.undated_releases if a in kept],
-            labels=self.labels, load_report=self.load_report,
+            release_artist[rows], self.release_label[rows], self.release_day[rows],
+            self.labels, self.load_report,
         )
 
     @cached_property
@@ -215,7 +213,7 @@ class Corpus:
             "events": self.n_events,
             "artists": len(self.artist_order),
             "venues": len(self.venue_order),
-            "releases": len(self.releases),
+            "releases": int(np.count_nonzero(self.release_day < NEVER)),
         }
 
 
@@ -280,16 +278,19 @@ def _records(path, data: bytes, expected_header):
         raise
 
 
-def _parse_date(text: str) -> dt.date:
-    """``YYYY``, ``YYYY-MM`` or ``YYYY-MM-DD`` in ASCII digits, else ValueError.
+def _ordinal(text: str) -> int:
+    """The ordinal of a ``YYYY``, ``YYYY-MM`` or ``YYYY-MM-DD`` date in ASCII digits, else 0.
 
     A bare year or year-month stands for the first day of that period.
     """
     match = _DATE.fullmatch(text)
     if match is None:
-        raise ValueError(f"not YYYY, YYYY-MM or YYYY-MM-DD: {text!r}")
+        return 0
     year, month, day = match.groups()
-    return dt.date(int(year), int(month or 1), int(day or 1))
+    try:
+        return dt.date(int(year), int(month or 1), int(day or 1)).toordinal()
+    except ValueError:  # no such day, such as 2011-02-30
+        return 0
 
 
 def _parse_events(path, report: LoadReport) -> dict:
@@ -552,9 +553,9 @@ def _check_events(path, report: LoadReport, line, ragged, columns) -> dict:
         report.reject("events", path, line_no, reason)
 
     keep = passed[~repeat]
-    artist_order, artist = _used(art_v, art[keep])
-    venue_order, venue = _used(ven_v, ven[keep])
-    cities, city = _used(city_v, city[keep])
+    artist_order, artist, _ = _used(art_v, art[keep])
+    venue_order, venue, _ = _used(ven_v, ven[keep])
+    cities, city, _ = _used(city_v, city[keep])
     return dict(
         artist_order=artist_order, artist=artist, venue_order=venue_order, venue=venue,
         cities=cities, city=city, day=day[keep],
@@ -562,14 +563,6 @@ def _check_events(path, report: LoadReport, line, ragged, columns) -> dict:
         event_ids=eid_v if isinstance(eid_v, np.ndarray) else np.array(eid_v, dtype=object),
         event=eid[keep], popularity=pop_f[pop[keep]],
     )
-
-
-def _ordinal(text: str) -> int:
-    """The ordinal of a date, 0 when it does not parse."""
-    try:
-        return _parse_date(text).toordinal()
-    except ValueError:
-        return 0
 
 
 def _floats(values, blank_ok=False):
@@ -591,13 +584,17 @@ def _blank(values, codes) -> np.ndarray:
 
 
 def _used(values, codes):
-    """The values that ``codes`` use, in their order, and the codes renumbered to them."""
+    """The values that ``codes`` use, in their order, the codes renumbered to them,
+    and the map of every old code to its new one (-1 for a value left unused)."""
     used = np.bincount(codes, minlength=len(values)) > 0
-    return tuple(itertools.compress(values, used.tolist())), (np.cumsum(used) - 1)[codes]
+    renumber = np.where(used, np.cumsum(used) - 1, -1)
+    return tuple(itertools.compress(values, used.tolist())), renumber[codes], renumber
 
 
-def _parse_releases(path, report: LoadReport) -> tuple[list[Release], list[tuple[str, str]]]:
-    releases, undated = [], []
+def _parse_releases(path, report: LoadReport):
+    """The accepted rows of releases.csv: artist ids, label ids and day ordinals,
+    ``NEVER`` for an undated release (kept for the success label, never a change point)."""
+    artists, labels, days = [], [], array("q")
     reject = partial(report.reject, "releases", path)
     for line_no, row in _records(path, _read_bytes(path), RELEASE_HEADER):
         report.releases_total += 1
@@ -608,43 +605,51 @@ def _parse_releases(path, report: LoadReport) -> tuple[list[Release], list[tuple
         if not artist_id or not label_id:
             reject(line_no, "missing artist or label id")
             continue
-        if not date_s:
-            # kept for the success label, excluded from change-point dates
-            report.releases_undated += 1
-            undated.append((artist_id, label_id))
-            continue
-        try:
-            date = _parse_date(date_s)
-        except ValueError:
+        day = _ordinal(date_s) if date_s else NEVER
+        if not day:
             reject(line_no, f"unparseable release date {date_s!r}")
             continue
-        releases.append(Release(artist_id=artist_id, label_id=label_id, release_date=date))
-    return releases, undated
+        if day == NEVER:
+            report.releases_undated += 1
+        artists.append(artist_id)
+        labels.append(label_id)
+        days.append(day)
+    return artists, labels, np.frombuffer(days, dtype=np.int64)
 
 
-def _parse_labels(path, report: LoadReport) -> LabelTree:
-    nodes: dict[str, LabelNode] = {}
-    major_roots: set[str] = set()
+def _parse_labels(path, report: LoadReport) -> LabelTable:
+    """The accepted rows of labels.csv as a table; of rows repeating a label_id the first wins."""
+    first_line, parents, major = {}, [], []
     reject = partial(report.reject, "labels", path)
     for line_no, row in _records(path, _read_bytes(path), LABEL_HEADER):
         report.labels_total += 1
         if len(row) != len(LABEL_HEADER):
             reject(line_no, f"expected {len(LABEL_HEADER)} fields, got {len(row)}")
             continue
-        label_id, name, parent_id, major_s = row
+        label_id, _name, parent_id, major_s = row
         if not label_id:
             reject(line_no, "missing label id")
             continue
         if major_s not in ("0", "1"):
             reject(line_no, f"is_major_root must be 0 or 1, got {major_s!r}")
             continue
-        nodes[label_id] = LabelNode(name=name, parent=parent_id or None)
-        if major_s == "1":
-            major_roots.add(label_id)
-    for label_id, node in nodes.items():
-        if node.parent is not None and node.parent not in nodes:
-            report.labels_dangling_parent += 1
-    return LabelTree(nodes=nodes, major_roots=frozenset(major_roots))
+        if label_id in first_line:
+            reject(line_no, f"duplicate label_id {label_id!r}, first on line {first_line[label_id]}")
+            continue
+        first_line[label_id] = line_no
+        parents.append(parent_id)
+        major.append(major_s == "1")
+    ids = tuple(first_line)
+    parent = _index_of(ids, parents)
+    # a blank parent id is no parent; label ids are never blank
+    report.labels_dangling_parent += sum(1 for p, i in zip(parents, parent.tolist()) if p and i < 0)
+    return LabelTable(ids, _frozen(parent), _frozen(major, dtype=bool))
+
+
+def _index_of(order, ids) -> np.ndarray:
+    """Each id's position in the tuple ``order``, -1 for one not in it."""
+    index = dict(zip(order, range(len(order))))
+    return np.array([index.get(i, -1) for i in ids], dtype=np.int64)
 
 
 def _check_tolerance(path, rejected, total):
@@ -661,8 +666,8 @@ def parse_corpus(event_file, release_file, label_file) -> Corpus:
     Raises CorpusFormatError for an unreadable file, a header mismatch, a
     file where more than 10% of rows are malformed, or an id used both as an
     artist and as a venue. Individual malformed rows below that threshold,
-    including rows repeating an earlier event_id, are dropped and show up in
-    ``corpus.load_report``.
+    including rows repeating an earlier event_id or label_id, are dropped
+    and show up in ``corpus.load_report``.
     """
     report = LoadReport()
     events = _parse_events(event_file, report)
@@ -672,13 +677,14 @@ def parse_corpus(event_file, release_file, label_file) -> Corpus:
         raise CorpusFormatError(
             f"{event_file}: ids used as both artist and venue: {sorted(both_sides)[:5]}"
         )
-    releases, undated = _parse_releases(release_file, report)
+    release_artists, release_labels, release_day = _parse_releases(release_file, report)
     _check_tolerance(release_file, report.releases_rejected, report.releases_total)
     labels = _parse_labels(label_file, report)
     _check_tolerance(label_file, report.labels_rejected, report.labels_total)
     return Corpus.from_codes(
-        **events, releases=releases, labels=labels, undated_releases=undated,
-        load_report=report,
+        **events, release_artist=_index_of(events["artist_order"], release_artists),
+        release_label=_index_of(labels.ids, release_labels), release_day=release_day,
+        labels=labels, load_report=report,
     )
 
 
@@ -709,7 +715,10 @@ def filter_min_activity(
     below the threshold, so the filter iterates to a fixed point (set
     ``recursive=False`` for a single pass).
     """
-    before = True if change_day is None else corpus.day < change_day[corpus.artist]
+    before = True
+    if change_day is not None:
+        check_change_day(corpus, change_day)
+        before = corpus.day < change_day[corpus.artist]
     alive_a = np.ones(len(corpus.artist_order), dtype=bool)
     alive_v = np.ones(len(corpus.venue_order), dtype=bool)
     while True:

@@ -5,78 +5,68 @@ flagged as major; a label counts as major when its ancestor chain (including
 itself) reaches one of those roots. An artist is successful when it has a
 dated release on a major label, and its change point (change day, as a
 date ordinal) is the date of the earliest such release.
+
+The label table is held as arrays over its distinct ids (``LabelTable``)
+and the releases as int columns of the corpus (see ``gigmine.ingest``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
 
 import numpy as np
 
-from gigmine.errors import CycleError
+from gigmine.errors import CycleError, GigmineError
 
 NEVER = np.iinfo(np.int64).max  # the change day of an artist that never signs
 
 
-@dataclass(frozen=True, slots=True)
-class LabelNode:
-    name: str
-    parent: Optional[str] = None
-
-
 @dataclass(frozen=True)
-class LabelTree:
-    """All labels plus the set of roots flagged as major."""
+class LabelTable:
+    """The labels as arrays over ``ids``, the distinct label ids in file order.
 
-    nodes: Mapping[str, LabelNode]
-    major_roots: frozenset
-
-    def ancestor_chain(self, label_id: str) -> list[str]:
-        """The chain label, parent, grandparent, ... up to a root.
-
-        Raises CycleError when the parent pointers loop; the walk simply
-        stops at a parent id missing from the table.
-        """
-        chain = []
-        seen = set()
-        cur: Optional[str] = label_id
-        while cur is not None and cur in self.nodes:
-            if cur in seen:
-                cycle = chain[chain.index(cur):] + [cur]
-                raise CycleError(cycle)
-            seen.add(cur)
-            chain.append(cur)
-            cur = self.nodes[cur].parent
-        return chain
-
-
-def major_closure(tree: LabelTree) -> frozenset:
-    """All label ids that are a major root or a (transitive) subsidiary of one.
-
-    Raises CycleError if any parent chain in the table loops.
+    ``parent[i]`` is the index of label i's parent, -1 when it has none or
+    names a label missing from the table; ``major_root[i]`` says whether
+    label i is flagged as a major root.
     """
-    major: dict[str, bool] = {}
-    for label_id in tree.nodes:
-        if label_id in major:
-            continue
-        chain = tree.ancestor_chain(label_id)
-        # walk up to the first node with a cached verdict or a major root;
-        # everything strictly below shares that verdict, nodes above it do
-        # not (a major root's own parent is settled on its own turn)
-        stop, verdict = len(chain), False
-        for depth, node in enumerate(chain):
-            known = major.get(node)
-            if known is not None:
-                stop, verdict = depth, known
-                break
-            if node in tree.major_roots:
-                stop, verdict = depth + 1, True
-                break
-        for node in chain[:stop]:
-            major[node] = verdict
-    # ids flagged major but absent from the node table still belong to the closure
-    return frozenset(l for l, m in major.items() if m) | tree.major_roots
+
+    ids: tuple
+    parent: np.ndarray
+    major_root: np.ndarray
+
+
+def major_closure(labels: LabelTable) -> np.ndarray:
+    """Mask over ``labels.ids`` of the major roots and their (transitive) subsidiaries.
+
+    Pointer doubling: after round r, ``up`` is each label's ancestor 2**r
+    steps up (-1 past the root) and ``major`` says whether a major root lies
+    on the chain below it. A chain without a loop ends within n steps, so a
+    label whose ancestor past n steps still exists sits on or under a loop,
+    and CycleError names the loop reached from the first such label.
+    """
+    up, major = labels.parent, labels.major_root.copy()
+    for _ in range(len(up).bit_length()):  # until 2**rounds > n steps are covered
+        major |= (up >= 0) & major[up]
+        up = np.where(up >= 0, up[up], -1)
+    if (up >= 0).any():
+        raise CycleError(_loop(labels, int(np.flatnonzero(up >= 0)[0])))
+    return major
+
+
+def _loop(labels: LabelTable, start: int) -> list:
+    """The ids of the loop reached from label ``start``, its first id repeated at the end."""
+    chain, at = [], start
+    while at not in chain:
+        chain.append(at)
+        at = int(labels.parent[at])
+    return [labels.ids[i] for i in chain[chain.index(at):] + [at]]
+
+
+def check_change_day(corpus, change_day) -> None:
+    """GigmineError unless ``change_day`` holds one day per ``corpus.artist_order`` entry."""
+    n = len(corpus.artist_order)
+    if len(change_day) != n:
+        raise GigmineError(f"{len(change_day)} change days for {n} corpus artists")
 
 
 def label_corpus(corpus) -> tuple[np.ndarray, dict]:
@@ -86,27 +76,24 @@ def label_corpus(corpus) -> tuple[np.ndarray, dict]:
     artist's earliest dated release on a label in the major closure, or
     ``NEVER`` when it has none. An artist is successful exactly when its
     change day is not ``NEVER``. Artists whose only major-label releases
-    carry no date cannot anchor a change point; they are labeled negative
-    and counted in the stats.
+    carry no date (release day ``NEVER``) cannot anchor a change point; they
+    are labeled negative and counted in the stats.
     """
     major = major_closure(corpus.labels)
-    index = dict(zip(corpus.artist_order, range(len(corpus.artist_order))))
-    change_day = np.full(len(index), NEVER, dtype=np.int64)
-    signed = [(index[r.artist_id], r.release_date.toordinal()) for r in corpus.releases
-              if r.label_id in major and r.artist_id in index]
-    if signed:
-        artist, day = np.array(signed, dtype=np.int64).T
-        np.minimum.at(change_day, artist, day)
+    n = len(corpus.artist_order)
+    # a release on a label missing from the table (-1) reads the appended False
+    signs = np.append(major, False)[corpus.release_label] & (corpus.release_artist >= 0)
+    artist, day = corpus.release_artist[signs], corpus.release_day[signs]
+    change_day = np.full(n, NEVER, dtype=np.int64)
+    np.minimum.at(change_day, artist, day)
+    undated_major = np.zeros(n, dtype=bool)
+    undated_major[artist[day == NEVER]] = True
     n_pos = int(np.count_nonzero(change_day < NEVER))
-    only_undated = {
-        a for a, label_id in corpus.undated_releases
-        if label_id in major and a in index and change_day[index[a]] == NEVER
-    }
     stats = {
-        "artists": len(index),
+        "artists": n,
         "successful": n_pos,
-        "positive_rate": n_pos / len(index) if index else 0.0,
-        "major_labels": len(major),
-        "undated_major_only_artists": len(only_undated),
+        "positive_rate": n_pos / n if n else 0.0,
+        "major_labels": int(np.count_nonzero(major)),
+        "undated_major_only_artists": int(np.count_nonzero(undated_major & (change_day == NEVER))),
     }
     return change_day, stats

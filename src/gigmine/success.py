@@ -22,7 +22,7 @@ import scipy
 
 from gigmine.blas import blas_threads
 from gigmine.errors import GigmineError
-from gigmine.labeling import NEVER
+from gigmine.labeling import NEVER, check_change_day
 from gigmine.metrics import precision_recall_f1, roc_auc
 
 C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
@@ -38,6 +38,7 @@ def truncate_events(corpus, change_day: np.ndarray) -> np.ndarray:
     ``NEVER``) and only events dated strictly before the change day for
     successful ones.
     """
+    check_change_day(corpus, change_day)
     return corpus.day < change_day[corpus.artist]
 
 
@@ -350,10 +351,7 @@ def run_task1(
         )
     if any(k < 1 for k in k_grid):
         raise GigmineError(f"k_grid ranks must be at least 1, got {list(k_grid)}")
-    if len(change_day) != len(corpus.artist_order):
-        raise GigmineError(
-            f"{len(change_day)} change days for {len(corpus.artist_order)} corpus artists"
-        )
+    check_change_day(corpus, change_day)
     y = change_day < NEVER
     if not y.any() or y.all():
         raise GigmineError("forecasting needs both successful and unsuccessful artists")

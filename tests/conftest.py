@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gigmine.graph import BipartiteGraph, intern_ids
-from gigmine.ingest import Corpus, LabelTree
+from gigmine.ingest import Corpus
+from gigmine.labeling import LabelTable
 from gigmine.routes import CitySequence
 
 
@@ -80,6 +81,13 @@ def corpus_files(tmp_path):
     return _write
 
 
+# the Corpus.from_codes arguments of a corpus with no releases and an empty label table
+NO_RELEASES = dict(
+    release_artist=(), release_label=(), release_day=(),
+    labels=LabelTable((), np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)),
+)
+
+
 def make_corpus(events):
     """Corpus from (event_id, artist, venue, date[, city]) tuples.
 
@@ -101,7 +109,7 @@ def make_corpus(events):
     return Corpus.from_codes(
         artist_order, artist, venue_order, venue, cities, city,
         np.array(cols["day"], dtype=np.int64), np.array(event_ids, dtype=object), event,
-        np.full(len(events), np.nan), releases=(), labels=LabelTree({}, frozenset()),
+        np.full(len(events), np.nan), **NO_RELEASES,
     )
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from conftest import make_graph
 
+from gigmine.errors import CycleError
 from gigmine.graph import BipartiteGraph
 
 
@@ -271,3 +272,78 @@ def parse_events_reference(path):
                                float(pop_s) if pop_s else math.nan))
             line = reader.line_num + 1
     return sorted(events, key=lambda e: e[:3]), total, diagnostics
+
+
+# -- label hierarchy and success labels --------------------------------------------------
+
+
+def ancestor_chain(parents: dict, label_id) -> list:
+    """The chain label, parent, grandparent, ... up to a root.
+
+    ``parents`` maps each label id to its parent id (None for a root).
+    Raises CycleError when the parent pointers loop; the walk simply stops
+    at a parent id missing from the table.
+    """
+    chain = []
+    seen = set()
+    cur = label_id
+    while cur is not None and cur in parents:
+        if cur in seen:
+            cycle = chain[chain.index(cur):] + [cur]
+            raise CycleError(cycle)
+        seen.add(cur)
+        chain.append(cur)
+        cur = parents[cur]
+    return chain
+
+
+def major_closure(parents: dict, major_roots) -> frozenset:
+    """All label ids that are a major root or a (transitive) subsidiary of one.
+
+    Labels are visited in the order of ``parents``; raises CycleError, for
+    the first label whose parent chain loops, if any does.
+    """
+    major: dict = {}
+    for label_id in parents:
+        if label_id in major:
+            continue
+        chain = ancestor_chain(parents, label_id)
+        # walk up to the first node with a cached verdict or a major root;
+        # everything strictly below shares that verdict, nodes above it do
+        # not (a major root's own parent is settled on its own turn)
+        stop, verdict = len(chain), False
+        for depth, node in enumerate(chain):
+            known = major.get(node)
+            if known is not None:
+                stop, verdict = depth, known
+                break
+            if node in major_roots:
+                stop, verdict = depth + 1, True
+                break
+        for node in chain[:stop]:
+            major[node] = verdict
+    return frozenset(l for l, m in major.items() if m) | frozenset(major_roots)
+
+
+def label_reference(artist_order, releases, parents: dict, major_roots):
+    """Change days (a list over ``artist_order``) and labeling stats, id by id.
+
+    ``releases`` are (artist_id, label_id, date or None) triples; a release
+    of an artist not in ``artist_order`` labels no one.
+    """
+    major = major_closure(parents, major_roots)
+    change = {a: None for a in artist_order}
+    for artist_id, label_id, date in releases:
+        if artist_id in change and label_id in major and date is not None:
+            day = date.toordinal()
+            change[artist_id] = day if change[artist_id] is None else min(change[artist_id], day)
+    undated_only = {a for a, label_id, date in releases
+                    if a in change and label_id in major and date is None and change[a] is None}
+    n, n_pos = len(artist_order), sum(d is not None for d in change.values())
+    return [change[a] for a in artist_order], {
+        "artists": n,
+        "successful": n_pos,
+        "positive_rate": n_pos / n if n else 0.0,
+        "major_labels": len(major),
+        "undated_major_only_artists": len(undated_only),
+    }

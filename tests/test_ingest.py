@@ -6,10 +6,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import EVENT_HEADER, RELEASE_HEADER, edges_of, event_row, make_corpus, write_csv
+from conftest import (
+    EVENT_HEADER, NO_RELEASES, RELEASE_HEADER, edges_of, event_row, make_corpus, write_csv,
+)
 
 from gigmine import ingest
-from gigmine.errors import CorpusFormatError
+from gigmine.errors import CorpusFormatError, GigmineError
 from gigmine.graph import build_graph
 from gigmine.ingest import (
     Corpus,
@@ -18,7 +20,7 @@ from gigmine.ingest import (
     parse_corpus,
     recursive_core_filter,
 )
-from gigmine.labeling import NEVER, LabelTree
+from gigmine.labeling import NEVER, label_corpus
 from gigmine.synth import GenSpec, generate
 
 LABELS = [["maj", "Major", "", "1"], ["ind", "Indie", "", "0"]]
@@ -41,7 +43,10 @@ class TestParsing:
         assert c.artist_order == ("a1", "a2") and c.venue_order == ("v1", "v2")
         assert sorted(c.event_id[c.artist == c.artist_order.index("a1")]) == ["e1", "e2"]
         assert sorted(c.event_id[c.venue == c.venue_order.index("v1")]) == ["e1", "e3"]
-        assert [(r.artist_id, r.label_id) for r in c.releases] == [("a1", "maj")]
+        # the release columns index artist_order and the label table's ids
+        assert c.labels.ids == ("maj", "ind")
+        assert c.release_artist.tolist() == [0] and c.release_label.tolist() == [0]
+        assert c.release_day.tolist() == [dt.date(2011, 1, 1).toordinal()]
         by_artist = np.bincount(c.artist, minlength=len(c.artist_order))
         by_venue = np.bincount(c.venue, minlength=len(c.venue_order))
         assert by_artist.min() >= 1 and by_venue.min() >= 1
@@ -108,6 +113,32 @@ class TestParsing:
         with pytest.raises(CorpusFormatError, match="tolerance"):
             parse_corpus(*corpus_files(rows, [], LABELS))
 
+    def test_duplicate_label_id_rejected_naming_first_line(self, corpus_files):
+        fillers = [[f"f{i}", f"F{i}", "", "0"] for i in range(7)]
+        labels = [["lab", "Lab", "", "1"], ["lab", "Lab again", "other", "0"],
+                  ["other", "O", "", "0"], *fillers]
+        events = [event_row("e1", "a1", "v1", "2010-05-01")]
+        c = parse_corpus(*corpus_files(events, [["a1", "lab", "2012-01-01"]], labels))
+        assert c.load_report.labels_total == 10 and c.load_report.labels_rejected == 1
+        (diag,) = c.load_report.diagnostics
+        assert diag["line"] == 3 and diag["reason"] == "duplicate label_id 'lab', first on line 2"
+        # the first row wins: no parent, and a major root, so a1 signs
+        assert c.labels.ids == ("lab", "other", *(f"f{i}" for i in range(7)))
+        assert c.labels.parent.tolist()[:2] == [-1, -1]
+        assert c.labels.major_root.tolist()[:2] == [True, False]
+        assert label_corpus(c)[0].tolist() == [dt.date(2012, 1, 1).toordinal()]
+        # a repeat cannot flag a label as a major root either
+        labels[0][3], labels[1][3] = "0", "1"
+        c = parse_corpus(*corpus_files(events, [["a1", "lab", "2012-01-01"]], labels))
+        assert not c.labels.major_root.any()
+        assert label_corpus(c)[0].tolist() == [NEVER]
+
+    def test_duplicate_label_ids_count_toward_tolerance(self, corpus_files):
+        labels = [["lab", "Lab", "", "1"], ["lab", "Lab again", "other", "0"],
+                  ["other", "O", "", "0"]]
+        with pytest.raises(CorpusFormatError, match="labels.csv: 1/3 malformed rows"):
+            parse_corpus(*corpus_files([event_row("e1", "a1", "v1", "2010-05-01")], [], labels))
+
     def test_id_used_as_artist_and_venue_rejected(self, corpus_files):
         rows = [
             event_row("e1", "a1", "v1", "2010-05-01"),
@@ -132,8 +163,10 @@ class TestParsing:
             LABELS,
         )
         c = parse_corpus(*paths)
-        assert c.releases[0].release_date == dt.date(2013, 1, 1)
-        assert c.releases[1].release_date == dt.date(2013, 7, 1)
+        assert c.release_day.tolist() == [dt.date(2013, 1, 1).toordinal(),
+                                          dt.date(2013, 7, 1).toordinal()]
+        # a2 has no events
+        assert c.release_artist.tolist() == [0, -1]
 
     def test_undated_releases_kept_separately(self, corpus_files):
         paths = corpus_files(
@@ -142,8 +175,10 @@ class TestParsing:
             LABELS,
         )
         c = parse_corpus(*paths)
-        assert len(c.releases) == 1
-        assert c.undated_releases == (("a1", "maj"),)
+        # an undated release stays a row, with the day NEVER, and is not counted as dated
+        assert c.sizes()["releases"] == 1
+        assert c.release_day.tolist() == [NEVER, dt.date(2012, 1, 1).toordinal()]
+        assert c.release_label.tolist() == [0, 1]
         assert c.load_report.releases_undated == 1
         assert c.load_report.releases_rejected == 0
 
@@ -162,7 +197,7 @@ class TestParsing:
         rows += [event_row(f"x{i}", "a1", "v1", d) for i, d in enumerate(bad)]
         releases = [["a1", "maj", "2011"]] * 36 + [["a1", "maj", d] for d in bad]
         c = parse_corpus(*corpus_files(rows, releases, LABELS))
-        assert c.n_events == 36 and len(c.releases) == 36
+        assert c.n_events == 36 and c.sizes()["releases"] == len(c.release_day) == 36
         report = c.load_report
         assert report.events_rejected == report.releases_rejected == 4
         for file_name in ("events.csv", "releases.csv"):
@@ -382,12 +417,44 @@ def test_from_codes_keeps_tied_events_in_input_order():
         ("a0", "a1"), artist, tuple(f"v{i}" for i in range(n)), np.arange(n),
         (("NYC", "NY", "US"),), np.zeros(n, dtype=np.int64), day,
         np.array(["e0", "e1"], dtype=object), event, np.arange(n, dtype=float),
-        releases=(), labels=LabelTree({}, frozenset()),
+        **NO_RELEASES,
     )
     want = sorted(range(n), key=lambda i: (artist[i], day[i], event[i]))
     assert corpus.venue.tolist() == want
     assert corpus.popularity.tolist() == want
     assert corpus.day.tolist() == day[want].tolist()
+
+
+def test_select_takes_only_a_bool_mask_over_the_events():
+    c = make_corpus([("e1", "a1", "v1", dt.date(2010, 1, 1)),
+                     ("e2", "a2", "v1", dt.date(2010, 1, 2))])
+    for keep, got in (([0, 1], "int64 array of shape (2,)"),
+                      ([1], "int64 array of shape (1,)"),
+                      ([True], "bool array of shape (1,)")):
+        with pytest.raises(GigmineError) as exc:
+            c.select(np.array(keep))
+        assert str(exc.value) == f"keep must be a bool array of length 2, got {got}"
+    assert c.select(np.array([False, True])).artist_order == ("a2",)
+
+
+def test_select_renumbers_the_releases_of_kept_artists(corpus_files):
+    rows = [event_row(f"e{a}", a, "v1", "2010-01-01") for a in ("a1", "a2", "a3")]
+    releases = [["a3", "maj", "2012-01-01"], ["zz", "maj", "2011-01-01"],
+                ["a1", "ind", ""], ["a2", "nolabel", "2013-01-01"], ["a3", "ind", ""]]
+    c = parse_corpus(*corpus_files(rows, releases, LABELS))
+    assert c.release_artist.tolist() == [2, -1, 0, 1, 2]
+    assert c.release_label.tolist() == [0, 0, 1, -1, 1]
+    # a release of an artist without events counts until the first select
+    assert c.sizes()["releases"] == 3
+    kept = c.select(c.artist != 0)
+    assert kept.artist_order == ("a2", "a3")
+    assert kept.release_artist.tolist() == [1, 0, 1]
+    assert kept.release_label.tolist() == [0, -1, 1]
+    assert kept.release_day.tolist() == [dt.date(2012, 1, 1).toordinal(),
+                                         dt.date(2013, 1, 1).toordinal(), NEVER]
+    assert kept.sizes()["releases"] == 2
+    for column in (kept.release_artist, kept.release_label, kept.release_day):
+        assert not column.flags.writeable
 
 
 class TestPostPlatformFilter:
@@ -410,8 +477,13 @@ class TestPostPlatformFilter:
         paths = corpus_files(
             rows, [["old", "maj", "2010-01-01"], ["new", "maj", "2010-01-01"]], LABELS
         )
-        c = filter_post_2007(parse_corpus(*paths))
-        assert [r.artist_id for r in c.releases] == ["new"]
+        parsed = parse_corpus(*paths)
+        assert parsed.artist_order == ("new", "old")
+        assert parsed.release_artist.tolist() == [1, 0]
+        c = filter_post_2007(parsed)
+        # new keeps its release, renumbered to its index in the smaller order
+        assert c.artist_order == ("new",)
+        assert c.release_artist.tolist() == [0] and c.release_label.tolist() == [0]
 
 
 class TestMinActivityFilter:
@@ -433,6 +505,13 @@ class TestMinActivityFilter:
             c, threshold=10, change_day=np.array([dt.date(2011, 1, 1).toordinal()])
         )
         assert dropped.n_events == 0
+
+    def test_change_days_must_match_the_artists(self, corpus_files):
+        rows = [event_row(f"e{i}", a, "v1", "2010-01-01") for i, a in enumerate(["a1", "a2"] * 2)]
+        c = self._corpus(corpus_files, rows)
+        for n in (1, 3):
+            with pytest.raises(GigmineError, match=f"{n} change days for 2 corpus artists"):
+                filter_min_activity(c, threshold=2, change_day=np.full(n, NEVER))
 
     def test_venue_threshold_and_cascade(self, corpus_files):
         # v1 hosts 10 concerts by a1; v2 hosts 1 by a1 and 10 by a2;
@@ -463,7 +542,7 @@ class TestMinActivityFilter:
         # a3 survives the round but keeps no event, so it leaves the corpus
         # and its release goes with it
         assert one_pass.artist_order == ("a1", "a2")
-        assert [r.artist_id for r in one_pass.releases] == ["a1", "a2"]
+        assert one_pass.release_artist.tolist() == [0, 1]
         assert one_pass.sizes() == {"events": 15, "artists": 2, "venues": 1, "releases": 2}
         fixed = filter_min_activity(c, threshold=10, recursive=True)
         # recursively, losing v2 pulls a2 to 5 events -> dropped

@@ -7,72 +7,91 @@ from conftest import event_row
 
 from gigmine.errors import CycleError
 from gigmine.ingest import parse_corpus
-from gigmine.labeling import NEVER, LabelNode, LabelTree, label_corpus, major_closure
+from gigmine.labeling import NEVER, LabelTable, label_corpus, major_closure
 
 
-def tree(nodes, majors=()):
-    return LabelTree(
-        nodes={k: LabelNode(name=k, parent=p) for k, p in nodes.items()},
-        major_roots=frozenset(majors),
-    )
+def table(nodes, majors=()):
+    """LabelTable of {label id: parent id or None} in dict order; a parent not in ``nodes`` dangles."""
+    ids = tuple(nodes)
+    parent = [ids.index(p) if p in nodes else -1 for p in nodes.values()]
+    return LabelTable(ids, np.array(parent, dtype=np.int64),
+                      np.array([k in majors for k in ids], dtype=bool))
+
+
+def closure(t) -> set:
+    return {label_id for label_id, major in zip(t.ids, major_closure(t).tolist()) if major}
 
 
 class TestAncestorChain:
-    def test_walks_to_root(self):
-        t = tree({"leaf": "mid", "mid": "root", "root": None})
-        assert t.ancestor_chain("leaf") == ["leaf", "mid", "root"]
+    def test_walks_to_root(self, corpus_files):
+        labels = [["leaf", "Leaf", "mid", "0"], ["mid", "Mid", "root", "0"],
+                  ["root", "Root", "", "1"]]
+        t = parse_corpus(*corpus_files([event_row("e1", "a1", "v1", "2010-01-01")], [],
+                                       labels)).labels
+        assert t.ids == ("leaf", "mid", "root")
+        assert t.parent.tolist() == [1, 2, -1]
+        assert t.major_root.tolist() == [False, False, True]
+        assert major_closure(t).tolist() == [True, True, True]
 
-    def test_stops_at_missing_parent(self):
-        t = tree({"leaf": "ghost"})
-        assert t.ancestor_chain("leaf") == ["leaf"]
-
-    def test_unknown_start_is_empty(self):
-        t = tree({"a": None})
-        assert t.ancestor_chain("nope") == []
+    def test_stops_at_missing_parent(self, corpus_files):
+        labels = [["leaf", "Leaf", "ghost", "0"], ["ghost2", "G", "", "1"]]
+        c = parse_corpus(*corpus_files([event_row("e1", "a1", "v1", "2010-01-01")], [], labels))
+        assert c.labels.parent.tolist() == [-1, -1]
+        assert c.load_report.labels_dangling_parent == 1
+        assert major_closure(c.labels).tolist() == [False, True]
 
     def test_cycle_raises_and_names_the_loop(self):
-        t = tree({"a": "b", "b": "c", "c": "a"})
+        t = table({"x": "b", "a": "b", "b": "c", "c": "a"})
         with pytest.raises(CycleError) as exc:
-            t.ancestor_chain("a")
-        assert set(exc.value.cycle) == {"a", "b", "c"}
+            major_closure(t)
+        # the loop as the first label's chain enters it
+        assert exc.value.cycle == ["b", "c", "a", "b"]
+
+    def test_a_loop_through_every_label_is_found(self):
+        # pointer doubling must not stop before the rounds cover the table
+        for n in (1, 2, 3, 64, 65):
+            t = table({f"l{i}": f"l{(i + 1) % n}" for i in range(n)}, majors={"l0"})
+            with pytest.raises(CycleError) as exc:
+                major_closure(t)
+            assert exc.value.cycle == [f"l{i}" for i in range(n)] + ["l0"]
 
 
 class TestMajorClosure:
     def test_subsidiaries_inherit_major_status(self):
-        t = tree(
+        t = table(
             {"big": None, "sub": "big", "subsub": "sub", "indie": None, "ind2": "indie"},
             majors={"big"},
         )
-        assert major_closure(t) == {"big", "sub", "subsub"}
+        assert major_closure(t).dtype == bool
+        assert closure(t) == {"big", "sub", "subsub"}
 
     def test_major_root_parent_is_not_dragged_in(self):
         # the root's own parent must be judged on its own chain, not
         # blanket-marked when the root is found
-        t = tree({"holding": None, "big": "holding", "sub": "big"}, majors={"big"})
-        closure = major_closure(t)
-        assert "holding" not in closure
-        assert closure == {"big", "sub"}
+        t = table({"holding": None, "big": "holding", "sub": "big"}, majors={"big"})
+        assert closure(t) == {"big", "sub"}
 
     def test_deep_chain_and_memoization_agree(self):
         n = 200
         nodes = {f"l{i}": f"l{i + 1}" for i in range(n)}
         nodes[f"l{n}"] = None
-        t = tree(nodes, majors={f"l{n}"})
-        closure = major_closure(t)
-        assert closure == {f"l{i}" for i in range(n + 1)}
-
-    def test_flagged_roots_missing_from_table_still_count(self):
-        t = tree({"a": None}, majors={"phantom"})
-        assert "phantom" in major_closure(t)
+        t = table(nodes, majors={f"l{n}"})
+        assert closure(t) == {f"l{i}" for i in range(n + 1)}
+        # a root midway marks only the chain below it
+        t = table(nodes, majors={"l100"})
+        assert closure(t) == {f"l{i}" for i in range(101)}
 
     def test_dangling_parent_breaks_the_chain(self):
-        t = tree({"sub": "ghost"}, majors={"big"})
-        assert major_closure(t) == {"big"}
+        t = table({"sub": "ghost", "big": None}, majors={"big"})
+        assert closure(t) == {"big"}
 
     def test_cycle_raises(self):
-        t = tree({"a": "b", "b": "a"}, majors={"m"})
+        t = table({"m": None, "a": "b", "b": "a"}, majors={"m"})
         with pytest.raises(CycleError):
             major_closure(t)
+
+    def test_empty_table(self):
+        assert major_closure(table({})).tolist() == []
 
 
 class TestChangePoint:
@@ -161,3 +180,11 @@ class TestLabelCorpus:
             "a1": NEVER, "a2": dt.date(2012, 6, 1).toordinal(), "a3": NEVER,
         }
         assert stats["successful"] == 1
+
+    def test_releases_on_labels_missing_from_the_table_sign_no_one(self, corpus_files):
+        c = self._corpus(corpus_files, [["a1", "gone", "2012-06-01"], ["a3", "gone", ""]])
+        assert c.release_label.tolist() == [-1, -1]
+        change_day, stats = label_corpus(c)
+        assert change_day.tolist() == [NEVER] * 3
+        assert stats["successful"] == stats["undated_major_only_artists"] == 0
+        assert stats["major_labels"] == 2

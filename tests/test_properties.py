@@ -1,10 +1,10 @@
 """Property tests of the graph arrays, the packed-key row ranking, the batch
 link scores, the walk sampler, the ROC AUC and its midranks, the sorted code
 sets, the link-prediction AUC, the BiRank fixed point, the min-activity
-filter, route mining and the events.csv parse.
+filter, route mining, the events.csv parse and the success labels.
 
-Random small graphs (isolated nodes included), corpora, city sequences and
-event files are checked against the brute-force references in
+Random small graphs (isolated nodes included), corpora, city sequences,
+event files and label tables are checked against the brute-force references in
 ``oracles.py`` and against plain-dict and random-order reference
 computations written out below.
 """
@@ -24,14 +24,16 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from conftest import (
-    EVENT_HEADER, LABEL_HEADER, RELEASE_HEADER, edges_of, id_pairs, make_corpus, make_graph,
-    sequences_of,
+    EVENT_HEADER, LABEL_HEADER, RELEASE_HEADER, edges_of, event_row, id_pairs, make_corpus,
+    make_graph, sequences_of, write_csv,
 )
 from oracles import (
     assert_neighborhoods_match,
     cn_oracle,
     dense_birank_oracle,
     jaccard_oracle,
+    label_reference,
+    major_closure as major_closure_reference,
     neighbors_of,
     pa_oracle,
     parse_events_reference,
@@ -44,9 +46,9 @@ from gigmine import graph, ingest, linkpred
 from gigmine.birank import SeedScores, birank, temporal_weights
 from gigmine.embeddings import _draw_noise, _noise_table, _scatter_rows, sample_walks
 from gigmine.graph import build_graph, rank_rows
-from gigmine.errors import CorpusFormatError
+from gigmine.errors import CorpusFormatError, CycleError
 from gigmine.ingest import filter_min_activity, parse_corpus, recursive_core_filter
-from gigmine.labeling import NEVER
+from gigmine.labeling import NEVER, label_corpus, major_closure
 from gigmine.linkpred import HEURISTICS, build_score_tables, edge_codes, evaluate_linkpred
 from gigmine.metrics import _midranks, roc_auc
 from gigmine.routes import CitySequence, mine_routes
@@ -623,3 +625,55 @@ def test_parse_corpus_matches_the_row_by_row_reference(files):
             assert [c.cities[i] for i in c.city.tolist()] == city
             assert c.day.tolist() == day and c.event_id.tolist() == event_id
             assert np.array_equal(c.popularity, np.array(popularity, dtype=float), equal_nan=True)
+
+
+@st.composite
+def label_corpora(draw):
+    """A labels.csv table, release triples, artists with events and the artists a select keeps.
+
+    A label's parent is none, a label missing from the table or any label in
+    it (itself included, so loops occur, and a major root may sit under a
+    label that is not one); releases name artists without events (``zz``)
+    and labels missing from the table, and about a third carry no date.
+    """
+    ids = draw(st.permutations([f"l{i}" for i in range(draw(st.integers(0, 7)))]))
+    parent = st.one_of(st.just(""), st.just("ghost"), *([st.sampled_from(ids)] if ids else []))
+    labels = [[i, i.upper(), draw(parent), draw(st.sampled_from("01"))] for i in ids]
+    artists = ["a0", "a1", "a2", "a3"]
+    dates = st.one_of(st.none(), st.dates(dt.date(2012, 1, 1), dt.date(2012, 1, 9)))
+    releases = draw(st.lists(st.tuples(st.sampled_from(artists + ["zz"]),
+                                       st.sampled_from(ids + ["unknown"]), dates), max_size=12))
+    with_events = draw(st.lists(st.sampled_from(artists), min_size=1, unique=True))
+    return labels, releases, with_events, draw(st.lists(st.sampled_from(with_events), unique=True))
+
+
+@PROPERTY
+@given(label_corpora())
+def test_labeling_matches_the_id_by_id_reference(case):
+    labels, releases, with_events, kept = case
+    parents = {label_id: parent or None for label_id, _, parent, _ in labels}
+    roots = {label_id for label_id, *_, flag in labels if flag == "1"}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / name for name in ("events.csv", "releases.csv", "labels.csv")]
+        write_csv(paths[0], EVENT_HEADER,
+                  [event_row(f"e{i}", a, "v0", "2010-01-01") for i, a in enumerate(with_events)])
+        write_csv(paths[1], RELEASE_HEADER,
+                  [[a, l, d.isoformat() if d else ""] for a, l, d in releases])
+        write_csv(paths[2], LABEL_HEADER, labels)
+        c = parse_corpus(*paths)
+    try:
+        want = major_closure_reference(parents, roots)
+    except CycleError as exc:
+        # the same loop, reached from the same first label of the table
+        for labeling in (lambda: major_closure(c.labels), lambda: label_corpus(c)):
+            with pytest.raises(CycleError) as got:
+                labeling()
+            assert got.value.cycle == exc.cycle
+        return
+    assert {l for l, m in zip(c.labels.ids, major_closure(c.labels).tolist()) if m} == want
+    keep = np.array([c.artist_order[i] in kept for i in c.artist.tolist()], dtype=bool)
+    for corpus in (c, c.select(keep)):
+        days, stats = label_reference(corpus.artist_order, releases, parents, roots)
+        change_day, got = label_corpus(corpus)
+        assert change_day.tolist() == [NEVER if d is None else d for d in days]
+        assert got == stats

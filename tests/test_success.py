@@ -62,6 +62,13 @@ class TestTruncation:
         assert truncate_events(c, np.array([NEVER])).tolist() == [True, True]
 
 
+    def test_change_days_must_match_the_artists(self):
+        c = corpus_of(("a", "v", D(2012, 1, 1)), ("b", "v", D(2012, 1, 1)))
+        for n in (1, 3):
+            with pytest.raises(GigmineError, match=f"{n} change days for 2 corpus artists"):
+                truncate_events(c, np.full(n, NEVER))
+
+
 class TestBuildFeatures:
     CORPUS = corpus_of(
         ("a1", "v1", D(2010, 1, 1)),

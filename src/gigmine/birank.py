@@ -55,8 +55,6 @@ class TemporalWeights:
 
     graph: BipartiteGraph
     values: np.ndarray
-    delta: float
-    ref_year: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,9 +120,7 @@ def temporal_weights(
     # delta ** age on Python ints
     ages, age_of_edge = np.unique(ref_year - g.first_year, return_inverse=True)
     decay = np.array([delta ** age for age in ages.tolist()], dtype=float)
-    return TemporalWeights(
-        graph=g, values=decay[age_of_edge], delta=delta, ref_year=ref_year
-    )
+    return TemporalWeights(graph=g, values=decay[age_of_edge])
 
 
 def birank(

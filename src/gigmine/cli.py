@@ -47,11 +47,9 @@ class UsageError(Exception):
 
 
 def _plain(value):
-    """``value`` as the JSON config holds it: tuples as lists, sets sorted, dates in ISO form."""
+    """``value`` as the JSON config holds it: tuples as lists, dates in ISO form."""
     if isinstance(value, tuple):
         return list(value)
-    if isinstance(value, frozenset):
-        return sorted(value)
     if isinstance(value, dt.date):
         return value.isoformat()
     return value
@@ -251,7 +249,7 @@ def cmd_ingest(config: dict, out: Path) -> dict:
     corpus, _change_day, info = _load_preprocessed(config)
     payload = {
         "report": "ingest",
-        "load": corpus.load_report.to_dict() if corpus.load_report else {},
+        "load": corpus.load_report.to_dict(),
         **info,
         "final": corpus.sizes(),
     }
@@ -274,7 +272,7 @@ def cmd_stats(config: dict, out: Path) -> dict:
         "major_roots": int(np.count_nonzero(corpus.labels.major_root)),
         "edges": g.n_edges,
         "year_span": [lo, hi],
-        "load": corpus.load_report.to_dict() if corpus.load_report else {},
+        "load": corpus.load_report.to_dict(),
     }
     _write_json(out / "stats-report.json", _report(config, payload))
     return payload

@@ -34,8 +34,9 @@ import scipy
 from gigmine.errors import GigmineError
 
 
-def _frozen(values, dtype=np.int64) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+def _frozen(values, dtype=np.int64, copy=True) -> np.ndarray:
+    """``values`` as a read-only array; ``copy=False`` freezes an array of ``dtype`` in place."""
+    out = (np.array if copy else np.asarray)(values, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -169,6 +170,12 @@ def intern_ids(ids: Sequence, key=str) -> tuple[tuple, np.ndarray]:
     order = tuple(sorted(index, key=key))
     index.update(zip(order, range(len(order))))
     return order, np.array([index[x] for x in ids], dtype=np.int64)
+
+
+def index_of(order: Sequence, ids: Sequence) -> np.ndarray:
+    """Each of ``ids``' position in ``order``, -1 for an id not in it."""
+    index = dict(zip(order, range(len(order))))
+    return np.array([index.get(x, -1) for x in ids], dtype=np.int64)
 
 
 _KEY_SPAN = 1 << 63  # packed keys are int64, so each stays below this

@@ -9,7 +9,10 @@ The corpus lives in three CSV files (UTF-8, RFC 4180 quoting):
 Dates are ``YYYY``, ``YYYY-MM`` or ``YYYY-MM-DD`` in ASCII digits. Malformed
 rows are rejected with diagnostics naming the physical line where the record
 starts; a file whose malformed fraction exceeds 10% fails hard, as does a
-missing or wrong header or a byte that is not UTF-8.
+missing or wrong header or a byte that is not UTF-8. Each file's UTF-8 is
+checked once, whole, when it is read (``_read_bytes``): the bytes that split
+a CSV (comma, quote, CR, LF) never occur inside a multi-byte character, so
+every field cut from a valid file is valid, and no later step checks again.
 
 ``events.csv`` has two splitters. A file with a ``"`` or NUL byte, or a CR
 that does not end a line as part of CRLF, goes through ``csv.reader``, and
@@ -62,7 +65,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gigmine.errors import CorpusFormatError, GigmineError
-from gigmine.graph import BipartiteGraph, _frozen, _mask, intern_ids, pack_rows, rank_rows
+from gigmine.graph import BipartiteGraph, _frozen, _mask, index_of, intern_ids, pack_rows, rank_rows
 from gigmine.labeling import NEVER, LabelTable, check_change_day
 
 EVENT_HEADER = ["event_id", "artist_id", "venue_id", "date", "city", "state", "country", "lat", "lon", "popularity"]
@@ -118,19 +121,22 @@ class Corpus:
 
     Build one from codes with ``from_codes`` (what ``parse_corpus`` calls),
     or cut one down with ``select``; see the module docstring for the
-    columns. The column arrays are read-only.
+    columns. The column arrays are read-only: an int64 (float for
+    ``popularity``) array given for a column is made so in place, not
+    copied, so the caller passes arrays it no longer writes.
     """
 
     def __init__(self, artist_order, venue_order, cities, artist, venue, day, city, event_ids,
                  event, popularity, release_artist, release_label, release_day, labels,
                  load_report=None):
+        freeze = partial(_frozen, copy=False)
         self.artist_order, self.venue_order, self.cities = artist_order, venue_order, cities
         self.artist, self.venue, self.day, self.city, self.event = map(
-            _frozen, (artist, venue, day, city, event))
+            freeze, (artist, venue, day, city, event))
         self.release_artist, self.release_label, self.release_day = map(
-            _frozen, (release_artist, release_label, release_day))
+            freeze, (release_artist, release_label, release_day))
         self.event_ids = event_ids
-        self.popularity = _frozen(popularity, dtype=float)
+        self.popularity = freeze(popularity, dtype=float)
         self.labels = labels
         self.load_report = load_report
 
@@ -143,7 +149,8 @@ class Corpus:
         exactly the values used; ``event`` indexes the sorted ``event_ids``,
         an array of ``str`` or of their UTF-8 bytes (see ``event_id``).
         Events tying on (artist, day, event) keep their input order.
-        ``rest`` passes the release columns, labels and load_report.
+        ``rest`` passes the release columns (taken as ``Corpus`` takes
+        them), labels and load_report.
         """
         d0, d1 = (int(day.min()), int(day.max())) if day.size else (0, 0)
         columns = (artist, len(artist_order)), (day - d0, d1 - d0 + 1), (event, len(event_ids))
@@ -184,15 +191,15 @@ class Corpus:
         """
         ids = self.event_ids.tolist()
         if ids and isinstance(ids[0], bytes):
-            # the splitter checked each id is UTF-8 and cut none at a newline
+            # the file was checked to be UTF-8 when read, and no id holds a newline
             ids = b"\n".join(ids).decode("utf-8").split("\n")
-        return _frozen(np.array(ids, dtype=object)[self.event], dtype=object)
+        return _frozen(np.array(ids, dtype=object)[self.event], dtype=object, copy=False)
 
     @cached_property
     def year(self) -> np.ndarray:
         """Calendar year of each event."""
         days = (self.day - _EPOCH).astype("datetime64[D]")
-        return _frozen(days.astype("datetime64[Y]").astype(np.int64) + 1970)
+        return _frozen(days.astype("datetime64[Y]").astype(np.int64) + 1970, copy=False)
 
     @cached_property
     def artist_indptr(self) -> np.ndarray:
@@ -217,35 +224,50 @@ class Corpus:
         }
 
 
-def _read_bytes(path) -> bytes:
-    """The bytes of a corpus file, without a leading UTF-8 BOM."""
+def _read_bytes(path, expected_header) -> bytes:
+    """The bytes of a corpus file, without a leading UTF-8 BOM, checked to be UTF-8.
+
+    An ASCII file needs no decoding. Any other file is decoded ``_BLOCK``
+    bytes at a time and the text dropped, so no ``str`` the size of the
+    file is formed; a character cut at a block's end is held back for the
+    next block.
+    """
     try:
         # unbuffered, so reading past a BOM costs no copy of the file
         with open(path, "rb", buffering=0) as fh:
             if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
                 fh.seek(0)
-            return fh.read()
+            data = fh.read()
     except OSError as exc:
         raise CorpusFormatError(f"cannot read {path}: {exc}") from exc
+    if data.isascii():
+        return data
+    decoder, view = codecs.getincrementaldecoder("utf-8")(), memoryview(data)
+    for lo in range(0, len(data), _BLOCK):
+        held = len(decoder.getstate()[0])
+        try:
+            decoder.decode(view[lo:lo + _BLOCK], final=lo + _BLOCK >= len(data))
+        except UnicodeDecodeError as exc:
+            _not_utf8(path, data, lo - held + exc.start, exc.reason, expected_header)
+    return data
 
 
-def _decode(path, data: bytes, expected_header=None) -> str:
-    """``data`` as UTF-8, else CorpusFormatError naming the line of the first bad byte.
+def _not_utf8(path, data: bytes, at: int, reason: str, expected_header):
+    """Raise CorpusFormatError naming the line of ``data[at]``, the first byte that is not UTF-8.
 
-    Given the ``expected_header`` of the CSV file ``data``, a header that
-    ends before that line and is wrong fails as a header mismatch instead,
-    as it does when the header is checked first.
+    A header that ends before that line and is not ``expected_header``
+    fails as a header mismatch instead, as it does when the header is
+    checked first.
     """
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head, reason = data[:exc.start], exc.reason
+    head = data[:at]
     line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-    if expected_header is not None:
-        reader = csv.reader(io.StringIO(head.decode("utf-8"), newline=""))
+    reader = csv.reader(io.StringIO(head.decode("utf-8"), newline=""))
+    try:
         header = next(reader, None)
-        if header is not None and reader.line_num < line:
-            _check_header(path, header, expected_header)
+    except csv.Error:  # such as a field past the size limit: no header of ours
+        header = None
+    if header is not None and reader.line_num < line:
+        _check_header(path, header, expected_header)
     raise CorpusFormatError(f"{path}: line {line}: not UTF-8 ({reason})")
 
 
@@ -260,8 +282,8 @@ def _records(path, data: bytes, expected_header):
     """Yield (line, row) for each record of a CSV file after checking its header.
 
     ``line`` is the physical line where the record starts: a quoted field
-    may hold line breaks, so one record can span several lines. The text is
-    decoded as it is read, not held whole beside ``data``.
+    may hold line breaks, so one record can span several lines. ``data`` is
+    UTF-8 (``_read_bytes``), decoded as it is read, not held whole beside it.
     """
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     line = 1
@@ -273,9 +295,6 @@ def _records(path, data: bytes, expected_header):
             line = reader.line_num + 1
     except csv.Error as exc:
         raise CorpusFormatError(f"{path}: line {line}: {exc}") from None
-    except UnicodeDecodeError:
-        _decode(path, data, expected_header)
-        raise
 
 
 def _ordinal(text: str) -> int:
@@ -301,7 +320,7 @@ def _parse_events(path, report: LoadReport) -> dict:
 
 def _split_events(path):
     """Split events.csv into what ``_check_events`` takes."""
-    data = _read_bytes(path)
+    data = _read_bytes(path, EVENT_HEADER)
     # quotes and lone CRs are csv.reader's to read, and numpy's NUL-padded
     # cells would drop NUL bytes; CRLF line ends split in numpy as LF ones do
     plain = b'"' not in data and b"\0" not in data and (
@@ -362,7 +381,7 @@ def _byte_columns(path, data: bytes):
         _check_header(path, None, EVENT_HEADER)
     # a line's last field stops before the CR of a CRLF
     stops = ends - (buf[np.maximum(ends, 1) - 1] == ord("\r"))
-    header = _decode(path, data[:stops[0]])
+    header = data[:stops[0]].decode("utf-8")
     _check_header(path, header.split(",") if header else [], EVENT_HEADER)
 
     lo, hi = ends[:-1] + 1, stops[1:]
@@ -373,7 +392,6 @@ def _byte_columns(path, data: bytes):
     line = np.arange(2, lo.size + 2, dtype=offset)
     good = n_fields == len(EVENT_HEADER)
     ragged = list(zip(line[~good].tolist(), n_fields[~good].tolist()))
-    _decode_pieces(path, data, [data[a:b] for a, b in zip(lo[~good].tolist(), hi[~good].tolist())])
     if not good.all():  # copied only when a record is dropped
         lo, hi, first, line = lo[good], hi[good], first[good], line[good]
     last = len(EVENT_HEADER) - 1
@@ -382,10 +400,8 @@ def _byte_columns(path, data: bytes):
     for a, b in ((0, 0), (1, 1), (2, 2), (3, 3), (4, 6), (7, 7), (8, 8), (9, 9)):
         start = lo if a == 0 else commas[first + (a - 1)] + 1
         values, codes = _unique_fields(buf, start, hi if b == last else commas[first + b])
-        if a == 0:  # event ids stay bytes until read (Corpus.event_id)
-            _check_utf8(path, data, values)
-        else:
-            values = _decode_pieces(path, data, values.tolist())
+        if a != 0:  # event ids stay bytes until read (Corpus.event_id)
+            values = _decode_pieces(values.tolist())
         columns.append((values, codes))
     keys, codes = columns[4]
     cities, rank = intern_ids([tuple(k.split(",")) for k in keys], key=None)
@@ -470,37 +486,9 @@ def _word_columns(buf, start, width, n_words):
         yield (col.view(np.int64), top + 1) if top < 1 << 63 else (col, 1 << 64)
 
 
-def _check_utf8(path, data: bytes, values) -> None:
-    """CorpusFormatError unless every value ``_unique_fields`` returned is UTF-8.
-
-    Each NUL-padded cell is checked with a newline after it, so a field
-    that fills its cell cannot end in the middle of a character that the
-    next cell completes; no ``str`` is kept.
-    """
-    if values.dtype == object:  # the bytes objects of a wide column
-        _decode_pieces(path, data, values.tolist())
-        return
-    cells = values.view(np.uint8).reshape(values.size, values.itemsize)
-    lines = np.hstack([cells, np.full((values.size, 1), ord("\n"), dtype=np.uint8)])
-    try:
-        str(lines, "utf-8")
-    except UnicodeDecodeError:
-        _decode(path, data)
-        raise
-
-
-def _decode_pieces(path, data: bytes, pieces: list) -> list[str]:
-    """Byte strings cut from ``data`` at commas and line ends, decoded as UTF-8.
-
-    The cuts fall on ASCII bytes, so a bad piece holds a bad byte of the
-    file, and the error names the line of the file's first bad byte.
-    """
-    try:
-        text = b"\n".join(pieces).decode("utf-8")
-    except UnicodeDecodeError:
-        _decode(path, data)
-        raise
-    return text.split("\n") if pieces else []
+def _decode_pieces(pieces: list) -> list[str]:
+    """Fields cut from a UTF-8 file at commas and line ends, as ``str``, in one decode."""
+    return b"\n".join(pieces).decode("utf-8").split("\n") if pieces else []
 
 
 def _check_events(path, report: LoadReport, line, ragged, columns) -> dict:
@@ -596,7 +584,7 @@ def _parse_releases(path, report: LoadReport):
     ``NEVER`` for an undated release (kept for the success label, never a change point)."""
     artists, labels, days = [], [], array("q")
     reject = partial(report.reject, "releases", path)
-    for line_no, row in _records(path, _read_bytes(path), RELEASE_HEADER):
+    for line_no, row in _records(path, _read_bytes(path, RELEASE_HEADER), RELEASE_HEADER):
         report.releases_total += 1
         if len(row) != len(RELEASE_HEADER):
             reject(line_no, f"expected {len(RELEASE_HEADER)} fields, got {len(row)}")
@@ -621,7 +609,7 @@ def _parse_labels(path, report: LoadReport) -> LabelTable:
     """The accepted rows of labels.csv as a table; of rows repeating a label_id the first wins."""
     first_line, parents, major = {}, [], []
     reject = partial(report.reject, "labels", path)
-    for line_no, row in _records(path, _read_bytes(path), LABEL_HEADER):
+    for line_no, row in _records(path, _read_bytes(path, LABEL_HEADER), LABEL_HEADER):
         report.labels_total += 1
         if len(row) != len(LABEL_HEADER):
             reject(line_no, f"expected {len(LABEL_HEADER)} fields, got {len(row)}")
@@ -640,16 +628,10 @@ def _parse_labels(path, report: LoadReport) -> LabelTable:
         parents.append(parent_id)
         major.append(major_s == "1")
     ids = tuple(first_line)
-    parent = _index_of(ids, parents)
+    parent = index_of(ids, parents)
     # a blank parent id is no parent; label ids are never blank
     report.labels_dangling_parent += sum(1 for p, i in zip(parents, parent.tolist()) if p and i < 0)
     return LabelTable(ids, _frozen(parent), _frozen(major, dtype=bool))
-
-
-def _index_of(order, ids) -> np.ndarray:
-    """Each id's position in the tuple ``order``, -1 for one not in it."""
-    index = dict(zip(order, range(len(order))))
-    return np.array([index.get(i, -1) for i in ids], dtype=np.int64)
 
 
 def _check_tolerance(path, rejected, total):
@@ -682,8 +664,8 @@ def parse_corpus(event_file, release_file, label_file) -> Corpus:
     labels = _parse_labels(label_file, report)
     _check_tolerance(label_file, report.labels_rejected, report.labels_total)
     return Corpus.from_codes(
-        **events, release_artist=_index_of(events["artist_order"], release_artists),
-        release_label=_index_of(labels.ids, release_labels), release_day=release_day,
+        **events, release_artist=index_of(events["artist_order"], release_artists),
+        release_label=index_of(labels.ids, release_labels), release_day=release_day,
         labels=labels, load_report=report,
     )
 

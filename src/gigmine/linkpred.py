@@ -34,13 +34,14 @@ from gigmine.embeddings import (
     WALKS_PER_NODE,
     WINDOW,
     _SCORE_BLOCK,
+    _check_positive,
     row_dots,
     sample_walks,
     score_embedding,
     train_embeddings,
 )
 from gigmine.errors import GigmineError
-from gigmine.graph import BipartiteGraph, build_graph
+from gigmine.graph import BipartiteGraph, build_graph, index_of
 from gigmine.ingest import recursive_core_filter
 from gigmine.metrics import roc_auc
 from gigmine.success import SVDReducer
@@ -104,12 +105,6 @@ def _checked(g: BipartiteGraph, pairs) -> np.ndarray:
     return pairs
 
 
-def _positions(order: tuple, ids: Sequence) -> np.ndarray:
-    """Index of each of ``ids`` in the tuple ``order``, -1 for an id not in it."""
-    index = dict(zip(order, range(len(order))))
-    return np.array([index.get(x, -1) for x in ids], dtype=np.int64)
-
-
 def make_temporal_split(
     corpus,
     train_end_year: int = TRAIN_END_YEAR,
@@ -141,8 +136,8 @@ def make_temporal_split(
     test = np.isin(corpus.year, test_years)
     n_v = len(corpus.venue_order)
     raw_pairs = _distinct(corpus.artist[test] * n_v + corpus.venue[test])
-    rows = _positions(graph.artist_order, corpus.artist_order)[raw_pairs // n_v]
-    cols = _positions(graph.venue_order, corpus.venue_order)[raw_pairs % n_v]
+    rows = index_of(graph.artist_order, corpus.artist_order)[raw_pairs // n_v]
+    cols = index_of(graph.venue_order, corpus.venue_order)[raw_pairs % n_v]
     seen = (rows >= 0) & (cols >= 0)
     surviving = rows[seen] * len(graph.venue_order) + cols[seen]
     new_pairs = np.sort(surviving[~_in_sorted(surviving, edge_codes(graph))])
@@ -489,12 +484,27 @@ def run_task2(
     The scoring passes are independent and run concurrently on up to
     ``min(passes, usable cores)`` threads; numpy and scipy release the GIL
     in their heavy steps. Each pass is seeded on its own, so the report does
-    not depend on the thread count.
+    not depend on the thread count. The parameters are checked before the
+    split, and ``svd_k`` against the training graph before any pass runs.
     """
+    if not predictors:
+        raise GigmineError("predictors must name at least one predictor")
+    for k, name in enumerate(predictors):
+        if name not in ALL_PREDICTORS:
+            raise GigmineError(f"unknown predictor: {name!r}")
+        if name in predictors[:k]:
+            raise GigmineError(f"predictor {name!r} is listed twice")
     if n_random_splits < 1:
         raise GigmineError(f"n_random_splits must be at least 1, got {n_random_splits}")
+    _check_positive(svd_k=svd_k, **embed_params)
     temporal = make_temporal_split(corpus, train_end_year, test_years, core_k=core_k)
     g = temporal.train_graph
+    # a random split keeps every node, so each pass's matrix has g's shape
+    if "svd" in predictors and svd_k > min(len(g.artist_order), len(g.venue_order)):
+        raise GigmineError(
+            f"svd_k {svd_k} exceeds the training graph's smaller side "
+            f"({len(g.artist_order)} artists, {len(g.venue_order)} venues)"
+        )
     _hidden_count(hidden_fraction, g.n_edges)  # fail before any pass runs
     if neg_multiple < 0 or neg_floor < 0 or neg_multiple == neg_floor == 0:
         raise GigmineError(

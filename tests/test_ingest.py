@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import io
 import tracemalloc
 from unittest import mock
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    EVENT_HEADER, NO_RELEASES, RELEASE_HEADER, edges_of, event_row, make_corpus, write_csv,
+    EVENT_HEADER, LABEL_HEADER, NO_RELEASES, RELEASE_HEADER, edges_of, event_row, make_corpus,
+    write_csv,
 )
 
 from gigmine import ingest
@@ -404,6 +406,115 @@ class TestParsing:
         assert at_first_cut[0] < 2.5 * size
         assert peak < 4.0 * size
 
+    def test_non_ascii_parse_peak_stays_near_the_file_size(self, tmp_path, monkeypatch):
+        # a character past U+00FF makes each str two bytes a character: a
+        # whole-file decode would hold twice the file beside its bytes,
+        # where the UTF-8 check decodes a block at a time
+        generate(GenSpec(n_artists=500, n_venues=300, seed=1), tmp_path)
+        path = tmp_path / "events.csv"
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            row[4] += "\u20ac"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        size = path.stat().st_size
+        monkeypatch.setattr(ingest, "_BLOCK", 1 << 16)
+        at_first_cut = []
+        real = ingest._unique_fields
+
+        def spy(*args):
+            at_first_cut.append(tracemalloc.get_traced_memory()[1])
+            return real(*args)
+
+        monkeypatch.setattr(ingest, "_unique_fields", spy)
+        tracemalloc.start()
+        try:
+            cities = ingest._parse_events(path, ingest.LoadReport())["cities"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(city.endswith("\u20ac") for city, _, _ in cities)
+        assert at_first_cut[0] < 2.5 * size
+        assert peak < 4.0 * size
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_a_character_cut_at_a_block_end_is_held_for_the_next(self, tmp_path, monkeypatch,
+                                                                 block):
+        # 2-, 3- and 4-byte characters in ids and cities, at every offset
+        # from a block's end; plain and all-quoted files take both splitters
+        chars = ["\u00e9", "\u20ac", "\U0001f600"]
+        rows = [event_row(f"e{'x' * i}{c}", f"a{c * i}", f"v{i % 2}", "2010-05-01",
+                          city=f"{c}{'y' * i}", country="\u00c5land")
+                for i in range(8) for c in chars]
+        releases = [[row[1], "maj", "2011"] for row in rows[3:6]]
+        labels = [["maj", "Maj\u00f6r \u20ac", "", "1"]]
+        for quoting, unused in ((csv.QUOTE_MINIMAL, "_csv_columns"),
+                                (csv.QUOTE_ALL, "_byte_columns")):
+            d = tmp_path / unused
+            d.mkdir()
+            with open(d / "events.csv", "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, lineterminator="\n", quoting=quoting).writerows(
+                    [EVENT_HEADER, *rows])
+            write_csv(d / "releases.csv", RELEASE_HEADER, releases)
+            write_csv(d / "labels.csv", LABEL_HEADER, labels)
+            paths = [d / "events.csv", d / "releases.csv", d / "labels.csv"]
+            want = parse_corpus(*paths)
+            with monkeypatch.context() as patch:
+                patch.setattr(ingest, "_BLOCK", block)
+                patch.setattr(ingest, unused, mock.Mock(side_effect=AssertionError(unused)))
+                got = parse_corpus(*paths)
+            assert got.load_report.to_dict() == want.load_report.to_dict()
+            assert (got.artist_order, got.venue_order, got.cities, got.labels.ids) == (
+                want.artist_order, want.venue_order, want.cities, want.labels.ids)
+            assert got.event_id.tolist() == want.event_id.tolist()
+            for col in ("artist", "venue", "day", "city", "release_artist", "release_label"):
+                assert np.array_equal(getattr(got, col), getattr(want, col))
+            assert sorted(got.event_id.tolist()) == sorted(row[0] for row in rows)
+            assert [got.artist_order[i] for i in got.release_artist.tolist()] == [
+                "a\u00e9", "a\u20ac", "a\U0001f600"]
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("block", [1, 3, 1 << 20])
+    @pytest.mark.parametrize("after", [b"", b"\ne6,a1,v1,2010-05-01,NYC,NY,US,40.7,-74.0,\n"],
+                             ids=["at_the_end", "before_a_line_end"])
+    def test_a_lone_lead_byte_names_its_line(self, corpus_files, monkeypatch, quoted, block,
+                                             after):
+        # the lead byte ends the file (no final newline), or a line end cuts
+        # its character; with one-byte blocks the decoder holds it back when
+        # the next block brings the error
+        rows = [event_row(f"e{i}", "a1", "v1", "2010-05-01") for i in range(5)]
+        paths = corpus_files([], [], LABELS)
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n",
+                   quoting=csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL).writerows(
+            [EVENT_HEADER, *rows])
+        paths[0].write_bytes(out.getvalue().encode("utf-8") + b"e5,a1,v1,2010-05-01,NYC,NY,US,"
+                             b"40.7,-74.0,\xc3" + after)
+        monkeypatch.setattr(ingest, "_BLOCK", block)
+        with pytest.raises(CorpusFormatError, match="events.csv: line 7: not UTF-8"):
+            parse_corpus(*paths)
+
+    def test_a_header_field_past_the_csv_field_limit_before_a_bad_byte(self, corpus_files):
+        # the bad byte is found before any record is read, so the file
+        # fails as not UTF-8, not on the over-long field
+        paths = corpus_files([], [], LABELS)
+        paths[0].write_bytes(b"event_id," + b"a" * (csv.field_size_limit() + 1) + b"\ne1,\xff\n")
+        with pytest.raises(CorpusFormatError, match="events.csv: line 2: not UTF-8"):
+            parse_corpus(*paths)
+
+    def test_a_quoted_field_past_the_csv_field_limit_names_its_line(self, corpus_files):
+        rows = [event_row(f"e{i}", "a1", "v1", "2010-05-01") for i in range(3)]
+        rows[1][4] = "N" * (csv.field_size_limit() + 1)
+        paths = corpus_files([], [], LABELS)
+        with open(paths[0], "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(
+                [EVENT_HEADER, *rows])
+        with pytest.raises(CorpusFormatError) as exc:
+            parse_corpus(*paths)
+        assert str(exc.value) == (
+            f"{paths[0]}: line 3: field larger than field limit ({csv.field_size_limit()})")
+
 
 def test_from_codes_keeps_tied_events_in_input_order():
     # events tying on (artist, day, event) keep their input order, which
@@ -435,6 +546,30 @@ def test_select_takes_only_a_bool_mask_over_the_events():
             c.select(np.array(keep))
         assert str(exc.value) == f"keep must be a bool array of length 2, got {got}"
     assert c.select(np.array([False, True])).artist_order == ("a2",)
+
+
+def test_a_select_peaks_near_what_it_keeps():
+    # the columns a select cuts by mask are fresh arrays, frozen in place:
+    # a copy of each would double the peak
+    rng = np.random.default_rng(0)
+    n, n_artists, n_venues = 50_000, 500, 300
+    corpus = Corpus.from_codes(
+        tuple(f"a{i}" for i in range(n_artists)), rng.integers(0, n_artists, n),
+        tuple(f"v{i}" for i in range(n_venues)), rng.integers(0, n_venues, n),
+        (("NYC", "NY", "US"),), np.zeros(n, dtype=np.int64), 730_000 + rng.integers(0, 3000, n),
+        np.array([f"e{i}" for i in range(n)], dtype=object), np.arange(n), np.full(n, np.nan),
+        **NO_RELEASES,
+    )
+    keep = rng.random(n) < 0.9
+    tracemalloc.start()
+    try:
+        kept = corpus.select(keep)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept.n_events == np.count_nonzero(keep)
+    assert held > 6 * 8 * kept.n_events  # six columns of 8 bytes an event
+    assert peak < 1.25 * held
 
 
 def test_select_renumbers_the_releases_of_kept_artists(corpus_files):

@@ -482,6 +482,22 @@ class TestRunTask2:
             with pytest.raises(GigmineError, match=f"{param} must be at least 1, got 0"):
                 run_task2(corpus, predictors=("embedding",), **years, **{key: 0})
 
+    @pytest.mark.parametrize("params, error", [
+        ({"predictors": []}, "predictors must name at least one predictor"),
+        ({"predictors": ["common_neighbors", "bogus"]}, "unknown predictor: 'bogus'"),
+        ({"predictors": ["svd", "svd"]}, "predictor 'svd' is listed twice"),
+        ({"svd_k": 0}, "svd_k must be at least 1, got 0"),
+        ({"walks_per_node": 0}, "walks_per_node must be at least 1, got 0"),
+        ({"embed_dim": -1}, "embed_dim must be at least 1, got -1"),
+    ])
+    def test_rejects_bad_predictors_and_model_sizes_before_the_split(self, params, error):
+        corpus = make_corpus([("e1", "a1", "v1", dt.date(2014, 5, 1))])
+        split = mock.Mock(side_effect=AssertionError("split"))
+        with mock.patch.object(linkpred, "make_temporal_split", split):
+            with pytest.raises(GigmineError) as exc:
+                run_task2(corpus, **params)
+        assert str(exc.value) == error
+
     def test_rejects_fewer_than_one_random_split(self):
         corpus = make_corpus([("e1", "a1", "v1", dt.date(2014, 5, 1))])
         for n in (0, -1):
@@ -523,6 +539,18 @@ class TestScoringPool:
             )
         assert asked == [self.N_SPLITS + 1]
         return report
+
+    def test_an_svd_k_past_the_training_graph_fails_before_any_pass(self, corpus_and_split):
+        corpus, years = corpus_and_split
+        train = linkpred.make_temporal_split(corpus, **years).train_graph
+        n_a, n_v = len(train.artist_order), len(train.venue_order)
+        score = mock.Mock(side_effect=AssertionError("a pass ran"))
+        with mock.patch.object(linkpred, "build_score_tables", score):
+            with pytest.raises(GigmineError) as exc:
+                run_task2(corpus, **years, svd_k=min(n_a, n_v) + 1)
+        assert str(exc.value) == (
+            f"svd_k {min(n_a, n_v) + 1} exceeds the training graph's smaller side "
+            f"({n_a} artists, {n_v} venues)")
 
     def test_report_independent_of_worker_count(self, corpus_and_split):
         serial = self.run(corpus_and_split, 1)

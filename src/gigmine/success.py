@@ -286,27 +286,34 @@ def _tune_C(cv, c_grid, threshold, fits):
 
 
 def _tune_C_k(cv, c_grid, k_grid, threshold, seed, fits):
-    """Joint (C, k) grid search sharing one SVD per fold.
+    """Joint (C, k) grid search, one fold at a time.
 
     The candidate ranks are the grid's at or below the smallest fold cap,
-    min(rows, columns) of a fold's fit rows, or that cap if none is. The
-    rank-k basis for a smaller k is a prefix of the larger one from the
-    same fit, so each fold is factored once at the largest candidate.
-    Every fitted model is appended to ``fits``.
+    min(rows, columns) of a fold's fit rows, or that cap if none is. Each
+    fold is factored once, at the largest candidate: the rank-k basis for a
+    smaller k is a prefix of that fit's. A fold's basis and projections are
+    freed before the next fold is factored, so only the held-out F1s
+    outlive their fold. The pick is the first best mean F1 in (k, C) order,
+    each mean taken over the folds in fold order. Every fitted model is
+    appended to ``fits``.
     """
     cap = min(min(x_fit.shape) for x_fit, *_ in cv)
     ks = [k for k in sorted(k_grid) if k <= cap] or [cap]
-    reducers = [SVDReducer(ks[-1], seed=seed).fit(x_fit) for x_fit, *_ in cv]
-    best, best_f1 = None, -1.0
-    for k in ks:
-        reduced = []
-        for (x_fit, y_fit, x_out, y_out), reducer in zip(cv, reducers):
-            Vk = reducer.components_[:, :k]
-            reduced.append((x_fit @ Vk, y_fit, x_out @ Vk, y_out))
-        C, mean_f1 = _tune_C(reduced, c_grid, threshold, fits)
-        if mean_f1 > best_f1:
-            best, best_f1 = (C, k), mean_f1
-    return best, best_f1
+    f1s = {(C, k): [] for k in ks for C in c_grid}  # held-out F1 of each fold
+    for x_fit, y_fit, x_out, y_out in cv:
+        basis = SVDReducer(ks[-1], seed=seed).fit(x_fit).components_
+        for k in ks:
+            fit_k, out_k = x_fit @ basis[:, :k], x_out @ basis[:, :k]
+            for C in c_grid:
+                model = train_logreg(fit_k, y_fit, C=C)
+                fits.append(model)
+                scores = predict_proba(model, out_k)
+                f1s[C, k].append(precision_recall_f1(scores, y_out, threshold=threshold)[2])
+            del fit_k, out_k  # before the next rank's are made
+        del basis  # before the next fold is factored
+    means = {candidate: float(np.mean(fold_f1s)) for candidate, fold_f1s in f1s.items()}
+    best = max(means, key=means.get)  # max keeps the first of equal means
+    return best, means[best]
 
 
 def run_task1(
@@ -337,7 +344,7 @@ def run_task1(
     leaving each class at least one test and one training artist.
     ``c_grid`` must hold at least one C, each finite and positive, and
     every ``k_grid`` rank must be at least 1 (an empty ``k_grid`` means the
-    fold cap, as in ``_tune_C_k``).
+    fold cap, as in ``_tune_C_k``); neither grid may repeat a value.
     """
     if cv_folds < 2:
         raise GigmineError(f"cv_folds must be at least 2, got {cv_folds}")
@@ -351,6 +358,10 @@ def run_task1(
         )
     if any(k < 1 for k in k_grid):
         raise GigmineError(f"k_grid ranks must be at least 1, got {list(k_grid)}")
+    for key, grid in (("c_grid", c_grid), ("k_grid", k_grid)):
+        for i, value in enumerate(grid):
+            if value in grid[:i]:  # only runs more fits: the first-best pick never takes a repeat
+                raise GigmineError(f"{key} lists {value} more than once")
     check_change_day(corpus, change_day)
     y = change_day < NEVER
     if not y.any() or y.all():

@@ -19,6 +19,7 @@ from conftest import make_graph
 
 from gigmine.errors import CycleError
 from gigmine.graph import BipartiteGraph
+from gigmine.success import SVDReducer, predict_proba, train_logreg
 
 
 # -- random graphs -------------------------------------------------------------
@@ -152,6 +153,40 @@ def dense_svd_oracle(A):
     A = np.asarray(A.toarray() if hasattr(A, "toarray") else A, dtype=float)
     _, s, vt = np.linalg.svd(A, full_matrices=True)
     return np.concatenate([s, np.zeros(vt.shape[0] - s.size)]), vt
+
+
+# -- task1 grid search reference ----------------------------------------------------
+
+
+def tune_C_k_reference(cv, c_grid, k_grid, threshold, seed):
+    """Joint (C, k) search written as plain loops over every fold at once.
+
+    ``cv`` holds (fit rows, fit labels, held-out rows, held-out labels) per
+    fold. All folds are factored first, each once at the largest candidate
+    rank: the grid's ranks up to the smallest fold's min(rows, columns), or
+    that bound alone if none is. Then, for each k and each C, a model is
+    fitted on every fold's first k projected columns and scored by
+    ``confusion_prf``. The pick is the first (C, k), in k-major order, whose
+    mean F1 over the folds (in fold order) is strictly above every earlier
+    one. Returns ``((C, k), mean F1, models fitted)``. It checks the search
+    alone, so it fits with the package's reducer and trainer.
+    """
+    cap = min(min(x_fit.shape) for x_fit, *_ in cv)
+    ks = [k for k in sorted(k_grid) if k <= cap] or [cap]
+    bases = [SVDReducer(ks[-1], seed=seed).fit(x_fit).components_ for x_fit, *_ in cv]
+    best, best_f1, n_models = None, -1.0, 0
+    for k in ks:
+        for C in c_grid:
+            f1s = []
+            for (x_fit, y_fit, x_out, y_out), basis in zip(cv, bases):
+                model = train_logreg(x_fit @ basis[:, :k], y_fit, C=C)
+                n_models += 1
+                scores = predict_proba(model, x_out @ basis[:, :k])
+                f1s.append(confusion_prf(scores, y_out, threshold)[2])
+            mean_f1 = float(np.mean(f1s))
+            if mean_f1 > best_f1:
+                best, best_f1 = (C, k), mean_f1
+    return best, best_f1, n_models
 
 
 # -- birank oracle -----------------------------------------------------------------

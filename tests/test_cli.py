@@ -205,6 +205,15 @@ class TestExitCodes:
         assert code == 1
         assert f"{key} must be at least {minimum}, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, grid, value", [("c_grid", [1.0, 10.0, 1.0], "1.0"),
+                                                  ("k_grid", [500, 500], "500")])
+    def test_repeated_grid_value_maps_to_one(self, corpus_dir, tmp_path, capsys, key, grid, value):
+        cfg = write_config(tmp_path, base_config(corpus_dir, task1={key: grid}))
+        code = main(["task1", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 1
+        assert f"{key} lists {value} more than once" in capsys.readouterr().err
+        assert not (tmp_path / "task1-report.json").exists()
+
     @pytest.mark.parametrize(
         "command, section, message",
         [

@@ -1,4 +1,6 @@
 import datetime as dt
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus
-from oracles import dense_svd_oracle
+from oracles import dense_svd_oracle, tune_C_k_reference
 
 from gigmine import success
 from gigmine.blas import blas_threads
@@ -16,6 +18,7 @@ from gigmine.errors import GigmineError
 from gigmine.ingest import parse_corpus
 from gigmine.labeling import NEVER, label_corpus
 from gigmine.success import (
+    C_GRID,
     SVDReducer,
     baseline_scores,
     build_features,
@@ -399,6 +402,71 @@ class TestSplits:
         assert all(f.dtype == np.asarray([], dtype=int).dtype for f in folds)
 
 
+def random_cv(n, m, n_folds, sparse, seed):
+    """``_cv_sets`` of a seeded count matrix whose first column leans positive."""
+    rng = np.random.default_rng(seed)
+    y = rng.random(n) < 0.4
+    y[:n_folds], y[n_folds:2 * n_folds] = True, False  # each fold holds both classes
+    X = rng.poisson(1.0, (n, m)).astype(float)
+    X[:, 0] += 2.0 * y
+    folds = stratified_folds(y, n_folds, seed)
+    return success._cv_sets(sp.csr_matrix(X) if sparse else X, y, folds)
+
+
+class TestTuneCK:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(8, 30),
+        m=st.integers(2, 12),
+        n_folds=st.integers(2, 4),
+        c_grid=st.lists(st.sampled_from(C_GRID), min_size=1, max_size=3, unique=True),
+        k_grid=st.lists(st.integers(1, 40), max_size=3, unique=True),
+        threshold=st.sampled_from([0.5, 0.3, 2.0]),
+        sparse=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # 2.0 is above every probability: every F1 is 0 and the first (C, k) wins
+    @example(n=20, m=8, n_folds=3, c_grid=[10.0, 0.1], k_grid=[3, 2], threshold=2.0,
+             sparse=True, seed=0)
+    @example(n=20, m=8, n_folds=3, c_grid=[1.0], k_grid=[2, 40], threshold=0.5,
+             sparse=True, seed=1)  # 40 is above every fold cap
+    @example(n=20, m=30, n_folds=2, c_grid=[0.1, 1.0], k_grid=[], threshold=0.5,
+             sparse=False, seed=2)  # an empty grid means the fold cap
+    # (100.0, 1) ties (1.0, 2): k-major order takes the first, C-major the second
+    @example(n=16, m=4, n_folds=4, c_grid=[0.01, 1.0, 100.0], k_grid=[1, 2, 3], threshold=0.5,
+             sparse=False, seed=30)
+    def test_matches_the_all_folds_reference(self, n, m, n_folds, c_grid, k_grid, threshold,
+                                             sparse, seed):
+        cv = random_cv(n, m, n_folds, sparse, seed)
+        fits = []
+        best, best_f1 = success._tune_C_k(cv, c_grid, k_grid, threshold, seed, fits)
+        want, want_f1, n_models = tune_C_k_reference(cv, c_grid, k_grid, threshold, seed)
+        assert best == want
+        assert best_f1 == want_f1
+        assert len(fits) == n_models
+        if threshold > 1.0:  # every F1 is 0: the first C at the smallest candidate rank
+            cap = min(min(x_fit.shape) for x_fit, *_ in cv)
+            assert best == (c_grid[0], min([k for k in k_grid if k <= cap] or [cap]))
+            assert best_f1 == 0.0
+
+    def test_one_fold_alive_at_a_time(self):
+        # when a fold is factored, no earlier fold's reducer or basis survives
+        cv = random_cv(30, 10, 3, True, 0)
+        refs, alive = [], []
+        fit = SVDReducer.fit
+
+        def recording_fit(self, X):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            fit(self, X)
+            refs.extend([weakref.ref(self), weakref.ref(self.components_)])
+            return self
+
+        with mock.patch.object(SVDReducer, "fit", recording_fit):
+            success._tune_C_k(cv, (0.1, 1.0), (2, 4), 0.5, 0, [])
+        assert alive == [0, 0, 0]
+
+
 EMPTIED_CLASS = "leaves a class with no test or no training artists: 10 positives, 40 negatives"
 
 
@@ -492,6 +560,10 @@ class TestRunTask1:
         ({"c_grid": [float("inf")]}, r"c_grid must be .* got \[inf\]"),
         ({"k_grid": [-5, 250]}, r"k_grid ranks must be at least 1, got \[-5, 250\]"),
         ({"k_grid": [0]}, r"k_grid ranks must be at least 1, got \[0\]"),
+        # a repeat only runs more fits: the first-best pick never takes it
+        ({"c_grid": [1.0, 1.0]}, "c_grid lists 1.0 more than once"),
+        ({"c_grid": [0.1, 1, 10.0, 1.0]}, "c_grid lists 1.0 more than once"),
+        ({"k_grid": [500, 250, 500]}, "k_grid lists 500 more than once"),
         # round-robin folds past a class's training count hold none of it:
         # 10 - round(0.5 * 10) = 5 training positives, 10 - round(0.2 * 10) = 8
         ({"test_fraction": 0.5, "cv_folds": 6},

@@ -9,7 +9,8 @@ the thread count of every OpenBLAS copy already loaded in the process for
 the length of a ``with`` block, and restores each copy's previous count on
 exit, also when the block raises. task1 runs each logistic-regression fit
 on one thread and its factorisations on the default count; its results do
-not depend on the count.
+not depend on the count. task2 holds every copy at one thread for the
+length of its pool of scoring passes, since the passes fill the cores.
 
 The copies are looked up, when the block is entered, among the bundled
 libraries beside the numpy and scipy packages (``numpy.libs`` and
@@ -22,7 +23,9 @@ nothing.
 
 The count belongs to the process, not to a thread, so the helper is not for
 concurrent use from pool threads: one thread's exit would restore the count
-under another thread's block.
+under another thread's block. Enter it instead from the thread that owns
+the pool, around the whole pool: the block then outlasts every task, and
+every thread of the pool runs at the block's count.
 """
 
 from __future__ import annotations

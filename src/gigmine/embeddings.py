@@ -9,18 +9,20 @@ occurs several times accumulate before the weights move; this trades pure
 SGD for vectorization and keeps results reproducible. Each chunk's pairs are
 made from the walks it spans when its turn comes, and its context and noise
 rows are gathered one sub-block of ``_NEG_BLOCK`` pairs at a time into one
-reused buffer. Beyond the walk matrix a fit holds its two weight buffers,
-one chunk's indices and scores, one sub-block of rows and one block of its
-update product, however many walks there are: one fit on a 7,989-node graph
-at dim 128 peaks at 1.26 times its weight buffers under tracemalloc.
+reused buffer. Beyond the walk matrix a fit holds one buffer (its two weight
+matrices and room for one chunk's rows), one chunk's indices and scores, one
+sub-block of rows and one block of its update product, however many walks
+there are: one fit on a 7,989-node graph at dim 128 peaks at 1.26 times
+that buffer under tracemalloc.
 
 Walks step all at once over one CSR of every node's neighbors, one seeded
 draw per live walk and step. A chunk's updates land with one sparse matrix
 per weight matrix, multiplied a block of rows at a time (see
-``_scatter_rows``): each weight matrix heads a buffer
-whose tail holds the chunk's source rows, and each touched row is its old
-value followed by its updates in pair order, added one at a time, so every
-row rounds exactly as a sequence of in-order ``row += update`` steps would.
+``_scatter_rows``). The w_out update reads the old center rows of w_in in
+place, so it runs first; the w_in update reads the gradients that replace
+the chunk's centers in the buffer's tail. Each touched row is its old value
+followed by its updates in pair order, added one at a time, so every row
+rounds exactly as a sequence of in-order ``row += update`` steps would.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ WALKS_PER_NODE = 40
 WALK_LENGTH = 10
 
 # pairs per block of row_dots in score_embedding and linkpred.score_svd:
-# bounds the gathered rows to a few MB
-_SCORE_BLOCK = 4096
+# (1024, DIM) float64 rows per side is 1 MB
+_SCORE_BLOCK = 1024
 # pairs per sub-block of a training chunk whose rows of w_out are gathered
 # at once: (256, 1 + NEGATIVES, DIM) float64 is 1.6 MB
 _NEG_BLOCK = 256
@@ -143,36 +145,36 @@ def _pair_runs(walks: np.ndarray, window: int, reach: np.ndarray, size: int):
         yield centers[skip : skip + stop - start], contexts[skip : skip + stop - start]
 
 
-def _scatter_rows(buf, n, idx, coef, src_row) -> None:
-    """``w[idx[k]] += coef[k] * src[src_row[k]]`` for every k, in k order per row.
+def _scatter_rows(buf, idx, coef, src) -> None:
+    """``buf[idx[k]] += coef[k] * buf[src[k]]`` for every k, in k order per row.
 
-    ``buf`` stacks the weights ``w = buf[:n]`` over the source rows
-    ``src = buf[n:]``. A CSR product over ``buf`` gives the touched rows:
-    row g of the matrix holds 1.0 on the g-th distinct index of ``idx``,
-    then that row's coefficients in k order on the source rows. scipy adds
-    the terms of a row in stored order, so each row rounds exactly as a
-    sequence of ``np.add.at`` steps would; summing the updates first would
-    not. Its arrays are built once, and the product runs ``_ROW_BLOCK`` rows
-    at a time, each block written back before the next.
+    No row of ``buf`` is both written and read. A CSR product over ``buf``
+    gives the touched rows: row g of the matrix holds 1.0 on the g-th
+    distinct index of ``idx``, then that row's coefficients in k order on
+    the source rows. scipy adds the terms of a row in stored order, so each
+    row rounds exactly as a sequence of ``np.add.at`` steps would; summing
+    the updates first would not. Its arrays are built once, in int32 as
+    scipy takes them without a copy, and the product runs ``_ROW_BLOCK``
+    rows at a time, each block written back before the next.
     """
     # a stable sort of keys of 16 bits or fewer is a radix sort
-    order = np.argsort(idx.astype(np.min_scalar_type(n)), kind="stable")
-    ranked = idx[order]
+    key = idx.astype(np.min_scalar_type(len(buf)))
+    order = np.argsort(key, kind="stable").astype(np.int32)
+    ranked = key[order]
     first = np.ones(idx.size, dtype=bool)
     first[1:] = ranked[1:] != ranked[:-1]
     rows = ranked[first]
     # the k-th update in row order sits after the leading entries of its row
     # and of every row before it
-    at = np.arange(idx.size) + np.cumsum(first)
+    at = np.arange(idx.size, dtype=np.int32) + np.cumsum(first, dtype=np.int32)
     indptr = np.r_[np.flatnonzero(first), idx.size] + np.arange(rows.size + 1)
     data = np.ones(idx.size + rows.size)
     data[at] = np.broadcast_to(coef, idx.shape)[order]
-    # int32 indices, which scipy takes without a copy or a scan
     cols = rows.astype(np.int32).repeat(np.diff(indptr))
-    cols[at] = n + src_row[order]
+    cols[at] = src[order]
     indptr = indptr.astype(np.int32)
-    # an output row reads its own old row and source rows, which no other
-    # block writes, so a block of rows at a time gives the bits of one product
+    # an output row reads its own old row and source rows, which no block
+    # writes, so a block of rows at a time gives the bits of one product
     for lo in range(0, rows.size, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, rows.size)
         p, q = indptr[lo], indptr[hi]
@@ -236,12 +238,12 @@ def train_embeddings(
     # a chunk larger than the vocabulary would pile many same-node gradients
     # into one step and overshoot; cap it so small graphs stay near plain SGD
     chunk = max(1, min(CHUNK_SIZE, n_nodes))
-    # each weight matrix heads a buffer whose tail takes a chunk's source
-    # rows for _scatter_rows
+    # one buffer for _scatter_rows: w_in, w_out, then a tail that takes a
+    # chunk's centers, each overwritten by its gradient once it is scored
     rng = np.random.default_rng(seed)
-    buf_in, buf_out = np.empty((n_nodes + chunk, dim)), np.zeros((n_nodes + chunk, dim))
-    w_in, w_out = buf_in[:n_nodes], buf_out[:n_nodes]
-    w_in[:] = rng.random((n_nodes, dim))
+    buf = np.zeros((2 * n_nodes + chunk, dim))
+    w_in, tail = buf[:n_nodes], buf[2 * n_nodes :]
+    rng.random(out=w_in)
     w_in -= 0.5
     w_in /= dim
     # a sub-block's rows of w_out: each pair's context row, then its noise rows
@@ -260,26 +262,30 @@ def train_embeddings(
     for epoch in range(epochs):
         epoch_loss, epoch_pairs = 0.0, 0
         for c, o in _pair_runs(walks, window, reach, chunk):
-            neg = _draw_noise(noise_cdf, noise_table, rng.random((c.size, NEGATIVES)))
+            # the w_out update's rows of buf: the contexts, then the noise
+            # rows in pair order
+            far = np.empty((1 + NEGATIVES) * c.size, dtype=np.int32)
+            ctx, neg = far[: c.size], far[c.size :].reshape(c.size, NEGATIVES)
+            np.add(o, n_nodes, out=ctx)
+            np.add(_draw_noise(noise_cdf, noise_table, rng.random(neg.shape)), n_nodes, out=neg)
             lr = max(
                 LEARNING_RATE * (1.0 - done / total_steps), LEARNING_RATE * 1e-4
             )
 
-            # the chunk's centers and center gradients sit in the buffer tails
-            # that _scatter_rows reads
-            vc = buf_out[n_nodes : n_nodes + c.size]
-            grad_c = buf_in[n_nodes : n_nodes + c.size]
+            # the chunk's centers, which their gradients overwrite
+            grad_c = tail[: c.size]
             # mode="raise" would buffer ``out``; every index is in range
-            np.take(w_in, c, axis=0, out=vc, mode="clip")
-            far = np.column_stack([o, neg])
-            score, sig, g_pos = np.empty(far.shape), np.empty(far.shape), np.empty(c.size)
+            np.take(w_in, c, axis=0, out=grad_c, mode="clip")
+            score = np.empty((c.size, 1 + NEGATIVES))
+            sig, g_pos = np.empty(score.shape), np.empty(c.size)
             # every step below is row-local, so sub-blocks of pairs through
             # one reused buffer give the same bits
             for lo in range(0, c.size, _NEG_BLOCK):
                 at = slice(lo, lo + _NEG_BLOCK)
-                rows = far_buf[: len(far[at])]
-                np.take(w_out, far[at], axis=0, out=rows, mode="clip")
-                np.einsum("bd,bnd->bn", vc[at], rows, out=score[at])
+                rows = far_buf[: len(ctx[at])]
+                np.take(buf, np.column_stack([ctx[at], neg[at]]), axis=0, out=rows, mode="clip")
+                # the centers are read here for the last time
+                np.einsum("bd,bnd->bn", grad_c[at], rows, out=score[at])
                 scipy.special.expit(score[at], out=sig[at])
                 np.subtract(sig[at, 0], 1.0, out=g_pos[at])
                 np.einsum("bn,bnd->bd", sig[at, 1:], rows[:, 1:], out=grad_c[at])  # noise part
@@ -294,16 +300,16 @@ def train_embeddings(
             )
             epoch_pairs += c.size
 
-            b = np.arange(c.size)
-            _scatter_rows(buf_in, n_nodes, c, -lr, b)
-            # context then noise updates of w_out, all multiples of rows of vc
-            _scatter_rows(
-                buf_out,
-                n_nodes,
-                np.concatenate([o, neg.ravel()]),
-                np.concatenate([-lr * g_pos, (-lr * sig[:, 1:]).ravel()]),
-                np.concatenate([b, b.repeat(NEGATIVES)]),
-            )
+            # the w_out update reads the old center rows of w_in, so it runs
+            # first; its coefficients, context then noise, take score's place
+            coef = score.reshape(-1)
+            np.multiply(g_pos, -lr, out=coef[: c.size])
+            np.multiply(sig[:, 1:], -lr, out=coef[c.size :].reshape(neg.shape))
+            src = np.empty_like(far)
+            src[: c.size] = c
+            src[c.size :].reshape(neg.shape)[:] = c[:, None]
+            _scatter_rows(buf, far, coef, src)
+            _scatter_rows(buf, c, -lr, np.arange(2 * n_nodes, 2 * n_nodes + c.size))
             done += c.size
         losses.append(epoch_loss / max(1, epoch_pairs))
     return w_in, losses

@@ -27,6 +27,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from gigmine.blas import blas_threads
 from gigmine.embeddings import (
     DIM,
     EPOCHS,
@@ -483,9 +484,10 @@ def run_task2(
 
     The scoring passes are independent and run concurrently on up to
     ``min(passes, usable cores)`` threads; numpy and scipy release the GIL
-    in their heavy steps. Each pass is seeded on its own, so the report does
-    not depend on the thread count. The parameters are checked before the
-    split, and ``svd_k`` against the training graph before any pass runs.
+    in their heavy steps. OpenBLAS runs on one thread for the length of the
+    pool (``gigmine.blas``). Each pass is seeded on its own, so the report
+    does not depend on the thread count. The parameters are checked before
+    the split, and ``svd_k`` against the training graph before any pass runs.
     """
     if not predictors:
         raise GigmineError("predictors must name at least one predictor")
@@ -535,8 +537,17 @@ def run_task2(
         )
         return evaluate_linkpred(tables, candidates, positives, negatives), fits, len(negatives)
 
+    # the model fits load scipy's OpenBLAS with these subpackages, and
+    # blas_threads sets only the copies already loaded
+    if "svd" in predictors:
+        import scipy.sparse.linalg  # noqa: F401
+    if "embedding" in predictors:
+        import scipy.special  # noqa: F401
     passes = [None, *range(n_random_splits)]
-    with ThreadPoolExecutor(max_workers=_workers(len(passes))) as pool:
+    # the passes fill the cores, and a BLAS call's extra threads would spin
+    # on a core another pass is using; the count belongs to the process, so
+    # it is set here around the pool, not inside its threads
+    with blas_threads(1), ThreadPoolExecutor(max_workers=_workers(len(passes))) as pool:
         (forecasting, fits, n_negatives), *splits = pool.map(score_pass, passes)
     prediction_runs = {name: [aucs[name] for aucs, _, _ in splits] for name in predictors}
 

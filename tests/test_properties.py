@@ -59,13 +59,16 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 @PROPERTY
 @given(st.data())
 def test_scatter_rows_matches_add_at_bitwise(data):
-    # repeated and untouched rows of w, repeated source rows, empty updates
+    # repeated and untouched rows of w, repeated source rows, empty updates;
+    # the source rows lie after the weights (the w_in update reads the
+    # buffer's tail) or before them (the w_out update reads w_in)
     n_rows, n_src, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5)), 3
     m = data.draw(st.integers(0, 20))
     idx = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), min_size=m, max_size=m)),
                    dtype=np.int64)
     src_row = np.array(data.draw(st.lists(st.integers(0, n_src - 1), min_size=m, max_size=m)),
                        dtype=np.int64)
+    src_first = data.draw(st.booleans())
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n_rows, d)) * 10.0 ** rng.integers(-8, 8, (n_rows, 1))
@@ -74,9 +77,13 @@ def test_scatter_rows_matches_add_at_bitwise(data):
 
     want = w.copy()
     np.add.at(want, idx, coef[:, None] * src[src_row])
-    buf = np.vstack([w, src])  # the weights head the buffer, the source rows its tail
-    _scatter_rows(buf, n_rows, idx, coef, src_row)
-    assert np.array_equal(buf[:n_rows], want)
+    if src_first:
+        buf, w_at, src_at = np.vstack([src, w]), n_src, 0
+    else:
+        buf, w_at, src_at = np.vstack([w, src]), 0, n_rows
+    _scatter_rows(buf, w_at + idx, coef, src_at + src_row)
+    assert np.array_equal(buf[w_at : w_at + n_rows], want)
+    assert np.array_equal(buf[src_at : src_at + n_src], src)
 
 
 @PROPERTY

@@ -3,8 +3,10 @@
 Scores propagate between the two sides through a symmetrically normalized
 weight matrix, damped toward log-degree seed vectors. Edge weights decay
 geometrically with the age of the first event on the edge, so recent activity
-counts for more. On top of the single run sit yearly moving-window rank
-trajectories and per-class score histograms.
+counts for more. ``birank`` builds both from the graph it ranks: the weights
+from ``delta`` and ``ref_year`` (``temporal_weights``), the seeds from the
+node degrees (``seed_scores``). On top of the single run sit yearly
+moving-window rank trajectories and per-class score histograms.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,32 +31,11 @@ TOL = 1e-8
 MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class SeedScores:
-    """Per-side seed arrays in the graph's orders; each side is a probability distribution."""
+class Seeds(NamedTuple):
+    """Per-side seed arrays in the graph's orders; each side sums to 1."""
 
     artist_seed: np.ndarray
     venue_seed: np.ndarray
-
-    def __post_init__(self):
-        for name, side in (("artist", self.artist_seed), ("venue", self.venue_seed)):
-            values = np.asarray(side, dtype=float)
-            if not np.all((values >= 0.0) & (values < math.inf)):  # NaN fails both
-                raise GigmineError(f"{name} seeds contain a negative or non-finite entry")
-            total = float(values.sum())
-            if abs(total - 1.0) > 1e-9:
-                raise GigmineError(f"{name} seeds sum to {total!r}, expected 1")
-
-
-@dataclass(frozen=True, eq=False)
-class TemporalWeights:
-    """Per-edge decay weight delta^(ref_year - first_year) of one graph.
-
-    ``values`` follows the graph's edge arrays.
-    """
-
-    graph: BipartiteGraph
-    values: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +59,7 @@ class BiRankResult:
     converged: bool
 
 
-def seed_scores(g: BipartiteGraph) -> SeedScores:
+def seed_scores(g: BipartiteGraph) -> Seeds:
     """Log-degree seeds: ln(degree + 1) normalized to sum 1 per side.
 
     Degree is the distinct-neighbor count. Rankings induced by the seeds do
@@ -100,13 +81,16 @@ def seed_scores(g: BipartiteGraph) -> SeedScores:
         seed = raw / total
         seed.flags.writeable = False
         seeds.append(seed)
-    return SeedScores(artist_seed=seeds[0], venue_seed=seeds[1])
+    return Seeds(*seeds)
 
 
 def temporal_weights(
     g: BipartiteGraph, delta: float = DELTA, ref_year: int = REF_YEAR
-) -> TemporalWeights:
-    """Geometric decay per edge age: delta^(ref_year - first_year)."""
+) -> np.ndarray:
+    """Geometric decay per edge age: delta^(ref_year - first_year).
+
+    One read-only weight per edge, in the order of the graph's edge arrays.
+    """
     if not 0.0 < delta <= 1.0:
         raise GigmineError(f"delta must lie in (0, 1], got {delta}")
     late = np.flatnonzero(g.first_year > ref_year)
@@ -120,52 +104,45 @@ def temporal_weights(
     # delta ** age on Python ints
     ages, age_of_edge = np.unique(ref_year - g.first_year, return_inverse=True)
     decay = np.array([delta ** age for age in ages.tolist()], dtype=float)
-    return TemporalWeights(graph=g, values=decay[age_of_edge])
+    weights = decay[age_of_edge]
+    weights.flags.writeable = False
+    return weights
 
 
 def birank(
     g: BipartiteGraph,
-    weights: Optional[TemporalWeights] = None,
-    seeds: Optional[SeedScores] = None,
+    delta: float = DELTA,
+    ref_year: int = REF_YEAR,
     alpha: float = ALPHA,
     beta: float = BETA,
     tol: float = TOL,
     max_iter: int = MAX_ITER,
     count_scaled: bool = False,
-    init: str = "seeds",
 ) -> BiRankResult:
-    """Damped two-sided ranking on the weighted graph.
+    """Damped two-sided ranking on the temporally weighted graph.
 
+    The edge weights are ``temporal_weights(g, delta, ref_year)``, the
+    decayed binary incidence (``count_scaled=True`` multiplies in event
+    counts), and the seeds u0 and p0 are the log-degree ``seed_scores(g)``.
     With S the symmetrically degree-normalized weight matrix, iterate
     u <- alpha*S*p + (1-alpha)*u0 and p <- beta*S'*u + (1-beta)*p0 from the
-    seeds until the larger side's L1 change drops below ``tol``. Defaults:
-    decayed binary incidence weights (``count_scaled=True`` multiplies in
-    event counts) and log-degree seeds. The fixed point does not depend on
-    the starting vectors; ``init="uniform"`` starts from uniform vectors
-    instead of the seeds. Non-convergence within ``max_iter`` returns the
-    last iterate flagged ``converged=False``; ``max_iter`` must be at least 1
-    and ``tol`` at least 0. The scores come as ``ScoreView``s over the
-    graph's id orders. The products run on the graph's edge arrays.
+    seeds until the larger side's L1 change drops below ``tol``.
+    Non-convergence within ``max_iter`` returns the last iterate flagged
+    ``converged=False``; ``max_iter`` must be at least 1 and ``tol`` at
+    least 0. The scores come as ``ScoreView``s over the graph's id orders.
+    The products run on the graph's edge arrays.
     """
-    if init not in ("seeds", "uniform"):
-        raise GigmineError(f"init must be seeds or uniform, got {init!r}")
     if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
         raise GigmineError(f"alpha and beta must lie in [0, 1], got {alpha}, {beta}")
     if max_iter < 1:
         raise GigmineError(f"max_iter must be at least 1, got {max_iter}")
     if not tol >= 0.0:  # NaN fails every comparison
         raise GigmineError(f"tol must be a number at least 0, got {tol}")
-    weights = weights if weights is not None else temporal_weights(g)
-    if weights.graph is not g and weights.graph != g:
-        raise GigmineError("temporal weights were computed for a different graph")
-    seeds = seeds if seeds is not None else seed_scores(g)
+    weights = temporal_weights(g, delta, ref_year)
+    u0, p0 = seed_scores(g)
     n_a, n_v = len(g.artist_order), len(g.venue_order)
-    u0, p0 = np.asarray(seeds.artist_seed, dtype=float), np.asarray(seeds.venue_seed, dtype=float)
-    for name, seed, n in (("artist", u0, n_a), ("venue", p0, n_v)):
-        if seed.shape != (n,):
-            raise GigmineError(f"{name} seeds hold {seed.size} values for {n} graph {name}s")
     row, col = g.row, g.col
-    w = np.asarray(weights.values * g.count if count_scaled else weights.values, dtype=float)
+    w = weights * g.count if count_scaled else weights
     # the sums and products below round as scipy.sparse's would on the CSR
     # matrix of w: row sums reduce each nonempty row (its _minor_reduce),
     # column sums and both products add each node's terms in CSR order
@@ -186,11 +163,7 @@ def birank(
     # in that order p[col] is each venue's score repeated over its edges
     row_v, s_v, venue_deg = g.csc_indices, s[g.csc_edges], np.diff(g.csc_indptr)
 
-    if init == "uniform":
-        u = np.full(u0.size, 1.0 / u0.size)
-        p = np.full(p0.size, 1.0 / p0.size)
-    else:
-        u, p = u0.copy(), p0.copy()
+    u, p = u0, p0
     converged = False
     for iterations in range(1, max_iter + 1):
         u_new = (alpha * np.bincount(row_v, weights=s_v * p.repeat(venue_deg), minlength=n_a)
@@ -261,10 +234,8 @@ def yearly_trajectories(
                 "no events in the %d-year window ending %d; skipped", window_years, year
             )
             continue
-        g = build_graph(corpus.select(in_window))
-        weights = temporal_weights(g, delta=delta, ref_year=year)
-        result = birank(g, weights=weights, alpha=alpha, beta=beta,
-                        count_scaled=count_scaled)
+        result = birank(build_graph(corpus.select(in_window)), delta=delta, ref_year=year,
+                        alpha=alpha, beta=beta, count_scaled=count_scaled)
         if not result.converged:
             log.warning(
                 "BiRank did not converge in %d iterations on the %d-year window ending %d",

@@ -29,12 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from gigmine import __version__
-from gigmine.birank import birank, score_histogram, temporal_weights, yearly_trajectories
+from gigmine.birank import birank, score_histogram, yearly_trajectories
 from gigmine.errors import GigmineError
 from gigmine.graph import build_graph
 from gigmine.ingest import filter_min_activity, filter_post_2007, parse_corpus
 from gigmine.labeling import NEVER, label_corpus
-from gigmine.linkpred import build_score_tables, run_task2
+from gigmine.linkpred import run_task2
 from gigmine.routes import city_sequences, mine_routes
 from gigmine.success import run_task1
 from gigmine.synth import GenSpec, generate
@@ -84,16 +84,11 @@ DEFAULTS: dict = {
     "task1": _defaults(
         run_task1, "mode", "n_splits", "test_fraction", "cv_folds", "threshold", "c_grid", "k_grid"
     ),
-    "task2": {
-        **_defaults(
-            run_task2, "predictors", "train_end_year", "test_years", "hidden_fraction",
-            "n_random_splits", "core_k", "svd_k", "neg_multiple", "neg_floor",
-        ),
-        **_defaults(
-            build_score_tables, "walks_per_node", "walk_length", "embed_dim", "embed_window",
-            "embed_epochs",
-        ),
-    },
+    "task2": _defaults(
+        run_task2, "predictors", "train_end_year", "test_years", "hidden_fraction",
+        "n_random_splits", "core_k", "svd_k", "neg_multiple", "neg_floor", "walks_per_node",
+        "walk_length", "embed_dim", "embed_window", "embed_epochs",
+    ),
     "task3": {
         **_defaults(yearly_trajectories, "delta", "alpha", "beta", "window_years", "count_scaled"),
         "bins": _default(score_histogram, "bins"),
@@ -288,7 +283,7 @@ def cmd_task1(config: dict, out: Path) -> dict:
 
 def cmd_task2(config: dict, out: Path) -> dict:
     corpus, _change_day, info = _load_preprocessed(config)
-    # every task2 key is a run_task2 (or embedding) parameter of that name
+    # every task2 key is a run_task2 parameter of that name
     result = run_task2(corpus, seed=config["seed"], **config["task2"])
     payload = {"report": "task2", **info, **result}
     _write_json(out / "task2-report.json", _report(config, payload))
@@ -343,13 +338,8 @@ def cmd_task3(config: dict, out: Path) -> dict:
     corpus, change_day, info = _load_preprocessed(config)
     g = build_graph(corpus)  # in the corpus's artist order
     ref_year = t3["ref_year"] or corpus.year_span()[1]
-    result = birank(
-        g,
-        weights=temporal_weights(g, delta=t3["delta"], ref_year=ref_year),
-        alpha=t3["alpha"],
-        beta=t3["beta"],
-        count_scaled=t3["count_scaled"],
-    )
+    result = birank(g, delta=t3["delta"], ref_year=ref_year, alpha=t3["alpha"],
+                    beta=t3["beta"], count_scaled=t3["count_scaled"])
     hist = score_histogram(result, change_day < NEVER, bins=t3["bins"])
     trajectories = yearly_trajectories(
         corpus,

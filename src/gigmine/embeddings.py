@@ -173,6 +173,7 @@ def _scatter_rows(buf, idx, coef, src) -> None:
     cols = rows.astype(np.int32).repeat(np.diff(indptr))
     cols[at] = src[order]
     indptr = indptr.astype(np.int32)
+    del key, order, ranked, first, at  # the product reads only the CSR arrays and rows
     # an output row reads its own old row and source rows, which no block
     # writes, so a block of rows at a time gives the bits of one product
     for lo in range(0, rows.size, _ROW_BLOCK):
@@ -218,8 +219,8 @@ def train_embeddings(
     unigram distribution raised to 3/4. The learning rate decays linearly
     from ``LEARNING_RATE`` over all scheduled updates with a small floor.
     Returns the input weights, an (n_nodes, dim) matrix whose row k is node
-    k's vector (n_nodes is one more than the largest index in the walks), and
-    the mean pair loss of each epoch.
+    k's vector (n_nodes is one more than the largest index in the walks) and
+    that owns only those rows, and the mean pair loss of each epoch.
     """
     _check_positive(dim=dim, window=window, epochs=epochs)
     try:
@@ -312,7 +313,11 @@ def train_embeddings(
             _scatter_rows(buf, c, -lr, np.arange(2 * n_nodes, 2 * n_nodes + c.size))
             done += c.size
         losses.append(epoch_loss / max(1, epoch_pairs))
-    return w_in, losses
+    # the vectors own their n rows and nothing more: with its views gone the
+    # buffer shrinks in place to w_in, with no second copy
+    w_in = tail = grad_c = None
+    buf.resize((n_nodes, dim))
+    return buf, losses
 
 
 def row_dots(left: np.ndarray, right: np.ndarray, rows, cols, block: int) -> np.ndarray:

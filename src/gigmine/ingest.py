@@ -29,12 +29,12 @@ interns the ids: ``artist_order`` and ``venue_order`` are the sorted (by
 ``str``) tuples of exactly the artists and venues with at least one event,
 and ``cities`` holds the distinct (city, state, country) triples in tuple
 order. Event k is position k of the columns ``artist``, ``venue`` and
-``city`` (indices into those tuples), ``day`` (date ordinal), ``event``
-(index into the sorted distinct ``event_ids``) and ``popularity`` (NaN when
-blank); ``year`` derives from ``day`` and ``event_id`` from ``event``.
-Events are kept in (artist, day, event_id) order. Coordinates are validated
-but not stored. Filters are masks over the columns, and ``Corpus.select``
-keeps the masked events and drops the ids left without one.
+``city`` (indices into those tuples), ``day`` (date ordinal) and ``event``
+(index into the sorted distinct ``event_ids``); ``year`` derives from
+``day`` and ``event_id`` from ``event``. Events are kept in (artist, day,
+event_id) order. Coordinates and popularity are validated but not stored.
+Filters are masks over the columns, and ``Corpus.select`` keeps the masked
+events and drops the ids left without one.
 
 Release k is position k of the columns ``release_artist`` (index into
 ``artist_order``, -1 for an artist without events), ``release_label`` (into
@@ -121,14 +121,13 @@ class Corpus:
 
     Build one from codes with ``from_codes`` (what ``parse_corpus`` calls),
     or cut one down with ``select``; see the module docstring for the
-    columns. The column arrays are read-only: an int64 (float for
-    ``popularity``) array given for a column is made so in place, not
-    copied, so the caller passes arrays it no longer writes.
+    columns. The column arrays are read-only: an int64 array given for a
+    column is made so in place, not copied, so the caller passes arrays it
+    no longer writes.
     """
 
     def __init__(self, artist_order, venue_order, cities, artist, venue, day, city, event_ids,
-                 event, popularity, release_artist, release_label, release_day, labels,
-                 load_report=None):
+                 event, release_artist, release_label, release_day, labels, load_report=None):
         freeze = partial(_frozen, copy=False)
         self.artist_order, self.venue_order, self.cities = artist_order, venue_order, cities
         self.artist, self.venue, self.day, self.city, self.event = map(
@@ -136,13 +135,12 @@ class Corpus:
         self.release_artist, self.release_label, self.release_day = map(
             freeze, (release_artist, release_label, release_day))
         self.event_ids = event_ids
-        self.popularity = freeze(popularity, dtype=float)
         self.labels = labels
         self.load_report = load_report
 
     @classmethod
     def from_codes(cls, artist_order, artist, venue_order, venue, cities, city, day,
-                   event_ids, event, popularity, **rest) -> "Corpus":
+                   event_ids, event, **rest) -> "Corpus":
         """Order events given as per-event codes into the (artist, day, event_id) layout.
 
         ``artist``, ``venue`` and ``city`` index the orders, which hold
@@ -157,7 +155,7 @@ class Corpus:
         order = np.argsort(pack_rows(columns), kind="stable")
         return cls(
             artist_order, venue_order, cities, artist[order], venue[order], day[order],
-            city[order], event_ids, event[order], popularity[order], **rest,
+            city[order], event_ids, event[order], **rest,
         )
 
     def select(self, keep) -> "Corpus":
@@ -176,7 +174,7 @@ class Corpus:
         rows = release_artist >= 0
         return Corpus(
             artist_order, venue_order, cities, artist, venue, self.day[keep], city,
-            self.event_ids, self.event[keep], self.popularity[keep],
+            self.event_ids, self.event[keep],
             release_artist[rows], self.release_label[rows], self.release_day[rows],
             self.labels, self.load_report,
         )
@@ -508,7 +506,7 @@ def _check_events(path, report: LoadReport, line, ragged, columns) -> dict:
     day = np.array([_ordinal(s) for s in date_v], dtype=np.int64)[date]
     lat_f, lat_ok = _floats(lat_v)
     lon_f, lon_ok = _floats(lon_v)
-    pop_f, pop_ok = _floats(pop_v, blank_ok=True)
+    _, pop_ok = _floats(pop_v, blank_ok=True)
     y, x = lat_f[lat], lon_f[lon]
     checks = (
         (_blank(eid_v, eid) | _blank(art_v, art) | _blank(ven_v, ven),
@@ -549,7 +547,7 @@ def _check_events(path, report: LoadReport, line, ragged, columns) -> dict:
         cities=cities, city=city, day=day[keep],
         # the numpy splitter's ids are an array of bytes, csv.reader's a list
         event_ids=eid_v if isinstance(eid_v, np.ndarray) else np.array(eid_v, dtype=object),
-        event=eid[keep], popularity=pop_f[pop[keep]],
+        event=eid[keep],
     )
 
 

@@ -471,7 +471,11 @@ def run_task2(
     neg_multiple: int = NEG_MULTIPLE,
     neg_floor: int = NEG_FLOOR,
     seed: int = 0,
-    **embed_params,
+    walks_per_node: int = WALKS_PER_NODE,
+    walk_length: int = WALK_LENGTH,
+    embed_dim: int = DIM,
+    embed_window: int = WINDOW,
+    embed_epochs: int = EPOCHS,
 ) -> dict:
     """Both link-prediction configurations on one corpus.
 
@@ -479,8 +483,9 @@ def run_task2(
     training graph with a random fraction of edges hidden, averaged over
     ``n_random_splits`` seeded repeats. Negative pairs are sampled per
     evaluation as max(neg_multiple * positives, neg_floor) non-edges. The
-    ``fits`` block holds what the model fits of each scoring pass report
-    (see ``build_score_tables``): the forecasting pass and each random split.
+    walk and SGNS knobs go to ``build_score_tables``. The ``fits`` block
+    holds what the model fits of each scoring pass report (see
+    ``build_score_tables``): the forecasting pass and each random split.
 
     The scoring passes are independent and run concurrently on up to
     ``min(passes, usable cores)`` threads; numpy and scipy release the GIL
@@ -498,6 +503,8 @@ def run_task2(
             raise GigmineError(f"predictor {name!r} is listed twice")
     if n_random_splits < 1:
         raise GigmineError(f"n_random_splits must be at least 1, got {n_random_splits}")
+    embed_params = dict(walks_per_node=walks_per_node, walk_length=walk_length,
+                        embed_dim=embed_dim, embed_window=embed_window, embed_epochs=embed_epochs)
     _check_positive(svd_k=svd_k, **embed_params)
     temporal = make_temporal_split(corpus, train_end_year, test_years, core_k=core_k)
     g = temporal.train_graph

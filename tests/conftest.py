@@ -93,7 +93,7 @@ def make_corpus(events):
 
     The ids are interned and passed to ``Corpus.from_codes``, which orders
     events as ``parse_corpus`` does; the city defaults to ("NYC", "NY",
-    "US"), popularity is blank and there are no releases or labels.
+    "US") and there are no releases or labels.
     """
     cols = {k: [] for k in ("event_id", "artist_id", "venue_id", "day", "city")}
     for event_id, artist, venue, date, *city in events:
@@ -109,7 +109,7 @@ def make_corpus(events):
     return Corpus.from_codes(
         artist_order, artist, venue_order, venue, cities, city,
         np.array(cols["day"], dtype=np.int64), np.array(event_ids, dtype=object), event,
-        np.full(len(events), np.nan), **NO_RELEASES,
+        **NO_RELEASES,
     )
 
 

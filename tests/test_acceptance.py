@@ -207,11 +207,11 @@ def test_criterion_05_birank_fixed_point():
         graphs += 1
         tw = temporal_weights(g, delta=0.9, ref_year=2017)
         seeds = seed_scores(g)
-        weights = dict(zip(g.id_pairs(g.row, g.col), tw.values.tolist()))
+        weights = dict(zip(g.id_pairs(g.row, g.col), tw.tolist()))
         want_u, want_p = dense_birank_oracle(
             g, weights, seeds.artist_seed, seeds.venue_seed, 0.85, 0.85
         )
-        got = birank(g, weights=tw, seeds=seeds, tol=1e-14)
+        got = birank(g, delta=0.9, ref_year=2017, tol=1e-14)
         # both score arrays follow the graph's orders, as the oracle's do
         du = float(np.abs(got.artist_scores.array - want_u).max())
         dp = float(np.abs(got.venue_scores.array - want_p).max())
@@ -227,7 +227,7 @@ def test_criterion_05_birank_fixed_point():
     full = build_graph(
         [(f"a{i}", f"v{j}", 2017) for i in range(5) for j in range(5)]
     )
-    res_full = birank(full, weights=temporal_weights(full, ref_year=2017))
+    res_full = birank(full, ref_year=2017)
     u_spread = float(np.ptp(res_full.artist_scores.array))
     p_spread = float(np.ptp(res_full.venue_scores.array))
     uniform = u_spread <= 1e-10 and p_spread <= 1e-10

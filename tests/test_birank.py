@@ -16,7 +16,6 @@ import gigmine.birank
 from gigmine.birank import (
     BiRankResult,
     ScoreView,
-    SeedScores,
     birank,
     dense_rank,
     score_histogram,
@@ -35,10 +34,9 @@ def by_id(order, values) -> dict:
     return dict(zip(order, np.asarray(values).tolist()))
 
 
-def edge_weights(tw) -> dict:
-    """(artist, venue) -> decay weight, the oracle's input."""
-    g = tw.graph
-    return dict(zip(g.id_pairs(g.row, g.col), tw.values.tolist()))
+def edge_weights(g, weights) -> dict:
+    """(artist, venue) -> decay weight of ``g``'s edges, the oracle's input."""
+    return dict(zip(g.id_pairs(g.row, g.col), weights.tolist()))
 
 
 class TestSeeds:
@@ -80,27 +78,6 @@ class TestSeeds:
         with pytest.raises(GigmineError, match="degree 0"):
             seed_scores(g)
 
-    def test_validation_of_handmade_seeds(self):
-        with pytest.raises(GigmineError, match="sum"):
-            SeedScores(np.array([0.7]), np.array([1.0]))
-        with pytest.raises(GigmineError, match="negative"):
-            SeedScores(np.array([1.5, -0.5]), np.array([1.0]))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_seed_rejected(self, bad):
-        with pytest.raises(GigmineError, match="venue seeds contain a negative or non-finite"):
-            SeedScores(np.array([1.0]), np.array([bad, 1.0]))
-
-    def test_seed_missing_a_graph_node_rejected(self, toy_graph):
-        seeds = SeedScores(np.array([1.0]), np.array([0.5, 0.5]))
-        with pytest.raises(GigmineError, match="artist seeds hold 1 values for 2 graph artists"):
-            birank(toy_graph, seeds=seeds)
-
-    def test_seed_with_an_extra_id_rejected(self, toy_graph):
-        seeds = SeedScores(np.array([0.5, 0.5]), np.array([0.25, 0.25, 0.5]))
-        with pytest.raises(GigmineError, match="venue seeds hold 3 values for 2 graph venues"):
-            birank(toy_graph, seeds=seeds)
-
     def test_default_seeds_are_log_degree_over_their_python_sum(self):
         # the larger graph repeats each degree many times and has an
         # isolated artist, so one log per distinct degree is gathered back
@@ -119,15 +96,16 @@ class TestTemporalWeights:
         g = build_graph(
             [("a", "v1", 2017), ("a", "v2", 2016), ("a", "v3", 2015)]
         )
-        weights = edge_weights(temporal_weights(g, delta=0.85, ref_year=2017))
+        decay = temporal_weights(g, delta=0.85, ref_year=2017)
+        assert not decay.flags.writeable
+        weights = edge_weights(g, decay)
         assert weights[("a", "v1")] == pytest.approx(1.0)
         assert weights[("a", "v2")] == pytest.approx(0.85)
         assert weights[("a", "v3")] == pytest.approx(0.7225)
 
     def test_delta_one_means_no_decay(self):
         g = build_graph([("a", "v1", 2010), ("a", "v2", 2017)])
-        tw = temporal_weights(g, delta=1.0, ref_year=2017)
-        assert set(tw.values.tolist()) == {1.0}
+        assert set(temporal_weights(g, delta=1.0, ref_year=2017).tolist()) == {1.0}
 
     def test_future_edge_rejected(self):
         g = build_graph([("a", "v", 2018)])
@@ -155,7 +133,7 @@ class TestBiRank:
         g = build_graph(
             [(f"a{i}", f"v{j}", 2017) for i in range(4) for j in range(4)]
         )
-        result = birank(g, weights=temporal_weights(g, ref_year=2017))
+        result = birank(g, ref_year=2017)
         scores = result.artist_scores.array.tolist()
         assert max(scores) - min(scores) <= 1e-10
         venue_scores = result.venue_scores.array.tolist()
@@ -172,21 +150,54 @@ class TestBiRank:
             tw = temporal_weights(g, delta=0.9, ref_year=2017)
             seeds = seed_scores(g)
             want_u, want_p = dense_birank_oracle(
-                g, edge_weights(tw), seeds.artist_seed, seeds.venue_seed, 0.85, 0.85
+                g, edge_weights(g, tw), seeds.artist_seed, seeds.venue_seed, 0.85, 0.85
             )
-            got = birank(g, weights=tw, seeds=seeds, tol=1e-14)
+            got = birank(g, delta=0.9, ref_year=2017, tol=1e-14)
             assert got.artist_scores.order == g.artist_order
             assert got.venue_scores.order == g.venue_order
             assert got.artist_scores.array == pytest.approx(want_u, abs=1e-10)
             assert got.venue_scores.array == pytest.approx(want_p, abs=1e-10)
 
+    def test_count_scaled_matches_dense_linear_solve(self):
+        rng = np.random.default_rng(6)
+        g = random_bipartite(rng, 9, 7, 0.4)
+        tw = temporal_weights(g, delta=0.8, ref_year=2017)
+        seeds = seed_scores(g)
+        want_u, want_p = dense_birank_oracle(
+            g, edge_weights(g, tw * g.count), seeds.artist_seed, seeds.venue_seed, 0.7, 0.9
+        )
+        got = birank(g, delta=0.8, ref_year=2017, alpha=0.7, beta=0.9, tol=1e-14,
+                     count_scaled=True)
+        assert got.artist_scores.array == pytest.approx(want_u, abs=1e-10)
+        assert got.venue_scores.array == pytest.approx(want_p, abs=1e-10)
+
     def test_fixed_point_independent_of_start(self):
+        # birank starts from the seeds; plain iteration of the same updates
+        # from a uniform start reaches the same scores
         rng = np.random.default_rng(2)
         g = random_bipartite(rng, 15, 12, 0.25)
-        a = birank(g, init="seeds", tol=1e-12)
-        b = birank(g, init="uniform", tol=1e-12)
-        assert np.abs(a.artist_scores.array - b.artist_scores.array).max() < 1e-6
-        assert np.abs(a.venue_scores.array - b.venue_scores.array).max() < 1e-6
+        a = birank(g, tol=1e-12)
+        w = np.zeros((len(g.artist_order), len(g.venue_order)))
+        w[g.row, g.col] = temporal_weights(g)
+        du, dp = w.sum(axis=1), w.sum(axis=0)
+        s = (np.where(du > 0, du, 1.0) ** -0.5 * (du > 0))[:, None] * w
+        s = s * (np.where(dp > 0, dp, 1.0) ** -0.5 * (dp > 0))
+        u0, p0 = seed_scores(g)
+        u, p = np.full(u0.size, 1 / u0.size), np.full(p0.size, 1 / p0.size)
+        for _ in range(2000):
+            u = 0.85 * (s @ p) + 0.15 * u0
+            p = 0.85 * (s.T @ u) + 0.15 * p0
+        assert np.abs(a.artist_scores.array - u).max() < 1e-6
+        assert np.abs(a.venue_scores.array - p).max() < 1e-6
+
+    def test_isolated_nodes_keep_only_their_damped_seed(self):
+        g = make_graph([("a1", "v1", 1, 2015), ("a2", "v1", 3, 2016)],
+                       artists=["lone"], venues=["empty"])
+        seeds = seed_scores(g)
+        result = birank(g, alpha=0.6, beta=0.7, count_scaled=True)
+        lone, empty = g.artist_order.index("lone"), g.venue_order.index("empty")
+        assert result.artist_scores.array[lone] == (1 - 0.6) * seeds.artist_seed[lone]
+        assert result.venue_scores.array[empty] == (1 - 0.7) * seeds.venue_seed[empty]
 
     def test_equivariant_under_relabeling(self):
         rng = np.random.default_rng(3)
@@ -206,8 +217,8 @@ class TestBiRank:
     def test_no_decay_equal_counts_ignores_years(self):
         g1 = make_graph([("a1", "v1", 2, 2010), ("a2", "v1", 2, 2016)])
         g2 = make_graph([("a1", "v1", 2, 2016), ("a2", "v1", 2, 2010)])
-        r1 = birank(g1, weights=temporal_weights(g1, delta=1.0, ref_year=2017))
-        r2 = birank(g2, weights=temporal_weights(g2, delta=1.0, ref_year=2017))
+        r1 = birank(g1, delta=1.0, ref_year=2017)
+        r2 = birank(g2, delta=1.0, ref_year=2017)
         assert r1.artist_scores.order == r2.artist_scores.order
         assert r1.artist_scores.array == pytest.approx(r2.artist_scores.array)
 
@@ -218,12 +229,10 @@ class TestBiRank:
             ("busy", "v2", 1, 2017),
             ("quiet", "v3", 1, 2017),
         ])
-        tw = temporal_weights(g, ref_year=2017)
-        seeds = SeedScores(np.full(2, 0.5), np.full(3, 1 / 3))
-        flat = birank(g, weights=tw, seeds=seeds, count_scaled=False).artist_scores
-        scaled = birank(g, weights=tw, seeds=seeds, count_scaled=True).artist_scores
+        flat = birank(g, ref_year=2017, count_scaled=False).artist_scores
+        scaled = birank(g, ref_year=2017, count_scaled=True).artist_scores
         flat, scaled = by_id(flat.order, flat.array), by_id(scaled.order, scaled.array)
-        # without count scaling the two artists are symmetric
+        # without count scaling the two artists are symmetric, seeds included
         assert flat["busy"] == pytest.approx(flat["quiet"])
         assert scaled["busy"] != pytest.approx(scaled["quiet"])
 
@@ -246,18 +255,14 @@ class TestBiRank:
         loose = birank(g, tol=1e-4)
         assert loose.iterations < tight.iterations
 
-    def test_weights_of_another_graph_rejected(self, toy_graph):
-        other = build_graph([("a1", "v1", 2010), ("a2", "v2", 2011)])
-        with pytest.raises(GigmineError, match="different graph"):
-            birank(toy_graph, weights=temporal_weights(other, ref_year=2017))
-        twin = build_graph([("a1", "v1", 2010), ("a1", "v2", 2011), ("a2", "v1", 2012)])
-        assert birank(toy_graph, weights=temporal_weights(twin)).converged
-
     def test_parameter_validation(self, toy_graph):
-        with pytest.raises(GigmineError, match="init"):
-            birank(toy_graph, init="zeros")
         with pytest.raises(GigmineError, match="alpha"):
             birank(toy_graph, alpha=1.5)
+        # the weights are built from these two
+        with pytest.raises(GigmineError, match="delta"):
+            birank(toy_graph, delta=0.0)
+        with pytest.raises(GigmineError, match="after ref_year 2011"):
+            birank(toy_graph, ref_year=2011)
 
     @pytest.mark.parametrize("max_iter", [0, -3])
     def test_max_iter_below_one_rejected(self, toy_graph, max_iter):
@@ -359,6 +364,18 @@ class TestTrajectories:
         # 2011-2014 have no events: skipped, not present
         assert sorted(traj) == [2010, 2015]
         assert any("skipped" in rec.getMessage() for rec in caplog.records)
+
+    @pytest.mark.parametrize("count_scaled", [False, True])
+    def test_each_window_ranks_with_the_given_parameters(self, count_scaled):
+        corpus = self._corpus()
+        params = dict(delta=0.6, alpha=0.7, beta=0.9, count_scaled=count_scaled)
+        traj = yearly_trajectories(corpus, window_years=3, **params)
+        assert sorted(traj) == [2012, 2013, 2014, 2015]
+        for year, ranking in traj.items():
+            in_window = (corpus.year > year - 3) & (corpus.year <= year)
+            want = birank(build_graph(corpus.select(in_window)), ref_year=year, **params)
+            assert ranking.scores.order == want.artist_scores.order
+            assert np.array_equal(ranking.scores.array, want.artist_scores.array)
 
     def test_window_convergence_kept_and_misses_warned(self, caplog, monkeypatch):
         full = yearly_trajectories(self._corpus(), window_years=3)

@@ -330,6 +330,28 @@ class TestTraining:
                 tracemalloc.stop()
             assert peak < 1.6 * buffer, (walks_per_node, peak / buffer)
 
+    def test_the_vectors_hold_only_their_rows(self):
+        # the fit's buffer holds w_in, w_out and a chunk's rows; the vectors
+        # must not keep the rest of it alive
+        walks = [[0, 3, 1, 4, 2, 5], [5, 2, 4, 1, 3, 0]]
+        vectors, _ = train_embeddings(walks, dim=4, seed=0)
+        assert vectors.shape == (6, 4) and vectors.base is None and vectors.flags.owndata
+        rng = np.random.default_rng(1)
+        g = build_graph(sorted({(f"a{i}", f"v{j}", 2010) for i, j in
+                                zip(rng.integers(0, 150, 600), rng.integers(0, 100, 600))}))
+        walks = sample_walks(g, walks_per_node=2, length=4, seed=0)
+        # the first call imports scipy modules and fills numpy's caches
+        train_embeddings(walks, dim=2, epochs=1)
+        tracemalloc.start()
+        try:
+            vectors, _ = train_embeddings(walks, dim=64, epochs=1, seed=0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert vectors.shape == (len(g.artist_order) + len(g.venue_order), 64)
+        # 1.11 times the vectors here; the whole buffer would be 3.13
+        assert held < 1.5 * vectors.nbytes, held / vectors.nbytes
+
     def test_the_highest_noise_draw_names_a_node(self, monkeypatch):
         # token counts whose noise CDF, summed in floating point, ends below
         # the largest draw; every draw is that draw, and each update must

@@ -185,13 +185,16 @@ class TestParsing:
         assert c.load_report.releases_rejected == 0
 
     def test_empty_popularity_is_none_and_bad_popularity_rejected(self, corpus_files):
-        rows = [
-            event_row("e1", "a1", "v1", "2010-05-01", pop=""),
-            event_row("e2", "a1", "v1", "2010-05-02", pop="55.5"),
-        ]
+        # popularity is validated but not stored: a blank or a number loads,
+        # anything else rejects its row
+        rows = [event_row(f"e{i}", "a1", "v1", "2010-05-01", pop="") for i in range(10)]
+        rows.append(event_row("e10", "a1", "v1", "2010-05-02", pop="55.5"))
+        rows.append(event_row("e11", "a1", "v1", "2010-05-03", pop="loud"))
         c = parse_corpus(*corpus_files(rows, [], LABELS))
-        assert np.isnan(c.popularity[0])
-        assert c.popularity[1] == 55.5
+        assert (c.load_report.events_total, c.load_report.events_rejected) == (12, 1)
+        assert [(d["line"], d["reason"]) for d in c.load_report.diagnostics] == [
+            (13, "unparseable popularity 'loud'")]
+        assert c.n_events == 11
 
     def test_only_the_three_documented_date_shapes_parse(self, corpus_files):
         bad = ["20100101", "2010-W01-1", "2010W011", "\uff12\uff10\uff11\uff10"]
@@ -305,7 +308,6 @@ class TestParsing:
                 other.artist_order, other.venue_order, other.cities)
             for col in ("artist", "venue", "day", "city", "event_id"):
                 assert np.array_equal(getattr(plain, col), getattr(other, col))
-            assert np.array_equal(plain.popularity, other.popularity, equal_nan=True)
 
     def test_a_lone_cr_takes_the_csv_splitter(self, corpus_files):
         rows = [event_row(f"e{i}", "a1", "v1", "2010-05-01") for i in range(3)]
@@ -527,12 +529,10 @@ def test_from_codes_keeps_tied_events_in_input_order():
     corpus = Corpus.from_codes(
         ("a0", "a1"), artist, tuple(f"v{i}" for i in range(n)), np.arange(n),
         (("NYC", "NY", "US"),), np.zeros(n, dtype=np.int64), day,
-        np.array(["e0", "e1"], dtype=object), event, np.arange(n, dtype=float),
-        **NO_RELEASES,
+        np.array(["e0", "e1"], dtype=object), event, **NO_RELEASES,
     )
     want = sorted(range(n), key=lambda i: (artist[i], day[i], event[i]))
     assert corpus.venue.tolist() == want
-    assert corpus.popularity.tolist() == want
     assert corpus.day.tolist() == day[want].tolist()
 
 
@@ -557,8 +557,7 @@ def test_a_select_peaks_near_what_it_keeps():
         tuple(f"a{i}" for i in range(n_artists)), rng.integers(0, n_artists, n),
         tuple(f"v{i}" for i in range(n_venues)), rng.integers(0, n_venues, n),
         (("NYC", "NY", "US"),), np.zeros(n, dtype=np.int64), 730_000 + rng.integers(0, 3000, n),
-        np.array([f"e{i}" for i in range(n)], dtype=object), np.arange(n), np.full(n, np.nan),
-        **NO_RELEASES,
+        np.array([f"e{i}" for i in range(n)], dtype=object), np.arange(n), **NO_RELEASES,
     )
     keep = rng.random(n) < 0.9
     tracemalloc.start()
@@ -568,7 +567,7 @@ def test_a_select_peaks_near_what_it_keeps():
     finally:
         tracemalloc.stop()
     assert kept.n_events == np.count_nonzero(keep)
-    assert held > 6 * 8 * kept.n_events  # six columns of 8 bytes an event
+    assert held > 5 * 8 * kept.n_events  # five columns of 8 bytes an event
     assert peak < 1.25 * held
 
 

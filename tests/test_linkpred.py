@@ -498,6 +498,13 @@ class TestRunTask2:
                 run_task2(corpus, **params)
         assert str(exc.value) == error
 
+    def test_a_misspelled_knob_fails_before_the_split(self):
+        corpus = make_corpus([("e1", "a1", "v1", dt.date(2014, 5, 1))])
+        split = mock.Mock(side_effect=AssertionError("split"))
+        with mock.patch.object(linkpred, "make_temporal_split", split):
+            with pytest.raises(TypeError, match="unexpected keyword argument 'embed_dimm'"):
+                run_task2(corpus, embed_dimm=8)
+
     def test_rejects_fewer_than_one_random_split(self):
         corpus = make_corpus([("e1", "a1", "v1", dt.date(2014, 5, 1))])
         for n in (0, -1):

@@ -43,7 +43,7 @@ from oracles import (
 )
 
 from gigmine import graph, ingest, linkpred
-from gigmine.birank import SeedScores, birank, temporal_weights
+from gigmine.birank import birank, seed_scores, temporal_weights
 from gigmine.embeddings import _draw_noise, _noise_table, _scatter_rows, sample_walks
 from gigmine.graph import build_graph, rank_rows
 from gigmine.errors import CorpusFormatError, CycleError
@@ -253,28 +253,23 @@ def test_neighborhood_views_match_oracles(g):
 @PROPERTY
 @given(graphs(), st.data())
 def test_birank_matches_dense_fixed_point(g, data):
-    # isolated nodes (and graphs without edges) keep only their damped seed
+    # isolated nodes keep only their damped seed; the log-degree seeds need
+    # an edge
+    assume(g.n_edges > 0)
     alpha, beta = data.draw(st.floats(0.0, 0.95)), data.draw(st.floats(0.0, 0.95))
     delta = data.draw(st.floats(0.05, 1.0))
     count_scaled = data.draw(st.booleans())
-    init = data.draw(st.sampled_from(["seeds", "uniform"]))
-    masses = [
-        np.array(data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)), dtype=float)
-        for n in (len(g.artist_order), len(g.venue_order))
-    ]
-    assume(all(m.sum() > 0 for m in masses))
-    u0, p0 = (m / m.sum() for m in masses)
-    seeds = SeedScores(u0, p0)
+    u0, p0 = seed_scores(g)
     tw = temporal_weights(g, delta=delta, ref_year=2017)
     weights = {
         pair: w * count if count_scaled else w
-        for pair, w, count in zip(g.id_pairs(g.row, g.col), tw.values.tolist(), g.count.tolist())
+        for pair, w, count in zip(g.id_pairs(g.row, g.col), tw.tolist(), g.count.tolist())
     }
 
     # each step contracts toward the fixed point by alpha * beta <= 0.9025, so
     # stopping at an L1 step below 1e-13 lands far inside the 1e-10 tolerance
-    got = birank(g, weights=tw, seeds=seeds, alpha=alpha, beta=beta, tol=1e-13,
-                 max_iter=2000, count_scaled=count_scaled, init=init)
+    got = birank(g, delta=delta, ref_year=2017, alpha=alpha, beta=beta, tol=1e-13,
+                 max_iter=2000, count_scaled=count_scaled)
     want_u, want_p = dense_birank_oracle(g, weights, u0, p0, alpha, beta)
     assert got.converged
     assert got.artist_scores.order == g.artist_order and got.venue_scores.order == g.venue_order
@@ -282,14 +277,15 @@ def test_birank_matches_dense_fixed_point(g, data):
     assert np.allclose(got.venue_scores.array, want_p, rtol=0, atol=1e-10)
 
 
-def scipy_birank(g, w, u0, p0, u, p, alpha, beta, tol, max_iter):
-    """BiRank's iteration on scipy.sparse matrices: diagonal scalings and CSR products."""
+def scipy_birank(g, w, u0, p0, alpha, beta, tol, max_iter):
+    """BiRank's iteration from the seeds: scipy.sparse diagonal scalings and CSR products."""
     W = scipy.sparse.csr_matrix((w, g.col, g.indptr), shape=(len(u0), len(p0)))
     du = np.asarray(W.sum(axis=1)).ravel()
     dp = np.asarray(W.sum(axis=0)).ravel()
     inv_sqrt_u = np.where(du > 0, du, 1.0) ** -0.5 * (du > 0)
     inv_sqrt_p = np.where(dp > 0, dp, 1.0) ** -0.5 * (dp > 0)
     S = scipy.sparse.diags(inv_sqrt_u) @ W @ scipy.sparse.diags(inv_sqrt_p)
+    u, p = u0, p0
     for iterations in range(1, max_iter + 1):
         u_new = alpha * (S @ p) + (1.0 - alpha) * u0
         p_new = beta * (S.T @ u_new) + (1.0 - beta) * p0
@@ -303,30 +299,21 @@ def scipy_birank(g, w, u0, p0, u, p, alpha, beta, tol, max_iter):
 @PROPERTY
 @given(graphs(max_nodes=12), st.data())
 def test_birank_matches_scipy_sparse_bitwise(g, data):
-    # isolated nodes, graphs without edges, capped and converged runs
+    # isolated nodes, capped and converged runs; the log-degree seeds need
+    # an edge
+    assume(g.n_edges > 0)
     alpha, beta = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0))
     delta = data.draw(st.floats(0.05, 1.0))
     count_scaled = data.draw(st.booleans())
-    init = data.draw(st.sampled_from(["seeds", "uniform"]))
     max_iter = data.draw(st.integers(1, 40))
     tol = data.draw(st.sampled_from([0.0, 1e-12, 1e-6]))
-    masses = [
-        np.array(data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)), dtype=float)
-        for n in (len(g.artist_order), len(g.venue_order))
-    ]
-    assume(all(m.sum() > 0 for m in masses))
-    u0, p0 = (m / m.sum() for m in masses)
-    seeds = SeedScores(u0, p0)
+    u0, p0 = seed_scores(g)
     tw = temporal_weights(g, delta=delta, ref_year=2017)
-    w = tw.values * g.count if count_scaled else tw.values
-    if init == "uniform":
-        u, p = np.full(u0.size, 1.0 / u0.size), np.full(p0.size, 1.0 / p0.size)
-    else:
-        u, p = u0, p0
+    w = tw * g.count if count_scaled else tw
 
-    got = birank(g, weights=tw, seeds=seeds, alpha=alpha, beta=beta, tol=tol,
-                 max_iter=max_iter, count_scaled=count_scaled, init=init)
-    want_u, want_p, iterations = scipy_birank(g, w, u0, p0, u, p, alpha, beta, tol, max_iter)
+    got = birank(g, delta=delta, ref_year=2017, alpha=alpha, beta=beta, tol=tol,
+                 max_iter=max_iter, count_scaled=count_scaled)
+    want_u, want_p, iterations = scipy_birank(g, w, u0, p0, alpha, beta, tol, max_iter)
     assert np.array_equal(got.artist_scores.array, want_u)
     assert np.array_equal(got.venue_scores.array, want_p)
     assert got.iterations == iterations
@@ -622,7 +609,7 @@ def test_parse_corpus_matches_the_row_by_row_reference(files):
                 "labels": {"total": 0, "rejected": 0, "dangling_parent": 0},
                 "diagnostics": diagnostics,
             }
-            artist, day, event_id, venue, city, popularity = (
+            artist, day, event_id, venue, city, _popularity = (
                 map(list, zip(*events)) if events else ([],) * 6)
             assert c.artist_order == tuple(sorted(set(artist)))
             assert c.venue_order == tuple(sorted(set(venue)))
@@ -631,7 +618,6 @@ def test_parse_corpus_matches_the_row_by_row_reference(files):
             assert [c.venue_order[i] for i in c.venue.tolist()] == venue
             assert [c.cities[i] for i in c.city.tolist()] == city
             assert c.day.tolist() == day and c.event_id.tolist() == event_id
-            assert np.array_equal(c.popularity, np.array(popularity, dtype=float), equal_nan=True)
 
 
 @st.composite

@@ -141,24 +141,29 @@ def _merge_config(user: dict, defaults: dict, path: str = "") -> dict:
     return out
 
 
+def _no_constant(name: str):
+    """``json``'s hook for NaN, Infinity and -Infinity, which JSON does not have."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_config(arg: str | None, seed: int | None) -> dict:
     if arg is None:
         user = {}
     elif arg == "-":
         try:
-            user = json.load(sys.stdin)
-        except json.JSONDecodeError as exc:
+            user = json.load(sys.stdin, parse_constant=_no_constant)
+        except ValueError as exc:  # JSONDecodeError is one
             raise UsageError(f"config on stdin is not valid JSON: {exc}")
     else:
         path = Path(arg)
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
         try:
-            user = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path} is not valid JSON: {exc}")
-        except UnicodeDecodeError as exc:
+            user = json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
+        except UnicodeDecodeError as exc:  # a ValueError too
             raise UsageError(f"config file {path} is not UTF-8: {exc}")
+        except ValueError as exc:
+            raise UsageError(f"config file {path} is not valid JSON: {exc}")
         except OSError as exc:
             raise UsageError(f"cannot read config file {path}: {exc.strerror}")
     if not isinstance(user, dict):

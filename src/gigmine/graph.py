@@ -290,4 +290,6 @@ def build_graph(events) -> BipartiteGraph:
     starts = np.flatnonzero(np.diff(codes, prepend=-1))
     row, col = np.divmod(codes[starts], len(venue_order))
     count = np.diff(np.append(starts, len(codes)))
-    return BipartiteGraph(artist_order, venue_order, row, col, count, years[order][starts])
+    first_year = years[order[starts]]
+    del codes, order, starts  # one entry per event: freed before the graph builds its arrays
+    return BipartiteGraph(artist_order, venue_order, row, col, count, first_year)

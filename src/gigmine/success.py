@@ -8,8 +8,8 @@ what preceded success.
 
 Three models are evaluated: an activity baseline (row sum scaled by the
 maximum row sum), L2-regularized logistic regression on the raw matrix, and
-the same classifier on a truncated-SVD reduction. Hyperparameters are tuned
-by stratified cross-validation on F1.
+the same classifier on a truncated-SVD reduction. One grid search tunes both
+classifiers by stratified cross-validation on F1.
 """
 
 from __future__ import annotations
@@ -266,44 +266,28 @@ def _mean_blocks(blocks):
     return {k: float(np.mean([b[k] for b in blocks])) for k in keys}
 
 
-def _tune_C(cv, c_grid, threshold, fits):
-    """The C of best mean held-out F1 over the ``_cv_sets`` ``cv``, first on ties.
-
-    Every fitted model is appended to ``fits``.
-    """
-    best_c, best_f1 = None, -1.0
-    for C in c_grid:
-        f1s = []
-        for x_fit, y_fit, x_out, y_out in cv:
-            model = train_logreg(x_fit, y_fit, C=C)
-            fits.append(model)
-            _, _, f1 = precision_recall_f1(predict_proba(model, x_out), y_out, threshold=threshold)
-            f1s.append(f1)
-        mean_f1 = float(np.mean(f1s))
-        if mean_f1 > best_f1:
-            best_c, best_f1 = C, mean_f1
-    return best_c, best_f1
-
-
 def _tune_C_k(cv, c_grid, k_grid, threshold, seed, fits):
     """Joint (C, k) grid search, one fold at a time.
 
-    The candidate ranks are the grid's at or below the smallest fold cap,
-    min(rows, columns) of a fold's fit rows, or that cap if none is. Each
-    fold is factored once, at the largest candidate: the rank-k basis for a
-    smaller k is a prefix of that fit's. A fold's basis and projections are
-    freed before the next fold is factored, so only the held-out F1s
-    outlive their fold. The pick is the first best mean F1 in (k, C) order,
-    each mean taken over the folds in fold order. Every fitted model is
-    appended to ``fits``.
+    ``k_grid`` None searches C alone on the raw fold features, and k is
+    None. Otherwise the candidate ranks are the grid's at or below the
+    smallest fold cap, min(rows, columns) of a fold's fit rows, or that cap
+    if none is (an empty grid too). Each fold is factored once, at the
+    largest candidate: the rank-k basis for a smaller k is a prefix of that
+    fit's. A fold's basis and projections are freed before the next fold is
+    factored, so only the held-out F1s outlive their fold. The pick is the
+    first best mean F1 in (k, C) order, each mean taken over the folds in
+    fold order. Every fitted model is appended to ``fits``.
     """
-    cap = min(min(x_fit.shape) for x_fit, *_ in cv)
-    ks = [k for k in sorted(k_grid) if k <= cap] or [cap]
+    ks = [None]
+    if k_grid is not None:
+        cap = min(min(x_fit.shape) for x_fit, *_ in cv)
+        ks = [k for k in sorted(k_grid) if k <= cap] or [cap]
     f1s = {(C, k): [] for k in ks for C in c_grid}  # held-out F1 of each fold
     for x_fit, y_fit, x_out, y_out in cv:
-        basis = SVDReducer(ks[-1], seed=seed).fit(x_fit).components_
+        basis = None if k_grid is None else SVDReducer(ks[-1], seed=seed).fit(x_fit).components_
         for k in ks:
-            fit_k, out_k = x_fit @ basis[:, :k], x_out @ basis[:, :k]
+            fit_k, out_k = (x_fit, x_out) if k is None else (x_fit @ basis[:, :k], x_out @ basis[:, :k])
             for C in c_grid:
                 model = train_logreg(fit_k, y_fit, C=C)
                 fits.append(model)
@@ -334,14 +318,15 @@ def run_task1(
     as in ``truncate_events``; an artist is successful when it is not
     ``NEVER``), builds the affiliation matrix, then averages test metrics
     over ``n_splits`` seeded stratified splits that hold out
-    ``test_fraction`` of each class. C (and the SVD rank) are re-tuned inside
-    each split by stratified cross-validation on F1. Each ``selected`` entry
-    also names the solver of the split's final SVD fit and, over every
-    logistic regression fitted in the split (tuning included), how many
-    stopped short of convergence and the most iterations any took.
-    ``cv_folds`` must be at least 2 and at most the training artists of the
-    smaller class, ``n_splits`` at least 1 and ``test_fraction`` in (0, 1),
-    leaving each class at least one test and one training artist.
+    ``test_fraction`` of each class. In each split one loop tunes both
+    logistic models by ``_tune_C_k`` (the SVD rank too for logreg_svd),
+    then refits and scores each. Each ``selected`` entry also names the
+    solver of the split's final SVD fit and, over every logistic regression
+    fitted in the split (tuning included), how many stopped short of
+    convergence and the most iterations any took. ``cv_folds`` must be at
+    least 2 and at most the training artists of the smaller class,
+    ``threshold`` finite, ``n_splits`` at least 1 and ``test_fraction`` in
+    (0, 1), leaving each class at least one test and one training artist.
     ``c_grid`` must hold at least one C, each finite and positive, and
     every ``k_grid`` rank must be at least 1 (an empty ``k_grid`` means the
     fold cap, as in ``_tune_C_k``); neither grid may repeat a value.
@@ -352,6 +337,8 @@ def run_task1(
         raise GigmineError(f"n_splits must be at least 1, got {n_splits}")
     if not 0.0 < test_fraction < 1.0:  # NaN fails too
         raise GigmineError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    if not np.isfinite(threshold):
+        raise GigmineError(f"threshold must be finite, got {threshold}")
     if len(c_grid) == 0 or not all(np.isfinite(C) and C > 0 for C in c_grid):
         raise GigmineError(
             f"c_grid must be a non-empty list of finite positive values, got {list(c_grid)}"
@@ -396,20 +383,18 @@ def run_task1(
         per_model["baseline"].append(_metric_block(base, y_test, threshold))
 
         fits: list[LogregModel] = []
-        best_c, _ = _tune_C(cv, c_grid, threshold, fits)
-        model = train_logreg(X_train, y_train, C=best_c)
-        fits.append(model)
-        per_model["logreg"].append(
-            _metric_block(predict_proba(model, X_test), y_test, threshold)
-        )
-
-        (svd_c, svd_k), _ = _tune_C_k(cv, c_grid, k_grid, threshold, split_seed, fits)
-        reducer = SVDReducer(svd_k, seed=split_seed).fit(X_train)
-        model = train_logreg(reducer.transform(X_train), y_train, C=svd_c)
-        fits.append(model)
-        per_model["logreg_svd"].append(
-            _metric_block(predict_proba(model, reducer.transform(X_test)), y_test, threshold)
-        )
+        picks = []
+        for name, grid in (("logreg", None), ("logreg_svd", k_grid)):
+            (C, k), _ = _tune_C_k(cv, c_grid, grid, threshold, split_seed, fits)
+            x_train, x_test = X_train, X_test
+            if k is not None:
+                reducer = SVDReducer(k, seed=split_seed).fit(X_train)
+                x_train, x_test = reducer.transform(X_train), reducer.transform(X_test)
+            model = train_logreg(x_train, y_train, C=C)
+            fits.append(model)
+            per_model[name].append(_metric_block(predict_proba(model, x_test), y_test, threshold))
+            picks.append((C, k))
+        (best_c, _), (svd_c, svd_k) = picks
         chosen.append({
             "split_seed": split_seed,
             "C": best_c,

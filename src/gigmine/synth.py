@@ -46,6 +46,11 @@ class GenSpec:
     route_artists: int = 0
 
     def __post_init__(self):
+        # NaN and an infinite exponent or bias pass the one-sided checks below
+        for name in ("heavy_tail_exponent", "positive_fraction", "success_venue_bias",
+                     "hub_fraction"):
+            if not np.isfinite(getattr(self, name)):
+                raise GigmineError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_artists < 1 or self.n_venues < 1:
             raise GigmineError("n_artists and n_venues must be positive")
         if not 0.0 < self.positive_fraction < 1.0:

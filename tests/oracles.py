@@ -158,6 +158,27 @@ def dense_svd_oracle(A):
 # -- task1 grid search reference ----------------------------------------------------
 
 
+def tune_C_reference(cv, c_grid, threshold):
+    """C search on the raw fold features written as a plain C-major loop.
+
+    For each C in grid order, a model is fitted on every fold's fit rows
+    and scored on its held-out rows by ``confusion_prf``. The pick is the
+    first C whose mean F1 over the folds (in fold order) is strictly above
+    every earlier one. Returns ``(C, mean F1, models fitted)``.
+    """
+    best, best_f1, n_models = None, -1.0, 0
+    for C in c_grid:
+        f1s = []
+        for x_fit, y_fit, x_out, y_out in cv:
+            model = train_logreg(x_fit, y_fit, C=C)
+            n_models += 1
+            f1s.append(confusion_prf(predict_proba(model, x_out), y_out, threshold)[2])
+        mean_f1 = float(np.mean(f1s))
+        if mean_f1 > best_f1:
+            best, best_f1 = C, mean_f1
+    return best, best_f1, n_models
+
+
 def tune_C_k_reference(cv, c_grid, k_grid, threshold, seed):
     """Joint (C, k) search written as plain loops over every fold at once.
 

@@ -162,6 +162,26 @@ class TestExitCodes:
         assert err.startswith("gigmine: ")
         assert message.format(target=target) in err
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_finite_constant_is_not_json(self, corpus_dir, tmp_path, capsys, monkeypatch,
+                                            constant, source):
+        # Python's json reads these; a NaN threshold would otherwise run task1
+        # to all-zero metrics and write NaN into the report
+        text = json.dumps(base_config(corpus_dir))[:-1] + f', "task1": {{"threshold": {constant}}}}}'
+        if source == "file":
+            cfg = tmp_path / "config.json"
+            cfg.write_text(text)
+            where = f"config file {cfg}"
+        else:
+            cfg = "-"
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            where = "config on stdin"
+        code = main(["task1", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{where} is not valid JSON: {constant} is not a JSON number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_must_be_object(self, tmp_path, capsys):
         cfg = tmp_path / "list.json"
         cfg.write_text("[1, 2]")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from oracles import assert_neighborhoods_match, random_bipartite
 
 from gigmine.errors import GigmineError
 from gigmine.graph import BipartiteGraph, build_graph
+from gigmine.ingest import parse_corpus
+from gigmine.synth import GenSpec, generate
 
 
 def arrays(rows):
@@ -148,3 +152,21 @@ class TestBuildGraph:
     def test_empty_event_list_gives_empty_graph(self):
         g = build_graph([])
         assert g.n_edges == 0 and not g.artist_order and not g.venue_order
+
+
+def test_build_peak_bounded_by_the_graph(tmp_path):
+    # the per-event pair codes, sort order and run starts are freed before
+    # the graph builds its own arrays: with them alive the traced peak is
+    # 2.74x the retained graph, without them 2.03x
+    generate(GenSpec(n_artists=500, n_venues=300, seed=1), tmp_path)
+    corpus = parse_corpus(*(tmp_path / f for f in ("events.csv", "releases.csv", "labels.csv")))
+    corpus.year  # a cached column: computed before tracing
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        graph = build_graph(corpus)
+        retained, peak = (size - start for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert graph.n_edges > 0
+    assert peak <= 2.4 * retained

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus
-from oracles import dense_svd_oracle, tune_C_k_reference
+from oracles import dense_svd_oracle, tune_C_k_reference, tune_C_reference
 
 from gigmine import success
 from gigmine.blas import blas_threads
@@ -449,6 +449,44 @@ class TestTuneCK:
             assert best == (c_grid[0], min([k for k in k_grid if k <= cap] or [cap]))
             assert best_f1 == 0.0
 
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(8, 30),
+        m=st.integers(2, 12),
+        n_folds=st.integers(2, 4),
+        c_grid=st.lists(st.sampled_from(C_GRID), min_size=1, max_size=3, unique=True),
+        threshold=st.sampled_from([0.5, 0.3, 2.0]),
+        sparse=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # C = 100 and C = 10 share the best mean F1 on this fold set
+    @example(n=20, m=8, n_folds=3, c_grid=[100.0, 1.0, 10.0], threshold=0.5, sparse=False,
+             seed=0)
+    def test_without_ranks_matches_the_c_major_reference(self, n, m, n_folds, c_grid, threshold,
+                                                         sparse, seed):
+        # k_grid None searches C alone on the raw fold features: no fold is factored
+        cv = random_cv(n, m, n_folds, sparse, seed)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a fold was factored")
+
+        fits = []
+        with mock.patch.object(SVDReducer, "fit", never):
+            best, best_f1 = success._tune_C_k(cv, c_grid, None, threshold, seed, fits)
+        want, want_f1, n_models = tune_C_reference(cv, c_grid, threshold)
+        assert best == (want, None)
+        assert best_f1 == want_f1
+        assert len(fits) == n_models
+
+    @pytest.mark.parametrize("c_grid", [[100.0, 1.0, 10.0], [10.0, 1.0, 100.0]])
+    def test_without_ranks_the_first_of_tied_cs_wins(self, c_grid):
+        cv = random_cv(20, 8, 3, False, 0)
+        tied = [tune_C_reference(cv, [C], 0.5)[1] for C in (10.0, 100.0)]
+        assert tied[0] == tied[1] > tune_C_reference(cv, [1.0], 0.5)[1]
+        best, best_f1 = success._tune_C_k(cv, c_grid, None, 0.5, 0, [])
+        assert best == (c_grid[0], None)
+        assert best_f1 == tied[0]
+
     def test_one_fold_alive_at_a_time(self):
         # when a fold is factored, no earlier fold's reducer or basis survives
         cv = random_cv(30, 10, 3, True, 0)
@@ -516,6 +554,40 @@ class TestRunTask1:
             assert sel["svd_solver"] == "arpack"  # 2k + 1 = 9 is below both matrix sides
             assert sel["logreg_unconverged"] == 0
             assert sel["logreg_max_iter"] >= 1
+
+    def test_each_model_scores_its_own_picks(self, small_corpus):
+        # refitting each model from its reported picks on the split's rows
+        # gives its reported test metrics; logreg and logreg_svd pick
+        # different Cs here, so a report that swapped them would fail
+        corpus, change_day = small_corpus
+        report = run_task1(
+            corpus, change_day, n_splits=2, test_fraction=0.2, cv_folds=3,
+            c_grid=(0.1, 1.0, 10.0, 100.0), k_grid=(1, 3, 8), seed=0,
+        )
+        X = build_features(corpus, truncate_events(corpus, change_day))
+        y = change_day < NEVER
+        models = report["models"]
+        for i, sel in enumerate(report["selected"]):
+            assert sel["C"] != sel["svd_C"]
+            train, test = stratified_split(y, 0.2, sel["split_seed"])
+            model = train_logreg(X[train], y[train], C=sel["C"])
+            block = success._metric_block(predict_proba(model, X[test]), y[test], 0.5)
+            assert models["logreg"]["per_split"][i] == block
+            reducer = SVDReducer(sel["svd_k"], seed=sel["split_seed"]).fit(X[train])
+            model = train_logreg(reducer.transform(X[train]), y[train], C=sel["svd_C"])
+            scores = predict_proba(model, reducer.transform(X[test]))
+            assert models["logreg_svd"]["per_split"][i] == success._metric_block(scores, y[test], 0.5)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_fails_before_features(self, small_corpus, threshold):
+        corpus, change_day = small_corpus
+
+        def never(*args, **kwargs):
+            raise AssertionError("features were built")
+
+        with mock.patch.object(success, "build_features", never), \
+                pytest.raises(GigmineError, match=f"threshold must be finite, got {threshold}"):
+            run_task1(corpus, change_day, threshold=threshold)
 
     @pytest.mark.parametrize("k_grid, k_chosen", [((1000,), 16), ((17, 1000), 16), ((5, 17, 1000), 5)])
     def test_rank_grid_above_a_fold_cap(self, small_corpus, k_grid, k_chosen):

@@ -45,6 +45,16 @@ class TestGenSpecValidation:
         with pytest.raises(GigmineError, match="bias"):
             GenSpec(success_venue_bias=0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "name", ["heavy_tail_exponent", "positive_fraction", "success_venue_bias", "hub_fraction"]
+    )
+    def test_non_finite_floats(self, name, value):
+        # an infinite bias would write NaN into the manifest, and a NaN
+        # exponent fail deep in numpy
+        with pytest.raises(GigmineError, match=f"{name} must be finite, got {value}"):
+            GenSpec(**{name: value})
+
     def test_bad_years_and_counts(self):
         with pytest.raises(GigmineError, match="years"):
             GenSpec(years=(2017, 2008))

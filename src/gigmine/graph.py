@@ -161,10 +161,10 @@ class BipartiteGraph:
 def intern_ids(ids: Sequence, key=str) -> tuple[tuple, np.ndarray]:
     """Distinct ids sorted by ``key`` (None for their natural order), and each id's index.
 
-    Graphs built from triples intern their ids here; ``gigmine.ingest``
-    keys the columns of ``events.csv`` itself. A dict rather than
-    ``np.unique``: a numpy string array drops trailing NUL characters and
-    would merge "a" with "a\\0".
+    Graphs built from triples intern their ids here; ``gigmine.ingest`` keys
+    its columns itself and interns only what it unquotes. A dict rather
+    than ``np.unique``: a numpy string array drops trailing NUL characters
+    and would merge "a" with "a\\0".
     """
     index = dict.fromkeys(ids)
     order = tuple(sorted(index, key=key))

@@ -10,19 +10,19 @@ Dates are ``YYYY``, ``YYYY-MM`` or ``YYYY-MM-DD`` in ASCII digits. Malformed
 rows are rejected with diagnostics naming the physical line where the record
 starts; a file whose malformed fraction exceeds 10% fails hard, as does a
 missing or wrong header or a byte that is not UTF-8. Each file's UTF-8 is
-checked once, whole, when it is read (``_read_bytes``): the bytes that split
-a CSV (comma, quote, CR, LF) never occur inside a multi-byte character, so
-every field cut from a valid file is valid, and no later step checks again.
+checked once, whole (``_check_utf8``): the bytes that split a CSV (comma,
+quote, CR, LF) never occur inside a multi-byte character, so every field cut
+from a valid file is valid.
 
-``events.csv`` has two splitters. A file with a ``"`` or NUL byte, or a CR
-that does not end a line as part of CRLF, goes through ``csv.reader``, and
-each record's fields are interned as the records stream in. Any other file
-(LF or CRLF line ends) is split in numpy on its line-end and comma bytes,
-and each column is keyed by one sort of its fields as NUL-padded
-fixed-width bytes (the padding is why NUL bytes take the csv route): the
-big-endian words of each field are packed into one int64 key
-(``graph.rank_rows``). Both hand each column's sorted distinct values and
-per-record codes to one validator, which checks every distinct value once.
+One numpy splitter reads all three files as ``csv.reader`` does. A quote
+opens a quoted field only at a field's start; inside one, ``""`` is a quote
+and commas and line ends are text. Other quotes are taken as they stand: in
+an unquoted field (``a,b"c``), after a closing quote (``"b"c`` reads ``bc``),
+after a space (`` "b"``), and one still open at the end, which runs to it. A
+record ends at an LF, a CRLF or a lone CR outside quotes. Each column is
+keyed by one sort of its fields' bytes, packed as big-endian words
+(``_unique_fields``). No field has a length limit, and NUL bytes are kept.
+One validator per file checks each distinct value once.
 
 A corpus stores its events once, as interned columns. ``parse_corpus``
 interns the ids: ``artist_order`` and ``venue_order`` are the sorted (by
@@ -50,13 +50,9 @@ training graphs.
 from __future__ import annotations
 
 import codecs
-import csv
 import datetime as dt
-import io
 import itertools
 import re
-from array import array
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Optional
@@ -77,7 +73,7 @@ POST_PLATFORM_CUTOFF = dt.date(2007, 1, 1)
 
 _DATE = re.compile(r"([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?")
 _EPOCH = dt.date(1970, 1, 1).toordinal()
-_BLOCK = 1 << 20  # bytes of events.csv searched at a time for line ends and commas
+_BLOCK = 1 << 20  # bytes of a corpus file searched at a time for quotes, line ends and commas
 
 
 @dataclass(slots=True)
@@ -145,7 +141,7 @@ class Corpus:
 
         ``artist``, ``venue`` and ``city`` index the orders, which hold
         exactly the values used; ``event`` indexes the sorted ``event_ids``,
-        an array of ``str`` or of their UTF-8 bytes (see ``event_id``).
+        an array of their UTF-8 bytes (see ``event_id``).
         Events tying on (artist, day, event) keep their input order.
         ``rest`` passes the release columns (taken as ``Corpus`` takes
         them), labels and load_report.
@@ -183,15 +179,11 @@ class Corpus:
     def event_id(self) -> np.ndarray:
         """Each event's id as ``str`` (an object array), decoded on first access.
 
-        The numpy splitter hands over ``event_ids`` as bytes: no command
-        reads the ids, and one object per distinct id would cost more than
-        the column of codes.
+        ``event_ids`` are held as bytes: no command reads the ids, and one
+        ``str`` per distinct id would cost more than the column of codes.
         """
-        ids = self.event_ids.tolist()
-        if ids and isinstance(ids[0], bytes):
-            # the file was checked to be UTF-8 when read, and no id holds a newline
-            ids = b"\n".join(ids).decode("utf-8").split("\n")
-        return _frozen(np.array(ids, dtype=object)[self.event], dtype=object, copy=False)
+        ids = np.array(_decode_pieces(self.event_ids.tolist()), dtype=object)
+        return _frozen(ids[self.event], dtype=object, copy=False)
 
     @cached_property
     def year(self) -> np.ndarray:
@@ -222,51 +214,35 @@ class Corpus:
         }
 
 
-def _read_bytes(path, expected_header) -> bytes:
-    """The bytes of a corpus file, without a leading UTF-8 BOM, checked to be UTF-8.
-
-    An ASCII file needs no decoding. Any other file is decoded ``_BLOCK``
-    bytes at a time and the text dropped, so no ``str`` the size of the
-    file is formed; a character cut at a block's end is held back for the
-    next block.
-    """
+def _read_bytes(path) -> bytes:
+    """The bytes of a corpus file, without a leading UTF-8 BOM."""
     try:
         # unbuffered, so reading past a BOM costs no copy of the file
         with open(path, "rb", buffering=0) as fh:
             if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
                 fh.seek(0)
-            data = fh.read()
+            return fh.read()
     except OSError as exc:
         raise CorpusFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _check_utf8(path, data: bytes):
+    """Raise CorpusFormatError naming the line of the first byte of ``data`` that is not UTF-8.
+
+    A non-ASCII file is decoded ``_BLOCK`` bytes at a time, the text dropped,
+    and a character cut at a block's end held back for the next block.
+    """
     if data.isascii():
-        return data
+        return
     decoder, view = codecs.getincrementaldecoder("utf-8")(), memoryview(data)
     for lo in range(0, len(data), _BLOCK):
         held = len(decoder.getstate()[0])
         try:
             decoder.decode(view[lo:lo + _BLOCK], final=lo + _BLOCK >= len(data))
         except UnicodeDecodeError as exc:
-            _not_utf8(path, data, lo - held + exc.start, exc.reason, expected_header)
-    return data
-
-
-def _not_utf8(path, data: bytes, at: int, reason: str, expected_header):
-    """Raise CorpusFormatError naming the line of ``data[at]``, the first byte that is not UTF-8.
-
-    A header that ends before that line and is not ``expected_header``
-    fails as a header mismatch instead, as it does when the header is
-    checked first.
-    """
-    head = data[:at]
-    line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-    reader = csv.reader(io.StringIO(head.decode("utf-8"), newline=""))
-    try:
-        header = next(reader, None)
-    except csv.Error:  # such as a field past the size limit: no header of ours
-        header = None
-    if header is not None and reader.line_num < line:
-        _check_header(path, header, expected_header)
-    raise CorpusFormatError(f"{path}: line {line}: not UTF-8 ({reason})")
+            head = data[:lo - held + exc.start]
+            line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise CorpusFormatError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
 
 
 def _check_header(path, header, expected):
@@ -274,25 +250,6 @@ def _check_header(path, header, expected):
         raise CorpusFormatError(f"{path}: empty file, expected header {expected}")
     if header != expected:
         raise CorpusFormatError(f"{path}: header mismatch, expected {expected}, got {header}")
-
-
-def _records(path, data: bytes, expected_header):
-    """Yield (line, row) for each record of a CSV file after checking its header.
-
-    ``line`` is the physical line where the record starts: a quoted field
-    may hold line breaks, so one record can span several lines. ``data`` is
-    UTF-8 (``_read_bytes``), decoded as it is read, not held whole beside it.
-    """
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
-    line = 1
-    try:
-        _check_header(path, next(reader, None), expected_header)
-        line = reader.line_num + 1
-        for row in reader:
-            yield line, row
-            line = reader.line_num + 1
-    except csv.Error as exc:
-        raise CorpusFormatError(f"{path}: line {line}: {exc}") from None
 
 
 def _ordinal(text: str) -> int:
@@ -310,144 +267,201 @@ def _ordinal(text: str) -> int:
         return 0
 
 
-def _parse_events(path, report: LoadReport) -> dict:
-    """The accepted records of events.csv as ``Corpus.from_codes`` arguments."""
-    # the file's bytes are freed before the checks, which take only the columns
-    return _check_events(path, report, *_split_events(path))
+def _read_csv(path, header, joined=None):
+    """Split a corpus file into records and intern its columns, after checking its header.
 
-
-def _split_events(path):
-    """Split events.csv into what ``_check_events`` takes."""
-    data = _read_bytes(path, EVENT_HEADER)
-    # quotes and lone CRs are csv.reader's to read, and numpy's NUL-padded
-    # cells would drop NUL bytes; CRLF line ends split in numpy as LF ones do
-    plain = b'"' not in data and b"\0" not in data and (
-        b"\r" not in data or data.count(b"\r") == data.count(b"\r\n"))
-    split = _byte_columns if plain else _csv_columns
-    return split(path, data)
-
-
-def _csv_columns(path, data: bytes):
-    """Split events.csv with csv.reader; returns what ``_check_events`` takes.
-
-    Each field is interned as its record streams in, to a code per distinct
-    value in order of first sight, so a record leaves only its line and
-    eight codes behind. The codes are renumbered in sorted order at the end.
+    Returns ``line``, the physical line of each record with as many fields
+    as ``header``, ``ragged``, the (line, field count) pairs of the others,
+    and per column of the full records its sorted distinct values (unquoted
+    UTF-8 bytes) and each record's code. ``joined``, a (first, last) pair,
+    keys those columns as one column of ``str`` tuples, cut at the commas of
+    a record of each distinct key: one sort of their bytes costs less.
     """
-    lines, ragged = array("q"), []
-    # event, artist and venue ids, date, (city, state, country), lat, lon, popularity
-    seen = [defaultdict(itertools.count().__next__) for _ in range(8)]
-    codes = [array("q") for _ in seen]
-    (e, a, v, d, c, y, x, p), (ce, ca, cv, cd, cc, cy, cx, cp) = seen, [o.append for o in codes]
-    for line, row in _records(path, data, EVENT_HEADER):
-        if len(row) != len(EVENT_HEADER):
-            ragged.append((line, len(row)))
-            continue
-        lines.append(line)
-        # unrolled: a loop over the eight columns measured slower
-        eid, artist, venue, date, city, state, country, lat, lon, pop = row
-        ce(e[eid])
-        ca(a[artist])
-        cv(v[venue])
-        cd(d[date])
-        cc(c[city, state, country])
-        cy(y[lat])
-        cx(x[lon])
-        cp(p[pop])
-    columns = []
-    for index, out in zip(seen, codes):
-        values = sorted(index)
-        index.update(zip(values, range(len(values))))
-        rank = np.fromiter(index.values(), dtype=np.int64, count=len(index))
-        columns.append((values, rank[np.frombuffer(out, dtype=np.int64)]))
-    return np.frombuffer(lines, dtype=np.int64), ragged, columns
-
-
-def _byte_columns(path, data: bytes):
-    """Split events.csv on its line-end and comma bytes; returns what ``_check_events`` takes.
-
-    Only for a file without a quote or NUL byte whose CRs all precede an
-    LF. Each column is keyed by one sort of its fields as fixed-width bytes:
-    byte order is str order in UTF-8, so the codes come out in str order.
-    """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    offset = np.int32 if buf.size < np.iinfo(np.int32).max else np.int64
-    ends = _offsets(buf, b"\n", offset)
-    if not data.endswith(b"\n"):
-        ends = np.append(ends, offset(buf.size))
+    data = _read_bytes(path)
     if not data:
-        _check_header(path, None, EVENT_HEADER)
-    # a line's last field stops before the CR of a CRLF
-    stops = ends - (buf[np.maximum(ends, 1) - 1] == ord("\r"))
-    header = data[:stops[0]].decode("utf-8")
-    _check_header(path, header.split(",") if header else [], EVENT_HEADER)
-
-    lo, hi = ends[:-1] + 1, stops[1:]
-    commas = _offsets(buf, b",", offset)
-    first = np.searchsorted(commas, lo).astype(offset)  # each row's first comma
-    n_fields = np.searchsorted(commas, hi).astype(offset) - first + 1
+        _check_header(path, None, header)
+    lo, hi, line, commas, (bounds, whole) = _split(data)
+    cuts = commas[:np.searchsorted(commas, hi[0])].tolist()  # hi[0] has the commas' dtype
+    try:
+        _check_header(path, [_unquote(data[x:y]).decode("utf-8") for x, y in zip(
+            [0, *(c + 1 for c in cuts)], [*cuts, hi[0]])] if hi[0] else [], header)
+    except UnicodeDecodeError:  # the header holds the first bad byte, which _check_utf8 names
+        pass
+    _check_utf8(path, data)
+    lo, hi, line = lo[1:], hi[1:], line[1:]
+    first = np.searchsorted(commas, lo).astype(commas.dtype)  # each record's first comma
+    n_fields = np.searchsorted(commas, hi).astype(commas.dtype) - first + 1
     n_fields[hi <= lo] = 0  # a blank line
-    line = np.arange(2, lo.size + 2, dtype=offset)
-    good = n_fields == len(EVENT_HEADER)
+    good = n_fields == len(header)
     ragged = list(zip(line[~good].tolist(), n_fields[~good].tolist()))
     if not good.all():  # copied only when a record is dropped
         lo, hi, first, line = lo[good], hi[good], first[good], line[good]
-    last = len(EVENT_HEADER) - 1
+    buf = np.frombuffer(data, dtype=np.uint8)
+    nul = b"\0" in data
+
+    def field(a, rows=slice(None)):  # where column a starts and stops in the records rows
+        start = lo[rows] if a == 0 else commas[first[rows] + (a - 1)] + 1
+        return start, hi[rows] if a == len(header) - 1 else commas[first[rows] + a]
+
+    keys = [(a, a) for a in range(len(header))]
+    if joined:
+        keys[joined[0]:joined[1] + 1] = [joined]
     columns = []
-    # city, state and country are adjacent, so one key covers the three
-    for a, b in ((0, 0), (1, 1), (2, 2), (3, 3), (4, 6), (7, 7), (8, 8), (9, 9)):
-        start = lo if a == 0 else commas[first + (a - 1)] + 1
-        values, codes = _unique_fields(buf, start, hi if b == last else commas[first + b])
-        if a != 0:  # event ids stay bytes until read (Corpus.event_id)
-            values = _decode_pieces(values.tolist())
+    for a, b in keys:
+        if a < b:
+            _, codes, rows = _unique_fields(buf, field(a)[0], field(b)[1], nul)
+            parts = ([_unquote(data[x:y]).decode("utf-8") for x, y in zip(*field(j, rows))]
+                     for j in range(a, b + 1))
+            values, renumber = intern_ids(list(zip(*parts)), key=None)
+            columns.append((values, renumber.astype(codes.dtype)[codes]))
+            continue
+        start, stop = field(a)
+        if bounds.size:  # a field that is a whole span is cut inside its quotes
+            quoted = buf[np.minimum(start, buf.size - 1)] == _QUOTE
+            cut = np.zeros(start.size, dtype=bool)
+            cut[quoted] = whole[np.searchsorted(bounds, start[quoted]) // 2]
+            start, stop = start + cut, stop - cut
+        values, codes, _ = _unique_fields(buf, start, stop, nul)
+        if bounds.size and (quoted & ~cut).any():  # the rest are unquoted in Python
+            values, renumber = intern_ids([_unquote(v) for v in values.tolist()], key=None)
+            values, codes = np.array(values, dtype=object), renumber.astype(codes.dtype)[codes]
         columns.append((values, codes))
-    keys, codes = columns[4]
-    cities, rank = intern_ids([tuple(k.split(",")) for k in keys], key=None)
-    columns[4] = (cities, rank[codes])  # in tuple order, not in the keys' byte order
     return line, ragged, columns
+
+
+def _split(data: bytes):
+    """Where the records and fields of CSV bytes start and stop, as ``csv.reader`` splits them.
+
+    Returns ``(lo, hi, line, commas, spans)``: each record's first byte, the
+    end of its last field and the physical line it starts on, the commas
+    that separate fields, and the quoted spans (``_quoted_spans``).
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    offset = np.int32 if buf.size < np.iinfo(np.int32).max else np.int64
+    spans = _quoted_spans(buf, _offsets(buf, b'"', offset))
+    ends = _offsets(buf, b"\n", offset)
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):  # lone CRs end lines too
+        cr = _offsets(buf, b"\r", offset)
+        ends = np.sort(np.concatenate((ends, cr[buf[np.minimum(cr + 1, buf.size - 1)] != _LF])))
+    line = np.arange(2, ends.size + 2, dtype=offset)  # the line after each line end
+    commas = _offsets(buf, b",", offset)
+    if spans[0].size:  # line ends and commas inside quotes separate nothing
+        outside = np.searchsorted(spans[0], ends) % 2 == 0
+        ends, line = ends[outside], line[outside]
+        commas = commas[np.searchsorted(spans[0], commas) % 2 == 0]
+    hi = ends - ((buf[ends] == _LF) & (buf[np.maximum(ends, 1) - 1] == _CR))
+    if not ends.size or ends[-1] != buf.size - 1:
+        ends, hi = np.append(ends, offset(buf.size)), np.append(hi, offset(buf.size))
+    lo = np.concatenate(([0], ends[:-1] + 1)).astype(offset, copy=False)
+    line = np.concatenate(([1], line[:ends.size - 1])).astype(offset, copy=False)
+    return lo, hi, line, commas, spans
+
+
+_QUOTE, _LF, _CR = b'"'[0], b"\n"[0], b"\r"[0]
+_SEPARATES = np.isin(np.arange(256), list(b",\n\r"))  # by byte value: comma, LF, CR
+
+
+def _quoted_spans(buf, quotes):
+    """The quoted spans of CSV bytes, as ``csv.reader`` reads them, given the quotes' offsets.
+
+    Returns ``bounds``, each span's opening and closing quote in turn
+    (``buf.size`` for one still open at the end), and ``whole``, which spans
+    are a field: no quote inside, and a separator or the end right after.
+    The closing quote is the first odd one after the opening (1st, 3rd, ...)
+    that no quote follows. Each quote that starts a field, taken as opening,
+    gives the next after its close; the spans chain these from the first.
+    """
+    if not quotes.size:
+        return quotes, np.zeros(0, dtype=bool)
+    alone = np.append(np.diff(quotes) != 1, True)  # no quote right after this one
+    # a quote at 0 reads the last byte before it, and opens anyway
+    opens = np.flatnonzero((quotes == 0) | _SEPARATES[buf[quotes - 1]]).astype(quotes.dtype)
+    close = opens + 1  # index into quotes; quotes.size for a quote open at the end
+    later = np.flatnonzero(~np.append(alone, True)[close])
+    for parity in (0, 1) if later.size else ():
+        ends = np.flatnonzero(alone[parity::2]) * 2 + parity
+        these = later[opens[later] % 2 != parity]
+        close[these] = np.append(ends, quotes.size)[np.searchsorted(ends, opens[these])]
+    skips = np.flatnonzero(opens[1:] <= close[:-1])  # the next opens inside this span
+    after = np.searchsorted(opens, close[skips], side="right")
+    chain = np.zeros(opens.size, dtype=bool)
+    i = 0
+    while i < opens.size:
+        k = np.searchsorted(skips, i)
+        j = int(skips[k]) if k < skips.size else opens.size - 1
+        chain[i:j + 1] = True
+        i = int(after[k]) if k < skips.size else opens.size
+    del alone
+    opens, close = opens[chain], close[chain]
+    whole = close == opens + 1  # no quote inside
+    shut = quotes.take(close, mode="clip")
+    shut[close == quotes.size] = buf.size  # still open at the end
+    del close  # freed before the bounds, which are as large as it and two more
+    whole &= (shut < buf.size) & (
+        (shut == buf.size - 1) | _SEPARATES[buf[np.minimum(shut + 1, buf.size - 1)]])
+    return np.column_stack((quotes[opens], shut)).ravel(), whole
+
+
+_QUOTED = re.compile(rb'"((?:[^"]|"")*)"?(.*)', re.DOTALL)
+
+
+def _unquote(field: bytes) -> bytes:
+    """A field's bytes between separators as ``csv.reader`` reads them: a leading quote,
+    its closing quote and the doubled quotes between go; the bytes after stay."""
+    if field[:1] != b'"':
+        return field
+    inside, rest = _QUOTED.fullmatch(field).groups()
+    return inside.replace(b'""', b'"') + rest
 
 
 def _offsets(buf, byte: bytes, dtype) -> np.ndarray:
     """The positions of ``byte`` in ``buf``, in ``dtype``.
 
     Counted, then found, ``_BLOCK`` bytes at a time, so no file-sized mask
-    or int64 offsets are formed.
+    or int64 offsets are formed; a block without one is searched once.
     """
     blocks = range(0, buf.size, _BLOCK)
-    out = np.empty(sum(np.count_nonzero(buf[lo:lo + _BLOCK] == ord(byte)) for lo in blocks),
-                   dtype=dtype)
+    counts = [np.count_nonzero(buf[lo:lo + _BLOCK] == ord(byte)) for lo in blocks]
+    out = np.empty(sum(counts), dtype=dtype)
     n = 0
-    for lo in blocks:
-        at = np.flatnonzero(buf[lo:lo + _BLOCK] == ord(byte))
-        out[n:n + at.size] = at + lo
-        n += at.size
+    for lo, k in zip(blocks, counts):
+        if k:
+            out[n:n + k] = np.flatnonzero(buf[lo:lo + _BLOCK] == ord(byte)) + lo
+            n += k
     return out
 
 
-def _unique_fields(buf, start, stop):
-    """Sorted distinct fields ``buf[start[i]:stop[i]]`` as an array, and each row's code.
+def _unique_fields(buf, start, stop, nul=False):
+    """Sorted distinct fields ``buf[start[i]:stop[i]]``, each one's code, and a row of each.
 
     Each field is read as the big-endian words of a NUL-padded cell whose
     width is a multiple of 8 bytes, gathered one word per field at a time
     straight from ``buf``. The words, whose order is the bytes' order, are
     packed into one int64 key (see ``_word_columns``), which ``rank_rows``
     sorts once; cells are formed only for the distinct fields, and the
-    codes keep the offsets' dtype. When one field is so much wider than the
-    others that the cells would outgrow ``buf``, the column's fields are
-    sorted as ``bytes`` objects instead (an object array).
+    codes keep the offsets' dtype. In a file with ``nul`` bytes the width
+    ends the key, so "a" sorts before "a\\0", and the values are ``bytes``
+    objects, which keep trailing NULs. When one field is so much wider than
+    the others that the cells would outgrow ``buf``, the fields are sorted
+    as ``bytes`` objects instead.
     """
     width = stop - start
     w = -(-max(int(width.max(initial=0)), 1) // 8) * 8
     if width.size * w > buf.size:
         pieces = [buf[a:b].tobytes() for a, b in zip(start.tolist(), stop.tolist())]
-        values, codes = np.unique(np.array(pieces, dtype=object), return_inverse=True)
-        return values, codes.astype(start.dtype)
-    rank, order, first = rank_rows(_word_columns(buf, start, width, w // 8))
+        values, rows, codes = np.unique(np.array(pieces, dtype=object), return_index=True,
+                                        return_inverse=True)
+        return values, codes.astype(start.dtype), rows
+    words = _word_columns(buf, start, width, w // 8)
+    rank, order, first = rank_rows(itertools.chain(words, [(width, w + 1)] if nul else []))
     rows = order[first]
+    if nul:
+        values = [buf[a:b].tobytes() for a, b in zip(start[rows].tolist(), stop[rows].tolist())]
+        return np.array(values, dtype=object), rank.astype(start.dtype, copy=False), rows
     cells = np.empty((rows.size, w // 8), dtype=">u8")
     for j in range(w // 8):
         cells[:, j] = _field_word(buf, start[rows], width[rows], j)
-    return cells.view(f"S{w}").ravel(), rank.astype(start.dtype, copy=False)
+    return cells.view(f"S{w}").ravel(), rank.astype(start.dtype, copy=False), rows
 
 
 # the mask of the first k bytes of a big-endian word, for k = 0..8
@@ -485,30 +499,28 @@ def _word_columns(buf, start, width, n_words):
 
 
 def _decode_pieces(pieces: list) -> list[str]:
-    """Fields cut from a UTF-8 file at commas and line ends, as ``str``, in one decode."""
-    return b"\n".join(pieces).decode("utf-8").split("\n") if pieces else []
+    """Fields of a UTF-8 file as ``str``; in one decode unless a field holds a line break."""
+    text = b"\n".join(pieces).decode("utf-8").split("\n")
+    return text if len(text) == len(pieces) else [p.decode("utf-8") for p in pieces]
 
 
-def _check_events(path, report: LoadReport, line, ragged, columns) -> dict:
-    """Validate split events.csv records; the accepted ones as ``Corpus.from_codes`` arguments.
+def _parse_events(path, report: LoadReport) -> dict:
+    """The accepted records of events.csv as ``Corpus.from_codes`` arguments.
 
-    ``line`` is the physical line of each record with the full field count,
-    ``ragged`` the (line, field count) pairs of the other records, and
-    ``columns`` one (sorted distinct values, codes) pair per column of the
-    full records: event, artist and venue ids, date, (city, state, country)
-    triples, lat, lon and popularity. Each check runs once per distinct
-    value; a record gets the reason of the first check it fails, rejections
-    are reported in line order, and of the accepted records sharing an
-    event_id the first one wins.
+    Each check runs once per distinct value. Event ids stay bytes, and city,
+    state and country are keyed as one column of tuples.
     """
+    line, ragged, columns = _read_csv(path, EVENT_HEADER, joined=(4, 6))
     (eid_v, eid), (art_v, art), (ven_v, ven), (date_v, date), (city_v, city), \
-        (lat_v, lat), (lon_v, lon), (pop_v, pop) = columns
+        (lat_v, lat), (lon_v, lon), (pop_v, pop) = (
+            (values if k in (0, 4) else _decode_pieces(values.tolist()), codes)
+            for k, (values, codes) in enumerate(columns))
     day = np.array([_ordinal(s) for s in date_v], dtype=np.int64)[date]
     lat_f, lat_ok = _floats(lat_v)
     lon_f, lon_ok = _floats(lon_v)
     _, pop_ok = _floats(pop_v, blank_ok=True)
     y, x = lat_f[lat], lon_f[lon]
-    checks = (
+    keep = _accept(report, "events", path, EVENT_HEADER, line, ragged, (
         (_blank(eid_v, eid) | _blank(art_v, art) | _blank(ven_v, ven),
          lambda i: "missing event, artist or venue id"),
         (day == 0, lambda i: f"unparseable date {date_v[date[i]]!r}"),
@@ -517,38 +529,48 @@ def _check_events(path, report: LoadReport, line, ragged, columns) -> dict:
         (~((-90.0 <= y) & (y <= 90.0) & (-180.0 <= x) & (x <= 180.0)),
          lambda i: f"coordinates out of bounds ({float(y[i])}, {float(x[i])})"),
         (~pop_ok[pop], lambda i: f"unparseable popularity {pop_v[pop[i]]!r}"),
-    )
-    rejects = [(n, f"expected {len(EVENT_HEADER)} fields, got {k}") for n, k in ragged]
-    failed = np.zeros(line.size, dtype=bool)
-    for mask, reason in checks:
-        rejects += [(int(line[i]), reason(i)) for i in np.flatnonzero(mask & ~failed).tolist()]
-        failed |= mask
-    passed = np.flatnonzero(~failed)
-    _, first = np.unique(eid[passed], return_index=True)
-    repeat = np.ones(passed.size, dtype=bool)
-    repeat[first] = False
-    first_line = np.zeros(len(eid_v), dtype=np.int64)
-    first_line[eid[passed[first]]] = line[passed[first]]
-    for i in passed[repeat].tolist():
-        event_id, first_on = eid_v[eid[i]], first_line[eid[i]]
-        if isinstance(event_id, bytes):
-            event_id = event_id.decode("utf-8")
-        rejects.append((int(line[i]), f"duplicate event_id {event_id!r}, first on line {first_on}"))
-    report.events_total += line.size + len(ragged)
-    for line_no, reason in sorted(rejects):
-        report.reject("events", path, line_no, reason)
-
-    keep = passed[~repeat]
+    ), ("event_id", lambda c: eid_v[c].decode("utf-8"), eid))
     artist_order, artist, _ = _used(art_v, art[keep])
     venue_order, venue, _ = _used(ven_v, ven[keep])
     cities, city, _ = _used(city_v, city[keep])
     return dict(
         artist_order=artist_order, artist=artist, venue_order=venue_order, venue=venue,
-        cities=cities, city=city, day=day[keep],
-        # the numpy splitter's ids are an array of bytes, csv.reader's a list
-        event_ids=eid_v if isinstance(eid_v, np.ndarray) else np.array(eid_v, dtype=object),
-        event=eid[keep],
+        cities=cities, city=city, day=day[keep], event_ids=eid_v, event=eid[keep],
     )
+
+
+def _accept(report: LoadReport, table, path, header, line, ragged, checks, ids=None):
+    """Report the records of ``table`` that fail a check, in line order; the indices of the rest.
+
+    A ragged record fails on its field count, a full one on the first of
+    ``checks``, (mask, reason of record i) pairs, that it fails. With
+    ``ids``, a (column name, value of a code, codes) triple, a passing
+    record that repeats an id fails naming the line of the first. More than
+    ``MALFORMED_TOLERANCE`` of the records failing fails the file.
+    """
+    rejects = [(n, f"expected {len(header)} fields, got {k}") for n, k in ragged]
+    failed = np.zeros(line.size, dtype=bool)
+    for mask, reason in checks:
+        rejects += [(int(line[i]), reason(i)) for i in np.flatnonzero(mask & ~failed).tolist()]
+        failed |= mask
+    keep = np.flatnonzero(~failed)
+    if ids:
+        name, value, codes = ids
+        _, first, group = np.unique(codes[keep], return_index=True, return_inverse=True)
+        repeat = np.ones(keep.size, dtype=bool)
+        repeat[first] = False
+        again, first_on = keep[repeat], line[keep[first[group[repeat]]]]
+        rejects += [(n, f"duplicate {name} {value(c)!r}, first on line {f}") for n, c, f in zip(
+            line[again].tolist(), codes[again].tolist(), first_on.tolist())]
+        keep = keep[~repeat]
+    total = line.size + len(ragged)
+    setattr(report, f"{table}_total", getattr(report, f"{table}_total") + total)
+    for line_no, reason in sorted(rejects):
+        report.reject(table, path, line_no, reason)
+    if total and len(rejects) / total > MALFORMED_TOLERANCE:
+        raise CorpusFormatError(f"{path}: {len(rejects)}/{total} malformed rows exceeds the "
+                                f"{MALFORMED_TOLERANCE:.0%} tolerance")
+    return keep
 
 
 def _floats(values, blank_ok=False):
@@ -578,66 +600,38 @@ def _used(values, codes):
 
 
 def _parse_releases(path, report: LoadReport):
-    """The accepted rows of releases.csv: artist ids, label ids and day ordinals,
-    ``NEVER`` for an undated release (kept for the success label, never a change point)."""
-    artists, labels, days = [], [], array("q")
-    reject = partial(report.reject, "releases", path)
-    for line_no, row in _records(path, _read_bytes(path, RELEASE_HEADER), RELEASE_HEADER):
-        report.releases_total += 1
-        if len(row) != len(RELEASE_HEADER):
-            reject(line_no, f"expected {len(RELEASE_HEADER)} fields, got {len(row)}")
-            continue
-        artist_id, label_id, date_s = row
-        if not artist_id or not label_id:
-            reject(line_no, "missing artist or label id")
-            continue
-        day = _ordinal(date_s) if date_s else NEVER
-        if not day:
-            reject(line_no, f"unparseable release date {date_s!r}")
-            continue
-        if day == NEVER:
-            report.releases_undated += 1
-        artists.append(artist_id)
-        labels.append(label_id)
-        days.append(day)
-    return artists, labels, np.frombuffer(days, dtype=np.int64)
+    """The accepted rows of releases.csv: artist ids and label ids, each as (sorted distinct
+    values, codes), and day ordinals, ``NEVER`` for an undated release (kept for the success
+    label, never a change point)."""
+    line, ragged, columns = _read_csv(path, RELEASE_HEADER)
+    (art_v, art), (lab_v, lab), (date_v, date) = (
+        (_decode_pieces(values.tolist()), codes) for values, codes in columns)
+    day = np.array([_ordinal(s) if s else NEVER for s in date_v], dtype=np.int64)[date]
+    keep = _accept(report, "releases", path, RELEASE_HEADER, line, ragged, (
+        (_blank(art_v, art) | _blank(lab_v, lab), lambda i: "missing artist or label id"),
+        (day == 0, lambda i: f"unparseable release date {date_v[date[i]]!r}"),
+    ))
+    report.releases_undated += int(np.count_nonzero(day[keep] == NEVER))
+    return (art_v, art[keep]), (lab_v, lab[keep]), day[keep]
 
 
 def _parse_labels(path, report: LoadReport) -> LabelTable:
     """The accepted rows of labels.csv as a table; of rows repeating a label_id the first wins."""
-    first_line, parents, major = {}, [], []
-    reject = partial(report.reject, "labels", path)
-    for line_no, row in _records(path, _read_bytes(path, LABEL_HEADER), LABEL_HEADER):
-        report.labels_total += 1
-        if len(row) != len(LABEL_HEADER):
-            reject(line_no, f"expected {len(LABEL_HEADER)} fields, got {len(row)}")
-            continue
-        label_id, _name, parent_id, major_s = row
-        if not label_id:
-            reject(line_no, "missing label id")
-            continue
-        if major_s not in ("0", "1"):
-            reject(line_no, f"is_major_root must be 0 or 1, got {major_s!r}")
-            continue
-        if label_id in first_line:
-            reject(line_no, f"duplicate label_id {label_id!r}, first on line {first_line[label_id]}")
-            continue
-        first_line[label_id] = line_no
-        parents.append(parent_id)
-        major.append(major_s == "1")
-    ids = tuple(first_line)
+    line, ragged, columns = _read_csv(path, LABEL_HEADER)
+    (lid_v, lid), _, (par_v, par), (major_v, major) = (
+        (_decode_pieces(values.tolist()), codes) for values, codes in columns)
+    not_01 = np.array([m not in ("0", "1") for m in major_v], dtype=bool)
+    keep = _accept(report, "labels", path, LABEL_HEADER, line, ragged, (
+        (_blank(lid_v, lid), lambda i: "missing label id"),
+        (not_01[major], lambda i: f"is_major_root must be 0 or 1, got {major_v[major[i]]!r}"),
+    ), ("label_id", lid_v.__getitem__, lid))
+    ids = tuple(lid_v[c] for c in lid[keep].tolist())
+    parents = [par_v[c] for c in par[keep].tolist()]
     parent = index_of(ids, parents)
     # a blank parent id is no parent; label ids are never blank
     report.labels_dangling_parent += sum(1 for p, i in zip(parents, parent.tolist()) if p and i < 0)
-    return LabelTable(ids, _frozen(parent), _frozen(major, dtype=bool))
-
-
-def _check_tolerance(path, rejected, total):
-    if total and rejected / total > MALFORMED_TOLERANCE:
-        raise CorpusFormatError(
-            f"{path}: {rejected}/{total} malformed rows exceeds the "
-            f"{MALFORMED_TOLERANCE:.0%} tolerance"
-        )
+    is_major = [major_v[c] == "1" for c in major[keep].tolist()]
+    return LabelTable(ids, _frozen(parent), _frozen(is_major, dtype=bool))
 
 
 def parse_corpus(event_file, release_file, label_file) -> Corpus:
@@ -651,19 +645,16 @@ def parse_corpus(event_file, release_file, label_file) -> Corpus:
     """
     report = LoadReport()
     events = _parse_events(event_file, report)
-    _check_tolerance(event_file, report.events_rejected, report.events_total)
     both_sides = set(events["artist_order"]).intersection(events["venue_order"])
     if both_sides:
         raise CorpusFormatError(
             f"{event_file}: ids used as both artist and venue: {sorted(both_sides)[:5]}"
         )
-    release_artists, release_labels, release_day = _parse_releases(release_file, report)
-    _check_tolerance(release_file, report.releases_rejected, report.releases_total)
+    (art_v, art), (lab_v, lab), release_day = _parse_releases(release_file, report)
     labels = _parse_labels(label_file, report)
-    _check_tolerance(label_file, report.labels_rejected, report.labels_total)
     return Corpus.from_codes(
-        **events, release_artist=index_of(events["artist_order"], release_artists),
-        release_label=index_of(labels.ids, release_labels), release_day=release_day,
+        **events, release_artist=index_of(events["artist_order"], art_v)[art],
+        release_label=index_of(labels.ids, lab_v)[lab], release_day=release_day,
         labels=labels, load_report=report,
     )
 

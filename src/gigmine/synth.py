@@ -46,6 +46,11 @@ class GenSpec:
     route_artists: int = 0
 
     def __post_init__(self):
+        # a float count or seed passes the comparisons below and fails in numpy
+        for name in ("n_artists", "n_venues", "seed", "min_events", "future_edge_count",
+                     "trajectory_artists", "route_artists"):
+            if type(getattr(self, name)) is not int:  # bool is no count either
+                raise GigmineError(f"{name} must be an integer, got {getattr(self, name)!r}")
         # NaN and an infinite exponent or bias pass the one-sided checks below
         for name in ("heavy_tail_exponent", "positive_fraction", "success_venue_bias",
                      "hub_fraction"):

@@ -92,8 +92,8 @@ def make_corpus(events):
     """Corpus from (event_id, artist, venue, date[, city]) tuples.
 
     The ids are interned and passed to ``Corpus.from_codes``, which orders
-    events as ``parse_corpus`` does; the city defaults to ("NYC", "NY",
-    "US") and there are no releases or labels.
+    events as ``parse_corpus`` does, the event ids as UTF-8 bytes; the city
+    defaults to ("NYC", "NY", "US") and there are no releases or labels.
     """
     cols = {k: [] for k in ("event_id", "artist_id", "venue_id", "day", "city")}
     for event_id, artist, venue, date, *city in events:
@@ -108,7 +108,8 @@ def make_corpus(events):
     event_ids, event = intern_ids(cols["event_id"])
     return Corpus.from_codes(
         artist_order, artist, venue_order, venue, cities, city,
-        np.array(cols["day"], dtype=np.int64), np.array(event_ids, dtype=object), event,
+        np.array(cols["day"], dtype=np.int64),
+        np.array([i.encode("utf-8") for i in event_ids], dtype=object), event,
         **NO_RELEASES,
     )
 

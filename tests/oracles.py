@@ -261,11 +261,39 @@ def raw_ngram_counts(sequences, n) -> dict:
     return out
 
 
-# -- events.csv parse -------------------------------------------------------------------
+# -- corpus file parse ------------------------------------------------------------------
 
 _EVENT_HEADER = ["event_id", "artist_id", "venue_id", "date", "city", "state", "country",
                  "lat", "lon", "popularity"]
+_RELEASE_HEADER = ["artist_id", "label_id", "release_date"]
+_LABEL_HEADER = ["label_id", "name", "parent_label_id", "is_major_root"]
 _DATE_SHAPE = re.compile(r"([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?")
+
+
+def _csv_records(path, header):
+    """(line, row) of each record of a CSV file after its header, read by ``csv.reader``.
+
+    The line is the physical line on which the record starts.
+    """
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == header
+        line = reader.line_num + 1
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
+
+
+def _day(date_s):
+    """The ordinal of a YYYY, YYYY-MM or YYYY-MM-DD date, None if it is not one."""
+    match = _DATE_SHAPE.fullmatch(date_s)
+    try:
+        if match is None:
+            raise ValueError(date_s)
+        year, month, day = match.groups()
+        return dt.date(int(year), int(month or 1), int(day or 1)).toordinal()
+    except ValueError:
+        return None
 
 
 def _event_reason(row, first_line_of):
@@ -275,13 +303,7 @@ def _event_reason(row, first_line_of):
     event_id, artist_id, venue_id, date_s, _, _, _, lat_s, lon_s, pop_s = row
     if not event_id or not artist_id or not venue_id:
         return "missing event, artist or venue id"
-    match = _DATE_SHAPE.fullmatch(date_s)
-    try:
-        if match is None:
-            raise ValueError(date_s)
-        year, month, day = match.groups()
-        dt.date(int(year), int(month or 1), int(day or 1))
-    except ValueError:
+    if _day(date_s) is None:
         return f"unparseable date {date_s!r}"
     try:
         lat, lon = float(lat_s), float(lon_s)
@@ -309,25 +331,69 @@ def parse_events_reference(path):
     order, where the line is the physical line on which the record starts.
     """
     events, diagnostics, first_line_of = [], [], {}
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        assert next(reader) == _EVENT_HEADER
-        line = reader.line_num + 1
-        total = 0
-        for row in reader:
-            total += 1
-            reason = _event_reason(row, first_line_of)
-            if reason is not None:
-                diagnostics.append({"file": str(path), "line": line, "reason": reason})
-            else:
-                event_id, artist_id, venue_id, date_s, city, state, country, _, _, pop_s = row
-                first_line_of[event_id] = line
-                year, month, day = _DATE_SHAPE.fullmatch(date_s).groups()
-                ordinal = dt.date(int(year), int(month or 1), int(day or 1)).toordinal()
-                events.append((artist_id, ordinal, event_id, venue_id, (city, state, country),
-                               float(pop_s) if pop_s else math.nan))
-            line = reader.line_num + 1
+    total = 0
+    for line, row in _csv_records(path, _EVENT_HEADER):
+        total += 1
+        reason = _event_reason(row, first_line_of)
+        if reason is not None:
+            diagnostics.append({"file": str(path), "line": line, "reason": reason})
+        else:
+            event_id, artist_id, venue_id, date_s, city, state, country, _, _, pop_s = row
+            first_line_of[event_id] = line
+            events.append((artist_id, _day(date_s), event_id, venue_id, (city, state, country),
+                           float(pop_s) if pop_s else math.nan))
     return sorted(events, key=lambda e: e[:3]), total, diagnostics
+
+
+def parse_releases_reference(path):
+    """Row-by-row parse of a releases.csv with a valid header.
+
+    Returns (releases, total, diagnostics): the accepted rows in file order
+    as (artist_id, label_id, day ordinal) triples, the day None for an
+    undated release, and the diagnostics as ``parse_events_reference``
+    gives them.
+    """
+    releases, diagnostics, total = [], [], 0
+    for line, row in _csv_records(path, _RELEASE_HEADER):
+        total += 1
+        if len(row) != len(_RELEASE_HEADER):
+            reason = f"expected {len(_RELEASE_HEADER)} fields, got {len(row)}"
+        elif not row[0] or not row[1]:
+            reason = "missing artist or label id"
+        elif row[2] and _day(row[2]) is None:
+            reason = f"unparseable release date {row[2]!r}"
+        else:
+            releases.append((row[0], row[1], _day(row[2]) if row[2] else None))
+            continue
+        diagnostics.append({"file": str(path), "line": line, "reason": reason})
+    return releases, total, diagnostics
+
+
+def parse_labels_reference(path):
+    """Row-by-row parse of a labels.csv with a valid header.
+
+    Returns (labels, total, diagnostics): ``labels`` maps each accepted
+    label id, in file order, to its (parent id, is major root) pair; of the
+    rows repeating a label id the first wins. The diagnostics are as
+    ``parse_events_reference`` gives them.
+    """
+    labels, first_line_of, diagnostics, total = {}, {}, [], 0
+    for line, row in _csv_records(path, _LABEL_HEADER):
+        total += 1
+        if len(row) != len(_LABEL_HEADER):
+            reason = f"expected {len(_LABEL_HEADER)} fields, got {len(row)}"
+        elif not row[0]:
+            reason = "missing label id"
+        elif row[3] not in ("0", "1"):
+            reason = f"is_major_root must be 0 or 1, got {row[3]!r}"
+        elif row[0] in first_line_of:
+            reason = f"duplicate label_id {row[0]!r}, first on line {first_line_of[row[0]]}"
+        else:
+            first_line_of[row[0]] = line
+            labels[row[0]] = (row[2], row[3] == "1")
+            continue
+        diagnostics.append({"file": str(path), "line": line, "reason": reason})
+    return labels, total, diagnostics
 
 
 # -- label hierarchy and success labels --------------------------------------------------

@@ -2,7 +2,6 @@ import csv
 import datetime as dt
 import io
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -274,9 +273,8 @@ class TestParsing:
         with pytest.raises(CorpusFormatError, match=f"{table}.csv: line {line}: not UTF-8"):
             parse_corpus(*paths)
 
-    def test_plain_corpus_is_split_in_numpy_and_matches_the_csv_splitter(self, tmp_path):
+    def test_crlf_and_quoted_rewrites_load_as_the_plain_corpus(self, tmp_path):
         generate(GenSpec(n_artists=60, n_venues=30, seed=3), tmp_path / "plain")
-        # LF and CRLF line ends split in numpy; all-quoted fields take csv.reader
         styles = {"plain": ("\n", csv.QUOTE_MINIMAL), "crlf": ("\r\n", csv.QUOTE_MINIMAL),
                   "quoted": ("\n", csv.QUOTE_ALL)}
         for d in ("crlf", "quoted"):
@@ -293,11 +291,7 @@ class TestParsing:
                 with open(tmp_path / d / name, "w", encoding="utf-8", newline="") as fh:
                     csv.writer(fh, lineterminator=end, quoting=quoting).writerows(rows)
         files = ("events.csv", "releases.csv", "labels.csv")
-        parsed = {}
-        for d in styles:
-            unused = "_byte_columns" if d == "quoted" else "_csv_columns"
-            with mock.patch.object(ingest, unused, side_effect=AssertionError(unused)):
-                parsed[d] = parse_corpus(*(tmp_path / d / f for f in files))
+        parsed = {d: parse_corpus(*(tmp_path / d / f for f in files)) for d in styles}
         plain = parsed["plain"]
         assert plain.load_report.events_rejected == 3
         assert [d["line"] for d in plain.load_report.diagnostics] == [6, 10, 13]
@@ -309,22 +303,46 @@ class TestParsing:
             for col in ("artist", "venue", "day", "city", "event_id"):
                 assert np.array_equal(getattr(plain, col), getattr(other, col))
 
-    def test_a_lone_cr_takes_the_csv_splitter(self, corpus_files):
+    def test_lone_cr_line_ends_split_records(self, corpus_files):
         rows = [event_row(f"e{i}", "a1", "v1", "2010-05-01") for i in range(3)]
         paths = corpus_files(rows, [], LABELS)
         # a CRLF after the header, old-Mac CR line ends after that
         header, body = paths[0].read_bytes().split(b"\n", 1)
         paths[0].write_bytes(header + b"\r\n" + body.replace(b"\n", b"\r"))
-        with mock.patch.object(ingest, "_byte_columns", side_effect=AssertionError("byte path")):
-            c = parse_corpus(*paths)
+        c = parse_corpus(*paths)
         assert c.event_id.tolist() == ["e0", "e1", "e2"]
+
+    def test_stray_quotes_read_as_csv_reader_reads_them(self, corpus_files):
+        # lines csv.writer never writes, between lone CRs; the last record
+        # ends inside a quote still open, which runs to the end of the file
+        lines = [
+            ",".join(EVENT_HEADER),
+            'e1,a1,v1,2010-05-01,N"Y,NY,US,40.7,-74.0,',  # a quote inside an unquoted field
+            'e2,a1,v1,2010-05-01,"N"Y,NY,US,40.7,-74.0,',  # text after the closing quote
+            'e3,a1,v1,2010-05-01, "NY",NY,US,40.7,-74.0,',  # a space before the quote
+            'e4,a1,v1,2010-05-01,"New York, NY",NY,US,40.7,-74.0,',
+            'e5,a1,v1,2010-05-01,"a ""b""",NY,US,40.7,-74.0,',
+            'e6,a1,v1,2010-05-01,"two\r\nlines",NY,US,40.7,-74.0,',  # lines 7 and 8
+            "e7,a\0,v1,2010-05-01,NYC,NY,US,40.7,-74.0,",
+            "e9,a1,v1,2010-13-01,NYC,NY,US,40.7,-74.0,",
+            "e10,a1,v1,2010-05-02,NYC,NY,US,40.7,-74.0,",
+            'e8,a,v1,2010-05-01,NYC,NY,US,40.7,-74.0,"5',
+        ]
+        paths = corpus_files([], [], LABELS)
+        paths[0].write_bytes("\r".join(lines).encode("utf-8") + b"\n")
+        c = parse_corpus(*paths)
+        assert [(d["line"], d["reason"]) for d in c.load_report.diagnostics] == [
+            (10, "unparseable date '2010-13-01'")]
+        assert dict(zip(c.event_id.tolist(), (c.cities[i][0] for i in c.city.tolist()))) == {
+            "e1": 'N"Y', "e2": "NY", "e3": ' "NY"', "e4": "New York, NY", "e5": 'a "b"',
+            "e6": "two\r\nlines", "e7": "NYC", "e10": "NYC", "e8": "NYC"}
+        assert c.artist_order == ("a", "a\0", "a1")
 
     def test_a_field_wider_than_the_file_allows_is_sorted_as_bytes(self, corpus_files):
         rows = [event_row(f"e{i}", "a1", "v1", "2010-05-01") for i in range(12)]
         rows[1] = event_row("e1", "a" * 500, "v1", "2010-05-01")
         rows.append(event_row("e12", "a0", "v1", "2010-13-01"))
-        with mock.patch.object(ingest, "_csv_columns", side_effect=AssertionError("csv path")):
-            c = parse_corpus(*corpus_files(rows, [], LABELS))
+        c = parse_corpus(*corpus_files(rows, [], LABELS))
         assert c.artist_order == ("a1", "a" * 500)
         assert c.artist.tolist() == [0] * 11 + [1]
         assert [(d["line"], d["reason"]) for d in c.load_report.diagnostics] == [
@@ -345,7 +363,7 @@ class TestParsing:
     ])
     def test_both_splitters_check_a_whole_header_before_a_bad_byte(self, corpus_files, data,
                                                                    error):
-        # the quoted files take csv.reader, the others the numpy splitter
+        # quoted or not, a header that ends before the bad byte is checked first
         paths = corpus_files([], [], LABELS)
         paths[0].write_bytes(data)
         with pytest.raises(CorpusFormatError, match=f"events.csv: {error}"):
@@ -356,7 +374,7 @@ class TestParsing:
         rows = [event_row(f"\u00e9{i}", "a1", "v1", "2010-05-01") for i in range(10)]
         rows.append(event_row("\u00e91", "a1", "v1", "2010-05-02"))
         paths = corpus_files([], [], LABELS)
-        paths[0].write_bytes(b"\xef\xbb\xbf")  # a BOM, read past on either splitter
+        paths[0].write_bytes(b"\xef\xbb\xbf")  # a BOM, read past quoted or not
         with open(paths[0], "a", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n",
                                 quoting=csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL)
@@ -444,16 +462,15 @@ class TestParsing:
     def test_a_character_cut_at_a_block_end_is_held_for_the_next(self, tmp_path, monkeypatch,
                                                                  block):
         # 2-, 3- and 4-byte characters in ids and cities, at every offset
-        # from a block's end; plain and all-quoted files take both splitters
+        # from a block's end, in plain and all-quoted files
         chars = ["\u00e9", "\u20ac", "\U0001f600"]
         rows = [event_row(f"e{'x' * i}{c}", f"a{c * i}", f"v{i % 2}", "2010-05-01",
                           city=f"{c}{'y' * i}", country="\u00c5land")
                 for i in range(8) for c in chars]
         releases = [[row[1], "maj", "2011"] for row in rows[3:6]]
         labels = [["maj", "Maj\u00f6r \u20ac", "", "1"]]
-        for quoting, unused in ((csv.QUOTE_MINIMAL, "_csv_columns"),
-                                (csv.QUOTE_ALL, "_byte_columns")):
-            d = tmp_path / unused
+        for quoting, name in ((csv.QUOTE_MINIMAL, "plain"), (csv.QUOTE_ALL, "quoted")):
+            d = tmp_path / name
             d.mkdir()
             with open(d / "events.csv", "w", encoding="utf-8", newline="") as fh:
                 csv.writer(fh, lineterminator="\n", quoting=quoting).writerows(
@@ -464,7 +481,6 @@ class TestParsing:
             want = parse_corpus(*paths)
             with monkeypatch.context() as patch:
                 patch.setattr(ingest, "_BLOCK", block)
-                patch.setattr(ingest, unused, mock.Mock(side_effect=AssertionError(unused)))
                 got = parse_corpus(*paths)
             assert got.load_report.to_dict() == want.load_report.to_dict()
             assert (got.artist_order, got.venue_order, got.cities, got.labels.ids) == (
@@ -498,24 +514,26 @@ class TestParsing:
             parse_corpus(*paths)
 
     def test_a_header_field_past_the_csv_field_limit_before_a_bad_byte(self, corpus_files):
-        # the bad byte is found before any record is read, so the file
-        # fails as not UTF-8, not on the over-long field
+        # no field has a length limit, so the header is read whole; it ends
+        # before the bad byte's line, so the file fails on the header
         paths = corpus_files([], [], LABELS)
         paths[0].write_bytes(b"event_id," + b"a" * (csv.field_size_limit() + 1) + b"\ne1,\xff\n")
-        with pytest.raises(CorpusFormatError, match="events.csv: line 2: not UTF-8"):
+        with pytest.raises(CorpusFormatError, match="events.csv: header mismatch"):
             parse_corpus(*paths)
 
-    def test_a_quoted_field_past_the_csv_field_limit_names_its_line(self, corpus_files):
+    def test_a_quoted_field_past_the_csv_field_limit_loads(self, corpus_files):
+        # csv.reader stops at 131,072 characters a field; no file here has a limit
+        long = "N" * (csv.field_size_limit() + 1)
         rows = [event_row(f"e{i}", "a1", "v1", "2010-05-01") for i in range(3)]
-        rows[1][4] = "N" * (csv.field_size_limit() + 1)
+        rows[1][4] = long
         paths = corpus_files([], [], LABELS)
         with open(paths[0], "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(
                 [EVENT_HEADER, *rows])
-        with pytest.raises(CorpusFormatError) as exc:
-            parse_corpus(*paths)
-        assert str(exc.value) == (
-            f"{paths[0]}: line 3: field larger than field limit ({csv.field_size_limit()})")
+        c = parse_corpus(*paths)
+        assert c.load_report.diagnostics == []
+        assert c.cities == ((long, "NY", "US"), ("NYC", "NY", "US"))
+        assert c.city.tolist() == [1, 0, 1]
 
 
 def test_from_codes_keeps_tied_events_in_input_order():
@@ -529,7 +547,7 @@ def test_from_codes_keeps_tied_events_in_input_order():
     corpus = Corpus.from_codes(
         ("a0", "a1"), artist, tuple(f"v{i}" for i in range(n)), np.arange(n),
         (("NYC", "NY", "US"),), np.zeros(n, dtype=np.int64), day,
-        np.array(["e0", "e1"], dtype=object), event, **NO_RELEASES,
+        np.array([b"e0", b"e1"], dtype=object), event, **NO_RELEASES,
     )
     want = sorted(range(n), key=lambda i: (artist[i], day[i], event[i]))
     assert corpus.venue.tolist() == want
@@ -557,7 +575,8 @@ def test_a_select_peaks_near_what_it_keeps():
         tuple(f"a{i}" for i in range(n_artists)), rng.integers(0, n_artists, n),
         tuple(f"v{i}" for i in range(n_venues)), rng.integers(0, n_venues, n),
         (("NYC", "NY", "US"),), np.zeros(n, dtype=np.int64), 730_000 + rng.integers(0, 3000, n),
-        np.array([f"e{i}" for i in range(n)], dtype=object), np.arange(n), **NO_RELEASES,
+        np.array([f"e{i}".encode() for i in range(n)], dtype=object), np.arange(n),
+        **NO_RELEASES,
     )
     keep = rng.random(n) < 0.9
     tracemalloc.start()

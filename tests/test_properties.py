@@ -1,12 +1,12 @@
 """Property tests of the graph arrays, the packed-key row ranking, the batch
 link scores, the walk sampler, the ROC AUC and its midranks, the sorted code
 sets, the link-prediction AUC, the BiRank fixed point, the min-activity
-filter, route mining, the events.csv parse and the success labels.
+filter, route mining, the corpus file parse and the success labels.
 
 Random small graphs (isolated nodes included), corpora, city sequences,
-event files and label tables are checked against the brute-force references in
-``oracles.py`` and against plain-dict and random-order reference
-computations written out below.
+corpus files, raw lines among them, and label tables are checked against
+the brute-force references in ``oracles.py`` and against plain-dict and
+random-order reference computations written out below.
 """
 
 import csv
@@ -37,6 +37,8 @@ from oracles import (
     neighbors_of,
     pa_oracle,
     parse_events_reference,
+    parse_labels_reference,
+    parse_releases_reference,
     pairwise_auc,
     random_bipartite,
     raw_ngram_counts,
@@ -534,8 +536,8 @@ def test_mine_routes_matches_merged_raw_counts_past_an_int64_key(n_cities, n):
             _merged_ranking(cities, n, top_k)
 
 
-# the characters of ids: "plain" ones leave a file that numpy splits, the
-# others (NUL, quote, CR, LF, comma) send it through csv.reader
+# the characters of ids: "plain" ones need no quoting, the others (NUL,
+# quote, CR, LF, comma) are quoted by csv.writer or, for NUL, sorted as bytes
 ID_CHARS = {"plain": ["a", "b", "é", "😀", " ", "-"],
             "csv": ["a", "é", "\0", '"', "\r", "\n", ","]}
 # (accepted, rejected) values of each checked field
@@ -592,8 +594,7 @@ def test_parse_corpus_matches_the_row_by_row_reference(files):
         for name, header in (("releases", RELEASE_HEADER), ("labels", LABEL_HEADER)):
             (tmp / f"{name}.csv").write_text(",".join(header) + "\n", encoding="utf-8")
         paths = [tmp / "events.csv", tmp / "releases.csv", tmp / "labels.csv"]
-        # minimal quoting leaves a plain file (LF or CRLF) for numpy; all-quoted
-        # ones take csv.reader
+        # minimal quoting leaves most fields bare, all-quoted none
         for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
             _write_events(paths[0], rows, end, quoting, bom, final_newline)
             events, total, diagnostics = parse_events_reference(paths[0])
@@ -618,6 +619,137 @@ def test_parse_corpus_matches_the_row_by_row_reference(files):
             assert [c.venue_order[i] for i in c.venue.tolist()] == venue
             assert [c.cities[i] for i in c.city.tolist()] == city
             assert c.day.tolist() == day and c.event_id.tolist() == event_id
+
+
+# what a field's text becomes in a raw line: as it stands, quoted as
+# csv.writer quotes, or one of the forms csv.writer never writes
+RAW_FIELDS = {
+    "bare": lambda t: t,
+    "quoted": lambda t: '"' + t.replace('"', '""') + '"',
+    "quote inside": lambda t: 'x"' + t,  # a,b"c,d keeps the quote
+    "after the close": lambda t: '"x"' + t,  # a,"b"c,d reads bc
+    "space before": lambda t: ' "' + t + '"',  # a, "b",c reads ' "b"'
+}
+
+
+@st.composite
+def raw_event_files(draw):
+    """The bytes of an events.csv written field by field, in forms csv.writer never writes too.
+
+    Each field of rows drawn as ``event_files`` draws them is written in
+    one of ``RAW_FIELDS``' forms; each line ends in an LF, a CRLF or a lone
+    CR; the file may start with a BOM and may end inside a quote still open.
+    """
+    rows, _, bom, final_newline = draw(event_files())
+    forms = st.sampled_from(["bare"] * 4 + sorted(RAW_FIELDS))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    lines = [",".join(EVENT_HEADER) + draw(ends)]
+    lines += [",".join(RAW_FIELDS[draw(forms)](t) for t in row) + draw(ends) for row in rows]
+    if draw(st.booleans()):
+        lines.append('e9,"a1' + draw(st.sampled_from(["", "\n", ',v1\r\n"""'])))
+    elif not final_newline:
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return b"\xef\xbb\xbf" * bom + "".join(lines).encode("utf-8")
+
+
+@PROPERTY
+@given(raw_event_files())
+def test_parse_corpus_matches_the_row_by_row_reference_on_raw_lines(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, header in (("releases", RELEASE_HEADER), ("labels", LABEL_HEADER)):
+            (tmp / f"{name}.csv").write_text(",".join(header) + "\n", encoding="utf-8")
+        paths = [tmp / "events.csv", tmp / "releases.csv", tmp / "labels.csv"]
+        paths[0].write_bytes(data)
+        events, total, diagnostics = parse_events_reference(paths[0])
+        if total and len(diagnostics) / total > 0.10:
+            with pytest.raises(CorpusFormatError, match="tolerance"):
+                parse_corpus(*paths)
+        with mock.patch.object(ingest, "MALFORMED_TOLERANCE", 1.0):
+            c = parse_corpus(*paths)
+    assert c.load_report.to_dict()["events"] == {"total": total, "rejected": len(diagnostics)}
+    assert c.load_report.diagnostics == diagnostics
+    artist, day, event_id, venue, city, _popularity = (
+        map(list, zip(*events)) if events else ([],) * 6)
+    assert c.artist_order == tuple(sorted(set(artist)))
+    assert c.venue_order == tuple(sorted(set(venue)))
+    assert c.cities == tuple(sorted(set(city)))
+    assert [c.artist_order[i] for i in c.artist.tolist()] == artist
+    assert [c.venue_order[i] for i in c.venue.tolist()] == venue
+    assert [c.cities[i] for i in c.city.tolist()] == city
+    assert c.day.tolist() == day and c.event_id.tolist() == event_id
+
+
+@st.composite
+def release_and_label_rows(draw):
+    """Rows of a releases.csv and of a labels.csv, good ones mostly, ids of any characters."""
+    text = st.text(st.sampled_from(ID_CHARS["plain"] + ID_CHARS["csv"]), max_size=3)
+    label_id = st.one_of(st.sampled_from(["maj", "ind"]), text.map("l".__add__))
+
+    def rows(n_fields, good_row):
+        out = []
+        for kind in draw(st.lists(st.sampled_from(["good"] * 10 + ["ragged", "blank"]),
+                                  max_size=12)):
+            if kind == "blank":
+                out.append([])
+            elif kind == "ragged":
+                out.append(draw(st.lists(text, min_size=1, max_size=6)
+                                .filter(lambda r: len(r) != n_fields)))
+            else:
+                out.append(good_row())
+        return out
+
+    def pick(good, bad):
+        return draw(st.sampled_from(bad if draw(st.integers(0, 14)) == 0 else good))
+
+    labels = rows(4, lambda: [pick([draw(label_id)], [""]), draw(text),
+                              pick(["", draw(label_id)], ["ghost"]),
+                              pick(["0", "1"], ["2", " 1"])])
+    releases = rows(3, lambda: [pick(["a0", "a1", "zz", draw(text.map("a".__add__))], [""]),
+                                pick([draw(label_id)], [""]),
+                                pick(["", *DATES[0]], DATES[1][1:])])
+    return releases, labels
+
+
+@PROPERTY
+@given(release_and_label_rows())
+def test_releases_and_labels_match_the_row_by_row_references(tables):
+    releases, labels = tables
+    styles = (("\n", csv.QUOTE_MINIMAL), ("\n", csv.QUOTE_ALL), ("\r\n", csv.QUOTE_MINIMAL),
+              ("\r", csv.QUOTE_MINIMAL))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / name for name in ("events.csv", "releases.csv", "labels.csv")]
+        write_csv(paths[0], EVENT_HEADER, [event_row(f"e{i}", a, "v0", "2010-01-01")
+                                           for i, a in enumerate(["a0", "a1"])])
+        for end, quoting in styles:
+            for path, header, rows in ((paths[1], RELEASE_HEADER, releases),
+                                       (paths[2], LABEL_HEADER, labels)):
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    csv.writer(fh, lineterminator=end, quoting=quoting).writerows([header, *rows])
+            want_releases, releases_total, release_diagnostics = parse_releases_reference(paths[1])
+            want_labels, labels_total, label_diagnostics = parse_labels_reference(paths[2])
+            with mock.patch.object(ingest, "MALFORMED_TOLERANCE", 1.0):
+                c = parse_corpus(*paths)
+            report = c.load_report.to_dict()
+            assert report["releases"] == {
+                "total": releases_total, "rejected": len(release_diagnostics),
+                "undated_dropped": sum(day is None for *_, day in want_releases)}
+            assert report["labels"] == {
+                "total": labels_total, "rejected": len(label_diagnostics),
+                "dangling_parent": sum(1 for parent, _ in want_labels.values()
+                                       if parent and parent not in want_labels)}
+            assert report["diagnostics"] == release_diagnostics + label_diagnostics
+            ids = tuple(want_labels)
+            assert c.labels.ids == ids
+            assert c.labels.parent.tolist() == [ids.index(p) if p in want_labels else -1
+                                                for p, _ in want_labels.values()]
+            assert c.labels.major_root.tolist() == [m for _, m in want_labels.values()]
+            assert [c.artist_order[i] if i >= 0 else None for i in c.release_artist.tolist()] \
+                == [a if a in c.artist_order else None for a, _, _ in want_releases]
+            assert [ids[i] if i >= 0 else None for i in c.release_label.tolist()] \
+                == [label if label in want_labels else None for _, label, _ in want_releases]
+            assert c.release_day.tolist() == [NEVER if day is None else day
+                                              for *_, day in want_releases]
 
 
 @st.composite

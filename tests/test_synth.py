@@ -55,6 +55,15 @@ class TestGenSpecValidation:
         with pytest.raises(GigmineError, match=f"{name} must be finite, got {value}"):
             GenSpec(**{name: value})
 
+    @pytest.mark.parametrize("name", ["n_artists", "n_venues", "seed", "min_events",
+                                      "future_edge_count", "trajectory_artists",
+                                      "route_artists"])
+    def test_int_fields_take_only_ints(self, name):
+        # a float passes the range checks and fails inside generate; a bool is no count
+        for value in (1.5, 20.5, True, "3"):
+            with pytest.raises(GigmineError, match=f"{name} must be an integer, got {value!r}"):
+                GenSpec(**{name: value})
+
     def test_bad_years_and_counts(self):
         with pytest.raises(GigmineError, match="years"):
             GenSpec(years=(2017, 2008))

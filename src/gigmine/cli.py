@@ -171,6 +171,15 @@ def load_config(arg: str | None, seed: int | None) -> dict:
     config = _merge_config(user, DEFAULTS)
     if seed is not None:
         config["seed"] = seed
+    if config["seed"] < 0:  # numpy's generators take no negative seed
+        raise UsageError(f"config key seed must be at least 0, got {config['seed']}")
+    cutoff = config["preprocess"]["cutoff"]
+    try:
+        dt.date.fromisoformat(cutoff)
+    except ValueError:
+        raise UsageError(
+            f"config key preprocess.cutoff must be an ISO date such as 2007-01-01, got {cutoff!r}"
+        )
     return config
 
 

@@ -19,14 +19,12 @@ the artists ``csc_indices[csc_indptr[j]:csc_indptr[j + 1]]``, the degrees are
 The tasks read the arrays directly and keep no id maps of their own.
 
 The graph is immutable after construction (its arrays are read-only) and safe
-for concurrent reads. Artist and venue ids must be disjoint; they are checked
-where they come in, by ``gigmine.ingest.parse_corpus`` and by ``build_graph``
-on triples.
+for concurrent reads. ``build_graph`` makes one from a corpus
+(``gigmine.ingest.Corpus``), whose ids ``gigmine.ingest.parse_corpus`` has
+interned and checked: artist and venue ids are disjoint and none is missing.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 import scipy
@@ -42,9 +40,7 @@ def _frozen(values, dtype=np.int64, copy=True) -> np.ndarray:
 
 
 def _mask(name, mask, n) -> np.ndarray:
-    """``mask`` as a bool array of length ``n``, all True when None."""
-    if mask is None:
-        return np.ones(n, dtype=bool)
+    """``mask`` as a bool array of length ``n``; raises for anything else."""
     mask = np.asarray(mask)
     if mask.dtype != bool or mask.shape != (n,):
         raise GigmineError(
@@ -122,60 +118,22 @@ class BipartiteGraph:
         a, v = self.artist_order, self.venue_order
         return [(a[i], v[j]) for i, j in zip(np.asarray(rows).tolist(), np.asarray(cols).tolist())]
 
-    def subgraph(self, keep_edges, keep_artists=None, keep_venues=None) -> "BipartiteGraph":
-        """Graph on the kept nodes (all by default) and the kept edges between them.
-
-        The masks are bool arrays over the edge arrays and the two orders.
-        """
-        keep_artists = _mask("keep_artists", keep_artists, len(self.artist_order))
-        keep_venues = _mask("keep_venues", keep_venues, len(self.venue_order))
+    def subgraph(self, keep_edges) -> "BipartiteGraph":
+        """Graph on every node and the edges where the bool mask ``keep_edges`` holds."""
         keep = _mask("keep_edges", keep_edges, self.n_edges)
-        keep = keep & keep_artists[self.row] & keep_venues[self.col]
         return BipartiteGraph(
-            np.array(self.artist_order, dtype=object)[keep_artists],
-            np.array(self.venue_order, dtype=object)[keep_venues],
-            (np.cumsum(keep_artists) - 1)[self.row[keep]],
-            (np.cumsum(keep_venues) - 1)[self.col[keep]],
-            self.count[keep],
-            self.first_year[keep],
+            self.artist_order, self.venue_order, self.row[keep], self.col[keep],
+            self.count[keep], self.first_year[keep],
         )
 
     # -- matrix view ----------------------------------------------------------
 
-    def biadjacency(self, values="binary") -> scipy.sparse.csr_matrix:
-        """Sparse artist x venue matrix in (artist_order, venue_order) layout.
-
-        ``values`` selects the entries: "binary" (0/1 incidence), "count"
-        (event multiplicities) or an array of one value per edge in CSR order.
-        """
-        if isinstance(values, str):
-            if values not in ("binary", "count"):
-                raise ValueError(f"values must be binary|count or an array, got {values!r}")
-            values = np.ones(self.n_edges) if values == "binary" else self.count
+    def biadjacency(self) -> scipy.sparse.csr_matrix:
+        """Sparse 0/1 artist x venue incidence matrix in (artist_order, venue_order) layout."""
         shape = (len(self.artist_order), len(self.venue_order))
         return scipy.sparse.csr_matrix(
-            (np.array(values, dtype=float), self.col.copy(), self.indptr.copy()), shape=shape
+            (np.ones(self.n_edges), self.col.copy(), self.indptr.copy()), shape=shape
         )
-
-
-def intern_ids(ids: Sequence, key=str) -> tuple[tuple, np.ndarray]:
-    """Distinct ids sorted by ``key`` (None for their natural order), and each id's index.
-
-    Graphs built from triples intern their ids here; ``gigmine.ingest`` keys
-    its columns itself and interns only what it unquotes. A dict rather
-    than ``np.unique``: a numpy string array drops trailing NUL characters
-    and would merge "a" with "a\\0".
-    """
-    index = dict.fromkeys(ids)
-    order = tuple(sorted(index, key=key))
-    index.update(zip(order, range(len(order))))
-    return order, np.array([index[x] for x in ids], dtype=np.int64)
-
-
-def index_of(order: Sequence, ids: Sequence) -> np.ndarray:
-    """Each of ``ids``' position in ``order``, -1 for an id not in it."""
-    index = dict(zip(order, range(len(order))))
-    return np.array([index.get(x, -1) for x in ids], dtype=np.int64)
 
 
 _KEY_SPAN = 1 << 63  # packed keys are int64, so each stays below this
@@ -245,51 +203,23 @@ def _reranked(key):
     return rank, int(np.count_nonzero(first))
 
 
-def build_graph(events) -> BipartiteGraph:
-    """Build the bipartite graph from a corpus or from ``(artist, venue, year)`` triples.
+def build_graph(corpus) -> BipartiteGraph:
+    """The bipartite graph of a corpus (``gigmine.ingest.Corpus``), from its code columns.
 
-    A corpus (``gigmine.ingest.Corpus``) is aggregated from its code columns.
-    An edge (a, v) exists iff at least one event links a and v; its count is
-    the number of such events and its first_year their minimum year. A
-    triple with a missing artist or venue id is rejected with an error
-    naming its position, and ids used as both an artist and a venue are
-    rejected.
+    The graph has the corpus's artist and venue orders. An edge (a, v)
+    exists iff at least one event links a and v; its count is the number
+    of such events and its first_year their minimum year.
     """
-    if hasattr(events, "artist_order"):
-        artist_order, venue_order = events.artist_order, events.venue_order
-        a_code, v_code, years = events.artist, events.venue, events.year
-    else:
-        artists, venues, years = [], [], []
-        for pos, event in enumerate(events):
-            if not isinstance(event, tuple) or len(event) != 3:
-                raise GigmineError(f"event #{pos}: expected (artist, venue, year) triple")
-            a, v, year = event
-            if a is None or a == "":
-                raise GigmineError(f"event #{pos}: missing artist id")
-            if v is None or v == "":
-                raise GigmineError(f"event #{pos}: missing venue id")
-            artists.append(a)
-            venues.append(v)
-            years.append(int(year))
-        artist_order, a_code = intern_ids(artists)
-        venue_order, v_code = intern_ids(venues)
-        both_sides = set(artist_order).intersection(venue_order)
-        if both_sides:
-            raise GigmineError(
-                f"ids used as both artist and venue: {sorted(map(str, both_sides))[:5]}"
-            )
-        years = np.array(years, dtype=np.int64)
+    n_a, n_v, years = len(corpus.artist_order), len(corpus.venue_order), corpus.year
     # one sort of the packed key pair code x year span + (year - min year)
     # groups each edge's events, earliest first
-    codes = a_code * len(venue_order) + v_code
+    codes = corpus.artist * n_v + corpus.venue
     y0, y1 = (int(years.min()), int(years.max())) if years.size else (0, 0)
-    order = np.argsort(
-        pack_rows([(codes, len(artist_order) * len(venue_order)), (years - y0, y1 - y0 + 1)])
-    )
+    order = np.argsort(pack_rows([(codes, n_a * n_v), (years - y0, y1 - y0 + 1)]))
     codes = codes[order]
     starts = np.flatnonzero(np.diff(codes, prepend=-1))
-    row, col = np.divmod(codes[starts], len(venue_order))
+    row, col = np.divmod(codes[starts], n_v)
     count = np.diff(np.append(starts, len(codes)))
     first_year = years[order[starts]]
     del codes, order, starts  # one entry per event: freed before the graph builds its arrays
-    return BipartiteGraph(artist_order, venue_order, row, col, count, first_year)
+    return BipartiteGraph(corpus.artist_order, corpus.venue_order, row, col, count, first_year)

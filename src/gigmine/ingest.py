@@ -43,8 +43,8 @@ Release k is position k of the columns ``release_artist`` (index into
 
 Preprocessing follows the order: keep artists whose first recorded event is
 2007 or later, compute change days, then drop low-activity artists and
-venues. A separate recursive 5-event core filter is applied to link-prediction
-training graphs.
+venues. ``recursive_core_filter`` picks the nodes of task2's training graph
+with the same fixed-point loop (``_active``), run on the training events.
 """
 
 from __future__ import annotations
@@ -55,13 +55,13 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gigmine.errors import CorpusFormatError, GigmineError
-from gigmine.graph import BipartiteGraph, _frozen, _mask, index_of, intern_ids, pack_rows, rank_rows
+from gigmine.graph import _frozen, _mask, pack_rows, rank_rows
 from gigmine.labeling import NEVER, LabelTable, check_change_day
 
 EVENT_HEADER = ["event_id", "artist_id", "venue_id", "date", "city", "state", "country", "lat", "lon", "popularity"]
@@ -265,6 +265,26 @@ def _ordinal(text: str) -> int:
         return dt.date(int(year), int(month or 1), int(day or 1)).toordinal()
     except ValueError:  # no such day, such as 2011-02-30
         return 0
+
+
+def intern_ids(ids: Sequence, key=str) -> tuple[tuple, np.ndarray]:
+    """Distinct ids sorted by ``key`` (None for their natural order), and each id's index.
+
+    ``_read_csv`` keys most columns by one sort of their bytes and interns
+    here only the joined city columns and the values it unquotes. A dict
+    rather than ``np.unique``: a numpy string array drops trailing NUL
+    characters and would merge "a" with "a\\0".
+    """
+    index = dict.fromkeys(ids)
+    order = tuple(sorted(index, key=key))
+    index.update(zip(order, range(len(order))))
+    return order, np.array([index[x] for x in ids], dtype=np.int64)
+
+
+def index_of(order: Sequence, ids: Sequence) -> np.ndarray:
+    """Each of ``ids``' position in ``order``, -1 for an id not in it."""
+    index = dict(zip(order, range(len(order))))
+    return np.array([index.get(x, -1) for x in ids], dtype=np.int64)
 
 
 def _read_csv(path, header, joined=None):
@@ -671,6 +691,31 @@ def filter_post_2007(corpus: Corpus, cutoff: dt.date = POST_PLATFORM_CUTOFF) -> 
     return corpus.select(keep[corpus.artist])
 
 
+def _active(corpus: Corpus, threshold, a_counted, v_counted, recursive=True):
+    """Masks over the corpus orders of the artists and venues with ``threshold`` events.
+
+    An event is live while its artist and venue are kept; an artist counts
+    its live events where ``a_counted`` holds, a venue its live events where
+    ``v_counted`` holds (bool masks over the events, or True for all).
+    Removing a node removes its events, which can pull other nodes below
+    the threshold, so the loop runs to a fixed point, the same in any
+    removal order (one pass when ``recursive`` is False).
+    """
+    alive_a = np.ones(len(corpus.artist_order), dtype=bool)
+    alive_v = np.ones(len(corpus.venue_order), dtype=bool)
+    while True:
+        live = alive_a[corpus.artist] & alive_v[corpus.venue]
+        a_count = np.bincount(corpus.artist[live & a_counted], minlength=alive_a.size)
+        v_count = np.bincount(corpus.venue[live & v_counted], minlength=alive_v.size)
+        drop_a, drop_v = alive_a & (a_count < threshold), alive_v & (v_count < threshold)
+        if not drop_a.any() and not drop_v.any():
+            return alive_a, alive_v
+        alive_a &= ~drop_a
+        alive_v &= ~drop_v
+        if not recursive:
+            return alive_a, alive_v
+
+
 def filter_min_activity(
     corpus: Corpus,
     threshold: int = 10,
@@ -690,40 +735,17 @@ def filter_min_activity(
     if change_day is not None:
         check_change_day(corpus, change_day)
         before = corpus.day < change_day[corpus.artist]
-    alive_a = np.ones(len(corpus.artist_order), dtype=bool)
-    alive_v = np.ones(len(corpus.venue_order), dtype=bool)
-    while True:
-        live = alive_a[corpus.artist] & alive_v[corpus.venue]
-        a_count = np.bincount(corpus.artist[live & before], minlength=alive_a.size)
-        v_count = np.bincount(corpus.venue[live], minlength=alive_v.size)
-        drop_a, drop_v = alive_a & (a_count < threshold), alive_v & (v_count < threshold)
-        if not drop_a.any() and not drop_v.any():
-            break
-        alive_a &= ~drop_a
-        alive_v &= ~drop_v
-        if not recursive:
-            break
+    alive_a, alive_v = _active(corpus, threshold, before, True, recursive)
     return corpus.select(alive_a[corpus.artist] & alive_v[corpus.venue])
 
 
-def recursive_core_filter(graph: BipartiteGraph, k: int = 5) -> BipartiteGraph:
-    """Recursively drop nodes with fewer than ``k`` associated events.
+def recursive_core_filter(corpus: Corpus, events, k: int = 5) -> tuple[np.ndarray, np.ndarray]:
+    """Artist and venue masks over the corpus orders: the k-core of the masked events.
 
-    "Associated events" is the summed event count over a node's incident
-    edges, not its distinct-neighbor degree. Removal of a node removes its
-    edges, so the filter cascades until every remaining artist and venue has
-    at least k events; the fixed point of this monotone removal is
-    independent of removal order.
+    ``events`` is a bool mask over the corpus's events. A node stays while
+    at least ``k`` of its masked events (not its distinct neighbours) have
+    kept nodes at both ends; removals cascade to a fixed point, the same in
+    any removal order. For k >= 1 every kept node has such an event, so the
+    graph of those events holds exactly the kept nodes.
     """
-    keep_a = np.ones(len(graph.artist_order), dtype=bool)
-    keep_v = np.ones(len(graph.venue_order), dtype=bool)
-    alive = np.ones(graph.n_edges, dtype=bool)
-    while True:
-        weight = np.where(alive, graph.count, 0)
-        a_events = np.bincount(graph.row, weights=weight, minlength=keep_a.size)
-        v_events = np.bincount(graph.col, weights=weight, minlength=keep_v.size)
-        new_a, new_v = keep_a & (a_events >= k), keep_v & (v_events >= k)
-        if np.array_equal(new_a, keep_a) and np.array_equal(new_v, keep_v):
-            return graph.subgraph(alive, keep_a, keep_v)
-        keep_a, keep_v = new_a, new_v
-        alive &= keep_a[graph.row] & keep_v[graph.col]
+    return _active(corpus, k, events, events)

@@ -42,7 +42,7 @@ from gigmine.embeddings import (
     train_embeddings,
 )
 from gigmine.errors import GigmineError
-from gigmine.graph import BipartiteGraph, build_graph, index_of
+from gigmine.graph import BipartiteGraph, build_graph
 from gigmine.ingest import recursive_core_filter
 from gigmine.metrics import roc_auc
 from gigmine.success import SVDReducer
@@ -114,12 +114,14 @@ def make_temporal_split(
 ) -> TemporalSplit:
     """History graph up to the cutoff year versus pairs first seen later.
 
-    The training graph is built from events dated <= train_end_year and
-    recursively core-filtered. Test pairs come from events in test_years,
-    deduplicated, restricted to nodes that survived the filter, minus pairs
-    already present in training. Raises when there is no test year, a test
+    The training graph is built from events dated <= train_end_year, on the
+    artists and venues that the recursive core filter keeps among them.
+    Test pairs come from events in test_years, deduplicated, restricted to
+    nodes that survived the filter, minus pairs already present in
+    training. Raises when core_k is below 1, there is no test year, a test
     year is not after train_end_year or either side ends up empty.
     """
+    _check_positive(core_k=core_k)
     test_years = sorted(set(test_years))
     if not test_years:
         raise GigmineError("temporal split needs at least one test year")
@@ -130,17 +132,20 @@ def make_temporal_split(
     train = corpus.year <= train_end_year
     if not train.any():
         raise GigmineError(f"no events in or before {train_end_year}")
-    graph = recursive_core_filter(build_graph(corpus.select(train)), k=core_k)
+    artists, venues = recursive_core_filter(corpus, train, k=core_k)
+    # every kept node has a kept training event, so the graph's orders are
+    # the kept ids in corpus order and cumsum - 1 maps corpus to graph index
+    graph = build_graph(corpus.select(train & artists[corpus.artist] & venues[corpus.venue]))
     if graph.n_edges == 0:
         raise GigmineError(f"training graph is empty after the {core_k}-core filter")
 
     test = np.isin(corpus.year, test_years)
     n_v = len(corpus.venue_order)
     raw_pairs = _distinct(corpus.artist[test] * n_v + corpus.venue[test])
-    rows = index_of(graph.artist_order, corpus.artist_order)[raw_pairs // n_v]
-    cols = index_of(graph.venue_order, corpus.venue_order)[raw_pairs % n_v]
-    seen = (rows >= 0) & (cols >= 0)
-    surviving = rows[seen] * len(graph.venue_order) + cols[seen]
+    a, v = np.divmod(raw_pairs, n_v)
+    seen = artists[a] & venues[v]
+    rows, cols = (np.cumsum(artists) - 1)[a[seen]], (np.cumsum(venues) - 1)[v[seen]]
+    surviving = rows * len(graph.venue_order) + cols
     new_pairs = np.sort(surviving[~_in_sorted(surviving, edge_codes(graph))])
     if not new_pairs.size:
         raise GigmineError(
@@ -320,7 +325,7 @@ def score_svd(
     scored.
     """
     rows, cols = np.divmod(_checked(g, pairs), len(g.venue_order))
-    X = g.biadjacency(values="binary")
+    X = g.biadjacency()
     reducer = SVDReducer(k, seed=seed).fit(X)
     left = reducer.transform(X)  # rows: U_k S_k in artist_order
     return row_dots(left, reducer.components_, rows, cols, _SCORE_BLOCK), reducer.solver_

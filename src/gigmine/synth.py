@@ -58,6 +58,8 @@ class GenSpec:
                 raise GigmineError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_artists < 1 or self.n_venues < 1:
             raise GigmineError("n_artists and n_venues must be positive")
+        if self.seed < 0:
+            raise GigmineError(f"seed must be at least 0, got {self.seed}")
         if not 0.0 < self.positive_fraction < 1.0:
             raise GigmineError(
                 f"positive_fraction must lie in (0, 1), got {self.positive_fraction}"

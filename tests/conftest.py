@@ -1,10 +1,11 @@
 import csv
+import datetime as dt
 
 import numpy as np
 import pytest
 
-from gigmine.graph import BipartiteGraph, intern_ids
-from gigmine.ingest import Corpus
+from gigmine.graph import BipartiteGraph
+from gigmine.ingest import Corpus, intern_ids
 from gigmine.labeling import LabelTable
 from gigmine.routes import CitySequence
 
@@ -12,7 +13,7 @@ from gigmine.routes import CitySequence
 def make_graph(edges=(), artists=(), venues=()):
     """Graph from (artist, venue, count, first_year) rows plus extra isolated ids.
 
-    The orders are the ids of both sorted by ``str``, as ``build_graph``
+    The orders are the ids of both sorted by ``str``, as ``parse_corpus``
     orders them; a pair given twice is rejected by the constructor.
     """
     edges = list(edges)
@@ -112,6 +113,18 @@ def make_corpus(events):
         np.array([i.encode("utf-8") for i in event_ids], dtype=object), event,
         **NO_RELEASES,
     )
+
+
+def triples_corpus(triples):
+    """``make_corpus`` of one event per (artist, venue, year) triple, on 1 January of its year."""
+    return make_corpus(
+        [(f"e{k}", a, v, dt.date(year, 1, 1)) for k, (a, v, year) in enumerate(triples)]
+    )
+
+
+def kept_ids(order, mask) -> set:
+    """The ids of ``order`` where the bool array ``mask`` holds."""
+    return {x for x, keep in zip(order, mask.tolist()) if keep}
 
 
 def sequences_of(city_lists):

@@ -469,3 +469,56 @@ def label_reference(artist_order, releases, parents: dict, major_roots):
         "major_labels": len(major),
         "undated_major_only_artists": len(undated_only),
     }
+
+
+# -- task2 temporal split reference ----------------------------------------------------
+
+
+def temporal_split_reference(corpus, train_end_year, test_years, core_k):
+    """``make_temporal_split`` by ids: peel the whole training graph, then map the test pairs.
+
+    The training graph (events up to ``train_end_year``) is a dict of
+    (artist, venue) id pairs; its nodes with fewer than ``core_k`` events
+    are peeled until none is left, and the test-year pairs are mapped into
+    the kept graph by id. Returns the kept graph, its new test pair codes
+    (ascending) and the split's stats.
+    """
+    artists = [corpus.artist_order[i] for i in corpus.artist.tolist()]
+    venues = [corpus.venue_order[j] for j in corpus.venue.tolist()]
+    years = corpus.year.tolist()
+    edges: dict = {}
+    for a, v, year in zip(artists, venues, years):
+        if year <= train_end_year:
+            count, first = edges.get((a, v), (0, year))
+            edges[(a, v)] = (count + 1, min(first, year))
+    while True:
+        events: dict = {}
+        for (a, v), (count, _) in edges.items():
+            events[a] = events.get(a, 0) + count
+            events[v] = events.get(v, 0) + count
+        dead = {node for node, n in events.items() if n < core_k}
+        if not dead:
+            break
+        edges = {(a, v): e for (a, v), e in edges.items() if a not in dead and v not in dead}
+    graph = make_graph([(a, v, *e) for (a, v), e in edges.items()])
+    row = {a: i for i, a in enumerate(graph.artist_order)}
+    col = {v: j for j, v in enumerate(graph.venue_order)}
+    test_years = sorted(set(test_years))
+    pairs = {(a, v) for a, v, year in zip(artists, venues, years) if year in test_years}
+    seen = {(a, v) for a, v in pairs if a in row and v in col}
+    new = sorted(row[a] * len(col) + col[v] for a, v in seen - set(edges))
+    stats = {
+        "train_end_year": train_end_year,
+        "test_years": test_years,
+        "core_k": core_k,
+        "train_artists": len(row),
+        "train_venues": len(col),
+        "train_events": sum(count for count, _ in edges.values()),
+        "train_edges": len(edges),
+        "test_events": sum(year in test_years for year in years),
+        "test_unique_pairs": len(pairs),
+        "test_excluded_unseen_node": len(pairs) - len(seen),
+        "test_excluded_known_edge": len(seen & set(edges)),
+        "test_positives": len(new),
+    }
+    return graph, np.array(new, dtype=np.int64), stats

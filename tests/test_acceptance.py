@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from gigmine.birank import birank, seed_scores, temporal_weights, yearly_trajectories
-from gigmine.graph import build_graph
 from gigmine.ingest import filter_min_activity, filter_post_2007, parse_corpus
 from gigmine.labeling import label_corpus
 from gigmine.linkpred import (
@@ -32,7 +31,7 @@ from gigmine.metrics import roc_auc
 from gigmine.success import SVDReducer, logreg_loss_grad, run_task1, train_logreg
 from gigmine.synth import GenSpec, generate
 
-from conftest import edges_of
+from conftest import edges_of, make_graph
 from oracles import dense_birank_oracle, pairwise_auc, random_bipartite
 
 
@@ -169,12 +168,12 @@ def test_criterion_04_svd_recovery():
         worst_rel = max(worst_rel, rel)
 
     # three disjoint full bicliques give an exactly rank-3 biadjacency
-    triples = []
+    edges = []
     for b in range(3):
         for i in range(30):
             for j in range(20):
-                triples.append((f"a{b}_{i}", f"v{b}_{j}", 2015))
-    g = build_graph(triples)
+                edges.append((f"a{b}_{i}", f"v{b}_{j}", 1, 2015))
+    g = make_graph(edges)
     train, hidden = make_random_split(g, hidden_fraction=0.1, seed=0)
     negatives = sample_negative_pairs(train, 10 * len(hidden), exclude=hidden, seed=0)
     candidates = np.concatenate([hidden, negatives])
@@ -217,16 +216,14 @@ def test_criterion_05_birank_fixed_point():
         dp = float(np.abs(got.venue_scores.array - want_p).max())
         worst = max(worst, du, dp)
 
-    g = build_graph([("a1", "v1", 2017), ("a1", "v2", 2017), ("a2", "v1", 2017)])
+    g = make_graph([("a1", "v1", 1, 2017), ("a1", "v2", 1, 2017), ("a2", "v1", 1, 2017)])
     seeds = seed_scores(g)
     res0 = birank(g, alpha=0.0, beta=0.0)
     seeds_exact = np.array_equal(res0.artist_scores.array, seeds.artist_seed) and (
         np.array_equal(res0.venue_scores.array, seeds.venue_seed)
     )
 
-    full = build_graph(
-        [(f"a{i}", f"v{j}", 2017) for i in range(5) for j in range(5)]
-    )
+    full = make_graph([(f"a{i}", f"v{j}", 1, 2017) for i in range(5) for j in range(5)])
     res_full = birank(full, ref_year=2017)
     u_spread = float(np.ptp(res_full.artist_scores.array))
     p_spread = float(np.ptp(res_full.venue_scores.array))
@@ -264,12 +261,12 @@ def test_criterion_06_seed_normalization():
             abs(sum(seeds.venue_seed.tolist()) - 1.0),
         )
 
-    g = build_graph(
+    g = make_graph(
         [
-            ("a1", "v1", 2010),
-            ("a2", "v1", 2010),
-            ("a2", "v2", 2010),
-            ("a2", "v3", 2010),
+            ("a1", "v1", 1, 2010),
+            ("a2", "v1", 1, 2010),
+            ("a2", "v2", 1, 2010),
+            ("a2", "v3", 1, 2010),
         ]
     )
     seeds = dict(zip(g.artist_order, seed_scores(g).artist_seed.tolist()))
@@ -327,9 +324,7 @@ def test_criterion_08_planted_link_prediction():
     for b in range(blocks):
         prob[b * 50 : (b + 1) * 50, b * 40 : (b + 1) * 40] = 0.25
     mask = rng.random((n_a, n_v)) < prob
-    g = build_graph(
-        [(f"a{i}", f"v{j}", 2015) for i, j in np.argwhere(mask)]
-    )
+    g = make_graph([(f"a{i}", f"v{j}", 1, 2015) for i, j in np.argwhere(mask)])
     aucs = defaultdict(list)
     for s in (0, 1):
         train, hidden = make_random_split(g, hidden_fraction=0.2, seed=s)

@@ -50,8 +50,9 @@ class TestSeeds:
         assert sum(seeds.venue_seed.tolist()) == pytest.approx(1.0, abs=1e-9)
 
     def test_degrees_one_and_three(self):
-        g = build_graph(
-            [("a1", "v1", 2010), ("a2", "v1", 2010), ("a2", "v2", 2010), ("a2", "v3", 2010)]
+        g = make_graph(
+            [("a1", "v1", 1, 2010), ("a2", "v1", 1, 2010), ("a2", "v2", 1, 2010),
+             ("a2", "v3", 1, 2010)]
         )
         seeds = by_id(g.artist_order, seed_scores(g).artist_seed)
         # ln(2) : ln(4) = 1 : 2
@@ -93,9 +94,7 @@ class TestSeeds:
 
 class TestTemporalWeights:
     def test_decay_values(self):
-        g = build_graph(
-            [("a", "v1", 2017), ("a", "v2", 2016), ("a", "v3", 2015)]
-        )
+        g = make_graph([("a", "v1", 1, 2017), ("a", "v2", 1, 2016), ("a", "v3", 1, 2015)])
         decay = temporal_weights(g, delta=0.85, ref_year=2017)
         assert not decay.flags.writeable
         weights = edge_weights(g, decay)
@@ -104,16 +103,16 @@ class TestTemporalWeights:
         assert weights[("a", "v3")] == pytest.approx(0.7225)
 
     def test_delta_one_means_no_decay(self):
-        g = build_graph([("a", "v1", 2010), ("a", "v2", 2017)])
+        g = make_graph([("a", "v1", 1, 2010), ("a", "v2", 1, 2017)])
         assert set(temporal_weights(g, delta=1.0, ref_year=2017).tolist()) == {1.0}
 
     def test_future_edge_rejected(self):
-        g = build_graph([("a", "v", 2018)])
+        g = make_graph([("a", "v", 1, 2018)])
         with pytest.raises(GigmineError, match="after ref_year"):
             temporal_weights(g, ref_year=2017)
 
     def test_delta_bounds(self):
-        g = build_graph([("a", "v", 2010)])
+        g = make_graph([("a", "v", 1, 2010)])
         for bad in (0.0, -0.1, 1.5):
             with pytest.raises(GigmineError, match="delta"):
                 temporal_weights(g, delta=bad)
@@ -130,9 +129,7 @@ class TestBiRank:
         assert result.converged
 
     def test_complete_graph_is_uniform(self):
-        g = build_graph(
-            [(f"a{i}", f"v{j}", 2017) for i in range(4) for j in range(4)]
-        )
+        g = make_graph([(f"a{i}", f"v{j}", 1, 2017) for i in range(4) for j in range(4)])
         result = birank(g, ref_year=2017)
         scores = result.artist_scores.array.tolist()
         assert max(scores) - min(scores) <= 1e-10

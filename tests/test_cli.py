@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from gigmine.birank import ScoreView, WindowRanking, dense_rank
+from gigmine import cli
 from gigmine.cli import _write_trajectories, main
 
 
@@ -215,6 +217,8 @@ class TestExitCodes:
             ("task3", "bins", 0, 1),
             ("routes", "top_k", -1, 1),
             ("task1", "cv_folds", 1, 2),
+            ("task2", "core_k", 0, 1),
+            ("task2", "core_k", -3, 1),
         ],
     )
     def test_degenerate_task_setting_maps_to_one(
@@ -255,6 +259,32 @@ class TestExitCodes:
         code = main([command, "--config", cfg, "--out", str(tmp_path)])
         assert code == 2
         assert f"gigmine: config key {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, config, flags, message",
+        [
+            ("task1", {"preprocess": {"cutoff": "2007-13-01"}}, [],
+             "preprocess.cutoff must be an ISO date such as 2007-01-01, got '2007-13-01'"),
+            ("ingest", {"preprocess": {"cutoff": "2007"}}, [],
+             "preprocess.cutoff must be an ISO date such as 2007-01-01, got '2007'"),
+            ("task2", {"preprocess": {"cutoff": "garbage"}}, [],
+             "preprocess.cutoff must be an ISO date such as 2007-01-01, got 'garbage'"),
+            ("synth", {"seed": -1}, [], "seed must be at least 0, got -1"),
+            ("task1", {"seed": -1}, [], "seed must be at least 0, got -1"),
+            ("synth", {}, ["--seed", "-1"], "seed must be at least 0, got -1"),
+            ("task1", {"seed": 3}, ["--seed", "-1"], "seed must be at least 0, got -1"),
+        ],
+    )
+    def test_bad_cutoff_or_negative_seed_is_usage_error(
+        self, corpus_dir, tmp_path, capsys, monkeypatch, command, config, flags, message
+    ):
+        # rejected with the config, before any corpus is read or written
+        monkeypatch.setattr(cli, "parse_corpus", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(cli, "generate", mock.Mock(side_effect=AssertionError))
+        cfg = write_config(tmp_path, base_config(corpus_dir, **config))
+        code = main([command, "--config", cfg, *flags, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"gigmine: config key {message}\n"
 
     @pytest.mark.parametrize("years", [[2008], [2008, 2012, 2017]])
     def test_synth_years_of_the_wrong_length_maps_to_one(self, tmp_path, capsys, years):

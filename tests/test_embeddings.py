@@ -10,11 +10,10 @@ from conftest import make_graph
 from gigmine import embeddings
 from gigmine.embeddings import sample_walks, score_embedding, train_embeddings
 from gigmine.errors import GigmineError, UnknownNodeError
-from gigmine.graph import build_graph
 
 
 def clique(prefix_a, prefix_v, n, year=2010):
-    return [(f"{prefix_a}{i}", f"{prefix_v}{j}", year) for i in range(n) for j in range(n)]
+    return [(f"{prefix_a}{i}", f"{prefix_v}{j}", 1, year) for i in range(n) for j in range(n)]
 
 
 # dead-end walks of length 1, walks shorter and longer than the window
@@ -89,7 +88,7 @@ def add_at_sgns(walks, dim, window, epochs, seed, chunk_size):
 
 class TestWalks:
     def test_walks_alternate_sides_on_a_single_edge(self):
-        g = build_graph([("a", "v", 2010)])
+        g = make_graph([("a", "v", 1, 2010)])
         walks = sample_walks(g, walks_per_node=2, length=6, seed=0)
         assert len(walks) == 4
         for walk in walks:
@@ -122,7 +121,7 @@ class TestWalks:
     def test_steps_are_uniform_over_neighbors(self):
         # star: artist hub with 4 venues; transition frequencies from the hub
         # must match the uniform law within 3 sigma
-        g = build_graph([("hub", f"v{j}", 2010) for j in range(4)])
+        g = make_graph([("hub", f"v{j}", 1, 2010) for j in range(4)])
         walks = sample_walks(g, walks_per_node=25_000, length=1, seed=7)
         # the hub is node 0 and venue v{j} is node 1 + j
         from_hub = [w[1] for w in walks if w[0] == 0 and len(w) > 1]
@@ -174,8 +173,8 @@ class TestWalks:
 
     def test_walk_matrix_holds_no_more_than_its_cells(self):
         # 3,000 nodes, so most node indices lie above the small ints Python caches
-        g = build_graph(clique("a", "v", 10)
-                        + [(f"b{i}", f"w{i % 990}", 2010) for i in range(1990)])
+        g = make_graph(clique("a", "v", 10)
+                       + [(f"b{i}", f"w{i % 990}", 1, 2010) for i in range(1990)])
         walks_per_node, length = 5, 10
         cells = (len(g.artist_order) + len(g.venue_order)) * walks_per_node * (length + 1)
         sample_walks(g, walks_per_node=1, length=1)  # the first call imports numpy modules
@@ -207,7 +206,7 @@ class TestTraining:
         assert l1 == l2
 
     def test_loss_decreases_over_epochs(self):
-        g = build_graph(clique("a", "v", 4) + clique("b", "w", 4))
+        g = make_graph(clique("a", "v", 4) + clique("b", "w", 4))
         walks = sample_walks(g, walks_per_node=10, length=8, seed=0)
         _, history = train_embeddings(walks, dim=16, epochs=5, seed=0)
         assert len(history) == 5
@@ -216,7 +215,7 @@ class TestTraining:
     def test_two_cliques_separate(self):
         # nodes inside one complete block should look more alike than nodes
         # across blocks once trained
-        g = build_graph(clique("a", "v", 5) + clique("b", "w", 5))
+        g = make_graph(clique("a", "v", 5) + clique("b", "w", 5))
         walks = sample_walks(g, walks_per_node=20, length=8, seed=1)
         emb, _ = train_embeddings(walks, dim=32, epochs=5, seed=1)
         node = {n: k for k, n in enumerate(g.artist_order + g.venue_order)}
@@ -254,7 +253,7 @@ class TestTraining:
     def test_matches_add_at_reference_bitwise(self):
         # a small chunk size gives many chunks, each with repeated nodes, so
         # the order in which one row's updates land shows in the bits
-        g = build_graph(clique("a", "v", 4) + clique("b", "w", 4))
+        g = make_graph(clique("a", "v", 4) + clique("b", "w", 4))
         walks = sample_walks(g, walks_per_node=3, length=6, seed=2)
         want, want_losses = add_at_sgns(walks, dim=8, window=3, epochs=2, seed=4, chunk_size=7)
         with mock.patch.object(embeddings, "CHUNK_SIZE", 7):
@@ -266,7 +265,7 @@ class TestTraining:
     def test_noise_sub_blocks_match_add_at_reference_bitwise(self, neg_block):
         # a chunk of 7 pairs spans several sub-blocks of noise rows, the last
         # one short; scores, gradients and losses must not move a bit
-        g = build_graph(clique("a", "v", 4) + clique("b", "w", 4))
+        g = make_graph(clique("a", "v", 4) + clique("b", "w", 4))
         walks = sample_walks(g, walks_per_node=3, length=6, seed=2)
         want, want_losses = add_at_sgns(walks, dim=8, window=3, epochs=2, seed=4, chunk_size=7)
         with mock.patch.object(embeddings, "CHUNK_SIZE", 7), \
@@ -279,7 +278,7 @@ class TestTraining:
     def test_row_blocks_match_add_at_reference_bitwise(self, row_block):
         # each update product of a chunk of 7 pairs lands 1 to 3 touched rows
         # at a time, after sub-blocks of 3, 3 and 1 pairs
-        g = build_graph(clique("a", "v", 4) + clique("b", "w", 4))
+        g = make_graph(clique("a", "v", 4) + clique("b", "w", 4))
         walks = sample_walks(g, walks_per_node=3, length=6, seed=2)
         want, want_losses = add_at_sgns(walks, dim=8, window=3, epochs=2, seed=4, chunk_size=7)
         with mock.patch.object(embeddings, "CHUNK_SIZE", 7), \
@@ -311,8 +310,8 @@ class TestTraining:
         # noise: gathering a chunk's rows at once reads 3.21 and 3.31, one
         # product of all touched rows 1.63 and 1.73.
         rng = np.random.default_rng(0)
-        g = build_graph(sorted({(f"a{i}", f"v{j}", 2010) for i, j in
-                                zip(rng.integers(0, 600, 3000), rng.integers(0, 400, 3000))}))
+        g = make_graph({(f"a{i}", f"v{j}", 1, 2010) for i, j in
+                        zip(rng.integers(0, 600, 3000), rng.integers(0, 400, 3000))})
         n_nodes, dim = len(g.artist_order) + len(g.venue_order), 128
         chunk = min(embeddings.CHUNK_SIZE, n_nodes)
         # one buffer: w_in, w_out and room for one chunk's rows
@@ -337,8 +336,8 @@ class TestTraining:
         vectors, _ = train_embeddings(walks, dim=4, seed=0)
         assert vectors.shape == (6, 4) and vectors.base is None and vectors.flags.owndata
         rng = np.random.default_rng(1)
-        g = build_graph(sorted({(f"a{i}", f"v{j}", 2010) for i, j in
-                                zip(rng.integers(0, 150, 600), rng.integers(0, 100, 600))}))
+        g = make_graph({(f"a{i}", f"v{j}", 1, 2010) for i, j in
+                        zip(rng.integers(0, 150, 600), rng.integers(0, 100, 600))})
         walks = sample_walks(g, walks_per_node=2, length=4, seed=0)
         # the first call imports scipy modules and fills numpy's caches
         train_embeddings(walks, dim=2, epochs=1)

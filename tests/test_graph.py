@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import edges_of, make_graph
+from conftest import edges_of, make_corpus, make_graph, triples_corpus
 from oracles import assert_neighborhoods_match, random_bipartite
 
 from gigmine.errors import GigmineError
@@ -18,11 +18,6 @@ def arrays(rows):
 
 
 class TestConstruction:
-    def test_rejects_overlapping_id_sets(self):
-        """Artist and venue ids share a namespace; triples naming one id on both sides fail."""
-        with pytest.raises(GigmineError, match="both artist and venue: \\['x'\\]"):
-            build_graph([("x", "v", 2010), ("a", "x", 2011)])
-
     def test_rejects_edge_with_unknown_endpoint(self):
         for row, col in [(1, 0), (0, 1), (-1, 0), (0, -1)]:
             with pytest.raises(GigmineError, match="index outside"):
@@ -115,25 +110,20 @@ class TestCountsAndOrders:
             toy_graph.count[0] = 5
 
     def test_biadjacency_values(self, toy_graph):
-        b = toy_graph.biadjacency("binary").toarray()
+        b = toy_graph.biadjacency().toarray()
         assert b.tolist() == [[1, 1], [1, 0]]
-        g = make_graph([("a", "v", 3, 2010)])
-        assert g.biadjacency("count").toarray().tolist() == [[3.0]]
-        assert g.biadjacency(np.array([0.5])).toarray().tolist() == [[0.5]]
-        with pytest.raises(ValueError):
-            g.biadjacency("nope")
+        # an edge of several events is still a 1
+        assert make_graph([("a", "v", 3, 2010)]).biadjacency().toarray().tolist() == [[1.0]]
 
 
 class TestSubgraph:
-    def test_masks_drop_edges_and_nodes(self, toy_graph):
-        sub = toy_graph.subgraph(np.array([True, False, True]), keep_venues=np.array([True, False]))
-        assert sub == make_graph([("a1", "v1", 1, 2010), ("a2", "v1", 1, 2012)])
+    def test_mask_drops_edges_and_keeps_nodes(self, toy_graph):
+        sub = toy_graph.subgraph(np.array([True, False, True]))
+        assert sub == make_graph([("a1", "v1", 1, 2010), ("a2", "v1", 1, 2012)], venues=["v2"])
 
     @pytest.mark.parametrize("masks, name", [
         ((np.array([1, 0, 1]),), "keep_edges"),  # 0/1 ints index rather than mask
         ((np.array([True, False]),), "keep_edges"),
-        ((np.ones(3, dtype=bool), np.array([1, 1])), "keep_artists"),
-        ((np.ones(3, dtype=bool), None, np.ones((1, 2), dtype=bool)), "keep_venues"),
     ])
     def test_rejects_masks_that_are_not_bool_arrays_of_their_length(self, toy_graph, masks, name):
         with pytest.raises(GigmineError, match=f"{name} must be a bool array of length"):
@@ -141,16 +131,12 @@ class TestSubgraph:
 
 
 class TestBuildGraph:
-    def test_from_triples_aggregates_count_and_first_year(self):
-        g = build_graph([("a", "v", 2012), ("a", "v", 2009), ("b", "v", 2010)])
+    def test_aggregates_count_and_first_year(self):
+        g = build_graph(triples_corpus([("a", "v", 2012), ("a", "v", 2009), ("b", "v", 2010)]))
         assert edges_of(g) == {("a", "v"): (2, 2009), ("b", "v"): (1, 2010)}
 
-    def test_missing_ids_rejected_with_position(self):
-        with pytest.raises(GigmineError, match="#1"):
-            build_graph([("a", "v", 2010), ("", "v", 2010)])
-
     def test_empty_event_list_gives_empty_graph(self):
-        g = build_graph([])
+        g = build_graph(make_corpus([]))
         assert g.n_edges == 0 and not g.artist_order and not g.venue_order
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    EVENT_HEADER, LABEL_HEADER, NO_RELEASES, RELEASE_HEADER, edges_of, event_row, make_corpus,
-    write_csv,
+    EVENT_HEADER, LABEL_HEADER, NO_RELEASES, RELEASE_HEADER, edges_of, event_row, kept_ids,
+    make_corpus, triples_corpus, write_csv,
 )
 
 from gigmine import ingest
@@ -725,24 +725,36 @@ class TestRecursiveCoreFilter:
             "edges": set(edges),
         }
 
+    def _kept(self, corpus, k, events=None):
+        """The kept artist and venue ids, and the graph of the kept nodes' masked events."""
+        if events is None:
+            events = np.ones(corpus.n_events, dtype=bool)
+        artists, venues = recursive_core_filter(corpus, events, k=k)
+        graph = build_graph(corpus.select(events & artists[corpus.artist] & venues[corpus.venue]))
+        return kept_ids(corpus.artist_order, artists), kept_ids(corpus.venue_order, venues), graph
+
     def test_filters_on_event_counts_not_degree(self):
         # single edge with count 5 must survive k=5 despite degree 1
-        g = build_graph([("a", "v", 2010)] * 5)
-        kept = recursive_core_filter(g, k=5)
+        _, _, kept = self._kept(triples_corpus([("a", "v", 2010)] * 5), k=5)
         assert ("a", "v") in edges_of(kept)
 
     def test_cascade_removal(self):
         # a2 depends on v2 which depends on a2: both fall once a2 drops
         events = [("a1", "v1", 2010)] * 5 + [("a2", "v1", 2010)] * 1
         events += [("a2", "v2", 2010)] * 3
-        g = build_graph(events)
-        kept = recursive_core_filter(g, k=5)
-        assert kept.artist_order == ("a1",)
-        assert kept.venue_order == ("v1",)
+        artists, venues, _ = self._kept(triples_corpus(events), k=5)
+        assert artists == {"a1"}
+        assert venues == {"v1"}
+
+    def test_counts_only_the_masked_events(self):
+        # a's 2016 events lie outside the mask, so a falls and v with it
+        events = [("a", "v", 2010)] * 4 + [("a", "v", 2016)] * 5 + [("b", "w", 2010)] * 5
+        corpus = triples_corpus(events)
+        artists, venues, kept = self._kept(corpus, 5, corpus.year <= 2015)
+        assert (artists, venues) == ({"b"}, {"w"})
+        assert edges_of(kept) == {("b", "w"): (5, 2010)}
 
     def test_matches_brute_force_on_random_graphs(self):
-        import numpy as np
-
         from oracles import random_bipartite
 
         rng = np.random.default_rng(42)
@@ -754,12 +766,14 @@ class TestRecursiveCoreFilter:
                 float(rng.uniform(0.05, 0.35)),
             )
             k = int(rng.integers(2, 8))
-            kept = recursive_core_filter(g, k=k)
+            corpus = triples_corpus([(a, v, year) for (a, v), (count, year) in edges_of(g).items()
+                                     for _ in range(count)])
+            artists, venues, kept = self._kept(corpus, k)
             want = self._brute_force(g, k)
-            assert set(kept.artist_order) == want["artists"]
-            assert set(kept.venue_order) == want["venues"]
+            assert artists == want["artists"]
+            assert venues == want["venues"]
             assert set(edges_of(kept)) == want["edges"]
 
     def test_everything_survives_when_threshold_met(self):
-        g = build_graph([("a", "v", 2010)] * 7)
-        assert recursive_core_filter(g, k=5) == g
+        corpus = triples_corpus([("a", "v", 2010)] * 7)
+        assert self._kept(corpus, k=5)[2] == build_graph(corpus)

@@ -12,7 +12,7 @@ from oracles import cn_oracle, jaccard_oracle, pa_oracle, random_bipartite
 
 from gigmine import linkpred
 from gigmine.errors import GigmineError
-from gigmine.graph import BipartiteGraph, build_graph
+from gigmine.graph import BipartiteGraph
 from gigmine.ingest import parse_corpus
 from gigmine.linkpred import (
     HEURISTICS,
@@ -40,7 +40,7 @@ class TestHeuristics:
         assert heuristics_of(toy_graph, "a2", "v2") == (2, 0.5, 1 * 1)
 
     def test_disconnected_pair_scores_zero(self):
-        g = build_graph([("a1", "v1", 2010), ("a2", "v2", 2010)])
+        g = make_graph([("a1", "v1", 1, 2010), ("a2", "v2", 1, 2010)])
         assert heuristics_of(g, "a1", "v2") == (0, 0.0, 1)
 
     def test_isolated_node_jaccard_is_zero_not_nan(self):
@@ -184,7 +184,7 @@ class TestRandomSplit:
                 make_random_split(g, hidden_fraction=f)
 
     def test_rejects_fraction_that_hides_no_edge(self):
-        g = build_graph([("a1", "v1", 2010), ("a2", "v2", 2010)])
+        g = make_graph([("a1", "v1", 1, 2010), ("a2", "v2", 1, 2010)])
         with pytest.raises(GigmineError, match="hidden_fraction 0.2 of 2 edges"):
             make_random_split(g, hidden_fraction=0.2, seed=0)
 
@@ -269,8 +269,9 @@ class TestSvdScores:
         assert block > 0.5  # block entry reconstructs near 1
 
     def test_full_rank_reconstruction_is_exact(self):
-        g = build_graph(
-            [("a1", "v1", 2010), ("a1", "v2", 2010), ("a2", "v1", 2010), ("a3", "v3", 2011)]
+        g = make_graph(
+            [("a1", "v1", 1, 2010), ("a1", "v2", 1, 2010), ("a2", "v1", 1, 2010),
+             ("a3", "v3", 1, 2011)]
         )
         k = min(len(g.artist_order), len(g.venue_order))
         pairs = np.setdiff1d(np.arange(len(g.artist_order) * len(g.venue_order)), edge_codes(g))
@@ -408,7 +409,7 @@ class TestNegativeSampling:
         assert id_pairs(toy_graph, sample_negative_pairs(toy_graph, 100)) == [("a2", "v2")]
 
     def test_complete_graph_has_no_candidates(self):
-        g = build_graph([("a", "v", 2010)])
+        g = make_graph([("a", "v", 1, 2010)])
         with pytest.raises(GigmineError, match="no candidate"):
             sample_negative_pairs(g, 5)
 

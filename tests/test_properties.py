@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from conftest import (
-    EVENT_HEADER, LABEL_HEADER, RELEASE_HEADER, edges_of, event_row, id_pairs, make_corpus,
-    make_graph, sequences_of, write_csv,
+    EVENT_HEADER, LABEL_HEADER, RELEASE_HEADER, edges_of, event_row, id_pairs, kept_ids,
+    make_corpus, make_graph, sequences_of, triples_corpus, write_csv,
 )
 from oracles import (
     assert_neighborhoods_match,
@@ -42,16 +42,19 @@ from oracles import (
     pairwise_auc,
     random_bipartite,
     raw_ngram_counts,
+    temporal_split_reference,
 )
 
 from gigmine import graph, ingest, linkpred
 from gigmine.birank import birank, seed_scores, temporal_weights
 from gigmine.embeddings import _draw_noise, _noise_table, _scatter_rows, sample_walks
 from gigmine.graph import build_graph, rank_rows
-from gigmine.errors import CorpusFormatError, CycleError
+from gigmine.errors import CorpusFormatError, CycleError, GigmineError
 from gigmine.ingest import filter_min_activity, parse_corpus, recursive_core_filter
 from gigmine.labeling import NEVER, label_corpus, major_closure
-from gigmine.linkpred import HEURISTICS, build_score_tables, edge_codes, evaluate_linkpred
+from gigmine.linkpred import (
+    HEURISTICS, build_score_tables, edge_codes, evaluate_linkpred, make_temporal_split,
+)
 from gigmine.metrics import _midranks, roc_auc
 from gigmine.routes import CitySequence, mine_routes
 
@@ -337,7 +340,7 @@ def test_build_graph_matches_brute_force(events):
     for a, v, year in events:
         count, first = want.get((a, v), (0, year))
         want[(a, v)] = (count + 1, min(first, year))
-    g = build_graph(events)
+    g = build_graph(triples_corpus(events))
     assert edges_of(g) == want
     assert g.artist_order == tuple(sorted({a for a, _ in want}, key=str))
     assert g.venue_order == tuple(sorted({v for _, v in want}, key=str))
@@ -419,14 +422,75 @@ def _peel(g, k, order):
 
 
 @PROPERTY
-@given(graphs(max_nodes=10), st.integers(0, 9), st.randoms(use_true_random=False))
-def test_core_filter_matches_random_order_peel(g, k, rnd):
-    order = list(g.artist_order + g.venue_order)
+@given(graphs(max_nodes=10), graphs(max_nodes=10), st.integers(0, 9),
+       st.randoms(use_true_random=False))
+def test_core_filter_matches_random_order_peel(g, later, k, rnd):
+    # the corpus holds g's events and, outside the mask, later's: nodes of
+    # later alone have no masked event and are peeled at every k above 0
+    corpus = triples_corpus(
+        [(a, v, year) for (a, v), (count, year) in edges_of(g).items() for _ in range(count)]
+        + [(a, v, 2020) for a, v in edges_of(later)]
+    )
+    counted = corpus.year < 2020
+    order = list(corpus.artist_order + corpus.venue_order)
     rnd.shuffle(order)
     alive, edges = _peel(g, k, order)
-    kept = recursive_core_filter(g, k=k)
-    assert set(kept.artist_order + kept.venue_order) == alive
+    artists, venues = recursive_core_filter(corpus, counted, k=k)
+    assert kept_ids(corpus.artist_order, artists) | kept_ids(corpus.venue_order, venues) == alive
+    kept = build_graph(corpus.select(counted & artists[corpus.artist] & venues[corpus.venue]))
     assert edges_of(kept) == edges
+
+
+@st.composite
+def split_events(draw):
+    """(artist, venue, year) events of a small corpus over 2012-2017.
+
+    task2's split trains on 2015 and before and tests on 2016-2017. A dense
+    block of one to three artists and venues holds 10-60 training events,
+    enough to survive the core filter; the rest are spread unevenly (a
+    Dirichlet draw of each node's share), so some nodes have few events and
+    the filter cascades through them. The test-year events pick their nodes
+    uniformly, so many are new pairs and many touch a dropped node.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_a, n_v, n_spread, n_block, n_test = (int(rng.integers(*span)) for span in
+                                           ((4, 13), (4, 11), (20, 81), (10, 61), (0, 31)))
+    b_a, b_v = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    artists = np.concatenate([rng.choice(n_a, n_spread, p=rng.dirichlet(np.ones(n_a))),
+                              rng.integers(0, b_a, n_block), rng.integers(0, n_a, n_test)])
+    venues = np.concatenate([rng.choice(n_v, n_spread, p=rng.dirichlet(np.ones(n_v))),
+                             rng.integers(0, b_v, n_block), rng.integers(0, n_v, n_test)])
+    years = np.concatenate([rng.integers(2012, 2016, n_spread + n_block),
+                            rng.integers(2016, 2018, n_test)])
+    return list(zip(artists.tolist(), venues.tolist(), years.tolist()))
+
+
+# at core_k 5, a1 (4 training events) falls and v1 (3) with it; both have
+# test-year events, and (a2, v2) is the one new pair. At 4, v1 falls first
+# and takes a1 down to 1 event; at 9 the cascade empties the graph.
+CASCADE = (
+    [(0, 0, 2015)] * 5 + [(1, 0, 2015)] + [(1, 1, 2015)] * 3 + [(2, 0, 2015)] * 5
+    + [(0, 2, 2015)] * 5 + [(1, 0, 2016), (0, 1, 2016), (0, 0, 2017), (2, 2, 2016)]
+)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(split_events(), st.integers(1, 9))
+@example(CASCADE, 5)
+@example(CASCADE, 4)
+@example(CASCADE, 9)
+def test_temporal_split_matches_the_peel_reference(events, core_k):
+    corpus = triples_corpus([(f"a{a}", f"v{v}", year) for a, v, year in events])
+    graph, pairs, stats = temporal_split_reference(corpus, 2015, (2016, 2017), core_k)
+    if not graph.n_edges or not pairs.size:
+        message = "training graph is empty" if not graph.n_edges else "no new"
+        with pytest.raises(GigmineError, match=message):
+            make_temporal_split(corpus, 2015, (2016, 2017), core_k=core_k)
+        return
+    split = make_temporal_split(corpus, 2015, (2016, 2017), core_k=core_k)
+    assert split.train_graph == graph
+    assert split.test_pairs.tolist() == pairs.tolist()
+    assert split.stats == stats
 
 
 DAY0 = dt.date(2010, 1, 1).toordinal()

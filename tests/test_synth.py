@@ -64,6 +64,11 @@ class TestGenSpecValidation:
             with pytest.raises(GigmineError, match=f"{name} must be an integer, got {value!r}"):
                 GenSpec(**{name: value})
 
+    def test_negative_seed(self):
+        # numpy's generators take no negative seed
+        with pytest.raises(GigmineError, match="seed must be at least 0, got -1"):
+            GenSpec(seed=-1)
+
     def test_bad_years_and_counts(self):
         with pytest.raises(GigmineError, match="years"):
             GenSpec(years=(2017, 2008))

@@ -34,7 +34,7 @@ from gigmine.errors import GigmineError
 from gigmine.graph import build_graph
 from gigmine.ingest import filter_min_activity, filter_post_2007, parse_corpus
 from gigmine.labeling import NEVER, label_corpus
-from gigmine.linkpred import run_task2
+from gigmine.linkpred import _check_task2, run_task2
 from gigmine.routes import city_sequences, mine_routes
 from gigmine.success import run_task1
 from gigmine.synth import GenSpec, generate
@@ -213,7 +213,7 @@ def _corpus_paths(config: dict) -> tuple[Path, Path, Path]:
 
 
 def _load_preprocessed(config: dict):
-    """Parse, filter, and label the corpus per the preprocess config."""
+    """The corpus parsed and filtered per the preprocess config, and its report blocks."""
     events_f, releases_f, labels_f = _corpus_paths(config)
     log.info("parsing corpus from %s", events_f.parent)
     corpus = parse_corpus(events_f, releases_f, labels_f)
@@ -222,18 +222,14 @@ def _load_preprocessed(config: dict):
     if pp["post_platform_filter"]:
         corpus = filter_post_2007(corpus, cutoff=dt.date.fromisoformat(pp["cutoff"]))
         stages["post_platform_filter"] = corpus.sizes()
-    change_day, label_stats = label_corpus(corpus)
     if pp["min_activity_filter"]:
         corpus = filter_min_activity(
-            corpus,
-            threshold=pp["activity_threshold"],
-            change_day=change_day,
-            recursive=pp["recursive"],
+            corpus, threshold=pp["activity_threshold"], recursive=pp["recursive"]
         )
-        change_day, label_stats = label_corpus(corpus)
         stages["min_activity_filter"] = corpus.sizes()
+    _, label_stats = label_corpus(corpus)
     log.info("corpus ready: %s", corpus.sizes())
-    return corpus, change_day, {"stages": stages, "labeling": label_stats}
+    return corpus, {"stages": stages, "labeling": label_stats}
 
 
 def _report(config: dict, payload: dict) -> dict:
@@ -255,7 +251,7 @@ def _write_json(path: Path, obj: dict):
 
 
 def cmd_ingest(config: dict, out: Path) -> dict:
-    corpus, _change_day, info = _load_preprocessed(config)
+    corpus, info = _load_preprocessed(config)
     payload = {
         "report": "ingest",
         "load": corpus.load_report.to_dict(),
@@ -288,16 +284,17 @@ def cmd_stats(config: dict, out: Path) -> dict:
 
 
 def cmd_task1(config: dict, out: Path) -> dict:
-    corpus, change_day, info = _load_preprocessed(config)
-    result = run_task1(corpus, change_day, seed=config["seed"], **config["task1"])
+    corpus, info = _load_preprocessed(config)
+    result = run_task1(corpus, seed=config["seed"], **config["task1"])
     payload = {"report": "task1", **info, **result}
     _write_json(out / "task1-report.json", _report(config, payload))
     return payload
 
 
 def cmd_task2(config: dict, out: Path) -> dict:
-    corpus, _change_day, info = _load_preprocessed(config)
     # every task2 key is a run_task2 parameter of that name
+    _check_task2(**config["task2"])  # before the corpus loads
+    corpus, info = _load_preprocessed(config)
     result = run_task2(corpus, seed=config["seed"], **config["task2"])
     payload = {"report": "task2", **info, **result}
     _write_json(out / "task2-report.json", _report(config, payload))
@@ -349,12 +346,16 @@ def cmd_task3(config: dict, out: Path) -> dict:
     top = t3["top_k"]
     if top is not None and top < 1:
         raise GigmineError(f"top_k must be at least 1, got {top}")
-    corpus, change_day, info = _load_preprocessed(config)
+    corpus, info = _load_preprocessed(config)
     g = build_graph(corpus)  # in the corpus's artist order
     ref_year = t3["ref_year"] or corpus.year_span()[1]
     result = birank(g, delta=t3["delta"], ref_year=ref_year, alpha=t3["alpha"],
                     beta=t3["beta"], count_scaled=t3["count_scaled"])
-    hist = score_histogram(result, change_day < NEVER, bins=t3["bins"])
+    signed, hist = corpus.change_day < NEVER, None
+    if 0 < signed.sum() < signed.size:  # a histogram needs both classes
+        hist = score_histogram(result, signed, bins=t3["bins"])
+    else:
+        log.warning("no score histogram: %d of %d artists sign", signed.sum(), signed.size)
     trajectories = yearly_trajectories(
         corpus,
         window_years=t3["window_years"],
@@ -388,7 +389,7 @@ def _city_display(city: tuple) -> str:
 
 
 def cmd_routes(config: dict, out: Path) -> dict:
-    corpus, _change_day, info = _load_preprocessed(config)
+    corpus, info = _load_preprocessed(config)
     r = config["routes"]
     ranked = mine_routes(
         city_sequences(corpus), n_values=tuple(r["n_values"]), top_k=r["top_k"]

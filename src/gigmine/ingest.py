@@ -42,9 +42,11 @@ Release k is position k of the columns ``release_artist`` (index into
 (``labeling.NEVER`` when undated). ``labels`` is a ``labeling.LabelTable``.
 
 Preprocessing follows the order: keep artists whose first recorded event is
-2007 or later, compute change days, then drop low-activity artists and
-venues. ``recursive_core_filter`` picks the nodes of task2's training graph
-with the same fixed-point loop (``_active``), run on the training events.
+2007 or later, then drop low-activity artists and venues, counting the
+events before each artist's change day (a filter keeps it with the
+artist's releases). ``recursive_core_filter`` picks the nodes of task2's
+training graph with the same fixed-point loop (``_active``), run on the
+training events.
 """
 
 from __future__ import annotations
@@ -55,14 +57,14 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gigmine.errors import CorpusFormatError, GigmineError
 from gigmine.graph import _frozen, _mask, pack_rows, rank_rows
-from gigmine.labeling import NEVER, LabelTable, check_change_day
+from gigmine.labeling import NEVER, LabelTable, major_releases
 
 EVENT_HEADER = ["event_id", "artist_id", "venue_id", "date", "city", "state", "country", "lat", "lon", "popularity"]
 RELEASE_HEADER = ["artist_id", "label_id", "release_date"]
@@ -196,6 +198,14 @@ class Corpus:
         """Event positions delimiting each artist's run, earliest event first."""
         return _frozen(np.searchsorted(self.artist, np.arange(len(self.artist_order) + 1)))
 
+    @cached_property
+    def change_day(self) -> np.ndarray:
+        """Each artist's change day: its earliest dated major-label release, else ``NEVER``."""
+        signs = major_releases(self)
+        day = np.full(len(self.artist_order), NEVER, dtype=np.int64)
+        np.minimum.at(day, self.release_artist[signs], self.release_day[signs])
+        return _frozen(day, copy=False)
+
     @property
     def n_events(self) -> int:
         return len(self.artist)
@@ -267,8 +277,8 @@ def _ordinal(text: str) -> int:
         return 0
 
 
-def intern_ids(ids: Sequence, key=str) -> tuple[tuple, np.ndarray]:
-    """Distinct ids sorted by ``key`` (None for their natural order), and each id's index.
+def intern_ids(ids: Sequence) -> tuple[tuple, np.ndarray]:
+    """Distinct ids in sorted order, and each id's index.
 
     ``_read_csv`` keys most columns by one sort of their bytes and interns
     here only the joined city columns and the values it unquotes. A dict
@@ -276,7 +286,7 @@ def intern_ids(ids: Sequence, key=str) -> tuple[tuple, np.ndarray]:
     characters and would merge "a" with "a\\0".
     """
     index = dict.fromkeys(ids)
-    order = tuple(sorted(index, key=key))
+    order = tuple(sorted(index))
     index.update(zip(order, range(len(order))))
     return order, np.array([index[x] for x in ids], dtype=np.int64)
 
@@ -332,7 +342,7 @@ def _read_csv(path, header, joined=None):
             _, codes, rows = _unique_fields(buf, field(a)[0], field(b)[1], nul)
             parts = ([_unquote(data[x:y]).decode("utf-8") for x, y in zip(*field(j, rows))]
                      for j in range(a, b + 1))
-            values, renumber = intern_ids(list(zip(*parts)), key=None)
+            values, renumber = intern_ids(list(zip(*parts)))
             columns.append((values, renumber.astype(codes.dtype)[codes]))
             continue
         start, stop = field(a)
@@ -343,7 +353,7 @@ def _read_csv(path, header, joined=None):
             start, stop = start + cut, stop - cut
         values, codes, _ = _unique_fields(buf, start, stop, nul)
         if bounds.size and (quoted & ~cut).any():  # the rest are unquoted in Python
-            values, renumber = intern_ids([_unquote(v) for v in values.tolist()], key=None)
+            values, renumber = intern_ids([_unquote(v) for v in values.tolist()])
             values, codes = np.array(values, dtype=object), renumber.astype(codes.dtype)[codes]
         columns.append((values, codes))
     return line, ragged, columns
@@ -716,25 +726,16 @@ def _active(corpus: Corpus, threshold, a_counted, v_counted, recursive=True):
             return alive_a, alive_v
 
 
-def filter_min_activity(
-    corpus: Corpus,
-    threshold: int = 10,
-    change_day: Optional[np.ndarray] = None,
-    recursive: bool = True,
-) -> Corpus:
+def filter_min_activity(corpus: Corpus, threshold: int = 10, recursive: bool = True) -> Corpus:
     """Drop artists and venues with too few concerts.
 
     An artist must have at least ``threshold`` concerts dated before its
-    change day (``labeling.label_corpus``, one per ``corpus.artist_order``;
-    full history when None); a venue must host at least ``threshold``
-    concerts. Removing a node removes its events, which can pull other nodes
-    below the threshold, so the filter iterates to a fixed point (set
-    ``recursive=False`` for a single pass).
+    ``corpus.change_day`` (all of them when it never signs); a venue must
+    host at least ``threshold`` concerts. Removing a node removes its
+    events, which can pull other nodes below the threshold, so the filter
+    iterates to a fixed point (set ``recursive=False`` for a single pass).
     """
-    before = True
-    if change_day is not None:
-        check_change_day(corpus, change_day)
-        before = corpus.day < change_day[corpus.artist]
+    before = corpus.day < corpus.change_day[corpus.artist]
     alive_a, alive_v = _active(corpus, threshold, before, True, recursive)
     return corpus.select(alive_a[corpus.artist] & alive_v[corpus.venue])
 

@@ -7,7 +7,8 @@ dated release on a major label, and its change point (change day, as a
 date ordinal) is the date of the earliest such release.
 
 The label table is held as arrays over its distinct ids (``LabelTable``)
-and the releases as int columns of the corpus (see ``gigmine.ingest``).
+and the releases as int columns of the corpus (see ``gigmine.ingest``),
+which derives its change days from them once (``Corpus.change_day``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gigmine.errors import CycleError, GigmineError
+from gigmine.errors import CycleError
 
 NEVER = np.iinfo(np.int64).max  # the change day of an artist that never signs
 
@@ -62,38 +63,30 @@ def _loop(labels: LabelTable, start: int) -> list:
     return [labels.ids[i] for i in chain[chain.index(at):] + [at]]
 
 
-def check_change_day(corpus, change_day) -> None:
-    """GigmineError unless ``change_day`` holds one day per ``corpus.artist_order`` entry."""
-    n = len(corpus.artist_order)
-    if len(change_day) != n:
-        raise GigmineError(f"{len(change_day)} change days for {n} corpus artists")
+def major_releases(corpus) -> np.ndarray:
+    """Mask of the corpus releases by a corpus artist on a label in the major closure."""
+    # a release on a label missing from the table (-1) reads the appended False
+    return np.append(major_closure(corpus.labels), False)[corpus.release_label] & (
+        corpus.release_artist >= 0)
 
 
 def label_corpus(corpus) -> tuple[np.ndarray, dict]:
-    """Each corpus artist's change day, plus labeling statistics.
+    """``corpus.change_day``, plus labeling statistics.
 
-    ``change_day`` follows ``corpus.artist_order``: the date ordinal of the
-    artist's earliest dated release on a label in the major closure, or
-    ``NEVER`` when it has none. An artist is successful exactly when its
-    change day is not ``NEVER``. Artists whose only major-label releases
-    carry no date (release day ``NEVER``) cannot anchor a change point; they
-    are labeled negative and counted in the stats.
+    An artist is successful exactly when its change day is not ``NEVER``.
+    Artists whose only major-label releases carry no date (release day
+    ``NEVER``) cannot anchor a change point; they are labeled negative and
+    counted in the stats.
     """
-    major = major_closure(corpus.labels)
-    n = len(corpus.artist_order)
-    # a release on a label missing from the table (-1) reads the appended False
-    signs = np.append(major, False)[corpus.release_label] & (corpus.release_artist >= 0)
-    artist, day = corpus.release_artist[signs], corpus.release_day[signs]
-    change_day = np.full(n, NEVER, dtype=np.int64)
-    np.minimum.at(change_day, artist, day)
-    undated_major = np.zeros(n, dtype=bool)
-    undated_major[artist[day == NEVER]] = True
+    change_day, n = corpus.change_day, len(corpus.artist_order)
+    undated = np.zeros(n, dtype=bool)  # has an undated major-label release
+    undated[corpus.release_artist[major_releases(corpus) & (corpus.release_day == NEVER)]] = True
     n_pos = int(np.count_nonzero(change_day < NEVER))
     stats = {
         "artists": n,
         "successful": n_pos,
         "positive_rate": n_pos / n if n else 0.0,
-        "major_labels": int(np.count_nonzero(major)),
-        "undated_major_only_artists": int(np.count_nonzero(undated_major & (change_day == NEVER))),
+        "major_labels": int(np.count_nonzero(major_closure(corpus.labels))),
+        "undated_major_only_artists": int(np.count_nonzero(undated & (change_day == NEVER))),
     }
     return change_day, stats

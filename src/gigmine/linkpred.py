@@ -106,6 +106,16 @@ def _checked(g: BipartiteGraph, pairs) -> np.ndarray:
     return pairs
 
 
+def _split_years(train_end_year: int, test_years: Iterable[int]) -> list:
+    """The sorted distinct test years; raises unless some are given, all after train_end_year."""
+    test_years = sorted(set(test_years))
+    if not test_years:
+        raise GigmineError("temporal split needs at least one test year")
+    if train_end_year >= test_years[0]:
+        raise GigmineError(f"train_end_year {train_end_year} must precede test years {test_years}")
+    return test_years
+
+
 def make_temporal_split(
     corpus,
     train_end_year: int = TRAIN_END_YEAR,
@@ -122,13 +132,7 @@ def make_temporal_split(
     year is not after train_end_year or either side ends up empty.
     """
     _check_positive(core_k=core_k)
-    test_years = sorted(set(test_years))
-    if not test_years:
-        raise GigmineError("temporal split needs at least one test year")
-    if train_end_year >= test_years[0]:
-        raise GigmineError(
-            f"train_end_year {train_end_year} must precede test years {test_years}"
-        )
+    test_years = _split_years(train_end_year, test_years)
     train = corpus.year <= train_end_year
     if not train.any():
         raise GigmineError(f"no events in or before {train_end_year}")
@@ -168,13 +172,17 @@ def make_temporal_split(
     return TemporalSplit(graph, new_pairs, stats)
 
 
+def _check_fraction(hidden_fraction: float) -> None:
+    if not 0.0 < hidden_fraction < 1.0:
+        raise GigmineError(f"hidden_fraction must lie in (0, 1), got {hidden_fraction}")
+
+
 def _hidden_count(hidden_fraction: float, n_edges: int) -> int:
     """round(n_edges * hidden_fraction), the edges a random split hides.
 
     Raises when hidden_fraction lies outside (0, 1) or hides no edge.
     """
-    if not 0.0 < hidden_fraction < 1.0:
-        raise GigmineError(f"hidden_fraction must lie in (0, 1), got {hidden_fraction}")
+    _check_fraction(hidden_fraction)
     n_hidden = int(round(hidden_fraction * n_edges))
     if n_hidden == 0:
         raise GigmineError(f"hidden_fraction {hidden_fraction} of {n_edges} edges hides no edge")
@@ -464,6 +472,28 @@ def _workers(n_passes: int) -> int:
     return max(1, min(n_passes, cores))
 
 
+def _check_task2(predictors, train_end_year, test_years, hidden_fraction, n_random_splits,
+                 core_k, svd_k, neg_multiple, neg_floor, **embed_params) -> None:
+    """Raise GigmineError for a ``run_task2`` keyword but corpus and seed that no corpus mends."""
+    if not predictors:
+        raise GigmineError("predictors must name at least one predictor")
+    for k, name in enumerate(predictors):
+        if name not in ALL_PREDICTORS:
+            raise GigmineError(f"unknown predictor: {name!r}")
+        if name in predictors[:k]:
+            raise GigmineError(f"predictor {name!r} is listed twice")
+    if n_random_splits < 1:
+        raise GigmineError(f"n_random_splits must be at least 1, got {n_random_splits}")
+    _check_positive(svd_k=svd_k, **embed_params, core_k=core_k)
+    _split_years(train_end_year, test_years)
+    _check_fraction(hidden_fraction)
+    if neg_multiple < 0 or neg_floor < 0 or neg_multiple == neg_floor == 0:
+        raise GigmineError(
+            "neg_multiple and neg_floor must be at least 0 and not both 0, "
+            f"got {neg_multiple} and {neg_floor}"
+        )
+
+
 def run_task2(
     corpus,
     predictors: Sequence[str] = ALL_PREDICTORS,
@@ -499,18 +529,10 @@ def run_task2(
     does not depend on the thread count. The parameters are checked before
     the split, and ``svd_k`` against the training graph before any pass runs.
     """
-    if not predictors:
-        raise GigmineError("predictors must name at least one predictor")
-    for k, name in enumerate(predictors):
-        if name not in ALL_PREDICTORS:
-            raise GigmineError(f"unknown predictor: {name!r}")
-        if name in predictors[:k]:
-            raise GigmineError(f"predictor {name!r} is listed twice")
-    if n_random_splits < 1:
-        raise GigmineError(f"n_random_splits must be at least 1, got {n_random_splits}")
     embed_params = dict(walks_per_node=walks_per_node, walk_length=walk_length,
                         embed_dim=embed_dim, embed_window=embed_window, embed_epochs=embed_epochs)
-    _check_positive(svd_k=svd_k, **embed_params)
+    _check_task2(predictors, train_end_year, test_years, hidden_fraction, n_random_splits,
+                 core_k, svd_k, neg_multiple, neg_floor, **embed_params)
     temporal = make_temporal_split(corpus, train_end_year, test_years, core_k=core_k)
     g = temporal.train_graph
     # a random split keeps every node, so each pass's matrix has g's shape
@@ -520,11 +542,6 @@ def run_task2(
             f"({len(g.artist_order)} artists, {len(g.venue_order)} venues)"
         )
     _hidden_count(hidden_fraction, g.n_edges)  # fail before any pass runs
-    if neg_multiple < 0 or neg_floor < 0 or neg_multiple == neg_floor == 0:
-        raise GigmineError(
-            "neg_multiple and neg_floor must be at least 0 and not both 0, "
-            f"got {neg_multiple} and {neg_floor}"
-        )
 
     def score_pass(s: Optional[int]):
         """AUC per predictor, model fits and negative count of one pass.

@@ -22,24 +22,19 @@ import scipy
 
 from gigmine.blas import blas_threads
 from gigmine.errors import GigmineError
-from gigmine.labeling import NEVER, check_change_day
+from gigmine.labeling import NEVER
 from gigmine.metrics import precision_recall_f1, roc_auc
 
 C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 K_GRID = (250, 500, 750, 1000)
+MAX_ITER = 1000
+GRAD_TOL = 1e-6
 
 
-def truncate_events(corpus, change_day: np.ndarray) -> np.ndarray:
-    """Censor successful artists' histories at their change day.
-
-    ``change_day`` holds one date ordinal per ``corpus.artist_order`` entry
-    (``labeling.label_corpus``). Returns the mask of the corpus events that
-    are kept: every event of a never-successful artist (change day
-    ``NEVER``) and only events dated strictly before the change day for
-    successful ones.
-    """
-    check_change_day(corpus, change_day)
-    return corpus.day < change_day[corpus.artist]
+def truncate_events(corpus) -> np.ndarray:
+    """Mask of the events dated before their artist's ``corpus.change_day``: successful
+    artists' histories censored at signing, and all of an artist that never signs."""
+    return corpus.day < corpus.change_day[corpus.artist]
 
 
 def build_features(corpus, keep, mode: str = "count") -> scipy.sparse.csr_matrix:
@@ -165,13 +160,7 @@ def logreg_loss_grad(params: np.ndarray, X, y: np.ndarray, C: float):
     return loss, np.concatenate([grad_w, [grad_b]])
 
 
-def train_logreg(
-    X,
-    y,
-    C: float = 1.0,
-    max_iter: int = 1000,
-    grad_tol: float = 1e-6,
-) -> LogregModel:
+def train_logreg(X, y, C: float = 1.0) -> LogregModel:
     """Fit L2-regularized logistic regression with a quasi-Newton solver.
 
     The loss history holds the objective at each accepted iterate (starting
@@ -205,7 +194,7 @@ def train_logreg(
             jac=True,
             method="L-BFGS-B",
             callback=record,
-            options={"maxiter": max_iter, "gtol": grad_tol, "ftol": 0.0},
+            options={"maxiter": MAX_ITER, "gtol": GRAD_TOL, "ftol": 0.0},
         )
     return LogregModel(
         weights=result.x[:-1],
@@ -302,7 +291,6 @@ def _tune_C_k(cv, c_grid, k_grid, threshold, seed, fits):
 
 def run_task1(
     corpus,
-    change_day: np.ndarray,
     mode: str = "count",
     n_splits: int = 3,
     test_fraction: float = 0.2,
@@ -314,8 +302,8 @@ def run_task1(
 ) -> dict:
     """Full forecasting evaluation: baseline, logreg, and logreg on SVD features.
 
-    Censors successful artists' events at their change day (``change_day``
-    as in ``truncate_events``; an artist is successful when it is not
+    Censors successful artists' events at their ``corpus.change_day``
+    (``truncate_events``; an artist is successful when it is not
     ``NEVER``), builds the affiliation matrix, then averages test metrics
     over ``n_splits`` seeded stratified splits that hold out
     ``test_fraction`` of each class. In each split one loop tunes both
@@ -349,8 +337,7 @@ def run_task1(
         for i, value in enumerate(grid):
             if value in grid[:i]:  # only runs more fits: the first-best pick never takes a repeat
                 raise GigmineError(f"{key} lists {value} more than once")
-    check_change_day(corpus, change_day)
-    y = change_day < NEVER
+    y = corpus.change_day < NEVER
     if not y.any() or y.all():
         raise GigmineError("forecasting needs both successful and unsuccessful artists")
     sizes = (int(y.sum()), int((~y).sum()))
@@ -367,7 +354,7 @@ def run_task1(
             f"cv_folds {cv_folds} exceeds the {n_train} training artists of the smaller class "
             f"at test_fraction {test_fraction}"
         )
-    X = build_features(corpus, truncate_events(corpus, change_day), mode=mode)
+    X = build_features(corpus, truncate_events(corpus), mode=mode)
     if not X.shape[1]:
         raise GigmineError("no events remain after change-point truncation")
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gigmine.graph import BipartiteGraph
-from gigmine.ingest import Corpus, intern_ids
+from gigmine.ingest import Corpus, index_of, intern_ids
 from gigmine.labeling import LabelTable
 from gigmine.routes import CitySequence
 
@@ -89,12 +89,17 @@ NO_RELEASES = dict(
 )
 
 
-def make_corpus(events):
+MAJOR = LabelTable(("major",), np.array([-1]), np.array([True]))
+
+
+def make_corpus(events, signings=()):
     """Corpus from (event_id, artist, venue, date[, city]) tuples.
 
     The ids are interned and passed to ``Corpus.from_codes``, which orders
     events as ``parse_corpus`` does, the event ids as UTF-8 bytes; the city
-    defaults to ("NYC", "NY", "US") and there are no releases or labels.
+    defaults to ("NYC", "NY", "US"). Each of ``signings``, (artist, date)
+    pairs, is a release on the label table's one label, ``MAJOR``'s major
+    root, so an artist's change day is the ordinal of its earliest.
     """
     cols = {k: [] for k in ("event_id", "artist_id", "venue_id", "day", "city")}
     for event_id, artist, venue, date, *city in events:
@@ -105,13 +110,16 @@ def make_corpus(events):
         cols["city"].append(city[0] if city else ("NYC", "NY", "US"))
     artist_order, artist = intern_ids(cols["artist_id"])
     venue_order, venue = intern_ids(cols["venue_id"])
-    cities, city = intern_ids(cols["city"], key=None)
+    cities, city = intern_ids(cols["city"])
     event_ids, event = intern_ids(cols["event_id"])
     return Corpus.from_codes(
         artist_order, artist, venue_order, venue, cities, city,
         np.array(cols["day"], dtype=np.int64),
         np.array([i.encode("utf-8") for i in event_ids], dtype=object), event,
-        **NO_RELEASES,
+        release_artist=index_of(artist_order, [a for a, _ in signings]),
+        release_label=np.zeros(len(signings), dtype=np.int64),
+        release_day=np.array([d.toordinal() for _, d in signings], dtype=np.int64),
+        labels=MAJOR,
     )
 
 

@@ -293,10 +293,8 @@ def test_criterion_07_planted_signal_forecasting(tmp_path):
         corpus = parse_corpus(
             out / "events.csv", out / "releases.csv", out / "labels.csv"
         )
-        change_day, _ = label_corpus(corpus)
         report = run_task1(
             corpus,
-            change_day,
             n_splits=1,
             cv_folds=2,
             c_grid=(1.0,),
@@ -384,15 +382,12 @@ def test_criterion_09_trajectory_capture(tmp_path):
 
 
 def preprocess_for_reproduction(root: Path):
-    """Criterion 10's preprocessing: parse, post-2007, label, min-activity, relabel."""
+    """Criterion 10's preprocessing (parse, post-2007, min-activity) and its labeling stats."""
     corpus = parse_corpus(
         root / "events.csv", root / "releases.csv", root / "labels.csv"
     )
-    corpus = filter_post_2007(corpus)
-    change_day, stats = label_corpus(corpus)
-    corpus = filter_min_activity(corpus, change_day=change_day, threshold=10)
-    change_day, stats = label_corpus(corpus)
-    return corpus, change_day, stats
+    corpus = filter_min_activity(filter_post_2007(corpus), threshold=10)
+    return corpus, label_corpus(corpus)[1]
 
 
 def test_reproduction_preprocessing_runs_on_synth(tmp_path):
@@ -403,10 +398,9 @@ def test_reproduction_preprocessing_runs_on_synth(tmp_path):
         GenSpec(n_artists=300, n_venues=30, years=(2006, 2016), seed=5, positive_fraction=0.3),
         tmp_path,
     )
-    corpus, change_day, stats = preprocess_for_reproduction(tmp_path)
-    assert 0 < stats["successful"] < stats["artists"] == len(change_day)
-    assert len(change_day) == len(corpus.artist_order)
-    for i, cp in enumerate(change_day.tolist()):
+    corpus, stats = preprocess_for_reproduction(tmp_path)
+    assert 0 < stats["successful"] < stats["artists"] == len(corpus.artist_order)
+    for i, cp in enumerate(corpus.change_day.tolist()):
         days = corpus.day[corpus.artist == i].tolist()
         assert dt.date.fromordinal(min(days)).year >= 2007
         assert sum(day < cp for day in days) >= 10
@@ -423,7 +417,7 @@ def test_criterion_10_real_data_reproduction():
         )
         pytest.skip("released dataset not available in this environment")
     t0 = time.monotonic()
-    corpus, change_day, stats = preprocess_for_reproduction(Path(data_dir))
+    corpus, stats = preprocess_for_reproduction(Path(data_dir))
 
     sizes = corpus.sizes()
     stats_ok = (
@@ -451,7 +445,7 @@ def test_criterion_10_real_data_reproduction():
         for name, want in expected_auc.items()
     )
 
-    t1 = run_task1(corpus, change_day, seed=0)
+    t1 = run_task1(corpus, seed=0)
     expected_t1 = {
         "baseline": {"precision": 0.07, "recall": 0.26, "f1": 0.11, "auc": 0.60},
         "logreg": {"precision": 0.18, "recall": 0.29, "f1": 0.22, "auc": 0.74},

@@ -286,6 +286,32 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == f"gigmine: config key {message}\n"
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("predictors", [], "predictors must name at least one predictor"),
+        ("n_random_splits", 0, "n_random_splits must be at least 1, got 0"),
+        ("core_k", -3, "core_k must be at least 1, got -3"),
+        ("svd_k", 0, "svd_k must be at least 1, got 0"),
+        ("walks_per_node", 0, "walks_per_node must be at least 1, got 0"),
+        ("walk_length", -1, "walk_length must be at least 1, got -1"),
+        ("embed_dim", 0, "embed_dim must be at least 1, got 0"),
+        ("embed_window", 0, "embed_window must be at least 1, got 0"),
+        ("embed_epochs", 0, "embed_epochs must be at least 1, got 0"),
+        ("train_end_year", 2016, "train_end_year 2016 must precede test years [2016, 2017]"),
+        ("hidden_fraction", 1.5, "hidden_fraction must lie in (0, 1), got 1.5"),
+        ("neg_multiple", -1, "neg_multiple and neg_floor must be at least 0 and not both 0, "
+                             "got -1 and 100000"),
+        ("neg_floor", -5, "neg_multiple and neg_floor must be at least 0 and not both 0, "
+                          "got 10 and -5"),
+    ])
+    def test_bad_task2_setting_fails_before_the_corpus_loads(
+        self, corpus_dir, tmp_path, capsys, monkeypatch, key, value, message
+    ):
+        monkeypatch.setattr(cli, "parse_corpus", mock.Mock(side_effect=AssertionError))
+        cfg = write_config(tmp_path, base_config(corpus_dir, task2={key: value}))
+        code = main(["task2", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"gigmine: {message}\n"
+
     @pytest.mark.parametrize("years", [[2008], [2008, 2012, 2017]])
     def test_synth_years_of_the_wrong_length_maps_to_one(self, tmp_path, capsys, years):
         cfg = write_config(tmp_path, {"synth": {"years": years}})
@@ -391,6 +417,43 @@ class TestReports:
         windows = report["trajectory_convergence"]
         assert [w["year"] for w in windows] == report["trajectory_years"]
         assert all(w["converged"] and w["iterations"] >= 1 for w in windows)
+
+    @pytest.mark.parametrize("signs", ["no artist", "every artist"])
+    def test_task3_without_both_classes_writes_no_histogram(
+        self, corpus_dir, tmp_path, caplog, signs
+    ):
+        # the corpus again with no major root, or with a 2030 major-label
+        # release for every artist: the filters keep the same artists and
+        # events, and only the histogram needs both classes
+        tables = {}
+        for name in ("events", "releases", "labels"):
+            with open(corpus_dir / f"{name}.csv", encoding="utf-8", newline="") as fh:
+                tables[name] = list(csv.reader(fh))
+        header, *labels = tables["labels"]
+        if signs == "no artist":
+            tables["labels"] = [header, *([*row[:3], "0"] for row in labels)]
+        else:
+            major = next(row[0] for row in labels if row[3] == "1")
+            artists = dict.fromkeys(row[1] for row in tables["events"][1:])
+            tables["releases"] += [[a, major, "2030-01-01"] for a in artists]
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name, rows in tables.items():
+            with open(corpus / f"{name}.csv", "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+        both, one = tmp_path / "both", tmp_path / "one"
+        for data, out in ((corpus_dir, both), (corpus, one)):
+            cfg = write_config(tmp_path, base_config(data))
+            assert main(["task3", "--config", cfg, "--out", str(out)]) == 0
+        reports = [json.loads((out / "task3-report.json").read_text()) for out in (both, one)]
+        n = reports[1]["labeling"]["artists"]
+        signed = 0 if signs == "no artist" else n
+        assert reports[1]["histogram"] is None and reports[1]["labeling"]["successful"] == signed
+        assert f"no score histogram: {signed} of {n} artists sign" in caplog.text
+        for key in ("top_artists", "top_venues", "trajectory_years", "trajectory_convergence"):
+            assert reports[1][key] == reports[0][key]
+        assert (one / "task3-trajectories.csv").read_bytes() == \
+            (both / "task3-trajectories.csv").read_bytes()
 
     def test_trajectory_csv_equals_csv_writer_over_ranked(self, tmp_path):
         # ids csv.writer must quote, tied scores and one-window-only artists

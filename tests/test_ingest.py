@@ -21,7 +21,7 @@ from gigmine.ingest import (
     parse_corpus,
     recursive_core_filter,
 )
-from gigmine.labeling import NEVER, label_corpus
+from gigmine.labeling import NEVER
 from gigmine.synth import GenSpec, generate
 
 LABELS = [["maj", "Major", "", "1"], ["ind", "Indie", "", "0"]]
@@ -127,12 +127,12 @@ class TestParsing:
         assert c.labels.ids == ("lab", "other", *(f"f{i}" for i in range(7)))
         assert c.labels.parent.tolist()[:2] == [-1, -1]
         assert c.labels.major_root.tolist()[:2] == [True, False]
-        assert label_corpus(c)[0].tolist() == [dt.date(2012, 1, 1).toordinal()]
+        assert c.change_day.tolist() == [dt.date(2012, 1, 1).toordinal()]
         # a repeat cannot flag a label as a major root either
         labels[0][3], labels[1][3] = "0", "1"
         c = parse_corpus(*corpus_files(events, [["a1", "lab", "2012-01-01"]], labels))
         assert not c.labels.major_root.any()
-        assert label_corpus(c)[0].tolist() == [NEVER]
+        assert c.change_day.tolist() == [NEVER]
 
     def test_duplicate_label_ids_count_toward_tolerance(self, corpus_files):
         labels = [["lab", "Lab", "", "1"], ["lab", "Lab again", "other", "0"],
@@ -643,28 +643,15 @@ class TestMinActivityFilter:
     def _corpus(self, corpus_files, rows):
         return parse_corpus(*corpus_files(rows, [], LABELS))
 
-    def test_counts_only_pre_change_point_concerts_for_artists(self, corpus_files):
-        rows = [
-            event_row(f"e{i}", "a1", "v1", f"2010-01-{i + 1:02d}") for i in range(3)
-        ] + [
-            event_row(f"p{i}", "a1", "v1", f"2012-01-{i + 1:02d}") for i in range(9)
-        ]
-        c = self._corpus(corpus_files, rows)
+    def test_counts_only_pre_change_point_concerts_for_artists(self):
+        events = [(f"e{i}", "a1", "v1", dt.date(2010, 1, i + 1)) for i in range(3)]
+        events += [(f"p{i}", "a1", "v1", dt.date(2012, 1, i + 1)) for i in range(9)]
         # full history (12 events) passes with no change point
-        kept = filter_min_activity(c, threshold=10, change_day=np.array([NEVER]))
+        kept = filter_min_activity(make_corpus(events), threshold=10)
         assert "a1" in kept.artist_order
         # 3 pre-change-point events fail the threshold
-        dropped = filter_min_activity(
-            c, threshold=10, change_day=np.array([dt.date(2011, 1, 1).toordinal()])
-        )
-        assert dropped.n_events == 0
-
-    def test_change_days_must_match_the_artists(self, corpus_files):
-        rows = [event_row(f"e{i}", a, "v1", "2010-01-01") for i, a in enumerate(["a1", "a2"] * 2)]
-        c = self._corpus(corpus_files, rows)
-        for n in (1, 3):
-            with pytest.raises(GigmineError, match=f"{n} change days for 2 corpus artists"):
-                filter_min_activity(c, threshold=2, change_day=np.full(n, NEVER))
+        signed = make_corpus(events, signings=[("a1", dt.date(2011, 1, 1))])
+        assert filter_min_activity(signed, threshold=10).n_events == 0
 
     def test_venue_threshold_and_cascade(self, corpus_files):
         # v1 hosts 10 concerts by a1; v2 hosts 1 by a1 and 10 by a2;

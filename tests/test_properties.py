@@ -50,7 +50,9 @@ from gigmine.birank import birank, seed_scores, temporal_weights
 from gigmine.embeddings import _draw_noise, _noise_table, _scatter_rows, sample_walks
 from gigmine.graph import build_graph, rank_rows
 from gigmine.errors import CorpusFormatError, CycleError, GigmineError
-from gigmine.ingest import filter_min_activity, parse_corpus, recursive_core_filter
+from gigmine.ingest import (
+    filter_min_activity, filter_post_2007, parse_corpus, recursive_core_filter,
+)
 from gigmine.labeling import NEVER, label_corpus, major_closure
 from gigmine.linkpred import (
     HEURISTICS, build_score_tables, edge_codes, evaluate_linkpred, make_temporal_split,
@@ -535,12 +537,8 @@ def test_min_activity_filter_matches_random_order_peel(events, offsets, threshol
     alive = _activity_peel(rows, change_points, threshold, order)
     kept_rows = [r for r in rows if r[1] in alive and r[2] in alive]
 
-    corpus = make_corpus(rows)
-    change_day = np.array([
-        NEVER if change_points[a] is None else change_points[a].toordinal()
-        for a in corpus.artist_order
-    ], dtype=np.int64)
-    kept = filter_min_activity(corpus, threshold, change_day=change_day)
+    corpus = make_corpus(rows, [(a, day) for a, day in change_points.items() if day is not None])
+    kept = filter_min_activity(corpus, threshold)
     assert sorted(kept.event_id.tolist()) == sorted(r[0] for r in kept_rows)
     assert kept.artist_order == tuple(sorted({r[1] for r in kept_rows}))
     assert kept.venue_order == tuple(sorted({r[2] for r in kept_rows}))
@@ -866,3 +864,49 @@ def test_labeling_matches_the_id_by_id_reference(case):
         change_day, got = label_corpus(corpus)
         assert change_day.tolist() == [NEVER if d is None else d for d in days]
         assert got == stats
+
+
+signing_artists = [f"a{i}" for i in range(6)]
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 3 * 365)),
+             min_size=20, max_size=60),
+    st.lists(st.sampled_from([0, 3 * 365]), min_size=6, max_size=6),
+    st.lists(st.tuples(st.sampled_from(signing_artists), st.sampled_from(["maj", "sub"]),
+                       st.integers(0, 6 * 365)), min_size=1, max_size=8),
+    st.lists(st.tuples(st.sampled_from(signing_artists + ["zz"]),
+                       st.sampled_from(["maj", "sub", "ind", "unknown"]),
+                       st.one_of(st.none(), st.integers(0, 6 * 365))), max_size=4),
+    st.integers(0, 4), st.booleans(), st.data(),
+)
+def test_change_days_match_the_reference_and_outlast_the_filters(
+    events, starts, signings, other_releases, threshold, recursive, data
+):
+    # artists start touring in 2005 or 2008, so the post-2007 filter drops
+    # some; "sub" is a subsidiary of the major root "maj", "unknown" is
+    # missing from the table, "zz" has no events, and undated releases sign
+    # no one
+    day0 = dt.date(2005, 1, 1).toordinal()
+    releases = [(a, label, None if d is None else dt.date.fromordinal(day0 + d))
+                for a, label, d in signings + other_releases]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / name for name in ("events.csv", "releases.csv", "labels.csv")]
+        write_csv(paths[0], EVENT_HEADER, [
+            event_row(f"e{k}", f"a{a}", f"v{v}", dt.date.fromordinal(day0 + starts[a] + d))
+            for k, (a, v, d) in enumerate(events)])
+        write_csv(paths[1], RELEASE_HEADER,
+                  [[a, label, d.isoformat() if d else ""] for a, label, d in releases])
+        write_csv(paths[2], LABEL_HEADER, [["maj", "Major", "", "1"], ["sub", "Sub", "maj", "0"],
+                                           ["ind", "Indie", "", "0"]])
+        c = parse_corpus(*paths)
+    days, _ = label_reference(c.artist_order, releases, {"maj": None, "sub": "maj", "ind": None},
+                              {"maj"})
+    assert c.change_day.tolist() == [NEVER if d is None else d for d in days]
+    assert not c.change_day.flags.writeable
+    change_day = dict(zip(c.artist_order, c.change_day.tolist()))
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=c.n_events, max_size=c.n_events)),
+                    dtype=bool)
+    for kept in (c.select(keep), filter_post_2007(c), filter_min_activity(c, threshold, recursive)):
+        assert kept.change_day.tolist() == [change_day[a] for a in kept.artist_order]

@@ -16,7 +16,7 @@ from gigmine import success
 from gigmine.blas import blas_threads
 from gigmine.errors import GigmineError
 from gigmine.ingest import parse_corpus
-from gigmine.labeling import NEVER, label_corpus
+from gigmine.labeling import NEVER
 from gigmine.success import (
     C_GRID,
     SVDReducer,
@@ -33,9 +33,9 @@ from gigmine.success import (
 from gigmine.synth import GenSpec, generate
 
 
-def corpus_of(*events):
-    """Corpus of (artist, venue, date) events."""
-    return make_corpus([(f"e{i}", a, v, d) for i, (a, v, d) in enumerate(events)])
+def corpus_of(*events, signings=()):
+    """Corpus of (artist, venue, date) events, with ``make_corpus``'s signings."""
+    return make_corpus([(f"e{i}", a, v, d) for i, (a, v, d) in enumerate(events)], signings)
 
 
 D = dt.date
@@ -48,9 +48,10 @@ class TestTruncation:
             ("a", "v", D(2011, 6, 1)),  # == cp, must go
             ("a", "v", D(2012, 1, 1)),
             ("b", "v", D(2015, 1, 1)),
+            signings=[("a", D(2013, 1, 1)), ("a", D(2011, 6, 1))],  # the earliest is cp
         )
         assert c.artist_order == ("a", "b")
-        kept = truncate_events(c, np.array([D(2011, 6, 1).toordinal(), NEVER]))
+        kept = truncate_events(c)
         assert [
             (c.artist_order[a], D.fromordinal(d))
             for a, d in zip(c.artist[kept].tolist(), c.day[kept].tolist())
@@ -62,14 +63,8 @@ class TestTruncation:
     def test_unlabeled_artist_keeps_everything(self):
         # an artist that never signs has change day NEVER, after any event
         c = corpus_of(("x", "v", D(2012, 1, 1)), ("x", "v", D.max))
-        assert truncate_events(c, np.array([NEVER])).tolist() == [True, True]
-
-
-    def test_change_days_must_match_the_artists(self):
-        c = corpus_of(("a", "v", D(2012, 1, 1)), ("b", "v", D(2012, 1, 1)))
-        for n in (1, 3):
-            with pytest.raises(GigmineError, match=f"{n} change days for 2 corpus artists"):
-                truncate_events(c, np.full(n, NEVER))
+        assert c.change_day.tolist() == [NEVER]
+        assert truncate_events(c).tolist() == [True, True]
 
 
 class TestBuildFeatures:
@@ -524,15 +519,11 @@ class TestRunTask1:
             ),
             out,
         )
-        corpus = parse_corpus(out / "events.csv", out / "releases.csv", out / "labels.csv")
-        change_day, _ = label_corpus(corpus)
-        return corpus, change_day
+        return parse_corpus(out / "events.csv", out / "releases.csv", out / "labels.csv")
 
     def test_report_shape_and_ranges(self, small_corpus):
-        corpus, change_day = small_corpus
         report = run_task1(
-            corpus,
-            change_day,
+            small_corpus,
             n_splits=2,
             cv_folds=2,
             c_grid=(1.0,),
@@ -559,13 +550,13 @@ class TestRunTask1:
         # refitting each model from its reported picks on the split's rows
         # gives its reported test metrics; logreg and logreg_svd pick
         # different Cs here, so a report that swapped them would fail
-        corpus, change_day = small_corpus
+        corpus = small_corpus
         report = run_task1(
-            corpus, change_day, n_splits=2, test_fraction=0.2, cv_folds=3,
+            corpus, n_splits=2, test_fraction=0.2, cv_folds=3,
             c_grid=(0.1, 1.0, 10.0, 100.0), k_grid=(1, 3, 8), seed=0,
         )
-        X = build_features(corpus, truncate_events(corpus, change_day))
-        y = change_day < NEVER
+        X = build_features(corpus, truncate_events(corpus))
+        y = corpus.change_day < NEVER
         models = report["models"]
         for i, sel in enumerate(report["selected"]):
             assert sel["C"] != sel["svd_C"]
@@ -580,26 +571,23 @@ class TestRunTask1:
 
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_threshold_fails_before_features(self, small_corpus, threshold):
-        corpus, change_day = small_corpus
-
         def never(*args, **kwargs):
             raise AssertionError("features were built")
 
         with mock.patch.object(success, "build_features", never), \
                 pytest.raises(GigmineError, match=f"threshold must be finite, got {threshold}"):
-            run_task1(corpus, change_day, threshold=threshold)
+            run_task1(small_corpus, threshold=threshold)
 
     @pytest.mark.parametrize("k_grid, k_chosen", [((1000,), 16), ((17, 1000), 16), ((5, 17, 1000), 5)])
     def test_rank_grid_above_a_fold_cap(self, small_corpus, k_grid, k_chosen):
         # at test_fraction 0.5 the three folds fit on 16, 16 and 18 of the 25
         # training artists, all below the 20 venues: the candidates are the
         # grid ranks up to the smallest cap, 16, or that cap if none is
-        corpus, change_day = small_corpus
-        y = change_day < NEVER
+        y = small_corpus.change_day < NEVER
         train, _ = stratified_split(y, 0.5, 0)
         assert sorted(train.size - f.size for f in stratified_folds(y[train], 3, 0)) == [16, 16, 18]
         report = run_task1(
-            corpus, change_day, n_splits=1, test_fraction=0.5, cv_folds=3,
+            small_corpus, n_splits=1, test_fraction=0.5, cv_folds=3,
             c_grid=(1.0,), k_grid=k_grid, seed=0,
         )
         assert report["n_venues"] == 20
@@ -607,9 +595,8 @@ class TestRunTask1:
 
     @pytest.mark.parametrize("cv_folds", [1, 0])
     def test_cv_folds_below_two_rejected(self, small_corpus, cv_folds):
-        corpus, change_day = small_corpus
         with pytest.raises(GigmineError, match=f"cv_folds must be at least 2, got {cv_folds}"):
-            run_task1(corpus, change_day, n_splits=1, cv_folds=cv_folds)
+            run_task1(small_corpus, n_splits=1, cv_folds=cv_folds)
 
     @pytest.mark.parametrize("params, message", [
         ({"n_splits": 0}, "n_splits must be at least 1, got 0"),
@@ -644,21 +631,18 @@ class TestRunTask1:
         ({"cv_folds": 9}, "cv_folds 9 exceeds the 8 training artists"),
     ])
     def test_bad_split_parameters_fail_before_features(self, small_corpus, params, message):
-        corpus, change_day = small_corpus
-
         def never(*args, **kwargs):
             raise AssertionError("features were built")
 
         with mock.patch.object(success, "build_features", never), \
                 pytest.raises(GigmineError, match=message):
-            run_task1(corpus, change_day, **params)
+            run_task1(small_corpus, **params)
 
     def test_folds_up_to_the_smaller_class_accepted(self, small_corpus):
         # 5 training positives make 5 folds of one positive each; an empty
         # rank grid means the fold cap
-        corpus, change_day = small_corpus
         report = run_task1(
-            corpus, change_day, n_splits=1, test_fraction=0.5, cv_folds=5,
+            small_corpus, n_splits=1, test_fraction=0.5, cv_folds=5,
             c_grid=(1.0,), k_grid=(), seed=0,
         )
         assert [sel["svd_k"] for sel in report["selected"]] == [20]
@@ -671,23 +655,18 @@ class TestRunTask1:
             tmp_path,
         )
         corpus = parse_corpus(*(tmp_path / f for f in ("events.csv", "releases.csv", "labels.csv")))
-        change_day, _ = label_corpus(corpus)
         reports = []
         for n in (1, 2):
             with blas_threads(n):
                 reports.append(run_task1(
-                    corpus, change_day, n_splits=1, test_fraction=0.5,
+                    corpus, n_splits=1, test_fraction=0.5,
                     c_grid=(0.1, 10.0), k_grid=(40, 80), seed=0,
                 ))
         assert reports[0] == reports[1]
 
-    def test_change_days_of_another_corpus_rejected(self, small_corpus):
-        corpus, change_day = small_corpus
-        with pytest.raises(GigmineError, match="49 change days for 50 corpus artists"):
-            run_task1(corpus, change_day[1:], n_splits=1)
-
     def test_single_class_corpus_rejected(self, small_corpus):
-        corpus, change_day = small_corpus
-        all_neg = np.full_like(change_day, NEVER)
-        with pytest.raises(GigmineError, match="both"):
-            run_task1(corpus, all_neg, n_splits=1)
+        corpus = small_corpus
+        signs = corpus.change_day[corpus.artist] < NEVER
+        for keep in (signs, ~signs):  # only the artists that sign, or only the others
+            with pytest.raises(GigmineError, match="both"):
+                run_task1(corpus.select(keep), n_splits=1)

@@ -237,9 +237,8 @@ class TestPlantedLabels:
         )
         assert len(manifest["planted_positives"]) == 15
         corpus = read_corpus(tmp_path)
-        change_day, stats = label_corpus(corpus)
-        assert stats["successful"] == 15
-        days = dict(zip(corpus.artist_order, change_day.tolist()))
+        assert label_corpus(corpus)[1]["successful"] == 15
+        days = dict(zip(corpus.artist_order, corpus.change_day.tolist()))
         positives = {a for a, day in days.items() if day != NEVER}
         assert positives == set(manifest["planted_positives"])
         for artist, cp in manifest["change_points"].items():

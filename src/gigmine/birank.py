@@ -59,6 +59,26 @@ class BiRankResult:
     converged: bool
 
 
+def _check_task3(delta: float = DELTA, alpha: float = ALPHA, beta: float = BETA,
+                 window_years: int = 1, bins: int = 1, top_k: Optional[int] = None) -> None:
+    """Raise GigmineError for a task3 setting that no corpus mends.
+
+    Each BiRank function checks its own settings here; the task3 command
+    checks them all, and ``top_k`` (the length of its top lists, None for
+    all), before the corpus loads.
+    """
+    if not 0.0 < delta <= 1.0:
+        raise GigmineError(f"delta must lie in (0, 1], got {delta}")
+    if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
+        raise GigmineError(f"alpha and beta must lie in [0, 1], got {alpha}, {beta}")
+    if window_years < 1:
+        raise GigmineError(f"window_years must be at least 1, got {window_years}")
+    if bins < 1:
+        raise GigmineError(f"bins must be at least 1, got {bins}")
+    if top_k is not None and top_k < 1:
+        raise GigmineError(f"top_k must be at least 1, got {top_k}")
+
+
 def seed_scores(g: BipartiteGraph) -> Seeds:
     """Log-degree seeds: ln(degree + 1) normalized to sum 1 per side.
 
@@ -91,8 +111,7 @@ def temporal_weights(
 
     One read-only weight per edge, in the order of the graph's edge arrays.
     """
-    if not 0.0 < delta <= 1.0:
-        raise GigmineError(f"delta must lie in (0, 1], got {delta}")
+    _check_task3(delta=delta)
     late = np.flatnonzero(g.first_year > ref_year)
     if late.size:
         e = late[0]
@@ -132,8 +151,7 @@ def birank(
     least 0. The scores come as ``ScoreView``s over the graph's id orders.
     The products run on the graph's edge arrays.
     """
-    if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
-        raise GigmineError(f"alpha and beta must lie in [0, 1], got {alpha}, {beta}")
+    _check_task3(alpha=alpha, beta=beta)
     if max_iter < 1:
         raise GigmineError(f"max_iter must be at least 1, got {max_iter}")
     if not tol >= 0.0:  # NaN fails every comparison
@@ -219,8 +237,7 @@ def yearly_trajectories(
     a window that does not converge within ``MAX_ITER`` logs a warning.
     ``window_years`` must be at least 1.
     """
-    if window_years < 1:
-        raise GigmineError(f"window_years must be at least 1, got {window_years}")
+    _check_task3(delta=delta, alpha=alpha, beta=beta, window_years=window_years)
     lo, hi = corpus.year_span()
     if hi - lo + 1 < window_years:
         raise GigmineError(
@@ -258,8 +275,7 @@ def score_histogram(
     reports per-class means and medians. Raises when ``bins`` is below 1,
     the flags do not match the scores one to one or a class is empty.
     """
-    if bins < 1:
-        raise GigmineError(f"bins must be at least 1, got {bins}")
+    _check_task3(bins=bins)
     scores = result.artist_scores.array
     successful = np.asarray(successful, dtype=bool)
     if successful.shape != scores.shape:

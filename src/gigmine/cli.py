@@ -29,14 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from gigmine import __version__
-from gigmine.birank import birank, score_histogram, yearly_trajectories
+from gigmine.birank import _check_task3, birank, score_histogram, yearly_trajectories
 from gigmine.errors import GigmineError
 from gigmine.graph import build_graph
 from gigmine.ingest import filter_min_activity, filter_post_2007, parse_corpus
 from gigmine.labeling import NEVER, label_corpus
 from gigmine.linkpred import _check_task2, run_task2
-from gigmine.routes import city_sequences, mine_routes
-from gigmine.success import run_task1
+from gigmine.routes import _check_routes, city_sequences, mine_routes
+from gigmine.success import _check_task1, run_task1
 from gigmine.synth import GenSpec, generate
 
 log = logging.getLogger("gigmine")
@@ -185,17 +185,22 @@ def load_config(arg: str | None, seed: int | None) -> dict:
 
 @functools.cache
 def _version() -> str:
-    """``gigmine <version>``, with ``git describe`` when run from a checkout; once per process."""
+    """``gigmine <version>``, with ``git describe`` when run from a checkout; once per process.
+
+    Only a repository that tracks this file is described: a copy installed
+    inside another project's checkout reports the bare version.
+    """
+    here = Path(__file__)
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=here.parent, capture_output=True, text=True,
+                              timeout=5)
+
     try:
-        described = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--tags"],
-            cwd=Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if described.returncode == 0 and described.stdout.strip():
-            return f"gigmine {__version__} ({described.stdout.strip()})"
+        if git("ls-files", "--error-unmatch", here.name).returncode == 0:
+            described = git("describe", "--always", "--dirty", "--tags")
+            if described.returncode == 0 and described.stdout.strip():
+                return f"gigmine {__version__} ({described.stdout.strip()})"
     except (OSError, subprocess.SubprocessError):
         pass
     return f"gigmine {__version__}"
@@ -284,6 +289,8 @@ def cmd_stats(config: dict, out: Path) -> dict:
 
 
 def cmd_task1(config: dict, out: Path) -> dict:
+    # every task1 key is a run_task1 parameter of that name
+    _check_task1(**config["task1"])  # before the corpus loads
     corpus, info = _load_preprocessed(config)
     result = run_task1(corpus, seed=config["seed"], **config["task1"])
     payload = {"report": "task1", **info, **result}
@@ -344,8 +351,8 @@ def _write_trajectories(path: Path, trajectories: dict) -> None:
 def cmd_task3(config: dict, out: Path) -> dict:
     t3 = config["task3"]
     top = t3["top_k"]
-    if top is not None and top < 1:
-        raise GigmineError(f"top_k must be at least 1, got {top}")
+    _check_task3(delta=t3["delta"], alpha=t3["alpha"], beta=t3["beta"],
+                 window_years=t3["window_years"], bins=t3["bins"], top_k=top)
     corpus, info = _load_preprocessed(config)
     g = build_graph(corpus)  # in the corpus's artist order
     ref_year = t3["ref_year"] or corpus.year_span()[1]
@@ -389,8 +396,9 @@ def _city_display(city: tuple) -> str:
 
 
 def cmd_routes(config: dict, out: Path) -> dict:
-    corpus, info = _load_preprocessed(config)
     r = config["routes"]
+    _check_routes(r["n_values"], r["top_k"])  # before the corpus loads
+    corpus, info = _load_preprocessed(config)
     ranked = mine_routes(
         city_sequences(corpus), n_values=tuple(r["n_values"]), top_k=r["top_k"]
     )

@@ -434,33 +434,23 @@ def sample_negative_pairs(
 ) -> np.ndarray:
     """Uniform pair codes that are neither edges of ``g`` nor in ``exclude``.
 
-    Draws up to ``n`` distinct non-edges with a seeded generator; asks for
-    more than exist and you get them all.
+    Draws ``n`` distinct ranks among the free codes with
+    ``np.random.default_rng(seed).choice`` and maps each rank to its free
+    code, in draw order; asks for as many as exist or more and you get
+    every free code, ascending. No grid of candidate cells is built.
     """
     n_a, n_v = len(g.artist_order), len(g.venue_order)
     banned = _distinct(np.concatenate([edge_codes(g), _checked(g, exclude).ravel()]))
     available = n_a * n_v - banned.size
     if available <= 0:
         raise GigmineError("graph has no candidate non-edges")
-
-    rng = np.random.default_rng(seed)
-    if n > available // 2:
-        free = np.ones(n_a * n_v, dtype=bool)
-        free[banned] = False
-        free_codes = np.flatnonzero(free)
-        if n >= available:
-            return free_codes
-        # rejection sampling stalls when most candidates are wanted
-        return free_codes[rng.choice(free_codes.size, size=n, replace=False)]
-    chosen = np.empty(0, dtype=np.int64)
-    while chosen.size < n:
-        k = (n - chosen.size) * 2 + 16
-        ai = rng.integers(n_a, size=k)
-        codes = ai * n_v + rng.integers(n_v, size=k)
-        codes = codes[~_in_sorted(codes, banned) & ~_in_sorted(codes, np.sort(chosen))]
-        _, first = np.unique(codes, return_index=True)
-        chosen = np.concatenate([chosen, codes[np.sort(first)][: n - chosen.size]])
-    return chosen
+    if n >= available:
+        ranks = np.arange(available)
+    else:
+        ranks = np.random.default_rng(seed).choice(available, size=n, replace=False)
+    # banned[i] - i free codes lie below banned[i], so the free code of rank r
+    # is r plus the count of banned codes with banned[i] - i <= r
+    return ranks + np.searchsorted(banned - np.arange(banned.size), ranks, side="right")
 
 
 def _workers(n_passes: int) -> int:

@@ -68,6 +68,14 @@ def city_sequences(corpus) -> list[CitySequence]:
     ]
 
 
+def _check_routes(n_values: Sequence[int], top_k: Optional[int]) -> None:
+    """Raise GigmineError for a ``mine_routes`` keyword that no corpus mends."""
+    if any(n < 1 for n in n_values):
+        raise GigmineError(f"n_values route lengths must be positive, got {list(n_values)}")
+    if top_k is not None and top_k < 1:
+        raise GigmineError(f"top_k must be at least 1, got {top_k}")
+
+
 def mine_routes(
     sequences: Iterable[CitySequence],
     n_values: Sequence[int] = N_VALUES,
@@ -81,10 +89,7 @@ def mine_routes(
     one city table, every n must be positive and ``top_k``, when given, at
     least 1.
     """
-    if any(n < 1 for n in n_values):
-        raise GigmineError(f"route lengths must be positive, got {list(n_values)}")
-    if top_k is not None and top_k < 1:
-        raise GigmineError(f"top_k must be at least 1, got {top_k}")
+    _check_routes(n_values, top_k)
     sequences = list(sequences)
     table = sequences[0].table if sequences else ()
     if not all(s.table is table or s.table == table for s in sequences):

@@ -37,6 +37,11 @@ def truncate_events(corpus) -> np.ndarray:
     return corpus.day < corpus.change_day[corpus.artist]
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("count", "binary", "log"):
+        raise GigmineError(f"unknown affiliation mode: {mode!r}")
+
+
 def build_features(corpus, keep, mode: str = "count") -> scipy.sparse.csr_matrix:
     """Artist-by-venue affiliation matrix of the corpus events where ``keep`` holds.
 
@@ -45,8 +50,7 @@ def build_features(corpus, keep, mode: str = "count") -> scipy.sparse.csr_matrix
     ``corpus.venue_order``. mode "count" stores event counts, "binary"
     presence flags, and "log" log(1 + count).
     """
-    if mode not in ("count", "binary", "log"):
-        raise GigmineError(f"unknown affiliation mode: {mode!r}")
+    _check_mode(mode)
     venues, cols = np.unique(corpus.venue[keep], return_inverse=True)
     mat = scipy.sparse.csr_matrix(
         (np.ones(cols.size), (corpus.artist[keep], cols)),
@@ -77,9 +81,10 @@ class SVDReducer:
     training rows map to their left-singular coordinates scaled by the
     singular values and held-out rows never influence the basis.
 
-    The solver follows from the shape: ARPACK when ``2k + 1 < min(n, m)``,
-    dense LAPACK otherwise; ``solver_`` names the one that ran. Both give
-    the same sign-fixed basis up to rounding. The LAPACK path eigensolves
+    The solver follows from the shape: PROPACK (``svds`` with a start
+    vector drawn from ``seed``) when ``2k + 1 < min(n, m)``, dense LAPACK
+    otherwise; ``solver_`` names the one that ran. Both give the same
+    sign-fixed basis up to rounding. The LAPACK path eigensolves
     the m x m Gram matrix ``XᵀX``, so it holds m x m dense arrays (the Gram
     and its eigenvectors), more than a dense copy of X only when m > n.
     """
@@ -91,7 +96,7 @@ class SVDReducer:
         self.seed = seed
         self.components_: Optional[np.ndarray] = None  # (n_cols, k)
         self.singular_values_: Optional[np.ndarray] = None
-        self.solver_: Optional[str] = None  # "arpack" or "lapack"
+        self.solver_: Optional[str] = None  # "propack" or "lapack"
 
     def fit(self, X) -> "SVDReducer":
         n, m = X.shape
@@ -101,12 +106,12 @@ class SVDReducer:
             )
         A = scipy.sparse.csr_matrix(X, dtype=float)
         if 2 * self.k + 1 < min(n, m):
-            rng = np.random.default_rng(self.seed)
-            v0 = rng.standard_normal(min(n, m))
-            u, s, vt = scipy.sparse.linalg.svds(A, k=self.k, v0=v0)
+            u, s, vt = scipy.sparse.linalg.svds(
+                A, k=self.k, solver="propack", rng=np.random.default_rng(self.seed)
+            )
             order = np.argsort(s)[::-1]
             s, vt = s[order], vt[order]
-            self.solver_ = "arpack"
+            self.solver_ = "propack"
         else:
             # one symmetric eigensolve (divide and conquer) of the m x m Gram,
             # built by one sparse product, costs less than a dense SVD of X:
@@ -289,6 +294,29 @@ def _tune_C_k(cv, c_grid, k_grid, threshold, seed, fits):
     return best, means[best]
 
 
+def _check_task1(mode, n_splits, test_fraction, cv_folds, threshold, c_grid, k_grid) -> None:
+    """Raise GigmineError for a ``run_task1`` keyword but corpus and seed that no corpus mends."""
+    _check_mode(mode)
+    if cv_folds < 2:
+        raise GigmineError(f"cv_folds must be at least 2, got {cv_folds}")
+    if n_splits < 1:
+        raise GigmineError(f"n_splits must be at least 1, got {n_splits}")
+    if not 0.0 < test_fraction < 1.0:  # NaN fails too
+        raise GigmineError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    if not np.isfinite(threshold):
+        raise GigmineError(f"threshold must be finite, got {threshold}")
+    if len(c_grid) == 0 or not all(np.isfinite(C) and C > 0 for C in c_grid):
+        raise GigmineError(
+            f"c_grid must be a non-empty list of finite positive values, got {list(c_grid)}"
+        )
+    if any(k < 1 for k in k_grid):
+        raise GigmineError(f"k_grid ranks must be at least 1, got {list(k_grid)}")
+    for key, grid in (("c_grid", c_grid), ("k_grid", k_grid)):
+        for i, value in enumerate(grid):
+            if value in grid[:i]:  # only runs more fits: the first-best pick never takes a repeat
+                raise GigmineError(f"{key} lists {value} more than once")
+
+
 def run_task1(
     corpus,
     mode: str = "count",
@@ -319,24 +347,7 @@ def run_task1(
     every ``k_grid`` rank must be at least 1 (an empty ``k_grid`` means the
     fold cap, as in ``_tune_C_k``); neither grid may repeat a value.
     """
-    if cv_folds < 2:
-        raise GigmineError(f"cv_folds must be at least 2, got {cv_folds}")
-    if n_splits < 1:
-        raise GigmineError(f"n_splits must be at least 1, got {n_splits}")
-    if not 0.0 < test_fraction < 1.0:  # NaN fails too
-        raise GigmineError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    if not np.isfinite(threshold):
-        raise GigmineError(f"threshold must be finite, got {threshold}")
-    if len(c_grid) == 0 or not all(np.isfinite(C) and C > 0 for C in c_grid):
-        raise GigmineError(
-            f"c_grid must be a non-empty list of finite positive values, got {list(c_grid)}"
-        )
-    if any(k < 1 for k in k_grid):
-        raise GigmineError(f"k_grid ranks must be at least 1, got {list(k_grid)}")
-    for key, grid in (("c_grid", c_grid), ("k_grid", k_grid)):
-        for i, value in enumerate(grid):
-            if value in grid[:i]:  # only runs more fits: the first-best pick never takes a repeat
-                raise GigmineError(f"{key} lists {value} more than once")
+    _check_task1(mode, n_splits, test_fraction, cv_folds, threshold, c_grid, k_grid)
     y = corpus.change_day < NEVER
     if not y.any() or y.all():
         raise GigmineError("forecasting needs both successful and unsuccessful artists")

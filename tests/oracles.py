@@ -104,6 +104,23 @@ def pa_oracle(edge_pairs, u, v) -> int:
     return len(neighbors_of(edge_pairs, u)) * len(neighbors_of(edge_pairs, v))
 
 
+def negative_sample_reference(g: BipartiteGraph, n: int, exclude, seed: int) -> list:
+    """Every cell of g's artist x venue grid that is neither an edge nor in
+    ``exclude``, as ascending codes ``i * n_v + j``, indexed by ``n`` seeded
+    distinct ranks; all of them when ``n`` reaches their count."""
+    edges, banned = set(g.id_pairs(g.row, g.col)), {int(c) for c in exclude}
+    n_v = len(g.venue_order)
+    free = [
+        i * n_v + j
+        for i, a in enumerate(g.artist_order)
+        for j, v in enumerate(g.venue_order)
+        if (a, v) not in edges and i * n_v + j not in banned
+    ]
+    if n >= len(free):
+        return free
+    return [free[r] for r in np.random.default_rng(seed).choice(len(free), n, replace=False)]
+
+
 # -- metric oracles --------------------------------------------------------------
 
 

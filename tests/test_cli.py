@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import shutil
+import subprocess
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -312,6 +315,33 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err == f"gigmine: {message}\n"
 
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("task1", "mode", "raw", "unknown affiliation mode: 'raw'"),
+        ("task1", "cv_folds", 1, "cv_folds must be at least 2, got 1"),
+        ("task1", "n_splits", 0, "n_splits must be at least 1, got 0"),
+        ("task1", "test_fraction", 1.5, "test_fraction must lie in (0, 1), got 1.5"),
+        ("task1", "c_grid", [],
+         "c_grid must be a non-empty list of finite positive values, got []"),
+        ("task1", "k_grid", [0], "k_grid ranks must be at least 1, got [0]"),
+        ("task1", "k_grid", [500, 500], "k_grid lists 500 more than once"),
+        ("task3", "delta", 1.5, "delta must lie in (0, 1], got 1.5"),
+        ("task3", "alpha", 2, "alpha and beta must lie in [0, 1], got 2, 0.85"),
+        ("task3", "beta", -0.5, "alpha and beta must lie in [0, 1], got 0.85, -0.5"),
+        ("task3", "window_years", 0, "window_years must be at least 1, got 0"),
+        ("task3", "bins", 0, "bins must be at least 1, got 0"),
+        ("task3", "top_k", 0, "top_k must be at least 1, got 0"),
+        ("routes", "n_values", [4, 0], "n_values route lengths must be positive, got [4, 0]"),
+        ("routes", "top_k", 0, "top_k must be at least 1, got 0"),
+    ])
+    def test_bad_task_setting_fails_before_the_corpus_loads(
+        self, corpus_dir, tmp_path, capsys, monkeypatch, command, key, value, message
+    ):
+        monkeypatch.setattr(cli, "parse_corpus", mock.Mock(side_effect=AssertionError))
+        cfg = write_config(tmp_path, base_config(corpus_dir, **{command: {key: value}}))
+        code = main([command, "--config", cfg, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"gigmine: {message}\n"
+
     @pytest.mark.parametrize("years", [[2008], [2008, 2012, 2017]])
     def test_synth_years_of_the_wrong_length_maps_to_one(self, tmp_path, capsys, years):
         cfg = write_config(tmp_path, {"synth": {"years": years}})
@@ -340,6 +370,35 @@ class TestExitCodes:
             main(["--version"])
         assert exc.value.code == 0
         assert "gigmine" in capsys.readouterr().out
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_version_describes_only_a_checkout_that_tracks_the_package(
+        self, tmp_path, monkeypatch
+    ):
+        # a copy of the package inside another project's tagged repository
+        repo = tmp_path / "otherproject"
+        copy = repo / "vendor" / "gigmine"
+        shutil.copytree(Path(cli.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        (repo / "README").write_text("another project\n", encoding="utf-8")
+        monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(tmp_path / "gitconfig"))
+        monkeypatch.setenv("GIT_CONFIG_NOSYSTEM", "1")
+
+        def git(*args):
+            subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                           cwd=repo, check=True, capture_output=True)
+
+        git("init", "-q")
+        git("add", "README")
+        git("commit", "-q", "-m", "other")
+        git("tag", "v9.9-otherproject")
+        monkeypatch.setattr(cli, "__file__", str(copy / "cli.py"))
+        assert cli._version.__wrapped__() == f"gigmine {cli.__version__}"
+        # once the repository tracks the package, it describes it
+        git("add", "vendor")
+        git("commit", "-q", "-m", "vendor gigmine")
+        git("tag", "v1.0-vendored")
+        assert cli._version.__wrapped__() == f"gigmine {cli.__version__} (v1.0-vendored)"
 
 
 class TestReports:
@@ -395,7 +454,7 @@ class TestReports:
         fits = report["fits"]
         assert len(fits["prediction"]) == 2
         for fit in [fits["forecasting"], *fits["prediction"]]:
-            assert fit["svd_solver"] in ("arpack", "lapack")
+            assert fit["svd_solver"] in ("propack", "lapack")
             assert len(fit["embedding_loss"]) == 1  # embed_epochs
 
     def test_task3_reports_and_trajectory_csv(self, corpus_dir, tmp_path):

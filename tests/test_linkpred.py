@@ -351,7 +351,7 @@ class TestScoreTablesAndEvaluation:
             walks_per_node=2, walk_length=4, embed_dim=4, embed_epochs=3,
         )
         assert tables["svd"].shape == tables["embedding"].shape == pairs.shape
-        assert fits["svd_solver"] == "arpack"  # 2k + 1 < 8
+        assert fits["svd_solver"] == "propack"  # 2k + 1 < 8
         assert len(fits["embedding_loss"]) == 3
         assert all(np.isfinite(fits["embedding_loss"]))
 

@@ -1,7 +1,8 @@
 """Property tests of the graph arrays, the packed-key row ranking, the batch
 link scores, the walk sampler, the ROC AUC and its midranks, the sorted code
-sets, the link-prediction AUC, the BiRank fixed point, the min-activity
-filter, route mining, the corpus file parse and the success labels.
+sets, the negative sampler, the link-prediction AUC, the BiRank fixed point,
+the min-activity filter, route mining, the corpus file parse and the success
+labels.
 
 Random small graphs (isolated nodes included), corpora, city sequences,
 corpus files, raw lines among them, and label tables are checked against
@@ -34,6 +35,7 @@ from oracles import (
     jaccard_oracle,
     label_reference,
     major_closure as major_closure_reference,
+    negative_sample_reference,
     neighbors_of,
     pa_oracle,
     parse_events_reference,
@@ -249,6 +251,26 @@ def test_sorted_code_sets_match_unique_and_isin(codes, table):
     for ascending in (np.sort(table), np.unique(table)):
         got, want = linkpred._in_sorted(codes, ascending), np.isin(codes, table)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@PROPERTY
+@given(graphs(), st.data())
+def test_negative_samples_match_the_grid_reference(g, data):
+    # exclude codes repeat and may be edges; n runs from 1 to past the free count
+    n_cells = len(g.artist_order) * len(g.venue_order)
+    edges = edge_codes(g).tolist()
+    codes = st.integers(0, n_cells - 1) | st.sampled_from(edges or [0])
+    exclude = data.draw(st.lists(codes, max_size=2 * n_cells))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    available = n_cells - len(set(edges).union(exclude))
+    if not available:
+        with pytest.raises(GigmineError, match="no candidate"):
+            linkpred.sample_negative_pairs(g, 1, exclude=exclude, seed=seed)
+        return
+    n = data.draw(st.integers(1, available + 3))
+    got = linkpred.sample_negative_pairs(g, n, exclude=exclude, seed=seed)
+    want = negative_sample_reference(g, n, exclude, seed)
+    assert got.dtype == np.int64 and got.tolist() == want
 
 
 @PROPERTY

@@ -136,13 +136,29 @@ class TestSVDReducer:
         rng = np.random.default_rng(12)
         for shape in ((30, 12), (12, 30)):
             A = sp.csr_matrix(rng.standard_normal(shape))
-            # short side 12: ARPACK while 2k + 1 < 12, LAPACK from k = 6 on,
+            # short side 12: PROPACK while 2k + 1 < 12, LAPACK from k = 6 on,
             # whose first 5 columns are a rank-5 fit
-            arpack = SVDReducer(5, seed=3).fit(A)
+            propack = SVDReducer(5, seed=3).fit(A)
             lapack = SVDReducer(6, seed=3).fit(A)
-            assert (arpack.solver_, lapack.solver_) == ("arpack", "lapack")
-            assert np.abs(arpack.components_ - lapack.components_[:, :5]).max() <= 1e-10
-            assert np.abs(arpack.singular_values_ - lapack.singular_values_[:5]).max() <= 1e-10
+            assert (propack.solver_, lapack.solver_) == ("propack", "lapack")
+            assert np.abs(propack.components_ - lapack.components_[:, :5]).max() <= 1e-10
+            assert np.abs(propack.singular_values_ - lapack.singular_values_[:5]).max() <= 1e-10
+
+    def test_propack_agrees_with_lapack_on_sparse_counts_and_repeats(self):
+        # a sparse heavy-tailed count matrix like task1's, at a rank near the
+        # shape rule's limit: 2k + 1 = 81 < 90 takes PROPACK, k = 45 LAPACK
+        rng = np.random.default_rng(21)
+        A = sp.random(150, 90, density=0.08, random_state=rng, format="csr",
+                      data_rvs=lambda size: rng.zipf(3.0, size).astype(float))
+        propack = SVDReducer(40, seed=5).fit(A)
+        lapack = SVDReducer(45, seed=5).fit(A)
+        assert (propack.solver_, lapack.solver_) == ("propack", "lapack")
+        s = lapack.singular_values_
+        assert np.abs(propack.singular_values_ - s[:40]).max() <= 1e-10 * s[0]
+        assert np.abs(propack.components_ - lapack.components_[:, :40]).max() <= 1e-9
+        again = SVDReducer(40, seed=5).fit(A)
+        assert np.array_equal(again.components_, propack.components_)
+        assert np.array_equal(again.singular_values_, propack.singular_values_)
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
@@ -542,7 +558,7 @@ class TestRunTask1:
         for sel in report["selected"]:
             assert sel["C"] == 1.0
             assert sel["svd_k"] <= 4
-            assert sel["svd_solver"] == "arpack"  # 2k + 1 = 9 is below both matrix sides
+            assert sel["svd_solver"] == "propack"  # 2k + 1 = 9 is below both matrix sides
             assert sel["logreg_unconverged"] == 0
             assert sel["logreg_max_iter"] >= 1
 

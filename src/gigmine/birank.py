@@ -6,7 +6,8 @@ geometrically with the age of the first event on the edge, so recent activity
 counts for more. ``birank`` builds both from the graph it ranks: the weights
 from ``delta`` and ``ref_year`` (``temporal_weights``), the seeds from the
 node degrees (``seed_scores``). On top of the single run sit yearly
-moving-window rank trajectories and per-class score histograms.
+moving-window rank trajectories and per-class score histograms;
+``run_task3`` runs all three on one corpus.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from gigmine.errors import GigmineError
 from gigmine.graph import BipartiteGraph, build_graph
+from gigmine.labeling import NEVER
 
 log = logging.getLogger(__name__)
 
@@ -29,6 +31,8 @@ DELTA = 0.85
 REF_YEAR = 2017
 TOL = 1e-8
 MAX_ITER = 200
+WINDOW_YEARS = 3
+BINS = 20
 
 
 class Seeds(NamedTuple):
@@ -60,12 +64,12 @@ class BiRankResult:
 
 
 def _check_task3(delta: float = DELTA, alpha: float = ALPHA, beta: float = BETA,
-                 window_years: int = 1, bins: int = 1, top_k: Optional[int] = None) -> None:
+                 window_years: int = 1, count_scaled: bool = False, bins: int = 1,
+                 ref_year: int = 0, top_k: Optional[int] = None) -> None:
     """Raise GigmineError for a task3 setting that no corpus mends.
 
-    Each BiRank function checks its own settings here; the task3 command
-    checks them all, and ``top_k`` (the length of its top lists, None for
-    all), before the corpus loads.
+    Each BiRank function checks its own settings here, and ``run_task3``
+    all of its keywords; any ``count_scaled`` is valid.
     """
     if not 0.0 < delta <= 1.0:
         raise GigmineError(f"delta must lie in (0, 1], got {delta}")
@@ -75,6 +79,8 @@ def _check_task3(delta: float = DELTA, alpha: float = ALPHA, beta: float = BETA,
         raise GigmineError(f"window_years must be at least 1, got {window_years}")
     if bins < 1:
         raise GigmineError(f"bins must be at least 1, got {bins}")
+    if ref_year < 0:
+        raise GigmineError(f"ref_year must be at least 0, got {ref_year}")
     if top_k is not None and top_k < 1:
         raise GigmineError(f"top_k must be at least 1, got {top_k}")
 
@@ -221,7 +227,7 @@ class WindowRanking:
 
 def yearly_trajectories(
     corpus,
-    window_years: int = 3,
+    window_years: int = WINDOW_YEARS,
     delta: float = DELTA,
     alpha: float = ALPHA,
     beta: float = BETA,
@@ -266,7 +272,7 @@ def yearly_trajectories(
 
 
 def score_histogram(
-    result: BiRankResult, successful: np.ndarray, bins: int = 20
+    result: BiRankResult, successful: np.ndarray, bins: int = BINS
 ) -> dict:
     """Relative-frequency artist score histograms per success class.
 
@@ -298,3 +304,42 @@ def score_histogram(
         "n_signed": int(signed.size),
         "n_unsigned": int(unsigned.size),
     }
+
+
+def run_task3(corpus, delta: float = DELTA, alpha: float = ALPHA, beta: float = BETA,
+              window_years: int = WINDOW_YEARS, count_scaled: bool = False, bins: int = BINS,
+              ref_year: int = 0, top_k: Optional[int] = 20) -> tuple[dict, dict]:
+    """task3 on one corpus: BiRank on its graph, the score histograms and the yearly trajectories.
+
+    BiRank ranks the whole graph at ``ref_year``, the corpus's last year
+    when 0. Returns the report block, with the ``top_k`` artists and venues
+    (all for None) and the ``histogram`` (None, with a warning logged,
+    unless both success classes occur), and ``yearly_trajectories``' map
+    of year -> ``WindowRanking``, the rows of the trajectory table.
+    """
+    _check_task3(delta=delta, alpha=alpha, beta=beta, window_years=window_years, bins=bins,
+                 ref_year=ref_year, top_k=top_k)
+    ref_year = ref_year or corpus.year_span()[1]
+    result = birank(build_graph(corpus), delta=delta, ref_year=ref_year, alpha=alpha, beta=beta,
+                    count_scaled=count_scaled)
+    signed, hist = corpus.change_day < NEVER, None
+    if 0 < signed.sum() < signed.size:  # a histogram needs both classes
+        hist = score_histogram(result, signed, bins=bins)
+    else:
+        log.warning("no score histogram: %d of %d artists sign", signed.sum(), signed.size)
+    trajectories = yearly_trajectories(corpus, window_years=window_years, delta=delta,
+                                       alpha=alpha, beta=beta, count_scaled=count_scaled)
+    block = {
+        "ref_year": ref_year,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "top_artists": result.artist_scores.top(top_k),
+        "top_venues": result.venue_scores.top(top_k),
+        "histogram": hist,
+        "trajectory_years": sorted(trajectories),
+        "trajectory_convergence": [
+            {"year": y, "iterations": w.iterations, "converged": w.converged}
+            for y, w in sorted(trajectories.items())
+        ],
+    }
+    return block, trajectories

@@ -29,13 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from gigmine import __version__
-from gigmine.birank import _check_task3, birank, score_histogram, yearly_trajectories
+from gigmine.birank import _check_task3, run_task3
 from gigmine.errors import GigmineError
 from gigmine.graph import build_graph
-from gigmine.ingest import filter_min_activity, filter_post_2007, parse_corpus
-from gigmine.labeling import NEVER, label_corpus
+from gigmine.ingest import parse_corpus, preprocess
 from gigmine.linkpred import _check_task2, run_task2
-from gigmine.routes import _check_routes, city_sequences, mine_routes
+from gigmine.routes import _check_routes, city_display, run_routes
 from gigmine.success import _check_task1, run_task1
 from gigmine.synth import GenSpec, generate
 
@@ -55,17 +54,16 @@ def _plain(value):
     return value
 
 
-def _default(fn, name: str):
-    """The default of parameter ``name`` of a function or dataclass, as the config holds it."""
-    return _plain(inspect.signature(fn).parameters[name].default)
+def _keywords(fn) -> dict:
+    """``fn``'s keyword parameters but ``seed``, with defaults as the config holds them."""
+    return {
+        name: _plain(p.default) for name, p in inspect.signature(fn).parameters.items()
+        if p.default is not p.empty and name != "seed"
+    }
 
 
-def _defaults(fn, *names: str) -> dict:
-    return {name: _default(fn, name) for name in names}
-
-
-# a key that repeats a library default reads it from the signature it feeds;
-# the rest are the CLI's own
+# a study's block holds the keywords of its library call, and preprocess's
+# those of ``preprocess``; the rest are the CLI's own
 DEFAULTS: dict = {
     "seed": 0,
     "corpus": {
@@ -74,28 +72,11 @@ DEFAULTS: dict = {
         "releases": "releases.csv",
         "labels": "labels.csv",
     },
-    "preprocess": {
-        "post_platform_filter": True,
-        "cutoff": _default(filter_post_2007, "cutoff"),
-        "min_activity_filter": True,
-        "activity_threshold": _default(filter_min_activity, "threshold"),
-        "recursive": _default(filter_min_activity, "recursive"),
-    },
-    "task1": _defaults(
-        run_task1, "mode", "n_splits", "test_fraction", "cv_folds", "threshold", "c_grid", "k_grid"
-    ),
-    "task2": _defaults(
-        run_task2, "predictors", "train_end_year", "test_years", "hidden_fraction",
-        "n_random_splits", "core_k", "svd_k", "neg_multiple", "neg_floor", "walks_per_node",
-        "walk_length", "embed_dim", "embed_window", "embed_epochs",
-    ),
-    "task3": {
-        **_defaults(yearly_trajectories, "delta", "alpha", "beta", "window_years", "count_scaled"),
-        "bins": _default(score_histogram, "bins"),
-        "ref_year": 0,  # 0 = most recent year in the corpus
-        "top_k": 20,
-    },
-    "routes": {"n_values": _default(mine_routes, "n_values"), "top_k": 20},
+    "preprocess": _keywords(preprocess),
+    "task1": _keywords(run_task1),
+    "task2": _keywords(run_task2),
+    "task3": _keywords(run_task3),
+    "routes": _keywords(run_routes),
     "synth": {
         key: _plain(value) for key, value in dataclasses.asdict(GenSpec()).items() if key != "seed"
     },
@@ -206,7 +187,8 @@ def _version() -> str:
     return f"gigmine {__version__}"
 
 
-def _corpus_paths(config: dict) -> tuple[Path, Path, Path]:
+def _parse(config: dict):
+    """The corpus that the config's ``corpus`` block names, as parsed."""
     c = config["corpus"]
     base = Path(c["dir"]) if c["dir"] else Path(".")
     paths = tuple(base / c[k] if not Path(c[k]).is_absolute() else Path(c[k])
@@ -214,62 +196,35 @@ def _corpus_paths(config: dict) -> tuple[Path, Path, Path]:
     for p in paths:
         if not p.exists():
             raise UsageError(f"corpus file not found: {p}")
-    return paths
+    log.info("parsing corpus from %s", paths[0].parent)
+    return parse_corpus(*paths)
 
 
-def _load_preprocessed(config: dict):
-    """The corpus parsed and filtered per the preprocess config, and its report blocks."""
-    events_f, releases_f, labels_f = _corpus_paths(config)
-    log.info("parsing corpus from %s", events_f.parent)
-    corpus = parse_corpus(events_f, releases_f, labels_f)
-    stages = {"parsed": corpus.sizes()}
-    pp = config["preprocess"]
-    if pp["post_platform_filter"]:
-        corpus = filter_post_2007(corpus, cutoff=dt.date.fromisoformat(pp["cutoff"]))
-        stages["post_platform_filter"] = corpus.sizes()
-    if pp["min_activity_filter"]:
-        corpus = filter_min_activity(
-            corpus, threshold=pp["activity_threshold"], recursive=pp["recursive"]
-        )
-        stages["min_activity_filter"] = corpus.sizes()
-    _, label_stats = label_corpus(corpus)
-    log.info("corpus ready: %s", corpus.sizes())
-    return corpus, {"stages": stages, "labeling": label_stats}
-
-
-def _report(config: dict, payload: dict) -> dict:
-    return {
-        "version": _version(),
-        "config": config,
-        "generated_at": dt.datetime.now(dt.timezone.utc).isoformat(),
-        **payload,
-    }
-
-
-def _write_json(path: Path, obj: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n",
-        encoding="utf-8",
-    )
+def _write_report(out: Path, config: dict, payload: dict) -> None:
+    """``<payload's report>-report.json`` in ``out``: the payload, version, config and time."""
+    report = {"version": _version(), "config": config,
+              "generated_at": dt.datetime.now(dt.timezone.utc).isoformat(), **payload}
+    path = out / f"{payload['report']}-report.json"
+    out.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n",
+                    encoding="utf-8")
     log.info("wrote %s", path)
 
 
 def cmd_ingest(config: dict, out: Path) -> dict:
-    corpus, info = _load_preprocessed(config)
+    corpus, info = preprocess(_parse(config), **config["preprocess"])
     payload = {
         "report": "ingest",
         "load": corpus.load_report.to_dict(),
         **info,
         "final": corpus.sizes(),
     }
-    _write_json(out / "ingest-report.json", _report(config, payload))
+    _write_report(out, config, payload)
     return payload
 
 
 def cmd_stats(config: dict, out: Path) -> dict:
-    events_f, releases_f, labels_f = _corpus_paths(config)
-    corpus = parse_corpus(events_f, releases_f, labels_f)
+    corpus = _parse(config)
     g = build_graph(corpus)
     lo, hi = corpus.year_span()
     payload = {
@@ -284,27 +239,7 @@ def cmd_stats(config: dict, out: Path) -> dict:
         "year_span": [lo, hi],
         "load": corpus.load_report.to_dict(),
     }
-    _write_json(out / "stats-report.json", _report(config, payload))
-    return payload
-
-
-def cmd_task1(config: dict, out: Path) -> dict:
-    # every task1 key is a run_task1 parameter of that name
-    _check_task1(**config["task1"])  # before the corpus loads
-    corpus, info = _load_preprocessed(config)
-    result = run_task1(corpus, seed=config["seed"], **config["task1"])
-    payload = {"report": "task1", **info, **result}
-    _write_json(out / "task1-report.json", _report(config, payload))
-    return payload
-
-
-def cmd_task2(config: dict, out: Path) -> dict:
-    # every task2 key is a run_task2 parameter of that name
-    _check_task2(**config["task2"])  # before the corpus loads
-    corpus, info = _load_preprocessed(config)
-    result = run_task2(corpus, seed=config["seed"], **config["task2"])
-    payload = {"report": "task2", **info, **result}
-    _write_json(out / "task2-report.json", _report(config, payload))
+    _write_report(out, config, payload)
     return payload
 
 
@@ -333,7 +268,6 @@ def _write_trajectories(path: Path, trajectories: dict) -> None:
     The bytes are those of ``csv.writer``; each window's lines are made from
     its rank and score arrays and written as one block.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("artist_id,year,rank,score\n")
         for year in sorted(trajectories):
@@ -345,96 +279,44 @@ def _write_trajectories(path: Path, trajectories: dict) -> None:
                 f"{ids[i]},{year},{rank},{score:.10g}\n"
                 for i, rank, score in zip(at.tolist(), ranks, scores)
             ]))
-    log.info("wrote %s", path)
 
 
-def cmd_task3(config: dict, out: Path) -> dict:
-    t3 = config["task3"]
-    top = t3["top_k"]
-    _check_task3(delta=t3["delta"], alpha=t3["alpha"], beta=t3["beta"],
-                 window_years=t3["window_years"], bins=t3["bins"], top_k=top)
-    corpus, info = _load_preprocessed(config)
-    g = build_graph(corpus)  # in the corpus's artist order
-    ref_year = t3["ref_year"] or corpus.year_span()[1]
-    result = birank(g, delta=t3["delta"], ref_year=ref_year, alpha=t3["alpha"],
-                    beta=t3["beta"], count_scaled=t3["count_scaled"])
-    signed, hist = corpus.change_day < NEVER, None
-    if 0 < signed.sum() < signed.size:  # a histogram needs both classes
-        hist = score_histogram(result, signed, bins=t3["bins"])
-    else:
-        log.warning("no score histogram: %d of %d artists sign", signed.sum(), signed.size)
-    trajectories = yearly_trajectories(
-        corpus,
-        window_years=t3["window_years"],
-        delta=t3["delta"],
-        alpha=t3["alpha"],
-        beta=t3["beta"],
-        count_scaled=t3["count_scaled"],
-    )
-    _write_trajectories(out / "task3-trajectories.csv", trajectories)
-    payload = {
-        "report": "task3",
-        **info,
-        "ref_year": ref_year,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "top_artists": result.artist_scores.top(top),
-        "top_venues": result.venue_scores.top(top),
-        "histogram": hist,
-        "trajectory_years": sorted(trajectories),
-        "trajectory_convergence": [
-            {"year": y, "iterations": w.iterations, "converged": w.converged}
-            for y, w in sorted(trajectories.items())
-        ],
-    }
-    _write_json(out / "task3-report.json", _report(config, payload))
-    return payload
-
-
-def _city_display(city: tuple) -> str:
-    return ", ".join(part for part in city if part)
-
-
-def cmd_routes(config: dict, out: Path) -> dict:
-    r = config["routes"]
-    _check_routes(r["n_values"], r["top_k"])  # before the corpus loads
-    corpus, info = _load_preprocessed(config)
-    ranked = mine_routes(
-        city_sequences(corpus), n_values=tuple(r["n_values"]), top_k=r["top_k"]
-    )
-    csv_path = out / "routes-report.csv"
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+def _write_routes(path: Path, ranked: dict) -> None:
+    """routes-report.csv: each n's routes by rank, n ascending."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n", "rank", "route", "count", "bidirectional"])
         for n in sorted(ranked):
             for rank, rc in enumerate(ranked[n], start=1):
-                writer.writerow(
-                    [
-                        n,
-                        rank,
-                        "|".join(_city_display(c) for c in rc.route),
-                        rc.count,
-                        int(rc.bidirectional),
-                    ]
-                )
-    log.info("wrote %s", csv_path)
-    payload = {
-        "report": "routes",
-        **info,
-        "routes": {
-            str(n): [
-                {
-                    "route": [_city_display(c) for c in rc.route],
-                    "count": rc.count,
-                    "bidirectional": rc.bidirectional,
-                }
-                for rc in ranked[n]
-            ]
-            for n in sorted(ranked)
-        },
-    }
-    _write_json(out / "routes-report.json", _report(config, payload))
+                route = "|".join(city_display(c) for c in rc.route)
+                writer.writerow([n, rank, route, rc.count, int(rc.bidirectional)])
+
+
+# study: its corpus-free check, its library call, whether that call takes the
+# seed, and its CSV table (file name and writer) or None. Each check and call
+# takes the study's config block as keywords; a call with a table returns
+# (report block, the table's rows), one without it the report block alone.
+STUDIES = {
+    "task1": (_check_task1, run_task1, True, None),
+    "task2": (_check_task2, run_task2, True, None),
+    "task3": (_check_task3, run_task3, False, ("task3-trajectories.csv", _write_trajectories)),
+    "routes": (_check_routes, run_routes, False, ("routes-report.csv", _write_routes)),
+}
+
+
+def cmd_study(name: str, config: dict, out: Path) -> dict:
+    """Run one study on the preprocessed corpus and write its report and CSV table."""
+    check, run, seeded, table = STUDIES[name]
+    check(**config[name])  # before the corpus loads
+    corpus, info = preprocess(_parse(config), **config["preprocess"])
+    result = run(corpus, **config[name], **({"seed": config["seed"]} if seeded else {}))
+    block, rows = result if table else (result, None)
+    payload = {"report": name, **info, **block}
+    _write_report(out, config, payload)
+    if table:
+        filename, write = table
+        write(out / filename, rows)
+        log.info("wrote %s", out / filename)
     return payload
 
 
@@ -443,14 +325,7 @@ def cmd_synth(config: dict, out: Path) -> dict:
     spec = GenSpec(seed=config["seed"], **{**s, "years": tuple(s["years"])})
     manifest = generate(spec, out)
     # stdout carries a ready-to-pipe config pointing at the generated corpus
-    handoff: dict = {
-        "corpus": {
-            "dir": str(out),
-            "events": "events.csv",
-            "releases": "releases.csv",
-            "labels": "labels.csv",
-        }
-    }
+    handoff: dict = {"corpus": {**DEFAULTS["corpus"], "dir": str(out)}}
     if manifest["test_years"]:
         handoff["task2"] = {
             "train_end_year": manifest["train_end_year"],
@@ -463,10 +338,7 @@ def cmd_synth(config: dict, out: Path) -> dict:
 COMMANDS = {
     "ingest": cmd_ingest,
     "stats": cmd_stats,
-    "task1": cmd_task1,
-    "task2": cmd_task2,
-    "task3": cmd_task3,
-    "routes": cmd_routes,
+    **{name: functools.partial(cmd_study, name) for name in STUDIES},
     "synth": cmd_synth,
 }
 
@@ -506,9 +378,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config, args.seed)
-        out = Path(args.out)
-        COMMANDS[args.command](config, out)
+        COMMANDS[args.command](load_config(args.config, args.seed), Path(args.out))
     except UsageError as exc:
         print(f"gigmine: {exc}", file=sys.stderr)
         return 2

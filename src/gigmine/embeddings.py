@@ -314,9 +314,14 @@ def train_embeddings(
             done += c.size
         losses.append(epoch_loss / max(1, epoch_pairs))
     # the vectors own their n rows and nothing more: with its views gone the
-    # buffer shrinks in place to w_in, with no second copy
+    # buffer shrinks in place to w_in, with no second copy. Under a trace or
+    # profile function (its frame-locals snapshot, the bound method of a C
+    # call) resize sees more references and refuses, so the rows are copied
     w_in = tail = grad_c = None
-    buf.resize((n_nodes, dim))
+    try:
+        buf.resize((n_nodes, dim))
+    except ValueError:
+        return buf[:n_nodes].copy(), losses
     return buf, losses
 
 

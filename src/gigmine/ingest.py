@@ -41,10 +41,10 @@ Release k is position k of the columns ``release_artist`` (index into
 ``labels.ids``, -1 for a label missing from the table) and ``release_day``
 (``labeling.NEVER`` when undated). ``labels`` is a ``labeling.LabelTable``.
 
-Preprocessing follows the order: keep artists whose first recorded event is
-2007 or later, then drop low-activity artists and venues, counting the
-events before each artist's change day (a filter keeps it with the
-artist's releases). ``recursive_core_filter`` picks the nodes of task2's
+Preprocessing (``preprocess``) follows the order: keep artists whose first
+recorded event is 2007 or later, then drop low-activity artists and venues,
+counting the events before each artist's change day (a filter keeps it with
+the artist's releases). ``recursive_core_filter`` picks the nodes of task2's
 training graph with the same fixed-point loop (``_active``), run on the
 training events.
 """
@@ -64,7 +64,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from gigmine.errors import CorpusFormatError, GigmineError
 from gigmine.graph import _frozen, _mask, pack_rows, rank_rows
-from gigmine.labeling import NEVER, LabelTable, major_releases
+from gigmine.labeling import NEVER, LabelTable, label_corpus, major_releases
 
 EVENT_HEADER = ["event_id", "artist_id", "venue_id", "date", "city", "state", "country", "lat", "lon", "popularity"]
 RELEASE_HEADER = ["artist_id", "label_id", "release_date"]
@@ -72,6 +72,7 @@ LABEL_HEADER = ["label_id", "name", "parent_label_id", "is_major_root"]
 
 MALFORMED_TOLERANCE = 0.10
 POST_PLATFORM_CUTOFF = dt.date(2007, 1, 1)
+MIN_ACTIVITY = 10
 
 _DATE = re.compile(r"([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?")
 _EPOCH = dt.date(1970, 1, 1).toordinal()
@@ -726,7 +727,8 @@ def _active(corpus: Corpus, threshold, a_counted, v_counted, recursive=True):
             return alive_a, alive_v
 
 
-def filter_min_activity(corpus: Corpus, threshold: int = 10, recursive: bool = True) -> Corpus:
+def filter_min_activity(corpus: Corpus, threshold: int = MIN_ACTIVITY,
+                        recursive: bool = True) -> Corpus:
     """Drop artists and venues with too few concerts.
 
     An artist must have at least ``threshold`` concerts dated before its
@@ -738,6 +740,29 @@ def filter_min_activity(corpus: Corpus, threshold: int = 10, recursive: bool = T
     before = corpus.day < corpus.change_day[corpus.artist]
     alive_a, alive_v = _active(corpus, threshold, before, True, recursive)
     return corpus.select(alive_a[corpus.artist] & alive_v[corpus.venue])
+
+
+def preprocess(corpus: Corpus, post_platform_filter: bool = True,
+               cutoff: dt.date | str = POST_PLATFORM_CUTOFF, min_activity_filter: bool = True,
+               activity_threshold: int = MIN_ACTIVITY,
+               recursive: bool = True) -> tuple[Corpus, dict]:
+    """The corpus every study runs on, and the report blocks of how it was made.
+
+    Each filter runs when its flag holds: ``filter_post_2007`` at ``cutoff``
+    (a date or its ISO string), then ``filter_min_activity``. The blocks are
+    ``stages``, the corpus sizes as given (``parsed``) and after each filter
+    that ran, and ``labeling``, the ``label_corpus`` stats of the result.
+    """
+    if isinstance(cutoff, str):
+        cutoff = dt.date.fromisoformat(cutoff)
+    stages = {"parsed": corpus.sizes()}
+    if post_platform_filter:
+        corpus = filter_post_2007(corpus, cutoff=cutoff)
+        stages["post_platform_filter"] = corpus.sizes()
+    if min_activity_filter:
+        corpus = filter_min_activity(corpus, threshold=activity_threshold, recursive=recursive)
+        stages["min_activity_filter"] = corpus.sizes()
+    return corpus, {"stages": stages, "labeling": label_corpus(corpus)[1]}
 
 
 def recursive_core_filter(corpus: Corpus, events, k: int = 5) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ regions stay distinct. Sequences hold codes into a city table in tuple
 order (the corpus's ``cities``), so an n-gram's codes packed into one int64
 key (``graph.pack_rows``) compare as the route they stand for: n-grams are
 counted by their keys, and only the routes returned are decoded to cities.
+``run_routes`` mines one corpus for its report.
 """
 
 from __future__ import annotations
@@ -134,3 +135,25 @@ def _ranked_routes(codes, starts, n, table, top_k) -> list[RouteCount]:
         )
         for gram, r in zip(grams.tolist(), ranked.tolist())
     ]
+
+
+def city_display(city: tuple) -> str:
+    """A city as the reports print it: its non-empty parts joined by ", "."""
+    return ", ".join(part for part in city if part)
+
+
+def run_routes(corpus, n_values: Sequence[int] = N_VALUES,
+               top_k: Optional[int] = 20) -> tuple[dict, dict]:
+    """The routes study on one corpus: ``mine_routes`` over its ``city_sequences``.
+
+    Returns the report block, each n's ranked routes with their cities as
+    ``city_display`` prints them, and ``mine_routes``' map of n ->
+    ``RouteCount`` list, the rows of the route table.
+    """
+    ranked = mine_routes(city_sequences(corpus), n_values=n_values, top_k=top_k)
+    routes = {
+        str(n): [{"route": [city_display(c) for c in rc.route], "count": rc.count,
+                  "bidirectional": rc.bidirectional} for rc in ranked[n]]
+        for n in sorted(ranked)
+    }
+    return {"routes": routes}, ranked

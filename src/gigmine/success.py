@@ -27,6 +27,9 @@ from gigmine.metrics import precision_recall_f1, roc_auc
 
 C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 K_GRID = (250, 500, 750, 1000)
+# PROPACK's first Lanczos basis size, in multiples of the rank (SVDReducer);
+# a bound just past where a fit converges can move its last bits
+KMAX_START = 3
 MAX_ITER = 1000
 GRAD_TOL = 1e-6
 
@@ -81,12 +84,19 @@ class SVDReducer:
     training rows map to their left-singular coordinates scaled by the
     singular values and held-out rows never influence the basis.
 
-    The solver follows from the shape: PROPACK (``svds`` with a start
-    vector drawn from ``seed``) when ``2k + 1 < min(n, m)``, dense LAPACK
+    The solver follows from the shape: PROPACK (``svds`` with
+    ``rng=default_rng(seed)``) when ``2k + 1 < min(n, m)``, dense LAPACK
     otherwise; ``solver_`` names the one that ran. Both give the same
-    sign-fixed basis up to rounding. The LAPACK path eigensolves
-    the m x m Gram matrix ``XᵀX``, so it holds m x m dense arrays (the Gram
-    and its eigenvectors), more than a dense copy of X only when m > n.
+    sign-fixed basis up to rounding. PROPACK's Lanczos bases hold ``kmax``
+    columns of both sides, scipy's default ``min(10k, n + 1, m + 1)``. The
+    fit starts at ``KMAX_START * k`` and doubles it each time the solver
+    does not converge within it, up to that default; ``kmax_`` is the bound
+    it converged at, None for LAPACK. Below the default the solver stops
+    only on convergence, so the fit agrees with the default's to its
+    tolerance, and bit for bit when it converges well inside the bound. The
+    LAPACK path eigensolves the m x m Gram matrix ``XᵀX``, so it holds m x m
+    dense arrays (the Gram and its eigenvectors), more than a dense copy of
+    X only when m > n.
     """
 
     def __init__(self, k: int, seed: int = 0):
@@ -97,6 +107,7 @@ class SVDReducer:
         self.components_: Optional[np.ndarray] = None  # (n_cols, k)
         self.singular_values_: Optional[np.ndarray] = None
         self.solver_: Optional[str] = None  # "propack" or "lapack"
+        self.kmax_: Optional[int] = None
 
     def fit(self, X) -> "SVDReducer":
         n, m = X.shape
@@ -106,12 +117,27 @@ class SVDReducer:
             )
         A = scipy.sparse.csr_matrix(X, dtype=float)
         if 2 * self.k + 1 < min(n, m):
-            u, s, vt = scipy.sparse.linalg.svds(
-                A, k=self.k, solver="propack", rng=np.random.default_rng(self.seed)
-            )
+            cap = min(10 * self.k, min(n, m) + 1)  # scipy's default bound
+            kmax = KMAX_START * self.k
+            while True:
+                # PROPACK takes a bound of min(n, m) or more as met once its
+                # basis fills, converged or not, so such a bound is raised to
+                # scipy's own
+                kmax = cap if kmax >= min(n, m) else min(kmax, cap)
+                try:
+                    # a fresh generator per try, so each draws the same start vector
+                    _, s, vt = scipy.sparse.linalg.svds(
+                        A, k=self.k, solver="propack", maxiter=kmax,
+                        rng=np.random.default_rng(self.seed),
+                    )
+                    break
+                except np.linalg.LinAlgError:
+                    if kmax == cap:
+                        raise
+                    kmax *= 2
             order = np.argsort(s)[::-1]
             s, vt = s[order], vt[order]
-            self.solver_ = "propack"
+            self.solver_, self.kmax_ = "propack", kmax
         else:
             # one symmetric eigensolve (divide and conquer) of the m x m Gram,
             # built by one sparse product, costs less than a dense SVD of X:
@@ -337,7 +363,8 @@ def run_task1(
     ``test_fraction`` of each class. In each split one loop tunes both
     logistic models by ``_tune_C_k`` (the SVD rank too for logreg_svd),
     then refits and scores each. Each ``selected`` entry also names the
-    solver of the split's final SVD fit and, over every logistic regression
+    solver of the split's final SVD fit and its PROPACK bound (``kmax_``,
+    None for LAPACK) and, over every logistic regression
     fitted in the split (tuning included), how many stopped short of
     convergence and the most iterations any took. ``cv_folds`` must be at
     least 2 and at most the training artists of the smaller class,
@@ -399,6 +426,7 @@ def run_task1(
             "svd_C": svd_c,
             "svd_k": svd_k,
             "svd_solver": reducer.solver_,
+            "svd_kmax": reducer.kmax_,
             "logreg_unconverged": sum(not f.converged for f in fits),
             "logreg_max_iter": max(f.n_iter for f in fits),
         })

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from gigmine.birank import birank, seed_scores, temporal_weights, yearly_trajectories
-from gigmine.ingest import filter_min_activity, filter_post_2007, parse_corpus
-from gigmine.labeling import label_corpus
+from gigmine.ingest import parse_corpus, preprocess
 from gigmine.linkpred import (
     build_score_tables,
     evaluate_linkpred,
@@ -381,13 +380,8 @@ def test_criterion_09_trajectory_capture(tmp_path):
     )
 
 
-def preprocess_for_reproduction(root: Path):
-    """Criterion 10's preprocessing (parse, post-2007, min-activity) and its labeling stats."""
-    corpus = parse_corpus(
-        root / "events.csv", root / "releases.csv", root / "labels.csv"
-    )
-    corpus = filter_min_activity(filter_post_2007(corpus), threshold=10)
-    return corpus, label_corpus(corpus)[1]
+def parse_dir(root: Path):
+    return parse_corpus(root / "events.csv", root / "releases.csv", root / "labels.csv")
 
 
 def test_reproduction_preprocessing_runs_on_synth(tmp_path):
@@ -398,7 +392,9 @@ def test_reproduction_preprocessing_runs_on_synth(tmp_path):
         GenSpec(n_artists=300, n_venues=30, years=(2006, 2016), seed=5, positive_fraction=0.3),
         tmp_path,
     )
-    corpus, stats = preprocess_for_reproduction(tmp_path)
+    corpus, info = preprocess(parse_dir(tmp_path))
+    stats = info["labeling"]
+    assert list(info["stages"]) == ["parsed", "post_platform_filter", "min_activity_filter"]
     assert 0 < stats["successful"] < stats["artists"] == len(corpus.artist_order)
     for i, cp in enumerate(corpus.change_day.tolist()):
         days = corpus.day[corpus.artist == i].tolist()
@@ -417,7 +413,9 @@ def test_criterion_10_real_data_reproduction():
         )
         pytest.skip("released dataset not available in this environment")
     t0 = time.monotonic()
-    corpus, stats = preprocess_for_reproduction(Path(data_dir))
+    # preprocess's defaults are the paper's: post-2007 artists, then at least 10 events
+    corpus, info = preprocess(parse_dir(Path(data_dir)))
+    stats = info["labeling"]
 
     sizes = corpus.sizes()
     stats_ok = (

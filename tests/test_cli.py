@@ -9,9 +9,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from gigmine.birank import ScoreView, WindowRanking, dense_rank
+from gigmine.birank import ScoreView, WindowRanking, dense_rank, run_task3
 from gigmine import cli
 from gigmine.cli import _write_trajectories, main
+from gigmine.ingest import parse_corpus, preprocess
+from gigmine.routes import run_routes
 
 
 @pytest.fixture(scope="module")
@@ -576,3 +578,57 @@ class TestReports:
         csv_a = (tmp_path / "r1" / "routes-report.csv").read_bytes()
         csv_b = (tmp_path / "r2" / "routes-report.csv").read_bytes()
         assert csv_a == csv_b
+
+
+class TestLibraryCalls:
+    """The CLI writes what preprocess, run_task3 and run_routes return."""
+
+    @staticmethod
+    def trajectory_rows(trajectories):
+        rows = [["artist_id", "year", "rank", "score"]]
+        for year in sorted(trajectories):
+            w = trajectories[year]
+            ranks, scores = w.ranks.tolist(), w.scores.array.tolist()
+            for i in sorted(range(len(ranks)), key=lambda i: (ranks[i], i)):
+                rows.append([w.scores.order[i], str(year), str(ranks[i]), f"{scores[i]:.10g}"])
+        return rows
+
+    @staticmethod
+    def route_rows(ranked):
+        rows = [["n", "rank", "route", "count", "bidirectional"]]
+        for n in sorted(ranked):
+            for rank, rc in enumerate(ranked[n], start=1):
+                stops = "|".join(", ".join(part for part in city if part) for city in rc.route)
+                rows.append([str(n), str(rank), stops, str(rc.count), str(int(rc.bidirectional))])
+        return rows
+
+    @pytest.mark.parametrize("activity_filter", [True, False])
+    @pytest.mark.parametrize("command", ["ingest", "task3", "routes"])
+    def test_reports_and_tables(self, corpus_dir, tmp_path, command, activity_filter):
+        pp = {"activity_threshold": 5, "min_activity_filter": activity_filter}
+        cfg = write_config(tmp_path, {"corpus": {"dir": str(corpus_dir)}, "preprocess": pp})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / f"{command}-report.json").read_text())
+        for key in ("version", "generated_at", "config"):
+            report.pop(key)
+        parsed = parse_corpus(*(corpus_dir / f"{name}.csv"
+                                for name in ("events", "releases", "labels")))
+        corpus, info = preprocess(parsed, **pp)
+        assert list(info["stages"]) == ["parsed", "post_platform_filter",
+                                        *["min_activity_filter"] * activity_filter]
+        if command == "ingest":
+            want = {"load": corpus.load_report.to_dict(), **info, "final": corpus.sizes()}
+            table = None
+        elif command == "task3":
+            block, trajectories = run_task3(corpus)
+            table = ("task3-trajectories.csv", self.trajectory_rows(trajectories))
+            want = {**info, **block}
+        else:
+            block, ranked = run_routes(corpus)
+            table = ("routes-report.csv", self.route_rows(ranked))
+            want = {**info, **block}
+        assert report == {"report": command, **json.loads(json.dumps(want))}
+        if table is not None:
+            name, rows = table
+            with open(tmp_path / name, encoding="utf-8", newline="") as fh:
+                assert list(csv.reader(fh)) == rows

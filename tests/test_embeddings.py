@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -350,6 +351,20 @@ class TestTraining:
         assert vectors.shape == (len(g.artist_order) + len(g.venue_order), 64)
         # 1.11 times the vectors here; the whole buffer would be 3.13
         assert held < 1.5 * vectors.nbytes, held / vectors.nbytes
+
+    def test_a_trace_function_changes_nothing(self):
+        # a trace function holds references to the buffer, so it cannot
+        # shrink in place; the fit must still give the untraced vectors
+        walks = [[0, 3, 1, 4, 2, 5], [5, 2, 4, 1, 3, 0]]
+        want, want_losses = train_embeddings(walks, dim=4, seed=0)
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: None)
+        try:
+            vectors, losses = train_embeddings(walks, dim=4, seed=0)
+        finally:
+            sys.settrace(previous)
+        assert np.array_equal(vectors, want) and losses == want_losses
+        assert vectors.base is None and vectors.flags.owndata
 
     def test_the_highest_noise_draw_names_a_node(self, monkeypatch):
         # token counts whose noise CDF, summed in floating point, ends below

@@ -414,7 +414,6 @@ class TestNegativeSampling:
             sample_negative_pairs(g, 5)
 
     def test_dense_request_path(self):
-        # asking for more than half of what exists takes the enumerate+choice path
         rng = np.random.default_rng(13)
         g = random_bipartite(rng, 6, 6, 0.2)
         available = 36 - g.n_edges

@@ -160,6 +160,66 @@ class TestSVDReducer:
         assert np.array_equal(again.components_, propack.components_)
         assert np.array_equal(again.singular_values_, propack.singular_values_)
 
+    @staticmethod
+    def sparse_counts():
+        """The sparse heavy-tailed count matrix of the PROPACK-vs-LAPACK test."""
+        rng = np.random.default_rng(21)
+        return sp.random(150, 90, density=0.08, random_state=rng, format="csr",
+                         data_rvs=lambda size: rng.zipf(3.0, size).astype(float))
+
+    @staticmethod
+    def default_propack_fit(A, k, seed):
+        """scipy's svds at its default Lanczos bound, sorted and sign-fixed as ``fit`` does."""
+        _, s, vt = sp.linalg.svds(A, k=k, solver="propack", rng=np.random.default_rng(seed))
+        order = np.argsort(s)[::-1]
+        s, vt = s[order], vt[order]
+        flip = np.sign(vt[np.arange(k), np.argmax(np.abs(vt), axis=1)])
+        flip[flip == 0] = 1.0
+        return (vt * flip[:, None]).T, s
+
+    @pytest.mark.parametrize("k, kmax", [(10, 60), (15, 45), (40, 91)])
+    def test_bounded_lanczos_bases_give_the_default_bits(self, k, kmax):
+        # 3k converges at k = 15; at k = 10 it does not, and the doubled bound
+        # does; at k = 40 both bounds are min(n, m) + 1 = 91
+        A = self.sparse_counts()
+        components, s = self.default_propack_fit(A, k, seed=5)
+        red = SVDReducer(k, seed=5).fit(A)
+        assert (red.solver_, red.kmax_) == ("propack", kmax)
+        assert np.array_equal(red.components_, components)
+        assert np.array_equal(red.singular_values_, s)
+
+    def test_a_bound_that_fails_retries_to_the_same_bits(self, monkeypatch):
+        A = self.sparse_counts()
+        components, s = self.default_propack_fit(A, 20, seed=5)
+        svds, bounds = sp.linalg.svds, []
+
+        def counted(*args, maxiter, **kwargs):
+            bounds.append(maxiter)
+            return svds(*args, maxiter=maxiter, **kwargs)
+
+        monkeypatch.setattr(success, "KMAX_START", 1)
+        monkeypatch.setattr(sp.linalg, "svds", counted)
+        red = SVDReducer(20, seed=5).fit(A)
+        assert bounds == [20, 40, 80] and red.kmax_ == 80
+        assert np.array_equal(red.components_, components)
+        assert np.array_equal(red.singular_values_, s)
+
+    def test_no_convergence_at_the_default_bound_raises(self, monkeypatch):
+        bounds = []
+
+        def fails(*args, maxiter, **kwargs):
+            bounds.append(maxiter)
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(sp.linalg, "svds", fails)
+        with pytest.raises(np.linalg.LinAlgError):
+            SVDReducer(10, seed=5).fit(self.sparse_counts())
+        assert bounds == [30, 60, 91]  # 10k = 100 is past min(n, m) + 1
+
+    def test_lapack_reports_no_bound(self):
+        red = SVDReducer(45, seed=5).fit(self.sparse_counts())
+        assert (red.solver_, red.kmax_) == ("lapack", None)
+
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
         kind=st.sampled_from(["gaussian", "heavy_row_counts", "duplicate_rows", "zero_columns"]),
@@ -559,6 +619,7 @@ class TestRunTask1:
             assert sel["C"] == 1.0
             assert sel["svd_k"] <= 4
             assert sel["svd_solver"] == "propack"  # 2k + 1 = 9 is below both matrix sides
+            assert sel["svd_k"] <= sel["svd_kmax"] <= 10 * sel["svd_k"]
             assert sel["logreg_unconverged"] == 0
             assert sel["logreg_max_iter"] >= 1
 
